@@ -9,13 +9,17 @@ scheduling and identical across platforms.
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DegenerateData, WindowExceedsTrajectory)
+from .errors import (BudgetExceeded, DegenerateData, OutOfRange,
+                     WindowExceedsTrajectory)
 from .model import Configuration, ProcessParams, WalkSpec
 
 CEMETERY = -1
@@ -86,6 +90,63 @@ class Trajectory:
                 fh.write(f"{t!r},{int(x)},{int(y)}\n")
 
 
+def _events(counts: list[int], sources: Sequence[int],
+            out: Sequence[Sequence[tuple[int, float]]], d: float, blocks: _Blocks,
+            by_target: bool = False) -> Iterator[tuple[float, int, int]]:
+    """Exact direct-method (Gillespie) events, each applied to ``counts``.
+
+    Every step weighs each move ``x -> y`` with ``x`` in ``sources`` and
+    ``(y, coef)`` in ``out[x]``, in that order, by ``c_x (d + c_y) coef``,
+    picks one with probability proportional to its weight, applies it to
+    ``counts`` in place and yields ``(dt, x, y)`` with an exponential holding
+    time ``dt``. ``by_target`` weighs by ``c_y (d + c_x) coef`` instead and
+    draws no exponential (discrete time, ``dt = 1.0``). ``sources`` is read
+    afresh at every step, so the caller may update it between events, and
+    its order fixes the move order. A zero-weight move is never picked.
+    """
+    # each entry carries its (x, y) pair, so one list records the candidates
+    table = [[(y, coef, (x, y)) for y, coef in moves] for x, moves in enumerate(out)]
+    exponential, uniform = blocks.exponential, blocks.uniform
+    cum: list[float] = []
+    picks: list[tuple[int, int]] = []
+    push_cum, push_pick = cum.append, picks.append
+    while True:
+        cum.clear()
+        picks.clear()
+        total = 0.0
+        if by_target:
+            for x in sources:
+                dx = d + counts[x]
+                for y, coef, xy in table[x]:
+                    total += counts[y] * dx * coef
+                    push_cum(total)
+                    push_pick(xy)
+            dt = 1.0
+        else:
+            for x in sources:
+                cx = counts[x]
+                if cx:
+                    for y, coef, xy in table[x]:
+                        total += cx * (d + counts[y]) * coef
+                        push_cum(total)
+                        push_pick(xy)
+            dt = exponential() / total
+        u = uniform() * total
+        # the first move whose cumulative weight reaches u; a draw of exactly
+        # 0.0 would otherwise land on a leading zero-weight move
+        k = bisect_left(cum, u) if u else bisect_right(cum, u)
+        x, y = picks[k]
+        counts[x] -= 1
+        counts[y] += 1
+        yield dt, x, y
+
+
+def _walk_moves(spec: WalkSpec) -> list[list[tuple[int, float]]]:
+    """Outgoing moves ``out[x] = [(y, r(x, y)), ...]`` with positive rate."""
+    return [[(y, float(spec.rates[x, y])) for y in range(spec.kappa)
+             if y != x and spec.rates[x, y] > 0] for x in range(spec.kappa)]
+
+
 def simulate(spec: WalkSpec, params: ProcessParams,
              eta0: Configuration | Sequence[int], horizon: float, seed: int,
              stream: int = 0, max_events: int | None = None) -> Trajectory:
@@ -94,61 +155,36 @@ def simulate(spec: WalkSpec, params: ProcessParams,
     ``max_events`` additionally truncates the event count (the recorded
     horizon is then the last event time).
     """
+    if not math.isfinite(horizon):
+        raise OutOfRange(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    counts = list(eta0.counts if isinstance(eta0, Configuration) else eta0)
-    if len(counts) != spec.kappa:
+    initial = tuple(eta0.counts if isinstance(eta0, Configuration) else eta0)
+    if len(initial) != spec.kappa:
         raise ValueError("initial state has wrong number of sites")
-    if sum(counts) != params.n:
+    if any(not isinstance(c, numbers.Integral) or c < 0 for c in initial):
+        raise OutOfRange(f"initial counts must be nonnegative integers, got {initial}")
+    if sum(initial) != params.n:
         raise ValueError("initial state has wrong particle count")
-    mv_x, mv_y, mv_r = [], [], []
-    for x in range(spec.kappa):
-        for y in range(spec.kappa):
-            if x != y and spec.rates[x, y] > 0:
-                mv_x.append(x)
-                mv_y.append(y)
-                mv_r.append(float(spec.rates[x, y]))
-    nmoves = len(mv_x)
-    d = params.d
-    blocks = _Blocks(replica_rng(seed, stream))
+    counts = [int(c) for c in initial]
+    events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d,
+                     _Blocks(replica_rng(seed, stream)))
     times, efrom, eto = [], [], []
     t = 0.0
-    rates = [0.0] * nmoves
-    while True:
-        if max_events is not None and len(times) >= max_events:
-            break
-        total = 0.0
-        for k in range(nmoves):
-            cx = counts[mv_x[k]]
-            if cx:
-                rate = cx * (d + counts[mv_y[k]]) * mv_r[k]
-            else:
-                rate = 0.0
-            rates[k] = rate
-            total += rate
-        t_next = t + blocks.exponential() / total
+    for dt, x, y in islice(events, max_events):
+        t_next = t + dt
         if t_next <= t:
             t_next = math.nextafter(t, math.inf)
         if t_next > horizon:
             break
         t = t_next
-        u = blocks.uniform() * total
-        acc = 0.0
-        k = nmoves - 1
-        for k in range(nmoves):
-            acc += rates[k]
-            if u <= acc:
-                break
-        x, y = mv_x[k], mv_y[k]
-        counts[x] -= 1
-        counts[y] += 1
         times.append(t)
         efrom.append(x)
         eto.append(y)
     real_horizon = horizon if max_events is None or len(times) < max_events \
         else (times[-1] if times else 0.0)
     return Trajectory(
-        initial=tuple(eta0.counts if isinstance(eta0, Configuration) else eta0),
+        initial=initial,
         times=np.asarray(times, dtype=float),
         move_from=np.asarray(efrom, dtype=np.int32),
         move_to=np.asarray(eto, dtype=np.int32),
@@ -395,6 +431,8 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     mean and variance use uncensored replicas only. Raises only when every
     replica is censored.
     """
+    if task.replicas < 1:
+        raise OutOfRange(f"need at least one replica, got {task.replicas}")
     args = [(task, spec, params, i) for i in range(task.replicas)]
     results = _map_replicas(_hitting_replica, args, threads)
     values = np.array([v for v, _ in results])
@@ -419,31 +457,12 @@ def _run_inclusion_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
                        blocks: _Blocks):
     counts = list(task.start)
     thresh = task.threshold
-    mv = [(x, y, float(spec.rates[x, y]))
-          for x in range(spec.kappa) for y in range(spec.kappa)
-          if x != y and spec.rates[x, y] > 0]
-    d = params.d
-    t = 0.0
     if min(counts) <= thresh:
         return 0.0, False
-    rates = [0.0] * len(mv)
-    for step in range(task.step_cap):
-        total = 0.0
-        for k, (x, y, rxy) in enumerate(mv):
-            cx = counts[x]
-            rate = cx * (d + counts[y]) * rxy if cx else 0.0
-            rates[k] = rate
-            total += rate
-        t += blocks.exponential() / total
-        u = blocks.uniform() * total
-        acc = 0.0
-        for k in range(len(mv)):
-            acc += rates[k]
-            if u <= acc:
-                break
-        x, y, _ = mv[k]
-        counts[x] -= 1
-        counts[y] += 1
+    events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d, blocks)
+    t = 0.0
+    for dt, x, _ in islice(events, task.step_cap):
+        t += dt
         if counts[x] <= thresh:
             return t, False
     return t, True
@@ -458,27 +477,14 @@ def _run_auxiliary_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
         raise ValueError("auxiliary-chain start must be supported on R")
     if min(counts[x] for x in r_set) <= floor_c:
         return 0.0, False
-    pairs = [(x, y, float(spec.rates[y, x]))
-             for x in r_set for y in r_set if x != y]
-    d = params.d
-    weights = [0.0] * len(pairs)
-    for step in range(task.step_cap):
-        total = 0.0
-        for k, (x, y, ryx) in enumerate(pairs):
-            w = counts[y] * (d + counts[x]) * ryx
-            weights[k] = w
-            total += w
-        u = blocks.uniform() * total
-        acc = 0.0
-        for k in range(len(pairs)):
-            acc += weights[k]
-            if u <= acc:
-                break
-        x, y, _ = pairs[k]
-        counts[x] -= 1
-        counts[y] += 1
+    # the reversed chain on R: x -> y weighted by c_y (d + c_x) r(y, x)
+    back = [[(y, float(spec.rates[y, x])) for y in r_set
+             if y != x and spec.rates[y, x] > 0] if x in r_set else []
+            for x in range(spec.kappa)]
+    events = _events(counts, r_set, back, params.d, blocks, by_target=True)
+    for step, (_, x, _) in enumerate(islice(events, task.step_cap), 1):
         if counts[x] <= floor_c:
-            return float(step + 1), False
+            return float(step), False
     return float(task.step_cap), True
 
 

@@ -16,10 +16,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (NonSpanningSupport, SupportTooLarge, TooFewRelocations)
+from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
+                     TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .model import WalkSpec, log_weight_table
-from .simulate import Trajectory, _Blocks, replica_rng
+from .simulate import Trajectory, _Blocks, _events, replica_rng
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -360,6 +361,8 @@ class _CondensateAccumulator:
     def __post_init__(self):
         self.coords = _site_coords(self.spec)
         self.cur = self.start_site
+        self.occupied = [self.start_site]    # insertion order fixes move order
+        self.in_e = True
         self.disp = np.zeros(self.spec.d, dtype=np.int64)
         self.trace_time = 0.0
         self.off_time = 0.0
@@ -369,8 +372,8 @@ class _CondensateAccumulator:
         self.unwrap_consistent = True
         self._start_coord = self.coords[self.start_site].copy()
 
-    def dwell(self, dt: float, in_e: bool) -> None:
-        if in_e:
+    def dwell(self, dt: float) -> None:
+        if self.in_e:
             self.trace_time += dt
             while (self.ck < len(self.checkpoints)
                    and self.trace_time >= self.checkpoints[self.ck]):
@@ -378,6 +381,17 @@ class _CondensateAccumulator:
                 self.ck += 1
         else:
             self.off_time += dt
+
+    def moved(self, counts: list[int], x: int, y: int) -> None:
+        """Follow the move ``x -> y``, already applied to ``counts``."""
+        occupied = self.occupied
+        if counts[x] == 0:
+            occupied.remove(x)
+        if counts[y] == 1:
+            occupied.append(y)
+        self.in_e = len(occupied) == 1
+        if self.in_e:
+            self.enter(occupied[0])
 
     def enter(self, site: int) -> None:
         if site == self.cur:
@@ -426,70 +440,24 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
                    start_site: int = 0) -> CondensateRun:
     """Stream one condensate run until the trace clock reaches
     ``t_rescaled * theta``; memory stays O(relocations)."""
+    if n_checkpoints < 1:
+        raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints}")
     horizon = spec.theta * t_rescaled
     checkpoints = horizon * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
     acc = _CondensateAccumulator(spec=spec, start_site=start_site,
                                  checkpoints=checkpoints)
-    offsets = list(spec.kernel)
-    hw = [spec.kernel[o] for o in offsets]
-    noff = len(offsets)
     side = spec.side
-    coords = acc.coords
-    nbr = [[_flat_index(coords[x] + np.asarray(o), side) for o in offsets]
-           for x in range(spec.n_sites)]
+    out = [[(_flat_index(acc.coords[x] + np.asarray(off), side), w)
+            for off, w in spec.kernel.items()] for x in range(spec.n_sites)]
     counts = [0] * spec.n_sites
     counts[start_site] = spec.n
-    occ = [start_site]
-    in_e = True
-    d_l = spec.d_l
-    blocks = _Blocks(replica_rng(seed, stream))
-    rates = [0.0] * (noff * 4)
-    mx = [0] * (noff * 4)
-    my = [0] * (noff * 4)
-
-    while not acc.done:
-        tot = 0.0
-        nm = 0
-        for x in occ:
-            cx = counts[x]
-            nb = nbr[x]
-            for j in range(noff):
-                y = nb[j]
-                rt = cx * (d_l + counts[y]) * hw[j]
-                if nm == len(rates):
-                    rates.append(0.0)
-                    mx.append(0)
-                    my.append(0)
-                rates[nm] = rt
-                mx[nm] = x
-                my[nm] = y
-                nm += 1
-                tot += rt
-        dt = blocks.exponential() / tot
-        acc.dwell(dt, in_e)
+    events = _events(counts, acc.occupied, out, spec.d_l,
+                     _Blocks(replica_rng(seed, stream)))
+    for dt, x, y in events:
+        acc.dwell(dt)
         if acc.done:
             break
-        u = blocks.uniform() * tot
-        run = 0.0
-        k = 0
-        for k in range(nm):
-            run += rates[k]
-            if u <= run:
-                break
-        x, y = mx[k], my[k]
-        cx = counts[x] - 1
-        counts[x] = cx
-        cy = counts[y] + 1
-        counts[y] = cy
-        if cx == 0:
-            occ.remove(x)
-        if cy == 1:
-            occ.append(y)
-        if len(occ) == 1:
-            acc.enter(occ[0])
-            in_e = True
-        else:
-            in_e = False
+        acc.moved(counts, x, y)
     acc.finish()
     return CondensateRun(relocations=acc.relocations,
                          displacement=acc.disp.astype(float),
@@ -527,25 +495,15 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     start = occ[0]
     windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
     acc = _CondensateAccumulator(spec=spec, start_site=start, checkpoints=windows)
-    in_e = True
     t_prev = 0.0
-    n_occupied = 1
-    for t, x, y in zip(traj.times, traj.move_from, traj.move_to):
-        acc.dwell(float(t) - t_prev, in_e)
-        t_prev = float(t)
-        if counts[x] == 1:
-            n_occupied -= 1
+    for t, x, y in zip(traj.times.tolist(), traj.move_from.tolist(),
+                       traj.move_to.tolist()):
+        acc.dwell(t - t_prev)
+        t_prev = t
         counts[x] -= 1
-        if counts[y] == 0:
-            n_occupied += 1
         counts[y] += 1
-        if n_occupied == 1:
-            # after a move the single occupied site can only be the target
-            acc.enter(y)
-            in_e = True
-        else:
-            in_e = False
-    acc.dwell(traj.horizon - t_prev, in_e)
+        acc.moved(counts, x, y)
+    acc.dwell(traj.horizon - t_prev)
     filled = acc.ck  # windows actually crossed by the trace clock
     acc.finish()
     if acc.relocations < min_relocations:
@@ -577,6 +535,8 @@ class DriftEstimate:
 def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
                   replicas: int = 1, min_relocations: int = 100) -> DriftEstimate:
     """Rescaled drift of the condensate over independent streamed runs."""
+    if replicas < 1:
+        raise OutOfRange(f"need at least one replica, got {replicas}")
     drifts = np.zeros((replicas, spec.d))
     offs = np.zeros(replicas)
     relocs = np.zeros(replicas, dtype=int)
@@ -616,6 +576,8 @@ def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
     Positions are sampled on the trace clock at equally spaced rescaled
     times; the covariance estimate uses final displacements.
     """
+    if replicas < 1:
+        raise OutOfRange(f"need at least one replica, got {replicas}")
     ck_resc = t_rescaled * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
     sq = np.zeros(n_checkpoints)
     finals = np.zeros((replicas, spec.d))

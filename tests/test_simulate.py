@@ -5,11 +5,11 @@ import pytest
 from scipy import stats
 
 from incproc import (BudgetExceeded, Configuration, DegenerateData,
-                     HittingTask, ProcessParams, WalkSpec,
+                     HittingTask, OutOfRange, ProcessParams, WalkSpec,
                      WindowExceedsTrajectory, mc_hitting, mc_mean_jump_rate,
                      mean_jump_rate_exact, replica_rng, scaling_fit, simulate,
                      stationary_exact, trace_project)
-from incproc.simulate import CEMETERY
+from incproc.simulate import CEMETERY, _Blocks
 
 
 class TestSimulate:
@@ -69,6 +69,27 @@ class TestSimulate:
         occupation /= occupation.sum()
         tv = 0.5 * np.abs(occupation - mu.weights).sum()
         assert tv <= 0.02
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_horizon(self, cycle3, horizon):
+        with pytest.raises(OutOfRange):
+            simulate(cycle3, ProcessParams(5, 0.1), (0, 5, 0), horizon, seed=1,
+                     max_events=10)
+
+    @pytest.mark.parametrize("eta0", [(-1, 6, 0), (0, 2.5, 2.5)])
+    def test_rejects_bad_counts(self, cycle3, eta0):
+        with pytest.raises(OutOfRange):
+            simulate(cycle3, ProcessParams(5, 0.1), eta0, 1.0, seed=1,
+                     max_events=10)
+
+    def test_zero_draw_never_picks_zero_rate_move(self, cycle3, monkeypatch):
+        # Generator.random() can return exactly 0.0; site 0 is empty, so its
+        # moves have rate 0 and must not be picked
+        monkeypatch.setattr(_Blocks, "uniform", lambda self: 0.0)
+        traj = simulate(cycle3, ProcessParams(5, 0.1), (0, 5, 0), 10.0,
+                        seed=1, max_events=1)
+        assert traj.move_from.tolist() == [1]
+        assert min(traj.final_state()) >= 0
 
     def test_jump_chain_frequencies_chi_square(self, up3):
         # empirical move frequencies per state vs the jump kernel
@@ -226,6 +247,12 @@ class TestMCHitting:
         seq = mc_hitting(task, cycle3, params, threads=1)
         par = mc_hitting(task, cycle3, params, threads=2)
         assert np.array_equal(seq.values, par.values)
+
+    def test_zero_replicas(self, cycle3):
+        task = HittingTask(chain="inclusion", start=(10, 10, 10), replicas=0,
+                           seed=1, threshold=2.0)
+        with pytest.raises(OutOfRange):
+            mc_hitting(task, cycle3, ProcessParams(30, 0.1))
 
     def test_bad_task(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (NonSpanningSupport, ProcessParams, SupportTooLarge,
-                     TooFewRelocations, analyze_walk, build_torus,
+from incproc import (NonSpanningSupport, OutOfRange, ProcessParams,
+                     SupportTooLarge, TooFewRelocations, analyze_walk, build_torus,
                      compare_rate_methods, condensate_statistics, cosine_mode,
                      generator_gap, limit_generator_apply, linear_function,
                      measure_diffusion, measure_drift, run_condensate,
@@ -199,6 +199,18 @@ class TestCondensateRuns:
         target = spec.rho * spec.v[0]
         assert est.drift[0] == pytest.approx(target, rel=0.2)
         assert est.off_fraction <= 0.05
+
+    def test_zero_replicas(self):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        with pytest.raises(OutOfRange):
+            measure_drift(spec, t_rescaled=1.0, seed=1, replicas=0)
+        with pytest.raises(OutOfRange):
+            measure_diffusion(spec, t_rescaled=1.0, replicas=0, seed=1)
+
+    def test_zero_checkpoints(self):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        with pytest.raises(OutOfRange):
+            run_condensate(spec, t_rescaled=1.0, seed=1, n_checkpoints=0)
 
     def test_diffusion_smoke(self):
         spec = build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0, d_l=1e-4)
