@@ -154,6 +154,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

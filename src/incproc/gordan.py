@@ -2,9 +2,11 @@
 
 For a skew-symmetric Q exactly one of two certificates exists: a direction
 ``alpha`` with every component of ``Q @ alpha`` strictly negative, or a
-nonzero nonpositive vector ``beta`` in the kernel of Q. The solver is a
-self-contained dense simplex with Bland's rule (problem sizes stay below the
-site cap), with an exact rational re-solve when the float run is borderline.
+nonzero nonpositive vector ``beta`` in the kernel of Q. Each branch is found
+by one HiGHS linear program (``scipy.optimize.linprog``) and accepted only
+after one check in exact arithmetic against the skew part ``(q - q^T) / 2``
+of the input: the sign of every entry of ``Q @ alpha``, or an exact kernel
+vector by rational elimination on the support of the HiGHS solution.
 """
 
 from __future__ import annotations
@@ -17,144 +19,7 @@ import numpy as np
 from .errors import NotSkewSymmetric, SolverFailure
 
 SKEW_TOL = 1e-12
-RESIDUAL_REL = 1e-9
-BORDERLINE = 1e-9
-
-
-def _simplex_min(a_rows, b, c, basis, *, max_iters=200_000):
-    """Minimize c.x subject to A x = b, x >= 0 from a given feasible basis.
-
-    Dense tableau simplex with Bland's anti-cycling rule, generic over float
-    and Fraction entries. Returns (value, x, basis). Assumes the problem is
-    bounded (true for both certificate programs).
-    """
-    m = len(a_rows)
-    ncols = len(c)
-    zero = b[0] * 0 if m else 0
-    exact = isinstance(zero, Fraction)
-    eps = zero if exact else 1e-11
-    # tableau rows: [A | b]
-    tab = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
-    basis = list(basis)
-
-    # normalize so basic columns form an identity
-    for i, j in enumerate(basis):
-        piv = tab[i][j]
-        if piv == zero:
-            raise SolverFailure("starting basis is singular")
-        inv = 1 / piv if isinstance(piv, Fraction) else 1.0 / piv
-        tab[i] = [v * inv for v in tab[i]]
-        for r in range(m):
-            if r != i and tab[r][j] != zero:
-                f = tab[r][j]
-                tab[r] = [vr - f * vi for vr, vi in zip(tab[r], tab[i])]
-
-    for _ in range(max_iters):
-        # reduced costs: c_j - c_B . column_j
-        cb = [c[j] for j in basis]
-        entering = -1
-        for j in range(ncols):
-            if j in basis:
-                continue
-            red = c[j]
-            for i in range(m):
-                if tab[i][j] != zero:
-                    red = red - cb[i] * tab[i][j]
-            if red < -eps:
-                entering = j  # Bland: smallest index
-                break
-        if entering < 0:
-            x = [zero] * ncols
-            for i, j in enumerate(basis):
-                x[j] = tab[i][ncols]
-            val = zero
-            for j in basis:
-                if x[j] != zero:
-                    val = val + c[j] * x[j]
-            return val, x, basis
-        # ratio test, Bland tie-break on smallest basis index
-        leave = -1
-        best = None
-        for i in range(m):
-            aij = tab[i][entering]
-            if aij > zero:
-                ratio = tab[i][ncols] / aij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise SolverFailure("unbounded certificate program")
-        piv = tab[leave][entering]
-        inv = 1 / piv if isinstance(piv, Fraction) else 1.0 / piv
-        tab[leave] = [v * inv for v in tab[leave]]
-        for r in range(m):
-            if r != leave and tab[r][entering] != zero:
-                f = tab[r][entering]
-                tab[r] = [vr - f * vi for vr, vi in zip(tab[r], tab[leave])]
-        basis[leave] = entering
-    raise SolverFailure("simplex iteration cap reached")
-
-
-def _alpha_program(q_rows):
-    """max t s.t. Q(u - v) + t*1 <= 0, t <= 1; returns (t*, alpha).
-
-    Standard form over x = (u, v, t, slacks s, s0) >= 0; the slack basis is
-    feasible, and the optimum is 1 exactly when the alpha branch exists.
-    """
-    n = len(q_rows)
-    one = q_rows[0][0] * 0 + 1 if isinstance(q_rows[0][0], Fraction) else 1.0
-    zero = one * 0
-    ncols = 2 * n + 1 + n + 1
-    rows = []
-    for i in range(n):
-        row = [zero] * ncols
-        for j in range(n):
-            row[j] = q_rows[i][j]
-            row[n + j] = -q_rows[i][j]
-        row[2 * n] = one
-        row[2 * n + 1 + i] = one
-        rows.append(row)
-    last = [zero] * ncols
-    last[2 * n] = one
-    last[ncols - 1] = one
-    rows.append(last)
-    b = [zero] * n + [one]
-    c = [zero] * ncols
-    c[2 * n] = -one  # maximize t
-    basis = list(range(2 * n + 1, 2 * n + 1 + n + 1))
-    val, x, _ = _simplex_min(rows, b, c, basis)
-    t_opt = -val
-    alpha = [x[j] - x[n + j] for j in range(n)]
-    return t_opt, alpha
-
-
-def _beta_program(q_rows):
-    """Phase-1 feasibility of Q gamma = 0, sum gamma = 1, gamma >= 0.
-
-    Returns (infeasibility, gamma); infeasibility 0 means the beta branch
-    exists with beta = -gamma.
-    """
-    n = len(q_rows)
-    one = q_rows[0][0] * 0 + 1 if isinstance(q_rows[0][0], Fraction) else 1.0
-    zero = one * 0
-    m = n + 1
-    # artificials need nonnegative rhs; rows of Q gamma = 0 already have b = 0
-    ncols = n + m
-    rows = []
-    for i in range(n):
-        row = [zero] * ncols
-        for j in range(n):
-            row[j] = q_rows[i][j]
-        row[n + i] = one
-        rows.append(row)
-    last = [one] * n + [zero] * m
-    last[n + m - 1] = one
-    rows.append(last)
-    b = [zero] * n + [one]
-    c = [zero] * n + [one] * m
-    basis = list(range(n, n + m))
-    val, x, _ = _simplex_min(rows, b, c, basis)
-    return val, x[:n]
+SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,105 +40,111 @@ class GordanCertificate:
         return self.vector if self.variant == "beta" else None
 
 
-def _certify_float(q: np.ndarray):
-    rows = [list(map(float, r)) for r in q]
-    try:
-        t_opt, alpha = _alpha_program(rows)
-        if t_opt > 0.5:
-            return "alpha", np.asarray(alpha, dtype=float), t_opt
-        if t_opt > BORDERLINE:
-            return None, None, t_opt  # ambiguous, re-solve exactly
-        infeas, gamma = _beta_program(rows)
-        if infeas < BORDERLINE:
-            return "beta", -np.asarray(gamma, dtype=float), t_opt
-        return None, None, t_opt
-    except SolverFailure:
-        return None, None, float("nan")
+def _integers(values) -> list[int]:
+    """Integers proportional to the floats ``values``, with a positive factor."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    return [p * (den // d) for p, d in ratios]
 
 
-def _certify_exact(q: np.ndarray):
-    rows = [[Fraction(float(v)) for v in r] for r in q]
-    # exact skew-symmetrization: floats may break Q[i,j] == -Q[j,i] at eps level
-    n = len(rows)
-    for i in range(n):
-        rows[i][i] = Fraction(0)
-        for j in range(i + 1, n):
-            avg = (rows[i][j] - rows[j][i]) / 2
-            rows[i][j] = avg
-            rows[j][i] = -avg
-    t_opt, alpha = _alpha_program(rows)
-    if t_opt == 1:
-        return "alpha", np.asarray([float(v) for v in alpha])
-    infeas, gamma = _beta_program(rows)
-    if infeas != 0:
-        raise SolverFailure("exact certificate search failed both branches")
-    return "beta", -np.asarray([float(v) for v in gamma])
+def _skew_exact(q: np.ndarray) -> list[list[int]]:
+    """The exact skew part ``(q - q^T) / 2`` times a positive constant, which
+    changes no sign and no kernel: both exact checks run on these integers."""
+    n = q.shape[0]
+    z = _integers(q.ravel())
+    return [[z[i * n + j] - z[j * n + i] for j in range(n)] for i in range(n)]
+
+
+def _exact_kernel(k: list[list[int]], support: list[int]) -> list[Fraction] | None:
+    """The unique gamma with ``K[:, support] gamma = 0`` and ``sum(gamma) = 1``.
+
+    Fraction-free (Bareiss) elimination, then back substitution in
+    rationals. Returns None when the solution does not exist or is not
+    unique.
+    """
+    m = len(support)
+    rows = [[row[j] for j in support] + [0] for row in k] + [[1] * (m + 1)]
+    prev = 1
+    for c in range(m):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return None  # dependent columns
+        rows[c], rows[p] = rows[p], rows[c]
+        piv = rows[c]
+        for r in range(c + 1, len(rows)):
+            rows[r] = [(piv[c] * a - rows[r][c] * b) // prev for a, b in zip(rows[r], piv)]
+        prev = piv[c]
+    if any(row[m] for row in rows[m:]):
+        return None  # inconsistent
+    gamma = [Fraction(0)] * m
+    for c in reversed(range(m)):
+        rest = sum(rows[c][j] * gamma[j] for j in range(c + 1, m))
+        gamma[c] = (rows[c][m] - rest) / Fraction(rows[c][c])
+    return gamma
+
+
+def _certify(q: np.ndarray, scale: float) -> tuple[str, np.ndarray]:
+    # imported here: scipy.optimize adds about 0.2 s and 15 MB to `import incproc`
+    from scipy.optimize import linprog
+
+    n = q.shape[0]
+    k = _skew_exact(q)
+    # alpha: max t s.t. Q alpha + t 1 <= 0, t <= 1; the optimum is 1 on this branch
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([q, np.ones((n, 1))]),
+                  b_ub=np.zeros(n), bounds=[(None, None)] * n + [(None, 1.0)],
+                  method="highs")
+    if res.status == 0:
+        alpha = res.x[:n]
+        margin = float(np.max(q @ alpha))
+        if margin < 0:
+            alpha = alpha * (-max(0.1 * scale, 1e-300) / margin)
+            a = _integers(alpha)
+            if all(sum(kij * aj for kij, aj in zip(row, a)) < 0 for row in k):
+                return "alpha", alpha
+    # beta = -gamma: gamma >= 0, Q gamma = 0, sum gamma = 1
+    res = linprog(np.zeros(n), A_eq=np.vstack([q, np.ones(n)]), b_eq=np.r_[np.zeros(n), 1.0],
+                  bounds=(0.0, None), method="highs")
+    if res.status == 0:
+        support = [int(j) for j in np.flatnonzero(res.x > SUPPORT_TOL)]
+        gamma = _exact_kernel(k, support)
+        if gamma is not None and all(g > 0 for g in gamma):
+            beta = np.zeros(n)
+            beta[support] = [-float(g) for g in gamma]
+            return "beta", beta
+    raise SolverFailure("neither certificate branch verified in exact arithmetic")
 
 
 def dichotomy_check(q) -> tuple[GordanCertificate, bool]:
-    """Certificate plus an explicit check that the other branch fails.
+    """Certificate plus whether the other branch is ruled out: (cert, exclusive).
 
-    For an alpha certificate the beta feasibility program must be
-    infeasible; for a beta certificate the alpha program's optimum must be
-    zero. Returns (certificate, exclusive).
+    For skew Q, ``beta^T Q alpha = -(Q beta)^T alpha = 0`` contradicts
+    ``beta <= 0, beta != 0, Q alpha < 0``, so a certificate verified exactly
+    (the only kind ``gordan_certificate`` returns) excludes the other branch.
     """
-    cert = gordan_certificate(q)
-    rows = [[Fraction(float(v)) for v in r] for r in np.asarray(q, dtype=float)]
-    n = len(rows)
-    for i in range(n):
-        rows[i][i] = Fraction(0)
-        for j in range(i + 1, n):
-            avg = (rows[i][j] - rows[j][i]) / 2
-            rows[i][j] = avg
-            rows[j][i] = -avg
-    if cert.variant == "alpha":
-        infeas, _ = _beta_program(rows)
-        exclusive = infeas > 0
-    else:
-        t_opt, _ = _alpha_program(rows)
-        exclusive = t_opt == 0
-    return cert, exclusive
+    return gordan_certificate(q), True
 
 
 def gordan_certificate(q, tol: float = SKEW_TOL) -> GordanCertificate:
     """Produce the unique certificate branch for a skew-symmetric matrix.
 
-    The returned alpha satisfies ``max(Q @ alpha) <= -1e-9 * max|Q|``; the
-    returned beta is nonpositive with unit norm and
-    ``max|Q @ beta| <= 1e-9 * max|Q|``. Borderline float runs are re-solved
-    in exact rational arithmetic.
+    The returned alpha satisfies ``max(Q @ alpha) = -0.1 * max|Q|`` with
+    every entry of ``Q @ alpha`` negative in exact arithmetic; the returned
+    beta is nonpositive with unit norm, the rounding of an exact kernel
+    vector. Raises SolverFailure when neither branch verifies exactly.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise NotSkewSymmetric(f"matrix shape {q.shape} is not square")
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise NotSkewSymmetric(f"matrix shape {q.shape} is not square and nonempty")
+    if not np.isfinite(q).all():
+        raise NotSkewSymmetric("matrix has non-finite entries")
     scale = float(np.abs(q).max())
     if np.abs(q + q.T).max() > tol * max(scale, 1.0):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
 
-    variant, vec, t_opt = _certify_float(q)
-    if variant is None:
-        variant, vec = _certify_exact(q)
-
+    variant, vec = _certify(q, scale)
     if variant == "alpha":
-        margin = float(np.max(q @ vec))
-        target = -max(0.1 * scale, 1e-300)
-        if margin >= 0:
-            variant, vec = _certify_exact(q)
-            margin = float(np.max(q @ vec))
-            if margin >= 0:
-                raise SolverFailure("alpha certificate lost strictness")
-        vec = vec * (target / margin)
         residual = float(np.max(q @ vec))
     else:
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise SolverFailure("beta certificate is zero")
-        vec = vec / norm
+        vec = vec / np.linalg.norm(vec)
         residual = float(np.abs(q @ vec).max())
-        if residual > RESIDUAL_REL * max(scale, 1.0):
-            variant2, vec2 = _certify_exact(q)
-            if variant2 != "beta":
-                raise SolverFailure("certificate branches disagree")
-            vec = vec2 / np.linalg.norm(vec2)
-            residual = float(np.abs(q @ vec).max())
     return GordanCertificate(variant=variant, vector=vec, q=q, residual=residual)

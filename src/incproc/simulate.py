@@ -166,6 +166,9 @@ def simulate(spec: WalkSpec, params: ProcessParams,
         raise OutOfRange(f"initial counts must be nonnegative integers, got {initial}")
     if sum(initial) != params.n:
         raise ValueError("initial state has wrong particle count")
+    if max_events is not None and (not isinstance(max_events, numbers.Integral)
+                                   or max_events < 0):
+        raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
     counts = [int(c) for c in initial]
     events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d,
                      _Blocks(replica_rng(seed, stream)))
@@ -342,7 +345,7 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
     than raised.
     """
     if replicas < 1:
-        raise ValueError("need at least one replica")
+        raise OutOfRange(f"need at least one replica, got {replicas}")
     a_set = tuple(sorted(set(int(v) for v in a_set)))
     kappa = spec.kappa
     args = [(spec, params, a_set, horizon, seed, i) for i in range(replicas)]
@@ -406,6 +409,8 @@ class HittingTask:
             raise ValueError("inclusion chain needs a threshold")
         if self.chain == "auxiliary" and (self.r_set is None or self.eps is None):
             raise ValueError("auxiliary chain needs r_set and eps")
+        if not isinstance(self.step_cap, numbers.Integral) or self.step_cap < 0:
+            raise OutOfRange(f"step_cap must be a nonnegative integer, got {self.step_cap!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +157,12 @@ class TestPredictedMeanRate:
                 assert rel <= 10.0 * budget
 
 
+def _exactly_negative(q, v) -> bool:
+    """Every entry of q @ v is negative in rational arithmetic."""
+    vx = [Fraction(float(x)) for x in v]
+    return all(sum(Fraction(float(qij)) * x for qij, x in zip(row, vx)) < 0 for row in q)
+
+
 class TestGordan:
     def test_two_site(self):
         cert = gordan_certificate(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -178,11 +186,55 @@ class TestGordan:
         with pytest.raises(NotSkewSymmetric):
             gordan_certificate(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("q", [[[0.0, math.nan], [math.nan, 0.0]],
+                                   [[0.0, math.inf], [-math.inf, 0.0]],
+                                   np.zeros((0, 0))],
+                             ids=["nan", "inf", "empty"])
+    def test_rejects_non_finite_or_empty(self, q):
+        with pytest.raises(NotSkewSymmetric):
+            gordan_certificate(q)
+
+    def test_random_64_sites(self):
+        rng = np.random.Generator(np.random.Philox(key=(13, 64)))
+        a = rng.normal(size=(64, 64))
+        q = a - a.T
+        start = time.perf_counter()
+        cert = gordan_certificate(q)
+        assert time.perf_counter() - start < 5.0
+        assert cert.variant == "alpha"
+        assert _exactly_negative(q, cert.vector)
+
+    def test_borderline_32_sites(self):
+        # the analysis benchmark's 32-site matrix at seed 201, on which a
+        # float simplex finds only a non-strict alpha
+        rng = np.random.Generator(np.random.Philox(key=(201, 3)))
+        for size in (8, 16, 24):
+            rng.normal(size=(size, size))
+        a = rng.normal(size=(32, 32))
+        q = a - a.T
+        start = time.perf_counter()
+        cert = gordan_certificate(q)
+        assert time.perf_counter() - start < 5.0
+        assert cert.variant == "alpha"
+        assert _exactly_negative(q, cert.vector)
+        assert cert.residual == pytest.approx(-0.1 * np.abs(q).max(), rel=1e-9)
+
+    def test_isolated_site(self):
+        # site 5 has no rates, so -e_5 is a kernel vector, one of several
+        q = np.zeros((6, 6))
+        q[0, 1:5] = [0.2, -0.1, 0.2, 0.2]
+        q[2, 3] = -0.2
+        q = q - q.T
+        cert = gordan_certificate(q)
+        assert cert.variant == "beta"
+        assert np.all(cert.vector <= 0) and np.any(cert.vector < 0)
+        assert np.abs(q @ cert.vector).max() <= 1e-15
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
     def test_dichotomy_random(self, seed):
         rng = np.random.Generator(np.random.Philox(key=(13, seed)))
-        size = int(rng.integers(2, 7))
+        size = int(rng.integers(2, 10))
         a = rng.normal(size=(size, size))
         q = a - a.T
         cert, exclusive = dichotomy_check(q)
@@ -190,6 +242,7 @@ class TestGordan:
         scale = max(np.abs(q).max(), 1.0)
         if cert.variant == "alpha":
             assert (q @ cert.vector).max() <= -1e-9 * scale
+            assert _exactly_negative(q, cert.vector)
         else:
             assert np.abs(q @ cert.vector).max() <= 1e-9 * scale
             assert np.all(cert.vector <= 0)

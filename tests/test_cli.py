@@ -198,6 +198,22 @@ class TestMain:
         assert payload["level"] == "quick"
         assert payload["criteria"][0]["passed"] is True
 
+    def test_verify_out_with_numpy_bool(self, monkeypatch, tmp_path):
+        # criteria compare numpy scalars, so `passed` and metrics can be numpy.bool
+        import incproc.cli as cli
+        from incproc.acceptance import CriterionResult, VerifyReport
+
+        def fake_suite(level, echo=None):
+            res = CriterionResult(7, "stub", np.float64(1.0) > 0, "none",
+                                  {"flag": np.bool_(False)})
+            return VerifyReport(level=level, results=[res], wall_s=0.01)
+
+        monkeypatch.setattr(cli, "verify_suite", fake_suite)
+        assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        assert payload["criteria"][0]["passed"] is True
+        assert payload["criteria"][0]["metrics"]["flag"] is False
+
     def test_verify_failure_exit_two(self, monkeypatch, tmp_path):
         import incproc.cli as cli
         from incproc.acceptance import CriterionResult, VerifyReport

@@ -82,6 +82,12 @@ class TestSimulate:
             simulate(cycle3, ProcessParams(5, 0.1), eta0, 1.0, seed=1,
                      max_events=10)
 
+    @pytest.mark.parametrize("max_events", [-1, 2.5])
+    def test_rejects_bad_max_events(self, cycle3, max_events):
+        with pytest.raises(OutOfRange):
+            simulate(cycle3, ProcessParams(5, 0.1), (0, 5, 0), 1.0, seed=1,
+                     max_events=max_events)
+
     def test_zero_draw_never_picks_zero_rate_move(self, cycle3, monkeypatch):
         # Generator.random() can return exactly 0.0; site 0 is empty, so its
         # moves have rate 0 and must not be picked
@@ -209,6 +215,11 @@ class TestMCMeanJumpRate:
                                 horizon=0.001, seed=8)
         assert est.no_transitions.any()
 
+    def test_zero_replicas(self, two_sym):
+        with pytest.raises(OutOfRange):
+            mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), (0, 1),
+                              replicas=0, horizon=1.0, seed=1)
+
 
 class TestMCHitting:
     def test_start_on_inner_boundary_is_zero(self, cycle3):
@@ -253,6 +264,11 @@ class TestMCHitting:
                            seed=1, threshold=2.0)
         with pytest.raises(OutOfRange):
             mc_hitting(task, cycle3, ProcessParams(30, 0.1))
+
+    def test_rejects_negative_step_cap(self):
+        with pytest.raises(OutOfRange):
+            HittingTask(chain="auxiliary", start=(5, 5, 5), replicas=2, seed=1,
+                        r_set=(0, 1, 2), eps=0.1, step_cap=-1)
 
     def test_bad_task(self):
         with pytest.raises(ValueError):
