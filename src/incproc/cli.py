@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +205,8 @@ def _run_stationary(cfg, seed, out, threads, report, echo):
         report.checks["closed_form_agreement"] = dev <= 1e-10
     _write_json(out / "summary.json", summary)
     report.artifacts.append(str(out / "summary.json"))
-    report.metrics.update({"E_mass": summary["E_mass"], "states": mu.enum.size})
+    report.metrics.update({"E_mass": summary["E_mass"], "states": mu.enum.size,
+                           "solver": asdict(mu.solver)})
 
 
 def _run_meanrate(cfg, seed, out, threads, report, echo):
@@ -225,6 +226,7 @@ def _run_meanrate(cfg, seed, out, threads, report, echo):
                ["site_from", "site_to", "rate", "normalized", "predicted"], rows)
     report.artifacts.append(str(out / "meanrate.csv"))
     report.metrics["error_budget"] = pred.error_budget
+    report.metrics["solver"] = asdict(exact.solver)
     if cfg.get("mc_replicas"):
         est = mc_mean_jump_rate(walk, params, a_set,
                                 replicas=int(cfg["mc_replicas"]),

@@ -1,8 +1,9 @@
 """Exact stationary distributions, hitting probabilities, trace rates, flows.
 
 Everything here is a direct linear-algebra computation on the enumerated
-configuration space; no asymptotics. Sparse direct solves carry one step of
-iterative refinement and are checked against explicit residual tolerances.
+configuration space; no asymptotics. Sparse direct solves eliminate the
+states in nested-dissection order on their count coordinates, carry one step
+of iterative refinement and are checked against explicit residual tolerances.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure)
-from .model import ProcessParams, WalkSpec, analyze_walk, log_weight_table
-from .regions import RegionSpec, b_set_masses
-from .states import DEFAULT_CAP, Distribution, StateEnumeration
+from .model import ProcessParams, WalkSpec, analyze_walk, log_weight_table, site_set
+from .regions import RegionSpec
+from .states import (DEFAULT_CAP, Distribution, SolverReport, StateEnumeration,
+                     b_set_masses)
 
 STATIONARY_TOL = 1e-10
 HITTING_TOL = 1e-12
 POWER_TOL = 1e-13
 POWER_MAX_SWEEPS = 1_000_000
+ND_LEAF = 32
 
 
 def build_rate_matrix(spec: WalkSpec, params: ProcessParams,
@@ -69,13 +72,51 @@ def enumerate_states(kappa: int, n: int, cap: int = DEFAULT_CAP) -> StateEnumera
     return StateEnumeration(kappa, n, cap=cap)
 
 
-def _solve_refined(a: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    # generator sparsity is structurally symmetric, where this ordering
-    # produces far less fill than the COLAMD default
-    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
-    x = lu.solve(b)
-    x -= lu.solve(a @ x - b)
-    return x
+def _nested_dissection(coords: np.ndarray) -> np.ndarray:
+    """Fill-reducing elimination order from the count coordinates.
+
+    A move changes every count by at most one, so the states with
+    ``eta_j == v`` separate those with ``eta_j < v`` from those with
+    ``eta_j > v``. Each block is split at the median of its widest
+    coordinate, both sides are ordered recursively, and the separator goes
+    last. Blocks of at most ``ND_LEAF`` states keep their given order.
+    """
+    order = []
+
+    def dissect(idx: np.ndarray) -> None:
+        if idx.size <= ND_LEAF:
+            order.append(idx)
+            return
+        sub = coords[idx]
+        span = sub.max(axis=0) - sub.min(axis=0)
+        col = sub[:, int(np.argmax(span))]
+        v = np.partition(col, col.size // 2)[col.size // 2]
+        dissect(idx[col < v])
+        dissect(idx[col > v])
+        order.append(idx[col == v])
+
+    dissect(np.arange(coords.shape[0]))
+    return np.concatenate(order)
+
+
+def _solve_refined(a: sp.spmatrix, b: np.ndarray,
+                   coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve ``a x = b`` by one sparse LU plus one step of iterative refinement.
+
+    The unknowns are the states whose count vectors are the rows of
+    ``coords``; they are eliminated in nested-dissection order. ``b`` may
+    hold several right-hand sides as columns. Returns the solution and the
+    number of nonzeros stored for L and U.
+    """
+    perm = _nested_dissection(coords)
+    ap = a.tocsr()[perm][:, perm].tocsc()
+    bp = b[perm]
+    lu = spla.splu(ap, permc_spec="NATURAL")
+    y = lu.solve(bp)
+    y -= lu.solve(ap @ y - bp)
+    x = np.empty_like(y)
+    x[perm] = y
+    return x, int(lu.nnz)
 
 
 def _power_iteration(q: sp.csr_matrix) -> np.ndarray:
@@ -102,6 +143,7 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     the solution stays well scaled), keeping the system fully sparse; the
     result is renormalized afterwards. Falls back to uniformized power
     iteration if the direct solve misses the residual target ``tol * max|Q|``.
+    The returned distribution records which path ran in ``solver``.
     """
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
     q = build_generator(spec, params, enum)
@@ -110,26 +152,28 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     a = q.T.tolil()
     a.rows[ref] = [ref]
     a.data[ref] = [1.0]
-    a = a.tocsc()
     b = np.zeros(n)
     b[ref] = 1.0
     scale = float(np.abs(q.data).max())
+    bound = tol * scale
 
-    mu = _solve_refined(a, b)
-    if mu.min() < -1e-9 * max(mu.max(), 1.0):
-        mu = _power_iteration(q)
-    mu = np.clip(mu, 0.0, None)
-    mu /= mu.sum()
-    residual = float(np.abs(mu @ q).max())
-    if residual > tol * scale:
-        mu = _power_iteration(q)
+    def probability(mu: np.ndarray) -> tuple[np.ndarray, float]:
         mu = np.clip(mu, 0.0, None)
         mu /= mu.sum()
-        residual = float(np.abs(mu @ q).max())
-        if residual > tol * scale:
+        return mu, float(np.abs(mu @ q).max())
+
+    mu, lu_nnz = _solve_refined(a, b, enum.counts_matrix())
+    path, residual = "lu", np.inf
+    if mu.min() >= -1e-9 * max(mu.max(), 1.0):
+        mu, residual = probability(mu)
+    if residual > bound:
+        path = "power"
+        mu, residual = probability(_power_iteration(q))
+        if residual > bound:
             raise SolverFailure(
                 f"stationary residual {residual:.3e} > {tol:.1e} * {scale:.3e}")
-    return Distribution(enum, mu, normalized=True)
+    return Distribution(enum, mu, normalized=True,
+                        solver=SolverReport(path, residual, bound, lu_nnz))
 
 
 def stationary_closed_form(spec: WalkSpec, params: ProcessParams,
@@ -212,9 +256,38 @@ def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassR
                       b_ratios=b_ratios, regions=tuple(reports))
 
 
+def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
+                    a_set: tuple[int, ...], tol: float) -> tuple[np.ndarray, SolverReport]:
+    """Hitting probabilities of every metastable state of ``a_set`` at once.
+
+    Column j holds, per starting state, the probability of reaching
+    xi^{a_set[j]} before any other metastable state of ``a_set``. The
+    interior system ``I - P_ii`` does not depend on the target, so it is
+    built and factored once and the ``|A|`` boundary columns are solved
+    together; every column's residual is checked against ``tol``.
+    """
+    holding = np.asarray(rates.sum(axis=1)).ravel()
+    p = sp.diags(1.0 / holding) @ rates
+    xi = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
+    interior = np.setdiff1d(np.arange(enum.size), xi)
+
+    p_i = p[interior]
+    a_mat = (sp.eye(interior.size) - p_i[:, interior]).tocsc()
+    b = p_i[:, xi].toarray()
+    h_int, lu_nnz = _solve_refined(a_mat, b, enum.counts_matrix()[interior])
+    residual = float(np.abs(a_mat @ h_int - b).max())
+    if residual > tol:
+        raise SolverFailure(f"hitting-probability residual {residual:.3e} > {tol:.1e}")
+
+    h = np.zeros((enum.size, len(a_set)))
+    h[interior] = np.clip(h_int, 0.0, 1.0)
+    h[xi, np.arange(len(a_set))] = 1.0
+    return h, SolverReport("lu", residual, tol, lu_nnz)
+
+
 def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
-                          cap: int = DEFAULT_CAP, tol: float = HITTING_TOL,
-                          _prebuilt=None) -> tuple[np.ndarray, StateEnumeration]:
+                          cap: int = DEFAULT_CAP,
+                          tol: float = HITTING_TOL) -> tuple[np.ndarray, StateEnumeration]:
     """Probability, per starting state, of reaching all-particles-at-y before
     any other all-particles-at-z with z in the target set.
 
@@ -222,37 +295,12 @@ def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
     other metastable states of ``a_set``; returns the full state-indexed
     vector and the enumeration.
     """
-    a_set = tuple(sorted(set(int(v) for v in a_set)))
-    if not a_set:
-        raise ValueError("target site set must be nonempty")
+    a_set = site_set(a_set, spec.kappa)
     if y not in a_set:
         raise ValueError(f"site {y} not in target set {a_set}")
-    if _prebuilt is None:
-        enum = enumerate_states(spec.kappa, params.n, cap=cap)
-        rates = build_rate_matrix(spec, params, enum)
-    else:
-        enum, rates = _prebuilt
-    holding = np.asarray(rates.sum(axis=1)).ravel()
-    p = sp.diags(1.0 / holding) @ rates
-
-    xi_indices = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
-    boundary = np.zeros(enum.size, dtype=bool)
-    boundary[xi_indices] = True
-    interior = np.nonzero(~boundary)[0]
-
-    p_csc = p.tocsc()
-    p_ii = p_csc[interior][:, interior]
-    b = np.asarray(p_csc[interior][:, [enum.xi_index(y)]].todense()).ravel()
-    a_mat = (sp.eye(interior.size) - p_ii).tocsc()
-    h_int = _solve_refined(a_mat, b)
-    residual = float(np.abs(a_mat @ h_int - b).max())
-    if residual > tol:
-        raise SolverFailure(f"hitting-probability residual {residual:.3e} > {tol:.1e}")
-
-    h = np.zeros(enum.size)
-    h[interior] = np.clip(h_int, 0.0, 1.0)
-    h[enum.xi_index(y)] = 1.0
-    return h, enum
+    enum = enumerate_states(spec.kappa, params.n, cap=cap)
+    h, _ = _hitting_matrix(enum, build_rate_matrix(spec, params, enum), a_set, tol)
+    return h[:, a_set.index(y)].copy(), enum
 
 
 @dataclass(frozen=True)
@@ -260,7 +308,8 @@ class TraceRateMatrix:
     """Mean-jump rates of the trace process on the metastable states of A.
 
     ``raw[i, j]`` is the trace jump rate from xi^{A[i]} to xi^{A[j]};
-    ``normalized`` is ``raw / (d * N)``.
+    ``normalized`` is ``raw / (d * N)``. ``solver`` records the one
+    factorization of the hitting system the rates were read from.
     """
 
     a_set: tuple[int, ...]
@@ -268,6 +317,7 @@ class TraceRateMatrix:
     normalized: np.ndarray
     n: int
     d: float
+    solver: SolverReport | None = None
 
     def generator(self) -> np.ndarray:
         gen = self.raw.copy()
@@ -294,31 +344,25 @@ def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set,
     ``sum_z N d r(x, z) * h(one particle moved from x to z)`` where h is the
     exact probability of reaching xi^y before the rest of the metastable set.
     """
-    a_set = tuple(sorted(set(int(v) for v in a_set)))
+    a_set = site_set(a_set, spec.kappa)
     n, d = params.n, params.d
     if n < 2:
         raise ValueError("trace rates need N >= 2")
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
     rates = build_rate_matrix(spec, params, enum)
-    k = len(a_set)
-    raw = np.zeros((k, k))
-    for j, y in enumerate(a_set):
-        h, _ = hitting_probabilities(spec, params, a_set, y, cap=cap,
-                                     _prebuilt=(enum, rates))
-        for i, x in enumerate(a_set):
-            if x == y:
+    h, solver = _hitting_matrix(enum, rates, a_set, HITTING_TOL)
+    raw = np.zeros((len(a_set), len(a_set)))
+    for i, x in enumerate(a_set):
+        for z in range(spec.kappa):
+            if z == x or spec.rates[x, z] == 0.0:
                 continue
-            total = 0.0
-            for z in range(spec.kappa):
-                if z == x or spec.rates[x, z] == 0.0:
-                    continue
-                eta = [0] * spec.kappa
-                eta[x] = n - 1
-                eta[z] = 1
-                total += n * d * spec.rates[x, z] * h[enum.rank(eta)]
-            raw[i, j] = total
+            eta = [0] * spec.kappa
+            eta[x] = n - 1
+            eta[z] = 1
+            raw[i] += n * d * spec.rates[x, z] * h[enum.rank(eta)]
+    np.fill_diagonal(raw, 0.0)
     return TraceRateMatrix(a_set=a_set, raw=raw, normalized=raw / (d * n),
-                           n=n, d=d)
+                           n=n, d=d, solver=solver)
 
 
 def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MissingValue, NonIrreducibleWalk, SameSite
+from .errors import MissingValue, NonIrreducibleWalk, OutOfRange, SameSite
 
 MAX_SITES = 64
 
@@ -38,6 +39,16 @@ def _strongly_connected(adj: np.ndarray) -> bool:
         return bool(seen.all())
 
     return reach(adj) and reach(adj.T)
+
+
+def site_set(sites, kappa: int) -> tuple[int, ...]:
+    """Sorted distinct site indices of a nonempty set inside ``0..kappa-1``."""
+    out = tuple(sorted(set(int(v) for v in sites)))
+    if not out:
+        raise OutOfRange("site set must be nonempty")
+    if out[0] < 0 or out[-1] >= kappa:
+        raise OutOfRange(f"site set {out} outside 0..{kappa - 1}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,8 @@ class WalkSpec:
             raise ValueError(f"at most {MAX_SITES} sites supported")
         if r.shape != (kappa, kappa):
             raise ValueError(f"rate matrix shape {r.shape} != ({kappa}, {kappa})")
+        if not np.isfinite(r).all():
+            raise OutOfRange("rates must be finite")
         if (r < 0).any():
             raise ValueError("rates must be nonnegative")
         if np.diagonal(r).any():
@@ -213,8 +226,12 @@ class ProcessParams:
     schedule: Callable[[int], float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise OutOfRange(f"N must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("N must be a positive integer")
+        if not math.isfinite(self.d):
+            raise OutOfRange(f"d_N must be finite, got {self.d!r}")
         if not self.d > 0:
             raise ValueError("d_N must be positive")
 

@@ -140,8 +140,3 @@ class RegionSpec:
                 stacklevel=2)
         return c0, ok
 
-
-def b_set_masses(weights: np.ndarray, enum: StateEnumeration) -> np.ndarray:
-    """Masses of the at-most-k-occupied-sites sets, k = 1..kappa."""
-    occ = enum.occupied_counts()
-    return np.array([float(weights[occ <= k].sum()) for k in range(1, enum.kappa + 1)])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateData, OutOfRange,
                      WindowExceedsTrajectory)
-from .model import Configuration, ProcessParams, WalkSpec
+from .model import Configuration, ProcessParams, WalkSpec, site_set
 
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
@@ -238,7 +238,7 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     wall-clock ``[0, theta * window]`` and is returned normalized by
     ``theta``; requesting a window beyond the horizon raises.
     """
-    a_set = tuple(sorted(set(int(v) for v in a_set)))
+    a_set = site_set(a_set, len(traj.initial))
     if window is not None and theta * window > traj.horizon * (1 + 1e-12):
         raise WindowExceedsTrajectory(
             f"window {theta * window:.3g} exceeds horizon {traj.horizon:.3g}")
@@ -346,7 +346,7 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
     """
     if replicas < 1:
         raise OutOfRange(f"need at least one replica, got {replicas}")
-    a_set = tuple(sorted(set(int(v) for v in a_set)))
+    a_set = site_set(a_set, spec.kappa)
     kappa = spec.kappa
     args = [(spec, params, a_set, horizon, seed, i) for i in range(replicas)]
     results = _map_replicas(_trace_replica, args, threads)

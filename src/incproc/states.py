@@ -140,18 +140,42 @@ class StateEnumeration:
         return self.kappa == other.kappa and self.n == other.n
 
 
+def b_set_masses(weights: np.ndarray, enum: StateEnumeration) -> np.ndarray:
+    """Masses of the at-most-k-occupied-sites sets, k = 1..kappa."""
+    occ = enum.occupied_counts()
+    return np.array([float(weights[occ <= k].sum()) for k in range(1, enum.kappa + 1)])
+
+
+@dataclass(frozen=True)
+class SolverReport:
+    """How an exact linear solve produced its result.
+
+    ``path`` is ``"lu"`` for the sparse direct solve or ``"power"`` for the
+    uniformized power-iteration fallback. ``residual`` is the final max-norm
+    residual and ``bound`` the tolerance it was checked against. ``lu_nnz``
+    counts the nonzeros SuperLU stored for L and U of the one factorization.
+    """
+
+    path: str
+    residual: float
+    bound: float
+    lu_nnz: int
+
+
 @dataclass
 class Distribution:
     """A weight per enumerated state, optionally normalized to a probability.
 
     ``log_norm`` carries the log-partition value of closed-form constructions;
-    it is None for distributions obtained from linear solves.
+    it is None for distributions obtained from linear solves. ``solver``
+    records how a solved distribution was obtained; None for closed forms.
     """
 
     enum: StateEnumeration
     weights: np.ndarray
     normalized: bool = False
     log_norm: float | None = None
+    solver: SolverReport | None = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -189,9 +213,8 @@ class Distribution:
         enum = self.enum
         xi = {str(x): float(self.weights[enum.xi_index(x)]) for x in range(enum.kappa)}
         e_mass = sum(xi.values())
-        occ = enum.occupied_counts()
-        b_mass = [float(self.weights[occ <= k].sum()) for k in range(1, enum.kappa + 1)]
-        ratios = [b_mass[k] / b_mass[k - 1] if b_mass[k - 1] > 0 else float("inf")
+        b_mass = b_set_masses(self.weights, enum)
+        ratios = [float(b_mass[k] / b_mass[k - 1]) if b_mass[k - 1] > 0 else float("inf")
                   for k in range(1, enum.kappa)]
         return {
             "E_mass": float(e_mass),

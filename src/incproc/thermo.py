@@ -10,6 +10,7 @@ scale in the symmetric regime.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -123,6 +124,8 @@ def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> T
     """Validate and derive a torus model: regime, velocity, diffusion matrices."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if not isinstance(side, numbers.Integral):
+        raise OutOfRange(f"side must be an integer, got {side!r}")
     if rho <= 0:
         raise ValueError("density must be positive")
     if not d_l > 0:

@@ -82,6 +82,18 @@ class TestRun:
         assert ((tmp_path / "a" / "summary.json").read_bytes()
                 == (tmp_path / "b" / "summary.json").read_bytes())
 
+    def test_exact_kinds_report_solver(self, tmp_path):
+        run(stationary_cfg(), out_dir=tmp_path / "s")
+        cfg = {"schema_version": 1, "kind": "meanrate", "walk": WALK3,
+               "params": {"n": 6, "d_N": 0.1}, "a_set": [0, 1, 2]}
+        run(cfg, out_dir=tmp_path / "m")
+        for sub in ("s", "m"):
+            solver = json.loads((tmp_path / sub / "report.json").read_text())[
+                "metrics"]["solver"]
+            assert solver["path"] == "lu"
+            assert 0.0 <= solver["residual"] <= solver["bound"]
+            assert solver["lu_nnz"] > 0
+
     def test_meanrate_with_mc(self, tmp_path):
         cfg = {"schema_version": 1, "kind": "meanrate", "seed": 9,
                "walk": WALK2, "params": {"n": 2, "d_N": 0.1},

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incproc import (Configuration, MissingValue, NonIrreducibleWalk,
-                     ProcessParams, SameSite, WalkSpec, analyze_walk,
+                     OutOfRange, ProcessParams, SameSite, WalkSpec, analyze_walk,
                      apply_move, generator_apply, local_kinetics,
                      log_weight_table, schedule_fixed, schedule_power)
 
@@ -65,6 +65,11 @@ class TestWalkSpec:
     def test_rejects_non_irreducible(self):
         with pytest.raises(NonIrreducibleWalk):
             WalkSpec.from_matrix([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_non_finite_rates(self, rate):
+        with pytest.raises(OutOfRange):
+            WalkSpec.from_matrix([[0.0, rate], [1.0, 0.0]])
 
     def test_json_round_trip(self, up3):
         again = WalkSpec.from_json(up3.to_json())
@@ -191,6 +196,19 @@ class TestParams:
             ProcessParams(0, 0.1)
         with pytest.raises(ValueError):
             ProcessParams(5, 0.0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(OutOfRange):
+            ProcessParams(n, 0.1)
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_rejects_non_finite_d(self, d):
+        with pytest.raises(OutOfRange):
+            ProcessParams(5, d)
+
+    def test_accepts_numpy_integer_n(self):
+        assert ProcessParams(np.int64(5), 0.1).n == 5
 
     def test_schedules_deterministic(self):
         pw = schedule_power(2.0, 3.0)

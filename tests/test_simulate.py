@@ -176,6 +176,12 @@ class TestTraceProject:
         with pytest.raises(WindowExceedsTrajectory):
             trace_project(traj, (0, 1), theta=100.0, window=1.0)
 
+    @pytest.mark.parametrize("a_set", [(), (0, 2), (-1, 0)])
+    def test_rejects_bad_site_set(self, two_sym, a_set):
+        traj = simulate(two_sym, ProcessParams(2, 0.1), (2, 0), 10.0, seed=2)
+        with pytest.raises(OutOfRange):
+            trace_project(traj, a_set, theta=1.0)
+
     def test_marginal_sampling(self, two_sym):
         params = ProcessParams(2, 0.1)
         traj = simulate(two_sym, params, (2, 0), 100.0, seed=6)
@@ -219,6 +225,12 @@ class TestMCMeanJumpRate:
         with pytest.raises(OutOfRange):
             mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), (0, 1),
                               replicas=0, horizon=1.0, seed=1)
+
+    @pytest.mark.parametrize("a_set", [(), (0, 7)])
+    def test_rejects_bad_site_set(self, two_sym, a_set):
+        with pytest.raises(OutOfRange):
+            mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), a_set,
+                              replicas=2, horizon=1.0, seed=1)
 
 
 class TestMCHitting:

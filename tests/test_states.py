@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incproc import Distribution, StateSpaceTooLarge, space_size
-from incproc.states import StateEnumeration
+from incproc.states import StateEnumeration, b_set_masses
 
 
 class TestEnumeration:
@@ -79,6 +79,16 @@ class TestDistribution:
         # one-occupied-site mass equals the metastable mass; full count is 1
         assert summary["E_mass"] == pytest.approx(
             sum(summary["per_site_xi_mass"].values()))
+
+    def test_summary_ratios_from_b_set_masses(self):
+        enum = StateEnumeration(3, 4)
+        weights = np.arange(1.0, enum.size + 1.0)
+        dist = Distribution(enum, weights / weights.sum(), normalized=True)
+        b_mass = b_set_masses(dist.weights, enum)
+        occ = (enum.counts_matrix() > 0).sum(axis=1)
+        assert b_mass == pytest.approx([dist.weights[occ <= k].sum() for k in (1, 2, 3)])
+        assert b_mass[-1] == pytest.approx(1.0)
+        assert dist.summary()["ratios"] == [b_mass[1] / b_mass[0], b_mass[2] / b_mass[1]]
 
     def test_csv_round_trip_stable(self, tmp_path):
         enum = StateEnumeration(2, 3)

@@ -58,6 +58,11 @@ class TestBuildTorus:
         with pytest.raises(ValueError):
             build_torus(1, 8, {1: -1.0}, rho=1.0, d_l=1e-4)
 
+    @pytest.mark.parametrize("side", [8.5, 8.0])
+    def test_rejects_non_integer_side(self, side):
+        with pytest.raises(OutOfRange):
+            build_torus(1, side, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-4)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_regime_trichotomy(self, seed):
