@@ -350,14 +350,14 @@ def _run_thermo(cfg, seed, out, threads, report, echo):
         if spec.regime == "symmetric":
             est = measure_diffusion(spec, float(cfg.get("diffusion_t", 0.4)),
                                     replicas=int(cfg.get("replicas", 100)),
-                                    seed=seed)
+                                    seed=seed, threads=threads)
             drift = float(est.drift[0])
             diffusion = est.msd_slope
             off = est.off_fraction
         else:
             est = measure_drift(spec, float(cfg.get("drift_t", 10.0)), seed,
                                 replicas=int(cfg.get("replicas", 2)),
-                                min_relocations=1)
+                                min_relocations=1, threads=threads)
             drift = float(est.drift[0])
             diffusion = float("nan")
             off = est.off_fraction

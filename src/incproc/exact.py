@@ -270,6 +270,11 @@ def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
     p = sp.diags(1.0 / holding) @ rates
     xi = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
     interior = np.setdiff1d(np.arange(enum.size), xi)
+    h = np.zeros((enum.size, len(a_set)))
+    h[xi, np.arange(len(a_set))] = 1.0
+    if interior.size == 0:
+        # every state is metastable (N = 1, A = all sites): nothing to solve
+        return h, SolverReport("lu", 0.0, tol, 0)
 
     p_i = p[interior]
     a_mat = (sp.eye(interior.size) - p_i[:, interior]).tocsc()
@@ -279,9 +284,7 @@ def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
     if residual > tol:
         raise SolverFailure(f"hitting-probability residual {residual:.3e} > {tol:.1e}")
 
-    h = np.zeros((enum.size, len(a_set)))
     h[interior] = np.clip(h_int, 0.0, 1.0)
-    h[xi, np.arange(len(a_set))] = 1.0
     return h, SolverReport("lu", residual, tol, lu_nnz)
 
 
@@ -347,7 +350,7 @@ def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set,
     a_set = site_set(a_set, spec.kappa)
     n, d = params.n, params.d
     if n < 2:
-        raise ValueError("trace rates need N >= 2")
+        raise OutOfRange(f"trace rates need N >= 2, got N = {n}")
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
     rates = build_rate_matrix(spec, params, enum)
     h, solver = _hitting_matrix(enum, rates, a_set, HITTING_TOL)
@@ -374,7 +377,7 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
     to k+1 inside the tube, ``down[k]`` over the reverse moves.
     """
     enum = mu.enum
-    r_set = tuple(sorted(set(int(v) for v in r_set)))
+    r_set = site_set(r_set, enum.kappa)
     if x not in r_set:
         raise ValueError(f"site {x} not in R {r_set}")
     # only the tube mask is needed; the occupancy threshold is irrelevant here
@@ -417,8 +420,8 @@ def flow(spec: WalkSpec, params: ProcessParams, mu: Distribution,
 
 def m_function(mu: Distribution, r_set) -> np.ndarray:
     """State-indexed values ``mu(eta) * prod_{x in R} eta_x``."""
+    r_set = site_set(r_set, mu.enum.kappa)
     counts = mu.enum.counts_matrix()
-    r_set = tuple(sorted(set(int(v) for v in r_set)))
     prod = counts[:, list(r_set)].astype(float).prod(axis=1)
     return mu.weights * prod
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import WalkAnalysis, WalkSpec, analyze_walk
+from .model import WalkAnalysis, WalkSpec, analyze_walk, site_set
 from .states import StateEnumeration
 
 
@@ -26,11 +26,7 @@ class RegionSpec:
 
     def __init__(self, walk: WalkSpec, enum: StateEnumeration,
                  r_set, eps: float = 0.1, validate_eps: bool = True):
-        r_set = tuple(sorted(set(int(x) for x in r_set)))
-        if not r_set:
-            raise ValueError("R must be nonempty")
-        if r_set[0] < 0 or r_set[-1] >= enum.kappa:
-            raise ValueError(f"R {r_set} out of range for {enum.kappa} sites")
+        r_set = site_set(r_set, enum.kappa)
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.walk = walk

@@ -13,7 +13,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,6 +25,12 @@ from .model import Configuration, ProcessParams, WalkSpec, site_set
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
 _BLOCK = 1 << 14
+_SLICE = 1 << 10
+# intervals trace_project replays per numpy pass (about 1 MB of temporaries)
+_TRACE_CHUNK = 1 << 14
+# values (key entries plus running sums) one state cache may hold; full, it
+# is about 14,500 states of a 3-site walk in 7.2 MB
+_CACHE_VALUES = 1 << 17
 
 
 def replica_rng(seed: int, stream: int) -> np.random.Generator:
@@ -33,7 +39,12 @@ def replica_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 class _Blocks:
-    """Batched draws from a Generator; consumption order is deterministic."""
+    """Batched draws from a Generator; consumption order is deterministic.
+
+    Each refill draws ``block`` exponentials, then ``block`` uniforms, from
+    the stream. Draws are handed out as Python floats, converted ``_SLICE``
+    at a time as they are consumed, so a short replica converts few.
+    """
 
     def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
         self._rng = rng
@@ -42,22 +53,32 @@ class _Blocks:
         self._uni = rng.random(block)
         self._ei = 0
         self._ui = 0
+        self._exp_left: list[float] = []    # reversed: the next draw is last
+        self._uni_left: list[float] = []
 
-    def exponential(self) -> float:
-        if self._ei == self._block:
+    def _more_exp(self) -> list[float]:
+        if self._ei >= self._block:
             self._exp = self._rng.exponential(1.0, self._block)
             self._ei = 0
-        v = self._exp[self._ei]
-        self._ei += 1
-        return float(v)
+        i = self._ei
+        self._ei = i + _SLICE
+        self._exp_left = self._exp[i:i + _SLICE][::-1].tolist()
+        return self._exp_left
 
-    def uniform(self) -> float:
-        if self._ui == self._block:
+    def _more_uni(self) -> list[float]:
+        if self._ui >= self._block:
             self._uni = self._rng.random(self._block)
             self._ui = 0
-        v = self._uni[self._ui]
-        self._ui += 1
-        return float(v)
+        i = self._ui
+        self._ui = i + _SLICE
+        self._uni_left = self._uni[i:i + _SLICE][::-1].tolist()
+        return self._uni_left
+
+    def exponential(self) -> float:
+        return (self._exp_left or self._more_exp()).pop()
+
+    def uniform(self) -> float:
+        return (self._uni_left or self._more_uni()).pop()
 
 
 @dataclass(frozen=True)
@@ -90,8 +111,15 @@ class Trajectory:
                 fh.write(f"{t!r},{int(x)},{int(y)}\n")
 
 
+class _StateCache(dict):
+    """Weight rows of visited states for the event kernels of one call."""
+
+    held = 0    # key entries plus running sums stored; see _CACHE_VALUES
+
+
 def _events(counts: list[int], sources: Sequence[int],
             out: Sequence[Sequence[tuple[int, float]]], d: float, blocks: _Blocks,
+            cache: _StateCache,
             by_target: bool = False) -> Iterator[tuple[float, int, int]]:
     """Exact direct-method (Gillespie) events, each applied to ``counts``.
 
@@ -101,18 +129,24 @@ def _events(counts: list[int], sources: Sequence[int],
     ``counts`` in place and yields ``(dt, x, y)`` with an exponential holding
     time ``dt``. ``by_target`` weighs by ``c_y (d + c_x) coef`` instead and
     draws no exponential (discrete time, ``dt = 1.0``). ``sources`` is read
-    afresh at every step, so the caller may update it between events, and
-    its order fixes the move order. A zero-weight move is never picked.
+    afresh at every step, so the caller may update a list between events,
+    and its order fixes the move order. A zero-weight move is never picked.
+
+    ``cache`` maps each visited state to its running weight sums, the moves
+    they belong to and their total, so a revisit costs one lookup. The key is
+    the counts, plus the order of ``sources`` when it is a list. Callers may
+    share one cache between runs with the same ``out``, ``d`` and
+    ``by_target``; it is emptied when it would exceed ``_CACHE_VALUES``.
     """
     # each entry carries its (x, y) pair, so one list records the candidates
     table = [[(y, coef, (x, y)) for y, coef in moves] for x, moves in enumerate(out)]
     exponential, uniform = blocks.exponential, blocks.uniform
-    cum: list[float] = []
-    picks: list[tuple[int, int]] = []
-    push_cum, push_pick = cum.append, picks.append
-    while True:
-        cum.clear()
-        picks.clear()
+    keyed = isinstance(sources, list)
+
+    def weigh() -> tuple[tuple[float, ...], tuple[tuple[int, int], ...], float]:
+        cum: list[float] = []
+        picks: list[tuple[int, int]] = []
+        push_cum, push_pick = cum.append, picks.append
         total = 0.0
         if by_target:
             for x in sources:
@@ -121,7 +155,6 @@ def _events(counts: list[int], sources: Sequence[int],
                     total += counts[y] * dx * coef
                     push_cum(total)
                     push_pick(xy)
-            dt = 1.0
         else:
             for x in sources:
                 cx = counts[x]
@@ -130,7 +163,25 @@ def _events(counts: list[int], sources: Sequence[int],
                         total += cx * (d + counts[y]) * coef
                         push_cum(total)
                         push_pick(xy)
-            dt = exponential() / total
+        # states that occupy the same sources share one tuple of moves
+        picks = tuple(picks)
+        return tuple(cum), move_lists.setdefault(picks, picks), total
+
+    move_lists: dict = {}
+    lookup = cache.get
+    while True:
+        key = (*counts, *sources) if keyed else tuple(counts)
+        row = lookup(key)
+        if row is None:
+            row = weigh()
+            size = len(key) + len(row[0])
+            if cache.held + size > _CACHE_VALUES:
+                cache.clear()
+                cache.held = 0
+            cache.held += size
+            cache[key] = row
+        cum, picks, total = row
+        dt = 1.0 if by_target else exponential() / total
         u = uniform() * total
         # the first move whose cumulative weight reaches u; a draw of exactly
         # 0.0 would otherwise land on a leading zero-weight move
@@ -155,6 +206,14 @@ def simulate(spec: WalkSpec, params: ProcessParams,
     ``max_events`` additionally truncates the event count (the recorded
     horizon is then the last event time).
     """
+    return _simulate(spec, params, eta0, horizon, seed, stream, max_events,
+                     _StateCache())
+
+
+def _simulate(spec: WalkSpec, params: ProcessParams,
+              eta0: Configuration | Sequence[int], horizon: float, seed: int,
+              stream: int, max_events: int | None, cache: _StateCache) -> Trajectory:
+    """:func:`simulate` with a state cache shared with other runs of the walk."""
     if not math.isfinite(horizon):
         raise OutOfRange(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0:
@@ -171,7 +230,7 @@ def simulate(spec: WalkSpec, params: ProcessParams,
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
     counts = [int(c) for c in initial]
     events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d,
-                     _Blocks(replica_rng(seed, stream)))
+                     _Blocks(replica_rng(seed, stream)), cache)
     times, efrom, eto = [], [], []
     t = 0.0
     for dt, x, y in islice(events, max_events):
@@ -237,88 +296,99 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     ``window`` (in rescaled time) restricts the off-set occupation report to
     wall-clock ``[0, theta * window]`` and is returned normalized by
     ``theta``; requesting a window beyond the horizon raises.
+
+    Interval ``i`` runs from event ``i - 1`` (or time 0) to event ``i`` (or
+    the horizon) in the state left by the first ``i`` events. The path is
+    replayed with numpy ``_TRACE_CHUNK`` intervals at a time, which bounds
+    the temporaries. Every clock adds its intervals one at a time in path
+    order (masked sequential ``cumsum`` carried across chunks), so the sums
+    do not depend on how the path is cut.
     """
     a_set = site_set(a_set, len(traj.initial))
     if window is not None and theta * window > traj.horizon * (1 + 1e-12):
         raise WindowExceedsTrajectory(
             f"window {theta * window:.3g} exceeds horizon {traj.horizon:.3g}")
-    counts = list(traj.initial)
-    n = sum(counts)
-    kappa = len(counts)
-    in_a = [x in a_set for x in range(kappa)]
-
-    def metastable_site() -> int | None:
-        for x in a_set:
-            if counts[x] == n:
-                return x
-        return None
-
-    sample_ts = None
-    sample_out = None
-    si = 0
+    sample_ts = sample_out = sample_state = None
     if marginal_times is not None:
         sample_ts = np.asarray(sorted(float(theta * t) for t in marginal_times))
         if sample_ts.size and sample_ts[-1] > traj.horizon * (1 + 1e-12):
             raise WindowExceedsTrajectory("marginal sample beyond horizon")
         sample_out = np.full(sample_ts.size, CEMETERY, dtype=np.int64)
+        # the state at a sample time is the one before the first event at
+        # or after it
+        sample_state = np.searchsorted(traj.times, sample_ts, side="left")
 
+    n = sum(traj.initial)
+    n_events = traj.n_events
+    times = np.asarray(traj.times, dtype=float)
+    limit = theta * window if window is not None else None
+    # carried from chunk to chunk
+    counts = [traj.initial[x] for x in a_set]
+    trace_time = off_time = off_in_window = 0.0
+    seg_label, seg_time = CEMETERY, 0.0       # open trace segment
     labels: list[int] = []
     sojourns: list[float] = []
-    cur_label = metastable_site()       # None while off the metastable set
-    seg_label = cur_label               # open trace segment (revisits merge)
-    seg_time = 0.0
-    trace_time = 0.0
-    off_time = 0.0
-    off_in_window = 0.0
-    limit = theta * window if window is not None else None
-    t_prev = 0.0
+    for lo in range(0, n_events + 1, _TRACE_CHUNK):
+        hi = min(lo + _TRACE_CHUNK, n_events + 1)
+        # metastable label of each interval's state, CEMETERY off the set;
+        # the lowest site wins when N = 0 and every site holds all N
+        label = np.full(hi - lo, CEMETERY, dtype=np.int64)
+        for k in reversed(range(len(a_set))):
+            x = a_set[k]
+            moves = (traj.move_to[lo:hi] == x).astype(np.int64)
+            moves -= traj.move_from[lo:hi] == x
+            count = np.concatenate(([0], np.cumsum(moves))) + counts[k]
+            label[count[:hi - lo] == n] = x
+            counts[k] = int(count[-1])
+        on = label != CEMETERY
 
-    def advance(until: float):
-        nonlocal trace_time, off_time, off_in_window, seg_time, si, t_prev
-        dt = until - t_prev
-        if dt < 0:
-            dt = 0.0
-        if sample_ts is not None:
-            while si < sample_ts.size and sample_ts[si] <= until:
-                here = metastable_site()
-                sample_out[si] = here if here is not None else CEMETERY
-                si += 1
-        if cur_label is not None:
-            trace_time += dt
-            seg_time += dt
-        else:
-            off_time += dt
-            if limit is not None:
-                overlap = min(until, limit) - min(t_prev, limit)
-                if overlap > 0:
-                    off_in_window += overlap
-        t_prev = until
+        edges = np.concatenate(([0.0] if lo == 0 else [], times[max(lo - 1, 0):hi],
+                                [float(traj.horizon)] if hi > n_events else []))
+        dt = np.diff(edges)
+        dt[dt < 0] = 0.0
+        on_dt = np.where(on, dt, 0.0)
+        trace_time = _add_in_order(trace_time, on_dt)
+        off_time = _add_in_order(off_time, np.where(on, 0.0, dt))
+        if limit is not None:
+            overlap = np.minimum(edges[1:], limit) - np.minimum(edges[:-1], limit)
+            off_in_window = _add_in_order(
+                off_in_window, np.where(~on & (overlap > 0), overlap, 0.0))
 
-    for t, x, y in zip(traj.times, traj.move_from, traj.move_to):
-        advance(float(t))
-        counts[x] -= 1
-        counts[y] += 1
-        new_label = y if (counts[y] == n and in_a[y]) else None
-        if new_label is not None and new_label != seg_label:
-            if seg_label is not None:
-                labels.append(seg_label)
-                sojourns.append(seg_time)
-            seg_label = new_label
-            seg_time = 0.0
-        cur_label = new_label
-    advance(traj.horizon)
-    if seg_label is not None:
+        # a segment opens where the label differs from the last label seen
+        # on the set (leaving the set and coming back to the same site merges)
+        where_on = np.flatnonzero(on)
+        on_labels = label[where_on]
+        opens = where_on[on_labels != np.concatenate(([seg_label], on_labels[:-1]))]
+        bounds = [0, *opens.tolist(), hi - lo]
+        for i in range(len(bounds) - 1):
+            if i:
+                if seg_label != CEMETERY:
+                    labels.append(seg_label)
+                    sojourns.append(seg_time)
+                seg_label, seg_time = int(label[bounds[i]]), 0.0
+            seg_time = _add_in_order(seg_time, on_dt[bounds[i]:bounds[i + 1]])
+
+        if sample_state is not None:
+            here = (sample_state >= lo) & (sample_state < hi)
+            sample_out[here] = label[sample_state[here] - lo]
+    if seg_label != CEMETERY:
         labels.append(seg_label)
         sojourns.append(seg_time)
+    if sample_out is not None:
+        sample_out[sample_ts > traj.horizon] = CEMETERY
 
     return TracePath(
-        a_set=a_set,
-        labels=np.asarray(labels, dtype=np.int64),
+        a_set=a_set, labels=np.asarray(labels, dtype=np.int64),
         sojourns=np.asarray(sojourns, dtype=float),
         trace_time=trace_time, off_time=off_time, horizon=traj.horizon,
         theta=theta, window=window,
         off_occupation=(off_in_window / theta if window is not None else None),
         marginal_times=sample_ts, marginal=sample_out)
+
+
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """``total + terms[0] + terms[1] + ...``, added left to right."""
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 @dataclass(frozen=True)
@@ -374,10 +444,10 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
                         no_transitions=miss, replicas=replicas, seed=seed)
 
 
-def _trace_replica(arg):
+def _trace_replica(arg, cache: _StateCache):
     spec, params, a_set, horizon, seed, i = arg
     start = Configuration.single_site(spec.kappa, params.n, a_set[i % len(a_set)])
-    traj = simulate(spec, params, start, horizon, seed, stream=i)
+    traj = _simulate(spec, params, start, horizon, seed, i, None, cache)
     path = trace_project(traj, a_set, theta=1.0)
     return path.transition_counts(spec.kappa), path.time_at(spec.kappa)
 
@@ -450,21 +520,22 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
                      variance=float(ok.var(ddof=1)) if ok.size > 1 else 0.0)
 
 
-def _hitting_replica(arg):
+def _hitting_replica(arg, cache: _StateCache):
     task, spec, params, i = arg
     blocks = _Blocks(replica_rng(task.seed, i))
     if task.chain == "inclusion":
-        return _run_inclusion_hit(task, spec, params, blocks)
-    return _run_auxiliary_hit(task, spec, params, blocks)
+        return _run_inclusion_hit(task, spec, params, blocks, cache)
+    return _run_auxiliary_hit(task, spec, params, blocks, cache)
 
 
 def _run_inclusion_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
-                       blocks: _Blocks):
+                       blocks: _Blocks, cache: _StateCache):
     counts = list(task.start)
     thresh = task.threshold
     if min(counts) <= thresh:
         return 0.0, False
-    events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d, blocks)
+    events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d, blocks,
+                     cache)
     t = 0.0
     for dt, x, _ in islice(events, task.step_cap):
         t += dt
@@ -474,7 +545,7 @@ def _run_inclusion_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
 
 
 def _run_auxiliary_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
-                       blocks: _Blocks):
+                       blocks: _Blocks, cache: _StateCache):
     r_set = tuple(sorted(set(task.r_set)))
     floor_c = int(math.floor(task.eps * math.log(params.n)))
     counts = list(task.start)
@@ -486,7 +557,7 @@ def _run_auxiliary_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     back = [[(y, float(spec.rates[y, x])) for y in r_set
              if y != x and spec.rates[y, x] > 0] if x in r_set else []
             for x in range(spec.kappa)]
-    events = _events(counts, r_set, back, params.d, blocks, by_target=True)
+    events = _events(counts, r_set, back, params.d, blocks, cache, by_target=True)
     for step, (_, x, _) in enumerate(islice(events, task.step_cap), 1):
         if counts[x] <= floor_c:
             return float(step), False
@@ -494,11 +565,24 @@ def _run_auxiliary_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
 
 
 def _map_replicas(fn, args, threads: int):
-    """Run replica jobs, reducing in replica-index order regardless of pool."""
+    """Run replica jobs ``fn(arg, cache)``; results come in replica-index
+    order regardless of pool.
+
+    The jobs of one process share one event-kernel state cache: serially,
+    all of them; with a pool, each worker runs one contiguous chunk.
+    """
     if threads <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
+        return _run_chunk(fn, args)
+    size = -(-len(args) // threads)
+    chunks = [args[i:i + size] for i in range(0, len(args), size)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args))
+        return [res for part in pool.map(_run_chunk, repeat(fn), chunks)
+                for res in part]
+
+
+def _run_chunk(fn, args) -> list:
+    cache = _StateCache()
+    return [fn(a, cache) for a in args]
 
 
 @dataclass(frozen=True)

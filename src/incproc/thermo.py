@@ -21,7 +21,8 @@ from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
                      TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .model import WalkSpec, log_weight_table
-from .simulate import Trajectory, _Blocks, _events, replica_rng
+from .simulate import (Trajectory, _Blocks, _events, _map_replicas,
+                       _StateCache, replica_rng)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -443,6 +444,13 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
                    start_site: int = 0) -> CondensateRun:
     """Stream one condensate run until the trace clock reaches
     ``t_rescaled * theta``; memory stays O(relocations)."""
+    return _condensate_replica(
+        (spec, t_rescaled, seed, stream, n_checkpoints, start_site), _StateCache())
+
+
+def _condensate_replica(arg, cache: _StateCache) -> CondensateRun:
+    """:func:`run_condensate` with a state cache shared with other runs."""
+    spec, t_rescaled, seed, stream, n_checkpoints, start_site = arg
     if n_checkpoints < 1:
         raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints}")
     horizon = spec.theta * t_rescaled
@@ -455,7 +463,7 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
     counts = [0] * spec.n_sites
     counts[start_site] = spec.n
     events = _events(counts, acc.occupied, out, spec.d_l,
-                     _Blocks(replica_rng(seed, stream)))
+                     _Blocks(replica_rng(seed, stream)), cache)
     for dt, x, y in events:
         acc.dwell(dt)
         if acc.done:
@@ -536,15 +544,18 @@ class DriftEstimate:
 
 
 def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
-                  replicas: int = 1, min_relocations: int = 100) -> DriftEstimate:
+                  replicas: int = 1, min_relocations: int = 100,
+                  threads: int = 1) -> DriftEstimate:
     """Rescaled drift of the condensate over independent streamed runs."""
     if replicas < 1:
         raise OutOfRange(f"need at least one replica, got {replicas}")
     drifts = np.zeros((replicas, spec.d))
     offs = np.zeros(replicas)
     relocs = np.zeros(replicas, dtype=int)
-    for i in range(replicas):
-        run = run_condensate(spec, t_rescaled, seed, stream=i)
+    runs = _map_replicas(_condensate_replica,
+                         [(spec, t_rescaled, seed, i, 4, 0) for i in range(replicas)],
+                         threads)
+    for i, run in enumerate(runs):
         t_resc = run.trace_time / spec.theta
         drifts[i] = (run.displacement / spec.side) / t_resc
         offs[i] = run.off_fraction
@@ -573,7 +584,8 @@ class DiffusionEstimate:
 
 
 def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
-                      seed: int, n_checkpoints: int = 4) -> DiffusionEstimate:
+                      seed: int, n_checkpoints: int = 4,
+                      threads: int = 1) -> DiffusionEstimate:
     """Mean-squared displacement across replicas with a through-origin slope.
 
     Positions are sampled on the trace clock at equally spaced rescaled
@@ -586,9 +598,11 @@ def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
     finals = np.zeros((replicas, spec.d))
     offs = np.zeros(replicas)
     total_reloc = 0
-    for i in range(replicas):
-        run = run_condensate(spec, t_rescaled, seed, stream=i,
-                             n_checkpoints=n_checkpoints)
+    runs = _map_replicas(
+        _condensate_replica,
+        [(spec, t_rescaled, seed, i, n_checkpoints, 0) for i in range(replicas)],
+        threads)
+    for i, run in enumerate(runs):
         pos = run.positions / spec.side
         sq += (pos ** 2).sum(axis=1)
         finals[i] = pos[-1]

@@ -145,6 +145,26 @@ class TestRun:
         assert len(rows) == 3
         assert report.checks["occupation_negligible"]
 
+    def test_thermo_passes_threads(self, tmp_path, monkeypatch):
+        import incproc.cli as cli
+        seen = []
+
+        def recording(measure):
+            def wrapped(*args, threads=1, **kwargs):
+                seen.append(threads)
+                return measure(*args, threads=threads, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "measure_drift", recording(cli.measure_drift))
+        monkeypatch.setattr(cli, "measure_diffusion", recording(cli.measure_diffusion))
+        base = {"schema_version": 1, "kind": "thermo", "seed": 4, "dim": 1,
+                "sides": [8], "rho": 1.0, "dl_schedule": "tt1", "replicas": 2}
+        run(dict(base, kernel=[[1, 0.8], [-1, 0.2]], drift_t=1.0),
+            out_dir=tmp_path / "drift", threads=2)
+        run(dict(base, kernel=[[1, 0.5], [-1, 0.5]], diffusion_t=0.02),
+            out_dir=tmp_path / "diffusion", threads=2)
+        assert seen == [2, 2]
+
     def test_thermo_regime_assert_mismatch(self, tmp_path):
         cfg = {"schema_version": 1, "kind": "thermo", "dim": 1, "sides": [8],
                "kernel": [[1, 0.5], [-1, 0.5]], "rho": 1.0,

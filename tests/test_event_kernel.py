@@ -7,18 +7,25 @@ stopping on a zero-weight move. Walks list all site pairs x-major; the
 auxiliary chain weighs by the target count, ``c_y (d + c_x) r(y, x)``; the
 torus lists the moves of occupied sites in the order the sites became
 occupied. Draws come from the package's Philox block streams, so the
-simulators must reproduce the reference event for event.
+simulators must reproduce the reference event for event. The kernel caches
+each visited state's weights; the tests also run it with room for only one
+to three states, so rows are evicted and recomputed all the time.
+
+``ref_trace_project`` replays a trajectory event by event; the vectorised
+``trace_project`` must give the same labels, sojourns, clocks and samples,
+bit for bit, whatever its chunk size.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from incproc import (BudgetExceeded, HittingTask, ProcessParams, build_torus,
-                     condensate_statistics, mc_hitting, run_condensate,
-                     simulate, torus_walk)
-from incproc.simulate import _Blocks, replica_rng
+from incproc import (BudgetExceeded, HittingTask, ProcessParams, Trajectory,
+                     build_torus, condensate_statistics, mc_hitting,
+                     run_condensate, simulate, torus_walk, trace_project)
+from incproc.simulate import _BLOCK, CEMETERY, _Blocks, replica_rng
 
 WALKS = ("cycle3", "two_sym", "two_asym", "up3", "chain4")
 TORI = {
@@ -249,3 +256,174 @@ def test_condensate_statistics_matches_reference(torus):
     assert stats.trace_time_rescaled == t_resc
     assert stats.off_fraction == ref.off / (ref.trace + ref.off)
     assert stats.drift.tolist() == (np.asarray(ref.disp) / spec.side / t_resc).tolist()
+
+
+KERNEL = sys.modules["incproc.simulate"]
+
+
+@pytest.mark.parametrize("bound", [1, 25])
+def test_evicting_cache_keeps_events(bound, monkeypatch, request):
+    # room for one state, or for two or three states of a small walk
+    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", bound)
+    test_simulate_matches_reference("up3", request)
+    test_simulate_matches_reference("chain4", request)
+    for chain in ("inclusion", "auxiliary"):
+        test_mc_hitting_matches_reference("cycle3", chain, request)
+    for torus in sorted(TORI):
+        test_run_condensate_matches_reference(torus)
+
+
+def test_blocks_follow_the_philox_stream():
+    # drawn as the kernel draws, one exponential then one uniform, each
+    # refill takes a block of exponentials, then a block of uniforms
+    blocks = _Blocks(replica_rng(4, 1))
+    n = 2 * _BLOCK + 700
+    exps, unis = [], []
+    for _ in range(n):
+        exps.append(blocks.exponential())
+        unis.append(blocks.uniform())
+    rng = replica_rng(4, 1)
+    raw = []
+    for _ in range(3):
+        raw += [rng.exponential(1.0, _BLOCK), rng.random(_BLOCK)]
+    assert exps == np.concatenate(raw[0::2])[:n].tolist()
+    assert unis == np.concatenate(raw[1::2])[:n].tolist()
+    assert all(type(v) is float for v in exps[:3] + unis[:3])
+
+
+def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):
+    """The event-by-event replay ``trace_project`` replaced."""
+    a_set = tuple(sorted(set(a_set)))
+    counts = list(traj.initial)
+    n = sum(counts)
+    in_a = [x in a_set for x in range(len(counts))]
+
+    def metastable_site():
+        for x in a_set:
+            if counts[x] == n:
+                return x
+        return None
+
+    sample_ts = sample_out = None
+    si = 0
+    if marginal_times is not None:
+        sample_ts = np.asarray(sorted(float(theta * t) for t in marginal_times))
+        sample_out = np.full(sample_ts.size, CEMETERY, dtype=np.int64)
+    labels, sojourns = [], []
+    cur_label = seg_label = metastable_site()
+    seg_time = trace_time = off_time = off_in_window = 0.0
+    limit = theta * window if window is not None else None
+    t_prev = 0.0
+
+    def advance(until):
+        nonlocal trace_time, off_time, off_in_window, seg_time, si, t_prev
+        dt = until - t_prev
+        if dt < 0:
+            dt = 0.0
+        if sample_ts is not None:
+            while si < sample_ts.size and sample_ts[si] <= until:
+                here = metastable_site()
+                sample_out[si] = here if here is not None else CEMETERY
+                si += 1
+        if cur_label is not None:
+            trace_time += dt
+            seg_time += dt
+        else:
+            off_time += dt
+            if limit is not None:
+                overlap = min(until, limit) - min(t_prev, limit)
+                if overlap > 0:
+                    off_in_window += overlap
+        t_prev = until
+
+    for t, x, y in zip(traj.times, traj.move_from, traj.move_to):
+        advance(float(t))
+        counts[x] -= 1
+        counts[y] += 1
+        new_label = y if (counts[y] == n and in_a[y]) else None
+        if new_label is not None and new_label != seg_label:
+            if seg_label is not None:
+                labels.append(seg_label)
+                sojourns.append(seg_time)
+            seg_label = new_label
+            seg_time = 0.0
+        cur_label = new_label
+    advance(traj.horizon)
+    if seg_label is not None:
+        labels.append(seg_label)
+        sojourns.append(seg_time)
+    return dict(labels=np.asarray(labels, dtype=np.int64),
+                sojourns=np.asarray(sojourns, dtype=float),
+                trace_time=trace_time, off_time=off_time,
+                off_occupation=off_in_window / theta if window is not None else None,
+                marginal_times=sample_ts, marginal=sample_out)
+
+
+def assert_same_trace(traj, a_set, theta, window=None, marginal_times=None):
+    path = trace_project(traj, a_set, theta, window=window,
+                         marginal_times=marginal_times)
+    ref = ref_trace_project(traj, a_set, theta, window=window,
+                            marginal_times=marginal_times)
+    for name, want in ref.items():
+        got = getattr(path, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert type(got) is type(want), name
+            assert got == want, name
+    return path
+
+
+@pytest.fixture(params=[None, 1, 3, 250])
+def trace_chunk(request, monkeypatch):
+    """The replay's chunk size: the default, or small enough to cut paths
+    into many chunks (a chunk of 1 holds one interval)."""
+    if request.param is not None:
+        monkeypatch.setattr(KERNEL, "_TRACE_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_trace_project_matches_reference(walk, request, trace_chunk):
+    spec = request.getfixturevalue(walk)
+    k = spec.kappa
+    params = ProcessParams(3, 0.3)
+    spread = [1] * 3 + [0] * (k - 3) if k >= 3 else [2, 1]
+    rng = np.random.default_rng(k)
+    visits = 0
+    for stream, eta0 in enumerate(([3] + [0] * (k - 1), spread)):
+        for horizon, max_events in ((150.0, None), (1e300, 1_500)):
+            traj = simulate(spec, params, eta0, horizon, seed=21, stream=stream,
+                            max_events=max_events)
+            theta = 0.5      # a power of two: theta * (t / theta) == t
+            scaled = traj.horizon / theta
+            samples = np.concatenate((rng.uniform(0, scaled, 40), [0.0, scaled],
+                                      traj.times[::37] / theta))
+            for a_set in (range(k), (k - 1,), (0, k - 1)):
+                path = assert_same_trace(traj, a_set, theta,
+                                         window=rng.uniform(0, scaled),
+                                         marginal_times=samples)
+                assert_same_trace(traj, a_set, 1.0)
+                visits += len(path.labels)
+    assert visits > 20
+
+
+def test_trace_project_empty_and_underflowing_paths(trace_chunk):
+    none = np.zeros(0)
+    for eta0 in ((2, 0), (1, 1)):
+        empty = Trajectory(initial=eta0, times=none, move_from=none.astype(np.int32),
+                           move_to=none.astype(np.int32), horizon=5.0, seed=0, stream=0)
+        for a_set in ((0,), (0, 1)):
+            assert_same_trace(empty, a_set, 1.0, window=2.0,
+                              marginal_times=[0.0, 2.5, 5.0])
+    # simulate bumps an event that would not advance the clock by one ulp
+    times = [1.0]
+    for _ in range(7):
+        times.append(math.nextafter(times[-1], math.inf))
+    times += [2.0, 2.0]        # and two events at one time, dt == 0
+    move_from = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int32)
+    bumped = Trajectory(initial=(1, 0), times=np.asarray(times), move_from=move_from,
+                        move_to=1 - move_from, horizon=3.0, seed=0, stream=0)
+    for a_set in ((0,), (1,), (0, 1)):
+        assert_same_trace(bumped, a_set, 1.0, window=1.5,
+                          marginal_times=times + [0.5, 2.5, 3.0])

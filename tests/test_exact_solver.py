@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incproc.exact as exact
-from incproc import (OutOfRange, ProcessParams, WalkSpec, analyze_walk,
-                     enumerate_states, hitting_probabilities,
-                     mean_jump_rate_exact, stationary_exact)
+from incproc import (OutOfRange, ProcessParams, RegionSpec, WalkSpec,
+                     analyze_walk, enumerate_states, flow_profile,
+                     hitting_probabilities, m_function, mean_jump_rate_exact,
+                     stationary_exact)
 from incproc.exact import (HITTING_TOL, STATIONARY_TOL, build_generator,
                            build_rate_matrix)
 
@@ -257,3 +258,36 @@ class TestSiteSets:
     def test_hitting_rejects_negative_site(self, cycle3):
         with pytest.raises(OutOfRange):
             hitting_probabilities(cycle3, ProcessParams(4, 0.1), (-1, 0), 0)
+
+    @pytest.mark.parametrize("r_set", [(), (0, 5)])
+    def test_region_rejects_bad_set(self, cycle3, r_set):
+        with pytest.raises(OutOfRange):
+            RegionSpec(cycle3, enumerate_states(3, 4), r_set)
+
+    @pytest.mark.parametrize("r_set", [(-1,), (0, 5)])
+    def test_m_function_rejects_bad_site(self, cycle3, r_set):
+        # (-1,) used to wrap round to the last site; (0, 5) an IndexError
+        mu = stationary_exact(cycle3, ProcessParams(4, 0.1))
+        with pytest.raises(OutOfRange):
+            m_function(mu, r_set)
+
+    def test_flow_profile_rejects_out_of_range_site(self, cycle3):
+        params = ProcessParams(4, 0.1)
+        mu = stationary_exact(cycle3, params)
+        with pytest.raises(OutOfRange):
+            flow_profile(cycle3, params, mu, (0, 5), 0)
+
+
+class TestSmallSystems:
+    def test_hitting_every_state_metastable(self, cycle3):
+        # N = 1 and A = every site: no interior states, nothing to solve
+        for y in range(3):
+            h, enum = hitting_probabilities(cycle3, ProcessParams(1, 0.1),
+                                            (0, 1, 2), y)
+            want = np.zeros(enum.size)
+            want[enum.xi_index(y)] = 1.0
+            assert h.tolist() == want.tolist()
+
+    def test_trace_rates_need_two_particles(self, cycle3):
+        with pytest.raises(OutOfRange):
+            mean_jump_rate_exact(cycle3, ProcessParams(1, 0.1), (0, 1, 2))

@@ -96,6 +96,14 @@ class TestSimulate:
                         seed=1, max_events=1)
         assert traj.move_from.tolist() == [1]
         assert min(traj.final_state()) >= 0
+        # the kernel skips empty sites, so only a weight that underflows is
+        # zero: 0 -> 1 weighs 1 * (1e-200 + 0) * 1e-200 == 0.0 and leads
+        tiny = WalkSpec.from_matrix([[0.0, 1e-200, 1.0],
+                                     [1.0, 0.0, 1.0],
+                                     [1.0, 1.0, 0.0]])
+        traj = simulate(tiny, ProcessParams(1, 1e-200), (1, 0, 0), 1e300,
+                        seed=1, max_events=1)
+        assert (traj.move_from.tolist(), traj.move_to.tolist()) == ([0], [2])
 
     def test_jump_chain_frequencies_chi_square(self, up3):
         # empirical move frequencies per state vs the jump kernel

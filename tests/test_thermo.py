@@ -217,6 +217,15 @@ class TestCondensateRuns:
         with pytest.raises(OutOfRange):
             run_condensate(spec, t_rescaled=1.0, seed=1, n_checkpoints=0)
 
+    def test_threads_match_sequential(self):
+        spec = build_torus(1, 8, {1: 0.6, -1: 0.4}, rho=1.0, d_l=1e-3)
+        for measure, kwargs in ((measure_drift, dict(replicas=3, min_relocations=0)),
+                                (measure_diffusion, dict(replicas=5))):
+            seq = measure(spec, t_rescaled=0.5, seed=3, threads=1, **kwargs)
+            par = measure(spec, t_rescaled=0.5, seed=3, threads=2, **kwargs)
+            for name, value in vars(seq).items():
+                assert np.array_equal(getattr(par, name), value), name
+
     def test_diffusion_smoke(self):
         spec = build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0, d_l=1e-4)
         est = measure_diffusion(spec, t_rescaled=0.3, replicas=30, seed=51)
