@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import test_function
+from .errors import OutOfRange
 from .exact import (flow_profile, mean_jump_rate_exact, reciprocal_bound_holds,
                     reciprocal_sum_table, region_masses,
                     stationary_closed_form, stationary_exact)
@@ -348,7 +349,7 @@ class VerifyReport:
 def verify_suite(level: str = "quick", echo=print) -> VerifyReport:
     """Run every acceptance criterion at the requested level."""
     if level not in ("quick", "full"):
-        raise ValueError(f"unknown level {level!r}; expected 'quick' or 'full'")
+        raise OutOfRange(f"unknown level {level!r}; expected 'quick' or 'full'")
     t0 = time.perf_counter()
     cache: dict = {}
     results = []

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (InsufficientData, InvalidCase, NotSemiAttracting,
-                     PremiseViolated)
+                     OutOfRange, PremiseViolated)
 from .gordan import GordanCertificate, gordan_certificate
 from .model import WalkSpec, analyze_walk
 from .regions import RegionSpec
@@ -43,58 +44,15 @@ class ErrorScale:
         return self.log_term + self.geometric_term
 
 
-def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm (iterative) over a boolean adjacency matrix."""
-    n = adj.shape[0]
-    succ = [[int(v) for v in np.nonzero(adj[u])[0]] for u in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            u, pi = work[-1]
-            if pi == 0:
-                index[u] = low[u] = counter
-                counter += 1
-                stack.append(u)
-                on_stack[u] = True
-            advanced = False
-            for k in range(pi, len(succ[u])):
-                v = succ[u][k]
-                if index[v] == -1:
-                    work[-1] = (u, k + 1)
-                    work.append((v, 0))
-                    advanced = True
-                    break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == u:
-                        break
-                out.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-    return out
-
-
 @dataclass(frozen=True)
 class Classification:
-    """Recurrent structure of the drift digraph of a walk."""
+    """Recurrent structure of the drift digraph of a walk.
+
+    ``components`` are the strongly connected components of the digraph
+    ``b > 0``, and ``terminal_components`` are those that no edge leaves.
+    Each component is a sorted tuple of sites, and both tuples of
+    components are sorted by smallest site.
+    """
 
     walk: WalkSpec
     b: np.ndarray
@@ -137,25 +95,16 @@ def classify(walk: WalkSpec) -> Classification:
     """
     r = walk.rates
     b = np.maximum(r - r.T, 0.0)
-    comps = strongly_connected_components(b > 0)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    terminal = []
-    for ci, comp in enumerate(comps):
-        exits = False
-        for u in comp:
-            for v in np.nonzero(b[u] > 0)[0]:
-                if comp_of[int(v)] != ci:
-                    exits = True
-        if not exits:
-            terminal.append(tuple(comp))
+    n_comps, label = connected_components(b > 0, connection="strong")
+    comps = sorted(tuple(np.flatnonzero(label == c).tolist()) for c in range(n_comps))
+    src, dst = np.nonzero(b > 0)
+    exits = set(label[src[label[src] != label[dst]]].tolist())
+    terminal = [comp for comp in comps if label[comp[0]] not in exits]
     s0 = tuple(sorted(v for comp in terminal for v in comp))
     symmetric = all(r[x, y] == r[y, x] for x in s0 for y in s0)
     return Classification(
         walk=walk, b=b,
-        components=tuple(tuple(c) for c in comps),
+        components=tuple(comps),
         terminal_components=tuple(terminal),
         s0=s0,
         irreducible_on_s0=(len(terminal) == 1),
@@ -222,17 +171,12 @@ def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> Li
             for y in s0:
                 if x != y:
                     rates[idx[x], idx[y]] = walk.rates[x, y]
-        if k > 1 and not _irreducible(rates):
+        if connected_components(rates > 0, connection="strong")[0] != 1:
             raise PremiseViolated(
                 "walk restricted to the recurrent set is not irreducible")
         return LimitChain(mode="rv", sites=s0, rates=rates, scale="1/d_N",
                           nu=_chain_stationary(rates))
-    raise ValueError(f"unknown mode {mode!r}; expected 'rv' or 'nrv'")
-
-
-def _irreducible(rates: np.ndarray) -> bool:
-    from .model import _strongly_connected
-    return _strongly_connected(rates > 0)
+    raise OutOfRange(f"unknown mode {mode!r}; expected 'rv' or 'nrv'")
 
 
 TUBE_CASES = ("asym_fwd", "asym_bwd", "asym_noback", "symmetric")
@@ -356,7 +300,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     rates inside R.
     """
     if mode not in ("reversed", "forward"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise OutOfRange(f"unknown mode {mode!r}")
     r_set = tuple(sorted(set(int(v) for v in r_set)))
     rmat = walk.rates
     for x in r_set:
@@ -456,7 +400,7 @@ def auxiliary_kernel_row(walk: WalkSpec, d: float, region: RegionSpec,
     rmat = walk.rates
     closure = set(int(i) for i in region.inner_closure)
     if region.enum.rank(tuple(int(v) for v in eta)) not in closure:
-        raise ValueError("state is outside the inner-core closure")
+        raise OutOfRange("state is outside the inner-core closure")
     w = 0.0
     for a in r_set:
         for b in r_set:

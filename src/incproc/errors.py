@@ -38,8 +38,10 @@ class DimensionMismatch(IncprocError):
     """Inputs refer to different state spaces or site sets."""
 
 
-class OutOfRange(IncprocError):
-    """Arguments outside the supported parameter range."""
+class OutOfRange(IncprocError, ValueError):
+    """Arguments outside the supported parameter range.
+
+    Also a ``ValueError``, so callers that catch that keep working."""
 
 
 class InvalidCase(IncprocError):

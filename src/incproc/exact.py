@@ -300,7 +300,7 @@ def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
     """
     a_set = site_set(a_set, spec.kappa)
     if y not in a_set:
-        raise ValueError(f"site {y} not in target set {a_set}")
+        raise OutOfRange(f"site {y} not in target set {a_set}")
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
     h, _ = _hitting_matrix(enum, build_rate_matrix(spec, params, enum), a_set, tol)
     return h[:, a_set.index(y)].copy(), enum
@@ -379,7 +379,7 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
     enum = mu.enum
     r_set = site_set(r_set, enum.kappa)
     if x not in r_set:
-        raise ValueError(f"site {x} not in R {r_set}")
+        raise OutOfRange(f"site {x} not in R {r_set}")
     # only the tube mask is needed; the occupancy threshold is irrelevant here
     reg = RegionSpec(spec, enum, r_set, eps=0.1, validate_eps=False)
     counts = enum.counts_matrix()
@@ -413,7 +413,7 @@ def flow(spec: WalkSpec, params: ProcessParams, mu: Distribution,
     """Flow pair (up, down) across level k -> k+1 of the slice at site x."""
     n = mu.enum.n
     if not 0 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [0, {n - 1}]")
+        raise OutOfRange(f"k={k} outside [0, {n - 1}]")
     up, down = flow_profile(spec, params, mu, r_set, x)
     return float(up[k]), float(down[k])
 
@@ -443,22 +443,27 @@ class ReciprocalSum:
 
 
 def reciprocal_sum_table(n_max: int, k_max: int, exact: bool):
-    """Table of sums over compositions of n into k positive parts of the
-    product of reciprocals, via the one-step recursion on the last part.
+    """Table ``table[k][n]`` of the sums S(n, k), over compositions of n into
+    k positive parts, of the product of the parts' reciprocals.
 
-    Exact mode uses rational arithmetic (n_max <= 300); float otherwise.
+    ``(-log(1-z))^k / k!`` generates ``[n k] / n!``, the unsigned Stirling
+    numbers of the first kind over n!, so ``S(n, k) = k! T(n, k)`` with
+    ``T(n, k) = [n k] / n!``. T follows the Stirling recurrence
+    ``T(m+1, k) = (m T(m, k) + T(m, k-1)) / (m+1)`` from ``T(0, 0) = 1``; it
+    costs O(n_max k_max), and every term is positive, so nothing cancels in
+    float. Entries with n < k are 0. Exact mode uses rational arithmetic
+    (n_max <= 300); float otherwise.
     """
     one = Fraction(1) if exact else 1.0
-    inv = [None] + [one / m for m in range(1, n_max + 1)]
-    table = [[None] * (n_max + 1) for _ in range(k_max + 1)]
-    for n in range(1, n_max + 1):
-        table[1][n] = inv[n]
-    for k in range(2, k_max + 1):
-        for n in range(k, n_max + 1):
-            acc = table[k - 1][n - 1] * inv[1]
-            for m in range(2, n - k + 2):
-                acc += table[k - 1][n - m] * inv[m]
-            table[k][n] = acc
+    table = [[0 * one] * (n_max + 1) for _ in range(k_max + 1)]
+    table[0][0] = one
+    for m in range(n_max):
+        for k in range(1, k_max + 1):
+            table[k][m + 1] = (m * table[k][m] + table[k - 1][m]) / (m + 1)
+    factorial = one
+    for k in range(1, k_max + 1):
+        factorial *= k
+        table[k] = [factorial * t for t in table[k]]
     return table
 
 

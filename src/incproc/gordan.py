@@ -55,25 +55,41 @@ def _skew_exact(q: np.ndarray) -> list[list[int]]:
     return [[z[i * n + j] - z[j * n + i] for j in range(n)] for i in range(n)]
 
 
-def _exact_kernel(k: list[list[int]], support: list[int]) -> list[Fraction] | None:
-    """The unique gamma with ``K[:, support] gamma = 0`` and ``sum(gamma) = 1``.
+def _bareiss(rows: list[list[int]], ncols: int) -> bool:
+    """Fraction-free (Bareiss) forward elimination on the first ``ncols``
+    columns of the integer matrix ``rows``, in place.
 
-    Fraction-free (Bareiss) elimination, then back substitution in
-    rationals. Returns None when the solution does not exist or is not
-    unique.
+    Column c takes the first row at or below c with a nonzero entry there as
+    its pivot, swapped into row c, and every row below it is updated across
+    all columns, with exact integer division by the previous pivot. Then
+    ``rows[c][c]`` is, up to sign, the leading (c+1) x (c+1) minor, so a
+    square matrix has determinant ``+-rows[-1][-1]``. Returns False when
+    some column has no pivot (the columns are dependent; ``rows`` is then
+    left part-way).
     """
-    m = len(support)
-    rows = [[row[j] for j in support] + [0] for row in k] + [[1] * (m + 1)]
     prev = 1
-    for c in range(m):
+    for c in range(ncols):
         p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
         if p is None:
-            return None  # dependent columns
+            return False
         rows[c], rows[p] = rows[p], rows[c]
         piv = rows[c]
         for r in range(c + 1, len(rows)):
             rows[r] = [(piv[c] * a - rows[r][c] * b) // prev for a, b in zip(rows[r], piv)]
         prev = piv[c]
+    return True
+
+
+def _exact_kernel(k: list[list[int]], support: list[int]) -> list[Fraction] | None:
+    """The unique gamma with ``K[:, support] gamma = 0`` and ``sum(gamma) = 1``.
+
+    Bareiss elimination, then back substitution in rationals. Returns None
+    when the solution does not exist or is not unique.
+    """
+    m = len(support)
+    rows = [[row[j] for j in support] + [0] for row in k] + [[1] * (m + 1)]
+    if not _bareiss(rows, m):
+        return None  # dependent columns
     if any(row[m] for row in rows[m:]):
         return None  # inconsistent
     gamma = [Fraction(0)] * m

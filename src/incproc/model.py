@@ -14,31 +14,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import MissingValue, NonIrreducibleWalk, OutOfRange, SameSite
 
 MAX_SITES = 64
 
 _FLAG_TOL = 1e-12
-
-
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Forward and backward reachability from node 0 over a boolean adjacency."""
-    n = adj.shape[0]
-
-    def reach(a: np.ndarray) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(a[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
-
-    return reach(adj) and reach(adj.T)
 
 
 def site_set(sites, kappa: int) -> tuple[int, ...]:
@@ -71,18 +53,18 @@ class WalkSpec:
         object.__setattr__(self, "rates", r)
         kappa = len(self.sites)
         if kappa < 2:
-            raise ValueError("need at least 2 sites")
+            raise OutOfRange("need at least 2 sites")
         if kappa > MAX_SITES:
-            raise ValueError(f"at most {MAX_SITES} sites supported")
+            raise OutOfRange(f"at most {MAX_SITES} sites supported")
         if r.shape != (kappa, kappa):
-            raise ValueError(f"rate matrix shape {r.shape} != ({kappa}, {kappa})")
+            raise OutOfRange(f"rate matrix shape {r.shape} != ({kappa}, {kappa})")
         if not np.isfinite(r).all():
             raise OutOfRange("rates must be finite")
         if (r < 0).any():
-            raise ValueError("rates must be nonnegative")
+            raise OutOfRange("rates must be nonnegative")
         if np.diagonal(r).any():
-            raise ValueError("rate matrix diagonal must be zero")
-        if not _strongly_connected(r > 0):
+            raise OutOfRange("rate matrix diagonal must be zero")
+        if connected_components(r > 0, connection="strong")[0] != 1:
             raise NonIrreducibleWalk("rate graph is not strongly connected")
         r.setflags(write=False)
 
@@ -94,15 +76,6 @@ class WalkSpec:
     def holding(self) -> np.ndarray:
         """Per-site holding rates ``lambda(x) = sum_y r(x, y)``."""
         return self.rates.sum(axis=1)
-
-    def neighbor_pairs(self) -> list[tuple[int, int]]:
-        """Unordered pairs x < y with ``r(x,y) + r(y,x) > 0``."""
-        out = []
-        for x in range(self.kappa):
-            for y in range(x + 1, self.kappa):
-                if self.rates[x, y] + self.rates[y, x] > 0:
-                    out.append((x, y))
-        return out
 
     @classmethod
     def from_matrix(cls, rates, sites: Sequence[str] | None = None) -> "WalkSpec":
@@ -131,13 +104,13 @@ class WalkSpec:
         data = json.loads(doc) if isinstance(doc, str) else dict(doc)
         unknown = set(data) - {"sites", "rates"}
         if unknown:
-            raise ValueError(f"unknown keys in walk document: {sorted(unknown)}")
+            raise OutOfRange(f"unknown keys in walk document: {sorted(unknown)}")
         if "sites" not in data or "rates" not in data:
-            raise ValueError("walk document needs 'sites' and 'rates'")
+            raise OutOfRange("walk document needs 'sites' and 'rates'")
         sites = tuple(str(s) for s in data["sites"])
         rates = np.asarray(data["rates"], dtype=float)
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1] or rates.shape[0] != len(sites):
-            raise ValueError("rate matrix shape does not match the site list")
+            raise OutOfRange("rate matrix shape does not match the site list")
         return cls(sites, rates)
 
 
@@ -229,11 +202,11 @@ class ProcessParams:
         if not isinstance(self.n, numbers.Integral):
             raise OutOfRange(f"N must be an integer, got {self.n!r}")
         if self.n < 1:
-            raise ValueError("N must be a positive integer")
+            raise OutOfRange("N must be a positive integer")
         if not math.isfinite(self.d):
             raise OutOfRange(f"d_N must be finite, got {self.d!r}")
         if not self.d > 0:
-            raise ValueError("d_N must be positive")
+            raise OutOfRange("d_N must be positive")
 
     @classmethod
     def from_schedule(cls, n: int, schedule: Callable[[int], float]) -> "ProcessParams":
@@ -242,7 +215,7 @@ class ProcessParams:
     def at(self, n: int) -> "ProcessParams":
         """Parameters at another size; requires a schedule."""
         if self.schedule is None:
-            raise ValueError("no schedule attached to these parameters")
+            raise OutOfRange("no schedule attached to these parameters")
         return ProcessParams.from_schedule(n, self.schedule)
 
 
@@ -269,7 +242,7 @@ class Configuration:
 
     def __post_init__(self):
         if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
+            raise OutOfRange("counts must be nonnegative")
         object.__setattr__(self, "total", int(sum(self.counts)))
 
     @classmethod
@@ -370,7 +343,7 @@ def log_weight_table(n: int, d: float) -> np.ndarray:
     w(k) = Gamma(k + d) / (k! Gamma(d)). Computed in log space because the
     products underflow for large n.
     """
-    logw = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        logw[k] = logw[k - 1] + math.log((k - 1 + d) / k)
-    return logw
+    # math.log, not np.log: numpy's SIMD log can differ from libm's in the
+    # last bit, which would make the table depend on the CPU
+    steps = [math.log((k - 1 + d) / k) for k in range(1, n + 1)]
+    return np.concatenate(([0.0], np.cumsum(steps)))

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import OutOfRange
 from .model import WalkAnalysis, WalkSpec, analyze_walk, site_set
 from .states import StateEnumeration
 
@@ -28,7 +29,7 @@ class RegionSpec:
                  r_set, eps: float = 0.1, validate_eps: bool = True):
         r_set = site_set(r_set, enum.kappa)
         if eps <= 0:
-            raise ValueError("eps must be positive")
+            raise OutOfRange("eps must be positive")
         self.walk = walk
         self.enum = enum
         self.r_set = r_set
@@ -108,12 +109,9 @@ class RegionSpec:
     def slice_indices(self, x: int, k: int) -> np.ndarray:
         """Tube states with exactly k particles at site x."""
         if x not in self.r_set:
-            raise ValueError(f"site {x} not in R {self.r_set}")
+            raise OutOfRange(f"site {x} not in R {self.r_set}")
         counts = self.enum.counts_matrix()
         return np.nonzero(self.tube_mask & (counts[:, x] == k))[0]
-
-    def metastable_indices(self) -> np.ndarray:
-        return np.asarray([self.enum.xi_index(x) for x in self.r_set], dtype=np.int64)
 
     def check_epsilon(self, analysis: WalkAnalysis) -> tuple[float, bool]:
         """Validate that the slice-growth constant stays polynomially bounded.

@@ -217,14 +217,14 @@ def _simulate(spec: WalkSpec, params: ProcessParams,
     if not math.isfinite(horizon):
         raise OutOfRange(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0:
-        raise ValueError("horizon must be positive")
+        raise OutOfRange("horizon must be positive")
     initial = tuple(eta0.counts if isinstance(eta0, Configuration) else eta0)
     if len(initial) != spec.kappa:
-        raise ValueError("initial state has wrong number of sites")
+        raise OutOfRange("initial state has wrong number of sites")
     if any(not isinstance(c, numbers.Integral) or c < 0 for c in initial):
         raise OutOfRange(f"initial counts must be nonnegative integers, got {initial}")
     if sum(initial) != params.n:
-        raise ValueError("initial state has wrong particle count")
+        raise OutOfRange("initial state has wrong particle count")
     if max_events is not None and (not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
@@ -474,11 +474,11 @@ class HittingTask:
 
     def __post_init__(self):
         if self.chain not in ("inclusion", "auxiliary"):
-            raise ValueError(f"unknown chain {self.chain!r}")
+            raise OutOfRange(f"unknown chain {self.chain!r}")
         if self.chain == "inclusion" and self.threshold is None:
-            raise ValueError("inclusion chain needs a threshold")
+            raise OutOfRange("inclusion chain needs a threshold")
         if self.chain == "auxiliary" and (self.r_set is None or self.eps is None):
-            raise ValueError("auxiliary chain needs r_set and eps")
+            raise OutOfRange("auxiliary chain needs r_set and eps")
         if not isinstance(self.step_cap, numbers.Integral) or self.step_cap < 0:
             raise OutOfRange(f"step_cap must be a nonnegative integer, got {self.step_cap!r}")
 
@@ -550,7 +550,7 @@ def _run_auxiliary_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     floor_c = int(math.floor(task.eps * math.log(params.n)))
     counts = list(task.start)
     if any(counts[x] for x in range(spec.kappa) if x not in r_set):
-        raise ValueError("auxiliary-chain start must be supported on R")
+        raise OutOfRange("auxiliary-chain start must be supported on R")
     if min(counts[x] for x in r_set) <= floor_c:
         return 0.0, False
     # the reversed chain on R: x -> y weighted by c_y (d + c_x) r(y, x)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, StateSpaceTooLarge
+from .errors import DimensionMismatch, OutOfRange, StateSpaceTooLarge
 
 DEFAULT_CAP = 500_000
 
@@ -28,9 +27,9 @@ class StateEnumeration:
 
     def __init__(self, kappa: int, n: int, cap: int = DEFAULT_CAP):
         if kappa < 2:
-            raise ValueError("kappa must be at least 2")
+            raise OutOfRange("kappa must be at least 2")
         if n < 1:
-            raise ValueError("N must be at least 1")
+            raise OutOfRange("N must be at least 1")
         size = space_size(kappa, n)
         if size > cap:
             raise StateSpaceTooLarge(size, cap)
@@ -50,7 +49,7 @@ class StateEnumeration:
         if len(eta) != self.kappa:
             raise DimensionMismatch(f"state has {len(eta)} sites, expected {self.kappa}")
         if any(v < 0 for v in eta) or sum(eta) != self.n:
-            raise ValueError(f"not a configuration of {self.n} particles: {eta}")
+            raise OutOfRange(f"not a configuration of {self.n} particles: {eta}")
         r = 0
         remaining = self.n
         for j in range(self.kappa - 1):
@@ -64,7 +63,7 @@ class StateEnumeration:
 
     def unrank(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
-            raise ValueError(f"rank {index} out of range [0, {self.size})")
+            raise OutOfRange(f"rank {index} out of range [0, {self.size})")
         out = []
         remaining = self.n
         r = index
@@ -183,12 +182,12 @@ class Distribution:
             raise DimensionMismatch(
                 f"{self.weights.shape[0]} weights for {self.enum.size} states")
         if self.normalized and abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("normalized distribution must sum to 1 within 1e-12")
+            raise OutOfRange("normalized distribution must sum to 1 within 1e-12")
 
     def normalize(self) -> "Distribution":
         total = self.weights.sum()
         if total <= 0:
-            raise ValueError("cannot normalize nonpositive total mass")
+            raise OutOfRange("cannot normalize nonpositive total mass")
         return Distribution(self.enum, self.weights / total, normalized=True,
                             log_norm=self.log_norm)
 
@@ -221,6 +220,3 @@ class Distribution:
             "per_site_xi_mass": xi,
             "ratios": ratios,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)

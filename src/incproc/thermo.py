@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
                      TooFewRelocations)
 from .exact import reciprocal_sum_table
+from .gordan import _bareiss
 from .model import WalkSpec, log_weight_table
 from .simulate import (Trajectory, _Blocks, _events, _map_replicas,
                        _StateCache, replica_rng)
@@ -33,40 +34,18 @@ def _canonical_kernel(d: int, kernel: Mapping) -> dict[tuple[int, ...], float]:
     for key, weight in kernel.items():
         offset = (int(key),) if isinstance(key, (int, np.integer)) else tuple(int(v) for v in key)
         if len(offset) != d:
-            raise ValueError(f"offset {offset} has dimension {len(offset)}, expected {d}")
+            raise OutOfRange(f"offset {offset} has dimension {len(offset)}, expected {d}")
         w = float(weight)
         if w < 0:
-            raise ValueError(f"negative kernel weight at {offset}")
+            raise OutOfRange(f"negative kernel weight at {offset}")
         if w == 0:
             continue
         if all(v == 0 for v in offset):
-            raise ValueError("kernel weight at the origin must be zero")
+            raise OutOfRange("kernel weight at the origin must be zero")
         out[offset] = out.get(offset, 0.0) + w
     if not out:
-        raise ValueError("kernel has empty support")
+        raise OutOfRange("kernel has empty support")
     return out
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a small integer matrix."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _spans_lattice(offsets: Sequence[tuple[int, ...]], d: int) -> bool:
@@ -77,7 +56,8 @@ def _spans_lattice(offsets: Sequence[tuple[int, ...]], d: int) -> bool:
         return False
     g = 0
     for subset in combinations(rows, d):
-        g = math.gcd(g, abs(_int_det([list(r) for r in subset])))
+        minor = [list(r) for r in subset]
+        g = math.gcd(g, minor[-1][-1] if _bareiss(minor, d) else 0)
         if g == 1:
             return True
     return False
@@ -124,13 +104,13 @@ def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
 def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> TorusSpec:
     """Validate and derive a torus model: regime, velocity, diffusion matrices."""
     if d < 1:
-        raise ValueError("dimension must be >= 1")
+        raise OutOfRange("dimension must be >= 1")
     if not isinstance(side, numbers.Integral):
         raise OutOfRange(f"side must be an integer, got {side!r}")
     if rho <= 0:
-        raise ValueError("density must be positive")
+        raise OutOfRange("density must be positive")
     if not d_l > 0:
-        raise ValueError("d_L must be positive")
+        raise OutOfRange("d_L must be positive")
     kern = _canonical_kernel(d, kernel)
     radius = max(max(abs(v) for v in off) for off in kern)
     if side <= 2 * radius:
@@ -244,7 +224,7 @@ def torus_mean_rates(spec: TorusSpec, method: str = "formula") -> TorusRates:
     probability and multiplies by the escape rate ``N d_L h(y)``.
     """
     if method not in ("formula", "tube"):
-        raise ValueError(f"unknown method {method!r}")
+        raise OutOfRange(f"unknown method {method!r}")
     out: dict[tuple[int, ...], float] = {}
     n, d_l = spec.n, spec.d_l
     offsets = set(spec.kernel)
@@ -499,10 +479,10 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     """
     counts = list(traj.initial)
     if len(counts) != spec.n_sites or sum(counts) != spec.n:
-        raise ValueError("trajectory does not match the torus spec")
+        raise OutOfRange("trajectory does not match the torus spec")
     occ = [x for x in range(spec.n_sites) if counts[x] > 0]
     if len(occ) != 1:
-        raise ValueError("trajectory must start from a condensate state")
+        raise OutOfRange("trajectory must start from a condensate state")
     start = occ[0]
     windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
     acc = _CondensateAccumulator(spec=spec, start_site=start, checkpoints=windows)
@@ -620,20 +600,6 @@ def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
                              total_relocations=total_reloc)
 
 
-def _logsumexp_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(n + 1, -np.inf)
-    for k in range(n + 1):
-        lo = max(0, k - (len(b) - 1))
-        hi = min(k, len(a) - 1)
-        if lo > hi:
-            continue
-        terms = a[lo:hi + 1] + b[k - hi:k - lo + 1][::-1]
-        mx = terms.max()
-        if mx > -np.inf:
-            out[k] = mx + math.log(np.exp(terms - mx).sum())
-    return out
-
-
 @dataclass(frozen=True)
 class CondensationReport:
     """Stationary condensate mass on the torus with closed-form cross-checks."""
@@ -650,26 +616,20 @@ class CondensationReport:
 def torus_condensation(spec: TorusSpec, bound_terms: int = 8) -> CondensationReport:
     """Exact condensate mass from the product-form stationary measure.
 
-    The partition value is computed by log-space self-convolution of the
-    single-site weight series (the torus walk is translation invariant, so
-    the product form always applies); the multi-occupancy remainder is
-    cross-checked against the reciprocal-sum bound.
+    The torus walk is translation invariant, so the product form always
+    applies. The single-site weights are the Taylor coefficients of
+    ``(1-z)^(-d_L)``, so the partition value, the coefficient of ``z^N`` in
+    their ``L^d``-th power, is ``Gamma(N + M) / (N! Gamma(M))`` with
+    ``M = d_L L^d``: the single-site weight ``w(N)`` at parameter M. It is
+    taken from :func:`incproc.model.log_weight_table` (O(N)), because the
+    three lgamma terms of that closed form, each of order N log N, cancel to
+    a value of order 1 and lose about 10x more digits. The multi-occupancy
+    remainder is cross-checked against the reciprocal-sum bound.
     """
     n, d_l = spec.n, spec.d_l
     sites = spec.n_sites
     logw = log_weight_table(n, d_l)
-    # log of coefficient array of (sum_k w(k) z^k)^sites, truncated at n
-    result = np.full(n + 1, -np.inf)
-    result[0] = 0.0
-    base = logw.copy()
-    power = sites
-    while power > 0:
-        if power & 1:
-            result = _logsumexp_convolve(result, base, n)
-        power >>= 1
-        if power:
-            base = _logsumexp_convolve(base, base, n)
-    log_z = float(result[n])
+    log_z = float(log_weight_table(n, d_l * sites)[n])
     log_e_mass = math.log(sites) + logw[n] - log_z
     e_mass = math.exp(log_e_mass)
 

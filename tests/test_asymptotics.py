@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incproc import (ErrorScale, InsufficientData, InvalidCase,
-                     NotSemiAttracting, NotSkewSymmetric, PremiseViolated,
-                     ProcessParams, WalkSpec, analyze_walk, classify,
+                     NonIrreducibleWalk, NotSemiAttracting, NotSkewSymmetric,
+                     PremiseViolated, ProcessParams, WalkSpec, analyze_walk, classify,
                      convergence_probe, gordan_certificate, limit_chain,
                      mean_jump_rate_exact, predicted_mean_rate,
                      stationary_exact, tube_hitting_prediction)
@@ -18,7 +18,72 @@ from incproc.asymptotics import _harmonic, auxiliary_kernel_row
 from incproc.gordan import dichotomy_check
 
 
+def _closure(adj):
+    """Reflexive transitive closure of a boolean adjacency (Warshall)."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= np.outer(reach[:, k], reach[k])
+    return reach
+
+
+def _closure_classification(walk):
+    """Components, terminal components, s0 and irreducible_on_s0 of the
+    drift digraph, read off its transitive closure."""
+    r = walk.rates
+    reach = _closure(r - r.T > 0)
+    comps = sorted({tuple(np.flatnonzero(reach[x] & reach[:, x]).tolist())
+                    for x in range(walk.kappa)})
+    terminal = [c for c in comps if set(np.flatnonzero(reach[c[0]]).tolist()) <= set(c)]
+    s0 = tuple(sorted(v for c in terminal for v in c))
+    return tuple(comps), tuple(terminal), s0, len(terminal) == 1
+
+
+@st.composite
+def _rate_matrices(draw):
+    kappa = draw(st.integers(2, 6))
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+                           min_size=kappa * kappa, max_size=kappa * kappa))
+    rates = np.array(values).reshape(kappa, kappa)
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+def _check_against_closure(walk):
+    cls = classify(walk)
+    assert (cls.components, cls.terminal_components, cls.s0,
+            cls.irreducible_on_s0) == _closure_classification(walk)
+    if cls.symmetric_on_s0 and cls.is_attracting(cls.s0):
+        sub = walk.rates[np.ix_(cls.s0, cls.s0)]
+        if _closure(sub > 0).all():
+            assert limit_chain(walk, cls, "rv").sites == cls.s0
+        else:
+            with pytest.raises(PremiseViolated, match="not irreducible"):
+                limit_chain(walk, cls, "rv")
+
+
 class TestClassify:
+    @pytest.mark.parametrize("name", ["cycle3", "two_sym", "two_asym", "up3", "chain4"])
+    def test_against_closure_fixtures(self, name, request):
+        _check_against_closure(request.getfixturevalue(name))
+
+    def test_against_closure_split_recurrent_set(self):
+        # drift 1 -> 0 and 1 -> 2: s0 = {0, 2} is attracting and symmetric,
+        # but the walk restricted to it has no edges, so "rv" must refuse it
+        walk = WalkSpec.from_matrix([[0.0, 1.0, 0.0],
+                                     [2.0, 0.0, 2.0],
+                                     [0.0, 1.0, 0.0]])
+        assert classify(walk).terminal_components == ((0,), (2,))
+        _check_against_closure(walk)
+
+    @given(_rate_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_against_closure_random(self, rates):
+        if not _closure(rates > 0).all():
+            with pytest.raises(NonIrreducibleWalk):
+                WalkSpec.from_matrix(rates)
+            return
+        _check_against_closure(WalkSpec.from_matrix(rates))
+
     def test_cycle_recurrent_everywhere(self, cycle3):
         cls = classify(cycle3)
         assert cls.s0 == (0, 1, 2)

@@ -1,16 +1,17 @@
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from incproc import (ConditionNotSatisfied, OutOfRange, ProcessParams,
+from incproc import (ConditionNotSatisfied, IncprocError, OutOfRange, ProcessParams,
                      RegionSpec, WalkSpec, analyze_walk, enumerate_states,
                      flow, flow_profile, hitting_probabilities, m_function,
                      mean_jump_rate_exact, reciprocal_sum, region_masses,
                      stationary_closed_form, stationary_exact)
-from incproc.exact import build_generator, reciprocal_bound_holds
+from incproc.exact import build_generator, reciprocal_bound_holds, reciprocal_sum_table
 
 
 class TestStationaryExact:
@@ -305,7 +306,51 @@ def _brute_reciprocal(n, k):
     return total
 
 
+def _loop_reciprocal_table(n_max, k_max, exact):
+    """The O(k n^2) recursion on the last part that the Stirling recurrence
+    replaced, kept as a reference."""
+    one = Fraction(1) if exact else 1.0
+    inv = [None] + [one / m for m in range(1, n_max + 1)]
+    table = [[None] * (n_max + 1) for _ in range(k_max + 1)]
+    for n in range(1, n_max + 1):
+        table[1][n] = inv[n]
+    for k in range(2, k_max + 1):
+        for n in range(k, n_max + 1):
+            acc = table[k - 1][n - 1] * inv[1]
+            for m in range(2, n - k + 2):
+                acc += table[k - 1][n - m] * inv[m]
+            table[k][n] = acc
+    return table
+
+
 class TestReciprocalSums:
+    def test_exact_table_matches_loop(self):
+        ref = _loop_reciprocal_table(300, 6, exact=True)
+        table = reciprocal_sum_table(300, 6, exact=True)
+        for k in range(1, 7):
+            for n in range(k, 301):
+                assert isinstance(table[k][n], Fraction)
+                assert table[k][n] == ref[k][n], (n, k)
+
+    def test_float_table_matches_loop(self):
+        ref = _loop_reciprocal_table(600, 8, exact=False)
+        table = reciprocal_sum_table(600, 8, exact=False)
+        for k in range(1, 9):
+            for n in range(k, 601):
+                assert table[k][n] == pytest.approx(ref[k][n], rel=1e-12, abs=0), (n, k)
+
+    def test_empty_compositions_are_zero(self):
+        table = reciprocal_sum_table(5, 3, exact=True)
+        assert table[0][0] == 1
+        assert all(table[k][n] == 0 for k in range(1, 4) for n in range(k))
+
+    def test_largest_float_sum_is_fast(self):
+        start = time.perf_counter()
+        res = reciprocal_sum(10_000, 8)
+        assert time.perf_counter() - start < 1.0
+        assert res.within_bound
+
+
     def test_single_part(self):
         for n in (1, 7, 50):
             assert reciprocal_sum(n, 1).value == Fraction(1, n)
@@ -338,3 +383,14 @@ class TestReciprocalSums:
     def test_bound_helper_exact_at_k1(self):
         # the k = 1 bound is an equality; rational comparison must accept it
         assert reciprocal_bound_holds(Fraction(1, 3), 3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda walk: ProcessParams(0, 0.1),
+    lambda walk: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), 2),
+    lambda walk: flow_profile(walk, ProcessParams(4, 0.1),
+                              stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 2),
+], ids=["params_n_zero", "hitting_target_outside_a", "flow_site_outside_r"])
+def test_bad_arguments_raise_incproc_error(up3, call):
+    with pytest.raises(IncprocError):
+        call(up3)

@@ -227,3 +227,14 @@ class TestParams:
         assert math.exp(logw[0]) == pytest.approx(1.0)
         assert math.exp(logw[1]) == pytest.approx(0.1)
         assert math.exp(logw[2]) == pytest.approx(0.055)
+
+    @pytest.mark.parametrize("n", [0, 30, 1024, 49_152])
+    def test_weight_table_matches_loop(self, n):
+        def loop(d):
+            logw = np.zeros(n + 1)
+            for k in range(1, n + 1):
+                logw[k] = logw[k - 1] + math.log((k - 1 + d) / k)
+            return logw
+
+        for d in (1e-16, 1e-8, 1e-4, 1e-3, 0.1, 0.5, 0.7):
+            assert np.array_equal(log_weight_table(n, d), loop(d)), d

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from incproc import (NonSpanningSupport, OutOfRange, ProcessParams,
                      measure_diffusion, measure_drift, run_condensate,
                      simulate, stationary_exact, torus_condensation,
                      torus_mean_rates, torus_walk)
+from incproc.exact import reciprocal_sum_table
+from incproc.model import log_weight_table
 
 
 class TestBuildTorus:
@@ -233,7 +236,76 @@ class TestCondensateRuns:
         assert est.off_fraction <= 0.05
 
 
+def _logsumexp_convolve(a, b, n):
+    out = np.full(n + 1, -np.inf)
+    for k in range(n + 1):
+        lo = max(0, k - (len(b) - 1))
+        hi = min(k, len(a) - 1)
+        if lo > hi:
+            continue
+        terms = a[lo:hi + 1] + b[k - hi:k - lo + 1][::-1]
+        mx = terms.max()
+        if mx > -np.inf:
+            out[k] = mx + math.log(np.exp(terms - mx).sum())
+    return out
+
+
+def _convolution_condensation(spec, bound_terms=8):
+    """(log_partition, e_mass, remainder_bound) from the log-space
+    self-convolution of the single-site weights that the closed form
+    replaced, kept as a reference. The reciprocal-sum table is checked
+    against its own reference in test_exact.py."""
+    n, d_l, sites = spec.n, spec.d_l, spec.n_sites
+    logw = log_weight_table(n, d_l)
+    result = np.full(n + 1, -np.inf)
+    result[0] = 0.0
+    base = logw.copy()
+    power = sites
+    while power > 0:
+        if power & 1:
+            result = _logsumexp_convolve(result, base, n)
+        power >>= 1
+        if power:
+            base = _logsumexp_convolve(base, base, n)
+    log_z = float(result[n])
+    e_mass = math.exp(math.log(sites) + logw[n] - log_z)
+    terms = min(bound_terms, n, sites)
+    table = reciprocal_sum_table(n, max(terms, 1), exact=False)
+    bound = 0.0
+    for i in range(2, terms + 1):
+        log_choose = (math.lgamma(sites + 1) - math.lgamma(i + 1)
+                      - math.lgamma(sites - i + 1))
+        bound += math.exp(i * math.log(2 * d_l) + math.log(table[i][n])
+                          + log_choose - log_z)
+    return log_z, e_mass, bound
+
+
+_NN2 = {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5}
+
+
 class TestTorusCondensation:
+    @pytest.mark.parametrize("d, side, kernel, rho, d_l", [
+        (1, 8, {1: 0.7, -1: 0.3}, 2.0, 1e-3),
+        (1, 16, {1: 0.5, -1: 0.5}, 3.0, 1e-4),
+        (1, 64, {1: 0.8, -1: 0.2}, 2.0, 1e-5),
+        (2, 32, _NN2, 1.0, 32.0 ** -3),
+    ])
+    def test_closed_form_matches_convolution(self, d, side, kernel, rho, d_l):
+        spec = build_torus(d, side, kernel, rho=rho, d_l=d_l)
+        rep = torus_condensation(spec)
+        log_z, e_mass, bound = _convolution_condensation(spec)
+        assert rep.log_partition == pytest.approx(log_z, rel=1e-12, abs=0)
+        assert rep.e_mass == pytest.approx(e_mass, rel=1e-12, abs=0)
+        assert rep.remainder_bound == pytest.approx(bound, rel=1e-12, abs=0)
+
+    def test_large_torus_is_fast(self):
+        spec = build_torus(2, 128, _NN2, rho=3.0, d_l=1e-4)
+        assert spec.n == 49_152
+        start = time.perf_counter()
+        rep = torus_condensation(spec)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < rep.e_mass <= 1.0
+
     def test_small_torus_mass(self):
         spec = build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0, d_l=1e-6)
         rep = torus_condensation(spec)
