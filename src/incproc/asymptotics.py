@@ -296,12 +296,16 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     ``reversed`` mode uses the discrete auxiliary chain whose step weights
     swap source and target roles (weight of moving a particle x -> y is
     ``eta_y (d + eta_x) r(y, x)``, normalized per state); ``forward`` mode
-    uses the continuous-time process generator. Both need strictly positive
-    rates inside R.
+    uses the continuous-time process generator. Both need at least two sites
+    in R, strictly positive rates inside R and a finite d > 0.
     """
     if mode not in ("reversed", "forward"):
         raise OutOfRange(f"unknown mode {mode!r}")
     r_set = tuple(sorted(set(int(v) for v in r_set)))
+    if len(r_set) < 2:
+        raise OutOfRange(f"R needs at least two sites, got {r_set}")
+    if not (math.isfinite(d) and d > 0):
+        raise OutOfRange(f"d must be finite and positive, got {d!r}")
     rmat = walk.rates
     for x in r_set:
         for y in r_set:
@@ -323,59 +327,46 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     for k in range(1, n + 2):
         hmax[k] = hmax[k - 1] + 1.0 / k
 
-    col = {x: i for i, x in enumerate(r_set)}
-
-    def f0_of(row) -> float:
-        return float(sum(coeff[col[x]] * hmax[row[x]] for x in r_set))
+    # f0 of every state, summed over R in order
+    f0 = np.zeros(enum.size)
+    for i, x in enumerate(r_set):
+        f0 += coeff[i] * hmax[counts[:, x]]
 
     inner = reg.inner_core
-    closure_vals = {int(i): f0_of(counts[i]) for i in reg.inner_closure}
-    if closure_vals:
-        vals = np.array(list(closure_vals.values()))
-        oscillation = float(vals.max() - vals.min())
-    else:
-        oscillation = 0.0
+    closure_vals = f0[reg.inner_closure]
+    oscillation = (float(closure_vals.max() - closure_vals.min())
+                   if closure_vals.size else 0.0)
 
-    drift = np.zeros(inner.size)
-    row_sums = np.zeros(inner.size)
-    for pos, i in enumerate(inner):
-        s = counts[i]
-        f_here = closure_vals[int(i)]
-        w_state = 0.0
-        for x in r_set:
-            for y in r_set:
-                if x == y:
-                    continue
-                w_state += s[x] * (d + s[y]) * rmat[x, y]
-        acc = 0.0
-        rs = 0.0
-        for x in r_set:
-            if s[x] == 0:
+    # every inner-core state at once; each (x, y) pass adds in the order of
+    # the scalar sums, so every entry is the scalar loop's float. Inner-core
+    # states hold at least one particle at every site of R, rates inside R
+    # are positive and d > 0, so every move below exists and has positive
+    # weight: nothing needs masking.
+    s = counts[inner]
+    f_here = f0[inner]
+    w_state = np.zeros(inner.size)
+    acc = np.zeros(inner.size)
+    rs = np.zeros(inner.size)
+    for x in r_set:
+        for y in r_set:
+            if y == x:
                 continue
-            for y in r_set:
-                if y == x:
-                    continue
-                if mode == "reversed":
-                    weight = s[y] * (d + s[x]) * rmat[y, x]
-                else:
-                    weight = s[x] * (d + s[y]) * rmat[x, y]
-                if weight == 0.0:
-                    continue
-                moved = s.astype(np.int64).copy()
-                moved[x] -= 1
-                moved[y] += 1
-                j = enum.rank(tuple(int(v) for v in moved))
-                f_there = closure_vals.get(j)
-                if f_there is None:
-                    f_there = f0_of(counts[j])
-                acc += weight * (f_there - f_here)
-                rs += weight
-        if mode == "reversed":
-            drift[pos] = acc / w_state
-            row_sums[pos] = rs / w_state
-        else:
-            drift[pos] = acc
-            row_sums[pos] = rs
+            w_state += s[:, x] * (d + s[:, y]) * rmat[x, y]
+            if mode == "reversed":
+                weight = s[:, y] * (d + s[:, x]) * rmat[y, x]
+            else:
+                weight = s[:, x] * (d + s[:, y]) * rmat[x, y]
+            moved = s.astype(np.int64)
+            moved[:, x] -= 1
+            moved[:, y] += 1
+            acc += weight * (f0[enum.rank_many(moved)] - f_here)
+            rs += weight
+    if mode == "reversed":
+        drift = acc / w_state
+        row_sums = rs / w_state
+    else:
+        drift = acc
+        row_sums = rs
     min_drift = float(drift.min()) if drift.size else float("nan")
     rng = ((float(row_sums.min()), float(row_sums.max()))
            if row_sums.size else (float("nan"), float("nan")))

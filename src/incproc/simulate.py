@@ -98,11 +98,11 @@ class Trajectory:
         return len(self.times)
 
     def final_state(self) -> tuple[int, ...]:
-        counts = list(self.initial)
-        for x, y in zip(self.move_from, self.move_to):
-            counts[x] -= 1
-            counts[y] += 1
-        return tuple(counts)
+        kappa = len(self.initial)
+        counts = (np.asarray(self.initial, dtype=np.int64)
+                  + np.bincount(self.move_to, minlength=kappa)
+                  - np.bincount(self.move_from, minlength=kappa))
+        return tuple(int(v) for v in counts)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -277,14 +277,12 @@ class TracePath:
 
     def transition_counts(self, kappa: int) -> np.ndarray:
         counts = np.zeros((kappa, kappa), dtype=np.int64)
-        for a, b in zip(self.labels[:-1], self.labels[1:]):
-            counts[a, b] += 1
+        np.add.at(counts, (self.labels[:-1], self.labels[1:]), 1)
         return counts
 
     def time_at(self, kappa: int) -> np.ndarray:
         out = np.zeros(kappa)
-        for lab, s in zip(self.labels, self.sojourns):
-            out[lab] += s
+        np.add.at(out, self.labels, self.sojourns)
         return out
 
 

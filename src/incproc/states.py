@@ -64,23 +64,25 @@ class StateEnumeration:
     def unrank(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
             raise OutOfRange(f"rank {index} out of range [0, {self.size})")
-        out = []
-        remaining = self.n
-        r = index
+        return tuple(int(v) for v in self._unrank_many(np.array([index]))[0])
+
+    def _unrank_many(self, ranks: np.ndarray) -> np.ndarray:
+        """Count vectors of valid ranks as a (len(ranks), kappa) int64 matrix."""
+        r = np.array(ranks, dtype=np.int64)
+        out = np.empty((r.size, self.kappa), dtype=np.int64)
+        remaining = np.full(r.size, self.n, dtype=np.int64)
         for j in range(self.kappa - 1):
             parts_after = self.kappa - 1 - j
-            # block of states with count exactly v at position j starts at
-            # offset(v) = cum[remaining - v - 1, parts_after], offset(remaining) = 0;
-            # pick the v whose block contains r
-            v = remaining
-            while v > 0 and self._cum[remaining - v, parts_after] <= r:
-                v -= 1
-            if v < remaining:
-                r -= self._cum[remaining - v - 1, parts_after]
-            out.append(v)
-            remaining -= v
-        out.append(remaining)
-        return tuple(out)
+            # the block of states with count remaining - u at position j
+            # starts at offset cum[u - 1, parts_after] (0 for u = 0), and the
+            # offsets grow with u; u counts the block starts at or below r
+            col = self._cum[:, parts_after]
+            u = np.searchsorted(col, r, side="right")
+            out[:, j] = remaining - u
+            r -= np.where(u > 0, col[u - 1], 0)
+            remaining = u
+        out[:, -1] = remaining
+        return out
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         for row in self.counts_matrix():
@@ -95,22 +97,7 @@ class StateEnumeration:
     def counts_matrix(self) -> np.ndarray:
         """All states as a (size, kappa) int32 matrix, in rank order."""
         if self._counts_matrix is None:
-            mat = np.zeros((self.size, self.kappa), dtype=np.int32)
-            state = [0] * self.kappa
-            state[0] = self.n
-            for i in range(self.size):
-                mat[i] = state
-                if i + 1 == self.size:
-                    break
-                # next state in larger-counts-first order
-                j = self.kappa - 2
-                while state[j] == 0:
-                    j -= 1
-                tail = sum(state[j + 1:])
-                state[j] -= 1
-                for t in range(j + 1, self.kappa):
-                    state[t] = 0
-                state[j + 1] = tail + 1
+            mat = self._unrank_many(np.arange(self.size)).astype(np.int32)
             mat.setflags(write=False)
             self._counts_matrix = mat
         return self._counts_matrix

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from incproc import (ErrorScale, InsufficientData, InvalidCase,
                      NonIrreducibleWalk, NotSemiAttracting, NotSkewSymmetric,
-                     PremiseViolated, ProcessParams, WalkSpec, analyze_walk, classify,
-                     convergence_probe, gordan_certificate, limit_chain,
+                     OutOfRange, PremiseViolated, ProcessParams, WalkSpec,
+                     analyze_walk, classify, convergence_probe,
+                     gordan_certificate, limit_chain,
                      mean_jump_rate_exact, predicted_mean_rate,
                      stationary_exact, tube_hitting_prediction)
 from incproc import test_function as make_test_function
@@ -59,6 +60,104 @@ def _check_against_closure(walk):
         else:
             with pytest.raises(PremiseViolated, match="not irreducible"):
                 limit_chain(walk, cls, "rv")
+
+
+def _loop_drift(walk, r_set, n, d, eps, mode):
+    """The scalar drift loop of ``test_function``, one state and one move at a
+    time (reference): (drift, row sums, oscillation)."""
+    from incproc import RegionSpec
+    from incproc.states import StateEnumeration
+    rmat = walk.rates
+    q = np.array([[rmat[x, y] - rmat[y, x] for y in r_set] for x in r_set])
+    cert = gordan_certificate(q)
+    coeff = -cert.vector if cert.variant == "alpha" and mode == "forward" else cert.vector
+    enum = StateEnumeration(walk.kappa, n)
+    reg = RegionSpec(walk, enum, r_set, eps=eps)
+    counts = enum.counts_matrix()
+    hmax = np.zeros(n + 2)
+    for k in range(1, n + 2):
+        hmax[k] = hmax[k - 1] + 1.0 / k
+    col = {x: i for i, x in enumerate(r_set)}
+
+    def f0_of(row) -> float:
+        return float(sum(coeff[col[x]] * hmax[row[x]] for x in r_set))
+
+    inner = reg.inner_core
+    closure_vals = {int(i): f0_of(counts[i]) for i in reg.inner_closure}
+    oscillation = 0.0
+    if closure_vals:
+        vals = np.array(list(closure_vals.values()))
+        oscillation = float(vals.max() - vals.min())
+    drift = np.zeros(inner.size)
+    row_sums = np.zeros(inner.size)
+    for pos, i in enumerate(inner):
+        s = counts[i]
+        f_here = closure_vals[int(i)]
+        w_state = 0.0
+        for x in r_set:
+            for y in r_set:
+                if x == y:
+                    continue
+                w_state += s[x] * (d + s[y]) * rmat[x, y]
+        acc = 0.0
+        rs = 0.0
+        for x in r_set:
+            if s[x] == 0:
+                continue
+            for y in r_set:
+                if y == x:
+                    continue
+                if mode == "reversed":
+                    weight = s[y] * (d + s[x]) * rmat[y, x]
+                else:
+                    weight = s[x] * (d + s[y]) * rmat[x, y]
+                if weight == 0.0:
+                    continue
+                moved = s.astype(np.int64).copy()
+                moved[x] -= 1
+                moved[y] += 1
+                j = enum.rank(tuple(int(v) for v in moved))
+                f_there = closure_vals.get(j)
+                if f_there is None:
+                    f_there = f0_of(counts[j])
+                acc += weight * (f_there - f_here)
+                rs += weight
+        if mode == "reversed":
+            drift[pos] = acc / w_state
+            row_sums[pos] = rs / w_state
+        else:
+            drift[pos] = acc
+            row_sums[pos] = rs
+    return drift, row_sums, oscillation
+
+
+def _assert_drift_matches_loop(walk, r_set, n, d, eps, mode):
+    tf = make_test_function(walk, r_set, n=n, d=d, eps=eps, mode=mode)
+    drift, row_sums, oscillation = _loop_drift(walk, r_set, n, d, eps, mode)
+    assert np.array_equal(tf.drift, drift)
+    assert tf.oscillation == oscillation
+    if drift.size:
+        assert tf.min_drift == drift.min()
+        assert tf.row_sum_range == (row_sums.min(), row_sums.max())
+
+
+@st.composite
+def _walks_positive_in_r(draw):
+    """A walk and a site set R of at least two sites with every rate inside R
+    positive; rates are dyadic, so the drift matrix on R is exact."""
+    kappa = draw(st.integers(2, 4))
+    r_set = tuple(sorted(draw(st.sets(st.integers(0, kappa - 1), min_size=2))))
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                           min_size=kappa * kappa, max_size=kappa * kappa))
+    rates = np.array(values).reshape(kappa, kappa)
+    for x in r_set:
+        for y in r_set:
+            if rates[x, y] == 0.0:
+                rates[x, y] = 0.75
+    for x in range(kappa):  # a cycle through every site keeps the walk irreducible
+        rates[x, (x + 1) % kappa] = max(rates[x, (x + 1) % kappa], 0.5)
+    np.fill_diagonal(rates, 0.0)
+    return WalkSpec.from_matrix(rates), r_set
 
 
 class TestClassify:
@@ -353,6 +452,37 @@ class TestTestFunction:
         for spec, r_set in ((cycle3, (0, 1, 2)), (up3, (0, 1))):
             tf = make_test_function(spec, r_set, n=40, d=1e-6, eps=0.1, mode="forward")
             assert tf.min_drift > 0
+
+    FIXTURE_CASES = [("cycle3", (0, 1, 2)), ("up3", (0, 1, 2)), ("up3", (0, 1)),
+                     ("two_sym", (0, 1)), ("two_asym", (0, 1)), ("chain4", (1, 2)),
+                     ("chain4", (0, 1))]
+
+    @pytest.mark.parametrize("mode", ["reversed", "forward"])
+    @pytest.mark.parametrize("name,r_set", FIXTURE_CASES)
+    def test_drift_matches_loop(self, request, name, r_set, mode):
+        walk = request.getfixturevalue(name)
+        _assert_drift_matches_loop(walk, r_set, n=40, d=1e-6, eps=0.1, mode=mode)
+
+    @given(_walks_positive_in_r(), st.integers(3, 30),
+           st.sampled_from([1e-2, 1e-4, 1e-6]), st.sampled_from(["reversed", "forward"]))
+    @settings(max_examples=60, deadline=None)
+    def test_drift_matches_loop_random(self, walk_r, n, d, mode):
+        walk, r_set = walk_r
+        _assert_drift_matches_loop(walk, r_set, n=n, d=d, eps=0.1, mode=mode)
+
+    def test_large_cycle_is_fast(self, cycle3):
+        # 20,301 states; the scalar loop needed several seconds here
+        start = time.perf_counter()
+        tf = make_test_function(cycle3, (0, 1, 2), n=200, d=1e-6, eps=0.1)
+        assert time.perf_counter() - start < 1.0
+        assert tf.min_drift > 0
+
+    @pytest.mark.parametrize("r_set,d", [((0,), 1e-6), ((0, 1, 2), math.nan),
+                                         ((0, 1, 2), math.inf), ((0, 1, 2), 0.0),
+                                         ((0, 1, 2), -0.5)])
+    def test_rejects_single_site_r_or_bad_d(self, cycle3, r_set, d):
+        with pytest.raises(OutOfRange):
+            make_test_function(cycle3, r_set, n=20, d=d, eps=0.1)
 
     def test_requires_positive_rates_in_r(self, chain4):
         with pytest.raises(PremiseViolated):

@@ -5,13 +5,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incproc import (ConditionNotSatisfied, IncprocError, OutOfRange, ProcessParams,
                      RegionSpec, WalkSpec, analyze_walk, enumerate_states,
                      flow, flow_profile, hitting_probabilities, m_function,
                      mean_jump_rate_exact, reciprocal_sum, region_masses,
                      stationary_closed_form, stationary_exact)
-from incproc.exact import build_generator, reciprocal_bound_holds, reciprocal_sum_table
+from incproc.exact import (STATIONARY_TOL, build_generator, reciprocal_bound_holds,
+                           reciprocal_sum_table)
 
 
 class TestStationaryExact:
@@ -59,6 +62,55 @@ class TestStationaryExact:
         mu = stationary_exact(spec, ProcessParams(12, 1e-2))
         cf = stationary_closed_form(spec, ProcessParams(12, 1e-2))
         assert np.abs(mu.weights - cf.weights).max() <= 1e-10
+
+
+@st.composite
+def _rev_or_ui_walks(draw):
+    """A reversible walk (symmetric conductances over a measure) or a
+    uniform-measure walk (a weighted sum of permutation matrices)."""
+    kappa = draw(st.integers(2, 4))
+    weights = st.floats(0.2, 2.0)
+    if draw(st.booleans()):
+        cond = np.zeros((kappa, kappa))
+        for x in range(kappa):
+            for y in range(x + 1, kappa):
+                # the ring x -- x + 1 keeps the walk irreducible
+                ring = y == x + 1 or (x == 0 and y == kappa - 1)
+                value = draw(weights if ring else st.sampled_from([0.0, 0.5, 1.5]))
+                cond[x, y] = cond[y, x] = value
+        measure = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=kappa, max_size=kappa)))
+        rates = cond / measure[:, None]
+    else:
+        # zeroing the diagonal keeps row sums equal to column sums
+        rates = np.zeros((kappa, kappa))
+        shift = np.roll(np.arange(kappa), 1)  # a full cycle: irreducible
+        perms = [shift] + draw(st.lists(st.permutations(range(kappa)), max_size=2))
+        for perm in perms:
+            rates[np.arange(kappa), list(perm)] += draw(weights)
+        np.fill_diagonal(rates, 0.0)
+    return WalkSpec.from_matrix(rates)
+
+
+class TestClosedFormAgainstSolver:
+    @given(_rev_or_ui_walks(), st.integers(1, 12), st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_solver(self, walk, n, d):
+        an = analyze_walk(walk)
+        assert an.rev or an.ui
+        params = ProcessParams(n, d)
+        mu = stationary_exact(walk, params)
+        cf = stationary_closed_form(walk, params)
+        q = build_generator(walk, params, cf.enum)
+        scale = np.abs(q.data).max()
+        # stationary_exact accepts mu only when |mu Q| <= STATIONARY_TOL * max|Q|;
+        # the product form is exactly stationary, so its float rounding must
+        # pass the same acceptance test
+        assert np.abs(cf.weights @ q).max() <= STATIONARY_TOL * scale
+        # on these spaces (at most 455 states, d >= 1e-4) the LU residuals are
+        # near 1e-16 * max|Q|, far inside that bound, and both weight vectors
+        # are probabilities, so they agree within STATIONARY_TOL, the bound
+        # the fixed-walk tests above use (1e-14 was the worst seen)
+        assert np.abs(mu.weights - cf.weights).max() <= STATIONARY_TOL
 
 
 class TestClosedForm:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,61 @@ class TestSimulate:
             dof += len(kin.probs) - 1
         threshold = stats.chi2.ppf(0.999, dof)
         assert chi2 <= threshold
+
+
+def _loop_final_state(traj):
+    counts = list(traj.initial)
+    for x, y in zip(traj.move_from, traj.move_to):
+        counts[x] -= 1
+        counts[y] += 1
+    return tuple(counts)
+
+
+def _loop_transition_counts(path, kappa):
+    counts = np.zeros((kappa, kappa), dtype=np.int64)
+    for a, b in zip(path.labels[:-1], path.labels[1:]):
+        counts[a, b] += 1
+    return counts
+
+
+def _loop_time_at(path, kappa):
+    out = np.zeros(kappa)
+    for lab, s in zip(path.labels, path.sojourns):
+        out[lab] += s
+    return out
+
+
+class TestPathTallies:
+    """Final states and trace tallies against the per-event loops they replace."""
+
+    @pytest.mark.parametrize("name,n,d,horizon", [("up3", 6, 0.2, 500.0),
+                                                  ("cycle3", 8, 0.05, 800.0),
+                                                  ("chain4", 5, 0.1, 400.0),
+                                                  ("two_sym", 4, 0.5, 1.0)])
+    def test_match_loops(self, request, name, n, d, horizon):
+        walk = request.getfixturevalue(name)
+        traj = simulate(walk, ProcessParams(n, d), Configuration.single_site(walk.kappa, n, 0),
+                        horizon, seed=17)
+        final = traj.final_state()
+        assert final == _loop_final_state(traj)
+        assert all(type(v) is int for v in final)
+        for a_set in (range(walk.kappa), (0,), (0, walk.kappa - 1)):
+            path = trace_project(traj, a_set, theta=1.0)
+            counts = path.transition_counts(walk.kappa)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, _loop_transition_counts(path, walk.kappa))
+            assert np.array_equal(path.time_at(walk.kappa), _loop_time_at(path, walk.kappa))
+
+    def test_time_at_sums_in_path_order(self, up3):
+        # sojourns over 16 decades, where the summation order shows in the last bits
+        path = trace_project(simulate(up3, ProcessParams(6, 0.2), (6, 0, 0), 50.0, seed=3),
+                             (0, 1, 2), theta=1.0)
+        rng = np.random.Generator(np.random.Philox(key=(5, 0)))
+        labels = rng.integers(0, 3, size=50_000)
+        sojourns = rng.exponential(size=50_000) * 10.0 ** rng.integers(-8, 8, size=50_000)
+        path = dataclasses.replace(path, labels=labels, sojourns=sojourns)
+        assert np.array_equal(path.time_at(3), _loop_time_at(path, 3))
+        assert np.array_equal(path.transition_counts(3), _loop_transition_counts(path, 3))
 
 
 class TestTraceProject:

@@ -1,10 +1,80 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import Distribution, StateSpaceTooLarge, space_size
+from incproc import Distribution, OutOfRange, StateSpaceTooLarge, space_size
 from incproc.states import StateEnumeration, b_set_masses
+
+
+def _loop_counts_matrix(enum):
+    """Every state in rank order by the successor rule (reference)."""
+    mat = np.zeros((enum.size, enum.kappa), dtype=np.int32)
+    state = [0] * enum.kappa
+    state[0] = enum.n
+    for i in range(enum.size):
+        mat[i] = state
+        if i + 1 == enum.size:
+            break
+        # next state in larger-counts-first order
+        j = enum.kappa - 2
+        while state[j] == 0:
+            j -= 1
+        tail = sum(state[j + 1:])
+        state[j] -= 1
+        for t in range(j + 1, enum.kappa):
+            state[t] = 0
+        state[j + 1] = tail + 1
+    return mat
+
+
+def _loop_unrank(enum, index):
+    """One state by a linear scan over the blocks of each position (reference)."""
+    out = []
+    remaining = enum.n
+    r = index
+    for j in range(enum.kappa - 1):
+        parts_after = enum.kappa - 1 - j
+        v = remaining
+        while v > 0 and comb(remaining - v + parts_after, parts_after) <= r:
+            v -= 1
+        if v < remaining:
+            r -= comb(remaining - v - 1 + parts_after, parts_after)
+        out.append(v)
+        remaining -= v
+    out.append(remaining)
+    return tuple(out)
+
+
+class TestUnrankAgainstLoops:
+    CASES = [(2, 1), (2, 5), (3, 120), (4, 35), (5, 30), (8, 8)]
+
+    @pytest.mark.parametrize("kappa,n", CASES)
+    def test_counts_matrix_matches_loop(self, kappa, n):
+        enum = StateEnumeration(kappa, n)
+        mat = enum.counts_matrix()
+        ref = _loop_counts_matrix(enum)
+        assert mat.dtype == ref.dtype == np.int32
+        assert np.array_equal(mat, ref)
+        assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("kappa,n", CASES)
+    def test_unrank_matches_loop(self, kappa, n):
+        enum = StateEnumeration(kappa, n)
+        ranks = np.unique(np.r_[0, enum.size - 1,
+                                np.linspace(0, enum.size - 1, 400).astype(int)])
+        got = np.array([enum.unrank(int(i)) for i in ranks])
+        ref = np.array([_loop_unrank(enum, int(i)) for i in ranks])
+        assert np.array_equal(got, ref)
+        assert all(type(v) is int for v in enum.unrank(int(ranks[-1])))
+
+    def test_unrank_rejects_out_of_range(self):
+        enum = StateEnumeration(3, 4)
+        for bad in (-1, enum.size):
+            with pytest.raises(OutOfRange):
+                enum.unrank(bad)
 
 
 class TestEnumeration:
