@@ -13,7 +13,8 @@ import numbers
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import partial
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -569,13 +570,19 @@ def _map_replicas(fn, args, threads: int):
     The jobs of one process share one event-kernel state cache: serially,
     all of them; with a pool, each worker runs one contiguous chunk.
     """
+    return _map_batches(partial(_run_chunk, fn), args, threads)
+
+
+def _map_batches(batch, args, threads: int):
+    """``batch(args)`` in one process, or ``batch`` over contiguous chunks of
+    ``args`` in a pool of ``threads`` workers; each call returns one result
+    per argument, and the results come in argument order."""
     if threads <= 1 or len(args) <= 1:
-        return _run_chunk(fn, args)
+        return batch(args)
     size = -(-len(args) // threads)
     chunks = [args[i:i + size] for i in range(0, len(args), size)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return [res for part in pool.map(_run_chunk, repeat(fn), chunks)
-                for res in part]
+        return [res for part in pool.map(batch, chunks) for res in part]
 
 
 def _run_chunk(fn, args) -> list:

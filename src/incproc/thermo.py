@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -22,8 +24,8 @@ from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, log_weight_table
-from .simulate import (Trajectory, _Blocks, _events, _map_replicas,
-                       _StateCache, replica_rng)
+from .simulate import (_TRACE_CHUNK, Trajectory, _add_in_order, _Blocks,
+                       _events, _map_batches, _StateCache, replica_rng)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -334,78 +336,12 @@ def generator_gap(spec: TorusSpec, f: SmoothFunction, method: str = "formula") -
     return worst
 
 
-@dataclass
-class _CondensateAccumulator:
-    """Streams condensate events: relocations, clocks, checkpoint positions."""
-
-    spec: TorusSpec
-    start_site: int
-    checkpoints: np.ndarray          # trace-clock times, increasing
-
-    def __post_init__(self):
-        self.coords = _site_coords(self.spec)
-        self.cur = self.start_site
-        self.occupied = [self.start_site]    # insertion order fixes move order
-        self.in_e = True
-        self.disp = np.zeros(self.spec.d, dtype=np.int64)
-        self.trace_time = 0.0
-        self.off_time = 0.0
-        self.relocations = 0
-        self.ck = 0
-        self.positions = np.zeros((len(self.checkpoints), self.spec.d))
-        self.unwrap_consistent = True
-        self._start_coord = self.coords[self.start_site].copy()
-
-    def dwell(self, dt: float) -> None:
-        if self.in_e:
-            self.trace_time += dt
-            while (self.ck < len(self.checkpoints)
-                   and self.trace_time >= self.checkpoints[self.ck]):
-                self.positions[self.ck] = self.disp
-                self.ck += 1
-        else:
-            self.off_time += dt
-
-    def moved(self, counts: list[int], x: int, y: int) -> None:
-        """Follow the move ``x -> y``, already applied to ``counts``."""
-        occupied = self.occupied
-        if counts[x] == 0:
-            occupied.remove(x)
-        if counts[y] == 1:
-            occupied.append(y)
-        self.in_e = len(occupied) == 1
-        if self.in_e:
-            self.enter(occupied[0])
-
-    def enter(self, site: int) -> None:
-        if site == self.cur:
-            return
-        # minimal image; relocations stay within the kernel support radius,
-        # which is below side/2, so the image is unique
-        half = self.spec.side // 2
-        delta = (self.coords[site] - self.coords[self.cur] + half) % self.spec.side - half
-        self.disp += delta
-        self.cur = site
-        self.relocations += 1
-        wrapped = (self._start_coord + self.disp) % self.spec.side
-        if not np.array_equal(wrapped, self.coords[site]):
-            self.unwrap_consistent = False
-
-    def finish(self) -> None:
-        while self.ck < len(self.checkpoints):
-            self.positions[self.ck] = self.disp
-            self.ck += 1
-
-    @property
-    def done(self) -> bool:
-        return self.ck >= len(self.checkpoints)
-
-
 @dataclass(frozen=True)
 class CondensateRun:
     """One condensate trajectory's summary statistics."""
 
     relocations: int
+    events: int                      # moves of the particles
     displacement: np.ndarray         # lattice units, unwrapped
     trace_time: float
     off_time: float
@@ -419,42 +355,346 @@ class CondensateRun:
         return self.off_time / wall if wall > 0 else 0.0
 
 
+# sojourns a replica draws from its trace clock at first; each later chunk
+# is twice as long, up to the second value
+_CHUNKS = (1 << 12, 1 << 16)
+# excursions one lockstep pass holds when it gathers more than one replica;
+# a full pass peaks at about 25 MB
+_LOCKSTEP_EXCURSIONS = 1 << 17
+# how a channel excursion ends
+_HOME, _MOVED, _HOPPED = 1, 2, 3
+_STEP = np.array([-1, 1])
+
+
+class _Channels:
+    """The two-site channels of a torus, as flat tables over (offset, level).
+
+    From the condensate state, N particles at x, one particle leaves for
+    x + off with probability h(off) / sum h. The channel {x, x + off} is then
+    a birth-death chain in the level i, the count at x + off: up at rate
+    (N - i)(d + i) h(off), down at rate i (d + N - i) h(-off), and a hop to
+    an empty third site at rate d ((N - i) sum_{o != off} h(o)
+    + i sum_{o != -off} h(o)). Level 0 is home, level N a relocation by off.
+    Row ``k (N + 1) + i`` of ``rows`` (the total rate, the probability of a
+    step up, and of a step up or down) and of ``end`` belongs to offset k at
+    level i.
+    """
+
+    def __init__(self, spec: TorusSpec):
+        n, d = spec.n, spec.d_l
+        self.spec, self.n = spec, n
+        self.offsets = np.array(list(spec.kernel), dtype=np.int64)
+        weights = np.array(list(spec.kernel.values()))
+        self.cum_weights = np.cumsum(weights)
+        self.leave_rate = n * d * float(weights.sum())
+        level = np.arange(n + 1, dtype=float)
+        up, move, total = [], [], []
+        for off, h_fwd in spec.kernel.items():
+            back = tuple(-v for v in off)
+            rest_fwd = sum(w for o, w in spec.kernel.items() if o != off)
+            rest_bwd = sum(w for o, w in spec.kernel.items() if o != back)
+            rate_up = (n - level) * (d + level) * h_fwd
+            rate_down = level * (d + n - level) * spec.h(back)
+            rate = rate_up + rate_down + d * ((n - level) * rest_fwd + level * rest_bwd)
+            up.append(rate_up / rate)
+            move.append((rate_up + rate_down) / rate)
+            total.append(rate)
+        self.rows = np.stack([np.concatenate(total), np.concatenate(up),
+                              np.concatenate(move)], axis=1)
+        self.end = np.zeros(len(self.rows), dtype=np.uint8)
+        self.end[0::n + 1] = _HOME
+        self.end[n::n + 1] = _MOVED
+        self.cache = _StateCache()
+        self._out = None
+
+    @property
+    def out(self) -> list[list[tuple[int, float]]]:
+        """The event kernel's move table, built on the first third-site hop."""
+        if self._out is None:
+            spec = self.spec
+            coords = self.coords = _site_coords(spec)
+            strides = spec.side ** np.arange(spec.d - 1, -1, -1)
+            targets = [(((coords + off) % spec.side) @ strides).tolist()
+                       for off in self.offsets]
+            weights = list(spec.kernel.values())
+            self._out = [[(t[x], w) for t, w in zip(targets, weights)]
+                         for x in range(spec.n_sites)]
+        return self._out
+
+
+def _chunk_streams(key: tuple[int, int], chunk: int) -> list[np.random.Generator]:
+    """The channel exponentials, channel uniforms and third-site stretches
+    of a replica's chunk: its Philox key jumped 3c + 1, 3c + 2 and 3c + 3
+    times for chunk c. Jump 0 is the replica's trace clock."""
+    bits = np.random.Philox(key=key)
+    return [np.random.Generator(bits.jumped(3 * chunk + j)) for j in (1, 2, 3)]
+
+
+class _CondensateReplica:
+    """One condensate run as a renewal process on the trace clock.
+
+    The run alternates one-site sojourns, exponential at the rate of leaving
+    the condensate, with excursions through a two-site channel. Sojourns and
+    leaving offsets come from the stream ``(seed, stream)`` a chunk at a
+    time; each chunk's excursions draw from streams of their own
+    (:func:`_chunk_streams`), so nothing carries over from one chunk to the
+    next, and a replica's draws do not depend on the replicas batched with
+    it.
+    """
+
+    def __init__(self, ch: _Channels, seed: int, stream: int, horizon: float,
+                 checkpoints: np.ndarray):
+        self.key = (int(seed), int(stream))
+        self.clock = replica_rng(seed, stream)
+        self.horizon = horizon
+        self.checkpoints = checkpoints
+        self.chunks = 0
+        self.chunk: tuple[np.ndarray, np.ndarray] | None = None
+        self.finished = False
+        self.trace_time = 0.0
+        self.off_time = 0.0
+        self.relocations = 0
+        self.events = 0
+        self.disp = np.zeros(ch.spec.d, dtype=np.int64)
+        self.positions = np.zeros((len(checkpoints), ch.spec.d), dtype=np.int64)
+
+    def draw_chunk(self, ch: _Channels) -> int:
+        """Draw the next sojourns; keep the start times and channels of the
+        excursions that begin before the horizon. Returns their number."""
+        size = min(_CHUNKS[0] << self.chunks, _CHUNKS[1])
+        self.exps, self.unis, self.hops = _chunk_streams(self.key, self.chunks)
+        self.chunks += 1
+        ends = np.cumsum(np.concatenate(
+            ([self.trace_time], self.clock.exponential(1.0, size) / ch.leave_rate)))[1:]
+        picks = self.clock.random(size)
+        m = int(np.searchsorted(ends, self.horizon))
+        self.finished = m < size
+        self.trace_time = float(ends[min(m, size - 1)])
+        k = np.searchsorted(ch.cum_weights, picks[:m] * ch.cum_weights[-1], side="right")
+        self.chunk = ends[:m], np.minimum(k, len(ch.cum_weights) - 1)
+        return m
+
+    def record(self, ch: _Channels, status: np.ndarray, pos: np.ndarray,
+               dur: np.ndarray, events: np.ndarray) -> None:
+        """Add the outcomes of the current chunk's excursions: how each
+        ended, its last channel position, its duration and its events."""
+        starts, k = self.chunk
+        self.chunk = None
+        moves = np.zeros((len(k), ch.spec.d), dtype=np.int64)
+        moved = status == _MOVED
+        moves[moved] = ch.offsets[k[moved]]
+        hopped = np.flatnonzero(status == _HOPPED)
+        if len(hopped):
+            third = _ThirdSite(ch, _Blocks(self.hops))
+            for j in hopped:
+                extra, more, moves[j] = third.finish(int(pos[j]))
+                dur[j] += extra
+                events[j] += more
+        self.off_time += float(dur.sum())
+        self.events += len(events) + int(events.sum())
+        self.relocations += int(moves.any(axis=1).sum())
+        self.disp += moves.sum(axis=0)
+        before = np.concatenate((np.zeros((1, ch.spec.d), dtype=np.int64),
+                                 np.cumsum(moves, axis=0)))
+        self.positions += before[np.searchsorted(starts, self.checkpoints)]
+
+    def result(self) -> CondensateRun:
+        return CondensateRun(relocations=self.relocations, events=self.events,
+                             displacement=self.disp.astype(float),
+                             trace_time=self.trace_time, off_time=self.off_time,
+                             positions=self.positions.astype(float),
+                             checkpoints=self.checkpoints,
+                             unwrap_consistent=True)
+
+
+class _ThirdSite:
+    """The event kernel, for excursions that leave their channel for a third
+    site. The condensate sits at site 0: the torus is translation invariant."""
+
+    def __init__(self, ch: _Channels, blocks: _Blocks):
+        self.ch = ch
+        self.blocks = blocks
+        self.counts = [0] * ch.spec.n_sites
+        self.occupied: list[int] = []
+        self.kernel = _events(self.counts, self.occupied, ch.out, ch.spec.d_l,
+                              blocks, ch.cache)
+
+    def finish(self, pos: int) -> tuple[float, int, np.ndarray]:
+        """Finish an excursion whose last event left channel ``pos`` for a
+        third site: pick that hop, then run the kernel until one site holds
+        every particle. Returns the time and the events this took, and the
+        condensate's move."""
+        ch, counts, occupied = self.ch, self.counts, self.occupied
+        n, d = ch.n, ch.spec.d_l
+        k, level = divmod(pos, n + 1)
+        for x in occupied:
+            counts[x] = 0
+        home, there = 0, ch.out[0][k][0]
+        counts[home], counts[there] = n - level, level
+        occupied[:] = [home, there]
+        hops = [(x, y, c * d * w) for x, c, skip in ((home, n - level, there),
+                                                   (there, level, home))
+                for y, w in ch.out[x] if y != skip]
+        u = self.blocks.uniform() * sum(w for _, _, w in hops)
+        acc = 0.0
+        for x, y, w in hops:
+            acc += w
+            if u <= acc:
+                break
+        counts[x] -= 1
+        counts[y] += 1
+        t, taken = 0.0, 0
+        while True:
+            if counts[x] == 0:
+                occupied.remove(x)
+            if counts[y] == 1:
+                occupied.append(y)
+            if len(occupied) == 1:
+                break
+            dt, x, y = next(self.kernel)
+            t += dt
+            taken += 1
+        side, half = ch.spec.side, ch.spec.side // 2
+        return t, taken, (ch.coords[occupied[0]] - ch.coords[home] + half) % side - half
+
+
+def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:
+    """Run the excursions of every replica's current chunk together, one
+    channel step per pass, and record their outcomes.
+
+    At each step a replica takes one exponential and one uniform per active
+    excursion, in excursion order, from its chunk's two channel streams. The
+    draws sit in one buffer segment per replica, refilled from the streams
+    when it runs short, so a step costs a fixed number of array operations.
+    """
+    sizes = [len(r.chunk[1]) for r in batch]
+    n_rep, n_exc = len(batch), sum(sizes)
+    rep = np.repeat(np.arange(n_rep), sizes)
+    pos = np.concatenate([r.chunk[1] for r in batch]) * (ch.n + 1) + 1
+    eid = np.arange(n_exc)
+    dur = np.zeros(n_exc)
+    status = np.zeros(n_exc, dtype=np.uint8)
+    last = np.zeros(n_exc, dtype=np.int64)
+    spent = np.zeros(n_exc)
+    taken = np.zeros(n_exc, dtype=np.int64)
+
+    width = 2 * np.array(sizes)
+    seg = np.concatenate(([0], np.cumsum(width)[:-1]))
+    ebuf = np.concatenate([r.exps.exponential(1.0, w) for r, w in zip(batch, width)])
+    ubuf = np.concatenate([r.unis.random(w) for r, w in zip(batch, width)])
+    used = np.zeros(n_rep, dtype=np.int64)
+    counts = np.zeros(n_rep, dtype=np.int64)
+    since = 0            # steps since ``used`` was brought up to date
+    fresh = 0            # steps every segment can still serve
+
+    n_steps = 0
+    fin = ch.end[pos]
+    while True:
+        if np.count_nonzero(fin):
+            done = np.flatnonzero(fin)
+            status[eid[done]] = fin[done]
+            spent[eid[done]] = dur[done]
+            last[eid[done]] = pos[done]
+            taken[eid[done]] = n_steps
+            keep = fin == 0
+            rep, pos, eid, dur = rep[keep], pos[keep], eid[keep], dur[keep]
+            fresh = 0
+        if not pos.size:
+            break
+        if not fresh:
+            used += counts * since
+            since = 0
+            counts = np.bincount(rep, minlength=n_rep)
+            short = np.flatnonzero(width - used < counts)
+            for i, s, w, u in zip(short.tolist(), seg[short].tolist(),
+                                  width[short].tolist(), used[short].tolist()):
+                ebuf[s:s + w - u] = ebuf[s + u:s + w]
+                ubuf[s:s + w - u] = ubuf[s + u:s + w]
+                ebuf[s + w - u:s + w] = batch[i].exps.exponential(1.0, u)
+                ubuf[s + w - u:s + w] = batch[i].unis.random(u)
+                used[i] = 0
+            live = counts > 0
+            fresh = int(((width - used)[live] // counts[live]).min())
+            first = np.cumsum(counts) - counts
+            at = (seg + used - first)[rep] + np.arange(rep.size)
+            stride = counts[rep]
+        e = ebuf[at]
+        u = ubuf[at]
+        at += stride
+        n_steps += 1
+        since += 1
+        fresh -= 1
+        row = ch.rows[pos]
+        dur += e / row[:, 0]
+        hop = u >= row[:, 2]
+        step = _STEP[(u < row[:, 1]).view(np.uint8)]
+        pos += step
+        fin = ch.end[pos]
+        if np.count_nonzero(hop):
+            fin[hop] = _HOPPED
+            pos[hop] -= step[hop]
+
+    lo = 0
+    for r, size in zip(batch, sizes):
+        part = slice(lo, lo + size)
+        r.record(ch, status[part], last[part], spent[part], taken[part])
+        lo += size
+
+
+def _check_run(spec: TorusSpec, t_rescaled: float, n_checkpoints: int) -> float:
+    """The trace-clock horizon ``theta * t_rescaled`` of a condensate run."""
+    if spec.n < 1:
+        raise OutOfRange("the torus holds no particles")
+    if not isinstance(n_checkpoints, numbers.Integral) or n_checkpoints < 1:
+        raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints!r}")
+    horizon = spec.theta * t_rescaled
+    if not (t_rescaled > 0 and math.isfinite(horizon)):
+        raise OutOfRange(f"t_rescaled must be positive and finite, got {t_rescaled!r}")
+    return horizon
+
+
+def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
+                     n_checkpoints: int, streams: Sequence[int]) -> list[CondensateRun]:
+    """One condensate run per stream, their excursions sampled in lockstep.
+
+    Replicas take turns: each pass gathers the next chunk of as many
+    replicas as fit in ``_LOCKSTEP_EXCURSIONS``, so memory does not grow
+    with the horizon.
+    """
+    horizon = _check_run(spec, t_rescaled, n_checkpoints)
+    checkpoints = horizon * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
+    ch = _Channels(spec)
+    runs = [_CondensateReplica(ch, seed, s, horizon, checkpoints) for s in streams]
+    queue = deque(runs)
+    while queue:
+        batch: list[_CondensateReplica] = []
+        held = 0
+        while queue:
+            r = queue[0]
+            size = len(r.chunk[1]) if r.chunk is not None else r.draw_chunk(ch)
+            if batch and held + size > _LOCKSTEP_EXCURSIONS:
+                break
+            batch.append(queue.popleft())
+            held += size
+        _lockstep(ch, batch)
+        queue.extend(r for r in batch if not r.finished)
+    return [r.result() for r in runs]
+
+
 def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
                    stream: int = 0, n_checkpoints: int = 4,
                    start_site: int = 0) -> CondensateRun:
-    """Stream one condensate run until the trace clock reaches
-    ``t_rescaled * theta``; memory stays O(relocations)."""
-    return _condensate_replica(
-        (spec, t_rescaled, seed, stream, n_checkpoints, start_site), _StateCache())
+    """One condensate run until the trace clock reaches ``t_rescaled * theta``.
 
-
-def _condensate_replica(arg, cache: _StateCache) -> CondensateRun:
-    """:func:`run_condensate` with a state cache shared with other runs."""
-    spec, t_rescaled, seed, stream, n_checkpoints, start_site = arg
-    if n_checkpoints < 1:
-        raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints}")
-    horizon = spec.theta * t_rescaled
-    checkpoints = horizon * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
-    acc = _CondensateAccumulator(spec=spec, start_site=start_site,
-                                 checkpoints=checkpoints)
-    side = spec.side
-    out = [[(_flat_index(acc.coords[x] + np.asarray(off), side), w)
-            for off, w in spec.kernel.items()] for x in range(spec.n_sites)]
-    counts = [0] * spec.n_sites
-    counts[start_site] = spec.n
-    events = _events(counts, acc.occupied, out, spec.d_l,
-                     _Blocks(replica_rng(seed, stream)), cache)
-    for dt, x, y in events:
-        acc.dwell(dt)
-        if acc.done:
-            break
-        acc.moved(counts, x, y)
-    acc.finish()
-    return CondensateRun(relocations=acc.relocations,
-                         displacement=acc.disp.astype(float),
-                         trace_time=acc.trace_time, off_time=acc.off_time,
-                         positions=acc.positions, checkpoints=checkpoints,
-                         unwrap_consistent=acc.unwrap_consistent)
+    The run is sampled as a renewal process of sojourns and excursions, a
+    bounded chunk at a time, so memory does not grow with the horizon. It is
+    replica ``stream`` of :func:`measure_drift` and :func:`measure_diffusion`
+    with the same seed. The walk is translation invariant, so
+    ``start_site`` only has to be a site of the torus.
+    """
+    if not 0 <= start_site < spec.n_sites:
+        raise OutOfRange(f"start site {start_site} is not one of {spec.n_sites} sites")
+    return _condensate_runs(spec, t_rescaled, seed, n_checkpoints, [stream])[0]
 
 
 @dataclass(frozen=True)
@@ -476,41 +716,92 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     Space is rescaled by 1/L and time by theta; the diffusion matrix comes
     from increments over equal trace-time windows. Use the streaming
     :func:`run_condensate` for horizons too long to store events.
+
+    The path is replayed with numpy, ``_TRACE_CHUNK`` intervals at a time.
+    Each site's count after each event is a running sum over the events that
+    touch it; the condensate is wherever the last move went when one site is
+    occupied. The clocks add their intervals one at a time in path order, as
+    in :func:`incproc.simulate.trace_project`.
     """
-    counts = list(traj.initial)
-    if len(counts) != spec.n_sites or sum(counts) != spec.n:
+    counts = np.asarray(traj.initial, dtype=np.int64)
+    if len(counts) != spec.n_sites or counts.sum() != spec.n:
         raise OutOfRange("trajectory does not match the torus spec")
-    occ = [x for x in range(spec.n_sites) if counts[x] > 0]
+    occ = np.flatnonzero(counts)
     if len(occ) != 1:
         raise OutOfRange("trajectory must start from a condensate state")
-    start = occ[0]
+    cur = int(occ[0])
+    coords = _site_coords(spec)
+    side, half = spec.side, spec.side // 2
     windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
-    acc = _CondensateAccumulator(spec=spec, start_site=start, checkpoints=windows)
-    t_prev = 0.0
-    for t, x, y in zip(traj.times.tolist(), traj.move_from.tolist(),
-                       traj.move_to.tolist()):
-        acc.dwell(t - t_prev)
-        t_prev = t
-        counts[x] -= 1
-        counts[y] += 1
-        acc.moved(counts, x, y)
-    acc.dwell(traj.horizon - t_prev)
-    filled = acc.ck  # windows actually crossed by the trace clock
-    acc.finish()
-    if acc.relocations < min_relocations:
+    positions = np.zeros((n_windows, spec.d))
+    filled = 0           # windows already crossed by the trace clock
+    disp = np.zeros(spec.d, dtype=np.int64)
+    occupied, relocations = 1, 0
+    trace_time = off_time = 0.0
+    n_events = traj.n_events
+    times = np.asarray(traj.times, dtype=float)
+    for lo in range(0, n_events + 1, _TRACE_CHUNK):
+        hi = min(lo + _TRACE_CHUNK, n_events + 1)
+        src = np.asarray(traj.move_from[lo:hi], dtype=np.int64)
+        dst = np.asarray(traj.move_to[lo:hi], dtype=np.int64)
+        # touches of event i at 2i (source) and 2i + 1 (target); a stable
+        # sort by site keeps each site's touches in path order
+        site = np.stack((src, dst), axis=1).ravel()
+        delta = np.tile([-1, 1], len(src))
+        order = np.argsort(site, kind="stable")
+        sorted_site = site[order]
+        run = np.cumsum(delta[order])
+        first = np.ones(len(site), dtype=bool)
+        first[1:] = sorted_site[1:] != sorted_site[:-1]
+        base = (run - delta[order])[first][np.cumsum(first) - 1]
+        after = np.empty_like(run)
+        after[order] = counts[sorted_site] + run - base
+        after = after.reshape(-1, 2)
+        np.add.at(counts, site, delta)
+        occ_after = occupied + np.cumsum((after[:, 1] == 1).astype(np.int64)
+                                         - (after[:, 0] == 0))
+        # interval lo + j is spent in the state left by the first lo + j events
+        on = np.concatenate(([occupied], occ_after))[:hi - lo] == 1
+        if len(occ_after):
+            occupied = int(occ_after[-1])
+
+        entered = np.flatnonzero(occ_after == 1)
+        sites = dst[entered]
+        prev = np.concatenate(([cur], sites[:-1]))
+        steps = (coords[sites] - coords[prev] + half) % side - half
+        relocations += int((sites != prev).sum())
+        if len(sites):
+            cur = int(sites[-1])
+        walked = disp + np.concatenate((np.zeros((1, spec.d), dtype=np.int64),
+                                        np.cumsum(steps, axis=0)))
+        disp = walked[-1]
+
+        edges = np.concatenate(([0.0] if lo == 0 else [], times[max(lo - 1, 0):hi],
+                                [float(traj.horizon)] if hi > n_events else []))
+        dt = np.diff(edges)
+        clock = np.cumsum(np.concatenate(([trace_time], np.where(on, dt, 0.0))))[1:]
+        trace_time = float(clock[-1])
+        off_time = _add_in_order(off_time, np.where(on, 0.0, dt))
+        crossed = np.searchsorted(clock, windows[filled:])
+        crossed = crossed[crossed < hi - lo]
+        positions[filled:filled + len(crossed)] = walked[
+            np.searchsorted(entered, crossed)]
+        filled += len(crossed)
+    positions[filled:] = disp
+    if relocations < min_relocations:
         raise TooFewRelocations(
-            f"{acc.relocations} relocations < required {min_relocations}")
-    t_resc = acc.trace_time / spec.theta
-    drift = (acc.disp / spec.side) / t_resc if t_resc > 0 else np.zeros(spec.d)
-    pos = acc.positions[:max(filled, 1)] / spec.side
+            f"{relocations} relocations < required {min_relocations}")
+    t_resc = trace_time / spec.theta
+    drift = (disp / spec.side) / t_resc if t_resc > 0 else np.zeros(spec.d)
+    pos = positions[:max(filled, 1)] / spec.side
     incs = np.diff(np.vstack([np.zeros(spec.d), pos]), axis=0)
     dt_resc = (windows[1] - windows[0]) / spec.theta if len(windows) > 1 else t_resc
     centered = incs - incs.mean(axis=0)
     diffusion = centered.T @ centered / (len(incs) * dt_resc)
-    wall = acc.trace_time + acc.off_time
+    wall = trace_time + off_time
     return CondensateStats(drift=drift, diffusion=np.atleast_2d(diffusion),
-                           off_fraction=acc.off_time / wall if wall else 0.0,
-                           relocations=acc.relocations,
+                           off_fraction=off_time / wall if wall else 0.0,
+                           relocations=relocations,
                            trace_time_rescaled=t_resc)
 
 
@@ -529,12 +820,12 @@ def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
     """Rescaled drift of the condensate over independent streamed runs."""
     if replicas < 1:
         raise OutOfRange(f"need at least one replica, got {replicas}")
+    _check_run(spec, t_rescaled, 4)
     drifts = np.zeros((replicas, spec.d))
     offs = np.zeros(replicas)
     relocs = np.zeros(replicas, dtype=int)
-    runs = _map_replicas(_condensate_replica,
-                         [(spec, t_rescaled, seed, i, 4, 0) for i in range(replicas)],
-                         threads)
+    runs = _map_batches(partial(_condensate_runs, spec, t_rescaled, seed, 4),
+                        list(range(replicas)), threads)
     for i, run in enumerate(runs):
         t_resc = run.trace_time / spec.theta
         drifts[i] = (run.displacement / spec.side) / t_resc
@@ -573,15 +864,15 @@ def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
     """
     if replicas < 1:
         raise OutOfRange(f"need at least one replica, got {replicas}")
+    _check_run(spec, t_rescaled, n_checkpoints)
     ck_resc = t_rescaled * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
     sq = np.zeros(n_checkpoints)
     finals = np.zeros((replicas, spec.d))
     offs = np.zeros(replicas)
     total_reloc = 0
-    runs = _map_replicas(
-        _condensate_replica,
-        [(spec, t_rescaled, seed, i, n_checkpoints, 0) for i in range(replicas)],
-        threads)
+    runs = _map_batches(
+        partial(_condensate_runs, spec, t_rescaled, seed, n_checkpoints),
+        list(range(replicas)), threads)
     for i, run in enumerate(runs):
         pos = run.positions / spec.side
         sq += (pos ** 2).sum(axis=1)

@@ -13,7 +13,14 @@ to three states, so rows are evicted and recomputed all the time.
 
 ``ref_trace_project`` replays a trajectory event by event; the vectorised
 ``trace_project`` must give the same labels, sojourns, clocks and samples,
-bit for bit, whatever its chunk size.
+bit for bit, whatever its chunk size. ``condensate_statistics`` must match
+the condensate following of ``RefCondensate`` the same way.
+
+Condensate runs are the exception: they are sampled as a renewal process of
+one-site sojourns and two-site excursions, with the draws in another order,
+so they are compared with the reference in distribution. Each two-sample
+Kolmogorov-Smirnov test below rejects a correct sampler with probability at
+most 1e-3; the seeds are fixed, so every outcome is deterministic.
 """
 
 import math
@@ -21,11 +28,15 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from incproc import (BudgetExceeded, HittingTask, ProcessParams, Trajectory,
                      build_torus, condensate_statistics, mc_hitting,
-                     run_condensate, simulate, torus_walk, trace_project)
+                     simulate, torus_walk, trace_project)
 from incproc.simulate import _BLOCK, CEMETERY, _Blocks, replica_rng
+from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
+
+KS_LEVEL = 1e-3
 
 WALKS = ("cycle3", "two_sym", "two_asym", "up3", "chain4")
 TORI = {
@@ -111,7 +122,9 @@ def ref_hit(task, spec, params, replica):
 
 class RefCondensate:
     """Condensate following: occupancy in insertion order, relocations,
-    unwrapped displacement, and positions at trace-clock checkpoints."""
+    unwrapped displacement, and positions at trace-clock checkpoints.
+    ``excursions`` lists ``[events, duration]`` of each stay off the
+    one-site states; the events are those that start off them."""
 
     def __init__(self, spec, counts, checkpoints):
         self.spec = spec
@@ -127,6 +140,7 @@ class RefCondensate:
         self.off = 0.0
         self.checkpoints = list(checkpoints)
         self.positions = []
+        self.excursions = []
 
     def site(self, coord):
         flat = 0
@@ -142,8 +156,13 @@ class RefCondensate:
                 self.positions.append(list(self.disp))
         else:
             self.off += dt
+            self.excursions[-1][1] += dt
 
     def move(self, x, y):
+        if self.in_e:
+            self.excursions.append([0, 0.0])
+        else:
+            self.excursions[-1][0] += 1
         self.counts[x] -= 1
         self.counts[y] += 1
         if self.counts[x] == 0:
@@ -219,20 +238,58 @@ def test_mc_hitting_matches_reference(walk, chain, request):
         assert res.censored.tolist() == [c for _, c in expected]
 
 
+def sampled_runs(spec, t_rescaled, seed, streams):
+    """Renewal-sampled runs, and the ``(status, events, duration)`` of every
+    excursion they made, in excursion order."""
+    seen = []
+    record = _CondensateReplica.record
+
+    def spy(self, ch, status, pos, dur, events):
+        record(self, ch, status, pos, dur, events)
+        seen.append((status.copy(), events.copy(), dur.copy()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_CondensateReplica, "record", spy)
+        runs = _condensate_runs(spec, t_rescaled, seed, 4, list(streams))
+    return runs, [np.concatenate(part) for part in zip(*seen)]
+
+
+# reference runs per torus: about 2,400 excursions on "1d", 200 on "2d",
+# where a quarter of them hop to a third site and take 400 events on average
+REF_RUNS = {"1d": 200, "2d": 12}
+
+
 @pytest.mark.parametrize("torus", sorted(TORI))
 def test_run_condensate_matches_reference(torus):
+    # the events and the off-set duration of each excursion
     spec = TORI[torus]()
-    for stream, start_site in ((0, 0), (3, spec.n_sites - 1)):
-        run = run_condensate(spec, 1.0, seed=13, stream=stream,
-                             start_site=start_site)
-        ref = ref_run_condensate(spec, 1.0, seed=13, stream=stream,
-                                 start_site=start_site)
-        assert ref.relocations > 0
-        assert run.relocations == ref.relocations
-        assert run.displacement.tolist() == ref.disp
-        assert run.trace_time == ref.trace
-        assert run.off_time == ref.off
-        assert run.positions.tolist() == ref.positions
+    runs = REF_RUNS[torus]
+    ref = [ref_run_condensate(spec, 1.0, seed=13, stream=s) for s in range(runs)]
+    ref_events, ref_dur = np.array([e for r in ref for e in r.excursions]).T
+    _, (_, events, dur) = sampled_runs(spec, 1.0, seed=14, streams=range(2 * runs))
+    assert len(ref_events) > 150 and len(events) > 300
+    assert ks_2samp(ref_events, events).pvalue > KS_LEVEL
+    assert ks_2samp(ref_dur, dur).pvalue > KS_LEVEL
+
+
+def test_third_site_hops_match_reference():
+    # d_L = 0.5 on 7 sites: half of all excursions hop to a third site and
+    # finish in the event kernel; compare whole runs
+    spec = build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5)
+    ref = [ref_run_condensate(spec, 1.0, seed=19, stream=s) for s in range(300)]
+    runs, (status, _, _) = sampled_runs(spec, 1.0, seed=20, streams=range(300))
+    assert (status == _HOPPED).mean() > 0.3
+    pairs = {
+        "relocations": ([r.relocations for r in ref], [r.relocations for r in runs]),
+        "displacement": ([r.disp[0] for r in ref], [r.displacement[0] for r in runs]),
+        "midway": ([r.positions[1][0] for r in ref], [r.positions[1, 0] for r in runs]),
+        "off_time": ([r.off for r in ref], [r.off_time for r in runs]),
+        "trace_time": ([r.trace for r in ref], [r.trace_time for r in runs]),
+        "events": ([len(r.excursions) + sum(e for e, _ in r.excursions) for r in ref],
+                   [r.events for r in runs]),
+    }
+    for name, (want, got) in pairs.items():
+        assert ks_2samp(want, got).pvalue > KS_LEVEL, name
 
 
 @pytest.mark.parametrize("torus", sorted(TORI))
@@ -256,6 +313,61 @@ def test_condensate_statistics_matches_reference(torus):
     assert stats.trace_time_rescaled == t_resc
     assert stats.off_fraction == ref.off / (ref.trace + ref.off)
     assert stats.drift.tolist() == (np.asarray(ref.disp) / spec.side / t_resc).tolist()
+
+
+def ref_condensate_statistics(traj, spec, n_windows):
+    """The event-by-event replay ``condensate_statistics`` replaced:
+    (drift, diffusion, off_fraction, relocations, trace_time_rescaled)."""
+    windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
+    ref = RefCondensate(spec, traj.initial, windows)
+    t_prev = 0.0
+    for t, x, y in zip(traj.times.tolist(), traj.move_from.tolist(),
+                       traj.move_to.tolist()):
+        ref.dwell(t - t_prev)
+        t_prev = t
+        ref.move(x, y)
+    ref.dwell(traj.horizon - t_prev)
+    filled = len(ref.positions)
+    positions = np.array(ref.positions + [ref.disp] * (n_windows - filled), dtype=float)
+    t_resc = ref.trace / spec.theta
+    drift = (np.asarray(ref.disp) / spec.side) / t_resc
+    pos = positions[:max(filled, 1)] / spec.side
+    incs = np.diff(np.vstack([np.zeros(spec.d), pos]), axis=0)
+    dt_resc = (windows[1] - windows[0]) / spec.theta if len(windows) > 1 else t_resc
+    centered = incs - incs.mean(axis=0)
+    diffusion = np.atleast_2d(centered.T @ centered / (len(incs) * dt_resc))
+    wall = ref.trace + ref.off
+    return drift, diffusion, ref.off / wall, ref.relocations, t_resc
+
+
+@pytest.fixture(params=[None, 1, 3, 250])
+def statistics_chunk(request, monkeypatch):
+    """``condensate_statistics``'s chunk size, as ``trace_chunk``."""
+    if request.param is not None:
+        monkeypatch.setattr(sys.modules["incproc.thermo"], "_TRACE_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("torus", sorted(TORI))
+def test_condensate_statistics_matches_replay(torus, statistics_chunk):
+    spec = TORI[torus]()
+    walk, params = torus_walk(spec), ProcessParams(spec.n, spec.d_l)
+    seen = 0
+    for seed, (horizon, max_events) in enumerate(((0.4, None), (8.0, None),
+                                                  (1e300, 3_000))):
+        eta0 = [0] * spec.n_sites
+        eta0[seed] = spec.n
+        traj = simulate(walk, params, eta0, horizon=horizon * spec.theta,
+                        seed=seed, max_events=max_events)
+        for n_windows in (1, 3, 20):
+            stats = condensate_statistics(traj, spec, min_relocations=0,
+                                          n_windows=n_windows)
+            got = (stats.drift, stats.diffusion, stats.off_fraction,
+                   stats.relocations, stats.trace_time_rescaled)
+            for name, a, b in zip(("drift", "diffusion", "off", "reloc", "t"), got,
+                                  ref_condensate_statistics(traj, spec, n_windows)):
+                assert np.array_equal(a, b), name
+        seen += stats.relocations
+    assert seen >= 3
 
 
 KERNEL = sys.modules["incproc.simulate"]

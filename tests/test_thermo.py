@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -15,6 +16,10 @@ from incproc import (NonSpanningSupport, OutOfRange, ProcessParams,
                      torus_mean_rates, torus_walk)
 from incproc.exact import reciprocal_sum_table
 from incproc.model import log_weight_table
+from incproc.thermo import (_MOVED, _HOPPED, _condensate_runs, _CondensateReplica,
+                            _tube_crossing_probability)
+
+THERMO = sys.modules["incproc.thermo"]
 
 
 class TestBuildTorus:
@@ -234,6 +239,120 @@ class TestCondensateRuns:
         est = measure_diffusion(spec, t_rescaled=0.3, replicas=30, seed=51)
         assert 0.3 <= est.msd_slope <= 2.5
         assert est.off_fraction <= 0.05
+
+
+class TestRenewalSampler:
+    """The condensate runs are sampled as renewal processes: one-site
+    sojourns on the trace clock, and excursions run together in numpy
+    lockstep on their two-site channel. Bands are stated per test."""
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, t):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        with pytest.raises(OutOfRange):
+            run_condensate(spec, t_rescaled=t, seed=1)
+        with pytest.raises(OutOfRange):
+            measure_drift(spec, t_rescaled=t, seed=1, replicas=2)
+        with pytest.raises(OutOfRange):
+            measure_diffusion(spec, t_rescaled=t, replicas=2, seed=1)
+
+    def test_rejects_a_start_site_off_the_torus_and_an_empty_torus(self):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        for site in (-1, 8):
+            with pytest.raises(OutOfRange):
+                run_condensate(spec, t_rescaled=1.0, seed=1, start_site=site)
+        empty = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=0.05, d_l=1e-3)
+        assert empty.n == 0
+        with pytest.raises(OutOfRange):
+            run_condensate(empty, t_rescaled=1.0, seed=1)
+
+    @staticmethod
+    def excursions(spec, t, seed, replicas):
+        """(runs, channel index, outcome) of every excursion."""
+        seen = []
+        record = _CondensateReplica.record
+
+        def spy(self, ch, status, pos, dur, events):
+            seen.append((self.chunk[1].copy(), status.copy()))
+            record(self, ch, status, pos, dur, events)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_CondensateReplica, "record", spy)
+            runs = _condensate_runs(spec, t, seed, 4, list(range(replicas)))
+        channel, status = (np.concatenate(part) for part in zip(*seen))
+        return runs, channel, status
+
+    def test_relocation_probability_is_the_tube_crossing(self):
+        # d_L = 1e-7: a hop to a third site has probability about 1e-6 per
+        # excursion, far below the sampling error, so the excursions that
+        # hop are left out. Each offset's crossing count must lie within 4.5
+        # binomial standard deviations of the gambler's-ruin value
+        # (two-sided level 7e-6 per offset).
+        spec = build_torus(1, 10, {1: 0.55, -1: 0.45, 2: 0.25, -2: 0.25},
+                           rho=1.6, d_l=1e-7)
+        _, channel, status = self.excursions(spec, 30.0, seed=61, replicas=40)
+        assert (status == _HOPPED).sum() <= 2
+        channel = channel[status != _HOPPED]
+        status = status[status != _HOPPED]
+        for k, off in enumerate(spec.kernel):
+            trials = int((channel == k).sum())
+            moved = int(((channel == k) & (status == _MOVED)).sum())
+            p = _tube_crossing_probability(spec.n, spec.d_l, spec.h(off),
+                                           spec.h(tuple(-v for v in off)))
+            assert trials > 2_000
+            assert abs(moved - trials * p) <= 4.5 * math.sqrt(trials * p * (1 - p)), off
+
+    @pytest.mark.parametrize("kernel", [{1: 0.8, -1: 0.2},
+                                        {1: 0.3, -1: 0.3, 2: 0.2, -2: 0.2}])
+    def test_relocation_rate_is_the_tube_rate(self, kernel):
+        # relocations by offset per unit of trace time against the exact
+        # channel rates; given the trace time, each offset's count is
+        # Poisson, and must lie within 4.5 standard deviations of its mean
+        # (two-sided level 7e-6 per offset). Third-site hops, about one in
+        # 1e5 excursions, are left out.
+        spec = build_torus(1, 12, kernel, rho=1.5, d_l=1e-6)
+        leave = spec.n * spec.d_l * sum(spec.kernel.values())
+        # about 2,000 excursions per replica
+        runs, channel, status = self.excursions(spec, 2_000 / (spec.theta * leave),
+                                                seed=67, replicas=30)
+        trace = sum(r.trace_time for r in runs)
+        rates = torus_mean_rates(spec, "tube").rates
+        assert (status == _HOPPED).sum() <= 3
+        means = [rates.get(off, 0.0) * trace for off in spec.kernel]
+        assert max(means) > 1_000
+        for k, (off, mean) in enumerate(zip(spec.kernel, means)):
+            got = int(((channel == k) & (status == _MOVED)).sum())
+            # a mean below 1 (crossing against the drift) allows 4 crossings
+            assert abs(got - mean) <= 4.5 * math.sqrt(max(mean, 1.0)), off
+
+    @pytest.mark.parametrize("passes, chunks", [(None, None), (1, (16, 64)),
+                                                (40, (16, 64))])
+    def test_run_condensate_is_a_replica_of_the_measurements(self, passes, chunks,
+                                                             monkeypatch):
+        # how the replicas are batched into lockstep passes, and how long
+        # each pass is, never changes what a replica draws
+        if passes is not None:
+            monkeypatch.setattr(THERMO, "_LOCKSTEP_EXCURSIONS", passes)
+            monkeypatch.setattr(THERMO, "_CHUNKS", chunks)
+        spec = build_torus(1, 8, {1: 0.6, -1: 0.4}, rho=1.5, d_l=2e-2)
+        t, seed, replicas = 4.0, 71, 6     # about 48 excursions per replica
+        runs = [run_condensate(spec, t, seed, stream=i, n_checkpoints=3)
+                for i in range(replicas)]
+        assert sum(r.relocations for r in runs) > 20
+        drift = measure_drift(spec, t, seed, replicas=replicas, min_relocations=0)
+        for i, run in enumerate(runs):
+            expected = (run.displacement / spec.side) / (run.trace_time / spec.theta)
+            assert np.array_equal(drift.per_replica[i], expected)
+        diff = measure_diffusion(spec, t, replicas=replicas, seed=seed, n_checkpoints=3)
+        sq = np.zeros(3)
+        for run in runs:
+            sq += ((run.positions / spec.side) ** 2).sum(axis=1)
+        assert np.array_equal(diff.msd, sq / replicas)
+        assert diff.total_relocations == sum(r.relocations for r in runs)
+        assert diff.off_fraction == np.mean([r.off_fraction for r in runs])
+        for run in runs:
+            assert np.array_equal(run.positions[-1], run.displacement)
+            assert run.trace_time >= t * spec.theta > run.checkpoints[-2]
 
 
 def _logsumexp_convolve(a, b, n):
