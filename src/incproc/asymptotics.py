@@ -347,20 +347,17 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     w_state = np.zeros(inner.size)
     acc = np.zeros(inner.size)
     rs = np.zeros(inner.size)
-    for x in r_set:
-        for y in r_set:
-            if y == x:
-                continue
-            w_state += s[:, x] * (d + s[:, y]) * rmat[x, y]
-            if mode == "reversed":
-                weight = s[:, y] * (d + s[:, x]) * rmat[y, x]
-            else:
-                weight = s[:, x] * (d + s[:, y]) * rmat[x, y]
-            moved = s.astype(np.int64)
-            moved[:, x] -= 1
-            moved[:, y] += 1
-            acc += weight * (f0[enum.rank_many(moved)] - f_here)
-            rs += weight
+    moves = [(x, y) for x in r_set for y in r_set if y != x]
+    xs, ys = np.array(moves, dtype=np.intp).T
+    f_moved = f0[enum.move_ranks(inner, xs, ys)]
+    for f_there, (x, y) in zip(f_moved, moves):
+        w_state += s[:, x] * (d + s[:, y]) * rmat[x, y]
+        if mode == "reversed":
+            weight = s[:, y] * (d + s[:, x]) * rmat[y, x]
+        else:
+            weight = s[:, x] * (d + s[:, y]) * rmat[x, y]
+        acc += weight * (f_there - f_here)
+        rs += weight
     if mode == "reversed":
         drift = acc / w_state
         row_sums = rs / w_state

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import factorial, log
 from typing import Sequence
 
 import numpy as np
@@ -31,40 +31,66 @@ POWER_MAX_SWEEPS = 1_000_000
 ND_LEAF = 32
 
 
+def _column_key(move: tuple[int, int]) -> tuple[int, int, int]:
+    """Sort key of a move x -> y by the rank of the state it leads to.
+
+    ``eta - e_x + e_y`` and ``eta`` first differ at site ``min(x, y)``, so the
+    moved state ranks below ``eta`` exactly when y < x, and two moves from
+    ``eta`` compare like ``e_y - e_x`` in the larger-first order, whatever
+    ``eta`` is: the moves with y < x by increasing y, then decreasing x, come
+    before the diagonal, and the moves with x < y by decreasing x, then
+    increasing y, after it.
+    """
+    x, y = move
+    return (0, y, -x) if y < x else (1, -x, y)
+
+
+def _assemble(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
+              generator: bool) -> sp.csr_matrix:
+    """The jump-rate matrix, or the generator, assembled straight into CSR.
+
+    Every row lists the positive-rate moves in one fixed order (see
+    :func:`_column_key`), which is the sorted column order in every row; a
+    move exists where its source site is occupied. The generator inserts the
+    holding rate, scipy's ``sum(axis=1)`` of the rate row, at the diagonal's
+    fixed slot and keeps the nonzero entries only, like the sparse difference
+    ``rates - diag(holding)`` it replaces.
+    """
+    n = enum.size
+    counts = enum.counts_matrix().T
+    moves = sorted(((x, y) for x in range(spec.kappa) for y in range(spec.kappa)
+                    if x != y and spec.rates[x, y] != 0.0), key=_column_key)
+    xs, ys = np.array(moves, dtype=np.intp).T
+    # the (move, state) arrays are read state by state through their transposes
+    src = counts[xs]
+    keep = (src >= 1).T
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    rates = sp.csr_matrix(
+        ((src * (params.d + counts[ys]) * spec.rates[xs, ys, None]).T[keep],
+         enum.move_ranks(np.arange(n), xs, ys).T[keep], indptr), shape=(n, n))
+    if not generator:
+        return rates
+    holding = np.asarray(rates.sum(axis=1)).ravel()
+    # the diagonal follows the row's kept moves with y < x
+    pos = indptr[:-1] + keep[:, ys < xs].sum(axis=1)
+    q = sp.csr_matrix((np.insert(rates.data, pos, -holding),
+                       np.insert(rates.indices, pos, np.arange(n)),
+                       indptr + np.arange(n + 1)), shape=(n, n))
+    q.eliminate_zeros()
+    return q
+
+
 def build_rate_matrix(spec: WalkSpec, params: ProcessParams,
                       enum: StateEnumeration) -> sp.csr_matrix:
     """Sparse jump-rate matrix over the enumeration (zero diagonal)."""
-    counts = enum.counts_matrix()
-    d = params.d
-    rows, cols, vals = [], [], []
-    for x in range(spec.kappa):
-        cx = counts[:, x]
-        src_mask = cx >= 1
-        src = np.nonzero(src_mask)[0]
-        if src.size == 0:
-            continue
-        for y in range(spec.kappa):
-            rxy = spec.rates[x, y]
-            if y == x or rxy == 0.0:
-                continue
-            shifted = counts[src].astype(np.int64)
-            shifted[:, x] -= 1
-            shifted[:, y] += 1
-            tgt = enum.rank_many(shifted)
-            rate = cx[src] * (d + counts[src, y]) * rxy
-            rows.append(src)
-            cols.append(tgt)
-            vals.append(rate)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(enum.size, enum.size))
+    return _assemble(spec, params, enum, generator=False)
 
 
 def build_generator(spec: WalkSpec, params: ProcessParams,
                     enum: StateEnumeration) -> sp.csr_matrix:
-    rates = build_rate_matrix(spec, params, enum)
-    holding = np.asarray(rates.sum(axis=1)).ravel()
-    return (rates - sp.diags(holding)).tocsr()
+    """Sparse generator: the jump rates minus the holding rates on the diagonal."""
+    return _assemble(spec, params, enum, generator=True)
 
 
 def enumerate_states(kappa: int, n: int, cap: int = DEFAULT_CAP) -> StateEnumeration:
@@ -149,9 +175,14 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     q = build_generator(spec, params, enum)
     n = enum.size
     ref = enum.xi_index(int(np.argmax(analyze_walk(spec).m)))
-    a = q.T.tolil()
-    a.rows[ref] = [ref]
-    a.data[ref] = [1.0]
+    # q^T in CSR is q in CSC; its row ref becomes the pin
+    qt = q.tocsc()
+    lo, hi = qt.indptr[ref], qt.indptr[ref + 1]
+    indptr = qt.indptr.copy()
+    indptr[ref + 1:] -= hi - lo - 1
+    a = sp.csr_matrix((np.concatenate((qt.data[:lo], [1.0], qt.data[hi:])),
+                       np.concatenate((qt.indices[:lo], [ref], qt.indices[hi:])),
+                       indptr), shape=(n, n))
     b = np.zeros(n)
     b[ref] = 1.0
     scale = float(np.abs(q.data).max())
@@ -442,28 +473,42 @@ class ReciprocalSum:
     within_bound: bool
 
 
+def _stirling_first(n_max: int, k_max: int) -> list[list[int]]:
+    """Unsigned Stirling numbers of the first kind as integers: row k holds
+    ``[m k]`` for m = 0..n_max, by ``[m+1 k] = m [m k] + [m k-1]``."""
+    rows = [[0] * (n_max + 1) for _ in range(k_max + 1)]
+    rows[0][0] = 1
+    for m in range(n_max):
+        for k in range(1, k_max + 1):
+            rows[k][m + 1] = m * rows[k][m] + rows[k - 1][m]
+    return rows
+
+
 def reciprocal_sum_table(n_max: int, k_max: int, exact: bool):
     """Table ``table[k][n]`` of the sums S(n, k), over compositions of n into
     k positive parts, of the product of the parts' reciprocals.
 
     ``(-log(1-z))^k / k!`` generates ``[n k] / n!``, the unsigned Stirling
-    numbers of the first kind over n!, so ``S(n, k) = k! T(n, k)`` with
-    ``T(n, k) = [n k] / n!``. T follows the Stirling recurrence
-    ``T(m+1, k) = (m T(m, k) + T(m, k-1)) / (m+1)`` from ``T(0, 0) = 1``; it
-    costs O(n_max k_max), and every term is positive, so nothing cancels in
-    float. Entries with n < k are 0. Exact mode uses rational arithmetic
-    (n_max <= 300); float otherwise.
+    numbers of the first kind over n!, so ``S(n, k) = k! [n k] / n!``. Exact
+    mode (n_max <= 300) runs the Stirling recurrence on integers and makes one
+    ``Fraction`` per entry. Float mode runs it on ``T(n, k) = [n k] / n!``,
+    ``T(m+1, k) = (m T(m, k) + T(m, k-1)) / (m+1)`` from ``T(0, 0) = 1``,
+    whose terms are all positive, so nothing cancels. Both cost O(n_max k_max)
+    steps. Entries with n < k are 0.
     """
-    one = Fraction(1) if exact else 1.0
-    table = [[0 * one] * (n_max + 1) for _ in range(k_max + 1)]
-    table[0][0] = one
+    if exact:
+        fact = [factorial(m) for m in range(max(n_max, k_max) + 1)]
+        return [[Fraction(fact[k] * s, fact[m]) for m, s in enumerate(row)]
+                for k, row in enumerate(_stirling_first(n_max, k_max))]
+    table = [[0.0] * (n_max + 1) for _ in range(k_max + 1)]
+    table[0][0] = 1.0
     for m in range(n_max):
         for k in range(1, k_max + 1):
             table[k][m + 1] = (m * table[k][m] + table[k - 1][m]) / (m + 1)
-    factorial = one
+    scale = 1.0
     for k in range(1, k_max + 1):
-        factorial *= k
-        table[k] = [factorial * t for t in table[k]]
+        scale *= k
+        table[k] = [scale * t for t in table[k]]
     return table
 
 
@@ -492,9 +537,10 @@ def reciprocal_sum(n: int, k: int) -> ReciprocalSum:
     if n > RECIPROCAL_N_MAX or k > RECIPROCAL_K_MAX:
         raise OutOfRange(
             f"supported range is n <= {RECIPROCAL_N_MAX}, k <= {RECIPROCAL_K_MAX}")
-    exact = n <= EXACT_RATIONAL_LIMIT
-    table = reciprocal_sum_table(n, k, exact)
-    value = table[k][n]
+    if n <= EXACT_RATIONAL_LIMIT:
+        value = Fraction(factorial(k) * _stirling_first(n, k)[k][n], factorial(n))
+    else:
+        value = reciprocal_sum_table(n, k, exact=False)[k][n]
     bound = (3.0 * log(n + 1.0)) ** (k - 1) / n
     return ReciprocalSum(n=n, k=k, value=value, bound=bound,
                          within_bound=reciprocal_bound_holds(value, n, k))

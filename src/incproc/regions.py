@@ -87,17 +87,10 @@ class RegionSpec:
         reach = np.zeros(self.enum.size, dtype=bool)
         reach[inner] = True
         rates = self.walk.rates
-        for x in self.r_set:
-            for y in self.r_set:
-                if x == y or rates[x, y] == 0.0:
-                    continue
-                src = inner[counts[inner, x] >= 1]
-                if src.size == 0:
-                    continue
-                shifted = counts[src].astype(np.int64)
-                shifted[:, x] -= 1
-                shifted[:, y] += 1
-                reach[self.enum.rank_many(shifted)] = True
+        xs, ys = np.array([(x, y) for x in self.r_set for y in self.r_set
+                           if x != y and rates[x, y] != 0.0], dtype=np.intp).reshape(-1, 2).T
+        moved = self.enum.move_ranks(inner, xs, ys)
+        reach[moved[counts[inner][:, xs].T >= 1]] = True
         return np.nonzero(reach)[0]
 
     @cached_property

@@ -118,6 +118,47 @@ class StateEnumeration:
             remaining -= v
         return r
 
+    def move_ranks(self, index: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Ranks of the states ``index`` (valid ranks) with one particle moved
+        from site ``xs[m]`` to site ``ys[m]``, as a (len(xs), len(index)) int64
+        matrix, one row per move.
+
+        Entry (m, i) is valid where state ``index[i]`` holds a particle at
+        ``xs[m]``; elsewhere it is meaningless, and callers mask it out.
+
+        With ``P_{j+1}`` the count prefix sum through site j, the loop of
+        :meth:`rank` is ``rank(eta) = sum_{j < kappa-1} F_j(P_{j+1})`` with
+        ``F_j(P) = cum[N - P - 1, kappa - 1 - j]`` for ``P < N`` and 0 beyond.
+        A move from x to y lowers ``P_{j+1}`` by one for ``x <= j < y``, raises
+        it by one for ``y <= j < x`` and keeps it elsewhere, so the moved rank
+        is the rank plus a difference of two entries of a per-state prefix sum
+        over j of ``F_j(P_{j+1} -+ 1) - F_j(P_{j+1})``.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        xs = np.asarray(xs, dtype=np.intp)
+        ys = np.asarray(ys, dtype=np.intp)
+        kappa, n = self.kappa, self.n
+        counts = self.counts_matrix()[index]
+        # f[j, P + 1] = F_j(P) for P = -1 .. N + 1
+        f = np.zeros((kappa - 1, n + 3), dtype=np.int64)
+        f[:, :n + 1] = self._cum[::-1, :0:-1].T
+        # steps[k] sums the change of F_j over j < k when P_{j+1} drops by
+        # one, steps[kappa + k] when it rises by one
+        steps = np.zeros((2 * kappa, index.size), dtype=np.int64)
+        p = np.ones(index.size, dtype=np.int64)
+        for j in range(kappa - 1):
+            p += counts[:, j]
+            here = f[j, p]
+            steps[j + 1] = steps[j] + f[j, p - 1] - here
+            steps[kappa + j + 1] = steps[kappa + j] + f[j, p + 1] - here
+        forward = xs < ys
+        hi = np.where(forward, ys, kappa + xs)
+        lo = np.where(forward, xs, kappa + ys)
+        moved = steps[hi]
+        moved -= steps[lo]
+        moved += index
+        return moved
+
     def occupied_counts(self) -> np.ndarray:
         """Number of occupied sites per state, in rank order."""
         return (self.counts_matrix() > 0).sum(axis=1)

@@ -109,10 +109,13 @@ def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> T
         raise OutOfRange("dimension must be >= 1")
     if not isinstance(side, numbers.Integral):
         raise OutOfRange(f"side must be an integer, got {side!r}")
-    if rho <= 0:
-        raise OutOfRange("density must be positive")
-    if not d_l > 0:
-        raise OutOfRange("d_L must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise OutOfRange(f"density must be positive and finite, got {rho!r}")
+    n = int(round(rho * side ** d))
+    if n < 1:
+        raise OutOfRange(f"density {rho!r} puts no particle on {side ** d} sites")
+    if not (math.isfinite(d_l) and d_l > 0):
+        raise OutOfRange(f"d_L must be positive and finite, got {d_l!r}")
     kern = _canonical_kernel(d, kernel)
     radius = max(max(abs(v) for v in off) for off in kern)
     if side <= 2 * radius:
@@ -144,7 +147,6 @@ def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> T
         y = np.asarray(off, dtype=float)
         s2 += w * np.outer(y, y)
 
-    n = int(round(rho * side ** d))
     if regime == "totally_asym":
         theta = 1.0 / (d_l * side ** (d - 1))
     elif regime == "mean_zero_asym":

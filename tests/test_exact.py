@@ -375,6 +375,21 @@ def _loop_reciprocal_table(n_max, k_max, exact):
     return table
 
 
+def _float_stirling_table(n_max, k_max):
+    """The float Stirling recurrence on ``[n k] / n!`` as it stood when exact
+    mode moved to integers, kept as a reference: float mode must not change."""
+    table = [[0.0] * (n_max + 1) for _ in range(k_max + 1)]
+    table[0][0] = 1.0
+    for m in range(n_max):
+        for k in range(1, k_max + 1):
+            table[k][m + 1] = (m * table[k][m] + table[k - 1][m]) / (m + 1)
+    factorial = 1.0
+    for k in range(1, k_max + 1):
+        factorial *= k
+        table[k] = [factorial * t for t in table[k]]
+    return table
+
+
 class TestReciprocalSums:
     def test_exact_table_matches_loop(self):
         ref = _loop_reciprocal_table(300, 6, exact=True)
@@ -390,6 +405,19 @@ class TestReciprocalSums:
         for k in range(1, 9):
             for n in range(k, 601):
                 assert table[k][n] == pytest.approx(ref[k][n], rel=1e-12, abs=0), (n, k)
+
+    def test_float_table_is_bit_identical(self):
+        for n_max, k_max in ((600, 8), (5, 8)):
+            assert (reciprocal_sum_table(n_max, k_max, exact=False)
+                    == _float_stirling_table(n_max, k_max))
+
+    def test_exact_sum_matches_table(self):
+        table = reciprocal_sum_table(300, 8, exact=True)
+        for n in (1, 2, 9, 57, 200, 299, 300):
+            for k in range(1, min(n, 8) + 1):
+                value = reciprocal_sum(n, k).value
+                assert isinstance(value, Fraction)
+                assert value == table[k][n], (n, k)
 
     def test_empty_compositions_are_zero(self):
         table = reciprocal_sum_table(5, 3, exact=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -70,6 +71,17 @@ class TestBuildTorus:
     def test_rejects_non_integer_side(self, side):
         with pytest.raises(OutOfRange):
             build_torus(1, side, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-4)
+
+    @pytest.mark.parametrize("rho", [0.05, float("nan"), float("inf")])
+    def test_rejects_density_without_finite_particles(self, rho):
+        # rho = 0.05 rounds to N = 0 on 8 sites
+        with pytest.raises(OutOfRange):
+            build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=rho, d_l=1e-4)
+
+    @pytest.mark.parametrize("d_l", [0.0, float("nan"), float("inf")])
+    def test_rejects_d_l_that_is_not_positive_and_finite(self, d_l):
+        with pytest.raises(OutOfRange):
+            build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0, d_l=d_l)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -261,8 +273,8 @@ class TestRenewalSampler:
         for site in (-1, 8):
             with pytest.raises(OutOfRange):
                 run_condensate(spec, t_rescaled=1.0, seed=1, start_site=site)
-        empty = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=0.05, d_l=1e-3)
-        assert empty.n == 0
+        # build_torus rejects a density that rounds to no particle
+        empty = dataclasses.replace(spec, n=0, rho=0.05)
         with pytest.raises(OutOfRange):
             run_condensate(empty, t_rescaled=1.0, seed=1)
 
