@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (InsufficientData, InvalidCase, NotSemiAttracting,
                      OutOfRange, PremiseViolated)
 from .gordan import GordanCertificate, gordan_certificate
-from .model import WalkSpec, analyze_walk
+from .model import WalkSpec, analyze_walk, dense_stationary, site_set
 from .regions import RegionSpec
 from .states import DEFAULT_CAP, StateEnumeration
 
@@ -126,18 +126,6 @@ class LimitChain:
         return 1.0 / d if self.mode == "rv" else 1.0 / (n * d)
 
 
-def _chain_stationary(rates: np.ndarray) -> np.ndarray:
-    k = rates.shape[0]
-    if k == 1:
-        return np.ones(1)
-    gen = rates - np.diag(rates.sum(axis=1))
-    a = gen.T.copy()
-    a[-1, :] = 1.0
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    return np.linalg.solve(a, rhs)
-
-
 def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> LimitChain:
     """Build the limiting chain for the requested route.
 
@@ -160,7 +148,7 @@ def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> Li
                 if x != y:
                     rates[idx[x], idx[y]] = classification.b[x, y]
         return LimitChain(mode="nrv", sites=s0, rates=rates, scale="1/(N*d_N)",
-                          nu=_chain_stationary(rates))
+                          nu=dense_stationary(rates - np.diag(rates.sum(axis=1))))
     if mode == "rv":
         if not classification.symmetric_on_s0:
             raise PremiseViolated("rates are not symmetric on the recurrent set")
@@ -175,7 +163,7 @@ def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> Li
             raise PremiseViolated(
                 "walk restricted to the recurrent set is not irreducible")
         return LimitChain(mode="rv", sites=s0, rates=rates, scale="1/d_N",
-                          nu=_chain_stationary(rates))
+                          nu=dense_stationary(rates - np.diag(rates.sum(axis=1))))
     raise OutOfRange(f"unknown mode {mode!r}; expected 'rv' or 'nrv'")
 
 
@@ -234,7 +222,7 @@ def predicted_mean_rate(walk: WalkSpec, a_set, n: int, d: float) -> MeanRatePred
     ``r(x,y)/N`` for symmetric pairs. The error budget is 1/N + ell_N for a
     semi-attracting A and ell_N when A is attracting.
     """
-    a_set = tuple(sorted(set(int(v) for v in a_set)))
+    a_set = site_set(a_set, walk.kappa)
     cls = classify(walk)
     if not cls.is_semi_attracting(a_set):
         raise NotSemiAttracting(f"set {a_set} is not semi-attracting")
@@ -301,7 +289,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     """
     if mode not in ("reversed", "forward"):
         raise OutOfRange(f"unknown mode {mode!r}")
-    r_set = tuple(sorted(set(int(v) for v in r_set)))
+    r_set = site_set(r_set, walk.kappa)
     if len(r_set) < 2:
         raise OutOfRange(f"R needs at least two sites, got {r_set}")
     if not (math.isfinite(d) and d > 0):

@@ -8,6 +8,7 @@ of iterative refinement and are checked against explicit residual tolerances.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log
@@ -19,15 +20,14 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure)
-from .model import ProcessParams, WalkSpec, analyze_walk, log_weight_table, site_set
+from .model import (ProcessParams, WalkSpec, analyze_walk, dense_stationary,
+                    log_weight_table, site_set)
 from .regions import RegionSpec
 from .states import (DEFAULT_CAP, Distribution, SolverReport, StateEnumeration,
                      b_set_masses)
 
 STATIONARY_TOL = 1e-10
 HITTING_TOL = 1e-12
-POWER_TOL = 1e-13
-POWER_MAX_SWEEPS = 1_000_000
 ND_LEAF = 32
 
 
@@ -145,21 +145,6 @@ def _solve_refined(a: sp.spmatrix, b: np.ndarray,
     return x, int(lu.nnz)
 
 
-def _power_iteration(q: sp.csr_matrix) -> np.ndarray:
-    """Uniformized power iteration fallback for the stationary vector."""
-    n = q.shape[0]
-    theta = 1.01 * float((-q.diagonal()).max())
-    p = (sp.eye(n) + q / theta).tocsr()
-    mu = np.full(n, 1.0 / n)
-    for _ in range(POWER_MAX_SWEEPS):
-        nxt = mu @ p
-        nxt /= nxt.sum()
-        if np.abs(nxt - mu).max() <= POWER_TOL:
-            return nxt
-        mu = nxt
-    return mu
-
-
 def stationary_exact(spec: WalkSpec, params: ProcessParams,
                      cap: int = DEFAULT_CAP, tol: float = STATIONARY_TOL) -> Distribution:
     """Stationary distribution by sparse direct solve of the balance system.
@@ -167,9 +152,9 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     One balance row of the transposed generator is replaced by a pin on a
     reference state (the heaviest metastable state by the walk measure, so
     the solution stays well scaled), keeping the system fully sparse; the
-    result is renormalized afterwards. Falls back to uniformized power
-    iteration if the direct solve misses the residual target ``tol * max|Q|``.
-    The returned distribution records which path ran in ``solver``.
+    result is renormalized afterwards. Raises ``SolverFailure`` if it misses
+    the residual target ``tol * max|Q|``. The returned distribution records
+    the solve in ``solver``.
     """
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
     q = build_generator(spec, params, enum)
@@ -188,23 +173,17 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     scale = float(np.abs(q.data).max())
     bound = tol * scale
 
-    def probability(mu: np.ndarray) -> tuple[np.ndarray, float]:
+    mu, lu_nnz = _solve_refined(a, b, enum.counts_matrix())
+    residual = np.inf
+    if mu.min() >= -1e-9 * max(mu.max(), 1.0):
         mu = np.clip(mu, 0.0, None)
         mu /= mu.sum()
-        return mu, float(np.abs(mu @ q).max())
-
-    mu, lu_nnz = _solve_refined(a, b, enum.counts_matrix())
-    path, residual = "lu", np.inf
-    if mu.min() >= -1e-9 * max(mu.max(), 1.0):
-        mu, residual = probability(mu)
+        residual = float(np.abs(mu @ q).max())
     if residual > bound:
-        path = "power"
-        mu, residual = probability(_power_iteration(q))
-        if residual > bound:
-            raise SolverFailure(
-                f"stationary residual {residual:.3e} > {tol:.1e} * {scale:.3e}")
+        raise SolverFailure(
+            f"stationary residual {residual:.3e} > {tol:.1e} * {scale:.3e}")
     return Distribution(enum, mu, normalized=True,
-                        solver=SolverReport(path, residual, bound, lu_nnz))
+                        solver=SolverReport("lu", residual, bound, lu_nnz))
 
 
 def stationary_closed_form(spec: WalkSpec, params: ProcessParams,
@@ -297,8 +276,6 @@ def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
     built and factored once and the ``|A|`` boundary columns are solved
     together; every column's residual is checked against ``tol``.
     """
-    holding = np.asarray(rates.sum(axis=1)).ravel()
-    p = sp.diags(1.0 / holding) @ rates
     xi = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
     interior = np.setdiff1d(np.arange(enum.size), xi)
     h = np.zeros((enum.size, len(a_set)))
@@ -307,7 +284,13 @@ def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
         # every state is metastable (N = 1, A = all sites): nothing to solve
         return h, SolverReport("lu", 0.0, tol, 0)
 
-    p_i = p[interior]
+    rates_i = rates[interior]
+    holding = np.asarray(rates_i.sum(axis=1)).ravel()
+    stuck = holding < 1.0 / np.finfo(float).max     # 1 / holding overflows
+    if stuck.any():
+        raise OutOfRange(f"{int(stuck.sum())} states off the target set have a "
+                         "holding rate too small to invert (d_N too small)")
+    p_i = sp.diags(1.0 / holding) @ rates_i
     a_mat = (sp.eye(interior.size) - p_i[:, interior]).tocsc()
     b = p_i[:, xi].toarray()
     h_int, lu_nnz = _solve_refined(a_mat, b, enum.counts_matrix()[interior])
@@ -361,13 +344,7 @@ class TraceRateMatrix:
 
     def stationary(self) -> np.ndarray:
         """Stationary distribution of the trace chain on A."""
-        gen = self.generator()
-        k = gen.shape[0]
-        a = gen.T.copy()
-        a[-1, :] = 1.0
-        b = np.zeros(k)
-        b[-1] = 1.0
-        return np.linalg.solve(a, b)
+        return dense_stationary(self.generator())
 
 
 def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set,
@@ -532,6 +509,8 @@ def reciprocal_sum(n: int, k: int) -> ReciprocalSum:
     Exact rational for n <= 300, float beyond; the bound checked is
     ``(3 log(n+1))**(k-1) / n``.
     """
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise OutOfRange(f"n and k must be integers, got n={n!r}, k={k!r}")
     if not (1 <= k <= n):
         raise OutOfRange(f"need n >= k >= 1, got n={n}, k={k}")
     if n > RECIPROCAL_N_MAX or k > RECIPROCAL_K_MAX:

@@ -137,17 +137,23 @@ class WalkAnalysis:
     up: bool
 
 
+def dense_stationary(gen: np.ndarray) -> np.ndarray:
+    """Solve ``pi gen = 0`` with ``sum(pi) = 1`` for a small dense generator;
+    the normalization replaces the last balance equation."""
+    a = gen.T.copy()
+    a[-1, :] = 1.0
+    b = np.zeros(len(gen))
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
+
+
 def analyze_walk(spec: WalkSpec) -> WalkAnalysis:
     """Solve the walk's stationarity equations and derive its constants."""
     r = spec.rates
     kappa = spec.kappa
-    q_gen = r.T - np.diag(spec.holding)  # columns: balance equations
-    a = q_gen.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(kappa)
-    b[-1] = 1.0
-    m = np.linalg.solve(a, b)
-    residual = np.abs(m @ (r - np.diag(spec.holding))).max()
+    gen = r - np.diag(spec.holding)
+    m = dense_stationary(gen)
+    residual = np.abs(m @ gen).max()
     if residual > 1e-10 * max(1.0, np.abs(r).max()):
         raise NonIrreducibleWalk(f"stationary solve residual {residual:.2e}")
 

@@ -28,8 +28,8 @@ class RegionSpec:
     def __init__(self, walk: WalkSpec, enum: StateEnumeration,
                  r_set, eps: float = 0.1, validate_eps: bool = True):
         r_set = site_set(r_set, enum.kappa)
-        if eps <= 0:
-            raise OutOfRange("eps must be positive")
+        if not (math.isfinite(eps) and eps > 0):
+            raise OutOfRange(f"eps must be finite and positive, got {eps!r}")
         self.walk = walk
         self.enum = enum
         self.r_set = r_set

@@ -27,7 +27,8 @@ CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
 _BLOCK = 1 << 14
 _SLICE = 1 << 10
-# intervals trace_project replays per numpy pass (about 1 MB of temporaries)
+# intervals trace_project, the one replay of a stored path, takes per numpy
+# pass (about 2 MB of temporaries)
 _TRACE_CHUNK = 1 << 14
 # values (key entries plus running sums) one state cache may hold; full, it
 # is about 14,500 states of a 3-site walk in 7.2 MB
@@ -260,13 +261,16 @@ class TracePath:
 
     ``labels``/``sojourns`` list the visited sites with their trace-clock
     sojourn times (consecutive equal labels merged: the clock is frozen off
-    the set). ``marginal`` holds state labels at the requested wall-clock
+    the set), and ``ends`` the trace clock at the end of each of these
+    segments, where the next one opens (the last ends at ``trace_time``).
+    ``marginal`` holds state labels at the requested wall-clock
     sample times, with the cemetery label for non-metastable states.
     """
 
     a_set: tuple[int, ...]
     labels: np.ndarray
     sojourns: np.ndarray
+    ends: np.ndarray
     trace_time: float
     off_time: float
     horizon: float
@@ -299,11 +303,15 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     Interval ``i`` runs from event ``i - 1`` (or time 0) to event ``i`` (or
     the horizon) in the state left by the first ``i`` events. The path is
     replayed with numpy ``_TRACE_CHUNK`` intervals at a time, which bounds
-    the temporaries. Every clock adds its intervals one at a time in path
-    order (masked sequential ``cumsum`` carried across chunks), so the sums
-    do not depend on how the path is cut.
+    the temporaries. Every clock, and every segment's sojourn, adds its
+    intervals one at a time in path order (masked sequential ``cumsum``
+    carried across chunks), so the sums do not depend on how the path is cut.
     """
-    a_set = site_set(a_set, len(traj.initial))
+    kappa = len(traj.initial)
+    a_set = site_set(a_set, kappa)
+    if traj.n_events and not all(0 <= m.min() and m.max() < kappa
+                                 for m in (traj.move_from, traj.move_to)):
+        raise OutOfRange(f"trajectory moves leave the sites 0..{kappa - 1}")
     if window is not None and theta * window > traj.horizon * (1 + 1e-12):
         raise WindowExceedsTrajectory(
             f"window {theta * window:.3g} exceeds horizon {traj.horizon:.3g}")
@@ -321,24 +329,41 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     n_events = traj.n_events
     times = np.asarray(traj.times, dtype=float)
     limit = theta * window if window is not None else None
-    # carried from chunk to chunk
-    counts = [traj.initial[x] for x in a_set]
+    in_a = np.zeros(kappa, dtype=bool)
+    in_a[list(a_set)] = True
+    # carried from chunk to chunk; the lowest site wins when N = 0 and every
+    # site holds all N
+    counts = np.asarray(traj.initial, dtype=np.int64)
+    state_label = next((x for x in a_set if counts[x] == n), CEMETERY)
     trace_time = off_time = off_in_window = 0.0
     seg_label, seg_time = CEMETERY, 0.0       # open trace segment
     labels: list[int] = []
     sojourns: list[float] = []
+    ends: list[float] = []
     for lo in range(0, n_events + 1, _TRACE_CHUNK):
         hi = min(lo + _TRACE_CHUNK, n_events + 1)
-        # metastable label of each interval's state, CEMETERY off the set;
-        # the lowest site wins when N = 0 and every site holds all N
-        label = np.full(hi - lo, CEMETERY, dtype=np.int64)
-        for k in reversed(range(len(a_set))):
-            x = a_set[k]
-            moves = (traj.move_to[lo:hi] == x).astype(np.int64)
-            moves -= traj.move_from[lo:hi] == x
-            count = np.concatenate(([0], np.cumsum(moves))) + counts[k]
-            label[count[:hi - lo] == n] = x
-            counts[k] = int(count[-1])
+        src, dst = traj.move_from[lo:hi], traj.move_to[lo:hi]
+        # touches of event j: its source at 2j, its target at 2j + 1; a
+        # stable sort by site keeps each site's touches in path order
+        site = np.empty(2 * len(src), dtype=np.min_scalar_type(kappa))
+        site[0::2], site[1::2] = src, dst
+        order = np.argsort(site, kind="stable")
+        ranked = site[order]
+        # run[k]: net arrivals over the first k touches in site order; site
+        # x's touches take it from run[first[x]] to run[last[x]]
+        run = np.concatenate(([0], np.cumsum(2 * (order & 1) - 1)))
+        bounds = np.searchsorted(ranked, np.arange(kappa + 1))
+        first, last = bounds[:-1], bounds[1:]
+        # metastable label of each interval's state, CEMETERY off the set:
+        # after an event, only its target can hold all N
+        hit = np.flatnonzero((counts - run[first])[ranked] + run[1:] == n)
+        hit = hit[in_a[ranked[hit]]]
+        reached = np.full(len(src), CEMETERY, dtype=np.int64)
+        reached[order[hit] >> 1] = ranked[hit]
+        counts += run[last] - run[first]
+        label = np.concatenate(([state_label], reached))
+        state_label = int(label[-1])
+        label = label[:hi - lo]
         on = label != CEMETERY
 
         edges = np.concatenate(([0.0] if lo == 0 else [], times[max(lo - 1, 0):hi],
@@ -346,7 +371,9 @@ def trace_project(traj: Trajectory, a_set, theta: float,
         dt = np.diff(edges)
         dt[dt < 0] = 0.0
         on_dt = np.where(on, dt, 0.0)
-        trace_time = _add_in_order(trace_time, on_dt)
+        # clock[j] is the trace clock before interval lo + j
+        clock = np.cumsum(np.concatenate(([trace_time], on_dt)))
+        trace_time = float(clock[-1])
         off_time = _add_in_order(off_time, np.where(on, 0.0, dt))
         if limit is not None:
             overlap = np.minimum(edges[1:], limit) - np.minimum(edges[:-1], limit)
@@ -354,18 +381,21 @@ def trace_project(traj: Trajectory, a_set, theta: float,
                 off_in_window, np.where(~on & (overlap > 0), overlap, 0.0))
 
         # a segment opens where the label differs from the last label seen
-        # on the set (leaving the set and coming back to the same site merges)
+        # on the set (leaving the set and coming back to the same site
+        # merges) and closes where the next one opens; the first sum
+        # continues the segment left open by the previous chunk
         where_on = np.flatnonzero(on)
         on_labels = label[where_on]
         opens = where_on[on_labels != np.concatenate(([seg_label], on_labels[:-1]))]
-        bounds = [0, *opens.tolist(), hi - lo]
-        for i in range(len(bounds) - 1):
-            if i:
-                if seg_label != CEMETERY:
-                    labels.append(seg_label)
-                    sojourns.append(seg_time)
-                seg_label, seg_time = int(label[bounds[i]]), 0.0
-            seg_time = _add_in_order(seg_time, on_dt[bounds[i]:bounds[i + 1]])
+        sums = _segment_sums(on_dt, np.concatenate(([0], opens)), seg_time)
+        if len(opens):
+            seg_labels = np.concatenate(([seg_label], label[opens]))
+            closed = seg_labels[:-1] != CEMETERY
+            labels += seg_labels[:-1][closed].tolist()
+            sojourns += sums[:-1][closed].tolist()
+            ends += clock[opens][closed].tolist()
+            seg_label = int(seg_labels[-1])
+        seg_time = float(sums[-1])
 
         if sample_state is not None:
             here = (sample_state >= lo) & (sample_state < hi)
@@ -373,12 +403,13 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     if seg_label != CEMETERY:
         labels.append(seg_label)
         sojourns.append(seg_time)
+        ends.append(trace_time)
     if sample_out is not None:
         sample_out[sample_ts > traj.horizon] = CEMETERY
 
     return TracePath(
         a_set=a_set, labels=np.asarray(labels, dtype=np.int64),
-        sojourns=np.asarray(sojourns, dtype=float),
+        sojourns=np.asarray(sojourns, dtype=float), ends=np.asarray(ends, dtype=float),
         trace_time=trace_time, off_time=off_time, horizon=traj.horizon,
         theta=theta, window=window,
         off_occupation=(off_in_window / theta if window is not None else None),
@@ -388,6 +419,32 @@ def trace_project(traj: Trajectory, a_set, theta: float,
 def _add_in_order(total: float, terms: np.ndarray) -> float:
     """``total + terms[0] + terms[1] + ...``, added left to right."""
     return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+def _segment_sums(terms: np.ndarray, starts: np.ndarray, carry: float) -> np.ndarray:
+    """Left-to-right sums of the segments ``terms[starts[i]:starts[i + 1]]``
+    (the last one runs to the end), the first added onto ``carry`` and every
+    other onto 0.0.
+
+    Segments are grouped by length: those of length ``L`` with
+    ``2**(e-1) <= L < 2**e`` form one block of rows ``[carry or 0.0, terms]``
+    padded with 0.0 to width ``2**e``, whose row ``cumsum`` adds in order.
+    """
+    lengths = np.diff(starts, append=len(terms))
+    exponents = np.frexp(lengths)[1]
+    padded = np.concatenate((terms, [0.0, carry]))
+    zero = len(terms)
+    sums = np.empty(len(starts))
+    for e in np.unique(exponents).tolist():
+        rows = np.flatnonzero(exponents == e)
+        cols = np.arange(1 << e)
+        # column c > 0 holds term c - 1 of the row's segment
+        take = np.where(cols <= lengths[rows, None], starts[rows, None] + cols - 1, zero)
+        take[:, 0] = zero
+        if rows[0] == 0:
+            take[0, 0] = zero + 1
+        sums[rows] = np.cumsum(padded[take], axis=1)[:, -1]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -545,7 +602,7 @@ def _run_inclusion_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
 
 def _run_auxiliary_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
                        blocks: _Blocks, cache: _StateCache):
-    r_set = tuple(sorted(set(task.r_set)))
+    r_set = site_set(task.r_set, spec.kappa)
     floor_c = int(math.floor(task.eps * math.log(params.n)))
     counts = list(task.start)
     if any(counts[x] for x in range(spec.kappa) if x not in r_set):

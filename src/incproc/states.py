@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -26,6 +27,8 @@ class StateEnumeration:
     """
 
     def __init__(self, kappa: int, n: int, cap: int = DEFAULT_CAP):
+        if not (isinstance(kappa, numbers.Integral) and isinstance(n, numbers.Integral)):
+            raise OutOfRange(f"kappa and N must be integers, got {kappa!r}, {n!r}")
         if kappa < 2:
             raise OutOfRange("kappa must be at least 2")
         if n < 1:
@@ -177,8 +180,8 @@ def b_set_masses(weights: np.ndarray, enum: StateEnumeration) -> np.ndarray:
 class SolverReport:
     """How an exact linear solve produced its result.
 
-    ``path`` is ``"lu"`` for the sparse direct solve or ``"power"`` for the
-    uniformized power-iteration fallback. ``residual`` is the final max-norm
+    ``path`` is always ``"lu"``, the sparse direct solve; it names the
+    solver in reports. ``residual`` is the final max-norm
     residual and ``bound`` the tolerance it was checked against. ``lu_nnz``
     counts the nonzeros SuperLU stored for L and U of the one factorization.
     """

@@ -24,8 +24,8 @@ from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, log_weight_table
-from .simulate import (_TRACE_CHUNK, Trajectory, _add_in_order, _Blocks,
-                       _events, _map_batches, _StateCache, replica_rng)
+from .simulate import (Trajectory, _Blocks, _events, _map_batches, _StateCache,
+                       replica_rng, trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -719,90 +719,44 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     from increments over equal trace-time windows. Use the streaming
     :func:`run_condensate` for horizons too long to store events.
 
-    The path is replayed with numpy, ``_TRACE_CHUNK`` intervals at a time.
-    Each site's count after each event is a running sum over the events that
-    touch it; the condensate is wherever the last move went when one site is
-    occupied. The clocks add their intervals one at a time in path order, as
-    in :func:`incproc.simulate.trace_project`.
+    The condensate's path is the trace of the trajectory on the one-site
+    states, :func:`incproc.simulate.trace_project` onto every site: each new
+    label is a relocation, the displacement adds the wrapped steps between
+    consecutive labels, and a window's position is that of the segment whose
+    trace clock reaches the window's end.
     """
     counts = np.asarray(traj.initial, dtype=np.int64)
     if len(counts) != spec.n_sites or counts.sum() != spec.n:
         raise OutOfRange("trajectory does not match the torus spec")
-    occ = np.flatnonzero(counts)
-    if len(occ) != 1:
+    if np.count_nonzero(counts) != 1:
         raise OutOfRange("trajectory must start from a condensate state")
-    cur = int(occ[0])
-    coords = _site_coords(spec)
-    side, half = spec.side, spec.side // 2
-    windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
-    positions = np.zeros((n_windows, spec.d))
-    filled = 0           # windows already crossed by the trace clock
-    disp = np.zeros(spec.d, dtype=np.int64)
-    occupied, relocations = 1, 0
-    trace_time = off_time = 0.0
-    n_events = traj.n_events
-    times = np.asarray(traj.times, dtype=float)
-    for lo in range(0, n_events + 1, _TRACE_CHUNK):
-        hi = min(lo + _TRACE_CHUNK, n_events + 1)
-        src = np.asarray(traj.move_from[lo:hi], dtype=np.int64)
-        dst = np.asarray(traj.move_to[lo:hi], dtype=np.int64)
-        # touches of event i at 2i (source) and 2i + 1 (target); a stable
-        # sort by site keeps each site's touches in path order
-        site = np.stack((src, dst), axis=1).ravel()
-        delta = np.tile([-1, 1], len(src))
-        order = np.argsort(site, kind="stable")
-        sorted_site = site[order]
-        run = np.cumsum(delta[order])
-        first = np.ones(len(site), dtype=bool)
-        first[1:] = sorted_site[1:] != sorted_site[:-1]
-        base = (run - delta[order])[first][np.cumsum(first) - 1]
-        after = np.empty_like(run)
-        after[order] = counts[sorted_site] + run - base
-        after = after.reshape(-1, 2)
-        np.add.at(counts, site, delta)
-        occ_after = occupied + np.cumsum((after[:, 1] == 1).astype(np.int64)
-                                         - (after[:, 0] == 0))
-        # interval lo + j is spent in the state left by the first lo + j events
-        on = np.concatenate(([occupied], occ_after))[:hi - lo] == 1
-        if len(occ_after):
-            occupied = int(occ_after[-1])
-
-        entered = np.flatnonzero(occ_after == 1)
-        sites = dst[entered]
-        prev = np.concatenate(([cur], sites[:-1]))
-        steps = (coords[sites] - coords[prev] + half) % side - half
-        relocations += int((sites != prev).sum())
-        if len(sites):
-            cur = int(sites[-1])
-        walked = disp + np.concatenate((np.zeros((1, spec.d), dtype=np.int64),
-                                        np.cumsum(steps, axis=0)))
-        disp = walked[-1]
-
-        edges = np.concatenate(([0.0] if lo == 0 else [], times[max(lo - 1, 0):hi],
-                                [float(traj.horizon)] if hi > n_events else []))
-        dt = np.diff(edges)
-        clock = np.cumsum(np.concatenate(([trace_time], np.where(on, dt, 0.0))))[1:]
-        trace_time = float(clock[-1])
-        off_time = _add_in_order(off_time, np.where(on, 0.0, dt))
-        crossed = np.searchsorted(clock, windows[filled:])
-        crossed = crossed[crossed < hi - lo]
-        positions[filled:filled + len(crossed)] = walked[
-            np.searchsorted(entered, crossed)]
-        filled += len(crossed)
-    positions[filled:] = disp
+    path = trace_project(traj, range(spec.n_sites), 1.0)
+    relocations = len(path.labels) - 1
     if relocations < min_relocations:
         raise TooFewRelocations(
             f"{relocations} relocations < required {min_relocations}")
-    t_resc = trace_time / spec.theta
+    coords = _site_coords(spec)[path.labels]
+    side, half = spec.side, spec.side // 2
+    steps = (coords[1:] - coords[:-1] + half) % side - half
+    # walked[k]: the displacement while the condensate sits at labels[k]
+    walked = np.concatenate((np.zeros((1, spec.d), dtype=np.int64),
+                             np.cumsum(steps, axis=0)))
+    disp = walked[-1]
+    t_resc = path.trace_time / spec.theta
     drift = (disp / spec.side) / t_resc if t_resc > 0 else np.zeros(spec.d)
-    pos = positions[:max(filled, 1)] / spec.side
+    # windows the trace clock never reaches are dropped; if it reaches none,
+    # the final position stands for them
+    windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
+    crossed = np.searchsorted(path.ends, windows)
+    crossed = crossed[crossed < len(walked)]
+    pos = walked[crossed if len(crossed) else [-1]] / spec.side
     incs = np.diff(np.vstack([np.zeros(spec.d), pos]), axis=0)
     dt_resc = (windows[1] - windows[0]) / spec.theta if len(windows) > 1 else t_resc
     centered = incs - incs.mean(axis=0)
     diffusion = centered.T @ centered / (len(incs) * dt_resc)
-    wall = trace_time + off_time
+    wall = path.trace_time + path.off_time
     return CondensateStats(drift=drift, diffusion=np.atleast_2d(diffusion),
-                           off_fraction=off_time / wall if wall else 0.0,
+                           off_fraction=path.off_time / wall if wall else 0.0,
                            relocations=relocations,
                            trace_time_rescaled=t_resc)
 

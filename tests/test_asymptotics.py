@@ -305,6 +305,11 @@ class TestPredictedMeanRate:
         with pytest.raises(NotSemiAttracting):
             predicted_mean_rate(cycle3, (0,), 100, 1e-4)
 
+    @pytest.mark.parametrize("a_set", [(), (0, 7), (-1, 0)])
+    def test_rejects_bad_site_set(self, cycle3, a_set):
+        with pytest.raises(OutOfRange):
+            predicted_mean_rate(cycle3, a_set, 100, 1e-4)
+
     @pytest.mark.parametrize("n", (50, 100, 200, 400))
     @pytest.mark.parametrize("d", (1e-5, 1e-7))
     def test_agreement_with_exact(self, cycle3, n, d):
@@ -483,6 +488,10 @@ class TestTestFunction:
     def test_rejects_single_site_r_or_bad_d(self, cycle3, r_set, d):
         with pytest.raises(OutOfRange):
             make_test_function(cycle3, r_set, n=20, d=d, eps=0.1)
+
+    def test_rejects_sites_outside_the_walk(self, cycle3):
+        with pytest.raises(OutOfRange):
+            make_test_function(cycle3, (0, 7), n=20, d=1e-4, eps=0.1)
 
     def test_requires_positive_rates_in_r(self, chain4):
         with pytest.raises(PremiseViolated):

@@ -33,10 +33,11 @@ from scipy.stats import ks_2samp
 from incproc import (BudgetExceeded, HittingTask, ProcessParams, Trajectory,
                      build_torus, condensate_statistics, mc_hitting,
                      simulate, torus_walk, trace_project)
-from incproc.simulate import _BLOCK, CEMETERY, _Blocks, replica_rng
+from incproc.simulate import _BLOCK, CEMETERY, _Blocks, _segment_sums, replica_rng
 from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
 
 KS_LEVEL = 1e-3
+KERNEL = sys.modules["incproc.simulate"]
 
 WALKS = ("cycle3", "two_sym", "two_asym", "up3", "chain4")
 TORI = {
@@ -340,16 +341,14 @@ def ref_condensate_statistics(traj, spec, n_windows):
     return drift, diffusion, ref.off / wall, ref.relocations, t_resc
 
 
-@pytest.fixture(params=[None, 1, 3, 250])
-def statistics_chunk(request, monkeypatch):
-    """``condensate_statistics``'s chunk size, as ``trace_chunk``."""
-    if request.param is not None:
-        monkeypatch.setattr(sys.modules["incproc.thermo"], "_TRACE_CHUNK", request.param)
+# the replay's site loop on the largest torus a WalkSpec holds
+REPLAY_TORI = {**TORI, "64": lambda: build_torus(
+    2, 8, {(1, 0): 1.0, (-1, 0): 0.6, (0, 1): 0.8, (0, -1): 0.8}, rho=0.5, d_l=5e-2)}
 
 
-@pytest.mark.parametrize("torus", sorted(TORI))
-def test_condensate_statistics_matches_replay(torus, statistics_chunk):
-    spec = TORI[torus]()
+@pytest.mark.parametrize("torus", sorted(REPLAY_TORI))
+def test_condensate_statistics_matches_replay(torus, trace_chunk):
+    spec = REPLAY_TORI[torus]()
     walk, params = torus_walk(spec), ProcessParams(spec.n, spec.d_l)
     seen = 0
     for seed, (horizon, max_events) in enumerate(((0.4, None), (8.0, None),
@@ -368,9 +367,6 @@ def test_condensate_statistics_matches_replay(torus, statistics_chunk):
                 assert np.array_equal(a, b), name
         seen += stats.relocations
     assert seen >= 3
-
-
-KERNEL = sys.modules["incproc.simulate"]
 
 
 @pytest.mark.parametrize("bound", [1, 25])
@@ -421,7 +417,7 @@ def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):
     if marginal_times is not None:
         sample_ts = np.asarray(sorted(float(theta * t) for t in marginal_times))
         sample_out = np.full(sample_ts.size, CEMETERY, dtype=np.int64)
-    labels, sojourns = [], []
+    labels, sojourns, ends = [], [], []
     cur_label = seg_label = metastable_site()
     seg_time = trace_time = off_time = off_in_window = 0.0
     limit = theta * window if window is not None else None
@@ -457,6 +453,7 @@ def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):
             if seg_label is not None:
                 labels.append(seg_label)
                 sojourns.append(seg_time)
+                ends.append(trace_time)
             seg_label = new_label
             seg_time = 0.0
         cur_label = new_label
@@ -464,8 +461,10 @@ def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):
     if seg_label is not None:
         labels.append(seg_label)
         sojourns.append(seg_time)
+        ends.append(trace_time)
     return dict(labels=np.asarray(labels, dtype=np.int64),
                 sojourns=np.asarray(sojourns, dtype=float),
+                ends=np.asarray(ends, dtype=float),
                 trace_time=trace_time, off_time=off_time,
                 off_occupation=off_in_window / theta if window is not None else None,
                 marginal_times=sample_ts, marginal=sample_out)
@@ -518,6 +517,23 @@ def test_trace_project_matches_reference(walk, request, trace_chunk):
                 assert_same_trace(traj, a_set, 1.0)
                 visits += len(path.labels)
     assert visits > 20
+
+
+def test_segment_sums_add_left_to_right():
+    # terms of mixed magnitudes, so any other order of addition rounds
+    # differently; segments of 0, 1, 3, 4, 31, 128 and 129 terms
+    rng = np.random.default_rng(3)
+    terms = rng.exponential(1.0, 300) * 10.0 ** rng.integers(-8, 8, 300)
+    starts = np.array([0, 0, 1, 2, 5, 9, 40, 41, 42, 170, 299])
+    bounds = [*starts.tolist(), len(terms)]
+    for carry in (0.0, 0.1, 3e7):
+        want = []
+        for i in range(len(starts)):
+            total = carry if i == 0 else 0.0
+            for t in terms[bounds[i]:bounds[i + 1]].tolist():
+                total += t
+            want.append(total)
+        assert _segment_sums(terms, starts, carry).tolist() == want
 
 
 def test_trace_project_empty_and_underflowing_paths(trace_chunk):

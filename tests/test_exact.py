@@ -460,6 +460,11 @@ class TestReciprocalSums:
         with pytest.raises(OutOfRange):
             reciprocal_sum(20_000, 2)
 
+    @pytest.mark.parametrize("n,k", [(12.0, 2), (12, 2.0), (12.5, 2)])
+    def test_rejects_non_integer_arguments(self, n, k):
+        with pytest.raises(OutOfRange):
+            reciprocal_sum(n, k)
+
     def test_bound_helper_exact_at_k1(self):
         # the k = 1 bound is an equality; rational comparison must accept it
         assert reciprocal_bound_holds(Fraction(1, 3), 3, 1)

@@ -5,6 +5,9 @@ SuperLU factorization per system in ``MMD_AT_PLUS_A`` order, the stationary
 pin on the heaviest metastable state, and one hitting solve per target.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incproc.exact as exact
-from incproc import (OutOfRange, ProcessParams, RegionSpec, WalkSpec,
+from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure, WalkSpec,
                      analyze_walk, enumerate_states, flow_profile,
                      hitting_probabilities, m_function, mean_jump_rate_exact,
                      stationary_exact)
@@ -207,17 +210,15 @@ class TestDiagnostics:
         assert 0.0 <= mu.solver.residual <= mu.solver.bound
         assert mu.solver.lu_nnz >= mu.enum.size
 
-    def test_stationary_records_power_fallback(self, up3, monkeypatch):
+    @pytest.mark.parametrize("negative", [True, False])
+    def test_stationary_failed_solve_raises(self, up3, monkeypatch, negative):
+        # a solution with negative entries, and a positive one that misses
+        # the residual bound: there is no fallback
         def broken(a, b, coords):
-            return -np.ones_like(b), 7
+            return (-np.ones_like(b) if negative else np.linspace(1.0, 2.0, len(b))), 7
         monkeypatch.setattr(exact, "_solve_refined", broken)
-        params = ProcessParams(6, 0.2)
-        mu = stationary_exact(up3, params)
-        assert mu.solver.path == "power"
-        assert mu.solver.lu_nnz == 7
-        assert mu.solver.residual <= mu.solver.bound
-        monkeypatch.undo()
-        assert np.abs(mu.weights - stationary_exact(up3, params).weights).max() <= 1e-9
+        with pytest.raises(SolverFailure, match="stationary residual"):
+            stationary_exact(up3, ProcessParams(6, 0.2))
 
     def test_closed_form_has_no_solver(self, cycle3):
         assert exact.stationary_closed_form(cycle3, ProcessParams(5, 0.1)).solver is None
@@ -259,6 +260,11 @@ class TestSiteSets:
         with pytest.raises(OutOfRange):
             hitting_probabilities(cycle3, ProcessParams(4, 0.1), (-1, 0), 0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_region_rejects_non_finite_eps(self, cycle3, eps):
+        with pytest.raises(OutOfRange):
+            RegionSpec(cycle3, enumerate_states(3, 4), (0, 1), eps=eps)
+
     @pytest.mark.parametrize("r_set", [(), (0, 5)])
     def test_region_rejects_bad_set(self, cycle3, r_set):
         with pytest.raises(OutOfRange):
@@ -287,6 +293,18 @@ class TestSmallSystems:
             want = np.zeros(enum.size)
             want[enum.xi_index(y)] = 1.0
             assert h.tolist() == want.tolist()
+
+    def test_hitting_refuses_holding_rates_it_cannot_invert(self, cycle3):
+        # d = 5e-324 leaves each metastable state a subnormal holding rate,
+        # whose reciprocal overflows; with A = (0, 1), xi^2 is interior
+        params = ProcessParams(3, 5e-324)
+        with pytest.raises(OutOfRange, match="too small to invert"):
+            hitting_probabilities(cycle3, params, (0, 1), 0)
+        # with A = every site only the boundary has them, and it is not inverted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, enum = hitting_probabilities(cycle3, params, (0, 1, 2), 0)
+        assert np.isfinite(h).all() and h[enum.xi_index(0)] == 1.0
 
     def test_trace_rates_need_two_particles(self, cycle3):
         with pytest.raises(OutOfRange):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from incproc import (BudgetExceeded, Configuration, DegenerateData,
-                     HittingTask, OutOfRange, ProcessParams, WalkSpec,
+                     HittingTask, OutOfRange, ProcessParams, Trajectory, WalkSpec,
                      WindowExceedsTrajectory, mc_hitting, mc_mean_jump_rate,
                      mean_jump_rate_exact, replica_rng, scaling_fit, simulate,
                      stationary_exact, trace_project)
@@ -192,6 +192,15 @@ class TestPathTallies:
 
 
 class TestTraceProject:
+    @pytest.mark.parametrize("site", [-1, 5])
+    def test_rejects_moves_off_the_sites(self, site):
+        traj = Trajectory(initial=(2, 0), times=np.array([1.0]),
+                          move_from=np.array([0], dtype=np.int32),
+                          move_to=np.array([site], dtype=np.int32),
+                          horizon=2.0, seed=0, stream=0)
+        with pytest.raises(OutOfRange):
+            trace_project(traj, (0, 1), 1.0)
+
     def test_time_change_identity(self, up3):
         params = ProcessParams(6, 0.2)
         traj = simulate(up3, params, (6, 0, 0), 500.0, seed=9)
@@ -298,6 +307,13 @@ class TestMCMeanJumpRate:
 
 
 class TestMCHitting:
+    @pytest.mark.parametrize("r_set", [(0, 1, 2, 7), (-1, 0, 1, 2)])
+    def test_auxiliary_rejects_bad_site_set(self, cycle3, r_set):
+        task = HittingTask(chain="auxiliary", start=(5, 5, 5), replicas=2,
+                           seed=3, r_set=r_set, eps=0.1)
+        with pytest.raises(OutOfRange):
+            mc_hitting(task, cycle3, ProcessParams(15, 1e-4))
+
     def test_start_on_inner_boundary_is_zero(self, cycle3):
         params = ProcessParams(30, 1e-4)
         # threshold floor(0.1 log 30) = 0: a zero coordinate is already out

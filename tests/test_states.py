@@ -78,6 +78,11 @@ class TestUnrankAgainstLoops:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("kappa,n", [(3, 2.5), (3.0, 2), (3, "4")])
+    def test_rejects_non_integer_sizes(self, kappa, n):
+        with pytest.raises(OutOfRange):
+            StateEnumeration(kappa, n)
+
     def test_two_site_order(self):
         enum = StateEnumeration(2, 2)
         assert enum.size == 3
