@@ -19,7 +19,7 @@ from .errors import OutOfRange
 from .exact import (flow_profile, mean_jump_rate_exact, reciprocal_bound_holds,
                     reciprocal_sum_table, region_masses,
                     stationary_closed_form, stationary_exact)
-from .gordan import dichotomy_check
+from .gordan import gordan_certificate
 from .model import ProcessParams, WalkSpec, schedule_power
 from .simulate import HittingTask, mc_hitting, scaling_fit
 from .thermo import build_torus, cosine_mode, generator_gap, measure_diffusion, measure_drift
@@ -147,18 +147,18 @@ def criterion_6(level: str = "full") -> CriterionResult:
         size = int(rng.integers(2, 9))
         a = rng.normal(size=(size, size))
         q = a - a.T
-        cert, exclusive = dichotomy_check(q)
+        cert = gordan_certificate(q)
         scale = max(np.abs(q).max(), 1.0)
         if cert.variant == "alpha":
-            ok = float(np.max(q @ cert.vector)) / scale <= -1e-9 and exclusive
+            ok = float(np.max(q @ cert.vector)) / scale <= -1e-9
         else:
-            ok = float(np.abs(q @ cert.vector).max()) / scale <= 1e-9 and exclusive
+            ok = float(np.abs(q @ cert.vector).max()) / scale <= 1e-9
         if not ok:
             bad += 1
     cyc = CYCLE3.rates - CYCLE3.rates.T
     two = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    cyc_cert, _ = dichotomy_check(cyc)
-    two_cert, _ = dichotomy_check(two)
+    cyc_cert = gordan_certificate(cyc)
+    two_cert = gordan_certificate(two)
     ok = bad == 0 and cyc_cert.variant == "beta" and two_cert.variant == "alpha"
     return CriterionResult(6, "certificate dichotomy", ok,
                            "one branch each, residual <= 1e-9 rel",

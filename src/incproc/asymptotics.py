@@ -135,36 +135,25 @@ def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> Li
     recurrent set, and irreducibility of the restriction.
     """
     s0 = classification.s0
-    idx = {x: i for i, x in enumerate(s0)}
-    k = len(s0)
     if mode == "nrv":
         if not classification.irreducible_on_s0:
             raise PremiseViolated(
                 "drift chain restricted to the recurrent set is not irreducible "
                 f"({len(classification.terminal_components)} terminal components)")
-        rates = np.zeros((k, k))
-        for x in s0:
-            for y in s0:
-                if x != y:
-                    rates[idx[x], idx[y]] = classification.b[x, y]
-        return LimitChain(mode="nrv", sites=s0, rates=rates, scale="1/(N*d_N)",
-                          nu=dense_stationary(rates - np.diag(rates.sum(axis=1))))
-    if mode == "rv":
+        rates, scale = classification.b[np.ix_(s0, s0)], "1/(N*d_N)"
+    elif mode == "rv":
         if not classification.symmetric_on_s0:
             raise PremiseViolated("rates are not symmetric on the recurrent set")
         if not classification.is_attracting(s0):
             raise PremiseViolated("recurrent set is not attracting")
-        rates = np.zeros((k, k))
-        for x in s0:
-            for y in s0:
-                if x != y:
-                    rates[idx[x], idx[y]] = walk.rates[x, y]
+        rates, scale = walk.rates[np.ix_(s0, s0)], "1/d_N"
         if connected_components(rates > 0, connection="strong")[0] != 1:
             raise PremiseViolated(
                 "walk restricted to the recurrent set is not irreducible")
-        return LimitChain(mode="rv", sites=s0, rates=rates, scale="1/d_N",
-                          nu=dense_stationary(rates - np.diag(rates.sum(axis=1))))
-    raise OutOfRange(f"unknown mode {mode!r}; expected 'rv' or 'nrv'")
+    else:
+        raise OutOfRange(f"unknown mode {mode!r}; expected 'rv' or 'nrv'")
+    return LimitChain(mode=mode, sites=s0, rates=rates, scale=scale,
+                      nu=dense_stationary(rates - np.diag(rates.sum(axis=1))))
 
 
 TUBE_CASES = ("asym_fwd", "asym_bwd", "asym_noback", "symmetric")
@@ -360,44 +349,6 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
         coefficients=np.asarray(coeff, dtype=float), certificate=cert,
         oscillation=oscillation, min_drift=min_drift, drift=drift,
         inner_core=inner, row_sum_range=rng)
-
-
-def auxiliary_kernel_row(walk: WalkSpec, d: float, region: RegionSpec,
-                         eta: Sequence[int]):
-    """One row of the auxiliary reversed kernel at ``eta``: (moves, self-loop).
-
-    Moves are (x, y, probability) of relocating a particle from x to y, with
-    probability proportional to ``eta_y (d + eta_x) r(y, x)``, kept only when
-    the target stays in the inner-core closure; the self-loop remainder
-    absorbs the rest (positive only on the inner boundary, where the chain
-    is effectively stopped).
-    """
-    r_set = region.r_set
-    rmat = walk.rates
-    closure = set(int(i) for i in region.inner_closure)
-    if region.enum.rank(tuple(int(v) for v in eta)) not in closure:
-        raise OutOfRange("state is outside the inner-core closure")
-    w = 0.0
-    for a in r_set:
-        for b in r_set:
-            if a != b:
-                w += eta[a] * (d + eta[b]) * rmat[a, b]
-    moves = []
-    for x in r_set:
-        if eta[x] == 0:
-            continue
-        for y in r_set:
-            if y == x:
-                continue
-            weight = eta[y] * (d + eta[x]) * rmat[y, x]
-            if weight == 0:
-                continue
-            moved = list(int(v) for v in eta)
-            moved[x] -= 1
-            moved[y] += 1
-            if region.enum.rank(tuple(moved)) in closure:
-                moves.append((x, y, weight / w))
-    return moves, 1.0 - sum(p for _, _, p in moves)
 
 
 @dataclass(frozen=True)

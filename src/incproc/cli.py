@@ -21,9 +21,10 @@ import numpy as np
 from .acceptance import verify_suite
 from .asymptotics import classify as classify_walk
 from .asymptotics import limit_chain, predicted_mean_rate
-from .errors import ConfigError, IncprocError, PremiseViolated
+from .errors import ConfigError, IncprocError, OutOfRange, PremiseViolated
 from .exact import mean_jump_rate_exact, region_masses, stationary_closed_form, stationary_exact
-from .model import Configuration, ProcessParams, WalkSpec, analyze_walk
+from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk,
+                    schedule_fixed, schedule_power)
 from .simulate import HittingTask, mc_hitting, mc_mean_jump_rate, scaling_fit, simulate, trace_project
 from .thermo import build_torus, cosine_mode, generator_gap, measure_diffusion, measure_drift, torus_condensation
 
@@ -93,30 +94,63 @@ def _params(cfg: dict) -> ProcessParams:
     return ProcessParams(cfg["params"]["n"], float(cfg["params"]["d_N"]))
 
 
-def _schedule_value(desc, size: int) -> float:
-    if isinstance(desc, (int, float)):
-        return float(desc)
+def _schedule(desc, path: str, named: dict[str, int] | None = None):
+    """The map from size to ``d`` that a schedule field describes:
+    ``{"type": "power", "coeff": c, "exponent": a}`` for ``c * size**(-a)``;
+    for a field with ``named`` schedules (d_L), a key of ``named``, the power
+    schedule with coefficient 1 and that exponent; for one without (d_N), a
+    number, the fixed schedule."""
+    if named is not None and isinstance(desc, str) and desc in named:
+        return schedule_power(1.0, named[desc])
+    if named is None and _is_number(desc):
+        return schedule_fixed(float(desc))
     if isinstance(desc, dict) and desc.get("type") == "power":
-        return float(desc["coeff"]) * float(size) ** (-float(desc["exponent"]))
-    raise ConfigError("d_schedule", f"unsupported schedule {desc!r}")
+        for key in ("coeff", "exponent"):
+            if not _is_number(desc.get(key)):
+                raise ConfigError(f"{path}.{key}", "power schedule needs a number")
+        return schedule_power(float(desc["coeff"]), float(desc["exponent"]))
+    raise ConfigError(path, f"unsupported schedule {desc!r}")
 
 
-def _dl_schedule(desc, dim: int):
-    named = {
-        "tt1": dim + 2,
-        "tt2": dim + 3,
-        "tt3": 2 * dim + 3,
-    }
-    if isinstance(desc, str):
-        if desc not in named:
-            raise ConfigError("dl_schedule", f"unknown schedule {desc!r}")
-        exp = named[desc]
-        return lambda side: float(side) ** (-exp)
-    if isinstance(desc, dict) and desc.get("type") == "power":
-        coeff = float(desc["coeff"])
-        exp = float(desc["exponent"])
-        return lambda side: coeff * float(side) ** (-exp)
-    raise ConfigError("dl_schedule", f"unsupported schedule {desc!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kernel(cfg: dict) -> dict[tuple[int, ...], float]:
+    """The ``kernel`` field, a list of ``[offset, weight]`` pairs, as a map
+    from integer offsets to weights; ``build_torus`` checks the values."""
+    pairs = cfg["kernel"]
+
+    def malformed():
+        return ConfigError("kernel", "expected a list of [offset, weight] pairs "
+                                     f"with integer offsets, got {pairs!r}")
+
+    if not isinstance(pairs, list):
+        raise malformed()
+    kernel = {}
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise malformed()
+        off, w = pair
+        coords = off if isinstance(off, list) else [off]
+        if not (coords and all(isinstance(v, int) and not isinstance(v, bool)
+                               for v in coords) and _is_number(w)):
+            raise malformed()
+        kernel[tuple(coords)] = float(w)
+    return kernel
+
+
+def _initial(cfg: dict, walk: WalkSpec, n: int) -> Configuration:
+    """The ``initial`` field: ``{"site": x}`` or a list of counts."""
+    init = cfg["initial"]
+    if isinstance(init, dict):
+        if set(init) != {"site"}:
+            raise ConfigError("initial", "expected object with field site")
+        try:
+            return Configuration.single_site(walk.kappa, n, init["site"])
+        except OutOfRange as exc:
+            raise ConfigError("initial.site", str(exc)) from exc
+    return Configuration(tuple(int(v) for v in init))
 
 
 @dataclass
@@ -274,12 +308,8 @@ def _run_classify(cfg, seed, out, threads, report, echo):
 def _run_simulate(cfg, seed, out, threads, report, echo):
     walk = WalkSpec.from_json(cfg["walk"])
     params = _params(cfg)
-    init = cfg["initial"]
-    if isinstance(init, dict):
-        eta0 = Configuration.single_site(walk.kappa, params.n, int(init["site"]))
-    else:
-        eta0 = Configuration(tuple(int(v) for v in init))
-    traj = simulate(walk, params, eta0, float(cfg["horizon"]), seed)
+    traj = simulate(walk, params, _initial(cfg, walk, params.n),
+                    float(cfg["horizon"]), seed)
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path)
     report.artifacts.append(str(csv_path))
@@ -303,12 +333,12 @@ def _run_nucleation(cfg, seed, out, threads, report, echo):
     walk = WalkSpec.from_json(cfg["walk"])
     delta = float(cfg["delta"])
     replicas = int(cfg["replicas"])
+    schedule = _schedule(cfg["d_schedule"], "d_schedule")
     rows = []
     points = []
     for size in cfg["sizes"]:
         size = int(size)
-        d = _schedule_value(cfg["d_schedule"], size)
-        params = ProcessParams(size, d)
+        params = ProcessParams(size, schedule(size))
         base = size // walk.kappa
         start = [base] * walk.kappa
         start[-1] += size - base * walk.kappa
@@ -334,10 +364,10 @@ def _run_nucleation(cfg, seed, out, threads, report, echo):
 
 def _run_thermo(cfg, seed, out, threads, report, echo):
     dim = int(cfg["dim"])
-    kernel = {tuple(np.atleast_1d(off).astype(int).tolist()): float(w)
-              for off, w in (pair for pair in cfg["kernel"])}
+    kernel = _kernel(cfg)
     rho = float(cfg["rho"])
-    schedule = _dl_schedule(cfg["dl_schedule"], dim)
+    schedule = _schedule(cfg["dl_schedule"], "dl_schedule",
+                         {"tt1": dim + 2, "tt2": dim + 3, "tt3": 2 * dim + 3})
     rows = []
     for side in cfg["sides"]:
         side = int(side)

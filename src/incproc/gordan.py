@@ -130,16 +130,6 @@ def _certify(q: np.ndarray, scale: float) -> tuple[str, np.ndarray]:
     raise SolverFailure("neither certificate branch verified in exact arithmetic")
 
 
-def dichotomy_check(q) -> tuple[GordanCertificate, bool]:
-    """Certificate plus whether the other branch is ruled out: (cert, exclusive).
-
-    For skew Q, ``beta^T Q alpha = -(Q beta)^T alpha = 0`` contradicts
-    ``beta <= 0, beta != 0, Q alpha < 0``, so a certificate verified exactly
-    (the only kind ``gordan_certificate`` returns) excludes the other branch.
-    """
-    return gordan_certificate(q), True
-
-
 def gordan_certificate(q, tol: float = SKEW_TOL) -> GordanCertificate:
     """Produce the unique certificate branch for a skew-symmetric matrix.
 
@@ -147,6 +137,10 @@ def gordan_certificate(q, tol: float = SKEW_TOL) -> GordanCertificate:
     every entry of ``Q @ alpha`` negative in exact arithmetic; the returned
     beta is nonpositive with unit norm, the rounding of an exact kernel
     vector. Raises SolverFailure when neither branch verifies exactly.
+
+    The certificate is exclusive: for skew Q, ``beta^T Q alpha =
+    -(Q beta)^T alpha = 0`` contradicts ``beta <= 0, beta != 0, Q alpha < 0``,
+    so a branch verified exactly rules out the other.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:

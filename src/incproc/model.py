@@ -164,24 +164,15 @@ def analyze_walk(spec: WalkSpec) -> WalkAnalysis:
     r2 = float(r.max())
     lam = float(spec.holding.max())
 
+    hi = np.maximum(r, r.T)
+    pair = (hi > 0) & ~np.eye(kappa, dtype=bool)
     q_pair = np.full((kappa, kappa), np.nan)
-    q = 0.0
-    for x in range(kappa):
-        for y in range(kappa):
-            if x == y:
-                continue
-            hi = max(r[x, y], r[y, x])
-            if hi > 0:
-                lo = min(r[x, y], r[y, x])
-                q_pair[x, y] = lo / hi
-                if r[x, y] != r[y, x]:
-                    q = max(q, lo / hi)
+    q_pair[pair] = np.minimum(r, r.T)[pair] / hi[pair]
+    unequal = pair & (r != r.T)
+    q = float(q_pair[unequal].max()) if unequal.any() else 0.0
 
-    rev = True
-    for x in range(kappa):
-        for y in range(kappa):
-            if abs(m[x] * r[x, y] - m[y] * r[y, x]) > _FLAG_TOL:
-                rev = False
+    flux = m[:, None] * r
+    rev = not (np.abs(flux - flux.T) > _FLAG_TOL).any()
     ui = bool(np.abs(m - 1.0 / kappa).max() <= _FLAG_TOL)
     off_diag = r[~np.eye(kappa, dtype=bool)]
     up = bool(off_diag.min() > 0)
@@ -253,6 +244,9 @@ class Configuration:
 
     @classmethod
     def single_site(cls, kappa: int, n: int, x: int) -> "Configuration":
+        """All n particles at site x, one of ``0..kappa-1``."""
+        if not (isinstance(x, numbers.Integral) and 0 <= x < kappa):
+            raise OutOfRange(f"site {x!r} outside 0..{kappa - 1}")
         counts = [0] * kappa
         counts[x] = n
         return cls(tuple(counts))

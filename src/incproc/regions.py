@@ -93,14 +93,10 @@ class RegionSpec:
         reach[moved[counts[inner][:, xs].T >= 1]] = True
         return np.nonzero(reach)[0]
 
-    @cached_property
-    def inner_boundary(self) -> np.ndarray:
-        inner = np.zeros(self.enum.size, dtype=bool)
-        inner[self.inner_core] = True
-        return self.inner_closure[~inner[self.inner_closure]]
-
     def slice_indices(self, x: int, k: int) -> np.ndarray:
-        """Tube states with exactly k particles at site x."""
+        """Tube states with exactly k particles at site x: the slice set of the
+        condensation analysis, public for callers that check the slice
+        bounds on a solved distribution."""
         if x not in self.r_set:
             raise OutOfRange(f"site {x} not in R {self.r_set}")
         counts = self.enum.counts_matrix()

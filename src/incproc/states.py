@@ -53,16 +53,7 @@ class StateEnumeration:
             raise DimensionMismatch(f"state has {len(eta)} sites, expected {self.kappa}")
         if any(v < 0 for v in eta) or sum(eta) != self.n:
             raise OutOfRange(f"not a configuration of {self.n} particles: {eta}")
-        r = 0
-        remaining = self.n
-        for j in range(self.kappa - 1):
-            parts_after = self.kappa - 1 - j
-            v = eta[j]
-            if v < remaining:
-                # states with a larger count at position j come first
-                r += self._cum[remaining - v - 1, parts_after]
-            remaining -= v
-        return int(r)
+        return int(self.rank_many(np.array([eta]))[0])
 
     def unrank(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:

@@ -160,32 +160,32 @@ def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> T
                      theta=theta)
 
 
+def _lattice(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The torus as a table: ``coords[x]`` are the coordinates of site x
+    (row-major, the last axis fastest), and ``targets[k, x]`` is the site
+    that x reaches by the k-th kernel offset."""
+    shape = (spec.side,) * spec.d
+    coords = np.stack(np.unravel_index(np.arange(spec.n_sites), shape), axis=1)
+    offsets = np.array(list(spec.kernel), dtype=np.int64)
+    strides = spec.side ** np.arange(spec.d - 1, -1, -1)
+    return coords, ((coords + offsets[:, None]) % spec.side) @ strides
+
+
+def _wrap(step: np.ndarray, side: int) -> np.ndarray:
+    """The minimum-image lattice step: the shortest lift of ``step`` on the
+    torus, each component in ``[-side // 2, side - side // 2)``."""
+    half = side // 2
+    return (step + half) % side - half
+
+
 def torus_walk(spec: TorusSpec) -> WalkSpec:
     """The torus walk as an explicit site-set walk (small tori only)."""
-    n_sites = spec.n_sites
-    coords = _site_coords(spec)
-    rates = np.zeros((n_sites, n_sites))
-    for i in range(n_sites):
-        for off, w in spec.kernel.items():
-            j = _flat_index((coords[i] + np.asarray(off)) % spec.side, spec.side)
-            rates[i, j] += w
+    _, targets = _lattice(spec)
+    rates = np.zeros((spec.n_sites, spec.n_sites))
+    sites = np.arange(spec.n_sites)
+    for to, w in zip(targets, spec.kernel.values()):
+        rates[sites, to] += w
     return WalkSpec.from_matrix(rates)
-
-
-def _site_coords(spec: TorusSpec) -> np.ndarray:
-    idx = np.arange(spec.n_sites)
-    out = np.zeros((spec.n_sites, spec.d), dtype=np.int64)
-    for axis in range(spec.d - 1, -1, -1):
-        out[:, axis] = idx % spec.side
-        idx = idx // spec.side
-    return out
-
-
-def _flat_index(coord: np.ndarray, side: int) -> int:
-    flat = 0
-    for v in coord:
-        flat = flat * side + int(v) % side
-    return flat
 
 
 @dataclass(frozen=True)
@@ -199,24 +199,25 @@ class TorusRates:
         return sum(self.rates.values())
 
 
+def _channel_rates(n: int, d: float, fwd: float, bwd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Up and down rates of a two-site channel at the levels 0..N, the count
+    at the far site: ``(N - i)(d + i) fwd`` and ``i (d + N - i) bwd``."""
+    level = np.arange(n + 1, dtype=float)
+    return (n - level) * (d + level) * fwd, level * (d + n - level) * bwd
+
+
 def _tube_crossing_probability(n: int, d: float, fwd: float, bwd: float) -> float:
     """Absorption at the far end of the two-site channel from one particle in.
 
-    Birth-death chain with up-rate (N-i)(d+i)*fwd and down-rate
-    i(d+N-i)*bwd at level i; gambler's-ruin product form.
+    The birth-death chain of :func:`_channel_rates`, by the gambler's-ruin
+    product form; ``cumprod`` and ``cumsum`` run in level order.
     """
     if fwd <= 0:
         return 0.0
-    total = 1.0
-    prod = 1.0
-    for j in range(1, n):
-        up = (n - j) * (d + j) * fwd
-        down = j * (d + n - j) * bwd
-        prod *= down / up
-        total += prod
-        if prod == 0.0:
-            break
-    return 1.0 / total
+    up, down = _channel_rates(n, d, fwd, bwd)
+    with np.errstate(over="ignore"):   # an infinite sum is probability 0
+        prods = np.cumprod(down[1:n] / up[1:n])
+        return 1.0 / float(np.cumsum(np.concatenate(([1.0], prods)))[-1])
 
 
 def torus_mean_rates(spec: TorusSpec, method: str = "formula") -> TorusRates:
@@ -298,23 +299,14 @@ def linear_function(slope: Sequence[float] | float) -> SmoothFunction:
 
 
 def limit_generator_apply(spec: TorusSpec, f: SmoothFunction, u) -> float:
-    """Limiting generator of the rescaled condensate motion at point u."""
+    """Limiting generator of the rescaled condensate motion at point u:
+    ``rho v . grad f``, ``tr(S1 hess f) / 2`` or ``tr(S2 hess f) / 2`` by
+    regime."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if spec.regime == "totally_asym":
         return float(spec.rho * spec.v @ f.grad(u))
-    hess = f.hess(u)
-    total = 0.0
-    if spec.regime == "mean_zero_asym":
-        for off, w in spec.kernel.items():
-            back = spec.h(tuple(-v for v in off))
-            if w > back:
-                y = np.asarray(off, dtype=float)
-                total += (w - back) * float(y @ hess @ y)
-        return 0.5 * spec.rho * total
-    for off, w in spec.kernel.items():
-        y = np.asarray(off, dtype=float)
-        total += w * float(y @ hess @ y)
-    return 0.5 * total
+    s = spec.s1 if spec.regime == "mean_zero_asym" else spec.s2
+    return 0.5 * float(np.sum(s * f.hess(u)))
 
 
 def generator_gap(spec: TorusSpec, f: SmoothFunction, method: str = "formula") -> float:
@@ -325,7 +317,7 @@ def generator_gap(spec: TorusSpec, f: SmoothFunction, method: str = "formula") -
     f and keeps lifted linear functions exact).
     """
     rates = torus_mean_rates(spec, method).rates
-    coords = _site_coords(spec)
+    coords, _ = _lattice(spec)
     worst = 0.0
     for i in range(spec.n_sites):
         u = coords[i] / spec.side
@@ -349,7 +341,6 @@ class CondensateRun:
     off_time: float
     positions: np.ndarray            # displacement at each trace checkpoint
     checkpoints: np.ndarray
-    unwrap_consistent: bool
 
     @property
     def off_fraction(self) -> float:
@@ -395,8 +386,7 @@ class _Channels:
             back = tuple(-v for v in off)
             rest_fwd = sum(w for o, w in spec.kernel.items() if o != off)
             rest_bwd = sum(w for o, w in spec.kernel.items() if o != back)
-            rate_up = (n - level) * (d + level) * h_fwd
-            rate_down = level * (d + n - level) * spec.h(back)
+            rate_up, rate_down = _channel_rates(n, d, h_fwd, spec.h(back))
             rate = rate_up + rate_down + d * ((n - level) * rest_fwd + level * rest_bwd)
             up.append(rate_up / rate)
             move.append((rate_up + rate_down) / rate)
@@ -413,14 +403,9 @@ class _Channels:
     def out(self) -> list[list[tuple[int, float]]]:
         """The event kernel's move table, built on the first third-site hop."""
         if self._out is None:
-            spec = self.spec
-            coords = self.coords = _site_coords(spec)
-            strides = spec.side ** np.arange(spec.d - 1, -1, -1)
-            targets = [(((coords + off) % spec.side) @ strides).tolist()
-                       for off in self.offsets]
-            weights = list(spec.kernel.values())
-            self._out = [[(t[x], w) for t, w in zip(targets, weights)]
-                         for x in range(spec.n_sites)]
+            self.coords, targets = _lattice(self.spec)
+            weights = list(self.spec.kernel.values())
+            self._out = [list(zip(to, weights)) for to in targets.T.tolist()]
         return self._out
 
 
@@ -505,8 +490,7 @@ class _CondensateReplica:
                              displacement=self.disp.astype(float),
                              trace_time=self.trace_time, off_time=self.off_time,
                              positions=self.positions.astype(float),
-                             checkpoints=self.checkpoints,
-                             unwrap_consistent=True)
+                             checkpoints=self.checkpoints)
 
 
 class _ThirdSite:
@@ -556,8 +540,7 @@ class _ThirdSite:
             dt, x, y = next(self.kernel)
             t += dt
             taken += 1
-        side, half = ch.spec.side, ch.spec.side // 2
-        return t, taken, (ch.coords[occupied[0]] - ch.coords[home] + half) % side - half
+        return t, taken, _wrap(ch.coords[occupied[0]] - ch.coords[home], ch.spec.side)
 
 
 def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:
@@ -684,18 +667,15 @@ def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
 
 
 def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
-                   stream: int = 0, n_checkpoints: int = 4,
-                   start_site: int = 0) -> CondensateRun:
+                   stream: int = 0, n_checkpoints: int = 4) -> CondensateRun:
     """One condensate run until the trace clock reaches ``t_rescaled * theta``.
 
     The run is sampled as a renewal process of sojourns and excursions, a
     bounded chunk at a time, so memory does not grow with the horizon. It is
     replica ``stream`` of :func:`measure_drift` and :func:`measure_diffusion`
-    with the same seed. The walk is translation invariant, so
-    ``start_site`` only has to be a site of the torus.
+    with the same seed. The walk is translation invariant, so the run has
+    no start site: displacements are relative to where it starts.
     """
-    if not 0 <= start_site < spec.n_sites:
-        raise OutOfRange(f"start site {start_site} is not one of {spec.n_sites} sites")
     return _condensate_runs(spec, t_rescaled, seed, n_checkpoints, [stream])[0]
 
 
@@ -735,9 +715,8 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     if relocations < min_relocations:
         raise TooFewRelocations(
             f"{relocations} relocations < required {min_relocations}")
-    coords = _site_coords(spec)[path.labels]
-    side, half = spec.side, spec.side // 2
-    steps = (coords[1:] - coords[:-1] + half) % side - half
+    coords = _lattice(spec)[0][path.labels]
+    steps = _wrap(coords[1:] - coords[:-1], spec.side)
     # walked[k]: the displacement while the condensate sits at labels[k]
     walked = np.concatenate((np.zeros((1, spec.d), dtype=np.int64),
                              np.cumsum(steps, axis=0)))

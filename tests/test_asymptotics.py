@@ -1,3 +1,4 @@
+import importlib
 import math
 import time
 from fractions import Fraction
@@ -15,8 +16,8 @@ from incproc import (ErrorScale, InsufficientData, InvalidCase,
                      mean_jump_rate_exact, predicted_mean_rate,
                      stationary_exact, tube_hitting_prediction)
 from incproc import test_function as make_test_function
-from incproc.asymptotics import _harmonic, auxiliary_kernel_row
-from incproc.gordan import dichotomy_check
+from incproc.model import dense_stationary
+from incproc.asymptotics import _harmonic
 
 
 def _closure(adj):
@@ -221,6 +222,38 @@ class TestClassify:
         assert cls.symmetric_on_s0
 
 
+def _loop_limit_rates(walk, cls, mode):
+    """The limit chain's rates as the loop that limit_chain replaced with
+    one ``np.ix_`` restriction: of b for ``nrv``, of the walk for ``rv``."""
+    source = cls.b if mode == "nrv" else walk.rates
+    s0 = cls.s0
+    idx = {x: i for i, x in enumerate(s0)}
+    rates = np.zeros((len(s0), len(s0)))
+    for x in s0:
+        for y in s0:
+            if x != y:
+                rates[idx[x], idx[y]] = source[x, y]
+    return rates
+
+
+def _check_limit_rates_against_loop(walk):
+    """Each route the premises admit gives the loop's rates; the others
+    raise as before."""
+    cls = classify(walk)
+    admitted = 0
+    for mode in ("nrv", "rv"):
+        try:
+            lc = limit_chain(walk, cls, mode)
+        except PremiseViolated:
+            continue
+        admitted += 1
+        rates = _loop_limit_rates(walk, cls, mode)
+        assert np.array_equal(lc.rates, rates)
+        assert np.array_equal(lc.nu, dense_stationary(rates - np.diag(rates.sum(axis=1))))
+        assert (lc.mode, lc.sites) == (mode, cls.s0)
+    return admitted
+
+
 class TestLimitChain:
     def test_cycle_nrv(self, cycle3):
         cls = classify(cycle3)
@@ -256,6 +289,18 @@ class TestLimitChain:
         cls = classify(cycle3)
         with pytest.raises(PremiseViolated, match="symmetric"):
             limit_chain(cycle3, cls, "rv")
+
+    def test_rates_match_loop_on_fixtures(self, cycle3, two_sym, two_asym, up3, chain4):
+        admitted = [_check_limit_rates_against_loop(walk)
+                    for walk in (cycle3, two_sym, two_asym, up3, chain4,
+                                 WalkSpec.cycle(4, 0.5))]
+        assert all(admitted)
+
+    @given(_rate_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rates_match_loop_random(self, rates):
+        if _closure(rates > 0).all():
+            _check_limit_rates_against_loop(WalkSpec.from_matrix(rates))
 
     def test_limit_nu_is_invariant(self, chain4):
         cls = classify(chain4)
@@ -406,8 +451,7 @@ class TestGordan:
         size = int(rng.integers(2, 10))
         a = rng.normal(size=(size, size))
         q = a - a.T
-        cert, exclusive = dichotomy_check(q)
-        assert exclusive
+        cert = gordan_certificate(q)
         scale = max(np.abs(q).max(), 1.0)
         if cert.variant == "alpha":
             assert (q @ cert.vector).max() <= -1e-9 * scale
@@ -416,6 +460,50 @@ class TestGordan:
             assert np.abs(q @ cert.vector).max() <= 1e-9 * scale
             assert np.all(cert.vector <= 0)
             assert np.any(cert.vector < 0)
+
+
+def _inner_boundary(region):
+    """Inner-closure states outside the inner core."""
+    inner = np.zeros(region.enum.size, dtype=bool)
+    inner[region.inner_core] = True
+    return region.inner_closure[~inner[region.inner_closure]]
+
+
+def auxiliary_kernel_row(walk, d, region, eta):
+    """One row of the auxiliary reversed kernel at ``eta``: (moves, self-loop).
+
+    Moves are (x, y, probability) of relocating a particle from x to y, with
+    probability proportional to ``eta_y (d + eta_x) r(y, x)``, kept only when
+    the target stays in the inner-core closure; the self-loop remainder
+    absorbs the rest (positive only on the inner boundary, where the chain
+    is effectively stopped).
+    """
+    r_set = region.r_set
+    rmat = walk.rates
+    closure = set(int(i) for i in region.inner_closure)
+    if region.enum.rank(tuple(int(v) for v in eta)) not in closure:
+        raise OutOfRange("state is outside the inner-core closure")
+    w = 0.0
+    for a in r_set:
+        for b in r_set:
+            if a != b:
+                w += eta[a] * (d + eta[b]) * rmat[a, b]
+    moves = []
+    for x in r_set:
+        if eta[x] == 0:
+            continue
+        for y in r_set:
+            if y == x:
+                continue
+            weight = eta[y] * (d + eta[x]) * rmat[y, x]
+            if weight == 0:
+                continue
+            moved = list(int(v) for v in eta)
+            moved[x] -= 1
+            moved[y] += 1
+            if region.enum.rank(tuple(moved)) in closure:
+                moves.append((x, y, weight / w))
+    return moves, 1.0 - sum(p for _, _, p in moves)
 
 
 class TestTestFunction:
@@ -435,10 +523,53 @@ class TestTestFunction:
         assert self_loop == pytest.approx(0.0, abs=1e-12)
         # inner-boundary state: some mass goes to the self-loop
         boundary_state = tuple(int(v) for v in
-                               enum.counts_matrix()[reg.inner_boundary[0]])
+                               enum.counts_matrix()[_inner_boundary(reg)[0]])
         moves, self_loop = auxiliary_kernel_row(cycle3, d, reg, boundary_state)
         assert self_loop > 0
         assert sum(p for _, _, p in moves) + self_loop == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("walk_name, r_set, start", [
+        ("cycle3", (0, 1, 2), (10, 10, 10)),
+        ("up3", (0, 1, 2), (10, 10, 10)),
+        ("chain4", (1, 2), (0, 15, 15, 0))])
+    def test_auxiliary_chain_steps_by_kernel_rows(self, request, monkeypatch,
+                                                  walk_name, r_set, start):
+        # the step law mc_hitting runs on the auxiliary chain, read from the
+        # event kernel's weight row at every inner-core state, is the row of
+        # the reversed kernel: the same moves, with no self-loop
+        from incproc import HittingTask, RegionSpec, mc_hitting
+        from incproc.states import StateEnumeration
+        sim = importlib.import_module("incproc.simulate")
+        walk = request.getfixturevalue(walk_name)
+        n, d, eps = 30, 1e-4, 0.4
+        events, calls = sim._events, []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return events(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_events", spy)
+        task = HittingTask(chain="auxiliary", start=start, replicas=1, seed=5,
+                           r_set=r_set, eps=eps)
+        mc_hitting(task, walk, ProcessParams(n, d))
+        (_, sources, out, d_run, _, _), kwargs = calls[0]
+        assert kwargs == {"by_target": True} and d_run == d
+
+        enum = StateEnumeration(walk.kappa, n)
+        reg = RegionSpec(walk, enum, r_set, eps=eps)
+        for eta in enum.counts_matrix()[reg.inner_core]:
+            cache = sim._StateCache()
+            next(events(eta.tolist(), sources, out, d, sim._Blocks(sim.replica_rng(0, 0)),
+                        cache, by_target=True))
+            (cum, picks, total), = cache.values()
+            law = {}
+            for xy, p in zip(picks, np.diff(np.r_[0.0, cum]) / total):
+                law[xy] = law.get(xy, 0.0) + p
+            moves, self_loop = auxiliary_kernel_row(walk, d, reg, eta)
+            assert self_loop == pytest.approx(0.0, abs=1e-12)
+            assert {(x, y) for x, y, _ in moves} == {xy for xy, p in law.items() if p > 0}
+            for x, y, p in moves:
+                assert law[(x, y)] == pytest.approx(p, rel=1e-12)
 
     def test_positive_drift_beta_variant(self, cycle3):
         tf = make_test_function(cycle3, (0, 1, 2), n=40, d=1e-6, eps=0.1)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from incproc.cli import (DEFAULT_SEED, RunReport, main, run, validate_config)
+from incproc.cli import (DEFAULT_SEED, RunReport, _schedule, main, run,
+                         validate_config)
 from incproc.errors import ConfigError
 
 WALK2 = {"sites": ["a", "b"], "rates": [[0.0, 1.0], [1.0, 0.0]]}
@@ -270,3 +271,111 @@ class TestMain:
         del cfg["seed"]
         report = run(cfg, out_dir=tmp_path)
         assert report.seed == DEFAULT_SEED
+
+
+def _old_schedule_value(desc, size):
+    """The d_schedule reader that ``_schedule`` replaced."""
+    if isinstance(desc, (int, float)):
+        return float(desc)
+    return float(desc["coeff"]) * float(size) ** (-float(desc["exponent"]))
+
+
+def _old_dl_schedule(desc, dim):
+    """The dl_schedule reader that ``_schedule`` replaced."""
+    if isinstance(desc, str):
+        exp = {"tt1": dim + 2, "tt2": dim + 3, "tt3": 2 * dim + 3}[desc]
+        return lambda side: float(side) ** (-exp)
+    coeff = float(desc["coeff"])
+    exp = float(desc["exponent"])
+    return lambda side: coeff * float(side) ** (-exp)
+
+
+class TestSchedules:
+    SIZES = [1, 2, 3, 7, 8, 12, 30, 45, 60, 64, 1000, 10**6]
+
+    @pytest.mark.parametrize("desc", [1e-4, 3, {"type": "power", "coeff": 1, "exponent": 3},
+                                      {"type": "power", "coeff": 0.7, "exponent": 2.5}])
+    def test_d_schedule_matches_old_reader(self, desc):
+        schedule = _schedule(desc, "d_schedule")
+        for size in self.SIZES:
+            assert schedule(size) == _old_schedule_value(desc, size)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("desc", ["tt1", "tt2", "tt3",
+                                      {"type": "power", "coeff": 2, "exponent": 4}])
+    def test_dl_schedule_matches_old_reader(self, dim, desc):
+        named = {"tt1": dim + 2, "tt2": dim + 3, "tt3": 2 * dim + 3}
+        schedule = _schedule(desc, "dl_schedule", named)
+        old = _old_dl_schedule(desc, dim)
+        for size in self.SIZES:
+            assert schedule(size) == old(size)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["tt1", "tt2", "tt3"])
+    def test_thermo_reads_named_schedules_as_before(self, tmp_path, monkeypatch,
+                                                    dim, name):
+        import incproc.cli as cli
+        seen = []
+
+        class Built(Exception):
+            pass
+
+        def record(d, side, kernel, rho, d_l):
+            seen.append(d_l)
+            raise Built
+
+        monkeypatch.setattr(cli, "build_torus", record)
+        offsets = [[1] + [0] * (dim - 1), [-1] + [0] * (dim - 1)]
+        cfg = dict(_THERMO, dim=dim, sides=[12], dl_schedule=name,
+                   kernel=[[offsets[0], 0.8], [offsets[1], 0.2]])
+        with pytest.raises(Built):
+            run(cfg, out_dir=tmp_path)
+        assert seen == [_old_dl_schedule(name, dim)(12)]
+
+    @pytest.mark.parametrize("desc", ["tt1", "power", None, True, [1, 2],
+                                      {"type": "exp", "coeff": 1, "exponent": 1}])
+    def test_rejects_unknown_forms(self, desc):
+        with pytest.raises(ConfigError, match="^d_schedule: "):
+            _schedule(desc, "d_schedule")
+
+    @pytest.mark.parametrize("desc", ["tt4", 1e-3, None])
+    def test_dl_schedule_takes_names_not_numbers(self, desc):
+        with pytest.raises(ConfigError, match="^dl_schedule: "):
+            _schedule(desc, "dl_schedule", {"tt1": 3})
+
+
+_SIMULATE3 = {"schema_version": 1, "kind": "simulate", "seed": 3, "walk": WALK3,
+              "params": {"n": 4, "d_N": 0.2}, "initial": {"site": 0}, "horizon": 5.0}
+_NUCLEATION = {"schema_version": 1, "kind": "nucleation", "seed": 2, "walk": WALK3,
+               "sizes": [6, 9, 12], "delta": 1.0, "replicas": 2,
+               "d_schedule": {"type": "power", "coeff": 1, "exponent": 3}}
+_THERMO = {"schema_version": 1, "kind": "thermo", "seed": 4, "dim": 1, "sides": [8],
+           "kernel": [[1, 0.8], [-1, 0.2]], "rho": 1.0, "dl_schedule": "tt1",
+           "drift_t": 0.5, "replicas": 1}
+
+
+class TestMalformedInputs:
+    """Inputs that once escaped ``main`` as a bare KeyError, TypeError or
+    IndexError, or ran from the wrong site: each is a configuration error
+    that names its field, with exit status 1."""
+
+    @pytest.mark.parametrize("base, changes, field", [
+        (_NUCLEATION, {"d_schedule": {"type": "power", "exponent": 3}}, "d_schedule.coeff"),
+        (_NUCLEATION, {"d_schedule": {"type": "power", "coeff": 1}}, "d_schedule.exponent"),
+        (_THERMO, {"dl_schedule": {"type": "power", "exponent": 3}}, "dl_schedule.coeff"),
+        (_THERMO, {"dl_schedule": {"type": "power", "coeff": 1}}, "dl_schedule.exponent"),
+        (_THERMO, {"kernel": 5}, "kernel"),
+        (_THERMO, {"kernel": [[1, 0.8], 3]}, "kernel"),
+        (_THERMO, {"kernel": [[0.5, 0.8], [-1, 0.2]]}, "kernel"),
+        (_SIMULATE3, {"initial": {"site": 7}}, "initial.site"),
+        (_SIMULATE3, {"initial": {"site": -1}}, "initial.site"),
+        (_SIMULATE3, {"initial": {}}, "initial"),
+    ], ids=["d-no-coeff", "d-no-exponent", "dl-no-coeff", "dl-no-exponent",
+            "kernel-number", "kernel-bad-pair", "kernel-fractional-offset",
+            "site-past-end", "site-negative", "site-missing"])
+    def test_is_a_config_error(self, tmp_path, capsys, base, changes, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(base, **changes)))
+        code = main([base["kind"], "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")

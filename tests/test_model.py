@@ -12,6 +12,44 @@ from incproc import (Configuration, MissingValue, NonIrreducibleWalk,
                      log_weight_table, schedule_fixed, schedule_power)
 
 
+def _loop_pair_constants(spec, m):
+    """q_pair, q and rev as the double loops that analyze_walk replaced."""
+    r = spec.rates
+    kappa = spec.kappa
+    q_pair = np.full((kappa, kappa), np.nan)
+    q = 0.0
+    for x in range(kappa):
+        for y in range(kappa):
+            if x == y:
+                continue
+            hi = max(r[x, y], r[y, x])
+            if hi > 0:
+                lo = min(r[x, y], r[y, x])
+                q_pair[x, y] = lo / hi
+                if r[x, y] != r[y, x]:
+                    q = max(q, lo / hi)
+    rev = True
+    for x in range(kappa):
+        for y in range(kappa):
+            if abs(m[x] * r[x, y] - m[y] * r[y, x]) > 1e-12:
+                rev = False
+    return q_pair, q, rev
+
+
+@st.composite
+def _walks(draw):
+    """Irreducible walks; about half are symmetrized, so reversible."""
+    kappa = draw(st.integers(2, 6))
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.5, 1.0, 2.0]),
+                           min_size=kappa * kappa, max_size=kappa * kappa))
+    rates = np.array(values).reshape(kappa, kappa)
+    if draw(st.booleans()):
+        rates = rates + rates.T
+    rates += np.roll(np.eye(kappa), 1, axis=1) * 0.25   # a cycle: irreducible
+    np.fill_diagonal(rates, 0.0)
+    return WalkSpec.from_matrix(rates)
+
+
 class TestAnalyzeWalk:
     def test_doubly_stochastic_cycle(self, cycle3):
         an = analyze_walk(cycle3)
@@ -44,6 +82,23 @@ class TestAnalyzeWalk:
 
     def test_q_zero_when_all_pairs_symmetric(self, two_sym):
         assert analyze_walk(two_sym).q == 0.0
+
+    @given(_walks())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_constants_match_loops(self, walk):
+        an = analyze_walk(walk)
+        q_pair, q, rev = _loop_pair_constants(walk, an.m)
+        assert np.array_equal(an.q_pair, q_pair, equal_nan=True)
+        assert an.q == q
+        assert an.rev is rev
+
+    def test_pair_constants_match_loops_on_fixtures(self, cycle3, two_asym, up3, chain4):
+        # the last cycle misses detailed balance by about 1e-7 per pair
+        for walk in (cycle3, two_asym, up3, chain4, WalkSpec.cycle(3, 0.5 + 1e-7)):
+            an = analyze_walk(walk)
+            q_pair, q, rev = _loop_pair_constants(walk, an.m)
+            assert np.array_equal(an.q_pair, q_pair, equal_nan=True)
+            assert (an.q, an.rev) == (q, rev)
 
     def test_stationarity_residual(self, up3):
         an = analyze_walk(up3)
@@ -84,6 +139,17 @@ class TestWalkSpec:
         doc = {"sites": ["a", "b"], "rates": [[0, 1], [1, 0]], "extra": 1}
         with pytest.raises(ValueError, match="unknown"):
             WalkSpec.from_json(doc)
+
+
+class TestConfiguration:
+    def test_single_site(self):
+        assert Configuration.single_site(3, 5, 2).counts == (0, 0, 5)
+        assert Configuration.single_site(3, 5, np.int64(0)).counts == (5, 0, 0)
+
+    @pytest.mark.parametrize("x", [-1, 3, 7, 1.0, "1"])
+    def test_single_site_rejects_a_site_off_the_walk(self, x):
+        with pytest.raises(OutOfRange):
+            Configuration.single_site(3, 5, x)
 
 
 class TestMoves:

@@ -48,6 +48,18 @@ def _loop_unrank(enum, index):
     return tuple(out)
 
 
+def _loop_rank(enum, eta):
+    """The per-site rank loop that ``rank`` replaced with ``rank_many``."""
+    r = 0
+    remaining = enum.n
+    for j in range(enum.kappa - 1):
+        v = eta[j]
+        if v < remaining:
+            r += comb(remaining - v - 1 + enum.kappa - 1 - j, enum.kappa - 1 - j)
+        remaining -= v
+    return r
+
+
 class TestUnrankAgainstLoops:
     CASES = [(2, 1), (2, 5), (3, 120), (4, 35), (5, 30), (8, 8)]
 
@@ -69,6 +81,19 @@ class TestUnrankAgainstLoops:
         ref = np.array([_loop_unrank(enum, int(i)) for i in ranks])
         assert np.array_equal(got, ref)
         assert all(type(v) is int for v in enum.unrank(int(ranks[-1])))
+
+    @pytest.mark.parametrize("kappa,n", CASES)
+    def test_rank_matches_loop(self, kappa, n):
+        enum = StateEnumeration(kappa, n)
+        rng = np.random.Generator(np.random.Philox(key=(19, 1000 * kappa + n)))
+        # random compositions: n particles dropped on uniform sites
+        states = [np.bincount(rng.integers(kappa, size=n), minlength=kappa)
+                  for _ in range(200)]
+        states += [enum.unrank(0), enum.unrank(enum.size - 1)]
+        for eta in states:
+            got = enum.rank(eta)
+            assert type(got) is int
+            assert got == _loop_rank(enum, eta)
 
     def test_unrank_rejects_out_of_range(self):
         enum = StateEnumeration(3, 4)
