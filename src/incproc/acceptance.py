@@ -8,6 +8,7 @@ so outcomes are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -235,6 +236,9 @@ def criterion_10(level: str = "full") -> CriterionResult:
                             "mean_120": points[-1][1]})
 
 
+# criteria 11 and 14, and 12 and 14, read the same runs; each is a pure
+# function of its arguments, so it runs once per process
+@functools.cache
 def _drift_run(level: str):
     spec = build_torus(1, 24, {1: 0.8, -1: 0.2}, rho=3.0, d_l=24.0 ** -3)
     t_resc = 25.0 if level == "full" else 8.0
@@ -242,7 +246,8 @@ def _drift_run(level: str):
                                replicas=2, min_relocations=100)
 
 
-def _diffusion_run(level: str):
+@functools.cache
+def _diffusion_run():
     # 200 replicas at both levels: with 100, the MSD slope's standard
     # deviation is 0.11, so the 20% band would reject an exact sampler at
     # about one seed in twelve
@@ -252,11 +257,9 @@ def _diffusion_run(level: str):
 
 
 @_timed
-def criterion_11(level: str = "full", _cache: dict | None = None) -> CriterionResult:
+def criterion_11(level: str = "full") -> CriterionResult:
     """Totally asymmetric torus: ballistic condensate at velocity rho*v."""
     spec, est = _drift_run(level)
-    if _cache is not None:
-        _cache["drift"] = est
     target = spec.rho * float(spec.v[0])
     rel = abs(float(est.drift[0]) - target) / target
     ok = rel <= 0.10 and est.relocations_min >= 100
@@ -267,11 +270,9 @@ def criterion_11(level: str = "full", _cache: dict | None = None) -> CriterionRe
 
 
 @_timed
-def criterion_12(level: str = "full", _cache: dict | None = None) -> CriterionResult:
+def criterion_12(level: str = "full") -> CriterionResult:
     """Symmetric torus: diffusive condensate with unit mean-square slope."""
-    spec, est = _diffusion_run(level)
-    if _cache is not None:
-        _cache["diffusion"] = est
+    spec, est = _diffusion_run()
     slope_err = abs(est.msd_slope - 1.0)
     drift_sigmas = (abs(float(est.drift[0])) / float(est.drift_stderr[0])
                     if est.drift_stderr[0] > 0 else 0.0)
@@ -304,14 +305,10 @@ def criterion_13(level: str = "full") -> CriterionResult:
 
 
 @_timed
-def criterion_14(level: str = "full", _cache: dict | None = None) -> CriterionResult:
+def criterion_14(level: str = "full") -> CriterionResult:
     """Off-condensate occupation is negligible in the torus runs."""
-    if _cache and "drift" in _cache and "diffusion" in _cache:
-        drift_est = _cache["drift"]
-        diff_est = _cache["diffusion"]
-    else:
-        _, drift_est = _drift_run(level)
-        _, diff_est = _diffusion_run(level)
+    _, drift_est = _drift_run(level)
+    _, diff_est = _diffusion_run()
     worst = max(drift_est.off_fraction, diff_est.off_fraction)
     return CriterionResult(14, "occupation negligibility", worst <= 0.05,
                            "off-E occupation <= 5%",
@@ -353,13 +350,9 @@ def verify_suite(level: str = "quick", echo=print) -> VerifyReport:
     if level not in ("quick", "full"):
         raise OutOfRange(f"unknown level {level!r}; expected 'quick' or 'full'")
     t0 = time.perf_counter()
-    cache: dict = {}
     results = []
     for fn in ALL_CRITERIA:
-        if fn in (criterion_11, criterion_12, criterion_14):
-            res = fn(level, _cache=cache)
-        else:
-            res = fn(level)
+        res = fn(level)
         results.append(res)
         if echo is not None:
             echo(res.line())

@@ -74,6 +74,11 @@ def validate_config(cfg: dict) -> dict:
         _need(cfg, key)
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed", "must be an integer")
+    for key in ("a_set", "trace_set", "sizes", "sides"):
+        if key in cfg and not isinstance(cfg[key], list):
+            raise ConfigError(key, f"expected a list, got {cfg[key]!r}")
+    if cfg.get("mode", "auto") not in ("auto", "rv", "nrv"):
+        raise ConfigError("mode", f"expected auto, rv or nrv, got {cfg['mode']!r}")
     if "params" in cfg:
         params = cfg["params"]
         if not isinstance(params, dict) or set(params) != {"n", "d_N"}:

@@ -61,12 +61,6 @@ class RegionSpec:
         return np.nonzero(self.tube_mask & some_empty)[0]
 
     @cached_property
-    def core(self) -> np.ndarray:
-        counts = self.enum.counts_matrix()
-        all_occ = (counts[:, self._in_r] > 0).all(axis=1)
-        return np.nonzero(self.tube_mask & all_occ)[0]
-
-    @cached_property
     def outer_core(self) -> np.ndarray:
         counts = self.enum.counts_matrix()
         all_occ = (counts[:, self._in_r] > 0).all(axis=1)

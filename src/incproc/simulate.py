@@ -474,38 +474,39 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
         raise OutOfRange(f"need at least one replica, got {replicas}")
     a_set = site_set(a_set, spec.kappa)
     kappa = spec.kappa
-    args = [(spec, params, a_set, horizon, seed, i) for i in range(replicas)]
-    results = _map_replicas(_trace_replica, args, threads)
+    results = _map_batches(partial(_trace_batch, spec, params, a_set, horizon, seed),
+                           range(replicas), threads)
     jumps = np.zeros((kappa, kappa), dtype=np.int64)
     time_at = np.zeros(kappa)
     for cnt, tat in results:
         jumps += cnt
         time_at += tat
-    k = len(a_set)
-    est = np.zeros((k, k))
-    err = np.zeros((k, k))
-    miss = np.zeros((k, k), dtype=bool)
-    for i, x in enumerate(a_set):
-        for j, y in enumerate(a_set):
-            if x == y:
-                continue
-            if time_at[x] > 0 and jumps[x, y] > 0:
-                est[i, j] = jumps[x, y] / time_at[x]
-                err[i, j] = math.sqrt(jumps[x, y]) / time_at[x]
-            else:
-                miss[i, j] = True
-    sub_jumps = jumps[np.ix_(list(a_set), list(a_set))]
+    a = list(a_set)
+    sub_jumps, sub_time = jumps[np.ix_(a, a)], time_at[a]
+    # x -> y is estimated where x != y was left at least once after some
+    # time at x, and flagged as unobserved otherwise
+    off = ~np.eye(len(a), dtype=bool)
+    seen = off & (sub_jumps > 0) & (sub_time[:, None] > 0)
+    est = np.divide(sub_jumps, sub_time[:, None], out=np.zeros(off.shape), where=seen)
+    err = np.divide(np.sqrt(sub_jumps), sub_time[:, None], out=np.zeros(off.shape),
+                    where=seen)
     return MCTraceRates(a_set=a_set, estimate=est, stderr=err,
-                        jump_counts=sub_jumps, time_at=time_at[list(a_set)],
-                        no_transitions=miss, replicas=replicas, seed=seed)
+                        jump_counts=sub_jumps, time_at=sub_time,
+                        no_transitions=off & ~seen, replicas=replicas, seed=seed)
 
 
-def _trace_replica(arg, cache: _StateCache):
-    spec, params, a_set, horizon, seed, i = arg
-    start = Configuration.single_site(spec.kappa, params.n, a_set[i % len(a_set)])
-    traj = _simulate(spec, params, start, horizon, seed, i, None, cache)
-    path = trace_project(traj, a_set, theta=1.0)
-    return path.transition_counts(spec.kappa), path.time_at(spec.kappa)
+def _trace_batch(spec: WalkSpec, params: ProcessParams, a_set: tuple[int, ...],
+                 horizon: float, seed: int, streams: Sequence[int]) -> list:
+    """(jump counts, trace time at each site) of each replica in ``streams``;
+    replica i starts on site ``a_set[i % len(a_set)]``."""
+    cache = _StateCache()
+    results = []
+    for i in streams:
+        start = Configuration.single_site(spec.kappa, params.n, a_set[i % len(a_set)])
+        traj = _simulate(spec, params, start, horizon, seed, i, None, cache)
+        path = trace_project(traj, a_set, theta=1.0)
+        results.append((path.transition_counts(spec.kappa), path.time_at(spec.kappa)))
+    return results
 
 
 @dataclass(frozen=True)
@@ -564,8 +565,8 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     """
     if task.replicas < 1:
         raise OutOfRange(f"need at least one replica, got {task.replicas}")
-    args = [(task, spec, params, i) for i in range(task.replicas)]
-    results = _map_replicas(_hitting_replica, args, threads)
+    results = _map_batches(partial(_hitting_batch, task, spec, params),
+                           range(task.replicas), threads)
     values = np.array([v for v, _ in results])
     censored = np.array([c for _, c in results], dtype=bool)
     if censored.all():
@@ -576,75 +577,59 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
                      variance=float(ok.var(ddof=1)) if ok.size > 1 else 0.0)
 
 
-def _hitting_replica(arg, cache: _StateCache):
-    task, spec, params, i = arg
-    blocks = _Blocks(replica_rng(task.seed, i))
-    if task.chain == "inclusion":
-        return _run_inclusion_hit(task, spec, params, blocks, cache)
-    return _run_auxiliary_hit(task, spec, params, blocks, cache)
+def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
+                   streams: Sequence[int]) -> list[tuple[float, bool]]:
+    """(value, censored) of each replica in ``streams``.
 
-
-def _run_inclusion_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
-                       blocks: _Blocks, cache: _StateCache):
-    counts = list(task.start)
-    thresh = task.threshold
-    if min(counts) <= thresh:
-        return 0.0, False
-    events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d, blocks,
-                     cache)
-    t = 0.0
-    for dt, x, _ in islice(events, task.step_cap):
-        t += dt
-        if counts[x] <= thresh:
-            return t, False
-    return t, True
-
-
-def _run_auxiliary_hit(task: HittingTask, spec: WalkSpec, params: ProcessParams,
-                       blocks: _Blocks, cache: _StateCache):
-    r_set = site_set(task.r_set, spec.kappa)
-    floor_c = int(math.floor(task.eps * math.log(params.n)))
-    counts = list(task.start)
-    if any(counts[x] for x in range(spec.kappa) if x not in r_set):
-        raise OutOfRange("auxiliary-chain start must be supported on R")
-    if min(counts[x] for x in r_set) <= floor_c:
-        return 0.0, False
-    # the reversed chain on R: x -> y weighted by c_y (d + c_x) r(y, x)
-    back = [[(y, float(spec.rates[y, x])) for y in r_set
-             if y != x and spec.rates[y, x] > 0] if x in r_set else []
-            for x in range(spec.kappa)]
-    events = _events(counts, r_set, back, params.d, blocks, cache, by_target=True)
-    for step, (_, x, _) in enumerate(islice(events, task.step_cap), 1):
-        if counts[x] <= floor_c:
-            return float(step), False
-    return float(task.step_cap), True
-
-
-def _map_replicas(fn, args, threads: int):
-    """Run replica jobs ``fn(arg, cache)``; results come in replica-index
-    order regardless of pool.
-
-    The jobs of one process share one event-kernel state cache: serially,
-    all of them; with a pool, each worker runs one contiguous chunk.
+    Each chain picks its sites, moves and stop level; then one loop adds the
+    event times (1.0 a step for the auxiliary chain, so its value is the step
+    count) until a source count drops to ``stop`` or ``step_cap`` events.
     """
-    return _map_batches(partial(_run_chunk, fn), args, threads)
+    if task.chain == "inclusion":
+        sources, out, by_target = range(spec.kappa), _walk_moves(spec), False
+        stop = task.threshold
+    else:
+        sources = site_set(task.r_set, spec.kappa)
+        if any(task.start[x] for x in range(spec.kappa) if x not in sources):
+            raise OutOfRange("auxiliary-chain start must be supported on R")
+        # the reversed chain on R: x -> y weighted by c_y (d + c_x) r(y, x)
+        out = [[(y, float(spec.rates[y, x])) for y in sources
+                if y != x and spec.rates[y, x] > 0] if x in sources else []
+               for x in range(spec.kappa)]
+        by_target = True
+        stop = int(math.floor(task.eps * math.log(params.n)))
+    if min(task.start[x] for x in sources) <= stop:
+        return [(0.0, False)] * len(streams)
+    cache = _StateCache()
+    results = []
+    for i in streams:
+        counts = list(task.start)
+        events = _events(counts, sources, out, params.d,
+                         _Blocks(replica_rng(task.seed, i)), cache, by_target=by_target)
+        t, censored = 0.0, True
+        for dt, x, _ in islice(events, task.step_cap):
+            t += dt
+            if counts[x] <= stop:
+                censored = False
+                break
+        results.append((t, censored))
+    return results
 
 
-def _map_batches(batch, args, threads: int):
-    """``batch(args)`` in one process, or ``batch`` over contiguous chunks of
-    ``args`` in a pool of ``threads`` workers; each call returns one result
-    per argument, and the results come in argument order."""
-    if threads <= 1 or len(args) <= 1:
-        return batch(args)
-    size = -(-len(args) // threads)
-    chunks = [args[i:i + size] for i in range(0, len(args), size)]
+def _map_batches(batch, streams: Sequence[int], threads: int) -> list:
+    """``batch(streams)`` in one process, or ``batch`` over contiguous chunks
+    of ``streams`` in a pool of ``threads`` workers; the only place a process
+    pool starts.
+
+    Each call returns one result per stream and builds one event-kernel state
+    cache for all of them; the results come in stream order.
+    """
+    if threads <= 1 or len(streams) <= 1:
+        return batch(streams)
+    size = -(-len(streams) // threads)
+    chunks = [streams[i:i + size] for i in range(0, len(streams), size)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return [res for part in pool.map(batch, chunks) for res in part]
-
-
-def _run_chunk(fn, args) -> list:
-    cache = _StateCache()
-    return [fn(a, cache) for a in args]
 
 
 @dataclass(frozen=True)

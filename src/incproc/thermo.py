@@ -195,9 +195,6 @@ class TorusRates:
     method: str
     rates: dict[tuple[int, ...], float]
 
-    def total(self) -> float:
-        return sum(self.rates.values())
-
 
 def _channel_rates(n: int, d: float, fwd: float, bwd: float) -> tuple[np.ndarray, np.ndarray]:
     """Up and down rates of a two-site channel at the levels 0..N, the count
@@ -626,16 +623,15 @@ def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:
         lo += size
 
 
-def _check_run(spec: TorusSpec, t_rescaled: float, n_checkpoints: int) -> float:
-    """The trace-clock horizon ``theta * t_rescaled`` of a condensate run."""
+def _check_run(spec: TorusSpec, t_rescaled: float, n_checkpoints: int) -> None:
+    """Refuse an empty torus, no checkpoint, or a trace-clock horizon
+    ``theta * t_rescaled`` that is not positive and finite."""
     if spec.n < 1:
         raise OutOfRange("the torus holds no particles")
     if not isinstance(n_checkpoints, numbers.Integral) or n_checkpoints < 1:
         raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints!r}")
-    horizon = spec.theta * t_rescaled
-    if not (t_rescaled > 0 and math.isfinite(horizon)):
+    if not (t_rescaled > 0 and math.isfinite(spec.theta * t_rescaled)):
         raise OutOfRange(f"t_rescaled must be positive and finite, got {t_rescaled!r}")
-    return horizon
 
 
 def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
@@ -644,9 +640,9 @@ def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
 
     Replicas take turns: each pass gathers the next chunk of as many
     replicas as fit in ``_LOCKSTEP_EXCURSIONS``, so memory does not grow
-    with the horizon.
+    with the horizon. Callers check the arguments with :func:`_check_run`.
     """
-    horizon = _check_run(spec, t_rescaled, n_checkpoints)
+    horizon = spec.theta * t_rescaled
     checkpoints = horizon * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
     ch = _Channels(spec)
     runs = [_CondensateReplica(ch, seed, s, horizon, checkpoints) for s in streams]
@@ -676,7 +672,18 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
     with the same seed. The walk is translation invariant, so the run has
     no start site: displacements are relative to where it starts.
     """
+    _check_run(spec, t_rescaled, n_checkpoints)
     return _condensate_runs(spec, t_rescaled, seed, n_checkpoints, [stream])[0]
+
+
+def _replica_runs(spec: TorusSpec, t_rescaled: float, replicas: int, seed: int,
+                  n_checkpoints: int, threads: int) -> list[CondensateRun]:
+    """Runs of the streams ``0..replicas-1``, checked before any worker starts."""
+    if replicas < 1:
+        raise OutOfRange(f"need at least one replica, got {replicas}")
+    _check_run(spec, t_rescaled, n_checkpoints)
+    return _map_batches(partial(_condensate_runs, spec, t_rescaled, seed, n_checkpoints),
+                        range(replicas), threads)
 
 
 @dataclass(frozen=True)
@@ -753,19 +760,11 @@ def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
                   replicas: int = 1, min_relocations: int = 100,
                   threads: int = 1) -> DriftEstimate:
     """Rescaled drift of the condensate over independent streamed runs."""
-    if replicas < 1:
-        raise OutOfRange(f"need at least one replica, got {replicas}")
-    _check_run(spec, t_rescaled, 4)
-    drifts = np.zeros((replicas, spec.d))
-    offs = np.zeros(replicas)
-    relocs = np.zeros(replicas, dtype=int)
-    runs = _map_batches(partial(_condensate_runs, spec, t_rescaled, seed, 4),
-                        list(range(replicas)), threads)
-    for i, run in enumerate(runs):
-        t_resc = run.trace_time / spec.theta
-        drifts[i] = (run.displacement / spec.side) / t_resc
-        offs[i] = run.off_fraction
-        relocs[i] = run.relocations
+    runs = _replica_runs(spec, t_rescaled, replicas, seed, 4, threads)
+    drifts = np.array([(run.displacement / spec.side) / (run.trace_time / spec.theta)
+                       for run in runs])
+    offs = np.array([run.off_fraction for run in runs])
+    relocs = np.array([run.relocations for run in runs])
     if relocs.min() < min_relocations:
         raise TooFewRelocations(
             f"minimum replica relocations {relocs.min()} < {min_relocations}")
@@ -797,23 +796,15 @@ def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
     Positions are sampled on the trace clock at equally spaced rescaled
     times; the covariance estimate uses final displacements.
     """
-    if replicas < 1:
-        raise OutOfRange(f"need at least one replica, got {replicas}")
-    _check_run(spec, t_rescaled, n_checkpoints)
+    runs = _replica_runs(spec, t_rescaled, replicas, seed, n_checkpoints, threads)
     ck_resc = t_rescaled * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
+    # summed in replica order: a pairwise sum over replicas changes the bits
     sq = np.zeros(n_checkpoints)
-    finals = np.zeros((replicas, spec.d))
-    offs = np.zeros(replicas)
-    total_reloc = 0
-    runs = _map_batches(
-        partial(_condensate_runs, spec, t_rescaled, seed, n_checkpoints),
-        list(range(replicas)), threads)
-    for i, run in enumerate(runs):
-        pos = run.positions / spec.side
-        sq += (pos ** 2).sum(axis=1)
-        finals[i] = pos[-1]
-        offs[i] = run.off_fraction
-        total_reloc += run.relocations
+    for run in runs:
+        sq += ((run.positions / spec.side) ** 2).sum(axis=1)
+    finals = np.array([run.positions[-1] / spec.side for run in runs])
+    offs = np.array([run.off_fraction for run in runs])
+    total_reloc = sum(run.relocations for run in runs)
     msd = sq / replicas
     slope = float((msd @ ck_resc) / (ck_resc @ ck_resc))
     drift = finals.mean(axis=0) / t_rescaled

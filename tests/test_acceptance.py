@@ -7,6 +7,9 @@ values of the deterministic runs.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,21 @@ def test_metrics_match_committed_goldens(full_report):
             assert abs(got - spec["value"]) <= band, (
                 f"criterion {res.number} metric {key}: {got} vs "
                 f"golden {spec['value']} (band {band})")
+
+
+def test_torus_criteria_alone_match_the_suite(full_report):
+    # criteria 11, 12 and 14 share their runs within a process; called one
+    # by one in a fresh process, 14 first, they print the suite's metrics
+    code = ("import json; from incproc import acceptance as a; print(json.dumps("
+            "{r.number: r.metrics for r in (a.criterion_14('full'), "
+            "a.criterion_11('full'), a.criterion_12('full'))}))")
+    src = str(Path(acceptance.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    suite = {n: _result(full_report, n).metrics for n in (14, 11, 12)}
+    assert json.loads(out) == json.loads(json.dumps(suite))
 
 
 def test_quick_suite_is_fast_and_green(capsys):

@@ -352,12 +352,15 @@ _NUCLEATION = {"schema_version": 1, "kind": "nucleation", "seed": 2, "walk": WAL
 _THERMO = {"schema_version": 1, "kind": "thermo", "seed": 4, "dim": 1, "sides": [8],
            "kernel": [[1, 0.8], [-1, 0.2]], "rho": 1.0, "dl_schedule": "tt1",
            "drift_t": 0.5, "replicas": 1}
+_MEANRATE = {"schema_version": 1, "kind": "meanrate", "seed": 3, "walk": WALK3,
+             "params": {"n": 4, "d_N": 0.2}, "a_set": [0, 1, 2]}
+_CLASSIFY = {"schema_version": 1, "kind": "classify", "walk": WALK3}
 
 
 class TestMalformedInputs:
     """Inputs that once escaped ``main`` as a bare KeyError, TypeError or
-    IndexError, or ran from the wrong site: each is a configuration error
-    that names its field, with exit status 1."""
+    IndexError, ran from the wrong site or ran another route: each is a
+    configuration error that names its field, with exit status 1."""
 
     @pytest.mark.parametrize("base, changes, field", [
         (_NUCLEATION, {"d_schedule": {"type": "power", "exponent": 3}}, "d_schedule.coeff"),
@@ -370,9 +373,15 @@ class TestMalformedInputs:
         (_SIMULATE3, {"initial": {"site": 7}}, "initial.site"),
         (_SIMULATE3, {"initial": {"site": -1}}, "initial.site"),
         (_SIMULATE3, {"initial": {}}, "initial"),
+        (_THERMO, {"sides": 8}, "sides"),
+        (_NUCLEATION, {"sizes": 6}, "sizes"),
+        (_MEANRATE, {"a_set": 5}, "a_set"),
+        (_SIMULATE3, {"trace_set": 5}, "trace_set"),
+        (_CLASSIFY, {"mode": "bogus"}, "mode"),
     ], ids=["d-no-coeff", "d-no-exponent", "dl-no-coeff", "dl-no-exponent",
             "kernel-number", "kernel-bad-pair", "kernel-fractional-offset",
-            "site-past-end", "site-negative", "site-missing"])
+            "site-past-end", "site-negative", "site-missing", "sides-number",
+            "sizes-number", "a-set-number", "trace-set-number", "mode-unknown"])
     def test_is_a_config_error(self, tmp_path, capsys, base, changes, field):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(base, **changes)))

@@ -305,6 +305,51 @@ class TestMCMeanJumpRate:
             mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), a_set,
                               replicas=2, horizon=1.0, seed=1)
 
+    # 7 replicas of 40 time units on the 3-cycle: the pair (0, 2) is never
+    # observed, the other off-diagonal pairs are
+    CASE = dict(a_set=(0, 1, 2), replicas=7, horizon=40.0, seed=3)
+
+    def test_threads_match_sequential(self, cycle3):
+        params = ProcessParams(8, 0.05)
+        seq = mc_mean_jump_rate(cycle3, params, threads=1, **self.CASE)
+        par = mc_mean_jump_rate(cycle3, params, threads=2, **self.CASE)
+        for name, value in vars(seq).items():
+            assert np.array_equal(getattr(par, name), value), name
+
+    def test_matches_the_looped_estimate(self, cycle3):
+        # the per-pair loop the array expressions replaced, on replicas
+        # simulated and traced one by one
+        params = ProcessParams(8, 0.05)
+        a_set, replicas = self.CASE["a_set"], self.CASE["replicas"]
+        jumps = np.zeros((3, 3), dtype=np.int64)
+        time_at = np.zeros(3)
+        for i in range(replicas):
+            start = Configuration.single_site(3, params.n, a_set[i % len(a_set)])
+            traj = simulate(cycle3, params, start, self.CASE["horizon"],
+                            self.CASE["seed"], stream=i)
+            path = trace_project(traj, a_set, theta=1.0)
+            jumps += path.transition_counts(3)
+            time_at += path.time_at(3)
+        est = np.zeros((3, 3))
+        err = np.zeros((3, 3))
+        miss = np.zeros((3, 3), dtype=bool)
+        for i, x in enumerate(a_set):
+            for j, y in enumerate(a_set):
+                if x == y:
+                    continue
+                if time_at[x] > 0 and jumps[x, y] > 0:
+                    est[i, j] = jumps[x, y] / time_at[x]
+                    err[i, j] = math.sqrt(jumps[x, y]) / time_at[x]
+                else:
+                    miss[i, j] = True
+        got = mc_mean_jump_rate(cycle3, params, **self.CASE)
+        assert miss.any() and (est > 0).any()
+        assert np.array_equal(got.estimate, est)
+        assert np.array_equal(got.stderr, err)
+        assert np.array_equal(got.no_transitions, miss)
+        assert np.array_equal(got.jump_counts, jumps)
+        assert np.array_equal(got.time_at, time_at)
+
 
 class TestMCHitting:
     @pytest.mark.parametrize("r_set", [(0, 1, 2, 7), (-1, 0, 1, 2)])

@@ -21,6 +21,7 @@ from incproc.thermo import (_MOVED, _HOPPED, _condensate_runs, _CondensateReplic
                             _lattice, _tube_crossing_probability)
 
 THERMO = sys.modules["incproc.thermo"]
+SIMULATE = sys.modules["incproc.simulate"]
 
 
 class TestBuildTorus:
@@ -266,6 +267,18 @@ class TestRenewalSampler:
             measure_drift(spec, t_rescaled=t, seed=1, replicas=2)
         with pytest.raises(OutOfRange):
             measure_diffusion(spec, t_rescaled=t, replicas=2, seed=1)
+
+    @pytest.mark.parametrize("replicas, t", [(0, 1.0), (2, math.inf), (2, math.nan)])
+    def test_measurements_check_before_any_worker_starts(self, replicas, t, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(SIMULATE, "ProcessPoolExecutor", no_pool)
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        with pytest.raises(OutOfRange):
+            measure_drift(spec, t_rescaled=t, seed=1, replicas=replicas, threads=2)
+        with pytest.raises(OutOfRange):
+            measure_diffusion(spec, t_rescaled=t, replicas=replicas, seed=1, threads=2)
 
     def test_rejects_an_empty_torus(self):
         spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
