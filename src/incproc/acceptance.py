@@ -95,7 +95,7 @@ def criterion_3(level: str = "full") -> CriterionResult:
     schedule = schedule_power(1e-6 * 200.0, 1.0)
 
     def err_at(n: int) -> float:
-        params = ProcessParams.from_schedule(n, schedule)
+        params = ProcessParams(n, schedule(n))
         tr = mean_jump_rate_exact(CYCLE3, params, (0, 1, 2))
         return abs(tr.normalized[0, 1] - 0.4)
 

@@ -24,79 +24,78 @@ from .asymptotics import limit_chain, predicted_mean_rate
 from .errors import ConfigError, IncprocError, OutOfRange, PremiseViolated
 from .exact import mean_jump_rate_exact, region_masses, stationary_closed_form, stationary_exact
 from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk,
-                    schedule_fixed, schedule_power)
-from .simulate import HittingTask, mc_hitting, mc_mean_jump_rate, scaling_fit, simulate, trace_project
-from .thermo import build_torus, cosine_mode, generator_gap, measure_diffusion, measure_drift, torus_condensation
+                    schedule_fixed, schedule_power, state_counts)
+from .simulate import (DEFAULT_STEP_CAP, HittingTask, mc_hitting, mc_mean_jump_rate,
+                       scaling_fit, simulate, trace_project)
+from .thermo import (REGIMES, build_torus, cosine_mode, generator_gap, measure_diffusion,
+                     measure_drift, torus_condensation)
 
 DEFAULT_SEED = 20240817
 SCHEMA_VERSION = 1
-
-KINDS = ("stationary", "meanrate", "classify", "simulate", "nucleation",
-         "thermo", "verify")
-
-_COMMON_KEYS = {"schema_version", "kind", "seed", "out"}
-_KIND_KEYS = {
-    "stationary": ({"walk", "params"}, {"compare_closed_form"}),
-    "meanrate": ({"walk", "params", "a_set"}, {"mc_replicas", "mc_horizon"}),
-    "classify": ({"walk"}, {"mode"}),
-    "simulate": ({"walk", "params", "initial", "horizon"},
-                 {"trace_set", "theta"}),
-    "nucleation": ({"walk", "sizes", "d_schedule", "delta", "replicas"},
-                   {"step_cap"}),
-    "thermo": ({"dim", "sides", "kernel", "rho", "dl_schedule"},
-               {"regime_assert", "drift_t", "diffusion_t", "replicas"}),
-    "verify": ({"level"}, set()),
-}
+REQUIRED = object()  # the default of a field that must be given
 
 
-def _need(cfg: dict, key: str, path: str = ""):
-    if key not in cfg:
-        raise ConfigError(f"{path}{key}", "missing required field")
-    return cfg[key]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate_config(cfg: dict) -> dict:
-    """Strictly validate an experiment configuration document."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("", "configuration must be a JSON object")
-    version = _need(cfg, "schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version!r}")
-    kind = _need(cfg, "kind")
-    if kind not in KINDS:
-        raise ConfigError("kind", f"unknown kind {kind!r}")
-    required, optional = _KIND_KEYS[kind]
-    allowed = _COMMON_KEYS | required | optional
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
-    for key in required:
-        _need(cfg, key)
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise ConfigError("seed", "must be an integer")
-    for key in ("a_set", "trace_set", "sizes", "sides"):
-        if key in cfg and not isinstance(cfg[key], list):
-            raise ConfigError(key, f"expected a list, got {cfg[key]!r}")
-    if cfg.get("mode", "auto") not in ("auto", "rv", "nrv"):
-        raise ConfigError("mode", f"expected auto, rv or nrv, got {cfg['mode']!r}")
-    if "params" in cfg:
-        params = cfg["params"]
-        if not isinstance(params, dict) or set(params) != {"n", "d_N"}:
-            raise ConfigError("params", "expected object with fields n, d_N")
-        if not (isinstance(params["n"], int) and params["n"] >= 1):
-            raise ConfigError("params.n", "must be a positive integer")
-        if not (isinstance(params["d_N"], (int, float)) and params["d_N"] > 0):
-            raise ConfigError("params.d_N", "must be a positive number")
-    if "walk" in cfg:
-        try:
-            WalkSpec.from_json(cfg["walk"])
-        except (ValueError, IncprocError) as exc:
-            raise ConfigError("walk", str(exc)) from exc
-    return cfg
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _params(cfg: dict) -> ProcessParams:
-    return ProcessParams(cfg["params"]["n"], float(cfg["params"]["d_N"]))
+def _check(ok, what: str, typed=lambda value: value):
+    """The check that a JSON value passes ``ok``; it returns ``typed(value)``."""
+    def check(value, path: str):
+        if not ok(value):
+            raise ConfigError(path, f"expected {what}, got {value!r}")
+        return typed(value)
+    return check
+
+
+def _integer(low: int):
+    return _check(lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+
+
+def _choice(*options):
+    """The check for one of ``options``, of the same JSON type."""
+    return _check(lambda v: any(type(v) is type(o) and v == o for o in options),
+                  "one of " + ", ".join(map(repr, options)))
+
+
+_flag = _check(lambda v: isinstance(v, bool), "true or false")
+_text = _check(lambda v: isinstance(v, str), "a string")
+_positive = _check(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
+                   "a positive finite number", float)
+
+
+def _list_of(item):
+    """The check for a JSON list whose entries pass ``item``, as a tuple."""
+    def check(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        return tuple(item(v, path) for v in value)
+    return check
+
+
+def _as_given(value, path: str):
+    """A field that depends on another one; its handler reads it."""
+    return value
+
+
+def _walk(value, path: str) -> WalkSpec:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    try:
+        return WalkSpec.from_json(value)
+    except (TypeError, ValueError, IncprocError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _process_params(value, path: str) -> ProcessParams:
+    if not (isinstance(value, dict) and set(value) == {"n", "d_N"}):
+        raise ConfigError(path, "expected object with fields n, d_N")
+    return ProcessParams(_integer(1)(value["n"], f"{path}.n"),
+                         _positive(value["d_N"], f"{path}.d_N"))
 
 
 def _schedule(desc, path: str, named: dict[str, int] | None = None):
@@ -117,45 +116,99 @@ def _schedule(desc, path: str, named: dict[str, int] | None = None):
     raise ConfigError(path, f"unsupported schedule {desc!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _kernel(pairs, path: str) -> dict[tuple[int, ...], float]:
+    """A list of ``[offset, weight]`` pairs as a map from integer offsets to
+    weights; ``build_torus`` checks the values."""
+    def offset(off) -> tuple[int, ...] | None:
+        coords = tuple(off) if isinstance(off, list) else (off,)
+        return coords if coords and all(map(_is_int, coords)) else None
+
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and offset(p[0]) and _is_number(p[1])
+            for p in pairs)):
+        raise ConfigError(path, "expected a list of [offset, weight] pairs "
+                                f"with integer offsets, got {pairs!r}")
+    return {offset(off): float(w) for off, w in pairs}
 
 
-def _kernel(cfg: dict) -> dict[tuple[int, ...], float]:
-    """The ``kernel`` field, a list of ``[offset, weight]`` pairs, as a map
-    from integer offsets to weights; ``build_torus`` checks the values."""
-    pairs = cfg["kernel"]
-
-    def malformed():
-        return ConfigError("kernel", "expected a list of [offset, weight] pairs "
-                                     f"with integer offsets, got {pairs!r}")
-
-    if not isinstance(pairs, list):
-        raise malformed()
-    kernel = {}
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise malformed()
-        off, w = pair
-        coords = off if isinstance(off, list) else [off]
-        if not (coords and all(isinstance(v, int) and not isinstance(v, bool)
-                               for v in coords) and _is_number(w)):
-            raise malformed()
-        kernel[tuple(coords)] = float(w)
-    return kernel
-
-
-def _initial(cfg: dict, walk: WalkSpec, n: int) -> Configuration:
-    """The ``initial`` field: ``{"site": x}`` or a list of counts."""
-    init = cfg["initial"]
+def _initial(init, walk: WalkSpec, n: int):
+    """The ``initial`` field, read where the walk and N are known:
+    ``{"site": x}`` for all N particles at x, or a list of counts."""
     if isinstance(init, dict):
         if set(init) != {"site"}:
             raise ConfigError("initial", "expected object with field site")
+        site = _integer(0)(init["site"], "initial.site")
         try:
-            return Configuration.single_site(walk.kappa, n, init["site"])
+            return Configuration.single_site(walk.kappa, n, site)
         except OutOfRange as exc:
             raise ConfigError("initial.site", str(exc)) from exc
-    return Configuration(tuple(int(v) for v in init))
+    try:
+        return state_counts(_list_of(_integer(0))(init, "initial"), walk.kappa, n)
+    except OutOfRange as exc:
+        raise ConfigError("initial", str(exc)) from exc
+
+
+def _fields(**own) -> dict:
+    """A kind's fields: the four every kind has, then its own."""
+    return {"schema_version": (_choice(SCHEMA_VERSION), REQUIRED),
+            "kind": (_text, REQUIRED), "seed": (_integer(0), DEFAULT_SEED),
+            "out": (_text, "."), **own}
+
+
+_COUNT = _integer(1)
+_SITES = _list_of(_integer(0))
+_WALK = (_walk, REQUIRED)
+_PARAMS = (_process_params, REQUIRED)
+_LEVELS = ("quick", "full")
+
+# The config schema. For each kind and each of its fields: the check that
+# validates the JSON value and returns it typed, and the default, or REQUIRED.
+SCHEMA = {
+    "stationary": _fields(walk=_WALK, params=_PARAMS,
+                          compare_closed_form=(_flag, False)),
+    "meanrate": _fields(walk=_WALK, params=_PARAMS, a_set=(_SITES, REQUIRED),
+                        mc_replicas=(_COUNT, None), mc_horizon=(_positive, 100.0)),
+    "classify": _fields(walk=_WALK, mode=(_choice("auto", "rv", "nrv"), "auto")),
+    "simulate": _fields(walk=_WALK, params=_PARAMS, initial=(_as_given, REQUIRED),
+                        horizon=(_positive, REQUIRED), trace_set=(_SITES, None),
+                        theta=(_positive, 1.0)),
+    "nucleation": _fields(walk=_WALK, sizes=(_list_of(_COUNT), REQUIRED),
+                          d_schedule=(_schedule, REQUIRED), delta=(_positive, REQUIRED),
+                          replicas=(_COUNT, REQUIRED),
+                          step_cap=(_integer(0), DEFAULT_STEP_CAP)),
+    # without replicas, the handler runs 100 in the symmetric regime and 2 otherwise
+    "thermo": _fields(dim=(_COUNT, REQUIRED), sides=(_list_of(_COUNT), REQUIRED),
+                      kernel=(_kernel, REQUIRED), rho=(_positive, REQUIRED),
+                      dl_schedule=(_as_given, REQUIRED),
+                      regime_assert=(_choice(*REGIMES), None),
+                      drift_t=(_positive, 10.0), diffusion_t=(_positive, 0.4),
+                      replicas=(_COUNT, None)),
+    "verify": _fields(level=(_choice(*_LEVELS), REQUIRED)),
+}
+
+
+def validate_config(cfg: dict) -> dict:
+    """Strictly validate an experiment configuration document against
+    ``SCHEMA``: the typed value of each field of its kind, defaults filled in."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("", "configuration must be a JSON object")
+    kind = cfg.get("kind")
+    if kind not in tuple(SCHEMA):
+        raise ConfigError("kind", "missing required field" if kind is None
+                          else f"unknown kind {kind!r}")
+    fields = SCHEMA[kind]
+    unknown = sorted(set(cfg) - set(fields))
+    if unknown:
+        raise ConfigError(unknown[0], "unknown field")
+    values = {}
+    for key, (check, default) in fields.items():
+        if key in cfg:
+            values[key] = check(cfg[key], key)
+        elif default is REQUIRED:
+            raise ConfigError(key, "missing required field")
+        else:
+            values[key] = default
+    return values
 
 
 @dataclass
@@ -171,18 +224,10 @@ class RunReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(self.checks.values()) if self.checks else True
+        return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "checks": self.checks,
-            "artifacts": self.artifacts,
-            "wall_s": self.wall_s,
-            "all_passed": self.all_passed,
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -191,14 +236,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -206,40 +245,37 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [repr(v) if isinstance(v, float) else str(v) for v in row]
+            cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
             fh.write(",".join(cells) + "\n")
 
 
 def run(cfg: dict, out_dir: str | Path | None = None, threads: int = 1,
         echo=None) -> RunReport:
-    """Dispatch one validated experiment and write its artifacts."""
-    cfg = validate_config(cfg)
-    seed = int(cfg.get("seed", DEFAULT_SEED))
-    out = Path(out_dir) if out_dir is not None else Path(cfg.get("out", "."))
+    """Dispatch one validated experiment and write its artifacts; the report
+    echoes ``cfg`` as given."""
+    values = validate_config(cfg)
+    out = Path(out_dir if out_dir is not None else values["out"])
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    report = RunReport(config=cfg, seed=seed)
-    handler = _HANDLERS[cfg["kind"]]
-    handler(cfg, seed, out, threads, report, echo or (lambda _:None))
+    report = RunReport(config=cfg, seed=values["seed"])
+    _HANDLERS[values["kind"]](values, out, threads, report, echo or (lambda _: None))
     report.wall_s = time.perf_counter() - t0
     _write_json(out / "report.json", report.to_dict())
     report.artifacts.append(str(out / "report.json"))
     return report
 
 
-def _run_stationary(cfg, seed, out, threads, report, echo):
-    walk = WalkSpec.from_json(cfg["walk"])
-    params = _params(cfg)
+def _run_stationary(c, out, threads, report, echo):
+    walk, params = c["walk"], c["params"]
     mu = stationary_exact(walk, params)
     csv_path = out / "distribution.csv"
     mu.to_csv(csv_path, site_labels=walk.sites)
     report.artifacts.append(str(csv_path))
     summary = mu.summary()
-    masses = region_masses(mu)
-    summary["B_mass"] = masses.b_mass.tolist()
-    if cfg.get("compare_closed_form"):
+    summary["B_mass"] = region_masses(mu).b_mass.tolist()
+    if c["compare_closed_form"]:
         closed = stationary_closed_form(walk, params)
-        dev = float(np.abs(mu.weights - closed.weights).max())
+        dev = np.abs(mu.weights - closed.weights).max().item()
         summary["closed_form_max_dev"] = dev
         report.checks["closed_form_agreement"] = dev <= 1e-10
     _write_json(out / "summary.json", summary)
@@ -248,37 +284,33 @@ def _run_stationary(cfg, seed, out, threads, report, echo):
                            "solver": asdict(mu.solver)})
 
 
-def _run_meanrate(cfg, seed, out, threads, report, echo):
-    walk = WalkSpec.from_json(cfg["walk"])
-    params = _params(cfg)
-    a_set = tuple(int(v) for v in cfg["a_set"])
+def _run_meanrate(c, out, threads, report, echo):
+    walk, params, a_set = c["walk"], c["params"], c["a_set"]
     exact = mean_jump_rate_exact(walk, params, a_set)
     pred = predicted_mean_rate(walk, a_set, params.n, params.d)
     rows = []
     for i, x in enumerate(a_set):
         for j, y in enumerate(a_set):
             if x != y:
-                rows.append((x, y, float(exact.raw[i, j]),
-                             float(exact.normalized[i, j]),
-                             float(pred.normalized[i, j])))
+                rows.append((x, y, exact.raw[i, j], exact.normalized[i, j],
+                             pred.normalized[i, j]))
     _write_csv(out / "meanrate.csv",
                ["site_from", "site_to", "rate", "normalized", "predicted"], rows)
     report.artifacts.append(str(out / "meanrate.csv"))
     report.metrics["error_budget"] = pred.error_budget
     report.metrics["solver"] = asdict(exact.solver)
-    if cfg.get("mc_replicas"):
-        est = mc_mean_jump_rate(walk, params, a_set,
-                                replicas=int(cfg["mc_replicas"]),
-                                horizon=float(cfg.get("mc_horizon", 100.0)),
-                                seed=seed, threads=threads)
+    if c["mc_replicas"] is not None:
+        est = mc_mean_jump_rate(walk, params, a_set, replicas=c["mc_replicas"],
+                                horizon=c["mc_horizon"], seed=c["seed"],
+                                threads=threads)
         dev = np.abs(est.estimate - exact.raw)
         sigma = np.where(est.stderr > 0, est.stderr, np.inf)
-        report.metrics["mc_max_sigmas"] = float((dev / sigma).max())
+        report.metrics["mc_max_sigmas"] = (dev / sigma).max().item()
         report.checks["mc_within_3_sigma"] = bool((dev <= 3 * sigma).all())
 
 
-def _run_classify(cfg, seed, out, threads, report, echo):
-    walk = WalkSpec.from_json(cfg["walk"])
+def _run_classify(c, out, threads, report, echo):
+    walk = c["walk"]
     cls = classify_walk(walk)
     analysis = analyze_walk(walk)
     payload = {
@@ -291,18 +323,15 @@ def _run_classify(cfg, seed, out, threads, report, echo):
         "flags": {"rev": analysis.rev, "ui": analysis.ui, "up": analysis.up},
         "q": analysis.q,
     }
-    mode = cfg.get("mode", "auto")
+    mode = c["mode"]
     modes = [mode] if mode in ("rv", "nrv") else (
         ["nrv"] if not cls.symmetric_on_s0 else ["rv"])
     for m in modes:
         try:
             lc = limit_chain(walk, cls, m)
-            payload[f"limit_{m}"] = {
-                "sites": [walk.sites[x] for x in lc.sites],
-                "rates": lc.rates.tolist(),
-                "scale": lc.scale,
-                "nu": lc.nu.tolist(),
-            }
+            payload[f"limit_{m}"] = {"sites": [walk.sites[x] for x in lc.sites],
+                                     "rates": lc.rates.tolist(), "scale": lc.scale,
+                                     "nu": lc.nu.tolist()}
         except PremiseViolated as exc:
             payload[f"limit_{m}"] = {"unsupported": str(exc)}
     _write_json(out / "classify.json", payload)
@@ -310,51 +339,40 @@ def _run_classify(cfg, seed, out, threads, report, echo):
     report.metrics["S0_size"] = len(cls.s0)
 
 
-def _run_simulate(cfg, seed, out, threads, report, echo):
-    walk = WalkSpec.from_json(cfg["walk"])
-    params = _params(cfg)
-    traj = simulate(walk, params, _initial(cfg, walk, params.n),
-                    float(cfg["horizon"]), seed)
+def _run_simulate(c, out, threads, report, echo):
+    walk, params = c["walk"], c["params"]
+    traj = simulate(walk, params, _initial(c["initial"], walk, params.n),
+                    c["horizon"], c["seed"])
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path)
     report.artifacts.append(str(csv_path))
     report.metrics["events"] = traj.n_events
-    trace_set = cfg.get("trace_set")
-    if trace_set:
-        theta = float(cfg.get("theta", 1.0))
-        path = trace_project(traj, tuple(int(v) for v in trace_set), theta)
-        payload = {
-            "labels": path.labels.tolist(),
-            "sojourns": path.sojourns.tolist(),
-            "trace_time": path.trace_time,
-            "off_time": path.off_time,
-        }
+    if c["trace_set"]:
+        path = trace_project(traj, c["trace_set"], c["theta"])
+        payload = {"labels": path.labels.tolist(), "sojourns": path.sojourns.tolist(),
+                   "trace_time": path.trace_time, "off_time": path.off_time}
         _write_json(out / "trace.json", payload)
         report.artifacts.append(str(out / "trace.json"))
         report.metrics["off_time"] = path.off_time
 
 
-def _run_nucleation(cfg, seed, out, threads, report, echo):
-    walk = WalkSpec.from_json(cfg["walk"])
-    delta = float(cfg["delta"])
-    replicas = int(cfg["replicas"])
-    schedule = _schedule(cfg["d_schedule"], "d_schedule")
+def _run_nucleation(c, out, threads, report, echo):
+    walk = c["walk"]
     rows = []
     points = []
-    for size in cfg["sizes"]:
-        size = int(size)
-        params = ProcessParams(size, schedule(size))
+    for size in c["sizes"]:
+        params = ProcessParams(size, c["d_schedule"](size))
         base = size // walk.kappa
         start = [base] * walk.kappa
         start[-1] += size - base * walk.kappa
         task = HittingTask(chain="inclusion", start=tuple(start),
-                           replicas=replicas, seed=seed,
-                           threshold=delta * math.log(size),
-                           step_cap=int(cfg.get("step_cap", 10**9)))
+                           replicas=c["replicas"], seed=c["seed"],
+                           threshold=c["delta"] * math.log(size),
+                           step_cap=c["step_cap"])
         res = mc_hitting(task, walk, params, threads=threads)
         rows.append((size, res.mean, res.variance, res.mean / size,
                      res.n_censored))
-        points.append((float(size), res.mean))
+        points.append((size, res.mean))
     _write_csv(out / "nucleation.csv",
                ["N", "mean_tau", "variance", "mean_tau_over_n", "censored"], rows)
     report.artifacts.append(str(out / "nucleation.csv"))
@@ -367,35 +385,27 @@ def _run_nucleation(cfg, seed, out, threads, report, echo):
         report.checks["bounded_linear_trend"] = max(ratios) <= 1.5
 
 
-def _run_thermo(cfg, seed, out, threads, report, echo):
-    dim = int(cfg["dim"])
-    kernel = _kernel(cfg)
-    rho = float(cfg["rho"])
-    schedule = _schedule(cfg["dl_schedule"], "dl_schedule",
+def _run_thermo(c, out, threads, report, echo):
+    dim, seed, replicas = c["dim"], c["seed"], c["replicas"]
+    schedule = _schedule(c["dl_schedule"], "dl_schedule",
                          {"tt1": dim + 2, "tt2": dim + 3, "tt3": 2 * dim + 3})
     rows = []
-    for side in cfg["sides"]:
-        side = int(side)
-        spec = build_torus(dim, side, kernel, rho, schedule(side))
-        if cfg.get("regime_assert") and spec.regime != cfg["regime_assert"]:
+    for side in c["sides"]:
+        spec = build_torus(dim, side, c["kernel"], c["rho"], schedule(side))
+        if c["regime_assert"] and spec.regime != c["regime_assert"]:
             raise ConfigError("regime_assert",
                               f"model regime is {spec.regime!r}")
         gap = generator_gap(spec, cosine_mode([1] + [0] * (dim - 1)))
         cond = torus_condensation(spec)
         if spec.regime == "symmetric":
-            est = measure_diffusion(spec, float(cfg.get("diffusion_t", 0.4)),
-                                    replicas=int(cfg.get("replicas", 100)),
+            est = measure_diffusion(spec, c["diffusion_t"], replicas=replicas or 100,
                                     seed=seed, threads=threads)
-            drift = float(est.drift[0])
             diffusion = est.msd_slope
-            off = est.off_fraction
         else:
-            est = measure_drift(spec, float(cfg.get("drift_t", 10.0)), seed,
-                                replicas=int(cfg.get("replicas", 2)),
+            est = measure_drift(spec, c["drift_t"], seed, replicas=replicas or 2,
                                 min_relocations=1, threads=threads)
-            drift = float(est.drift[0])
-            diffusion = float("nan")
-            off = est.off_fraction
+            diffusion = math.nan
+        drift, off = est.drift[0], est.off_fraction
         rows.append((side, drift, diffusion, gap, off))
         report.metrics[f"E_mass_L{side}"] = cond.e_mass
         echo(f"L={side} drift={drift:.4g} diffusion={diffusion:.4g} "
@@ -406,8 +416,8 @@ def _run_thermo(cfg, seed, out, threads, report, echo):
     report.checks["occupation_negligible"] = all(r[4] <= 0.05 for r in rows)
 
 
-def _run_verify(cfg, seed, out, threads, report, echo):
-    rep = verify_suite(cfg["level"], echo=echo)
+def _run_verify(c, out, threads, report, echo):
+    rep = verify_suite(c["level"], echo=echo)
     _write_json(out / "verify.json", rep.to_dict())
     report.artifacts.append(str(out / "verify.json"))
     for r in rep.results:
@@ -415,15 +425,9 @@ def _run_verify(cfg, seed, out, threads, report, echo):
     report.metrics["wall_s"] = rep.wall_s
 
 
-_HANDLERS = {
-    "stationary": _run_stationary,
-    "meanrate": _run_meanrate,
-    "classify": _run_classify,
-    "simulate": _run_simulate,
-    "nucleation": _run_nucleation,
-    "thermo": _run_thermo,
-    "verify": _run_verify,
-}
+_HANDLERS = {"stationary": _run_stationary, "meanrate": _run_meanrate,
+             "classify": _run_classify, "simulate": _run_simulate,
+             "nucleation": _run_nucleation, "thermo": _run_thermo, "verify": _run_verify}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -450,10 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
     thermo.add_argument("--rho", type=float)
     thermo.add_argument("--dL-schedule", dest="dl_schedule",
                         help="tt1|tt2|tt3 or JSON power schedule")
-    thermo.add_argument("--regime-assert", dest="regime_assert",
-                        choices=("totally_asym", "mean_zero_asym", "symmetric"))
+    thermo.add_argument("--regime-assert", dest="regime_assert", choices=REGIMES)
     verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument("--level", default="quick", choices=("quick", "full"))
+    verify.add_argument("--level", default="quick", choices=_LEVELS)
     return parser
 
 
@@ -463,12 +466,14 @@ def _config_from_args(args) -> dict:
             cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("config", str(exc)) from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("config", "configuration must be a JSON object")
     elif args.command == "verify":
         cfg = {"schema_version": SCHEMA_VERSION, "kind": "verify",
                "level": args.level}
     elif args.command == "thermo":
         missing = [k for k in ("dim", "side", "kernel", "rho", "dl_schedule")
-                   if getattr(args, k if k != "side" else "side") is None]
+                   if getattr(args, k) is None]
         if missing:
             raise ConfigError(missing[0], "required without --config")
         try:
@@ -476,16 +481,13 @@ def _config_from_args(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError("kernel", str(exc)) from exc
         schedule = args.dl_schedule
-        if schedule.startswith("{"):
-            schedule = json.loads(schedule)
+        schedule = json.loads(schedule) if schedule.startswith("{") else schedule
         cfg = {"schema_version": SCHEMA_VERSION, "kind": "thermo",
                "dim": args.dim,
                "sides": [int(v) for v in args.side.split(",")],
                "kernel": kernel, "rho": args.rho, "dl_schedule": schedule}
         if args.regime_assert:
             cfg["regime_assert"] = args.regime_assert
-        if args.replicas:
-            cfg["replicas"] = args.replicas
     else:
         raise ConfigError("config", f"--config is required for {args.command}")
     if cfg.get("kind") != args.command:
@@ -493,17 +495,13 @@ def _config_from_args(args) -> dict:
                                   f"match subcommand {args.command!r}")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "replicas", None) is not None:
-        key = "mc_replicas" if cfg.get("kind") == "meanrate" else "replicas"
-        required, optional = _KIND_KEYS.get(cfg.get("kind"), (set(), set()))
-        if key not in required | optional:
-            raise ConfigError("replicas",
-                              f"not supported for kind {cfg.get('kind')!r}")
+    if args.replicas is not None:
+        key = "mc_replicas" if args.command == "meanrate" else "replicas"
+        if key not in SCHEMA[args.command]:
+            raise ConfigError("replicas", f"not supported for kind {args.command!r}")
         cfg[key] = args.replicas
-    if args.command == "simulate" and getattr(args, "horizon", None) is not None:
+    if args.command == "simulate" and args.horizon is not None:
         cfg["horizon"] = args.horizon
-    if args.command == "verify" and args.config is None:
-        cfg["level"] = args.level
     return cfg
 
 

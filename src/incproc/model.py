@@ -185,15 +185,10 @@ def analyze_walk(spec: WalkSpec) -> WalkAnalysis:
 
 @dataclass(frozen=True)
 class ProcessParams:
-    """Particle count N and diffusion parameter d_N for one system size.
-
-    ``schedule`` optionally records the deterministic map N -> d_N the value
-    came from, so parameters at other sizes can be derived with ``at``.
-    """
+    """Particle count N and diffusion parameter d_N for one system size."""
 
     n: int
     d: float
-    schedule: Callable[[int], float] | None = None
 
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral):
@@ -204,16 +199,6 @@ class ProcessParams:
             raise OutOfRange(f"d_N must be finite, got {self.d!r}")
         if not self.d > 0:
             raise OutOfRange("d_N must be positive")
-
-    @classmethod
-    def from_schedule(cls, n: int, schedule: Callable[[int], float]) -> "ProcessParams":
-        return cls(n=n, d=float(schedule(n)), schedule=schedule)
-
-    def at(self, n: int) -> "ProcessParams":
-        """Parameters at another size; requires a schedule."""
-        if self.schedule is None:
-            raise OutOfRange("no schedule attached to these parameters")
-        return ProcessParams.from_schedule(n, self.schedule)
 
 
 def schedule_power(coeff: float, exponent: float) -> Callable[[int], float]:
@@ -256,6 +241,22 @@ class Configuration:
 
     def __len__(self) -> int:
         return len(self.counts)
+
+
+def state_counts(eta: Configuration | Sequence[int], kappa: int,
+                 n: int) -> tuple[int, ...]:
+    """The counts of ``eta`` as a tuple of ints, once checked to be a state of
+    N = ``n`` particles on ``kappa`` sites: ``kappa`` nonnegative integer
+    counts that sum to ``n``."""
+    counts = tuple(eta.counts if isinstance(eta, Configuration) else eta)
+    if len(counts) != kappa:
+        raise OutOfRange(f"state has {len(counts)} sites, the walk has {kappa}")
+    if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 0
+           for c in counts):
+        raise OutOfRange(f"counts must be nonnegative integers, got {counts}")
+    if sum(counts) != n:
+        raise OutOfRange(f"state holds {sum(counts)} particles, N is {n}")
+    return tuple(int(c) for c in counts)
 
 
 def apply_move(eta: Configuration | Sequence[int], x: int, y: int):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateData, OutOfRange,
                      WindowExceedsTrajectory)
-from .model import Configuration, ProcessParams, WalkSpec, site_set
+from .model import Configuration, ProcessParams, WalkSpec, site_set, state_counts
 
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
@@ -220,18 +220,11 @@ def _simulate(spec: WalkSpec, params: ProcessParams,
         raise OutOfRange(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0:
         raise OutOfRange("horizon must be positive")
-    initial = tuple(eta0.counts if isinstance(eta0, Configuration) else eta0)
-    if len(initial) != spec.kappa:
-        raise OutOfRange("initial state has wrong number of sites")
-    if any(not isinstance(c, numbers.Integral) or c < 0 for c in initial):
-        raise OutOfRange(f"initial counts must be nonnegative integers, got {initial}")
-    if sum(initial) != params.n:
-        raise OutOfRange("initial state has wrong particle count")
+    initial = state_counts(eta0, spec.kappa, params.n)
     if max_events is not None and (not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
-    counts = [int(c) for c in initial]
-    events = _events(counts, range(spec.kappa), _walk_moves(spec), params.d,
+    events = _events(list(initial), range(spec.kappa), _walk_moves(spec), params.d,
                      _Blocks(replica_rng(seed, stream)), cache)
     times, efrom, eto = [], [], []
     t = 0.0
@@ -470,8 +463,7 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
     state (cycling over the set); entries never observed are flagged rather
     than raised.
     """
-    if replicas < 1:
-        raise OutOfRange(f"need at least one replica, got {replicas}")
+    _check_replicas(replicas)
     a_set = site_set(a_set, spec.kappa)
     kappa = spec.kappa
     results = _map_batches(partial(_trace_batch, spec, params, a_set, horizon, seed),
@@ -563,8 +555,8 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     mean and variance use uncensored replicas only. Raises only when every
     replica is censored.
     """
-    if task.replicas < 1:
-        raise OutOfRange(f"need at least one replica, got {task.replicas}")
+    _check_replicas(task.replicas)
+    state_counts(task.start, spec.kappa, params.n)
     results = _map_batches(partial(_hitting_batch, task, spec, params),
                            range(task.replicas), threads)
     values = np.array([v for v, _ in results])
@@ -614,6 +606,13 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
                 break
         results.append((t, censored))
     return results
+
+
+def _check_replicas(replicas: int) -> None:
+    """Raise ``OutOfRange`` unless ``replicas`` is an integer count >= 1."""
+    if (isinstance(replicas, bool) or not isinstance(replicas, numbers.Integral)
+            or replicas < 1):
+        raise OutOfRange(f"need an integer count of at least one replica, got {replicas!r}")
 
 
 def _map_batches(batch, streams: Sequence[int], threads: int) -> list:

@@ -24,8 +24,8 @@ from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, log_weight_table
-from .simulate import (Trajectory, _Blocks, _events, _map_batches, _StateCache,
-                       replica_rng, trace_project)
+from .simulate import (Trajectory, _Blocks, _check_replicas, _events, _map_batches,
+                       _StateCache, replica_rng, trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -679,8 +679,7 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
 def _replica_runs(spec: TorusSpec, t_rescaled: float, replicas: int, seed: int,
                   n_checkpoints: int, threads: int) -> list[CondensateRun]:
     """Runs of the streams ``0..replicas-1``, checked before any worker starts."""
-    if replicas < 1:
-        raise OutOfRange(f"need at least one replica, got {replicas}")
+    _check_replicas(replicas)
     _check_run(spec, t_rescaled, n_checkpoints)
     return _map_batches(partial(_condensate_runs, spec, t_rescaled, seed, n_checkpoints),
                         range(replicas), threads)

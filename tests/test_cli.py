@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -355,12 +356,14 @@ _THERMO = {"schema_version": 1, "kind": "thermo", "seed": 4, "dim": 1, "sides": 
 _MEANRATE = {"schema_version": 1, "kind": "meanrate", "seed": 3, "walk": WALK3,
              "params": {"n": 4, "d_N": 0.2}, "a_set": [0, 1, 2]}
 _CLASSIFY = {"schema_version": 1, "kind": "classify", "walk": WALK3}
+_VERIFY = {"schema_version": 1, "kind": "verify", "level": "quick"}
 
 
 class TestMalformedInputs:
     """Inputs that once escaped ``main`` as a bare KeyError, TypeError or
-    IndexError, ran from the wrong site or ran another route: each is a
-    configuration error that names its field, with exit status 1."""
+    IndexError, ran from the wrong site, on a misread value or another route,
+    or ended in a generic error: each is a configuration error that names its
+    field, with exit status 1."""
 
     @pytest.mark.parametrize("base, changes, field", [
         (_NUCLEATION, {"d_schedule": {"type": "power", "exponent": 3}}, "d_schedule.coeff"),
@@ -378,10 +381,31 @@ class TestMalformedInputs:
         (_MEANRATE, {"a_set": 5}, "a_set"),
         (_SIMULATE3, {"trace_set": 5}, "trace_set"),
         (_CLASSIFY, {"mode": "bogus"}, "mode"),
+        # a JSON value of the wrong type or out of range
+        (_SIMULATE3, {"horizon": None}, "horizon"),
+        (_SIMULATE3, {"trace_set": [0, 1], "theta": None}, "theta"),
+        (_NUCLEATION, {"delta": None}, "delta"),
+        (_THERMO, {"rho": None}, "rho"),
+        (_SIMULATE3, {"initial": 5}, "initial"),
+        (_THERMO, {"replicas": [2]}, "replicas"),
+        (_SIMULATE3, {"params": {"n": True, "d_N": 0.2}, "initial": [1, 0, 0]}, "params.n"),
+        (_SIMULATE3, {"seed": True}, "seed"),
+        (stationary_cfg(), {"compare_closed_form": "no"}, "compare_closed_form"),
+        (_MEANRATE, {"mc_replicas": 2.5}, "mc_replicas"),
+        (_THERMO, {"dim": "1"}, "dim"),
+        (_SIMULATE3, {"horizon": "x"}, "horizon"),
+        (_NUCLEATION, {"sizes": ["a"]}, "sizes"),
+        (_NUCLEATION, {"replicas": 0}, "replicas"),
+        (_VERIFY, {"level": "bogus"}, "level"),
+        (_SIMULATE3, {"params": {"n": 4, "d_N": math.inf}}, "params.d_N"),
     ], ids=["d-no-coeff", "d-no-exponent", "dl-no-coeff", "dl-no-exponent",
             "kernel-number", "kernel-bad-pair", "kernel-fractional-offset",
             "site-past-end", "site-negative", "site-missing", "sides-number",
-            "sizes-number", "a-set-number", "trace-set-number", "mode-unknown"])
+            "sizes-number", "a-set-number", "trace-set-number", "mode-unknown",
+            "horizon-null", "theta-null", "delta-null", "rho-null", "initial-number",
+            "replicas-list", "n-true", "seed-true", "compare-string",
+            "mc-replicas-fraction", "dim-string", "horizon-string", "sizes-strings",
+            "replicas-zero", "level-unknown", "d-infinite"])
     def test_is_a_config_error(self, tmp_path, capsys, base, changes, field):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(base, **changes)))

@@ -281,13 +281,6 @@ class TestParams:
         assert pw(10) == pw(10) == 2.0 * 10.0 ** -3
         assert schedule_fixed(1e-4)(999) == 1e-4
 
-    def test_params_from_schedule(self):
-        params = ProcessParams.from_schedule(100, schedule_power(1.0, 2.0))
-        assert params.d == 1e-4
-        assert params.at(10).d == 1e-2
-        with pytest.raises(ValueError):
-            ProcessParams(10, 0.1).at(20)
-
     def test_weight_table(self):
         logw = log_weight_table(2, 0.1)
         assert math.exp(logw[0]) == pytest.approx(1.0)

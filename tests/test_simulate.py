@@ -59,14 +59,16 @@ class TestSimulate:
         mu = stationary_exact(up3, params)
         traj = simulate(up3, params, (2, 2, 2), horizon=1e9, seed=3,
                         max_events=1_000_000)
-        occupation = np.zeros(mu.enum.size)
-        counts = list(traj.initial)
-        t_prev = 0.0
-        for t, x, y in zip(traj.times, traj.move_from, traj.move_to):
-            occupation[mu.enum.rank(counts)] += t - t_prev
-            t_prev = t
-            counts[x] -= 1
-            counts[y] += 1
+        # the state before each event is the initial state plus the moves
+        # before it; each holds until its event
+        rows = np.arange(traj.n_events)
+        steps = np.zeros((traj.n_events, up3.kappa), dtype=np.int64)
+        steps[rows, traj.move_to] = 1
+        steps[rows, traj.move_from] = -1
+        before = np.asarray(traj.initial) + np.cumsum(steps, axis=0) - steps
+        occupation = np.bincount(mu.enum.rank_many(before),
+                                 weights=np.diff(traj.times, prepend=0.0),
+                                 minlength=mu.enum.size)
         occupation /= occupation.sum()
         tv = 0.5 * np.abs(occupation - mu.weights).sum()
         assert tv <= 0.02
@@ -299,6 +301,11 @@ class TestMCMeanJumpRate:
             mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), (0, 1),
                               replicas=0, horizon=1.0, seed=1)
 
+    def test_rejects_fractional_replicas(self, two_sym):
+        with pytest.raises(OutOfRange):
+            mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), (0, 1),
+                              replicas=2.5, horizon=1.0, seed=1)
+
     @pytest.mark.parametrize("a_set", [(), (0, 7)])
     def test_rejects_bad_site_set(self, two_sym, a_set):
         with pytest.raises(OutOfRange):
@@ -401,6 +408,21 @@ class TestMCHitting:
                            seed=1, threshold=2.0)
         with pytest.raises(OutOfRange):
             mc_hitting(task, cycle3, ProcessParams(30, 0.1))
+
+    @pytest.mark.parametrize("start", [(4, 4), (4, 4, 4, 0), (-1, 7, 6), (4, 4, 5)],
+                             ids=["too-few-sites", "too-many-sites", "negative-count",
+                                  "thirteen-particles"])
+    def test_rejects_start_off_the_state_space(self, cycle3, start):
+        task = HittingTask(chain="inclusion", start=start, replicas=2, seed=1,
+                           threshold=1.0)
+        with pytest.raises(OutOfRange):
+            mc_hitting(task, cycle3, ProcessParams(12, 0.1))
+
+    def test_rejects_fractional_replicas(self, cycle3):
+        task = HittingTask(chain="inclusion", start=(4, 4, 4), replicas=2.5, seed=1,
+                           threshold=1.0)
+        with pytest.raises(OutOfRange):
+            mc_hitting(task, cycle3, ProcessParams(12, 0.1))
 
     def test_rejects_negative_step_cap(self):
         with pytest.raises(OutOfRange):

@@ -268,7 +268,8 @@ class TestRenewalSampler:
         with pytest.raises(OutOfRange):
             measure_diffusion(spec, t_rescaled=t, replicas=2, seed=1)
 
-    @pytest.mark.parametrize("replicas, t", [(0, 1.0), (2, math.inf), (2, math.nan)])
+    @pytest.mark.parametrize("replicas, t", [(0, 1.0), (2, math.inf), (2, math.nan),
+                                             (2.5, 1.0)])
     def test_measurements_check_before_any_worker_starts(self, replicas, t, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool started")
