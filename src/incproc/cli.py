@@ -481,10 +481,16 @@ def _config_from_args(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError("kernel", str(exc)) from exc
         schedule = args.dl_schedule
-        schedule = json.loads(schedule) if schedule.startswith("{") else schedule
+        try:
+            schedule = json.loads(schedule) if schedule.startswith("{") else schedule
+        except json.JSONDecodeError as exc:
+            raise ConfigError("dl_schedule", str(exc)) from exc
+        try:
+            sides = [int(v) for v in args.side.split(",")]
+        except ValueError as exc:
+            raise ConfigError("sides", f"expected integers, got {args.side!r}") from exc
         cfg = {"schema_version": SCHEMA_VERSION, "kind": "thermo",
-               "dim": args.dim,
-               "sides": [int(v) for v in args.side.split(",")],
+               "dim": args.dim, "sides": sides,
                "kernel": kernel, "rho": args.rho, "dl_schedule": schedule}
         if args.regime_assert:
             cfg["regime_assert"] = args.regime_assert

@@ -101,14 +101,24 @@ class WalkSpec:
 
     @classmethod
     def from_json(cls, doc: str | Mapping) -> "WalkSpec":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+        try:
+            data = json.loads(doc) if isinstance(doc, str) else doc
+        except json.JSONDecodeError as exc:
+            raise OutOfRange(f"walk document is not JSON: {exc}") from None
+        if not isinstance(data, Mapping):
+            raise OutOfRange(f"walk document must be an object, got {data!r}")
         unknown = set(data) - {"sites", "rates"}
         if unknown:
             raise OutOfRange(f"unknown keys in walk document: {sorted(unknown)}")
         if "sites" not in data or "rates" not in data:
             raise OutOfRange("walk document needs 'sites' and 'rates'")
+        if not isinstance(data["sites"], (list, tuple)):
+            raise OutOfRange(f"walk document 'sites' must be a list, got {data['sites']!r}")
         sites = tuple(str(s) for s in data["sites"])
-        rates = np.asarray(data["rates"], dtype=float)
+        try:
+            rates = np.asarray(data["rates"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise OutOfRange(f"walk document 'rates' must be a numeric matrix: {exc}") from None
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1] or rates.shape[0] != len(sites):
             raise OutOfRange("rate matrix shape does not match the site list")
         return cls(sites, rates)
@@ -191,7 +201,7 @@ class ProcessParams:
     d: float
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise OutOfRange(f"N must be an integer, got {self.n!r}")
         if self.n < 1:
             raise OutOfRange("N must be a positive integer")

@@ -14,8 +14,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,44 +42,57 @@ def replica_rng(seed: int, stream: int) -> np.random.Generator:
 class _Blocks:
     """Batched draws from a Generator; consumption order is deterministic.
 
-    Each refill draws ``block`` exponentials, then ``block`` uniforms, from
-    the stream. Draws are handed out as Python floats, converted ``_SLICE``
-    at a time as they are consumed, so a short replica converts few.
+    Exponentials are drawn ``block`` at a time and handed out as array
+    slices; uniforms come in blocks of the same size, drawn ``_SLICE`` at a
+    time as needed and handed out as Python floats. The rest of a uniform
+    block is drawn before the next exponential block, so the stream holds
+    whole blocks in the order they are first needed.
     """
 
     def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
         self._rng = rng
         self._block = block
         self._exp = rng.exponential(1.0, block)
-        self._uni = rng.random(block)
         self._ei = 0
+        self._owed = 0                  # uniforms of the block not drawn yet
+        self._uni: list[float] = []     # the uniforms drawn and not yet used
         self._ui = 0
-        self._exp_left: list[float] = []    # reversed: the next draw is last
-        self._uni_left: list[float] = []
 
-    def _more_exp(self) -> list[float]:
-        if self._ei >= self._block:
+    def exponentials(self, n: int) -> np.ndarray:
+        """The next ``n`` exponentials, or the rest of the block if fewer
+        (at least one); :meth:`use` consumes them."""
+        if self._ei == self._block:
+            if self._owed:
+                self._uni = self._uni[self._ui:] + self._rng.random(self._owed).tolist()
+                self._ui = self._owed = 0
             self._exp = self._rng.exponential(1.0, self._block)
             self._ei = 0
-        i = self._ei
-        self._ei = i + _SLICE
-        self._exp_left = self._exp[i:i + _SLICE][::-1].tolist()
-        return self._exp_left
+        return self._exp[self._ei:self._ei + n]
 
-    def _more_uni(self) -> list[float]:
-        if self._ui >= self._block:
-            self._uni = self._rng.random(self._block)
-            self._ui = 0
-        i = self._ui
-        self._ui = i + _SLICE
-        self._uni_left = self._uni[i:i + _SLICE][::-1].tolist()
-        return self._uni_left
+    def uniforms(self, n: int) -> list[float]:
+        """The next ``n`` uniforms, or the rest of the piece if fewer (at
+        least one); :meth:`use` consumes them."""
+        if self._ui == len(self._uni):
+            if not self._owed:
+                self._owed = self._block
+            piece = self._rng.random(min(_SLICE, self._owed))
+            self._owed -= len(piece)
+            self._uni, self._ui = piece.tolist(), 0
+        return self._uni[self._ui:self._ui + n]
+
+    def use(self, uniforms: int, exponentials: int) -> None:
+        self._ui += uniforms
+        self._ei += exponentials
 
     def exponential(self) -> float:
-        return (self._exp_left or self._more_exp()).pop()
+        e = float(self.exponentials(1)[0])
+        self.use(0, 1)
+        return e
 
     def uniform(self) -> float:
-        return (self._uni_left or self._more_uni()).pop()
+        u = self.uniforms(1)[0]
+        self.use(1, 0)
+        return u
 
 
 @dataclass(frozen=True)
@@ -119,79 +131,109 @@ class _StateCache(dict):
     held = 0    # key entries plus running sums stored; see _CACHE_VALUES
 
 
-def _events(counts: list[int], sources: Sequence[int],
-            out: Sequence[Sequence[tuple[int, float]]], d: float, blocks: _Blocks,
-            cache: _StateCache,
-            by_target: bool = False) -> Iterator[tuple[float, int, int]]:
-    """Exact direct-method (Gillespie) events, each applied to ``counts``.
+def _weigh(counts: Sequence[int], sources: Sequence[int], table: list[list[tuple]],
+           d: float, by_target: bool) -> tuple[tuple[float, ...], tuple, float]:
+    """The weight row of a state: the running sums of the weights of the
+    moves ``x -> y`` with ``x`` in ``sources`` and ``(y, coef, move)`` in
+    ``table[x]``, in that order, the moves ``(x, y, x * kappa + y)`` they
+    belong to, and the total.
 
-    Every step weighs each move ``x -> y`` with ``x`` in ``sources`` and
-    ``(y, coef)`` in ``out[x]``, in that order, by ``c_x (d + c_y) coef``,
-    picks one with probability proportional to its weight, applies it to
-    ``counts`` in place and yields ``(dt, x, y)`` with an exponential holding
-    time ``dt``. ``by_target`` weighs by ``c_y (d + c_x) coef`` instead and
-    draws no exponential (discrete time, ``dt = 1.0``). ``sources`` is read
-    afresh at every step, so the caller may update a list between events,
-    and its order fixes the move order. A zero-weight move is never picked.
-
-    ``cache`` maps each visited state to its running weight sums, the moves
-    they belong to and their total, so a revisit costs one lookup. The key is
-    the counts, plus the order of ``sources`` when it is a list. Callers may
-    share one cache between runs with the same ``out``, ``d`` and
-    ``by_target``; it is emptied when it would exceed ``_CACHE_VALUES``.
+    A move weighs ``c_x (d + c_y) coef``, skipping sources with no
+    particle, or ``c_y (d + c_x) coef`` when ``by_target``.
     """
-    # each entry carries its (x, y) pair, so one list records the candidates
-    table = [[(y, coef, (x, y)) for y, coef in moves] for x, moves in enumerate(out)]
-    exponential, uniform = blocks.exponential, blocks.uniform
-    keyed = isinstance(sources, list)
-
-    def weigh() -> tuple[tuple[float, ...], tuple[tuple[int, int], ...], float]:
-        cum: list[float] = []
-        picks: list[tuple[int, int]] = []
-        push_cum, push_pick = cum.append, picks.append
-        total = 0.0
-        if by_target:
-            for x in sources:
-                dx = d + counts[x]
-                for y, coef, xy in table[x]:
-                    total += counts[y] * dx * coef
+    cum: list[float] = []
+    picks: list[tuple] = []
+    push_cum, push_pick = cum.append, picks.append
+    total = 0.0
+    if by_target:
+        for x in sources:
+            dx = d + counts[x]
+            for y, coef, move in table[x]:
+                total += counts[y] * dx * coef
+                push_cum(total)
+                push_pick(move)
+    else:
+        for x in sources:
+            cx = counts[x]
+            if cx:
+                for y, coef, move in table[x]:
+                    total += cx * (d + counts[y]) * coef
                     push_cum(total)
-                    push_pick(xy)
-        else:
-            for x in sources:
-                cx = counts[x]
-                if cx:
-                    for y, coef, xy in table[x]:
-                        total += cx * (d + counts[y]) * coef
-                        push_cum(total)
-                        push_pick(xy)
-        # states that occupy the same sources share one tuple of moves
-        picks = tuple(picks)
-        return tuple(cum), move_lists.setdefault(picks, picks), total
+                    push_pick(move)
+    return tuple(cum), tuple(picks), total
 
-    move_lists: dict = {}
-    lookup = cache.get
-    while True:
-        key = (*counts, *sources) if keyed else tuple(counts)
-        row = lookup(key)
-        if row is None:
-            row = weigh()
-            size = len(key) + len(row[0])
-            if cache.held + size > _CACHE_VALUES:
-                cache.clear()
-                cache.held = 0
-            cache.held += size
-            cache[key] = row
-        cum, picks, total = row
-        dt = 1.0 if by_target else exponential() / total
-        u = uniform() * total
-        # the first move whose cumulative weight reaches u; a draw of exactly
-        # 0.0 would otherwise land on a leading zero-weight move
-        k = bisect_left(cum, u) if u else bisect_right(cum, u)
-        x, y = picks[k]
-        counts[x] -= 1
-        counts[y] += 1
-        yield dt, x, y
+
+class _Kernel:
+    """Exact direct-method (Gillespie) events of one replica, a slice at a time.
+
+    Each event picks a move of the current ``counts`` with probability
+    proportional to its :func:`_weigh` weight (never a zero-weight one) and
+    applies it in place; it lasts an exponential over the total weight, or
+    1.0 when ``by_target`` (no exponentials drawn). ``sources`` fixes the
+    move order; as a list it holds the occupied sites in arrival order, the
+    kernel keeps it so, and a run ends when one site is left. ``cache`` maps
+    each visited state (the counts, plus a list's order) to its weight row;
+    runs with the same ``out``, ``d`` and ``by_target`` may share it, and it
+    is emptied when it would exceed ``_CACHE_VALUES``.
+    """
+
+    def __init__(self, counts: list[int], sources: Sequence[int],
+                 out: Sequence[Sequence[tuple[int, float]]], d: float,
+                 blocks: _Blocks, cache: _StateCache, by_target: bool = False):
+        self.counts, self.sources, self.d = counts, sources, d
+        self.table = [[(y, coef, (x, y, x * len(out) + y)) for y, coef in moves]
+                      for x, moves in enumerate(out)]
+        self.blocks, self.cache, self.by_target = blocks, cache, by_target
+        self.move_lists: dict = {}
+
+    def run(self, limit: int, stop: float = -1) -> tuple[np.ndarray | None, list[int]]:
+        """Run at most ``limit`` events (``limit <= _SLICE``), ending after
+        the first one whose source is left with ``stop`` particles or fewer.
+        Returns their holding times (None when ``by_target``) and their
+        move ids ``x * kappa + y``."""
+        blocks, counts, sources, cache = self.blocks, self.counts, self.sources, self.cache
+        keyed = isinstance(sources, list)
+        # a block of exponentials is drawn before the uniforms of its events
+        exps = None if self.by_target else blocks.exponentials(limit)
+        totals: list[float] = []
+        moves: list[int] = []
+        push_total, push_move = totals.append, moves.append
+        lookup = cache.get
+        for u in blocks.uniforms(limit if exps is None else len(exps)):
+            key = (*counts, *sources) if keyed else tuple(counts)
+            row = lookup(key)
+            if row is None:
+                cum, picks, total = _weigh(counts, sources, self.table, self.d,
+                                           self.by_target)
+                size = len(key) + len(cum)
+                if cache.held + size > _CACHE_VALUES:
+                    cache.clear()
+                    cache.held = 0
+                    self.move_lists.clear()
+                cache.held += size
+                # states that occupy the same sources share one tuple of moves
+                row = cache[key] = cum, self.move_lists.setdefault(picks, picks), total
+            cum, picks, total = row
+            u *= total
+            # the first move whose cumulative weight reaches u; a draw of
+            # exactly 0.0 would otherwise land on a leading zero-weight move
+            x, y, move = picks[bisect_left(cum, u) if u else bisect_right(cum, u)]
+            counts[x] -= 1
+            counts[y] += 1
+            push_total(total)
+            push_move(move)
+            if keyed:
+                if counts[y] == 1:
+                    sources.append(y)
+                if not counts[x]:
+                    sources.remove(x)
+                    if len(sources) == 1:
+                        break
+            elif counts[x] <= stop:
+                break
+        m = len(moves)
+        blocks.use(m, 0 if exps is None else m)
+        return (None if exps is None else exps[:m] / np.array(totals)), moves
 
 
 def _walk_moves(spec: WalkSpec) -> list[list[tuple[int, float]]]:
@@ -224,28 +266,33 @@ def _simulate(spec: WalkSpec, params: ProcessParams,
     if max_events is not None and (not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
-    events = _events(list(initial), range(spec.kappa), _walk_moves(spec), params.d,
+    kernel = _Kernel(list(initial), range(spec.kappa), _walk_moves(spec), params.d,
                      _Blocks(replica_rng(seed, stream)), cache)
-    times, efrom, eto = [], [], []
-    t = 0.0
-    for dt, x, y in islice(events, max_events):
-        t_next = t + dt
-        if t_next <= t:
-            t_next = math.nextafter(t, math.inf)
-        if t_next > horizon:
+    times: list[np.ndarray] = []
+    moves: list[int] = []
+    t, left = 0.0, math.inf if max_events is None else max_events
+    while left:
+        # slices grow from 32 events, so a short path runs few past its horizon
+        dts, picked = kernel.run(min(_SLICE, left, 32 << len(times)))
+        # the clock adds one holding time at a time, as a scalar loop would
+        clock = np.cumsum(np.concatenate(([t], dts)))
+        if not (clock[1:] > clock[:-1]).all():
+            # a step too small to move the clock advances it by one ulp
+            for i, dt in enumerate(dts.tolist(), 1):
+                clock[i] = max(clock[i - 1] + dt, math.nextafter(clock[i - 1], math.inf))
+        kept = int(np.searchsorted(clock[1:], horizon, side="right"))
+        times.append(clock[1:kept + 1])
+        moves += picked[:kept]
+        if kept < len(picked):
             break
-        t = t_next
-        times.append(t)
-        efrom.append(x)
-        eto.append(y)
-    real_horizon = horizon if max_events is None or len(times) < max_events \
-        else (times[-1] if times else 0.0)
-    return Trajectory(
-        initial=initial,
-        times=np.asarray(times, dtype=float),
-        move_from=np.asarray(efrom, dtype=np.int32),
-        move_to=np.asarray(eto, dtype=np.int32),
-        horizon=real_horizon, seed=seed, stream=stream)
+        t, left = float(clock[-1]), left - kept
+    n_events = len(moves)
+    move_from, move_to = np.divmod(np.array(moves, dtype=np.int32), spec.kappa)
+    times = np.concatenate(times) if times else np.zeros(0)
+    real_horizon = horizon if max_events is None or n_events < max_events \
+        else (float(times[-1]) if n_events else 0.0)
+    return Trajectory(initial=initial, times=times, move_from=move_from, move_to=move_to,
+                      horizon=real_horizon, seed=seed, stream=stream)
 
 
 @dataclass(frozen=True)
@@ -595,15 +642,14 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     cache = _StateCache()
     results = []
     for i in streams:
-        counts = list(task.start)
-        events = _events(counts, sources, out, params.d,
+        kernel = _Kernel(list(task.start), sources, out, params.d,
                          _Blocks(replica_rng(task.seed, i)), cache, by_target=by_target)
-        t, censored = 0.0, True
-        for dt, x, _ in islice(events, task.step_cap):
-            t += dt
-            if counts[x] <= stop:
-                censored = False
-                break
+        t, taken, censored = 0.0, 0, True
+        while taken < task.step_cap and censored:
+            dts, moves = kernel.run(min(_SLICE, task.step_cap - taken), stop)
+            taken += len(moves)
+            t = float(taken) if by_target else _add_in_order(t, dts)
+            censored = kernel.counts[moves[-1] // spec.kappa] > stop
         results.append((t, censored))
     return results
 

@@ -24,8 +24,8 @@ from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, log_weight_table
-from .simulate import (Trajectory, _Blocks, _check_replicas, _events, _map_batches,
-                       _StateCache, replica_rng, trace_project)
+from .simulate import (_SLICE, Trajectory, _add_in_order, _Blocks, _check_replicas,
+                       _Kernel, _map_batches, _StateCache, replica_rng, trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -499,7 +499,7 @@ class _ThirdSite:
         self.blocks = blocks
         self.counts = [0] * ch.spec.n_sites
         self.occupied: list[int] = []
-        self.kernel = _events(self.counts, self.occupied, ch.out, ch.spec.d_l,
+        self.kernel = _Kernel(self.counts, self.occupied, ch.out, ch.spec.d_l,
                               blocks, ch.cache)
 
     def finish(self, pos: int) -> tuple[float, int, np.ndarray]:
@@ -526,17 +526,15 @@ class _ThirdSite:
                 break
         counts[x] -= 1
         counts[y] += 1
+        if not counts[x]:
+            occupied.remove(x)
+        if counts[y] == 1:
+            occupied.append(y)
         t, taken = 0.0, 0
-        while True:
-            if counts[x] == 0:
-                occupied.remove(x)
-            if counts[y] == 1:
-                occupied.append(y)
-            if len(occupied) == 1:
-                break
-            dt, x, y = next(self.kernel)
-            t += dt
-            taken += 1
+        while len(occupied) > 1:
+            dts, moves = self.kernel.run(_SLICE)
+            t = _add_in_order(t, dts)
+            taken += len(moves)
         return t, taken, _wrap(ch.coords[occupied[0]] - ch.coords[home], ch.spec.side)
 
 

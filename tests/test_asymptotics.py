@@ -542,29 +542,26 @@ class TestTestFunction:
         sim = importlib.import_module("incproc.simulate")
         walk = request.getfixturevalue(walk_name)
         n, d, eps = 30, 1e-4, 0.4
-        events, calls = sim._events, []
+        weigh, calls = sim._weigh, []
 
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            return events(*args, **kwargs)
+        def spy(*args):
+            calls.append(args)
+            return weigh(*args)
 
-        monkeypatch.setattr(sim, "_events", spy)
+        monkeypatch.setattr(sim, "_weigh", spy)
         task = HittingTask(chain="auxiliary", start=start, replicas=1, seed=5,
                            r_set=r_set, eps=eps)
         mc_hitting(task, walk, ProcessParams(n, d))
-        (_, sources, out, d_run, _, _), kwargs = calls[0]
-        assert kwargs == {"by_target": True} and d_run == d
+        _, sources, table, d_run, by_target = calls[0]
+        assert by_target is True and d_run == d
 
         enum = StateEnumeration(walk.kappa, n)
         reg = RegionSpec(walk, enum, r_set, eps=eps)
         for eta in enum.counts_matrix()[reg.inner_core]:
-            cache = sim._StateCache()
-            next(events(eta.tolist(), sources, out, d, sim._Blocks(sim.replica_rng(0, 0)),
-                        cache, by_target=True))
-            (cum, picks, total), = cache.values()
+            cum, picks, total = weigh(eta.tolist(), sources, table, d, True)
             law = {}
-            for xy, p in zip(picks, np.diff(np.r_[0.0, cum]) / total):
-                law[xy] = law.get(xy, 0.0) + p
+            for (x, y, _), p in zip(picks, np.diff(np.r_[0.0, cum]) / total):
+                law[(x, y)] = law.get((x, y), 0.0) + p
             moves, self_loop = auxiliary_kernel_row(walk, d, reg, eta)
             assert self_loop == pytest.approx(0.0, abs=1e-12)
             assert {(x, y) for x, y, _ in moves} == {xy for xy, p in law.items() if p > 0}

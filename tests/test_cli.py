@@ -267,6 +267,15 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "thermo.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--side", "8,x", "sides"), ("--dL-schedule", "{bad", "dl_schedule")])
+    def test_thermo_flag_errors_name_the_field(self, tmp_path, capsys, flag, value, field):
+        flags = {"--dim": "1", "--side": "8", "--kernel": "[[1,0.8],[-1,0.2]]",
+                 "--rho": "1", "--dL-schedule": "tt1", flag: value}
+        argv = ["thermo", *(v for kv in flags.items() for v in kv), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
     def test_default_seed_recorded(self, tmp_path):
         cfg = stationary_cfg()
         del cfg["seed"]

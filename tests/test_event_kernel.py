@@ -23,6 +23,7 @@ Kolmogorov-Smirnov test below rejects a correct sampler with probability at
 most 1e-3; the seeds are fixed, so every outcome is deterministic.
 """
 
+import hashlib
 import math
 import sys
 
@@ -30,10 +31,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from incproc import (BudgetExceeded, HittingTask, ProcessParams, Trajectory,
+from incproc import (BudgetExceeded, HittingTask, ProcessParams, Trajectory, WalkSpec,
                      build_torus, condensate_statistics, mc_hitting,
-                     simulate, torus_walk, trace_project)
-from incproc.simulate import _BLOCK, CEMETERY, _Blocks, _segment_sums, replica_rng
+                     run_condensate, simulate, torus_walk, trace_project)
+from incproc.simulate import (_BLOCK, _SLICE, CEMETERY, _Blocks, _segment_sums,
+                              replica_rng)
 from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
 
 KS_LEVEL = 1e-3
@@ -381,9 +383,35 @@ def test_evicting_cache_keeps_events(bound, monkeypatch, request):
         test_run_condensate_matches_reference(torus)
 
 
+def test_evicting_cache_drops_shared_move_lists(monkeypatch):
+    # rows of states with the same occupied sources share one tuple of
+    # moves; those tuples go when the rows go, so a long run stays bounded
+    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", 500)
+    kernels = []
+    init = KERNEL._Kernel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kernels.append(self)
+
+    monkeypatch.setattr(KERNEL._Kernel, "__init__", spy)
+    spec = TORI["1d"]()
+    eta0 = [2, 1, 2, 1, 2, 1, 2, 1]
+    traj = simulate(torus_walk(spec), ProcessParams(spec.n, spec.d_l), eta0,
+                    horizon=1e300, seed=2, max_events=20_000)
+    steps = np.zeros((traj.n_events + 1, len(eta0)), dtype=np.int64)
+    steps[0] = eta0
+    rows = np.arange(1, traj.n_events + 1)
+    np.add.at(steps, (rows, traj.move_from), -1)
+    np.add.at(steps, (rows, traj.move_to), 1)
+    patterns = {tuple(c) for c in (np.cumsum(steps, axis=0) > 0).tolist()}
+    (kernel,) = kernels
+    assert 0 < len(kernel.move_lists) <= len(kernel.cache) < 50 < len(patterns)
+
+
 def test_blocks_follow_the_philox_stream():
-    # drawn as the kernel draws, one exponential then one uniform, each
-    # refill takes a block of exponentials, then a block of uniforms
+    # drawn as the reference kernel draws, one exponential then one uniform,
+    # each refill takes a block of exponentials, then a block of uniforms
     blocks = _Blocks(replica_rng(4, 1))
     n = 2 * _BLOCK + 700
     exps, unis = [], []
@@ -397,6 +425,187 @@ def test_blocks_follow_the_philox_stream():
     assert exps == np.concatenate(raw[0::2])[:n].tolist()
     assert unis == np.concatenate(raw[1::2])[:n].tolist()
     assert all(type(v) is float for v in exps[:3] + unis[:3])
+
+
+class RefBlocks:
+    """Whole blocks drawn at first need, one stream for both kinds: each
+    kind's next block is drawn when its last one is used up."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.left = {"e": list(rng.exponential(1.0, _BLOCK)), "u": list(rng.random(_BLOCK))}
+
+    def take(self, kind, n):
+        out = []
+        for _ in range(n):
+            if not self.left[kind]:
+                self.left[kind] = list(self.rng.exponential(1.0, _BLOCK) if kind == "e"
+                                       else self.rng.random(_BLOCK))
+            out.append(float(self.left[kind].pop(0)))
+        return out
+
+
+def take_slices(blocks, kind, n):
+    """``n`` draws of one kind, read a slice at a time as the kernel reads."""
+    out = []
+    while len(out) < n:
+        if kind == "e":
+            got = blocks.exponentials(n - len(out)).tolist()
+            blocks.use(0, len(got))
+        else:
+            got = blocks.uniforms(n - len(out))
+            blocks.use(len(got), 0)
+        out += got
+    return out
+
+
+@pytest.mark.parametrize("pattern", ["kernel", "uniforms_lead", "uniforms_only"])
+def test_blocks_in_slices_follow_the_block_stream(pattern):
+    # the kernel takes a slice of exponentials, then the uniforms of its
+    # events; a third-site stretch takes one uniform more per hop; the
+    # auxiliary chain takes uniforms only. Uniforms are drawn in pieces, so
+    # each pattern crosses block boundaries with a uniform block part drawn
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 3 * _SLICE, 60).tolist()
+    ops = []
+    for m in sizes:
+        if pattern == "uniforms_lead":
+            ops.append(("u", 1 + m % 3))
+        if pattern != "uniforms_only":
+            ops.append(("e", m))
+        ops.append(("u", m))
+    blocks, ref = _Blocks(replica_rng(6, 2)), RefBlocks(replica_rng(6, 2))
+    for kind, m in ops:
+        assert take_slices(blocks, kind, m) == ref.take(kind, m), (kind, m)
+    assert sum(m for kind, m in ops if kind == "u") > 3 * _BLOCK
+
+
+def test_uniforms_drawn_a_piece_at_a_time():
+    # the first uniform draws one piece, not the block, after the first
+    # block of exponentials
+    blocks = _Blocks(replica_rng(8, 0))
+    first = blocks.uniform()
+    rng = replica_rng(8, 0)
+    rng.exponential(1.0, _BLOCK)
+    piece = rng.random(_SLICE)
+    assert first == piece[0]
+    assert blocks.uniforms(_SLICE) == piece[1:].tolist()
+    # and has drawn nothing more from the stream
+    assert blocks._rng.random(4).tolist() == rng.random(4).tolist()
+
+
+class ZeroedExponentials:
+    """A Philox stream whose exponential draws are 0.0 at the given
+    positions, so the event there lasts 0.0 and does not move the clock."""
+
+    def __init__(self, rng, zero_at):
+        self.rng, self.zero_at, self.drawn = rng, np.asarray(zero_at), 0
+
+    def exponential(self, scale, size):
+        out = self.rng.exponential(scale, size)
+        at = self.zero_at[(self.zero_at >= self.drawn) & (self.zero_at < self.drawn + size)]
+        out[at - self.drawn] = 0.0
+        self.drawn += size
+        return out
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("walk", ["cycle3", "chain4"])
+def test_simulate_clamp_matches_reference(walk, request, monkeypatch):
+    # a step that does not move the clock advances it by one ulp: planted
+    # inside a slice, on both sides of a slice boundary, and at the first
+    # event of the second block; the slice sizes are read from a first run
+    spec = request.getfixturevalue(walk)
+    params = ProcessParams(30, 0.2)
+    eta0 = [0] * spec.kappa
+    eta0[0] = 30
+    run, sizes = KERNEL._Kernel.run, []
+
+    def spy(self, limit, stop=-1):
+        dts, moves = run(self, limit, stop)
+        sizes.append(len(moves))
+        return dts, moves
+
+    monkeypatch.setattr(KERNEL._Kernel, "run", spy)
+    simulate(spec, params, eta0, 1e300, seed=3, max_events=_BLOCK + 300)
+    starts = np.cumsum(sizes)
+    cut = int(starts[np.searchsorted(starts, _SLICE)])     # a slice starts here
+    zero_at = [int(starts[2]) + 3, cut - 1, cut, _BLOCK]
+    assert zero_at[0] not in starts
+    real = replica_rng
+    planted = lambda seed, stream: ZeroedExponentials(real(seed, stream), zero_at)
+    monkeypatch.setattr(KERNEL, "replica_rng", planted)
+    monkeypatch.setattr(sys.modules[__name__], "replica_rng", planted)
+
+    def check(horizon, max_events):
+        traj = simulate(spec, params, eta0, horizon, seed=3, max_events=max_events)
+        times, efrom, eto = ref_simulate(spec, params, eta0, horizon, seed=3,
+                                         max_events=max_events)
+        assert traj.times.tolist() == times
+        assert traj.move_from.tolist() == efrom
+        assert traj.move_to.tolist() == eto
+        for k in zero_at:
+            assert times[k] == math.nextafter(times[k - 1], math.inf)
+        assert (np.diff(traj.times) > 0).all()
+        return traj
+
+    full = check(1e300, _BLOCK + 300)
+    assert full.n_events == _BLOCK + 300
+    # a horizon cut in the slice after the last clamp
+    assert check(float(full.times[_BLOCK + 200]), None).n_events == _BLOCK + 201
+
+
+# SHA-256 of the event streams below, recorded before the event kernel read
+# its draws a slice at a time; they are checked without the in-repo
+# references, so a change in the draws shows even if a reference changes too
+DIGESTS = {
+    "cycle": (40_000, "a295e6c615d8082b26184abb53ac5888c0da352e91d863384e9bdacfd16e3f66"),
+    "walk4": (3_366, "5790c6ad6a7a14e68111bb652bd45b8dff3bf1dbbc65385aab2c49dcdf1a13c4"),
+    "inclusion": "8e368ae93363ca8094fb10e73881d68748c4fc51e7c91a5203881e2ebd8f7be7",
+    "auxiliary": "d2fd94427128eb4f6d72e5b630cbf01fac2da91aaee9f51aad7ae5aa0d17e305",
+    # its third-site stretches use up a block of exponentials twice while
+    # the uniform block in progress is partly drawn
+    "condensate": (42_794, "b08301ec11f15f2ae623eb1d5360883ffb0516ee81094df8d1faba74aab76a71"),
+}
+
+
+def sha256(*arrays):
+    h = hashlib.sha256()
+    for a, dtype in arrays:
+        h.update(np.asarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_events_match_recorded_digests():
+    got = {}
+    walk4 = WalkSpec.from_matrix([[0.0, 1.0, 0.2, 0.5], [0.3, 0.0, 1.5, 0.0],
+                                  [0.0, 0.4, 0.0, 1.0], [0.9, 0.0, 0.6, 0.0]])
+    for name, args, kw in (
+            ("cycle", (WalkSpec.cycle(3, 0.7), ProcessParams(100, 1e-5), (100, 0, 0)),
+             dict(horizon=1e300, seed=4101, max_events=40_000)),
+            ("walk4", (walk4, ProcessParams(7, 0.3), (3, 0, 4, 0)),
+             dict(horizon=300.0, seed=7, stream=3))):
+        traj = simulate(*args, **kw)
+        got[name] = (traj.n_events, sha256((traj.times, "<f8"), (traj.move_from, "<i4"),
+                                           (traj.move_to, "<i4")))
+    allones = WalkSpec.from_matrix(np.ones((3, 3)) - np.eye(3))
+    for name, task, walk, params in (
+            ("inclusion", HittingTask(chain="inclusion", start=(14, 13, 13), replicas=8,
+                                      seed=11, threshold=math.log(40)),
+             allones, ProcessParams(40, 40.0 ** -3)),
+            ("auxiliary", HittingTask(chain="auxiliary", start=(100, 100, 100), replicas=6,
+                                      seed=12, r_set=(0, 1, 2), eps=0.1),
+             WalkSpec.cycle(3, 0.7), ProcessParams(300, 1e-6))):
+        res = mc_hitting(task, walk, params)
+        got[name] = sha256((res.values, "<f8"), (res.censored, "u1"))
+    run = run_condensate(build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5), 60.0,
+                         seed=4)
+    got["condensate"] = (run.events, sha256(
+        ([run.relocations, run.events], "<i8"), (run.displacement, "<f8"),
+        ([run.trace_time, run.off_time], "<f8"), (run.positions, "<f8")))
+    assert got == DIGESTS
 
 
 def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (Configuration, MissingValue, NonIrreducibleWalk,
+from incproc import (Configuration, IncprocError, MissingValue, NonIrreducibleWalk,
                      OutOfRange, ProcessParams, SameSite, WalkSpec, analyze_walk,
                      apply_move, generator_apply, local_kinetics,
                      log_weight_table, schedule_fixed, schedule_power)
@@ -140,6 +140,17 @@ class TestWalkSpec:
         with pytest.raises(ValueError, match="unknown"):
             WalkSpec.from_json(doc)
 
+    @pytest.mark.parametrize("doc, field", [
+        (5, "object"), ("5", "object"), ("{bad", "JSON"),
+        ({"sites": 5, "rates": [[0, 1], [1, 0]]}, "'sites'"),
+        ({"sites": ["a", "b"], "rates": [[0, "x"], [1, 0]]}, "'rates'"),
+        ({"sites": ["a", "b"], "rates": 7}, "shape")],
+        ids=["number", "json-number", "json-malformed", "sites-number", "rates-string",
+             "rates-scalar"])
+    def test_json_rejects_malformed_documents(self, doc, field):
+        with pytest.raises(IncprocError, match=field):
+            WalkSpec.from_json(doc)
+
 
 class TestConfiguration:
     def test_single_site(self):
@@ -263,7 +274,7 @@ class TestParams:
         with pytest.raises(ValueError):
             ProcessParams(5, 0.0)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
     def test_rejects_non_integer_n(self, n):
         with pytest.raises(OutOfRange):
             ProcessParams(n, 0.1)

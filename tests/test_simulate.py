@@ -93,8 +93,15 @@ class TestSimulate:
 
     def test_zero_draw_never_picks_zero_rate_move(self, cycle3, monkeypatch):
         # Generator.random() can return exactly 0.0; site 0 is empty, so its
-        # moves have rate 0 and must not be picked
-        monkeypatch.setattr(_Blocks, "uniform", lambda self: 0.0)
+        # moves have rate 0 and must not be picked. The kernel reads its
+        # uniforms a slice at a time; every one it is handed here is 0.0
+        handed = []
+
+        def zeros(self, n):
+            handed.append(n)
+            return [0.0] * n
+
+        monkeypatch.setattr(_Blocks, "uniforms", zeros)
         traj = simulate(cycle3, ProcessParams(5, 0.1), (0, 5, 0), 10.0,
                         seed=1, max_events=1)
         assert traj.move_from.tolist() == [1]
@@ -107,6 +114,7 @@ class TestSimulate:
         traj = simulate(tiny, ProcessParams(1, 1e-200), (1, 0, 0), 1e300,
                         seed=1, max_events=1)
         assert (traj.move_from.tolist(), traj.move_to.tolist()) == ([0], [2])
+        assert handed == [1, 1]      # both picks drew from the patched source
 
     def test_jump_chain_frequencies_chi_square(self, up3):
         # empirical move frequencies per state vs the jump kernel
