@@ -18,12 +18,15 @@ class MissingValue(IncprocError):
 
 
 class StateSpaceTooLarge(IncprocError):
-    """The configuration space exceeds the enumeration cap."""
+    """The configuration space exceeds the enumeration cap, or its LU
+    factors the memory budget; ``cap`` is None then, and ``reason`` says
+    why."""
 
-    def __init__(self, size: int, cap: int):
+    def __init__(self, size: int, cap: int | None = None, reason: str | None = None):
         self.size = size
         self.cap = cap
-        super().__init__(f"state space has {size} configurations, cap is {cap}")
+        super().__init__(f"state space has {size} configurations, "
+                         + (reason or f"cap is {cap}"))
 
 
 class SolverFailure(IncprocError):

@@ -2,15 +2,21 @@
 
 Everything here is a direct linear-algebra computation on the enumerated
 configuration space; no asymptotics. Sparse direct solves eliminate the
-states in nested-dissection order on their count coordinates, carry one step
-of iterative refinement and are checked against explicit residual tolerances.
+states in nested-dissection order, split on level sets of subset sums of
+their counts, carry one step of iterative refinement and are checked against
+explicit residual tolerances. The separator tree of the order predicts the
+L+U fill before anything is built, and a system whose predicted factors do
+not fit in half the physical memory is refused with ``StateSpaceTooLarge``.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, log
 from typing import Sequence
 
@@ -19,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
-                     SolverFailure)
+                     SolverFailure, StateSpaceTooLarge)
 from .model import (ProcessParams, WalkSpec, analyze_walk, dense_stationary,
                     log_weight_table, site_set)
 from .regions import RegionSpec
@@ -29,6 +35,8 @@ from .states import (DEFAULT_CAP, Distribution, SolverReport, StateEnumeration,
 STATIONARY_TOL = 1e-10
 HITTING_TOL = 1e-12
 ND_LEAF = 32
+ND_ALL_SUBSETS = 8
+LU_BYTES_PER_NNZ = 12   # a float64 value and an int32 index
 
 
 def _column_key(move: tuple[int, int]) -> tuple[int, int, int]:
@@ -98,51 +106,153 @@ def enumerate_states(kappa: int, n: int, cap: int = DEFAULT_CAP) -> StateEnumera
     return StateEnumeration(kappa, n, cap=cap)
 
 
-def _nested_dissection(coords: np.ndarray) -> np.ndarray:
-    """Fill-reducing elimination order from the count coordinates.
+def _candidate_sets(kappa: int) -> np.ndarray:
+    """Indicator columns of every site set of at most ``kappa / 2`` sites,
+    by size, then in ``itertools.combinations`` order. For even ``kappa`` a
+    half-size set without site 0 is left out: its complement is listed, and
+    ``eta(S^c) = N - eta(S)`` has the same level sets."""
+    sets = [s for size in range(1, kappa // 2 + 1)
+            for s in combinations(range(kappa), size)
+            if 2 * size < kappa or s[0] == 0]
+    masks = np.zeros((kappa, len(sets)), dtype=np.int64)
+    for c, s in enumerate(sets):
+        masks[list(s), c] = 1
+    return masks
 
-    A move changes every count by at most one, so the states with
-    ``eta_j == v`` separate those with ``eta_j < v`` from those with
-    ``eta_j > v``. Each block is split at the median of its widest
-    coordinate, both sides are ordered recursively, and the separator goes
-    last. Blocks of at most ``ND_LEAF`` states keep their given order.
+
+def _smallest_level_set(sums: np.ndarray) -> tuple[int, int, int]:
+    """The column of ``sums`` whose level set at its median is smallest (the
+    first on ties), that median and the level set's size."""
+    rows = sums.T.copy()    # a partition along contiguous rows is faster
+    half = rows.shape[1] // 2
+    rows.partition(half, axis=1)
+    med = rows[:, half]
+    size = (rows == med[:, None]).sum(axis=1)
+    c = int(np.argmin(size))
+    return c, med[c], int(size[c])
+
+
+def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fill-reducing elimination order from the count coordinates, and the
+    L+U nonzeros it is predicted to store.
+
+    A move changes the subset sum ``eta(S) = sum_{j in S} eta_j`` of any
+    site set S by at most one, so the states with ``eta(S) == v`` separate
+    those with ``eta(S) < v`` from those with ``eta(S) > v``, whatever the
+    walk. Each block is split on the level set at the median of the
+    candidate S whose level set there is smallest, the first candidate on
+    ties; both sides are ordered recursively, and the separator goes last.
+    Blocks of at most ``ND_LEAF`` states keep their given order. Up to
+    ``ND_ALL_SUBSETS`` sites every S of at most ``kappa / 2`` sites is a
+    candidate (:func:`_candidate_sets`), all scored at once. Beyond that the
+    candidates grow greedily from the best single site, one site at a time
+    up to ``kappa / 2`` sites, which scores O(kappa^2) sets.
+
+    The prediction models each block, separator or leaf, of s states whose
+    b boundary states (earlier separators it may touch) are eliminated
+    after it: it fills a dense s x s block and s x b entries each in L and
+    in U, so it adds ``s (s + 2 b)``. A separator state z of an earlier split
+    can touch the ``eta(S) < v`` side only if ``eta_z(S) <= v``, and the
+    ``eta(S) > v`` side only if ``eta_z(S) >= v``.
     """
+    n, kappa = coords.shape
+    dtype = np.min_scalar_type(int(coords.sum(axis=1).max(initial=0)))
+    coords = coords.astype(dtype)
+    # split(idx, bnd): the chosen S's sums on the block idx, the median
+    # v, and the sums on the boundary states bnd
+    if kappa <= ND_ALL_SUBSETS:
+        table = coords @ _candidate_sets(kappa).astype(dtype)
+
+        def split(idx, bnd):
+            c, v, _ = _smallest_level_set(table[idx])
+            return table[idx, c], v, table[bnd, c]
+    else:
+        def split(idx, bnd):
+            sub = coords[idx]
+            chosen = np.zeros(kappa, dtype=dtype)
+            grown = np.zeros(idx.size, dtype=dtype)
+            best = None
+            for _ in range(kappa // 2):
+                free = np.flatnonzero(chosen == 0)
+                c, v, size = _smallest_level_set(grown[:, None] + sub[:, free])
+                chosen[free[c]] = 1
+                grown = grown + sub[:, free[c]]
+                if best is None or size < best[0]:
+                    best = size, grown, v, chosen.copy()
+            return best[1], best[2], coords[bnd] @ best[3]
+
     order = []
+    fill = 0
 
-    def dissect(idx: np.ndarray) -> None:
-        if idx.size <= ND_LEAF:
-            order.append(idx)
-            return
-        sub = coords[idx]
-        span = sub.max(axis=0) - sub.min(axis=0)
-        col = sub[:, int(np.argmax(span))]
-        v = np.partition(col, col.size // 2)[col.size // 2]
-        dissect(idx[col < v])
-        dissect(idx[col > v])
-        order.append(idx[col == v])
+    def dissect(idx: np.ndarray, bnd: np.ndarray) -> None:
+        nonlocal fill
+        sep = idx
+        if idx.size > ND_LEAF:
+            col, v, side = split(idx, bnd)
+            sep = idx[col == v]
+            dissect(idx[col < v], np.concatenate((bnd[side <= v], sep)))
+            dissect(idx[col > v], np.concatenate((bnd[side >= v], sep)))
+        order.append(sep)
+        fill += sep.size * (sep.size + 2 * bnd.size)
 
-    dissect(np.arange(coords.shape[0]))
-    return np.concatenate(order)
+    dissect(np.arange(n), np.zeros(0, dtype=np.intp))
+    return np.concatenate(order), fill
+
+
+@dataclass(frozen=True)
+class _Ordering:
+    """An elimination order, the L+U nonzeros it is predicted to store, and
+    the seconds it took to find."""
+
+    perm: np.ndarray
+    predicted_nnz: int
+    seconds: float
+
+
+def _lu_memory_budget() -> int:
+    """Bytes the LU factors may take: half the physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
+def _elimination_order(coords: np.ndarray) -> _Ordering:
+    """The nested-dissection order of the states with count vectors
+    ``coords``. Raises ``StateSpaceTooLarge``, before anything is built or
+    factored, when the predicted factors, at ``LU_BYTES_PER_NNZ`` bytes a
+    nonzero, exceed :func:`_lu_memory_budget`."""
+    start = time.perf_counter()
+    perm, predicted = _nested_dissection(coords)
+    need, budget = predicted * LU_BYTES_PER_NNZ, _lu_memory_budget()
+    if need > budget:
+        raise StateSpaceTooLarge(coords.shape[0], reason=(
+            f"its LU factors are predicted to hold {predicted:,} nonzeros, "
+            f"{need / 2**30:.1f} GiB, over the budget of {budget / 2**30:.1f} GiB "
+            "(half the physical memory)"))
+    return _Ordering(perm, predicted, time.perf_counter() - start)
 
 
 def _solve_refined(a: sp.spmatrix, b: np.ndarray,
-                   coords: np.ndarray) -> tuple[np.ndarray, int]:
+                   order: _Ordering) -> tuple[np.ndarray, dict]:
     """Solve ``a x = b`` by one sparse LU plus one step of iterative refinement.
 
-    The unknowns are the states whose count vectors are the rows of
-    ``coords``; they are eliminated in nested-dissection order. ``b`` may
-    hold several right-hand sides as columns. Returns the solution and the
-    number of nonzeros stored for L and U.
+    The unknowns are eliminated in the order ``order.perm``. ``b`` may hold
+    several right-hand sides as columns. Returns the solution and the
+    :class:`SolverReport` fields of the factorization: the nonzeros stored
+    for L and U, the predicted ones, and the seconds spent ordering,
+    permuting and factoring, and solving.
     """
-    perm = _nested_dissection(coords)
+    start = time.perf_counter()
+    perm = order.perm
     ap = a.tocsr()[perm][:, perm].tocsc()
-    bp = b[perm]
     lu = spla.splu(ap, permc_spec="NATURAL")
+    factored = time.perf_counter()
+    bp = b[perm]
     y = lu.solve(bp)
     y -= lu.solve(ap @ y - bp)
     x = np.empty_like(y)
     x[perm] = y
-    return x, int(lu.nnz)
+    return x, dict(lu_nnz=int(lu.nnz), predicted_nnz=order.predicted_nnz,
+                   order_s=order.seconds, factor_s=factored - start,
+                   solve_s=time.perf_counter() - factored)
 
 
 def stationary_exact(spec: WalkSpec, params: ProcessParams,
@@ -157,6 +267,7 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     the solve in ``solver``.
     """
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
+    order = _elimination_order(enum.counts_matrix())
     q = build_generator(spec, params, enum)
     n = enum.size
     ref = enum.xi_index(int(np.argmax(analyze_walk(spec).m)))
@@ -173,7 +284,7 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     scale = float(np.abs(q.data).max())
     bound = tol * scale
 
-    mu, lu_nnz = _solve_refined(a, b, enum.counts_matrix())
+    mu, factors = _solve_refined(a, b, order)
     residual = np.inf
     if mu.min() >= -1e-9 * max(mu.max(), 1.0):
         mu = np.clip(mu, 0.0, None)
@@ -183,7 +294,7 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
         raise SolverFailure(
             f"stationary residual {residual:.3e} > {tol:.1e} * {scale:.3e}")
     return Distribution(enum, mu, normalized=True,
-                        solver=SolverReport("lu", residual, bound, lu_nnz))
+                        solver=SolverReport("lu", residual, bound, **factors))
 
 
 def stationary_closed_form(spec: WalkSpec, params: ProcessParams,
@@ -266,7 +377,7 @@ def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassR
                       b_ratios=b_ratios, regions=tuple(reports))
 
 
-def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
+def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
                     a_set: tuple[int, ...], tol: float) -> tuple[np.ndarray, SolverReport]:
     """Hitting probabilities of every metastable state of ``a_set`` at once.
 
@@ -274,7 +385,9 @@ def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
     xi^{a_set[j]} before any other metastable state of ``a_set``. The
     interior system ``I - P_ii`` does not depend on the target, so it is
     built and factored once and the ``|A|`` boundary columns are solved
-    together; every column's residual is checked against ``tol``.
+    together; every column's residual is checked against ``tol``. The
+    interior is ordered, and its factors' size checked, before the rate
+    matrix is built.
     """
     xi = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
     interior = np.setdiff1d(np.arange(enum.size), xi)
@@ -284,7 +397,8 @@ def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
         # every state is metastable (N = 1, A = all sites): nothing to solve
         return h, SolverReport("lu", 0.0, tol, 0)
 
-    rates_i = rates[interior]
+    order = _elimination_order(enum.counts_matrix()[interior])
+    rates_i = build_rate_matrix(spec, params, enum)[interior]
     holding = np.asarray(rates_i.sum(axis=1)).ravel()
     stuck = holding < 1.0 / np.finfo(float).max     # 1 / holding overflows
     if stuck.any():
@@ -293,13 +407,13 @@ def _hitting_matrix(enum: StateEnumeration, rates: sp.csr_matrix,
     p_i = sp.diags(1.0 / holding) @ rates_i
     a_mat = (sp.eye(interior.size) - p_i[:, interior]).tocsc()
     b = p_i[:, xi].toarray()
-    h_int, lu_nnz = _solve_refined(a_mat, b, enum.counts_matrix()[interior])
+    h_int, factors = _solve_refined(a_mat, b, order)
     residual = float(np.abs(a_mat @ h_int - b).max())
     if residual > tol:
         raise SolverFailure(f"hitting-probability residual {residual:.3e} > {tol:.1e}")
 
     h[interior] = np.clip(h_int, 0.0, 1.0)
-    return h, SolverReport("lu", residual, tol, lu_nnz)
+    return h, SolverReport("lu", residual, tol, **factors)
 
 
 def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
@@ -316,7 +430,7 @@ def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
     if y not in a_set:
         raise OutOfRange(f"site {y} not in target set {a_set}")
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
-    h, _ = _hitting_matrix(enum, build_rate_matrix(spec, params, enum), a_set, tol)
+    h, _ = _hitting_matrix(spec, params, enum, a_set, tol)
     return h[:, a_set.index(y)].copy(), enum
 
 
@@ -360,8 +474,7 @@ def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set,
     if n < 2:
         raise OutOfRange(f"trace rates need N >= 2, got N = {n}")
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
-    rates = build_rate_matrix(spec, params, enum)
-    h, solver = _hitting_matrix(enum, rates, a_set, HITTING_TOL)
+    h, solver = _hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
     raw = np.zeros((len(a_set), len(a_set)))
     for i, x in enumerate(a_set):
         for z in range(spec.kappa):

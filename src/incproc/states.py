@@ -174,13 +174,20 @@ class SolverReport:
     ``path`` is always ``"lu"``, the sparse direct solve; it names the
     solver in reports. ``residual`` is the final max-norm
     residual and ``bound`` the tolerance it was checked against. ``lu_nnz``
-    counts the nonzeros SuperLU stored for L and U of the one factorization.
+    counts the nonzeros SuperLU stored for L and U of the one factorization,
+    and ``predicted_nnz`` those the elimination order predicted before it.
+    ``order_s``, ``factor_s`` and ``solve_s`` are the seconds spent finding
+    the order, permuting and factoring, and solving with one refinement step.
     """
 
     path: str
     residual: float
     bound: float
     lu_nnz: int
+    predicted_nnz: int = 0
+    order_s: float = 0.0
+    factor_s: float = 0.0
+    solve_s: float = 0.0
 
 
 @dataclass

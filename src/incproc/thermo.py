@@ -19,8 +19,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (NonSpanningSupport, OutOfRange, SupportTooLarge,
-                     TooFewRelocations)
+from .errors import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
+                     OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, log_weight_table
@@ -29,6 +29,17 @@ from .simulate import (_SLICE, Trajectory, _add_in_order, _Blocks, _check_replic
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
+# The condensate runs refuse a torus whose exact condensate mass is below
+# this. Off the condensed regime an excursion need not return to a one-site
+# state: the 1-D torus L = 64, N = 32, d_L = 0.1 (mass 3.2e-7) never does.
+# Tori of mass 0.022 (1-D L = 7, N = 7, d_L = 0.5) and 0.024 still run
+# quickly, so a low mass alone does not show a hang; _STRETCH_EVENTS
+# bounds the rest.
+MIN_CONDENSATE_MASS = 1e-3
+# events one excursion may take after it leaves its channel for a third
+# site: about 10x the longest seen on condensed tori (4.3e5 events, 1-D
+# L = 32, mass 0.012)
+_STRETCH_EVENTS = 1 << 22
 
 
 def _canonical_kernel(d: int, kernel: Mapping) -> dict[tuple[int, ...], float]:
@@ -469,7 +480,7 @@ class _CondensateReplica:
         moves[moved] = ch.offsets[k[moved]]
         hopped = np.flatnonzero(status == _HOPPED)
         if len(hopped):
-            third = _ThirdSite(ch, _Blocks(self.hops))
+            third = _ThirdSite(ch, _Blocks(self.hops), self.key[1], self.chunks - 1)
             for j in hopped:
                 extra, more, moves[j] = third.finish(int(pos[j]))
                 dur[j] += extra
@@ -494,9 +505,10 @@ class _ThirdSite:
     """The event kernel, for excursions that leave their channel for a third
     site. The condensate sits at site 0: the torus is translation invariant."""
 
-    def __init__(self, ch: _Channels, blocks: _Blocks):
+    def __init__(self, ch: _Channels, blocks: _Blocks, stream: int, chunk: int):
         self.ch = ch
         self.blocks = blocks
+        self.where = f"replica {stream}, chunk {chunk}"
         self.counts = [0] * ch.spec.n_sites
         self.occupied: list[int] = []
         self.kernel = _Kernel(self.counts, self.occupied, ch.out, ch.spec.d_l,
@@ -506,7 +518,8 @@ class _ThirdSite:
         """Finish an excursion whose last event left channel ``pos`` for a
         third site: pick that hop, then run the kernel until one site holds
         every particle. Returns the time and the events this took, and the
-        condensate's move."""
+        condensate's move. Raises ``BudgetExceeded`` after
+        ``_STRETCH_EVENTS`` events."""
         ch, counts, occupied = self.ch, self.counts, self.occupied
         n, d = ch.n, ch.spec.d_l
         k, level = divmod(pos, n + 1)
@@ -532,6 +545,10 @@ class _ThirdSite:
             occupied.append(y)
         t, taken = 0.0, 0
         while len(occupied) > 1:
+            if taken >= _STRETCH_EVENTS:
+                raise BudgetExceeded(
+                    f"{self.where}: an excursion took {taken} events without "
+                    "gathering every particle on one site")
             dts, moves = self.kernel.run(_SLICE)
             t = _add_in_order(t, dts)
             taken += len(moves)
@@ -622,14 +639,20 @@ def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:
 
 
 def _check_run(spec: TorusSpec, t_rescaled: float, n_checkpoints: int) -> None:
-    """Refuse an empty torus, no checkpoint, or a trace-clock horizon
-    ``theta * t_rescaled`` that is not positive and finite."""
+    """Refuse an empty torus, no checkpoint, a trace-clock horizon
+    ``theta * t_rescaled`` that is not positive and finite, or a torus whose
+    exact condensate mass is below ``MIN_CONDENSATE_MASS``."""
     if spec.n < 1:
         raise OutOfRange("the torus holds no particles")
     if not isinstance(n_checkpoints, numbers.Integral) or n_checkpoints < 1:
         raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints!r}")
     if not (t_rescaled > 0 and math.isfinite(spec.theta * t_rescaled)):
         raise OutOfRange(f"t_rescaled must be positive and finite, got {t_rescaled!r}")
+    mass = torus_condensation(spec).e_mass
+    if mass < MIN_CONDENSATE_MASS:
+        raise ConditionNotSatisfied(
+            f"the torus is not condensed: its exact condensate mass {mass:.3g} "
+            f"is below {MIN_CONDENSATE_MASS:g}")
 
 
 def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
@@ -668,7 +691,9 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
     bounded chunk at a time, so memory does not grow with the horizon. It is
     replica ``stream`` of :func:`measure_drift` and :func:`measure_diffusion`
     with the same seed. The walk is translation invariant, so the run has
-    no start site: displacements are relative to where it starts.
+    no start site: displacements are relative to where it starts. A torus
+    whose exact condensate mass is below ``MIN_CONDENSATE_MASS`` is refused
+    with ``ConditionNotSatisfied``, as in the measurements.
     """
     _check_run(spec, t_rescaled, n_checkpoints)
     return _condensate_runs(spec, t_rescaled, seed, n_checkpoints, [stream])[0]

@@ -6,7 +6,13 @@ pin on the heaviest metastable state, and one hitting solve per target.
 """
 
 import math
+import os
+import subprocess
+import sys
+import time
 import warnings
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incproc.exact as exact
-from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure, WalkSpec,
-                     analyze_walk, enumerate_states, flow_profile,
-                     hitting_probabilities, m_function, mean_jump_rate_exact,
-                     stationary_exact)
+from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure,
+                     StateSpaceTooLarge, WalkSpec, analyze_walk, enumerate_states,
+                     flow_profile, hitting_probabilities, m_function,
+                     mean_jump_rate_exact, stationary_exact)
 from incproc.exact import (HITTING_TOL, STATIONARY_TOL, build_generator,
                            build_rate_matrix)
+from incproc.thermo import build_torus, torus_walk
 
 AGREE = 1e-12
 
@@ -142,8 +149,7 @@ class TestRandomWalks:
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
         a_set = tuple(range(spec.kappa))
-        h, _ = exact._hitting_matrix(enum, build_rate_matrix(spec, params, enum),
-                                     a_set, HITTING_TOL)
+        h, _ = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
         assert h.shape == (enum.size, spec.kappa)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -172,27 +178,125 @@ class TestRandomWalks:
     def test_nested_dissection_is_a_permutation(self, seed):
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
-        perm = exact._nested_dissection(enum.counts_matrix())
+        perm, _ = exact._nested_dissection(enum.counts_matrix())
         assert np.array_equal(np.sort(perm), np.arange(enum.size))
+
+
+def single_count_order(coords):
+    """The order the subset-sum dissection replaced: split each block at the
+    median of its widest single count, ``eta_j == v``."""
+    order = []
+
+    def dissect(idx):
+        if idx.size <= exact.ND_LEAF:
+            order.append(idx)
+            return
+        sub = coords[idx]
+        span = sub.max(axis=0) - sub.min(axis=0)
+        col = sub[:, int(np.argmax(span))]
+        v = np.partition(col, col.size // 2)[col.size // 2]
+        dissect(idx[col < v])
+        dissect(idx[col > v])
+        order.append(idx[col == v])
+
+    dissect(np.arange(coords.shape[0]))
+    return np.concatenate(order)
+
+
+def solve_all(spec, params, a_set):
+    """The stationary law, the hitting vectors of every target and the trace rates."""
+    enum = enumerate_states(spec.kappa, params.n)
+    h, _ = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
+    return (stationary_exact(spec, params).weights, h.T,
+            mean_jump_rate_exact(spec, params, a_set).raw)
+
+
+def agree_with_single_count_order(spec, params, a_set):
+    new = solve_all(spec, params, a_set)
+    with mock.patch.object(exact, "_nested_dissection",
+                           lambda coords: (single_count_order(coords), 0)):
+        ref = solve_all(spec, params, a_set)
+    close(new[0], ref[0], "stationary law")
+    for y, h_new, h_ref in zip(a_set, new[1], ref[1]):
+        close(h_new, h_ref, f"h_{y}")
+    close(new[2], ref[2], "trace rates")
+
+
+TORUS8 = build_torus(1, 8, {1: 0.7, -1: 0.3}, rho=1.0, d_l=1e-3)
 
 
 class TestNestedDissection:
     def test_separator_splits_the_move_graph(self):
-        # the last block of the top-level split separates the two halves:
-        # no single move links a state ordered before the separator on one
-        # side with a state on the other side
-        spec, params = WalkSpec.cycle(4, 0.6), ProcessParams(20, 1e-2)
-        enum = enumerate_states(spec.kappa, params.n)
-        counts = enum.counts_matrix()
-        span = counts.max(axis=0) - counts.min(axis=0)
-        j = int(np.argmax(span))
-        v = np.sort(counts[:, j])[enum.size // 2]
-        side = np.sign(counts[:, j].astype(int) - v)
-        rates = build_rate_matrix(spec, params, enum).tocoo()
-        assert (side[rates.row] * side[rates.col] >= 0).all()
-        perm = exact._nested_dissection(counts)
-        sep = perm[-int((side == 0).sum()):]
-        assert (counts[sep, j] == v).all()
+        # the top separator, ordered last, is one level set eta(S) == v of a
+        # subset sum, no rate-matrix entry links its two sides, and it is
+        # smaller than the single-count separator it replaced
+        params = ProcessParams(12, 1e-2)
+        for walk in (WalkSpec.cycle(4, 0.6), KAPPA4, WalkSpec.cycle(5, 0.6)):
+            enum = enumerate_states(walk.kappa, params.n)
+            counts = enum.counts_matrix().astype(int)
+            perm, _ = exact._nested_dissection(counts)
+            rates = build_rate_matrix(walk, params, enum).tocoo()
+            found = []
+            for size in range(1, walk.kappa):
+                for s in combinations(range(walk.kappa), size):
+                    eta_s = counts[:, list(s)].sum(axis=1)
+                    v = eta_s[perm[-1]]
+                    level = np.flatnonzero(eta_s == v)
+                    if set(perm[-level.size:]) == set(level):
+                        found.append(level.size)
+                        side = np.sign(eta_s - v)
+                        assert (side < 0).any() and (side > 0).any()
+                        assert (side[rates.row] * side[rates.col] >= 0).all()
+            assert found
+            # it is the smallest median level set of any |S| <= kappa/2
+            smallest = min(
+                (eta_s == np.sort(eta_s)[enum.size // 2]).sum()
+                for size in range(1, walk.kappa // 2 + 1)
+                for eta_s in (counts[:, list(s)].sum(axis=1)
+                              for s in combinations(range(walk.kappa), size)))
+            assert min(found) == smallest
+            j = int(np.argmax(counts.max(axis=0) - counts.min(axis=0)))
+            v = np.sort(counts[:, j])[enum.size // 2]
+            assert smallest < (counts[:, j] == v).sum()
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=15, deadline=None)
+    def test_agrees_with_single_count_order(self, seed):
+        spec, params = random_walk(seed)
+        agree_with_single_count_order(spec, params, tuple(range(spec.kappa)))
+
+    def test_benchmark_walk_agrees_with_single_count_order(self):
+        # the perfbench exact_lu size: a positive 4-site walk at N = 35
+        agree_with_single_count_order(KAPPA4, ProcessParams(35, 1e-4), (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("walk, params, single_count_nnz", [
+        (KAPPA4, ProcessParams(35, 1e-4), 2_618_826),
+        (WalkSpec.cycle(5, 0.7), ProcessParams(20, 1e-4), 10_235_138),
+        (torus_walk(TORUS8), ProcessParams(TORUS8.n, TORUS8.d_l), 11_791_144),
+    ])
+    def test_fill_and_its_prediction(self, walk, params, single_count_nnz):
+        # single_count_nnz: L+U of the stationary system under the single-count order
+        solver = stationary_exact(walk, params).solver
+        assert solver.lu_nnz <= single_count_nnz
+        assert solver.lu_nnz / 2 <= solver.predicted_nnz <= 2 * solver.lu_nnz
+
+    def test_hitting_fill_below_single_count_order(self):
+        solver = mean_jump_rate_exact(KAPPA4, ProcessParams(35, 1e-4), (0, 1, 2, 3)).solver
+        assert solver.lu_nnz <= 2_761_282
+        assert solver.lu_nnz / 2 <= solver.predicted_nnz <= 2 * solver.lu_nnz
+
+    def test_candidate_family_is_bounded(self):
+        # every |S| <= kappa/2 up to eight sites, half-size sets once per
+        # complement pair; beyond that O(kappa^2) sets grown greedily, so a
+        # 40-site walk orders quickly
+        assert [exact._candidate_sets(k).shape[1] for k in (2, 3, 4, 5, 8)] == [
+            1, 3, 7, 15, 127]
+        counts = enumerate_states(40, 3).counts_matrix()
+        start = time.perf_counter()
+        perm, predicted = exact._nested_dissection(counts)
+        assert time.perf_counter() - start < 2.0
+        assert np.array_equal(np.sort(perm), np.arange(counts.shape[0]))
+        assert predicted > 0
 
     def test_less_fill_than_minimum_degree(self):
         # at desk scale on four sites the count-coordinate dissection beats
@@ -201,6 +305,47 @@ class TestNestedDissection:
         a, _ = pinned_balance(spec, params)
         mmd = spla.splu(a, permc_spec="MMD_AT_PLUS_A").nnz
         assert stationary_exact(spec, params).solver.lu_nnz < 0.8 * mmd
+
+
+REFUSE = """
+import resource, sys
+import incproc.exact as exact
+from incproc import ProcessParams, StateSpaceTooLarge, WalkSpec, stationary_exact
+# the budget of an 8 GiB machine; factoring must not start
+exact._lu_memory_budget = lambda: 4 * 2**30
+exact.spla.splu = None
+for kappa, n in ((4, 140), (5, 44)):
+    try:
+        stationary_exact(WalkSpec.cycle(kappa, 0.7), ProcessParams(n, 1e-4))
+    except StateSpaceTooLarge as exc:
+        print(exc)
+    else:
+        sys.exit("not refused")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestFillCap:
+    def test_budget_is_half_the_physical_memory(self):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert exact._lu_memory_budget() == physical // 2
+
+    def test_refused_before_factoring(self):
+        # 477,191 states on four sites and 194,580 on five fit the state cap,
+        # but their factors would not fit in memory
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", REFUSE], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out[0].startswith("state space has 477191 configurations")
+        assert out[1].startswith("state space has 194580 configurations")
+        assert all("GiB, over the budget of 4.0 GiB" in line for line in out[:2])
+        assert int(out[2]) < 500 * 1024     # ru_maxrss is in KiB on Linux
+
+    def test_refusal_names_the_budget(self, cycle3, monkeypatch):
+        monkeypatch.setattr(exact, "_lu_memory_budget", lambda: 1000)
+        with pytest.raises(StateSpaceTooLarge, match="over the budget") as exc:
+            hitting_probabilities(cycle3, ProcessParams(10, 0.1), (0, 1), 0)
+        assert exc.value.size == 64 and exc.value.cap is None
 
 
 class TestDiagnostics:

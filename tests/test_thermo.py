@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 import sys
 import time
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (NonSpanningSupport, OutOfRange, ProcessParams,
+from incproc import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
+                     OutOfRange, ProcessParams,
                      SupportTooLarge, TooFewRelocations, analyze_walk, build_torus,
                      compare_rate_methods, condensate_statistics, cosine_mode,
                      generator_gap, limit_generator_apply, linear_function,
@@ -287,6 +289,44 @@ class TestRenewalSampler:
         empty = dataclasses.replace(spec, n=0, rho=0.05)
         with pytest.raises(OutOfRange):
             run_condensate(empty, t_rescaled=1.0, seed=1)
+
+    def test_refuses_a_torus_off_the_condensed_regime(self):
+        # exact condensate mass 3.2e-7: an excursion from the one-site state
+        # does not come back, and the sampler used to run on forever in
+        # _ThirdSite.finish; the alarm fails the test instead of hanging
+        spec = build_torus(1, 64, {1: 0.5, -1: 0.5}, rho=0.5, d_l=0.1)
+
+        def hung(signum, frame):
+            raise TimeoutError("the condensate run did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            for call in (lambda: run_condensate(spec, t_rescaled=1e-3, seed=3),
+                         lambda: measure_drift(spec, t_rescaled=1e-3, seed=3),
+                         lambda: measure_diffusion(spec, t_rescaled=1e-3, replicas=2,
+                                                   seed=3)):
+                start = time.perf_counter()
+                with pytest.raises(ConditionNotSatisfied, match="3.2e-07"):
+                    call()
+                assert time.perf_counter() - start < 1.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert torus_condensation(spec).e_mass < THERMO.MIN_CONDENSATE_MASS
+
+    def test_mass_threshold_admits_the_third_site_tori(self):
+        for spec in (build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5),
+                     build_torus(2, 5, {(1, 0): 1.0, (-1, 0): 0.6, (0, 1): 0.8,
+                                        (0, -1): 0.8}, rho=1.0, d_l=5e-2)):
+            assert THERMO.MIN_CONDENSATE_MASS < torus_condensation(spec).e_mass < 0.03
+
+    def test_a_stretch_over_its_event_bound_names_replica_and_chunk(self, monkeypatch):
+        # d_L = 0.5 on 7 sites: about half the excursions hop to a third site
+        monkeypatch.setattr(THERMO, "_STRETCH_EVENTS", 0)
+        spec = build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5)
+        with pytest.raises(BudgetExceeded, match="replica 5, chunk 0: an excursion"):
+            run_condensate(spec, t_rescaled=1.0, seed=20, stream=5)
 
     @staticmethod
     def excursions(spec, t, seed, replicas):
