@@ -22,7 +22,8 @@ from .acceptance import verify_suite
 from .asymptotics import classify as classify_walk
 from .asymptotics import limit_chain, predicted_mean_rate
 from .errors import ConfigError, IncprocError, OutOfRange, PremiseViolated
-from .exact import mean_jump_rate_exact, region_masses, stationary_closed_form, stationary_exact
+from .exact import (mean_jump_rate_exact, region_masses, stage_times,
+                    stationary_closed_form, stationary_exact)
 from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk,
                     schedule_fixed, schedule_power, state_counts)
 from .simulate import (DEFAULT_STEP_CAP, HittingTask, mc_hitting, mc_mean_jump_rate,
@@ -267,7 +268,8 @@ def run(cfg: dict, out_dir: str | Path | None = None, threads: int = 1,
 
 def _run_stationary(c, out, threads, report, echo):
     walk, params = c["walk"], c["params"]
-    mu = stationary_exact(walk, params)
+    with stage_times() as times:
+        mu = stationary_exact(walk, params)
     csv_path = out / "distribution.csv"
     mu.to_csv(csv_path, site_labels=walk.sites)
     report.artifacts.append(str(csv_path))
@@ -281,12 +283,13 @@ def _run_stationary(c, out, threads, report, echo):
     _write_json(out / "summary.json", summary)
     report.artifacts.append(str(out / "summary.json"))
     report.metrics.update({"E_mass": summary["E_mass"], "states": mu.enum.size,
-                           "solver": asdict(mu.solver)})
+                           "solver": {**asdict(mu.solver), **times}})
 
 
 def _run_meanrate(c, out, threads, report, echo):
     walk, params, a_set = c["walk"], c["params"], c["a_set"]
-    exact = mean_jump_rate_exact(walk, params, a_set)
+    with stage_times() as times:
+        exact = mean_jump_rate_exact(walk, params, a_set)
     pred = predicted_mean_rate(walk, a_set, params.n, params.d)
     rows = []
     for i, x in enumerate(a_set):
@@ -298,7 +301,7 @@ def _run_meanrate(c, out, threads, report, echo):
                ["site_from", "site_to", "rate", "normalized", "predicted"], rows)
     report.artifacts.append(str(out / "meanrate.csv"))
     report.metrics["error_budget"] = pred.error_budget
-    report.metrics["solver"] = asdict(exact.solver)
+    report.metrics["solver"] = {**asdict(exact.solver), **times}
     if c["mc_replicas"] is not None:
         est = mc_mean_jump_rate(walk, params, a_set, replicas=c["mc_replicas"],
                                 horizon=c["mc_horizon"], seed=c["seed"],

@@ -7,6 +7,8 @@ their counts, carry one step of iterative refinement and are checked against
 explicit residual tolerances. The separator tree of the order predicts the
 L+U fill before anything is built, and a system whose predicted factors do
 not fit in half the physical memory is refused with ``StateSpaceTooLarge``.
+The results are the same from run to run; :func:`stage_times` records the
+seconds each solve spends ordering, factoring and solving.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from __future__ import annotations
 import numbers
 import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, log
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +41,26 @@ HITTING_TOL = 1e-12
 ND_LEAF = 32
 ND_ALL_SUBSETS = 8
 LU_BYTES_PER_NNZ = 12   # a float64 value and an int32 index
+STAGES = ("order_s", "factor_s", "solve_s")
+
+_stage_times: ContextVar[dict[str, float] | None] = ContextVar("stage_times", default=None)
+
+
+@contextmanager
+def stage_times() -> Iterator[dict[str, float]]:
+    """Record the seconds the sparse solves run inside the block spend
+    finding the order (``order_s``), permuting and factoring (``factor_s``)
+    and solving with one refinement step (``solve_s``), summed over solves.
+
+    Yields the dict it fills. The times stay off the returned results, whose
+    contents do not change from run to run.
+    """
+    times = dict.fromkeys(STAGES, 0.0)
+    token = _stage_times.set(times)
+    try:
+        yield times
+    finally:
+        _stage_times.reset(token)
 
 
 def _column_key(move: tuple[int, int]) -> tuple[int, int, int]:
@@ -107,11 +131,14 @@ def enumerate_states(kappa: int, n: int, cap: int = DEFAULT_CAP) -> StateEnumera
 
 
 def _candidate_sets(kappa: int) -> np.ndarray:
-    """Indicator columns of every site set of at most ``kappa / 2`` sites,
-    by size, then in ``itertools.combinations`` order. For even ``kappa`` a
-    half-size set without site 0 is left out: its complement is listed, and
-    ``eta(S^c) = N - eta(S)`` has the same level sets."""
-    sets = [s for size in range(1, kappa // 2 + 1)
+    """Indicator columns of the candidate site sets of a split, by size,
+    then in ``itertools.combinations`` order: every set of at most
+    ``kappa / 2`` sites up to ``ND_ALL_SUBSETS`` sites, the single sites
+    beyond. For even ``kappa`` a half-size set without site 0 is left out:
+    its complement is listed, and ``eta(S^c) = N - eta(S)`` has the same
+    level sets."""
+    max_size = kappa // 2 if kappa <= ND_ALL_SUBSETS else 1
+    sets = [s for size in range(1, max_size + 1)
             for s in combinations(range(kappa), size)
             if 2 * size < kappa or s[0] == 0]
     masks = np.zeros((kappa, len(sets)), dtype=np.int64)
@@ -120,16 +147,16 @@ def _candidate_sets(kappa: int) -> np.ndarray:
     return masks
 
 
-def _smallest_level_set(sums: np.ndarray) -> tuple[int, int, int]:
+def _smallest_level_set(sums: np.ndarray) -> tuple[int, int]:
     """The column of ``sums`` whose level set at its median is smallest (the
-    first on ties), that median and the level set's size."""
+    first on ties), and that median."""
     rows = sums.T.copy()    # a partition along contiguous rows is faster
     half = rows.shape[1] // 2
     rows.partition(half, axis=1)
     med = rows[:, half]
     size = (rows == med[:, None]).sum(axis=1)
     c = int(np.argmin(size))
-    return c, med[c], int(size[c])
+    return c, med[c]
 
 
 def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
@@ -142,11 +169,11 @@ def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
     walk. Each block is split on the level set at the median of the
     candidate S whose level set there is smallest, the first candidate on
     ties; both sides are ordered recursively, and the separator goes last.
-    Blocks of at most ``ND_LEAF`` states keep their given order. Up to
-    ``ND_ALL_SUBSETS`` sites every S of at most ``kappa / 2`` sites is a
-    candidate (:func:`_candidate_sets`), all scored at once. Beyond that the
-    candidates grow greedily from the best single site, one site at a time
-    up to ``kappa / 2`` sites, which scores O(kappa^2) sets.
+    Blocks of at most ``ND_LEAF`` states keep their given order. The
+    candidates are those of :func:`_candidate_sets`: every S of at most
+    ``kappa / 2`` sites up to ``ND_ALL_SUBSETS`` sites, the single sites
+    beyond, so the family stays small on large walks. Their sums are
+    tabulated once and scored per block all at once.
 
     The prediction models each block, separator or leaf, of s states whose
     b boundary states (earlier separators it may touch) are eliminated
@@ -157,29 +184,7 @@ def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
     """
     n, kappa = coords.shape
     dtype = np.min_scalar_type(int(coords.sum(axis=1).max(initial=0)))
-    coords = coords.astype(dtype)
-    # split(idx, bnd): the chosen S's sums on the block idx, the median
-    # v, and the sums on the boundary states bnd
-    if kappa <= ND_ALL_SUBSETS:
-        table = coords @ _candidate_sets(kappa).astype(dtype)
-
-        def split(idx, bnd):
-            c, v, _ = _smallest_level_set(table[idx])
-            return table[idx, c], v, table[bnd, c]
-    else:
-        def split(idx, bnd):
-            sub = coords[idx]
-            chosen = np.zeros(kappa, dtype=dtype)
-            grown = np.zeros(idx.size, dtype=dtype)
-            best = None
-            for _ in range(kappa // 2):
-                free = np.flatnonzero(chosen == 0)
-                c, v, size = _smallest_level_set(grown[:, None] + sub[:, free])
-                chosen[free[c]] = 1
-                grown = grown + sub[:, free[c]]
-                if best is None or size < best[0]:
-                    best = size, grown, v, chosen.copy()
-            return best[1], best[2], coords[bnd] @ best[3]
+    table = coords.astype(dtype) @ _candidate_sets(kappa).astype(dtype)
 
     order = []
     fill = 0
@@ -188,7 +193,8 @@ def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
         nonlocal fill
         sep = idx
         if idx.size > ND_LEAF:
-            col, v, side = split(idx, bnd)
+            c, v = _smallest_level_set(table[idx])
+            col, side = table[idx, c], table[bnd, c]
             sep = idx[col == v]
             dissect(idx[col < v], np.concatenate((bnd[side <= v], sep)))
             dissect(idx[col > v], np.concatenate((bnd[side >= v], sep)))
@@ -237,8 +243,8 @@ def _solve_refined(a: sp.spmatrix, b: np.ndarray,
     The unknowns are eliminated in the order ``order.perm``. ``b`` may hold
     several right-hand sides as columns. Returns the solution and the
     :class:`SolverReport` fields of the factorization: the nonzeros stored
-    for L and U, the predicted ones, and the seconds spent ordering,
-    permuting and factoring, and solving.
+    for L and U, and the predicted ones. The stage times go to
+    :func:`stage_times`.
     """
     start = time.perf_counter()
     perm = order.perm
@@ -250,9 +256,12 @@ def _solve_refined(a: sp.spmatrix, b: np.ndarray,
     y -= lu.solve(ap @ y - bp)
     x = np.empty_like(y)
     x[perm] = y
-    return x, dict(lu_nnz=int(lu.nnz), predicted_nnz=order.predicted_nnz,
-                   order_s=order.seconds, factor_s=factored - start,
-                   solve_s=time.perf_counter() - factored)
+    times = _stage_times.get()
+    if times is not None:
+        for stage, seconds in zip(STAGES, (order.seconds, factored - start,
+                                           time.perf_counter() - factored)):
+            times[stage] += seconds
+    return x, dict(lu_nnz=int(lu.nnz), predicted_nnz=order.predicted_nnz)
 
 
 def stationary_exact(spec: WalkSpec, params: ProcessParams,

@@ -176,8 +176,8 @@ class SolverReport:
     residual and ``bound`` the tolerance it was checked against. ``lu_nnz``
     counts the nonzeros SuperLU stored for L and U of the one factorization,
     and ``predicted_nnz`` those the elimination order predicted before it.
-    ``order_s``, ``factor_s`` and ``solve_s`` are the seconds spent finding
-    the order, permuting and factoring, and solving with one refinement step.
+    The stage times are not here, so that a result is the same run to run;
+    :func:`incproc.exact.stage_times` records them.
     """
 
     path: str
@@ -185,9 +185,6 @@ class SolverReport:
     bound: float
     lu_nnz: int
     predicted_nnz: int = 0
-    order_s: float = 0.0
-    factor_s: float = 0.0
-    solve_s: float = 0.0
 
 
 @dataclass

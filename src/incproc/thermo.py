@@ -648,7 +648,7 @@ def _check_run(spec: TorusSpec, t_rescaled: float, n_checkpoints: int) -> None:
         raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints!r}")
     if not (t_rescaled > 0 and math.isfinite(spec.theta * t_rescaled)):
         raise OutOfRange(f"t_rescaled must be positive and finite, got {t_rescaled!r}")
-    mass = torus_condensation(spec).e_mass
+    mass, _, _ = _condensate_mass(spec)
     if mass < MIN_CONDENSATE_MASS:
         raise ConditionNotSatisfied(
             f"the torus is not condensed: its exact condensate mass {mass:.3g} "
@@ -852,6 +852,16 @@ class CondensationReport:
     bound_holds: bool
 
 
+def _condensate_mass(spec: TorusSpec) -> tuple[float, np.ndarray, float]:
+    """The exact condensate mass of ``spec`` (see :func:`torus_condensation`),
+    the single-site log weights ``log w(0..N)`` and the log-partition value
+    it is computed from."""
+    n, d_l = spec.n, spec.d_l
+    logw = log_weight_table(n, d_l)
+    log_z = float(log_weight_table(n, d_l * spec.n_sites)[n])
+    return math.exp(math.log(spec.n_sites) + logw[n] - log_z), logw, log_z
+
+
 def torus_condensation(spec: TorusSpec, bound_terms: int = 8) -> CondensationReport:
     """Exact condensate mass from the product-form stationary measure.
 
@@ -867,10 +877,7 @@ def torus_condensation(spec: TorusSpec, bound_terms: int = 8) -> CondensationRep
     """
     n, d_l = spec.n, spec.d_l
     sites = spec.n_sites
-    logw = log_weight_table(n, d_l)
-    log_z = float(log_weight_table(n, d_l * sites)[n])
-    log_e_mass = math.log(sites) + logw[n] - log_z
-    e_mass = math.exp(log_e_mass)
+    e_mass, logw, log_z = _condensate_mass(spec)
 
     ks = np.arange(1, min(spec.side, n) + 1)
     w_vals = np.exp(logw[ks])

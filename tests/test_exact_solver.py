@@ -7,6 +7,7 @@ pin on the heaviest metastable state, and one hitting solve per target.
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -287,10 +288,11 @@ class TestNestedDissection:
 
     def test_candidate_family_is_bounded(self):
         # every |S| <= kappa/2 up to eight sites, half-size sets once per
-        # complement pair; beyond that O(kappa^2) sets grown greedily, so a
-        # 40-site walk orders quickly
-        assert [exact._candidate_sets(k).shape[1] for k in (2, 3, 4, 5, 8)] == [
-            1, 3, 7, 15, 127]
+        # complement pair; the single sites beyond, so a 40-site walk orders
+        # quickly
+        assert [exact._candidate_sets(k).shape[1] for k in (2, 3, 4, 5, 8, 9, 40)] == [
+            1, 3, 7, 15, 127, 9, 40]
+        assert (exact._candidate_sets(40) == np.eye(40, dtype=int)).all()
         counts = enumerate_states(40, 3).counts_matrix()
         start = time.perf_counter()
         perm, predicted = exact._nested_dissection(counts)
@@ -374,6 +376,25 @@ class TestDiagnostics:
         assert tr.solver.bound == HITTING_TOL
         assert 0.0 <= tr.solver.residual <= HITTING_TOL
         assert tr.solver.lu_nnz > 0
+
+    def test_stage_times_stay_off_the_results(self, up3):
+        # the results pickle the same run to run; stage_times sums the
+        # seconds of the solves inside its block only
+        params = ProcessParams(12, 0.05)
+        with exact.stage_times() as times:
+            first = mean_jump_rate_exact(up3, params, (0, 1, 2))
+            assert exact._stage_times.get() is times
+        assert set(times) == set(exact.STAGES)
+        assert all(t >= 0.0 for t in times.values()) and times["factor_s"] > 0.0
+        assert exact._stage_times.get() is None
+        second = mean_jump_rate_exact(up3, params, (0, 1, 2))
+        assert pickle.dumps(first) == pickle.dumps(second)
+        with exact.stage_times() as outer:
+            stationary_exact(up3, params)
+            with exact.stage_times() as inner:
+                stationary_exact(up3, params)
+            assert inner["factor_s"] > 0.0
+        assert outer["factor_s"] > 0.0
 
     def test_trace_rates_factor_once(self, up3, monkeypatch):
         calls = []
