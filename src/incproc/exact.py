@@ -1,14 +1,18 @@
 """Exact stationary distributions, hitting probabilities, trace rates, flows.
 
 Everything here is a direct linear-algebra computation on the enumerated
-configuration space; no asymptotics. Sparse direct solves eliminate the
-states in nested-dissection order, split on level sets of subset sums of
-their counts, carry one step of iterative refinement and are checked against
+configuration space; no asymptotics. Every exact solve factors one interior
+system ``I - P_ii`` of the jump chain off a set of target states: the
+hitting and trace-rate solves take the metastable states of ``A`` as
+targets, and the stationary law is the hitting system of its one pinned
+state, solved transposed. Sparse direct solves eliminate the states in
+nested-dissection order, split on level sets of subset sums of their
+counts, carry one step of iterative refinement and are checked against
 explicit residual tolerances. The separator tree of the order predicts the
 L+U fill before anything is built, and a system whose predicted factors do
 not fit in half the physical memory is refused with ``StateSpaceTooLarge``.
 The results are the same from run to run; :func:`stage_times` records the
-seconds each solve spends ordering, factoring and solving.
+seconds each solve spends ordering, building, factoring and solving.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ HITTING_TOL = 1e-12
 ND_LEAF = 32
 ND_ALL_SUBSETS = 8
 LU_BYTES_PER_NNZ = 12   # a float64 value and an int32 index
-STAGES = ("order_s", "factor_s", "solve_s")
+STAGES = ("order_s", "build_s", "factor_s", "solve_s")
 
 _stage_times: ContextVar[dict[str, float] | None] = ContextVar("stage_times", default=None)
 
@@ -49,7 +53,8 @@ _stage_times: ContextVar[dict[str, float] | None] = ContextVar("stage_times", de
 @contextmanager
 def stage_times() -> Iterator[dict[str, float]]:
     """Record the seconds the sparse solves run inside the block spend
-    finding the order (``order_s``), permuting and factoring (``factor_s``)
+    finding the order (``order_s``), building the rate matrix and the
+    interior system (``build_s``), permuting and factoring (``factor_s``)
     and solving with one refinement step (``solve_s``), summed over solves.
 
     Yields the dict it fills. The times stay off the returned results, whose
@@ -61,6 +66,14 @@ def stage_times() -> Iterator[dict[str, float]]:
         yield times
     finally:
         _stage_times.reset(token)
+
+
+def _record(**seconds: float) -> None:
+    """Add ``seconds`` to the stages of the enclosing :func:`stage_times` block."""
+    times = _stage_times.get()
+    if times is not None:
+        for stage, value in seconds.items():
+            times[stage] += value
 
 
 def _column_key(move: tuple[int, int]) -> tuple[int, int, int]:
@@ -205,49 +218,24 @@ def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate(order), fill
 
 
-@dataclass(frozen=True)
-class _Ordering:
-    """An elimination order, the L+U nonzeros it is predicted to store, and
-    the seconds it took to find."""
-
-    perm: np.ndarray
-    predicted_nnz: int
-    seconds: float
-
-
 def _lu_memory_budget() -> int:
     """Bytes the LU factors may take: half the physical memory."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def _elimination_order(coords: np.ndarray) -> _Ordering:
-    """The nested-dissection order of the states with count vectors
-    ``coords``. Raises ``StateSpaceTooLarge``, before anything is built or
-    factored, when the predicted factors, at ``LU_BYTES_PER_NNZ`` bytes a
-    nonzero, exceed :func:`_lu_memory_budget`."""
-    start = time.perf_counter()
-    perm, predicted = _nested_dissection(coords)
-    need, budget = predicted * LU_BYTES_PER_NNZ, _lu_memory_budget()
-    if need > budget:
-        raise StateSpaceTooLarge(coords.shape[0], reason=(
-            f"its LU factors are predicted to hold {predicted:,} nonzeros, "
-            f"{need / 2**30:.1f} GiB, over the budget of {budget / 2**30:.1f} GiB "
-            "(half the physical memory)"))
-    return _Ordering(perm, predicted, time.perf_counter() - start)
-
-
 def _solve_refined(a: sp.spmatrix, b: np.ndarray,
-                   order: _Ordering) -> tuple[np.ndarray, dict]:
+                   order: tuple[np.ndarray, int]) -> tuple[np.ndarray, dict]:
     """Solve ``a x = b`` by one sparse LU plus one step of iterative refinement.
 
-    The unknowns are eliminated in the order ``order.perm``. ``b`` may hold
+    ``order`` is the elimination order of the unknowns and its predicted
+    L+U nonzeros, from :func:`_nested_dissection`. ``b`` may hold
     several right-hand sides as columns. Returns the solution and the
     :class:`SolverReport` fields of the factorization: the nonzeros stored
-    for L and U, and the predicted ones. The stage times go to
+    for L and U, and the predicted ones. The factor and solve times go to
     :func:`stage_times`.
     """
     start = time.perf_counter()
-    perm = order.perm
+    perm, predicted = order
     ap = a.tocsr()[perm][:, perm].tocsc()
     lu = spla.splu(ap, permc_spec="NATURAL")
     factored = time.perf_counter()
@@ -256,52 +244,74 @@ def _solve_refined(a: sp.spmatrix, b: np.ndarray,
     y -= lu.solve(ap @ y - bp)
     x = np.empty_like(y)
     x[perm] = y
-    times = _stage_times.get()
-    if times is not None:
-        for stage, seconds in zip(STAGES, (order.seconds, factored - start,
-                                           time.perf_counter() - factored)):
-            times[stage] += seconds
-    return x, dict(lu_nnz=int(lu.nnz), predicted_nnz=order.predicted_nnz)
+    _record(factor_s=factored - start, solve_s=time.perf_counter() - factored)
+    return x, dict(lu_nnz=int(lu.nnz), predicted_nnz=predicted)
+
+
+def _check_tol(tol) -> None:
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+        raise OutOfRange(f"tol must be finite and positive, got {tol!r}")
+
+
+def _interior_system(spec: WalkSpec, params: ProcessParams,
+                     enum: StateEnumeration, targets) -> tuple:
+    """The system ``I - P_ii`` of the jump chain on the interior states, those
+    off ``targets``, that every exact solve factors: the interior states, their
+    elimination order and its predicted L+U nonzeros, ``I - P_ii`` in CSR, and
+    the rate matrix and holding rates of every state.
+
+    The interior is ordered before anything is built. ``StateSpaceTooLarge``
+    refuses it then if its predicted factors, at ``LU_BYTES_PER_NNZ`` bytes a
+    nonzero, exceed :func:`_lu_memory_budget`; ``OutOfRange`` refuses an
+    interior holding rate too small to invert.
+    """
+    start = time.perf_counter()
+    interior = np.setdiff1d(np.arange(enum.size), targets)
+    perm, predicted = _nested_dissection(enum.counts_matrix()[interior])
+    need, budget = predicted * LU_BYTES_PER_NNZ, _lu_memory_budget()
+    if need > budget:
+        raise StateSpaceTooLarge(enum.size, reason=(
+            f"its LU factors are predicted to hold {predicted:,} nonzeros, "
+            f"{need / 2**30:.1f} GiB, over the budget of {budget / 2**30:.1f} GiB "
+            "(half the physical memory)"))
+    ordered = time.perf_counter()
+    rates = build_rate_matrix(spec, params, enum)
+    holding = np.asarray(rates.sum(axis=1)).ravel()
+    stuck = holding[interior] < 1.0 / np.finfo(float).max     # 1 / holding overflows
+    if stuck.any():
+        raise OutOfRange(f"{int(stuck.sum())} states off the target set have a "
+                         "holding rate too small to invert (d_N too small)")
+    p_i = sp.diags(1.0 / holding[interior]) @ rates[interior]
+    a = sp.eye(interior.size, format="csr") - p_i[:, interior]
+    _record(order_s=ordered - start, build_s=time.perf_counter() - ordered)
+    return interior, (perm, predicted), a, rates, holding
 
 
 def stationary_exact(spec: WalkSpec, params: ProcessParams,
                      cap: int = DEFAULT_CAP, tol: float = STATIONARY_TOL) -> Distribution:
-    """Stationary distribution by sparse direct solve of the balance system.
+    """Stationary distribution as the hitting system of one pinned state.
 
-    One balance row of the transposed generator is replaced by a pin on a
-    reference state (the heaviest metastable state by the walk measure, so
-    the solution stays well scaled), keeping the system fully sparse; the
-    result is renormalized afterwards. Raises ``SolverFailure`` if it misses
-    the residual target ``tol * max|Q|``. The returned distribution records
-    the solve in ``solver``.
+    The pin is the heaviest metastable state by the walk measure, so the
+    solution stays well scaled. With ``mu_ref = 1``, the flux ``nu = mu *
+    holding`` of the other states solves the transposed interior system
+    ``nu (I - P_ii) = R[ref, interior]``; the law is clipped at zero and
+    normalized. Raises ``SolverFailure`` if it misses the residual target
+    ``|mu R - mu * holding| <= tol * max(holding)``, which is ``|mu Q| <=
+    tol * max|Q|`` for the generator Q. ``solver`` records the solve.
     """
+    _check_tol(tol)
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
-    order = _elimination_order(enum.counts_matrix())
-    q = build_generator(spec, params, enum)
-    n = enum.size
     ref = enum.xi_index(int(np.argmax(analyze_walk(spec).m)))
-    # q^T in CSR is q in CSC; its row ref becomes the pin
-    qt = q.tocsc()
-    lo, hi = qt.indptr[ref], qt.indptr[ref + 1]
-    indptr = qt.indptr.copy()
-    indptr[ref + 1:] -= hi - lo - 1
-    a = sp.csr_matrix((np.concatenate((qt.data[:lo], [1.0], qt.data[hi:])),
-                       np.concatenate((qt.indices[:lo], [ref], qt.indices[hi:])),
-                       indptr), shape=(n, n))
-    b = np.zeros(n)
-    b[ref] = 1.0
-    scale = float(np.abs(q.data).max())
-    bound = tol * scale
-
-    mu, factors = _solve_refined(a, b, order)
-    residual = np.inf
-    if mu.min() >= -1e-9 * max(mu.max(), 1.0):
-        mu = np.clip(mu, 0.0, None)
-        mu /= mu.sum()
-        residual = float(np.abs(mu @ q).max())
-    if residual > bound:
+    interior, order, a, rates, holding = _interior_system(spec, params, enum, [ref])
+    nu, factors = _solve_refined(a.T, rates[ref].toarray().ravel()[interior], order)
+    mu = np.ones(enum.size)
+    mu[interior] = np.clip(nu, 0.0, None) / holding[interior]
+    mu /= mu.sum()
+    residual = float(np.abs(mu @ rates - mu * holding).max())
+    bound = tol * float(holding.max())
+    if not residual <= bound:
         raise SolverFailure(
-            f"stationary residual {residual:.3e} > {tol:.1e} * {scale:.3e}")
+            f"stationary residual {residual:.3e} > {tol:.1e} * {holding.max():.3e}")
     return Distribution(enum, mu, normalized=True,
                         solver=SolverReport("lu", residual, bound, **factors))
 
@@ -387,42 +397,31 @@ def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassR
 
 
 def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
-                    a_set: tuple[int, ...], tol: float) -> tuple[np.ndarray, SolverReport]:
-    """Hitting probabilities of every metastable state of ``a_set`` at once.
+                    a_set: tuple[int, ...], tol: float) -> tuple:
+    """Hitting probabilities of every metastable state of ``a_set`` at once,
+    the rate matrix they were solved from (None if nothing was) and the solve.
 
     Column j holds, per starting state, the probability of reaching
-    xi^{a_set[j]} before any other metastable state of ``a_set``. The
-    interior system ``I - P_ii`` does not depend on the target, so it is
-    built and factored once and the ``|A|`` boundary columns are solved
-    together; every column's residual is checked against ``tol``. The
-    interior is ordered, and its factors' size checked, before the rate
-    matrix is built.
+    xi^{a_set[j]} before any other metastable state of ``a_set``. The ``|A|``
+    boundary columns are solved together against one factor of the interior
+    system; every column's residual is checked against ``tol``.
     """
     xi = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
-    interior = np.setdiff1d(np.arange(enum.size), xi)
     h = np.zeros((enum.size, len(a_set)))
     h[xi, np.arange(len(a_set))] = 1.0
-    if interior.size == 0:
+    if enum.size == len(a_set):
         # every state is metastable (N = 1, A = all sites): nothing to solve
-        return h, SolverReport("lu", 0.0, tol, 0)
+        return h, None, SolverReport("lu", 0.0, tol, 0)
 
-    order = _elimination_order(enum.counts_matrix()[interior])
-    rates_i = build_rate_matrix(spec, params, enum)[interior]
-    holding = np.asarray(rates_i.sum(axis=1)).ravel()
-    stuck = holding < 1.0 / np.finfo(float).max     # 1 / holding overflows
-    if stuck.any():
-        raise OutOfRange(f"{int(stuck.sum())} states off the target set have a "
-                         "holding rate too small to invert (d_N too small)")
-    p_i = sp.diags(1.0 / holding) @ rates_i
-    a_mat = (sp.eye(interior.size) - p_i[:, interior]).tocsc()
-    b = p_i[:, xi].toarray()
-    h_int, factors = _solve_refined(a_mat, b, order)
-    residual = float(np.abs(a_mat @ h_int - b).max())
+    interior, order, a, rates, holding = _interior_system(spec, params, enum, xi)
+    b = rates[:, xi][interior].toarray() * (1.0 / holding[interior])[:, None]
+    h_int, factors = _solve_refined(a, b, order)
+    residual = float(np.abs(a @ h_int - b).max())
     if residual > tol:
         raise SolverFailure(f"hitting-probability residual {residual:.3e} > {tol:.1e}")
 
     h[interior] = np.clip(h_int, 0.0, 1.0)
-    return h, SolverReport("lu", residual, tol, **factors)
+    return h, rates, SolverReport("lu", residual, tol, **factors)
 
 
 def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
@@ -435,11 +434,12 @@ def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
     other metastable states of ``a_set``; returns the full state-indexed
     vector and the enumeration.
     """
+    _check_tol(tol)
     a_set = site_set(a_set, spec.kappa)
     if y not in a_set:
         raise OutOfRange(f"site {y} not in target set {a_set}")
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
-    h, _ = _hitting_matrix(spec, params, enum, a_set, tol)
+    h, _, _ = _hitting_matrix(spec, params, enum, a_set, tol)
     return h[:, a_set.index(y)].copy(), enum
 
 
@@ -476,23 +476,16 @@ def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set,
 
     Uses the first-step decomposition: the rate from xi^x to xi^y equals
     ``sum_z N d r(x, z) * h(one particle moved from x to z)`` where h is the
-    exact probability of reaching xi^y before the rest of the metastable set.
+    exact probability of reaching xi^y before the rest of the metastable set,
+    that is the row of xi^x in the rate matrix times the hitting matrix.
     """
     a_set = site_set(a_set, spec.kappa)
     n, d = params.n, params.d
     if n < 2:
         raise OutOfRange(f"trace rates need N >= 2, got N = {n}")
     enum = enumerate_states(spec.kappa, params.n, cap=cap)
-    h, solver = _hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
-    raw = np.zeros((len(a_set), len(a_set)))
-    for i, x in enumerate(a_set):
-        for z in range(spec.kappa):
-            if z == x or spec.rates[x, z] == 0.0:
-                continue
-            eta = [0] * spec.kappa
-            eta[x] = n - 1
-            eta[z] = 1
-            raw[i] += n * d * spec.rates[x, z] * h[enum.rank(eta)]
+    h, rates, solver = _hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
+    raw = rates[[enum.xi_index(x) for x in a_set]] @ h
     np.fill_diagonal(raw, 0.0)
     return TraceRateMatrix(a_set=a_set, raw=raw, normalized=raw / (d * n),
                            n=n, d=d, solver=solver)
@@ -542,8 +535,8 @@ def flow(spec: WalkSpec, params: ProcessParams, mu: Distribution,
          r_set, x: int, k: int) -> tuple[float, float]:
     """Flow pair (up, down) across level k -> k+1 of the slice at site x."""
     n = mu.enum.n
-    if not 0 <= k <= n - 1:
-        raise OutOfRange(f"k={k} outside [0, {n - 1}]")
+    if not (isinstance(k, numbers.Integral) and 0 <= k <= n - 1):
+        raise OutOfRange(f"k={k!r} is not an integer in [0, {n - 1}]")
     up, down = flow_profile(spec, params, mu, r_set, x)
     return float(up[k]), float(down[k])
 

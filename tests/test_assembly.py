@@ -3,8 +3,8 @@
 The references below rank every moved state with ``rank_many`` on a shifted
 copy of the counts, one move at a time: the COO build of the rate matrix,
 with the generator as the sparse difference ``rates - diag(holding)``, the
-one-move closure of a region's inner core and the stationary pin through
-LIL. The new code must reproduce them bit for bit.
+one-move closure of a region's inner core and the stationary interior
+system through LIL. The new code must reproduce them bit for bit.
 """
 
 import numpy as np
@@ -172,22 +172,33 @@ def test_inner_closure_matches_loop(walk_params, data):
 
 
 @pytest.mark.parametrize("walk,n", [("up3", 12), ("cycle3", 9), ("chain4", 7)])
-def test_stationary_pin_matches_lil(walk, n, request, monkeypatch):
+def test_stationary_system_matches_lil(walk, n, request, monkeypatch):
+    # the stationary solve hands over (I - P_ii)^T off the pinned state and
+    # the pinned row of the rates, here built entry by entry through LIL
     walk = request.getfixturevalue(walk)
     params = ProcessParams(n, 1e-3)
     enum = StateEnumeration(walk.kappa, n)
-    q = build_generator(walk, params, enum)
+    coo = _coo_rate_matrix(walk, params, enum)
+    holding = np.asarray(coo.sum(axis=1)).ravel()
+    rates = coo.tolil()
     ref = enum.xi_index(int(np.argmax(analyze_walk(walk).m)))
-    lil = q.T.tolil()
-    lil.rows[ref] = [ref]
-    lil.data[ref] = [1.0]
+    interior = [i for i in range(enum.size) if i != ref]
+    col = {state: k for k, state in enumerate(interior)}
+    lil = sp.lil_matrix((len(interior), len(interior)))
+    for k, i in enumerate(interior):
+        lil[k, k] = 1.0
+        for j, r in zip(rates.rows[i], rates.data[i]):
+            if j != ref:
+                lil[col[j], k] = -((1.0 / holding[i]) * r)
     systems = []
     solve = exact._solve_refined
 
     def spy(a, b, coords):
-        systems.append(a)
+        systems.append((a, b))
         return solve(a, b, coords)
 
     monkeypatch.setattr(exact, "_solve_refined", spy)
     stationary_exact(walk, params)
-    _assert_same_csr(systems[0].tocsr(), lil.tocsr())
+    a, b = systems[0]
+    _assert_same_csr(a.tocsr(), lil.tocsr())
+    assert np.array_equal(b, rates[ref].toarray().ravel()[interior])

@@ -95,7 +95,8 @@ class TestRun:
             assert solver["path"] == "lu"
             assert 0.0 <= solver["residual"] <= solver["bound"]
             assert solver["lu_nnz"] > 0 and solver["predicted_nnz"] > 0
-            assert all(solver[stage] >= 0.0 for stage in ("order_s", "factor_s", "solve_s"))
+            stages = ("order_s", "build_s", "factor_s", "solve_s")
+            assert all(solver[stage] >= 0.0 for stage in stages)
 
     def test_meanrate_with_mc(self, tmp_path):
         cfg = {"schema_version": 1, "kind": "meanrate", "seed": 9,

@@ -475,7 +475,10 @@ class TestReciprocalSums:
     lambda walk: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), 2),
     lambda walk: flow_profile(walk, ProcessParams(4, 0.1),
                               stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 2),
-], ids=["params_n_zero", "hitting_target_outside_a", "flow_site_outside_r"])
+    lambda walk: flow(walk, ProcessParams(4, 0.1),
+                      stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 0, 1.5),
+], ids=["params_n_zero", "hitting_target_outside_a", "flow_site_outside_r",
+        "flow_level_not_an_integer"])
 def test_bad_arguments_raise_incproc_error(up3, call):
     with pytest.raises(IncprocError):
         call(up3)

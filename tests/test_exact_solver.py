@@ -2,7 +2,11 @@
 
 The reference below is the solver the nested-dissection path replaced: one
 SuperLU factorization per system in ``MMD_AT_PLUS_A`` order, the stationary
-pin on the heaviest metastable state, and one hitting solve per target.
+law from the transposed generator with one balance row replaced by a pin on
+the heaviest metastable state, and one hitting solve per target. The code
+solves the stationary law as the hitting system of that pinned state
+instead, transposed, and reads the trace rates off the rate matrix's rows;
+``pinned_balance`` and ``loop_trace_rates`` keep what it replaced.
 """
 
 import math
@@ -75,22 +79,26 @@ def reference_hitting(spec, params, a_set, y):
     return h
 
 
-def reference_trace_rates(spec, params, a_set):
-    enum = enumerate_states(spec.kappa, params.n)
+def loop_trace_rates(spec, params, enum, a_set, h):
+    """The trace rates summed over the moves out of each xi^x, state by state."""
     n, d = params.n, params.d
     raw = np.zeros((len(a_set), len(a_set)))
-    for j, y in enumerate(a_set):
-        h = reference_hitting(spec, params, a_set, y)
-        for i, x in enumerate(a_set):
-            if x == y:
+    for i, x in enumerate(a_set):
+        for z in range(spec.kappa):
+            if z == x or spec.rates[x, z] == 0.0:
                 continue
-            for z in range(spec.kappa):
-                if z != x and spec.rates[x, z] > 0:
-                    eta = [0] * spec.kappa
-                    eta[x] = n - 1
-                    eta[z] = 1
-                    raw[i, j] += n * d * spec.rates[x, z] * h[enum.rank(eta)]
+            eta = [0] * spec.kappa
+            eta[x] = n - 1
+            eta[z] = 1
+            raw[i] += n * d * spec.rates[x, z] * h[enum.rank(eta)]
+    np.fill_diagonal(raw, 0.0)
     return raw
+
+
+def reference_trace_rates(spec, params, a_set):
+    enum = enumerate_states(spec.kappa, params.n)
+    h = np.column_stack([reference_hitting(spec, params, a_set, y) for y in a_set])
+    return loop_trace_rates(spec, params, enum, a_set, h)
 
 
 def close(new, ref, what):
@@ -150,7 +158,7 @@ class TestRandomWalks:
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
         a_set = tuple(range(spec.kappa))
-        h, _ = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
+        h = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)[0]
         assert h.shape == (enum.size, spec.kappa)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -163,6 +171,31 @@ class TestRandomWalks:
         scale = float(np.abs(q.data).max())
         assert np.abs(mu.weights @ q).max() <= STATIONARY_TOL * scale
         assert mu.solver.path == "lu"
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_stationary_agrees_with_pinned_solve(self, seed):
+        spec, params = random_walk(seed)
+        close(stationary_exact(spec, params).weights,
+              reference_stationary(spec, params), "stationary law")
+
+    def test_benchmark_walk_agrees_with_pinned_solve(self):
+        # the perfbench exact_lu size: a positive 4-site walk at N = 35
+        params = ProcessParams(35, 1e-4)
+        close(stationary_exact(KAPPA4, params).weights,
+              reference_stationary(KAPPA4, params), "stationary law")
+
+    @given(st.integers(0, 100_000), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_trace_rates_match_loop(self, seed, data):
+        # the rate rows times h sum the same terms in the same order as the loop
+        spec, params = random_walk(seed)
+        a_set = tuple(sorted(data.draw(st.sets(st.integers(0, spec.kappa - 1),
+                                                min_size=1))))
+        enum = enumerate_states(spec.kappa, params.n)
+        h = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)[0]
+        assert np.array_equal(mean_jump_rate_exact(spec, params, a_set).raw,
+                              loop_trace_rates(spec, params, enum, a_set, h))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -207,7 +240,7 @@ def single_count_order(coords):
 def solve_all(spec, params, a_set):
     """The stationary law, the hitting vectors of every target and the trace rates."""
     enum = enumerate_states(spec.kappa, params.n)
-    h, _ = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
+    h = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)[0]
     return (stationary_exact(spec, params).weights, h.T,
             mean_jump_rate_exact(spec, params, a_set).raw)
 
@@ -347,7 +380,8 @@ class TestFillCap:
         monkeypatch.setattr(exact, "_lu_memory_budget", lambda: 1000)
         with pytest.raises(StateSpaceTooLarge, match="over the budget") as exc:
             hitting_probabilities(cycle3, ProcessParams(10, 0.1), (0, 1), 0)
-        assert exc.value.size == 64 and exc.value.cap is None
+        # the size of the state space, the two target states included
+        assert exc.value.size == 66 and exc.value.cap is None
 
 
 class TestDiagnostics:
@@ -450,6 +484,17 @@ class TestSiteSets:
             flow_profile(cycle3, params, mu, (0, 5), 0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0, "1e-10"])
+@pytest.mark.parametrize("solve", [
+    lambda walk, tol: stationary_exact(walk, ProcessParams(4, 0.1), tol=tol),
+    lambda walk, tol: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), 0, tol=tol),
+], ids=["stationary", "hitting"])
+def test_residual_tolerance_must_be_finite_and_positive(cycle3, solve, tol):
+    # a nan or infinite tolerance would turn the residual check off
+    with pytest.raises(OutOfRange, match="tol must be finite and positive"):
+        solve(cycle3, tol)
+
+
 class TestSmallSystems:
     def test_hitting_every_state_metastable(self, cycle3):
         # N = 1 and A = every site: no interior states, nothing to solve
@@ -462,10 +507,14 @@ class TestSmallSystems:
 
     def test_hitting_refuses_holding_rates_it_cannot_invert(self, cycle3):
         # d = 5e-324 leaves each metastable state a subnormal holding rate,
-        # whose reciprocal overflows; with A = (0, 1), xi^2 is interior
+        # whose reciprocal overflows; with A = (0, 1), xi^2 is interior, and
+        # the stationary solve pins one metastable state, so the others are
         params = ProcessParams(3, 5e-324)
         with pytest.raises(OutOfRange, match="too small to invert"):
             hitting_probabilities(cycle3, params, (0, 1), 0)
+        for subnormal in (params, ProcessParams(8, 1e-320)):
+            with pytest.raises(OutOfRange, match="too small to invert"):
+                stationary_exact(cycle3, subnormal)
         # with A = every site only the boundary has them, and it is not inverted
         with warnings.catch_warnings():
             warnings.simplefilter("error")
