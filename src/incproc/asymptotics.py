@@ -20,7 +20,7 @@ from .errors import (InsufficientData, InvalidCase, NotSemiAttracting,
 from .gordan import GordanCertificate, gordan_certificate
 from .model import WalkSpec, analyze_walk, dense_stationary, site_set
 from .regions import RegionSpec
-from .states import DEFAULT_CAP, StateEnumeration
+from .states import StateEnumeration
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def _harmonic(k: int) -> float:
 
 
 def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
-                  mode: str = "reversed", cap: int = DEFAULT_CAP) -> TestFunction:
+                  mode: str = "reversed") -> TestFunction:
     """Build the harmonic test function and evaluate its drift exactly.
 
     ``reversed`` mode uses the discrete auxiliary chain whose step weights
@@ -297,7 +297,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     else:
         coeff = cert.vector
 
-    enum = StateEnumeration(walk.kappa, n, cap=cap)
+    enum = StateEnumeration(walk.kappa, n)
     reg = RegionSpec(walk, enum, r_set, eps=eps)
     counts = enum.counts_matrix()
     hmax = np.zeros(n + 2)

@@ -22,8 +22,8 @@ from .acceptance import verify_suite
 from .asymptotics import classify as classify_walk
 from .asymptotics import limit_chain, predicted_mean_rate
 from .errors import ConfigError, IncprocError, OutOfRange, PremiseViolated
-from .exact import (mean_jump_rate_exact, region_masses, stage_times,
-                    stationary_closed_form, stationary_exact)
+from .exact import (mean_jump_rate_exact, stage_times, stationary_closed_form,
+                    stationary_exact)
 from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk,
                     schedule_fixed, schedule_power, state_counts)
 from .simulate import (DEFAULT_STEP_CAP, HittingTask, mc_hitting, mc_mean_jump_rate,
@@ -274,7 +274,6 @@ def _run_stationary(c, out, threads, report, echo):
     mu.to_csv(csv_path, site_labels=walk.sites)
     report.artifacts.append(str(csv_path))
     summary = mu.summary()
-    summary["B_mass"] = region_masses(mu).b_mass.tolist()
     if c["compare_closed_form"]:
         closed = stationary_closed_form(walk, params)
         dev = np.abs(mu.weights - closed.weights).max().item()

@@ -37,8 +37,7 @@ from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
 from .model import (ProcessParams, WalkSpec, analyze_walk, dense_stationary,
                     log_weight_table, site_set)
 from .regions import RegionSpec
-from .states import (DEFAULT_CAP, Distribution, SolverReport, StateEnumeration,
-                     b_set_masses)
+from .states import Distribution, SolverReport, StateEnumeration, b_set_masses
 
 STATIONARY_TOL = 1e-10
 HITTING_TOL = 1e-12
@@ -138,9 +137,9 @@ def build_generator(spec: WalkSpec, params: ProcessParams,
     return _assemble(spec, params, enum, generator=True)
 
 
-def enumerate_states(kappa: int, n: int, cap: int = DEFAULT_CAP) -> StateEnumeration:
+def enumerate_states(kappa: int, n: int) -> StateEnumeration:
     """Lexicographic (largest-first) enumeration of all configurations."""
-    return StateEnumeration(kappa, n, cap=cap)
+    return StateEnumeration(kappa, n)
 
 
 def _candidate_sets(kappa: int) -> np.ndarray:
@@ -248,11 +247,6 @@ def _solve_refined(a: sp.spmatrix, b: np.ndarray,
     return x, dict(lu_nnz=int(lu.nnz), predicted_nnz=predicted)
 
 
-def _check_tol(tol) -> None:
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
-        raise OutOfRange(f"tol must be finite and positive, got {tol!r}")
-
-
 def _interior_system(spec: WalkSpec, params: ProcessParams,
                      enum: StateEnumeration, targets) -> tuple:
     """The system ``I - P_ii`` of the jump chain on the interior states, those
@@ -287,8 +281,7 @@ def _interior_system(spec: WalkSpec, params: ProcessParams,
     return interior, (perm, predicted), a, rates, holding
 
 
-def stationary_exact(spec: WalkSpec, params: ProcessParams,
-                     cap: int = DEFAULT_CAP, tol: float = STATIONARY_TOL) -> Distribution:
+def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
     """Stationary distribution as the hitting system of one pinned state.
 
     The pin is the heaviest metastable state by the walk measure, so the
@@ -296,11 +289,11 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     holding`` of the other states solves the transposed interior system
     ``nu (I - P_ii) = R[ref, interior]``; the law is clipped at zero and
     normalized. Raises ``SolverFailure`` if it misses the residual target
-    ``|mu R - mu * holding| <= tol * max(holding)``, which is ``|mu Q| <=
-    tol * max|Q|`` for the generator Q. ``solver`` records the solve.
+    ``|mu R - mu * holding| <= STATIONARY_TOL * max(holding)``, which is
+    ``|mu Q| <= STATIONARY_TOL * max|Q|`` for the generator Q. ``solver``
+    records the solve.
     """
-    _check_tol(tol)
-    enum = enumerate_states(spec.kappa, params.n, cap=cap)
+    enum = enumerate_states(spec.kappa, params.n)
     ref = enum.xi_index(int(np.argmax(analyze_walk(spec).m)))
     interior, order, a, rates, holding = _interior_system(spec, params, enum, [ref])
     nu, factors = _solve_refined(a.T, rates[ref].toarray().ravel()[interior], order)
@@ -308,16 +301,15 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams,
     mu[interior] = np.clip(nu, 0.0, None) / holding[interior]
     mu /= mu.sum()
     residual = float(np.abs(mu @ rates - mu * holding).max())
-    bound = tol * float(holding.max())
+    bound = STATIONARY_TOL * float(holding.max())
     if not residual <= bound:
-        raise SolverFailure(
-            f"stationary residual {residual:.3e} > {tol:.1e} * {holding.max():.3e}")
+        raise SolverFailure(f"stationary residual {residual:.3e} > "
+                            f"{STATIONARY_TOL:.1e} * {holding.max():.3e}")
     return Distribution(enum, mu, normalized=True,
                         solver=SolverReport("lu", residual, bound, **factors))
 
 
-def stationary_closed_form(spec: WalkSpec, params: ProcessParams,
-                           cap: int = DEFAULT_CAP) -> Distribution:
+def stationary_closed_form(spec: WalkSpec, params: ProcessParams) -> Distribution:
     """Product-form stationary distribution, valid under reversibility or a
     uniform walk measure.
 
@@ -330,7 +322,7 @@ def stationary_closed_form(spec: WalkSpec, params: ProcessParams,
     if not (analysis.rev or analysis.ui):
         raise ConditionNotSatisfied(
             "closed form requires a reversible walk or a uniform invariant measure")
-    enum = enumerate_states(spec.kappa, params.n, cap=cap)
+    enum = enumerate_states(spec.kappa, params.n)
     counts = enum.counts_matrix()
     logw = log_weight_table(params.n, params.d)
     log_site_ratio = np.log(analysis.m / analysis.m_star)
@@ -397,36 +389,36 @@ def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassR
 
 
 def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
-                    a_set: tuple[int, ...], tol: float) -> tuple:
+                    a_set: tuple[int, ...]) -> tuple:
     """Hitting probabilities of every metastable state of ``a_set`` at once,
     the rate matrix they were solved from (None if nothing was) and the solve.
 
     Column j holds, per starting state, the probability of reaching
     xi^{a_set[j]} before any other metastable state of ``a_set``. The ``|A|``
     boundary columns are solved together against one factor of the interior
-    system; every column's residual is checked against ``tol``.
+    system; every column's residual is checked against ``HITTING_TOL``.
     """
     xi = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
     h = np.zeros((enum.size, len(a_set)))
     h[xi, np.arange(len(a_set))] = 1.0
     if enum.size == len(a_set):
         # every state is metastable (N = 1, A = all sites): nothing to solve
-        return h, None, SolverReport("lu", 0.0, tol, 0)
+        return h, None, SolverReport("lu", 0.0, HITTING_TOL, 0)
 
     interior, order, a, rates, holding = _interior_system(spec, params, enum, xi)
     b = rates[:, xi][interior].toarray() * (1.0 / holding[interior])[:, None]
     h_int, factors = _solve_refined(a, b, order)
     residual = float(np.abs(a @ h_int - b).max())
-    if residual > tol:
-        raise SolverFailure(f"hitting-probability residual {residual:.3e} > {tol:.1e}")
+    if residual > HITTING_TOL:
+        raise SolverFailure(
+            f"hitting-probability residual {residual:.3e} > {HITTING_TOL:.1e}")
 
     h[interior] = np.clip(h_int, 0.0, 1.0)
-    return h, rates, SolverReport("lu", residual, tol, **factors)
+    return h, rates, SolverReport("lu", residual, HITTING_TOL, **factors)
 
 
-def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
-                          cap: int = DEFAULT_CAP,
-                          tol: float = HITTING_TOL) -> tuple[np.ndarray, StateEnumeration]:
+def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set,
+                          y: int) -> tuple[np.ndarray, StateEnumeration]:
     """Probability, per starting state, of reaching all-particles-at-y before
     any other all-particles-at-z with z in the target set.
 
@@ -434,12 +426,11 @@ def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set, y: int,
     other metastable states of ``a_set``; returns the full state-indexed
     vector and the enumeration.
     """
-    _check_tol(tol)
     a_set = site_set(a_set, spec.kappa)
     if y not in a_set:
         raise OutOfRange(f"site {y} not in target set {a_set}")
-    enum = enumerate_states(spec.kappa, params.n, cap=cap)
-    h, _, _ = _hitting_matrix(spec, params, enum, a_set, tol)
+    enum = enumerate_states(spec.kappa, params.n)
+    h, _, _ = _hitting_matrix(spec, params, enum, a_set)
     return h[:, a_set.index(y)].copy(), enum
 
 
@@ -470,8 +461,7 @@ class TraceRateMatrix:
         return dense_stationary(self.generator())
 
 
-def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set,
-                         cap: int = DEFAULT_CAP) -> TraceRateMatrix:
+def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set) -> TraceRateMatrix:
     """Exact trace-process mean-jump rates between metastable states.
 
     Uses the first-step decomposition: the rate from xi^x to xi^y equals
@@ -483,8 +473,8 @@ def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set,
     n, d = params.n, params.d
     if n < 2:
         raise OutOfRange(f"trace rates need N >= 2, got N = {n}")
-    enum = enumerate_states(spec.kappa, params.n, cap=cap)
-    h, rates, solver = _hitting_matrix(spec, params, enum, a_set, HITTING_TOL)
+    enum = enumerate_states(spec.kappa, params.n)
+    h, rates, solver = _hitting_matrix(spec, params, enum, a_set)
     raw = rates[[enum.xi_index(x) for x in a_set]] @ h
     np.fill_diagonal(raw, 0.0)
     return TraceRateMatrix(a_set=a_set, raw=raw, normalized=raw / (d * n),

@@ -130,7 +130,7 @@ def _certify(q: np.ndarray, scale: float) -> tuple[str, np.ndarray]:
     raise SolverFailure("neither certificate branch verified in exact arithmetic")
 
 
-def gordan_certificate(q, tol: float = SKEW_TOL) -> GordanCertificate:
+def gordan_certificate(q) -> GordanCertificate:
     """Produce the unique certificate branch for a skew-symmetric matrix.
 
     The returned alpha satisfies ``max(Q @ alpha) = -0.1 * max|Q|`` with
@@ -148,7 +148,7 @@ def gordan_certificate(q, tol: float = SKEW_TOL) -> GordanCertificate:
     if not np.isfinite(q).all():
         raise NotSkewSymmetric("matrix has non-finite entries")
     scale = float(np.abs(q).max())
-    if np.abs(q + q.T).max() > tol * max(scale, 1.0):
+    if np.abs(q + q.T).max() > SKEW_TOL * max(scale, 1.0):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
 
     variant, vec = _certify(q, scale)

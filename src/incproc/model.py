@@ -25,6 +25,9 @@ _FLAG_TOL = 1e-12
 
 def site_set(sites, kappa: int) -> tuple[int, ...]:
     """Sorted distinct site indices of a nonempty set inside ``0..kappa-1``."""
+    sites = tuple(sites)
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in sites):
+        raise OutOfRange(f"site indices must be integers, got {sites}")
     out = tuple(sorted(set(int(v) for v in sites)))
     if not out:
         raise OutOfRange("site set must be nonempty")
@@ -85,12 +88,12 @@ class WalkSpec:
         return cls(tuple(str(s) for s in sites), r)
 
     @classmethod
-    def cycle(cls, kappa: int, p: float, total: float = 1.0) -> "WalkSpec":
-        """Directed cycle: rate ``total*p`` to x+1 and ``total*(1-p)`` to x-1."""
+    def cycle(cls, kappa: int, p: float) -> "WalkSpec":
+        """Directed cycle: rate ``p`` to x+1 and ``1-p`` to x-1."""
         r = np.zeros((kappa, kappa))
         for x in range(kappa):
-            r[x, (x + 1) % kappa] += total * p
-            r[x, (x - 1) % kappa] += total * (1.0 - p)
+            r[x, (x + 1) % kappa] += p
+            r[x, (x - 1) % kappa] += 1.0 - p
         return cls.from_matrix(r)
 
     def to_json(self) -> str:

@@ -42,17 +42,16 @@ def replica_rng(seed: int, stream: int) -> np.random.Generator:
 class _Blocks:
     """Batched draws from a Generator; consumption order is deterministic.
 
-    Exponentials are drawn ``block`` at a time and handed out as array
+    Exponentials are drawn ``_BLOCK`` at a time and handed out as array
     slices; uniforms come in blocks of the same size, drawn ``_SLICE`` at a
     time as needed and handed out as Python floats. The rest of a uniform
     block is drawn before the next exponential block, so the stream holds
     whole blocks in the order they are first needed.
     """
 
-    def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = block
-        self._exp = rng.exponential(1.0, block)
+        self._exp = rng.exponential(1.0, _BLOCK)
         self._ei = 0
         self._owed = 0                  # uniforms of the block not drawn yet
         self._uni: list[float] = []     # the uniforms drawn and not yet used
@@ -61,11 +60,11 @@ class _Blocks:
     def exponentials(self, n: int) -> np.ndarray:
         """The next ``n`` exponentials, or the rest of the block if fewer
         (at least one); :meth:`use` consumes them."""
-        if self._ei == self._block:
+        if self._ei == _BLOCK:
             if self._owed:
                 self._uni = self._uni[self._ui:] + self._rng.random(self._owed).tolist()
                 self._ui = self._owed = 0
-            self._exp = self._rng.exponential(1.0, self._block)
+            self._exp = self._rng.exponential(1.0, _BLOCK)
             self._ei = 0
         return self._exp[self._ei:self._ei + n]
 
@@ -74,7 +73,7 @@ class _Blocks:
         least one); :meth:`use` consumes them."""
         if self._ui == len(self._uni):
             if not self._owed:
-                self._owed = self._block
+                self._owed = _BLOCK
             piece = self._rng.random(min(_SLICE, self._owed))
             self._owed -= len(piece)
             self._uni, self._ui = piece.tolist(), 0
@@ -172,9 +171,9 @@ class _Kernel:
     1.0 when ``by_target`` (no exponentials drawn). ``sources`` fixes the
     move order; as a list it holds the occupied sites in arrival order, the
     kernel keeps it so, and a run ends when one site is left. ``cache`` maps
-    each visited state (the counts, plus a list's order) to its weight row;
-    runs with the same ``out``, ``d`` and ``by_target`` may share it, and it
-    is emptied when it would exceed ``_CACHE_VALUES``.
+    each visited state (the counts, or a list's sites and their counts) to
+    its weight row; runs with the same ``out``, ``d`` and ``by_target`` may
+    share it, and it is emptied when it would exceed ``_CACHE_VALUES``.
     """
 
     def __init__(self, counts: list[int], sources: Sequence[int],
@@ -200,7 +199,7 @@ class _Kernel:
         push_total, push_move = totals.append, moves.append
         lookup = cache.get
         for u in blocks.uniforms(limit if exps is None else len(exps)):
-            key = (*counts, *sources) if keyed else tuple(counts)
+            key = (*sources, *[counts[x] for x in sources]) if keyed else tuple(counts)
             row = lookup(key)
             if row is None:
                 cum, picks, total = _weigh(counts, sources, self.table, self.d,

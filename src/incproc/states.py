@@ -26,7 +26,7 @@ class StateEnumeration:
     is ``(N, 0, ..., 0)`` and the last rank is ``(0, ..., 0, N)``.
     """
 
-    def __init__(self, kappa: int, n: int, cap: int = DEFAULT_CAP):
+    def __init__(self, kappa: int, n: int):
         if not (isinstance(kappa, numbers.Integral) and isinstance(n, numbers.Integral)):
             raise OutOfRange(f"kappa and N must be integers, got {kappa!r}, {n!r}")
         if kappa < 2:
@@ -34,8 +34,8 @@ class StateEnumeration:
         if n < 1:
             raise OutOfRange("N must be at least 1")
         size = space_size(kappa, n)
-        if size > cap:
-            raise StateSpaceTooLarge(size, cap)
+        if size > DEFAULT_CAP:
+            raise StateSpaceTooLarge(size, DEFAULT_CAP)
         self.kappa = kappa
         self.n = n
         self.size = size
@@ -234,7 +234,8 @@ class Distribution:
                 fh.write(",".join(cells) + "\n")
 
     def summary(self) -> dict:
-        """JSON-ready summary: condensate masses and slice-count ratios."""
+        """JSON-ready summary: condensate masses, the masses ``B_mass`` of
+        the occupied-count sets and their ratios."""
         enum = self.enum
         xi = {str(x): float(self.weights[enum.xi_index(x)]) for x in range(enum.kappa)}
         e_mass = sum(xi.values())
@@ -245,4 +246,5 @@ class Distribution:
             "E_mass": float(e_mass),
             "per_site_xi_mass": xi,
             "ratios": ratios,
+            "B_mass": b_mass.tolist(),
         }

@@ -40,6 +40,10 @@ MIN_CONDENSATE_MASS = 1e-3
 # site: about 10x the longest seen on condensed tori (4.3e5 events, 1-D
 # L = 32, mass 0.012)
 _STRETCH_EVENTS = 1 << 22
+# positions a condensate run records, at equally spaced trace-clock times
+CHECKPOINTS = 4
+# terms of the reciprocal-sum bound on the multi-site mass
+BOUND_TERMS = 8
 
 
 def _canonical_kernel(d: int, kernel: Mapping) -> dict[tuple[int, ...], float]:
@@ -638,14 +642,12 @@ def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:
         lo += size
 
 
-def _check_run(spec: TorusSpec, t_rescaled: float, n_checkpoints: int) -> None:
-    """Refuse an empty torus, no checkpoint, a trace-clock horizon
+def _check_run(spec: TorusSpec, t_rescaled: float) -> None:
+    """Refuse an empty torus, a trace-clock horizon
     ``theta * t_rescaled`` that is not positive and finite, or a torus whose
     exact condensate mass is below ``MIN_CONDENSATE_MASS``."""
     if spec.n < 1:
         raise OutOfRange("the torus holds no particles")
-    if not isinstance(n_checkpoints, numbers.Integral) or n_checkpoints < 1:
-        raise OutOfRange(f"need at least one checkpoint, got {n_checkpoints!r}")
     if not (t_rescaled > 0 and math.isfinite(spec.theta * t_rescaled)):
         raise OutOfRange(f"t_rescaled must be positive and finite, got {t_rescaled!r}")
     mass, _, _ = _condensate_mass(spec)
@@ -656,7 +658,7 @@ def _check_run(spec: TorusSpec, t_rescaled: float, n_checkpoints: int) -> None:
 
 
 def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
-                     n_checkpoints: int, streams: Sequence[int]) -> list[CondensateRun]:
+                     streams: Sequence[int]) -> list[CondensateRun]:
     """One condensate run per stream, their excursions sampled in lockstep.
 
     Replicas take turns: each pass gathers the next chunk of as many
@@ -664,7 +666,7 @@ def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
     with the horizon. Callers check the arguments with :func:`_check_run`.
     """
     horizon = spec.theta * t_rescaled
-    checkpoints = horizon * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
+    checkpoints = horizon * (np.arange(1, CHECKPOINTS + 1) / CHECKPOINTS)
     ch = _Channels(spec)
     runs = [_CondensateReplica(ch, seed, s, horizon, checkpoints) for s in streams]
     queue = deque(runs)
@@ -684,27 +686,28 @@ def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
 
 
 def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
-                   stream: int = 0, n_checkpoints: int = 4) -> CondensateRun:
+                   stream: int = 0) -> CondensateRun:
     """One condensate run until the trace clock reaches ``t_rescaled * theta``.
 
     The run is sampled as a renewal process of sojourns and excursions, a
     bounded chunk at a time, so memory does not grow with the horizon. It is
     replica ``stream`` of :func:`measure_drift` and :func:`measure_diffusion`
-    with the same seed. The walk is translation invariant, so the run has
+    with the same seed, and records its position at ``CHECKPOINTS`` equally
+    spaced trace-clock times. The walk is translation invariant, so the run has
     no start site: displacements are relative to where it starts. A torus
     whose exact condensate mass is below ``MIN_CONDENSATE_MASS`` is refused
     with ``ConditionNotSatisfied``, as in the measurements.
     """
-    _check_run(spec, t_rescaled, n_checkpoints)
-    return _condensate_runs(spec, t_rescaled, seed, n_checkpoints, [stream])[0]
+    _check_run(spec, t_rescaled)
+    return _condensate_runs(spec, t_rescaled, seed, [stream])[0]
 
 
 def _replica_runs(spec: TorusSpec, t_rescaled: float, replicas: int, seed: int,
-                  n_checkpoints: int, threads: int) -> list[CondensateRun]:
+                  threads: int) -> list[CondensateRun]:
     """Runs of the streams ``0..replicas-1``, checked before any worker starts."""
     _check_replicas(replicas)
-    _check_run(spec, t_rescaled, n_checkpoints)
-    return _map_batches(partial(_condensate_runs, spec, t_rescaled, seed, n_checkpoints),
+    _check_run(spec, t_rescaled)
+    return _map_batches(partial(_condensate_runs, spec, t_rescaled, seed),
                         range(replicas), threads)
 
 
@@ -782,7 +785,7 @@ def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
                   replicas: int = 1, min_relocations: int = 100,
                   threads: int = 1) -> DriftEstimate:
     """Rescaled drift of the condensate over independent streamed runs."""
-    runs = _replica_runs(spec, t_rescaled, replicas, seed, 4, threads)
+    runs = _replica_runs(spec, t_rescaled, replicas, seed, threads)
     drifts = np.array([(run.displacement / spec.side) / (run.trace_time / spec.theta)
                        for run in runs])
     offs = np.array([run.off_fraction for run in runs])
@@ -811,17 +814,16 @@ class DiffusionEstimate:
 
 
 def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
-                      seed: int, n_checkpoints: int = 4,
-                      threads: int = 1) -> DiffusionEstimate:
+                      seed: int, threads: int = 1) -> DiffusionEstimate:
     """Mean-squared displacement across replicas with a through-origin slope.
 
-    Positions are sampled on the trace clock at equally spaced rescaled
-    times; the covariance estimate uses final displacements.
+    Positions are sampled on the trace clock at ``CHECKPOINTS`` equally spaced
+    rescaled times; the covariance estimate uses final displacements.
     """
-    runs = _replica_runs(spec, t_rescaled, replicas, seed, n_checkpoints, threads)
-    ck_resc = t_rescaled * (np.arange(1, n_checkpoints + 1) / n_checkpoints)
+    runs = _replica_runs(spec, t_rescaled, replicas, seed, threads)
+    ck_resc = t_rescaled * (np.arange(1, CHECKPOINTS + 1) / CHECKPOINTS)
     # summed in replica order: a pairwise sum over replicas changes the bits
-    sq = np.zeros(n_checkpoints)
+    sq = np.zeros(CHECKPOINTS)
     for run in runs:
         sq += ((run.positions / spec.side) ** 2).sum(axis=1)
     finals = np.array([run.positions[-1] / spec.side for run in runs])
@@ -862,7 +864,7 @@ def _condensate_mass(spec: TorusSpec) -> tuple[float, np.ndarray, float]:
     return math.exp(math.log(spec.n_sites) + logw[n] - log_z), logw, log_z
 
 
-def torus_condensation(spec: TorusSpec, bound_terms: int = 8) -> CondensationReport:
+def torus_condensation(spec: TorusSpec) -> CondensationReport:
     """Exact condensate mass from the product-form stationary measure.
 
     The torus walk is translation invariant, so the product form always
@@ -873,7 +875,8 @@ def torus_condensation(spec: TorusSpec, bound_terms: int = 8) -> CondensationRep
     taken from :func:`incproc.model.log_weight_table` (O(N)), because the
     three lgamma terms of that closed form, each of order N log N, cancel to
     a value of order 1 and lose about 10x more digits. The multi-occupancy
-    remainder is cross-checked against the reciprocal-sum bound.
+    remainder is cross-checked against the first ``BOUND_TERMS`` terms of the
+    reciprocal-sum bound.
     """
     n, d_l = spec.n, spec.d_l
     sites = spec.n_sites
@@ -883,7 +886,7 @@ def torus_condensation(spec: TorusSpec, bound_terms: int = 8) -> CondensationRep
     w_vals = np.exp(logw[ks])
     w_dev = float(np.abs(w_vals * ks / d_l - 1.0).max())
 
-    terms = min(bound_terms, n, sites)
+    terms = min(BOUND_TERMS, n, sites)
     table = reciprocal_sum_table(n, max(terms, 1), exact=False)
     bound = 0.0
     for i in range(2, terms + 1):

@@ -40,6 +40,7 @@ from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
 
 KS_LEVEL = 1e-3
 KERNEL = sys.modules["incproc.simulate"]
+THERMO = sys.modules["incproc.thermo"]
 
 WALKS = ("cycle3", "two_sym", "two_asym", "up3", "chain4")
 TORI = {
@@ -253,7 +254,7 @@ def sampled_runs(spec, t_rescaled, seed, streams):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_CondensateReplica, "record", spy)
-        runs = _condensate_runs(spec, t_rescaled, seed, 4, list(streams))
+        runs = _condensate_runs(spec, t_rescaled, seed, list(streams))
     return runs, [np.concatenate(part) for part in zip(*seen)]
 
 
@@ -407,6 +408,24 @@ def test_evicting_cache_drops_shared_move_lists(monkeypatch):
     patterns = {tuple(c) for c in (np.cumsum(steps, axis=0) > 0).tolist()}
     (kernel,) = kernels
     assert 0 < len(kernel.move_lists) <= len(kernel.cache) < 50 < len(patterns)
+
+
+def test_third_site_keys_hold_the_occupied_sites_only(monkeypatch):
+    # a third-site state is keyed on its occupied sites and their counts, so
+    # a key holds at most 2N entries however many sites the torus has
+    channels = []
+    init = THERMO._Channels.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        channels.append(self)
+
+    monkeypatch.setattr(THERMO._Channels, "__init__", spy)
+    spec = build_torus(1, 32, {1: 0.6, -1: 0.4}, rho=0.5, d_l=0.05)
+    run_condensate(spec, 1.0, seed=5)
+    (ch,) = channels
+    assert ch.cache
+    assert max(len(key) for key in ch.cache) <= 2 * spec.n
 
 
 def test_blocks_follow_the_philox_stream():

@@ -158,7 +158,7 @@ class TestRandomWalks:
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
         a_set = tuple(range(spec.kappa))
-        h = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)[0]
+        h = exact._hitting_matrix(spec, params, enum, a_set)[0]
         assert h.shape == (enum.size, spec.kappa)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -193,7 +193,7 @@ class TestRandomWalks:
         a_set = tuple(sorted(data.draw(st.sets(st.integers(0, spec.kappa - 1),
                                                 min_size=1))))
         enum = enumerate_states(spec.kappa, params.n)
-        h = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)[0]
+        h = exact._hitting_matrix(spec, params, enum, a_set)[0]
         assert np.array_equal(mean_jump_rate_exact(spec, params, a_set).raw,
                               loop_trace_rates(spec, params, enum, a_set, h))
 
@@ -240,7 +240,7 @@ def single_count_order(coords):
 def solve_all(spec, params, a_set):
     """The stationary law, the hitting vectors of every target and the trace rates."""
     enum = enumerate_states(spec.kappa, params.n)
-    h = exact._hitting_matrix(spec, params, enum, a_set, HITTING_TOL)[0]
+    h = exact._hitting_matrix(spec, params, enum, a_set)[0]
     return (stationary_exact(spec, params).weights, h.T,
             mean_jump_rate_exact(spec, params, a_set).raw)
 
@@ -482,17 +482,6 @@ class TestSiteSets:
         mu = stationary_exact(cycle3, params)
         with pytest.raises(OutOfRange):
             flow_profile(cycle3, params, mu, (0, 5), 0)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0, "1e-10"])
-@pytest.mark.parametrize("solve", [
-    lambda walk, tol: stationary_exact(walk, ProcessParams(4, 0.1), tol=tol),
-    lambda walk, tol: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), 0, tol=tol),
-], ids=["stationary", "hitting"])
-def test_residual_tolerance_must_be_finite_and_positive(cycle3, solve, tol):
-    # a nan or infinite tolerance would turn the residual check off
-    with pytest.raises(OutOfRange, match="tol must be finite and positive"):
-        solve(cycle3, tol)
 
 
 class TestSmallSystems:

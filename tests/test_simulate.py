@@ -259,7 +259,7 @@ class TestTraceProject:
         with pytest.raises(WindowExceedsTrajectory):
             trace_project(traj, (0, 1), theta=100.0, window=1.0)
 
-    @pytest.mark.parametrize("a_set", [(), (0, 2), (-1, 0)])
+    @pytest.mark.parametrize("a_set", [(), (0, 2), (-1, 0), (1.5,), (0.9, 1)])
     def test_rejects_bad_site_set(self, two_sym, a_set):
         traj = simulate(two_sym, ProcessParams(2, 0.1), (2, 0), 10.0, seed=2)
         with pytest.raises(OutOfRange):

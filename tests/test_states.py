@@ -147,7 +147,7 @@ class TestEnumeration:
 
     def test_cap_enforced(self):
         with pytest.raises(StateSpaceTooLarge) as exc:
-            StateEnumeration(3, 2000, cap=1000)
+            StateEnumeration(3, 2000)
         assert exc.value.size == space_size(3, 2000)
 
     def test_xi_index(self):

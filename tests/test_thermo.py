@@ -234,11 +234,6 @@ class TestCondensateRuns:
         with pytest.raises(OutOfRange):
             measure_diffusion(spec, t_rescaled=1.0, replicas=0, seed=1)
 
-    def test_zero_checkpoints(self):
-        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
-        with pytest.raises(OutOfRange):
-            run_condensate(spec, t_rescaled=1.0, seed=1, n_checkpoints=0)
-
     def test_threads_match_sequential(self):
         spec = build_torus(1, 8, {1: 0.6, -1: 0.4}, rho=1.0, d_l=1e-3)
         for measure, kwargs in ((measure_drift, dict(replicas=3, min_relocations=0)),
@@ -340,7 +335,7 @@ class TestRenewalSampler:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_CondensateReplica, "record", spy)
-            runs = _condensate_runs(spec, t, seed, 4, list(range(replicas)))
+            runs = _condensate_runs(spec, t, seed, list(range(replicas)))
         channel, status = (np.concatenate(part) for part in zip(*seen))
         return runs, channel, status
 
@@ -398,15 +393,14 @@ class TestRenewalSampler:
             monkeypatch.setattr(THERMO, "_CHUNKS", chunks)
         spec = build_torus(1, 8, {1: 0.6, -1: 0.4}, rho=1.5, d_l=2e-2)
         t, seed, replicas = 4.0, 71, 6     # about 48 excursions per replica
-        runs = [run_condensate(spec, t, seed, stream=i, n_checkpoints=3)
-                for i in range(replicas)]
+        runs = [run_condensate(spec, t, seed, stream=i) for i in range(replicas)]
         assert sum(r.relocations for r in runs) > 20
         drift = measure_drift(spec, t, seed, replicas=replicas, min_relocations=0)
         for i, run in enumerate(runs):
             expected = (run.displacement / spec.side) / (run.trace_time / spec.theta)
             assert np.array_equal(drift.per_replica[i], expected)
-        diff = measure_diffusion(spec, t, replicas=replicas, seed=seed, n_checkpoints=3)
-        sq = np.zeros(3)
+        diff = measure_diffusion(spec, t, replicas=replicas, seed=seed)
+        sq = np.zeros(THERMO.CHECKPOINTS)
         for run in runs:
             sq += ((run.positions / spec.side) ** 2).sum(axis=1)
         assert np.array_equal(diff.msd, sq / replicas)
