@@ -262,8 +262,13 @@ class TestFunction:
         return total
 
 
+def _harmonics(n: int) -> np.ndarray:
+    """The harmonic numbers ``H(0..n)``, each added left to right."""
+    return np.cumsum(np.concatenate(([0.0], 1.0 / np.arange(1, n + 1))))
+
+
 def _harmonic(k: int) -> float:
-    return sum(1.0 / j for j in range(1, k + 1))
+    return float(_harmonics(k)[-1])
 
 
 def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
@@ -300,9 +305,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     enum = StateEnumeration(walk.kappa, n)
     reg = RegionSpec(walk, enum, r_set, eps=eps)
     counts = enum.counts_matrix()
-    hmax = np.zeros(n + 2)
-    for k in range(1, n + 2):
-        hmax[k] = hmax[k - 1] + 1.0 / k
+    hmax = _harmonics(n + 1)
 
     # f0 of every state, summed over R in order
     f0 = np.zeros(enum.size)

@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure, StateSpaceTooLarge)
-from .model import (ProcessParams, WalkSpec, analyze_walk, dense_stationary,
+from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, dense_stationary,
                     log_weight_table, site_set)
 from .regions import RegionSpec
 from .states import Distribution, SolverReport, StateEnumeration, b_set_masses
@@ -427,8 +427,7 @@ def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set,
     vector and the enumeration.
     """
     a_set = site_set(a_set, spec.kappa)
-    if y not in a_set:
-        raise OutOfRange(f"site {y} not in target set {a_set}")
+    y = check_site(y, a_set, f"target set {a_set}")
     enum = enumerate_states(spec.kappa, params.n)
     h, _, _ = _hitting_matrix(spec, params, enum, a_set)
     return h[:, a_set.index(y)].copy(), enum
@@ -491,8 +490,7 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
     """
     enum = mu.enum
     r_set = site_set(r_set, enum.kappa)
-    if x not in r_set:
-        raise OutOfRange(f"site {x} not in R {r_set}")
+    x = check_site(x, r_set, f"R {r_set}")
     # only the tube mask is needed; the occupancy threshold is irrelevant here
     reg = RegionSpec(spec, enum, r_set, eps=0.1, validate_eps=False)
     counts = enum.counts_matrix()
@@ -525,7 +523,7 @@ def flow(spec: WalkSpec, params: ProcessParams, mu: Distribution,
          r_set, x: int, k: int) -> tuple[float, float]:
     """Flow pair (up, down) across level k -> k+1 of the slice at site x."""
     n = mu.enum.n
-    if not (isinstance(k, numbers.Integral) and 0 <= k <= n - 1):
+    if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and 0 <= k <= n - 1):
         raise OutOfRange(f"k={k!r} is not an integer in [0, {n - 1}]")
     up, down = flow_profile(spec, params, mu, r_set, x)
     return float(up[k]), float(down[k])

@@ -23,16 +23,24 @@ MAX_SITES = 64
 _FLAG_TOL = 1e-12
 
 
+def _add_in_order(total: float, terms) -> float:
+    """``total + terms[0] + terms[1] + ...``, added left to right (from
+    Python 3.12 the builtin ``sum`` compensates float sums)."""
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+def check_site(x, sites, name: str) -> int:
+    """``x`` as an int, once checked to be an integer (not a bool) in ``sites``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x not in sites:
+        raise OutOfRange(f"site {x!r} not in {name}")
+    return int(x)
+
+
 def site_set(sites, kappa: int) -> tuple[int, ...]:
     """Sorted distinct site indices of a nonempty set inside ``0..kappa-1``."""
-    sites = tuple(sites)
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in sites):
-        raise OutOfRange(f"site indices must be integers, got {sites}")
-    out = tuple(sorted(set(int(v) for v in sites)))
+    out = tuple(sorted({check_site(x, range(kappa), f"0..{kappa - 1}") for x in sites}))
     if not out:
         raise OutOfRange("site set must be nonempty")
-    if out[0] < 0 or out[-1] >= kappa:
-        raise OutOfRange(f"site set {out} outside 0..{kappa - 1}")
     return out
 
 
@@ -243,10 +251,8 @@ class Configuration:
     @classmethod
     def single_site(cls, kappa: int, n: int, x: int) -> "Configuration":
         """All n particles at site x, one of ``0..kappa-1``."""
-        if not (isinstance(x, numbers.Integral) and 0 <= x < kappa):
-            raise OutOfRange(f"site {x!r} outside 0..{kappa - 1}")
         counts = [0] * kappa
-        counts[x] = n
+        counts[check_site(x, range(kappa), f"0..{kappa - 1}")] = n
         return cls(tuple(counts))
 
     def __getitem__(self, x: int) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OutOfRange
-from .model import WalkAnalysis, WalkSpec, analyze_walk, site_set
+from .model import WalkAnalysis, WalkSpec, analyze_walk, check_site, site_set
 from .states import StateEnumeration
 
 
@@ -91,8 +91,7 @@ class RegionSpec:
         """Tube states with exactly k particles at site x: the slice set of the
         condensation analysis, public for callers that check the slice
         bounds on a solved distribution."""
-        if x not in self.r_set:
-            raise OutOfRange(f"site {x} not in R {self.r_set}")
+        x = check_site(x, self.r_set, f"R {self.r_set}")
         counts = self.enum.counts_matrix()
         return np.nonzero(self.tube_mask & (counts[:, x] == k))[0]
 

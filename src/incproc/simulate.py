@@ -12,7 +12,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateData, OutOfRange,
                      WindowExceedsTrajectory)
-from .model import Configuration, ProcessParams, WalkSpec, site_set, state_counts
+from .model import (Configuration, ProcessParams, WalkSpec, _add_in_order, site_set,
+                    state_counts)
 
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
@@ -124,12 +125,6 @@ class Trajectory:
                 fh.write(f"{t!r},{int(x)},{int(y)}\n")
 
 
-class _StateCache(dict):
-    """Weight rows of visited states for the event kernels of one call."""
-
-    held = 0    # key entries plus running sums stored; see _CACHE_VALUES
-
-
 def _weigh(counts: Sequence[int], sources: Sequence[int], table: list[list[tuple]],
            d: float, by_target: bool) -> tuple[tuple[float, ...], tuple, float]:
     """The weight row of a state: the running sums of the weights of the
@@ -163,34 +158,34 @@ def _weigh(counts: Sequence[int], sources: Sequence[int], table: list[list[tuple
 
 
 class _Kernel:
-    """Exact direct-method (Gillespie) events of one replica, a slice at a time.
+    """Exact direct-method (Gillespie) events of one chain, a slice at a
+    time: the move table ``out[x] = [(y, coef), ...]``, ``d`` and
+    ``by_target``. Its replicas share ``cache``, the weight row of each
+    visited state (its counts, or a list's sites and their counts), emptied
+    when it would hold more than ``_CACHE_VALUES`` values."""
 
-    Each event picks a move of the current ``counts`` with probability
-    proportional to its :func:`_weigh` weight (never a zero-weight one) and
-    applies it in place; it lasts an exponential over the total weight, or
-    1.0 when ``by_target`` (no exponentials drawn). ``sources`` fixes the
-    move order; as a list it holds the occupied sites in arrival order, the
-    kernel keeps it so, and a run ends when one site is left. ``cache`` maps
-    each visited state (the counts, or a list's sites and their counts) to
-    its weight row; runs with the same ``out``, ``d`` and ``by_target`` may
-    share it, and it is emptied when it would exceed ``_CACHE_VALUES``.
-    """
-
-    def __init__(self, counts: list[int], sources: Sequence[int],
-                 out: Sequence[Sequence[tuple[int, float]]], d: float,
-                 blocks: _Blocks, cache: _StateCache, by_target: bool = False):
-        self.counts, self.sources, self.d = counts, sources, d
+    def __init__(self, out: Sequence[Sequence[tuple[int, float]]], d: float,
+                 by_target: bool = False):
         self.table = [[(y, coef, (x, y, x * len(out) + y)) for y, coef in moves]
                       for x, moves in enumerate(out)]
-        self.blocks, self.cache, self.by_target = blocks, cache, by_target
+        self.d, self.by_target = d, by_target
+        self.cache: dict = {}
+        self.held = 0       # key entries plus running sums in the cache
         self.move_lists: dict = {}
 
-    def run(self, limit: int, stop: float = -1) -> tuple[np.ndarray | None, list[int]]:
-        """Run at most ``limit`` events (``limit <= _SLICE``), ending after
-        the first one whose source is left with ``stop`` particles or fewer.
-        Returns their holding times (None when ``by_target``) and their
-        move ids ``x * kappa + y``."""
-        blocks, counts, sources, cache = self.blocks, self.counts, self.sources, self.cache
+    def run(self, counts: list[int], sources: Sequence[int], blocks: _Blocks,
+            limit: int, stop: float = -1) -> tuple[np.ndarray | None, list[int]]:
+        """Run at most ``limit`` events (``limit <= _SLICE``) of a replica
+        from ``blocks``, ending after the first one whose source is left with
+        ``stop`` particles or fewer. Each picks a move of ``counts`` with
+        probability proportional to its :func:`_weigh` weight (never a
+        zero-weight one) and applies it in place; it lasts an exponential
+        over the total weight, or 1.0 when ``by_target`` (no exponentials
+        drawn). ``sources`` fixes the move order; as a list it holds the
+        occupied sites in arrival order, kept so, and the run ends when one
+        site is left. Returns the holding times (None when ``by_target``)
+        and the move ids ``x * kappa + y``."""
+        cache = self.cache
         keyed = isinstance(sources, list)
         # a block of exponentials is drawn before the uniforms of its events
         exps = None if self.by_target else blocks.exponentials(limit)
@@ -205,11 +200,11 @@ class _Kernel:
                 cum, picks, total = _weigh(counts, sources, self.table, self.d,
                                            self.by_target)
                 size = len(key) + len(cum)
-                if cache.held + size > _CACHE_VALUES:
+                if self.held + size > _CACHE_VALUES:
                     cache.clear()
-                    cache.held = 0
+                    self.held = 0
                     self.move_lists.clear()
-                cache.held += size
+                self.held += size
                 # states that occupy the same sources share one tuple of moves
                 row = cache[key] = cum, self.move_lists.setdefault(picks, picks), total
             cum, picks, total = row
@@ -249,14 +244,14 @@ def simulate(spec: WalkSpec, params: ProcessParams,
     ``max_events`` additionally truncates the event count (the recorded
     horizon is then the last event time).
     """
-    return _simulate(spec, params, eta0, horizon, seed, stream, max_events,
-                     _StateCache())
+    return _simulate(_Kernel(_walk_moves(spec), params.d), spec, params, eta0,
+                     horizon, seed, stream, max_events)
 
 
-def _simulate(spec: WalkSpec, params: ProcessParams,
+def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
               eta0: Configuration | Sequence[int], horizon: float, seed: int,
-              stream: int, max_events: int | None, cache: _StateCache) -> Trajectory:
-    """:func:`simulate` with a state cache shared with other runs of the walk."""
+              stream: int, max_events: int | None) -> Trajectory:
+    """:func:`simulate` through ``kernel``, the event kernel of the walk."""
     if not math.isfinite(horizon):
         raise OutOfRange(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0:
@@ -265,14 +260,14 @@ def _simulate(spec: WalkSpec, params: ProcessParams,
     if max_events is not None and (not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
-    kernel = _Kernel(list(initial), range(spec.kappa), _walk_moves(spec), params.d,
-                     _Blocks(replica_rng(seed, stream)), cache)
+    counts, blocks = list(initial), _Blocks(replica_rng(seed, stream))
     times: list[np.ndarray] = []
     moves: list[int] = []
     t, left = 0.0, math.inf if max_events is None else max_events
     while left:
         # slices grow from 32 events, so a short path runs few past its horizon
-        dts, picked = kernel.run(min(_SLICE, left, 32 << len(times)))
+        dts, picked = kernel.run(counts, range(spec.kappa), blocks,
+                                 min(_SLICE, left, 32 << len(times)))
         # the clock adds one holding time at a time, as a scalar loop would
         clock = np.cumsum(np.concatenate(([t], dts)))
         if not (clock[1:] > clock[:-1]).all():
@@ -455,11 +450,6 @@ def trace_project(traj: Trajectory, a_set, theta: float,
         marginal_times=sample_ts, marginal=sample_out)
 
 
-def _add_in_order(total: float, terms: np.ndarray) -> float:
-    """``total + terms[0] + terms[1] + ...``, added left to right."""
-    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
-
-
 def _segment_sums(terms: np.ndarray, starts: np.ndarray, carry: float) -> np.ndarray:
     """Left-to-right sums of the segments ``terms[starts[i]:starts[i + 1]]``
     (the last one runs to the end), the first added onto ``carry`` and every
@@ -537,11 +527,11 @@ def _trace_batch(spec: WalkSpec, params: ProcessParams, a_set: tuple[int, ...],
                  horizon: float, seed: int, streams: Sequence[int]) -> list:
     """(jump counts, trace time at each site) of each replica in ``streams``;
     replica i starts on site ``a_set[i % len(a_set)]``."""
-    cache = _StateCache()
+    kernel = _Kernel(_walk_moves(spec), params.d)
     results = []
     for i in streams:
         start = Configuration.single_site(spec.kappa, params.n, a_set[i % len(a_set)])
-        traj = _simulate(spec, params, start, horizon, seed, i, None, cache)
+        traj = _simulate(kernel, spec, params, start, horizon, seed, i, None)
         path = trace_project(traj, a_set, theta=1.0)
         results.append((path.transition_counts(spec.kappa), path.time_at(spec.kappa)))
     return results
@@ -570,10 +560,15 @@ class HittingTask:
     def __post_init__(self):
         if self.chain not in ("inclusion", "auxiliary"):
             raise OutOfRange(f"unknown chain {self.chain!r}")
-        if self.chain == "inclusion" and self.threshold is None:
-            raise OutOfRange("inclusion chain needs a threshold")
-        if self.chain == "auxiliary" and (self.r_set is None or self.eps is None):
-            raise OutOfRange("auxiliary chain needs r_set and eps")
+        if self.chain == "auxiliary" and self.r_set is None:
+            raise OutOfRange("auxiliary chain needs r_set")
+        # a nan or negative level is never reached; eps > 0 as RegionSpec requires
+        name = "threshold" if self.chain == "inclusion" else "eps"
+        level = getattr(self, name)
+        if not (isinstance(level, numbers.Real) and not isinstance(level, bool)
+                and 0 <= level < math.inf and (level > 0 or name == "threshold")):
+            raise OutOfRange(f"{self.chain} chain needs a finite real {name} "
+                             f"{'>= 0' if name == 'threshold' else '> 0'}, got {level!r}")
         if not isinstance(self.step_cap, numbers.Integral) or self.step_cap < 0:
             raise OutOfRange(f"step_cap must be a nonnegative integer, got {self.step_cap!r}")
 
@@ -603,6 +598,10 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     """
     _check_replicas(task.replicas)
     state_counts(task.start, spec.kappa, params.n)
+    if task.chain == "auxiliary":
+        task = replace(task, r_set=site_set(task.r_set, spec.kappa))
+        if any(task.start[x] for x in range(spec.kappa) if x not in task.r_set):
+            raise OutOfRange("auxiliary-chain start must be supported on R")
     results = _map_batches(partial(_hitting_batch, task, spec, params),
                            range(task.replicas), threads)
     values = np.array([v for v, _ in results])
@@ -624,31 +623,28 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     count) until a source count drops to ``stop`` or ``step_cap`` events.
     """
     if task.chain == "inclusion":
-        sources, out, by_target = range(spec.kappa), _walk_moves(spec), False
+        sources, kernel = range(spec.kappa), _Kernel(_walk_moves(spec), params.d)
         stop = task.threshold
     else:
-        sources = site_set(task.r_set, spec.kappa)
-        if any(task.start[x] for x in range(spec.kappa) if x not in sources):
-            raise OutOfRange("auxiliary-chain start must be supported on R")
+        sources = task.r_set
         # the reversed chain on R: x -> y weighted by c_y (d + c_x) r(y, x)
-        out = [[(y, float(spec.rates[y, x])) for y in sources
-                if y != x and spec.rates[y, x] > 0] if x in sources else []
-               for x in range(spec.kappa)]
-        by_target = True
-        stop = int(math.floor(task.eps * math.log(params.n)))
+        kernel = _Kernel([[(y, float(spec.rates[y, x])) for y in sources
+                           if y != x and spec.rates[y, x] > 0] if x in sources else []
+                          for x in range(spec.kappa)], params.d, by_target=True)
+        # a level of N or more stops at once, also where eps * log N overflows
+        stop = int(math.floor(min(task.eps * math.log(params.n), params.n)))
     if min(task.start[x] for x in sources) <= stop:
         return [(0.0, False)] * len(streams)
-    cache = _StateCache()
     results = []
     for i in streams:
-        kernel = _Kernel(list(task.start), sources, out, params.d,
-                         _Blocks(replica_rng(task.seed, i)), cache, by_target=by_target)
+        counts, blocks = list(task.start), _Blocks(replica_rng(task.seed, i))
         t, taken, censored = 0.0, 0, True
         while taken < task.step_cap and censored:
-            dts, moves = kernel.run(min(_SLICE, task.step_cap - taken), stop)
+            dts, moves = kernel.run(counts, sources, blocks,
+                                    min(_SLICE, task.step_cap - taken), stop)
             taken += len(moves)
-            t = float(taken) if by_target else _add_in_order(t, dts)
-            censored = kernel.counts[moves[-1] // spec.kappa] > stop
+            t = float(taken) if kernel.by_target else _add_in_order(t, dts)
+            censored = counts[moves[-1] // spec.kappa] > stop
         results.append((t, censored))
     return results
 
@@ -665,8 +661,8 @@ def _map_batches(batch, streams: Sequence[int], threads: int) -> list:
     of ``streams`` in a pool of ``threads`` workers; the only place a process
     pool starts.
 
-    Each call returns one result per stream and builds one event-kernel state
-    cache for all of them; the results come in stream order.
+    Each call builds one event kernel per chain for all its streams and
+    returns one result per stream, in stream order.
     """
     if threads <= 1 or len(streams) <= 1:
         return batch(streams)

@@ -10,6 +10,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StateSpaceTooLarge
+from .model import _add_in_order, check_site
 
 DEFAULT_CAP = 500_000
 
@@ -85,7 +86,7 @@ class StateEnumeration:
     def xi_index(self, x: int) -> int:
         """Rank of the configuration with all particles at site x."""
         eta = [0] * self.kappa
-        eta[x] = self.n
+        eta[check_site(x, range(self.kappa), f"0..{self.kappa - 1}")] = self.n
         return self.rank(eta)
 
     def counts_matrix(self) -> np.ndarray:
@@ -238,7 +239,7 @@ class Distribution:
         the occupied-count sets and their ratios."""
         enum = self.enum
         xi = {str(x): float(self.weights[enum.xi_index(x)]) for x in range(enum.kappa)}
-        e_mass = sum(xi.values())
+        e_mass = _add_in_order(0.0, list(xi.values()))
         b_mass = b_set_masses(self.weights, enum)
         ratios = [float(b_mass[k] / b_mass[k - 1]) if b_mass[k - 1] > 0 else float("inf")
                   for k in range(1, enum.kappa)]

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -23,9 +24,9 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
                      OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
-from .model import WalkSpec, log_weight_table
-from .simulate import (_SLICE, Trajectory, _add_in_order, _Blocks, _check_replicas,
-                       _Kernel, _map_batches, _StateCache, replica_rng, trace_project)
+from .model import WalkSpec, _add_in_order, log_weight_table
+from .simulate import (_SLICE, Trajectory, _Blocks, _check_replicas, _Kernel,
+                       _map_batches, replica_rng, trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -396,8 +397,8 @@ class _Channels:
         up, move, total = [], [], []
         for off, h_fwd in spec.kernel.items():
             back = tuple(-v for v in off)
-            rest_fwd = sum(w for o, w in spec.kernel.items() if o != off)
-            rest_bwd = sum(w for o, w in spec.kernel.items() if o != back)
+            rest_fwd = _add_in_order(0.0, [w for o, w in spec.kernel.items() if o != off])
+            rest_bwd = _add_in_order(0.0, [w for o, w in spec.kernel.items() if o != back])
             rate_up, rate_down = _channel_rates(n, d, h_fwd, spec.h(back))
             rate = rate_up + rate_down + d * ((n - level) * rest_fwd + level * rest_bwd)
             up.append(rate_up / rate)
@@ -408,17 +409,13 @@ class _Channels:
         self.end = np.zeros(len(self.rows), dtype=np.uint8)
         self.end[0::n + 1] = _HOME
         self.end[n::n + 1] = _MOVED
-        self.cache = _StateCache()
-        self._out = None
+        self._third: _ThirdSite | None = None
 
-    @property
-    def out(self) -> list[list[tuple[int, float]]]:
-        """The event kernel's move table, built on the first third-site hop."""
-        if self._out is None:
-            self.coords, targets = _lattice(self.spec)
-            weights = list(self.spec.kernel.values())
-            self._out = [list(zip(to, weights)) for to in targets.T.tolist()]
-        return self._out
+    def third_site(self) -> _ThirdSite:
+        """The torus's third-site kernel, built on the first third-site hop."""
+        if self._third is None:
+            self._third = _ThirdSite(self.spec)
+        return self._third
 
 
 def _chunk_streams(key: tuple[int, int], chunk: int) -> list[np.random.Generator]:
@@ -484,9 +481,10 @@ class _CondensateReplica:
         moves[moved] = ch.offsets[k[moved]]
         hopped = np.flatnonzero(status == _HOPPED)
         if len(hopped):
-            third = _ThirdSite(ch, _Blocks(self.hops), self.key[1], self.chunks - 1)
+            third, blocks = ch.third_site(), _Blocks(self.hops)
             for j in hopped:
-                extra, more, moves[j] = third.finish(int(pos[j]))
+                extra, more, moves[j] = third.finish(
+                    int(pos[j]), blocks, f"replica {self.key[1]}, chunk {self.chunks - 1}")
                 dur[j] += extra
                 events[j] += more
         self.off_time += float(dur.sum())
@@ -506,41 +504,38 @@ class _CondensateReplica:
 
 
 class _ThirdSite:
-    """The event kernel, for excursions that leave their channel for a third
+    """The event kernel of a torus, with its lattice coordinates, move table
+    and counts, for the excursions that leave their channel for a third
     site. The condensate sits at site 0: the torus is translation invariant."""
 
-    def __init__(self, ch: _Channels, blocks: _Blocks, stream: int, chunk: int):
-        self.ch = ch
-        self.blocks = blocks
-        self.where = f"replica {stream}, chunk {chunk}"
-        self.counts = [0] * ch.spec.n_sites
+    def __init__(self, spec: TorusSpec):
+        self.spec = spec
+        self.coords, targets = _lattice(spec)
+        self.out = [list(zip(to, spec.kernel.values())) for to in targets.T.tolist()]
+        self.counts = [0] * spec.n_sites
         self.occupied: list[int] = []
-        self.kernel = _Kernel(self.counts, self.occupied, ch.out, ch.spec.d_l,
-                              blocks, ch.cache)
+        self.kernel = _Kernel(self.out, spec.d_l)
 
-    def finish(self, pos: int) -> tuple[float, int, np.ndarray]:
+    def finish(self, pos: int, blocks: _Blocks, where: str) -> tuple[float, int, np.ndarray]:
         """Finish an excursion whose last event left channel ``pos`` for a
-        third site: pick that hop, then run the kernel until one site holds
-        every particle. Returns the time and the events this took, and the
-        condensate's move. Raises ``BudgetExceeded`` after
-        ``_STRETCH_EVENTS`` events."""
-        ch, counts, occupied = self.ch, self.counts, self.occupied
-        n, d = ch.n, ch.spec.d_l
+        third site: pick that hop, then run the kernel on ``blocks`` until
+        one site holds every particle. Returns the time and the events this
+        took, and the condensate's move. After ``_STRETCH_EVENTS`` events,
+        raises ``BudgetExceeded`` naming ``where``."""
+        counts, occupied = self.counts, self.occupied
+        n, d = self.spec.n, self.spec.d_l
         k, level = divmod(pos, n + 1)
         for x in occupied:
             counts[x] = 0
-        home, there = 0, ch.out[0][k][0]
+        home, there = 0, self.out[0][k][0]
         counts[home], counts[there] = n - level, level
         occupied[:] = [home, there]
         hops = [(x, y, c * d * w) for x, c, skip in ((home, n - level, there),
                                                    (there, level, home))
-                for y, w in ch.out[x] if y != skip]
-        u = self.blocks.uniform() * sum(w for _, _, w in hops)
-        acc = 0.0
-        for x, y, w in hops:
-            acc += w
-            if u <= acc:
-                break
+                for y, w in self.out[x] if y != skip]
+        # picked as the kernel picks, by bisecting the running sums
+        cum = list(accumulate(w for _, _, w in hops))
+        x, y, _ = hops[bisect_left(cum, blocks.uniform() * cum[-1])]
         counts[x] -= 1
         counts[y] += 1
         if not counts[x]:
@@ -551,12 +546,12 @@ class _ThirdSite:
         while len(occupied) > 1:
             if taken >= _STRETCH_EVENTS:
                 raise BudgetExceeded(
-                    f"{self.where}: an excursion took {taken} events without "
+                    f"{where}: an excursion took {taken} events without "
                     "gathering every particle on one site")
-            dts, moves = self.kernel.run(_SLICE)
+            dts, moves = self.kernel.run(counts, occupied, blocks, _SLICE)
             t = _add_in_order(t, dts)
             taken += len(moves)
-        return t, taken, _wrap(ch.coords[occupied[0]] - ch.coords[home], ch.spec.side)
+        return t, taken, _wrap(self.coords[occupied[0]] - self.coords[home], self.spec.side)
 
 
 def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:

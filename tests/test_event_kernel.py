@@ -32,7 +32,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from incproc import (BudgetExceeded, HittingTask, ProcessParams, Trajectory, WalkSpec,
-                     build_torus, condensate_statistics, mc_hitting,
+                     build_torus, condensate_statistics, mc_hitting, measure_drift,
                      run_condensate, simulate, torus_walk, trace_project)
 from incproc.simulate import (_BLOCK, _SLICE, CEMETERY, _Blocks, _segment_sums,
                               replica_rng)
@@ -424,8 +424,27 @@ def test_third_site_keys_hold_the_occupied_sites_only(monkeypatch):
     spec = build_torus(1, 32, {1: 0.6, -1: 0.4}, rho=0.5, d_l=0.05)
     run_condensate(spec, 1.0, seed=5)
     (ch,) = channels
-    assert ch.cache
-    assert max(len(key) for key in ch.cache) <= 2 * spec.n
+    cache = ch.third_site().kernel.cache
+    assert cache
+    assert max(len(key) for key in cache) <= 2 * spec.n
+
+
+def test_one_third_site_kernel_per_torus(monkeypatch):
+    # the lattice move table is built once per torus, however many replicas
+    # and chunks take a third-site hop
+    kernels = []
+    init = KERNEL._Kernel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kernels.append(self)
+
+    monkeypatch.setattr(KERNEL._Kernel, "__init__", spy)
+    spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=2, d_l=0.05)
+    measure_drift(spec, 10.0, seed=7, replicas=4, min_relocations=1)
+    (kernel,) = kernels
+    assert len(kernel.table) == spec.n_sites
+    assert kernel.cache
 
 
 def test_blocks_follow_the_philox_stream():
@@ -542,8 +561,8 @@ def test_simulate_clamp_matches_reference(walk, request, monkeypatch):
     eta0[0] = 30
     run, sizes = KERNEL._Kernel.run, []
 
-    def spy(self, limit, stop=-1):
-        dts, moves = run(self, limit, stop)
+    def spy(self, *args):
+        dts, moves = run(self, *args)
         sizes.append(len(moves))
         return dts, moves
 

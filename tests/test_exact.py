@@ -477,8 +477,22 @@ class TestReciprocalSums:
                               stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 2),
     lambda walk: flow(walk, ProcessParams(4, 0.1),
                       stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 0, 1.5),
+    lambda walk: flow(walk, ProcessParams(4, 0.1),
+                      stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 0, True),
+    lambda walk: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), True),
+    lambda walk: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), 1.0),
+    *[lambda walk, x=x: flow(walk, ProcessParams(4, 0.1),
+                             stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), x, 1)
+      for x in (1.0, True)],
+    *[lambda walk, x=x: flow_profile(walk, ProcessParams(4, 0.1),
+                                     stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), x)
+      for x in (1.0, True)],
+    *[lambda walk, x=x: RegionSpec(walk, enumerate_states(3, 4), (0, 1)).slice_indices(x, 1)
+      for x in (1.0, True)],
 ], ids=["params_n_zero", "hitting_target_outside_a", "flow_site_outside_r",
-        "flow_level_not_an_integer"])
+        "flow_level_not_an_integer", "flow_level_bool", "hitting_target_bool", "hitting_target_float",
+        "flow_site_float", "flow_site_bool", "flow_profile_site_float",
+        "flow_profile_site_bool", "slice_site_float", "slice_site_bool"])
 def test_bad_arguments_raise_incproc_error(up3, call):
     with pytest.raises(IncprocError):
         call(up3)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from incproc import (Configuration, IncprocError, MissingValue, NonIrreducibleWalk,
                      OutOfRange, ProcessParams, SameSite, WalkSpec, analyze_walk,
-                     apply_move, generator_apply, local_kinetics,
-                     log_weight_table, schedule_fixed, schedule_power)
+                     apply_move, asymptotics, generator_apply, local_kinetics,
+                     log_weight_table, schedule_fixed, schedule_power, states,
+                     stationary_exact, thermo)
+from incproc.asymptotics import _harmonic
 
 
 def _loop_pair_constants(spec, m):
@@ -157,7 +159,7 @@ class TestConfiguration:
         assert Configuration.single_site(3, 5, 2).counts == (0, 0, 5)
         assert Configuration.single_site(3, 5, np.int64(0)).counts == (5, 0, 0)
 
-    @pytest.mark.parametrize("x", [-1, 3, 7, 1.0, "1"])
+    @pytest.mark.parametrize("x", [-1, 3, 7, 1.0, "1", True])
     def test_single_site_rejects_a_site_off_the_walk(self, x):
         with pytest.raises(OutOfRange):
             Configuration.single_site(3, 5, x)
@@ -308,3 +310,33 @@ class TestParams:
 
         for d in (1e-16, 1e-8, 1e-4, 1e-3, 0.1, 0.5, 0.7):
             assert np.array_equal(log_weight_table(n, d), loop(d)), d
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # from Python 3.12 the builtin sum adds floats with compensated summation;
+    # emulated here with math.fsum, it must not move the harmonic numbers,
+    # the torus channel rows or the condensate mass of a stationary law
+    torus = thermo.build_torus(2, 5, {(1, 0): 0.1, (-1, 0): 0.2, (0, 1): 0.4,
+                                      (0, -1): 0.3}, rho=1.0, d_l=0.05)
+    rng = np.random.default_rng(5)
+    walks = []
+    for i in range(60):
+        rates = rng.uniform(0.1, 1.0, (3 + i % 3, 3 + i % 3))
+        np.fill_diagonal(rates, 0.0)
+        walks.append(WalkSpec.from_matrix(rates))
+
+    values = {
+        "harmonic": lambda: [_harmonic(k) for k in range(200)],
+        "channels": lambda: thermo._Channels(torus).rows.tolist(),
+        "E_mass": lambda: [stationary_exact(w, ProcessParams(6, 0.3)).summary()["E_mass"]
+                           for w in walks],
+    }
+    before = {name: value() for name, value in values.items()}
+    left_to_right = [0.0]
+    for j in range(1, 200):
+        left_to_right.append(left_to_right[-1] + 1.0 / j)
+    assert before["harmonic"] == left_to_right
+    for module in (asymptotics, states, thermo):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    for name, value in values.items():
+        assert value() == before[name], name

@@ -437,6 +437,24 @@ class TestMCHitting:
             HittingTask(chain="auxiliary", start=(5, 5, 5), replicas=2, seed=1,
                         r_set=(0, 1, 2), eps=0.1, step_cap=-1)
 
+    @pytest.mark.parametrize("level", [
+        {"chain": "inclusion", "threshold": v} for v in
+        (math.nan, -1, -math.inf, math.inf, True, "3")] + [
+        {"chain": "auxiliary", "r_set": (0, 1, 2), "eps": v} for v in
+        (math.nan, math.inf, -0.5, 0.0, True, "0.1")])
+    def test_rejects_a_level_the_chain_cannot_stop_at(self, level):
+        # a nan threshold once stopped at the first slice, a negative one ran
+        # to the step cap, and a bad eps raised a bare ValueError,
+        # OverflowError or IndexError
+        with pytest.raises(OutOfRange):
+            HittingTask(start=(10, 10, 10), replicas=2, seed=1, **level)
+
+    def test_eps_past_the_float_range_stops_at_once(self, cycle3):
+        # eps * log N overflows to inf; the floor of N stops before any event
+        task = HittingTask(chain="auxiliary", start=(10, 10, 10), replicas=2, seed=1,
+                           r_set=(0, 1, 2), eps=1e308)
+        assert mc_hitting(task, cycle3, ProcessParams(30, 0.1)).mean == 0.0
+
     def test_bad_task(self):
         with pytest.raises(ValueError):
             HittingTask(chain="inclusion", start=(1, 1), replicas=2, seed=0)

@@ -154,6 +154,12 @@ class TestEnumeration:
         enum = StateEnumeration(3, 4)
         assert enum.unrank(enum.xi_index(1)) == (0, 4, 0)
 
+    @pytest.mark.parametrize("x", [-1, 3, 1.0, True])
+    def test_xi_index_rejects_a_site_off_the_walk(self, x):
+        # -1 once read the last site and True site 1
+        with pytest.raises(OutOfRange):
+            StateEnumeration(3, 4).xi_index(x)
+
     def test_rank_rejects_bad_state(self):
         enum = StateEnumeration(2, 3)
         with pytest.raises(ValueError):
