@@ -409,7 +409,7 @@ def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeratio
     b = rates[:, xi][interior].toarray() * (1.0 / holding[interior])[:, None]
     h_int, factors = _solve_refined(a, b, order)
     residual = float(np.abs(a @ h_int - b).max())
-    if residual > HITTING_TOL:
+    if not residual <= HITTING_TOL:     # a nan residual fails too
         raise SolverFailure(
             f"hitting-probability residual {residual:.3e} > {HITTING_TOL:.1e}")
 
@@ -612,7 +612,7 @@ def reciprocal_sum(n: int, k: int) -> ReciprocalSum:
     Exact rational for n <= 300, float beyond; the bound checked is
     ``(3 log(n+1))**(k-1) / n``.
     """
-    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (n, k)):
         raise OutOfRange(f"n and k must be integers, got n={n!r}, k={k!r}")
     if not (1 <= k <= n):
         raise OutOfRange(f"need n >= k >= 1, got n={n}, k={k}")

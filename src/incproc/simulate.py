@@ -30,8 +30,8 @@ _SLICE = 1 << 10
 # intervals trace_project, the one replay of a stored path, takes per numpy
 # pass (about 2 MB of temporaries)
 _TRACE_CHUNK = 1 << 14
-# values (key entries plus running sums) one state cache may hold; full, it
-# is about 14,500 states of a 3-site walk in 7.2 MB
+# values (key entries, running sums and link slots) one state cache may
+# hold; full, it is about 8,500 states of a 3-site walk in 4.3 MB
 _CACHE_VALUES = 1 << 17
 
 
@@ -162,7 +162,14 @@ class _Kernel:
     time: the move table ``out[x] = [(y, coef), ...]``, ``d`` and
     ``by_target``. Its replicas share ``cache``, the weight row of each
     visited state (its counts, or a list's sites and their counts), emptied
-    when it would hold more than ``_CACHE_VALUES`` values."""
+    when it would hold more than ``_CACHE_VALUES`` values.
+
+    A row is ``(cum, picks, total, links)``: ``links[i]`` is the row that
+    move ``picks[i]`` leads to, filled the first time that move is taken, so
+    a step follows it and builds a key only on a link miss. A row in the
+    cache links only to rows in the cache: a new row starts with no links,
+    and an eviction empties the cache before the new row goes in.
+    """
 
     def __init__(self, out: Sequence[Sequence[tuple[int, float]]], d: float,
                  by_target: bool = False):
@@ -170,7 +177,7 @@ class _Kernel:
                       for x, moves in enumerate(out)]
         self.d, self.by_target = d, by_target
         self.cache: dict = {}
-        self.held = 0       # key entries plus running sums in the cache
+        self.held = 0       # key entries, running sums and link slots in the cache
         self.move_lists: dict = {}
 
     def run(self, counts: list[int], sources: Sequence[int], blocks: _Blocks,
@@ -193,25 +200,31 @@ class _Kernel:
         moves: list[int] = []
         push_total, push_move = totals.append, moves.append
         lookup = cache.get
+        # the first row is looked up, and linked from nowhere
+        row, links, i = None, [None], 0
         for u in blocks.uniforms(limit if exps is None else len(exps)):
-            key = (*sources, *[counts[x] for x in sources]) if keyed else tuple(counts)
-            row = lookup(key)
             if row is None:
-                cum, picks, total = _weigh(counts, sources, self.table, self.d,
-                                           self.by_target)
-                size = len(key) + len(cum)
-                if self.held + size > _CACHE_VALUES:
-                    cache.clear()
-                    self.held = 0
-                    self.move_lists.clear()
-                self.held += size
-                # states that occupy the same sources share one tuple of moves
-                row = cache[key] = cum, self.move_lists.setdefault(picks, picks), total
-            cum, picks, total = row
+                key = (*sources, *[counts[x] for x in sources]) if keyed else tuple(counts)
+                row = lookup(key)
+                if row is None:
+                    cum, picks, total = _weigh(counts, sources, self.table, self.d,
+                                               self.by_target)
+                    size = len(key) + 2 * len(cum)
+                    if self.held + size > _CACHE_VALUES:
+                        cache.clear()
+                        self.held = 0
+                        self.move_lists.clear()
+                    self.held += size
+                    # states that occupy the same sources share one tuple of moves
+                    row = cache[key] = (cum, self.move_lists.setdefault(picks, picks),
+                                        total, [None] * len(cum))
+                links[i] = row
+            cum, picks, total, links = row
             u *= total
             # the first move whose cumulative weight reaches u; a draw of
             # exactly 0.0 would otherwise land on a leading zero-weight move
-            x, y, move = picks[bisect_left(cum, u) if u else bisect_right(cum, u)]
+            i = bisect_left(cum, u) if u else bisect_right(cum, u)
+            x, y, move = picks[i]
             counts[x] -= 1
             counts[y] += 1
             push_total(total)
@@ -225,6 +238,9 @@ class _Kernel:
                         break
             elif counts[x] <= stop:
                 break
+            # the row of the state the move leads to; with list sources too,
+            # as the arrival-order sources gain y or lose x
+            row = links[i]
         m = len(moves)
         blocks.use(m, 0 if exps is None else m)
         return (None if exps is None else exps[:m] / np.array(totals)), moves
@@ -252,10 +268,7 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
               eta0: Configuration | Sequence[int], horizon: float, seed: int,
               stream: int, max_events: int | None) -> Trajectory:
     """:func:`simulate` through ``kernel``, the event kernel of the walk."""
-    if not math.isfinite(horizon):
-        raise OutOfRange(f"horizon must be finite, got {horizon!r}")
-    if horizon <= 0:
-        raise OutOfRange("horizon must be positive")
+    _check_horizon(horizon)
     initial = state_counts(eta0, spec.kappa, params.n)
     if max_events is not None and (not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
@@ -500,6 +513,7 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
     than raised.
     """
     _check_replicas(replicas)
+    _check_horizon(horizon)
     a_set = site_set(a_set, spec.kappa)
     kappa = spec.kappa
     results = _map_batches(partial(_trace_batch, spec, params, a_set, horizon, seed),
@@ -654,6 +668,14 @@ def _check_replicas(replicas: int) -> None:
     if (isinstance(replicas, bool) or not isinstance(replicas, numbers.Integral)
             or replicas < 1):
         raise OutOfRange(f"need an integer count of at least one replica, got {replicas!r}")
+
+
+def _check_horizon(horizon: float) -> None:
+    """Raise ``OutOfRange`` unless ``horizon`` is finite and positive."""
+    if not math.isfinite(horizon):
+        raise OutOfRange(f"horizon must be finite, got {horizon!r}")
+    if horizon <= 0:
+        raise OutOfRange("horizon must be positive")
 
 
 def _map_batches(batch, streams: Sequence[int], threads: int) -> list:

@@ -28,7 +28,8 @@ class StateEnumeration:
     """
 
     def __init__(self, kappa: int, n: int):
-        if not (isinstance(kappa, numbers.Integral) and isinstance(n, numbers.Integral)):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (kappa, n)):
             raise OutOfRange(f"kappa and N must be integers, got {kappa!r}, {n!r}")
         if kappa < 2:
             raise OutOfRange("kappa must be at least 2")

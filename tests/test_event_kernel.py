@@ -447,6 +447,90 @@ def test_one_third_site_kernel_per_torus(monkeypatch):
     assert kernel.cache
 
 
+class CountingCache(dict):
+    """A kernel cache that counts its lookups and evictions."""
+
+    lookups = clears = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def spy_kernels(monkeypatch):
+    """The kernels built from now on, each with a :class:`CountingCache`."""
+    kernels = []
+    init = KERNEL._Kernel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.cache = CountingCache()
+        kernels.append(self)
+
+    monkeypatch.setattr(KERNEL._Kernel, "__init__", spy)
+    return kernels
+
+
+def test_steps_follow_links_not_keys(cycle3, monkeypatch):
+    # the cache is consulted only on a link miss: a (state, move) pair taken
+    # for the first time, or the first event of a slice
+    kernels = spy_kernels(monkeypatch)
+    slices = []
+    run = KERNEL._Kernel.run
+
+    def count_run(self, *args, **kwargs):
+        slices.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(KERNEL._Kernel, "run", count_run)
+    eta0 = [12, 0, 0]
+    traj = simulate(cycle3, ProcessParams(12, 0.05), eta0, horizon=1e300, seed=3,
+                    max_events=10_000)
+    steps = np.zeros((traj.n_events + 1, 3), dtype=np.int64)
+    steps[0] = eta0
+    rows = np.arange(1, traj.n_events + 1)
+    np.add.at(steps, (rows, traj.move_from), -1)
+    np.add.at(steps, (rows, traj.move_to), 1)
+    states = np.cumsum(steps, axis=0)
+    links = {(tuple(s), int(x), int(y)) for s, x, y in
+             zip(states[:-1].tolist(), traj.move_from, traj.move_to)}
+    (kernel,) = kernels
+    assert traj.n_events == 10_000 and kernel.cache.clears == 0
+    assert len(kernel.cache) <= kernel.cache.lookups <= len(links) + len(slices)
+    assert kernel.cache.lookups < traj.n_events / 10
+
+
+def linked_outside(cache):
+    """The links of rows in ``cache`` to rows that are not in it."""
+    held = {id(row) for row in cache.values()}
+    return [nxt for _, _, _, links in cache.values() for nxt in links
+            if nxt is not None and id(nxt) not in held]
+
+
+@pytest.mark.parametrize("chain", ["walk", "third_site"])
+def test_evicted_rows_leave_no_links_outside_the_cache(chain, monkeypatch):
+    # a row in the cache links only to rows in it, after evictions too, so
+    # the rows an eviction drops are not kept alive by the rows it keeps
+    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", 300)
+    kernels = spy_kernels(monkeypatch)
+    if chain == "walk":
+        spec = TORI["1d"]()
+        simulate(torus_walk(spec), ProcessParams(spec.n, spec.d_l),
+                 [2, 1, 2, 1, 2, 1, 2, 1], horizon=1e300, seed=2, max_events=5_000)
+    else:
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=2, d_l=0.05)
+        measure_drift(spec, 10.0, seed=7, replicas=4, min_relocations=1)
+    (kernel,) = kernels
+    assert kernel.cache.clears > 0
+    assert kernel.held <= KERNEL._CACHE_VALUES
+    assert any(nxt is not None for *_, links in kernel.cache.values() for nxt in links)
+    assert linked_outside(kernel.cache) == []
+
+
 def test_blocks_follow_the_philox_stream():
     # drawn as the reference kernel draws, one exponential then one uniform,
     # each refill takes a block of exponentials, then a block of uniforms

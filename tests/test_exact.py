@@ -460,7 +460,8 @@ class TestReciprocalSums:
         with pytest.raises(OutOfRange):
             reciprocal_sum(20_000, 2)
 
-    @pytest.mark.parametrize("n,k", [(12.0, 2), (12, 2.0), (12.5, 2)])
+    @pytest.mark.parametrize("n,k", [(12.0, 2), (12, 2.0), (12.5, 2), (True, 1),
+                                     (3, True)])
     def test_rejects_non_integer_arguments(self, n, k):
         with pytest.raises(OutOfRange):
             reciprocal_sum(n, k)

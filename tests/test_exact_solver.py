@@ -401,6 +401,19 @@ class TestDiagnostics:
         with pytest.raises(SolverFailure, match="stationary residual"):
             stationary_exact(up3, ProcessParams(6, 0.2))
 
+    def test_nan_hitting_solve_raises(self, cycle3, monkeypatch):
+        # a nan fails the residual bound as any other miss does
+        solve = exact._solve_refined
+
+        def planted(a, b, coords):
+            h, factors = solve(a, b, coords)
+            h[0, 0] = np.nan
+            return h, factors
+
+        monkeypatch.setattr(exact, "_solve_refined", planted)
+        with pytest.raises(SolverFailure, match="hitting-probability residual"):
+            hitting_probabilities(cycle3, ProcessParams(6, 0.1), (0, 1, 2), 1)
+
     def test_closed_form_has_no_solver(self, cycle3):
         assert exact.stationary_closed_form(cycle3, ProcessParams(5, 0.1)).solver is None
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from incproc import (BudgetExceeded, Configuration, DegenerateData,
                      mean_jump_rate_exact, replica_rng, scaling_fit, simulate,
                      stationary_exact, trace_project)
 from incproc.simulate import CEMETERY, _Blocks
+
+SIMULATE = sys.modules["incproc.simulate"]
 
 
 class TestSimulate:
@@ -313,6 +316,16 @@ class TestMCMeanJumpRate:
         with pytest.raises(OutOfRange):
             mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), (0, 1),
                               replicas=2.5, horizon=1.0, seed=1)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_checks_horizon_before_any_worker_starts(self, two_sym, horizon, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(SIMULATE, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(OutOfRange):
+            mc_mean_jump_rate(two_sym, ProcessParams(2, 0.1), (0, 1), replicas=4,
+                              horizon=horizon, seed=1, threads=2)
 
     @pytest.mark.parametrize("a_set", [(), (0, 7)])
     def test_rejects_bad_site_set(self, two_sym, a_set):

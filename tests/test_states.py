@@ -103,7 +103,7 @@ class TestUnrankAgainstLoops:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("kappa,n", [(3, 2.5), (3.0, 2), (3, "4")])
+    @pytest.mark.parametrize("kappa,n", [(3, 2.5), (3.0, 2), (3, "4"), (3, True)])
     def test_rejects_non_integer_sizes(self, kappa, n):
         with pytest.raises(OutOfRange):
             StateEnumeration(kappa, n)
