@@ -50,8 +50,8 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
                    stderr=proc.stderr[-2000:])
         return row, {}
     row.update(metrics={name: m["value"] for name, m in result["metrics"].items()},
-               fail_rate=facts["fail_rate"], attempted=result["attempted"],
-               failed=result["failed"], correct=result["correct"])
+               attempted=result["attempted"], failed=result["failed"],
+               correct=result["correct"])
     row.update({k: facts[k] for k in RUN_FACTS if k not in row})
     return row, {k: v for k, v in facts.items() if k not in RUN_FACTS}
 
