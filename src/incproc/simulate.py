@@ -31,13 +31,22 @@ _SLICE = 1 << 10
 # pass (about 2 MB of temporaries)
 _TRACE_CHUNK = 1 << 14
 # values (key entries, running sums and link slots) one state cache may
-# hold; full, it is about 8,500 states of a 3-site walk in 4.3 MB
+# hold; full, it is about 8,500 states of a 3-site walk in 4.4 MB
 _CACHE_VALUES = 1 << 17
 
 
 def replica_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox stream (seed, stream); child streams never collide."""
-    return np.random.Generator(np.random.Philox(key=(int(seed), int(stream))))
+    """Philox stream (seed, stream); child streams never collide. Raises
+    ``OutOfRange`` unless both are integers in ``[0, 2**64)``."""
+    _check_key(seed, "seed")
+    _check_key(stream, "stream")
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """The Philox key ``(seed, stream)`` as two unsigned 64-bit words, so
+    every value in ``[0, 2**64)`` keys the same stream on every platform."""
+    return np.array([seed, stream], dtype=np.uint64)
 
 
 class _Blocks:
@@ -126,18 +135,18 @@ class Trajectory:
 
 
 def _weigh(counts: Sequence[int], sources: Sequence[int], table: list[list[tuple]],
-           d: float, by_target: bool) -> tuple[tuple[float, ...], tuple, float]:
+           d: float, by_target: bool) -> tuple[tuple[float, ...], tuple[int, ...], float]:
     """The weight row of a state: the running sums of the weights of the
     moves ``x -> y`` with ``x`` in ``sources`` and ``(y, coef, move)`` in
-    ``table[x]``, in that order, the moves ``(x, y, x * kappa + y)`` they
-    belong to, and the total.
+    ``table[x]``, in that order, their move ids ``move = x * kappa + y``,
+    and the total.
 
     A move weighs ``c_x (d + c_y) coef``, skipping sources with no
     particle, or ``c_y (d + c_x) coef`` when ``by_target``.
     """
     cum: list[float] = []
-    picks: list[tuple] = []
-    push_cum, push_pick = cum.append, picks.append
+    ids: list[int] = []
+    push_cum, push_id = cum.append, ids.append
     total = 0.0
     if by_target:
         for x in sources:
@@ -145,7 +154,7 @@ def _weigh(counts: Sequence[int], sources: Sequence[int], table: list[list[tuple
             for y, coef, move in table[x]:
                 total += counts[y] * dx * coef
                 push_cum(total)
-                push_pick(move)
+                push_id(move)
     else:
         for x in sources:
             cx = counts[x]
@@ -153,97 +162,135 @@ def _weigh(counts: Sequence[int], sources: Sequence[int], table: list[list[tuple
                 for y, coef, move in table[x]:
                     total += cx * (d + counts[y]) * coef
                     push_cum(total)
-                    push_pick(move)
-    return tuple(cum), tuple(picks), total
+                    push_id(move)
+    return tuple(cum), tuple(ids), total
 
 
 class _Kernel:
     """Exact direct-method (Gillespie) events of one chain, a slice at a
-    time: the move table ``out[x] = [(y, coef), ...]``, ``d`` and
-    ``by_target``. Its replicas share ``cache``, the weight row of each
-    visited state (its counts, or a list's sites and their counts), emptied
-    when it would hold more than ``_CACHE_VALUES`` values.
+    time: the move table ``out[x] = [(y, coef), ...]``, ``d``, ``by_target``
+    and the stop level ``stop``. Its replicas share ``cache``, the weight
+    row of each visited state keyed on the state (its counts, or a list's
+    sites and their counts), emptied when it would hold more than
+    ``_CACHE_VALUES`` values.
 
-    A row is ``(cum, picks, total, links)``: ``links[i]`` is the row that
-    move ``picks[i]`` leads to, filled the first time that move is taken, so
-    a step follows it and builds a key only on a link miss. A row in the
-    cache links only to rows in the cache: a new row starts with no links,
-    and an eviction empties the cache before the new row goes in.
+    A row is ``(cum, ids, total, links, key)``: ``ids`` holds the move ids,
+    one tuple shared by the rows of states that weigh the same moves, and
+    ``links[i]`` is the row that move ``ids[i]`` leads to, filled the first
+    time that move is taken unless it ends the run. A linked step reads
+    nothing but its row; the counts are brought up to date, and the key
+    built, only on a link miss. A row in the cache links only to rows in
+    the cache: a new row starts with no links, and an eviction empties the
+    cache before the new row goes in.
     """
 
     def __init__(self, out: Sequence[Sequence[tuple[int, float]]], d: float,
-                 by_target: bool = False):
-        self.table = [[(y, coef, (x, y, x * len(out) + y)) for y, coef in moves]
+                 by_target: bool = False, stop: float = -1):
+        self.table = [[(y, coef, x * len(out) + y) for y, coef in moves]
                       for x, moves in enumerate(out)]
-        self.d, self.by_target = d, by_target
+        self.d, self.by_target, self.stop = d, by_target, stop
         self.cache: dict = {}
         self.held = 0       # key entries, running sums and link slots in the cache
         self.move_lists: dict = {}
 
+    def _add(self, key: tuple, counts: list[int], sources: Sequence[int]) -> tuple:
+        """The new cached row of the state ``counts``, keyed on ``key``."""
+        cum, ids, total = _weigh(counts, sources, self.table, self.d, self.by_target)
+        size = len(key) + 2 * len(cum)
+        if self.held + size > _CACHE_VALUES:
+            self.cache.clear()
+            self.held = 0
+            self.move_lists.clear()
+        self.held += size
+        row = self.cache[key] = (cum, self.move_lists.setdefault(ids, ids), total,
+                                 [None] * len(cum), key)
+        return row
+
     def run(self, counts: list[int], sources: Sequence[int], blocks: _Blocks,
-            limit: int, stop: float = -1) -> tuple[np.ndarray | None, list[int]]:
+            limit: int) -> tuple[np.ndarray | None, list[int]]:
         """Run at most ``limit`` events (``limit <= _SLICE``) of a replica
         from ``blocks``, ending after the first one whose source is left with
         ``stop`` particles or fewer. Each picks a move of ``counts`` with
         probability proportional to its :func:`_weigh` weight (never a
-        zero-weight one) and applies it in place; it lasts an exponential
-        over the total weight, or 1.0 when ``by_target`` (no exponentials
-        drawn). ``sources`` fixes the move order; as a list it holds the
-        occupied sites in arrival order, kept so, and the run ends when one
-        site is left. Returns the holding times (None when ``by_target``)
-        and the move ids ``x * kappa + y``."""
-        cache = self.cache
+        zero-weight one); it lasts an exponential over the total weight, or
+        1.0 when ``by_target`` (no exponentials drawn). ``sources`` fixes the
+        move order; as a list it holds the occupied sites in arrival order,
+        kept so, and the run ends when one site is left. ``counts``, and a
+        list ``sources``, are left at the state the last event leads to.
+        Returns the holding times (None when ``by_target``) and the move ids
+        ``x * kappa + y``.
+
+        A linked step pushes its row's total and the move id and follows the
+        link. Only a link miss applies a move: it brings ``counts`` from the
+        row's key to the state the move leads to and runs the stop test
+        there; a move that ends the run is never linked. The state is
+        written back once, at the end of the slice.
+        """
+        lookup, kappa, stop = self.cache.get, len(self.table), self.stop
         keyed = isinstance(sources, list)
         # a block of exponentials is drawn before the uniforms of its events
         exps = None if self.by_target else blocks.exponentials(limit)
         totals: list[float] = []
         moves: list[int] = []
         push_total, push_move = totals.append, moves.append
-        lookup = cache.get
         # the first row is looked up, and linked from nowhere
+        key = (*sources, *[counts[x] for x in sources]) if keyed else tuple(counts)
         row, links, i = None, [None], 0
+        at = None           # the key of the state ``counts`` holds, once looked up
         for u in blocks.uniforms(limit if exps is None else len(exps)):
             if row is None:
-                key = (*sources, *[counts[x] for x in sources]) if keyed else tuple(counts)
-                row = lookup(key)
-                if row is None:
-                    cum, picks, total = _weigh(counts, sources, self.table, self.d,
-                                               self.by_target)
-                    size = len(key) + 2 * len(cum)
-                    if self.held + size > _CACHE_VALUES:
-                        cache.clear()
-                        self.held = 0
-                        self.move_lists.clear()
-                    self.held += size
-                    # states that occupy the same sources share one tuple of moves
-                    row = cache[key] = (cum, self.move_lists.setdefault(picks, picks),
-                                        total, [None] * len(cum))
-                links[i] = row
-            cum, picks, total, links = row
+                row = links[i] = lookup(key) or self._add(key, counts, sources)
+                at = row[4]
+            cum, ids, total, links, key = row
             u *= total
             # the first move whose cumulative weight reaches u; a draw of
             # exactly 0.0 would otherwise land on a leading zero-weight move
             i = bisect_left(cum, u) if u else bisect_right(cum, u)
-            x, y, move = picks[i]
-            counts[x] -= 1
-            counts[y] += 1
             push_total(total)
-            push_move(move)
-            if keyed:
-                if counts[y] == 1:
-                    sources.append(y)
-                if not counts[x]:
-                    sources.remove(x)
-                    if len(sources) == 1:
-                        break
-            elif counts[x] <= stop:
-                break
-            # the row of the state the move leads to; with list sources too,
-            # as the arrival-order sources gain y or lose x
+            push_move(ids[i])
             row = links[i]
+            if row is None:
+                # a link miss: apply the move to the state of ``key``
+                x, y = divmod(ids[i], kappa)
+                if keyed:
+                    if key is not at:
+                        _load_sites(counts, sources, key)
+                    counts[x] -= 1
+                    counts[y] += 1
+                    if counts[y] == 1:
+                        sources.append(y)
+                    if not counts[x]:
+                        sources.remove(x)
+                        if len(sources) == 1:
+                            break
+                    key = (*sources, *[counts[z] for z in sources])
+                else:
+                    if key is not at:
+                        counts[:] = key
+                    counts[x] -= 1
+                    counts[y] += 1
+                    if counts[x] <= stop:
+                        break
+                    key = tuple(counts)
+        if row is not None and row[4] is not at:
+            if keyed:
+                _load_sites(counts, sources, row[4])
+            else:
+                counts[:] = row[4]
         m = len(moves)
         blocks.use(m, 0 if exps is None else m)
         return (None if exps is None else exps[:m] / np.array(totals)), moves
+
+
+def _load_sites(counts: list[int], sources: list[int], key: tuple) -> None:
+    """Set ``counts`` and the list ``sources`` to the state keyed on ``key``,
+    its occupied sites in arrival order and then their counts."""
+    for x in sources:
+        counts[x] = 0
+    half = len(key) >> 1
+    sources[:] = key[:half]
+    for x, c in zip(sources, key[half:]):
+        counts[x] = c
 
 
 def _walk_moves(spec: WalkSpec) -> list[list[tuple[int, float]]]:
@@ -270,7 +317,8 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
     """:func:`simulate` through ``kernel``, the event kernel of the walk."""
     _check_horizon(horizon)
     initial = state_counts(eta0, spec.kappa, params.n)
-    if max_events is not None and (not isinstance(max_events, numbers.Integral)
+    if max_events is not None and (isinstance(max_events, bool)
+                                   or not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
     counts, blocks = list(initial), _Blocks(replica_rng(seed, stream))
@@ -514,6 +562,7 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
     """
     _check_replicas(replicas)
     _check_horizon(horizon)
+    _check_key(seed, "seed")
     a_set = site_set(a_set, spec.kappa)
     kappa = spec.kappa
     results = _map_batches(partial(_trace_batch, spec, params, a_set, horizon, seed),
@@ -583,8 +632,10 @@ class HittingTask:
                 and 0 <= level < math.inf and (level > 0 or name == "threshold")):
             raise OutOfRange(f"{self.chain} chain needs a finite real {name} "
                              f"{'>= 0' if name == 'threshold' else '> 0'}, got {level!r}")
-        if not isinstance(self.step_cap, numbers.Integral) or self.step_cap < 0:
+        if (isinstance(self.step_cap, bool) or not isinstance(self.step_cap, numbers.Integral)
+                or self.step_cap < 0):
             raise OutOfRange(f"step_cap must be a nonnegative integer, got {self.step_cap!r}")
+        _check_key(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -637,16 +688,16 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     count) until a source count drops to ``stop`` or ``step_cap`` events.
     """
     if task.chain == "inclusion":
-        sources, kernel = range(spec.kappa), _Kernel(_walk_moves(spec), params.d)
         stop = task.threshold
+        sources, kernel = range(spec.kappa), _Kernel(_walk_moves(spec), params.d, stop=stop)
     else:
         sources = task.r_set
+        # a level of N or more stops at once, also where eps * log N overflows
+        stop = int(math.floor(min(task.eps * math.log(params.n), params.n)))
         # the reversed chain on R: x -> y weighted by c_y (d + c_x) r(y, x)
         kernel = _Kernel([[(y, float(spec.rates[y, x])) for y in sources
                            if y != x and spec.rates[y, x] > 0] if x in sources else []
-                          for x in range(spec.kappa)], params.d, by_target=True)
-        # a level of N or more stops at once, also where eps * log N overflows
-        stop = int(math.floor(min(task.eps * math.log(params.n), params.n)))
+                          for x in range(spec.kappa)], params.d, True, stop)
     if min(task.start[x] for x in sources) <= stop:
         return [(0.0, False)] * len(streams)
     results = []
@@ -655,7 +706,7 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
         t, taken, censored = 0.0, 0, True
         while taken < task.step_cap and censored:
             dts, moves = kernel.run(counts, sources, blocks,
-                                    min(_SLICE, task.step_cap - taken), stop)
+                                    min(_SLICE, task.step_cap - taken))
             taken += len(moves)
             t = float(taken) if kernel.by_target else _add_in_order(t, dts)
             censored = counts[moves[-1] // spec.kappa] > stop
@@ -670,8 +721,19 @@ def _check_replicas(replicas: int) -> None:
         raise OutOfRange(f"need an integer count of at least one replica, got {replicas!r}")
 
 
+def _check_key(value: int, name: str) -> None:
+    """Raise ``OutOfRange`` unless ``value``, a seed or a stream, is an
+    integer in ``[0, 2**64)``: one word of the Philox key, the same on
+    every platform."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < 1 << 64):
+        raise OutOfRange(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
+
 def _check_horizon(horizon: float) -> None:
-    """Raise ``OutOfRange`` unless ``horizon`` is finite and positive."""
+    """Raise ``OutOfRange`` unless ``horizon`` is a finite positive real."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Real):
+        raise OutOfRange(f"horizon must be a real number, got {horizon!r}")
     if not math.isfinite(horizon):
         raise OutOfRange(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0:
@@ -684,9 +746,12 @@ def _map_batches(batch, streams: Sequence[int], threads: int) -> list:
     pool starts.
 
     Each call builds one event kernel per chain for all its streams and
-    returns one result per stream, in stream order.
+    returns one result per stream, in stream order. ``threads`` must be an
+    integer of at least one.
     """
-    if threads <= 1 or len(streams) <= 1:
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise OutOfRange(f"threads must be an integer of at least one, got {threads!r}")
+    if threads == 1 or len(streams) <= 1:
         return batch(streams)
     size = -(-len(streams) // threads)
     chunks = [streams[i:i + size] for i in range(0, len(streams), size)]

@@ -25,8 +25,8 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, _add_in_order, log_weight_table
-from .simulate import (_SLICE, Trajectory, _Blocks, _check_replicas, _Kernel,
-                       _map_batches, replica_rng, trace_project)
+from .simulate import (_SLICE, Trajectory, _Blocks, _check_key, _check_replicas, _Kernel,
+                       _map_batches, _philox_key, replica_rng, trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -418,7 +418,7 @@ class _Channels:
         return self._third
 
 
-def _chunk_streams(key: tuple[int, int], chunk: int) -> list[np.random.Generator]:
+def _chunk_streams(key: np.ndarray, chunk: int) -> list[np.random.Generator]:
     """The channel exponentials, channel uniforms and third-site stretches
     of a replica's chunk: its Philox key jumped 3c + 1, 3c + 2 and 3c + 3
     times for chunk c. Jump 0 is the replica's trace clock."""
@@ -440,7 +440,7 @@ class _CondensateReplica:
 
     def __init__(self, ch: _Channels, seed: int, stream: int, horizon: float,
                  checkpoints: np.ndarray):
-        self.key = (int(seed), int(stream))
+        self.key = _philox_key(seed, stream)
         self.clock = replica_rng(seed, stream)
         self.horizon = horizon
         self.checkpoints = checkpoints
@@ -484,7 +484,7 @@ class _CondensateReplica:
             third, blocks = ch.third_site(), _Blocks(self.hops)
             for j in hopped:
                 extra, more, moves[j] = third.finish(
-                    int(pos[j]), blocks, f"replica {self.key[1]}, chunk {self.chunks - 1}")
+                    int(pos[j]), blocks, f"replica {int(self.key[1])}, chunk {self.chunks - 1}")
                 dur[j] += extra
                 events[j] += more
         self.off_time += float(dur.sum())
@@ -694,6 +694,8 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
     with ``ConditionNotSatisfied``, as in the measurements.
     """
     _check_run(spec, t_rescaled)
+    _check_key(seed, "seed")
+    _check_key(stream, "stream")
     return _condensate_runs(spec, t_rescaled, seed, [stream])[0]
 
 
@@ -702,6 +704,7 @@ def _replica_runs(spec: TorusSpec, t_rescaled: float, replicas: int, seed: int,
     """Runs of the streams ``0..replicas-1``, checked before any worker starts."""
     _check_replicas(replicas)
     _check_run(spec, t_rescaled)
+    _check_key(seed, "seed")
     return _map_batches(partial(_condensate_runs, spec, t_rescaled, seed),
                         range(replicas), threads)
 

@@ -558,9 +558,10 @@ class TestTestFunction:
         enum = StateEnumeration(walk.kappa, n)
         reg = RegionSpec(walk, enum, r_set, eps=eps)
         for eta in enum.counts_matrix()[reg.inner_core]:
-            cum, picks, total = weigh(eta.tolist(), sources, table, d, True)
+            cum, ids, total = weigh(eta.tolist(), sources, table, d, True)
             law = {}
-            for (x, y, _), p in zip(picks, np.diff(np.r_[0.0, cum]) / total):
+            for move, p in zip(ids, np.diff(np.r_[0.0, cum]) / total):
+                x, y = divmod(move, walk.kappa)
                 law[(x, y)] = law.get((x, y), 0.0) + p
             moves, self_loop = auxiliary_kernel_row(walk, d, reg, eta)
             assert self_loop == pytest.approx(0.0, abs=1e-12)

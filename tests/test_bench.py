@@ -1,10 +1,13 @@
 """The bench driver merges each perfbench run into one row of a BENCH file.
 
-The checkout here is a stub: its benchmark command prints the two lines
-``perfbench/run.py`` prints, so the test runs in well under a second.
+The perfbench checkout here is a stub: its benchmark command prints the two
+lines ``perfbench/run.py`` prints, so those tests run in well under a
+second. The kernel layer rows run on a committed copy of this repository's
+package and benchmark, in about four seconds.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +85,47 @@ def test_refuses_to_append_another_commit(checkout, tmp_path):
         {"label": "x", "commit": "0" * 40, "run_seconds": 7, "machine": {}, "rows": []}))
     res = drive(tmp_path, repo, "--workloads", "analysis", "--seeds", "1")
     assert res.returncode == 2 and "holds commit" in res.stderr
+
+
+REPO = DRIVER.parents[1]
+
+
+@pytest.fixture
+def package_checkout(tmp_path):
+    """A committed copy of this repository's package and benchmark."""
+    repo = tmp_path / "package"
+    for part in ("src", "perfbench"):
+        shutil.copytree(REPO / part, repo / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "tests"))
+    shutil.copy(REPO / "BENCHMARK.json", repo)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "copy"], check=True)
+    return repo
+
+
+def test_kernel_rows_time_the_event_kernel(package_checkout, tmp_path):
+    res = drive(tmp_path, package_checkout, "--workloads", "kernel.long_path",
+                "kernel.stretch_L16", "--seeds", "4101")
+    assert res.returncode == 0, res.stderr
+    rows = json.loads((tmp_path / "BENCH_x.json").read_text())["rows"]
+    assert [(r["workload"], r["seed"], r["fail_rate"]) for r in rows] == [
+        ("kernel.long_path", 4101, 0.0), ("kernel.stretch_L16", 4101, 0.0)]
+    path, stretch = (r["metrics"] for r in rows)
+    assert set(path) == set(stretch) == {"us_per_event", "events", "wall_s"}
+    assert path["events"] == 300_000
+    # every stretch of this torus and seed, the last cut at the lowered bound
+    assert stretch["events"] >= 1 << 17
+    for m in (path, stretch):
+        assert m["us_per_event"] == pytest.approx(m["wall_s"] / m["events"] * 1e6)
+
+
+def test_a_kernel_row_without_the_package_fails(checkout, tmp_path):
+    repo, _ = checkout
+    res = drive(tmp_path, repo, "--workloads", "kernel.stretch_L32", "--seeds", "1")
+    assert res.returncode == 1
+    (row,) = json.loads((tmp_path / "BENCH_x.json").read_text())["rows"]
+    assert (row["workload"], row["fail_rate"], row["metrics"]) == (
+        "kernel.stretch_L32", 1.0, {})
+    assert "incproc" in row["stderr"]

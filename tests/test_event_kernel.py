@@ -408,6 +408,9 @@ def test_evicting_cache_drops_shared_move_lists(monkeypatch):
     patterns = {tuple(c) for c in (np.cumsum(steps, axis=0) > 0).tolist()}
     (kernel,) = kernels
     assert 0 < len(kernel.move_lists) <= len(kernel.cache) < 50 < len(patterns)
+    # each row holds its id tuple by reference, the one its pattern shares
+    shared = {id(ids) for ids in kernel.move_lists.values()}
+    assert {id(ids) for _, ids, *_ in kernel.cache.values()} <= shared
 
 
 def test_third_site_keys_hold_the_occupied_sites_only(monkeypatch):
@@ -507,7 +510,7 @@ def test_steps_follow_links_not_keys(cycle3, monkeypatch):
 def linked_outside(cache):
     """The links of rows in ``cache`` to rows that are not in it."""
     held = {id(row) for row in cache.values()}
-    return [nxt for _, _, _, links in cache.values() for nxt in links
+    return [nxt for _, _, _, links, _ in cache.values() for nxt in links
             if nxt is not None and id(nxt) not in held]
 
 
@@ -527,8 +530,85 @@ def test_evicted_rows_leave_no_links_outside_the_cache(chain, monkeypatch):
     (kernel,) = kernels
     assert kernel.cache.clears > 0
     assert kernel.held <= KERNEL._CACHE_VALUES
-    assert any(nxt is not None for *_, links in kernel.cache.values() for nxt in links)
+    assert any(nxt is not None for _, _, _, links, _ in kernel.cache.values()
+               for nxt in links)
     assert linked_outside(kernel.cache) == []
+
+
+def replay(counts, sources, moves, kappa, listed):
+    """The counts, and the sources, after ``moves``; ``listed`` sources hold
+    the occupied sites in arrival order."""
+    counts, sources = list(counts), list(sources)
+    for move in moves:
+        x, y = divmod(move, kappa)
+        counts[x] -= 1
+        counts[y] += 1
+        if listed and counts[y] == 1:
+            sources.append(y)
+        if listed and not counts[x]:
+            sources.remove(x)
+    return counts, sources
+
+
+def ring(sites, right):
+    """The move table of a walk on a ring of ``sites``."""
+    return [[((x + 1) % sites, right), ((x - 1) % sites, 1 - right)] for x in range(sites)]
+
+
+# (move table, d, stop, start, list sources, slice limit, slices per replica):
+# a walk slice ends on the limit, a hitting slice on the limit or the stop
+# level, a third-site slice on the limit or with one site left; the limits
+# divide the uniform pieces, so no slice is cut short by a piece's end
+SLICE_CASES = {
+    "limit": (ring(3, 0.7), 0.05, -1, [12, 0, 0], False, 64, 40),
+    "stop": (ring(4, 0.6), 0.5, 1, [8, 8, 8, 8], False, 16, None),
+    "one_site": (ring(9, 0.6), 0.3, -1, [0, 3, 3, 0, 0, 0, 0, 0, 0], True, 16, None),
+}
+
+
+def run_slices(kernel, case, stream):
+    """Run one replica of ``case`` a slice at a time, checking after every
+    call that the caller's counts and sources are the replay of the returned
+    moves. Returns the moves of each slice and how each slice ended."""
+    out, _, stop, start, listed, limit, slices = case
+    kappa = len(out)
+    counts = list(start)
+    sources = [x for x in range(kappa) if counts[x]] if listed else range(kappa)
+    blocks = _Blocks(replica_rng(11, stream))
+    taken, ends = [], []
+    while slices is None or len(taken) < slices:
+        before = list(counts), list(sources)
+        _, moves = kernel.run(counts, sources, blocks, limit)
+        assert (counts, list(sources)) == replay(*before, moves, kappa, listed)
+        taken.append(moves)
+        if listed and len(sources) == 1:
+            ends.append("one_site")
+            break
+        if counts[moves[-1] // kappa] <= stop:
+            ends.append("stop")
+            break
+        assert len(moves) == limit
+        ends.append("limit")
+    return taken, ends
+
+
+@pytest.mark.parametrize("case", sorted(SLICE_CASES))
+def test_run_leaves_the_state_its_moves_lead_to(case):
+    # the kernel applies moves only on link misses and writes the state back
+    # at the end of each slice; cold, and again with every link the same
+    # replicas take already filled, so each step but a slice's first follows
+    # a link or ends the run
+    out, d, stop, *_ = SLICE_CASES[case]
+    kernel = KERNEL._Kernel(out, d, stop=stop)
+    kernel.cache = CountingCache()
+    cold = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
+    assert kernel.cache.clears == 0
+    lookups = kernel.cache.lookups
+    warm = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
+    assert warm == cold
+    assert kernel.cache.lookups - lookups == sum(len(taken) for taken, _ in warm)
+    ends = {end for _, slice_ends in cold for end in slice_ends}
+    assert ends == ({"limit", case} if case != "limit" else {"limit"})
 
 
 def test_blocks_follow_the_philox_stream():

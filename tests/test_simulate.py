@@ -8,8 +8,9 @@ from scipy import stats
 
 from incproc import (BudgetExceeded, Configuration, DegenerateData,
                      HittingTask, OutOfRange, ProcessParams, Trajectory, WalkSpec,
-                     WindowExceedsTrajectory, mc_hitting, mc_mean_jump_rate,
-                     mean_jump_rate_exact, replica_rng, scaling_fit, simulate,
+                     WindowExceedsTrajectory, build_torus, mc_hitting, mc_mean_jump_rate,
+                     mean_jump_rate_exact, measure_diffusion, measure_drift,
+                     replica_rng, run_condensate, scaling_fit, simulate,
                      stationary_exact, trace_project)
 from incproc.simulate import CEMETERY, _Blocks
 
@@ -474,6 +475,98 @@ class TestMCHitting:
         with pytest.raises(ValueError):
             HittingTask(chain="bogus", start=(1, 1), replicas=2, seed=0,
                         threshold=1.0)
+
+
+def entry_points(walk):
+    """Each Monte Carlo entry point as a call of its seed, stream and
+    threads, on inputs small enough to run in well under a second."""
+    params = ProcessParams(4, 0.2)
+    torus = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=2, d_l=0.05)
+
+    def hitting(seed, threads):
+        task = HittingTask(chain="inclusion", start=(2, 2), replicas=2, seed=seed,
+                           threshold=0)
+        return mc_hitting(task, walk, params, threads=threads)
+
+    return {
+        "simulate": lambda seed, stream=0, threads=1: simulate(
+            walk, params, (4, 0), 1.0, seed=seed, stream=stream),
+        "mc_hitting": lambda seed, stream=0, threads=1: hitting(seed, threads),
+        "mc_mean_jump_rate": lambda seed, stream=0, threads=1: mc_mean_jump_rate(
+            walk, params, (0, 1), replicas=2, horizon=1.0, seed=seed, threads=threads),
+        "run_condensate": lambda seed, stream=0, threads=1: run_condensate(
+            torus, 0.5, seed=seed, stream=stream),
+        "measure_drift": lambda seed, stream=0, threads=1: measure_drift(
+            torus, 0.5, seed=seed, replicas=2, min_relocations=0, threads=threads),
+        "measure_diffusion": lambda seed, stream=0, threads=1: measure_diffusion(
+            torus, 0.5, replicas=2, seed=seed, threads=threads),
+    }
+
+
+ENTRY_POINTS = ("simulate", "mc_hitting", "mc_mean_jump_rate", "run_condensate",
+                "measure_drift", "measure_diffusion")
+# a bool, a fraction, an integral float, a string, a negative value and one
+# past the 64-bit key word
+BAD_KEYS = (True, 1.5, 2.0, "1", -1, 2 ** 64)
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool started")
+
+
+class TestEntryPointArguments:
+    @pytest.mark.parametrize("seed", BAD_KEYS, ids=repr)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_seed_refused_before_any_worker_starts(self, two_sym, entry, seed,
+                                                   monkeypatch):
+        monkeypatch.setattr(SIMULATE, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(OutOfRange, match="seed"):
+            entry_points(two_sym)[entry](seed, threads=2)
+
+    @pytest.mark.parametrize("stream", BAD_KEYS, ids=repr)
+    @pytest.mark.parametrize("entry", ["simulate", "run_condensate"])
+    def test_stream_refused(self, two_sym, entry, stream):
+        with pytest.raises(OutOfRange, match="stream"):
+            entry_points(two_sym)[entry](1, stream=stream)
+
+    @pytest.mark.parametrize("seed, stream", [(True, 0), (0, False), (-1, 0), (0, -1),
+                                              (1.5, 0), (2 ** 64, 0), (0, 2 ** 64)])
+    def test_replica_rng_refuses_a_key_off_the_philox_word(self, seed, stream):
+        with pytest.raises(OutOfRange):
+            replica_rng(seed, stream)
+
+    def test_largest_key_is_exact(self):
+        # both words of the key are taken as given, with no float cast
+        top = 2 ** 64 - 1
+        for seed, stream in [(top, 0), (0, top), (top, top), (2 ** 63, 3)]:
+            key = replica_rng(seed, stream).bit_generator.state["state"]["key"]
+            assert key.tolist() == [seed, stream]
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, "2", True, None], ids=repr)
+    @pytest.mark.parametrize("entry", ["mc_hitting", "mc_mean_jump_rate",
+                                       "measure_drift", "measure_diffusion"])
+    def test_threads_must_be_a_positive_integer(self, two_sym, entry, threads,
+                                                monkeypatch):
+        monkeypatch.setattr(SIMULATE, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(OutOfRange, match="threads"):
+            entry_points(two_sym)[entry](1, threads=threads)
+
+    @pytest.mark.parametrize("horizon", [True, "5", 1j, None], ids=repr)
+    def test_horizon_must_be_real(self, two_sym, horizon, monkeypatch):
+        monkeypatch.setattr(SIMULATE, "ProcessPoolExecutor", no_pool)
+        params = ProcessParams(4, 0.2)
+        with pytest.raises(OutOfRange, match="horizon"):
+            simulate(two_sym, params, (4, 0), horizon, seed=1)
+        with pytest.raises(OutOfRange, match="horizon"):
+            mc_mean_jump_rate(two_sym, params, (0, 1), replicas=2, horizon=horizon,
+                              seed=1, threads=2)
+
+    def test_bool_event_budgets_are_refused(self, two_sym):
+        with pytest.raises(OutOfRange, match="step_cap"):
+            HittingTask(chain="inclusion", start=(2, 2), replicas=2, seed=1,
+                        threshold=0, step_cap=True)
+        with pytest.raises(OutOfRange, match="max_events"):
+            simulate(two_sym, ProcessParams(4, 0.2), (4, 0), 1.0, seed=1, max_events=True)
 
 
 class TestScalingFit:
