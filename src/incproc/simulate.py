@@ -186,12 +186,18 @@ class _Kernel:
 
     def __init__(self, out: Sequence[Sequence[tuple[int, float]]], d: float,
                  by_target: bool = False, stop: float = -1):
-        self.table = [[(y, coef, x * len(out) + y) for y, coef in moves]
-                      for x, moves in enumerate(out)]
-        self.d, self.by_target, self.stop = d, by_target, stop
         self.cache: dict = {}
         self.held = 0       # key entries, running sums and link slots in the cache
         self.move_lists: dict = {}
+        self.table = [[(y, coef, x * len(out) + y) for y, coef in moves]
+                      for x, moves in enumerate(out)]
+        self.d, self.by_target, self.stop = d, by_target, stop
+
+    def __del__(self):
+        # the rows link to one another in cycles: unlinked here, they go
+        # with the kernel, not at some later cyclic collection
+        for row in self.cache.values():
+            row[3].clear()
 
     def _add(self, key: tuple, counts: list[int], sources: Sequence[int]) -> tuple:
         """The new cached row of the state ``counts``, keyed on ``key``."""
