@@ -181,7 +181,8 @@ class _Kernel:
     nothing but its row; the counts are brought up to date, and the key
     built, only on a link miss. A row in the cache links only to rows in
     the cache: a new row starts with no links, and an eviction empties the
-    cache before the new row goes in.
+    cache before the new row goes in. The rows an eviction drops, and those
+    of a kernel that goes, are unlinked, so they are freed at once.
     """
 
     def __init__(self, out: Sequence[Sequence[tuple[int, float]]], d: float,
@@ -194,16 +195,23 @@ class _Kernel:
         self.d, self.by_target, self.stop = d, by_target, stop
 
     def __del__(self):
-        # the rows link to one another in cycles: unlinked here, they go
-        # with the kernel, not at some later cyclic collection
+        self._unlink()
+
+    def _unlink(self) -> None:
+        """Cut the links of the cached rows. The rows link to one another in
+        cycles, so without this the rows an eviction drops, or those of a
+        kernel that goes, would live on until a cyclic collection. Each row
+        keeps its slots, all None, as the row in use still takes a link."""
         for row in self.cache.values():
-            row[3].clear()
+            links = row[3]
+            links[:] = [None] * len(links)
 
     def _add(self, key: tuple, counts: list[int], sources: Sequence[int]) -> tuple:
         """The new cached row of the state ``counts``, keyed on ``key``."""
         cum, ids, total = _weigh(counts, sources, self.table, self.d, self.by_target)
         size = len(key) + 2 * len(cum)
         if self.held + size > _CACHE_VALUES:
+            self._unlink()
             self.cache.clear()
             self.held = 0
             self.move_lists.clear()

@@ -23,6 +23,7 @@ Kolmogorov-Smirnov test below rejects a correct sampler with probability at
 most 1e-3; the seeds are fixed, so every outcome is deterministic.
 """
 
+import gc
 import hashlib
 import math
 import sys
@@ -533,6 +534,32 @@ def test_evicted_rows_leave_no_links_outside_the_cache(chain, monkeypatch):
     assert any(nxt is not None for _, _, _, links, _ in kernel.cache.values()
                for nxt in links)
     assert linked_outside(kernel.cache) == []
+
+
+@pytest.mark.parametrize("bound", [300, 1 << 17])
+@pytest.mark.parametrize("chain", ["walk", "third_site"])
+def test_dropped_rows_go_without_a_cyclic_collection(chain, bound, monkeypatch):
+    # the rows link to one another in cycles; an eviction and a kernel that
+    # goes cut their links, so the rows they drop are freed at once and
+    # none is left for the cycle collector
+    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", bound)
+    if chain == "walk":
+        spec = TORI["1d"]()
+        run = lambda: simulate(torus_walk(spec), ProcessParams(spec.n, spec.d_l),
+                               [2, 1, 2, 1, 2, 1, 2, 1], horizon=1e300, seed=2,
+                               max_events=5_000)
+    else:
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=2, d_l=0.05)
+        run = lambda: measure_drift(spec, 10.0, seed=7, replicas=4, min_relocations=1)
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def replay(counts, sources, moves, kappa, listed):
