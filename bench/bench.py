@@ -17,7 +17,8 @@ the same label and commit gets the new rows appended, so runs of two
 checkouts can alternate, one driver call per run.
 
 The ``kernel.*`` workloads are event-kernel layer rows, each also run in
-a process of its own against DIR's ``src``: the microseconds per event of
+a process of its own against DIR's ``src`` (``kernel_probe.py`` beside this
+file, run in DIR): the microseconds per event of
 ``kernel.long_path``, the 300,000-event 3-cycle path of the ``long_path``
 workload at the seed, and of ``kernel.stretch_L<L>``, the third-site
 stretches of ``run_condensate(spec, 1.0, seed)`` on the 2-D nearest-neighbour
@@ -46,69 +47,8 @@ RUN_FACTS = ("workload", "seed", "rounds", "untraced_rounds", "traced_rounds",
 KERNEL_ROWS = {"kernel.long_path": ("path", 0, 5),
                **{f"kernel.stretch_L{side}": ("stretch", side, 3) for side in (16, 32, 64)}}
 
-# run as ``python -c PROBE kind arg seed repeats`` in the checkout; prints
-# the row's metrics as one JSON line
-PROBE = """
-import json, statistics, sys, time
-from pathlib import Path
-
-kind, arg, seed, repeats = sys.argv[1], *map(int, sys.argv[2:])
-src = (Path.cwd() / "src").resolve()
-sys.path[:0] = [str(src), str(Path.cwd() / "perfbench")]
-import incproc as ip
-if src not in Path(ip.__file__).resolve().parents:
-    sys.exit(f"incproc imported from {ip.__file__}, not {src}")
-clock = time.perf_counter
-walls, counts = [], []
-if kind == "path":
-    import workloads
-
-    class Direct:
-        def call(self, name, f, *args, count=None, **kwargs):
-            return f(*args, **kwargs)
-
-    (op,) = [op for op in workloads.make("long_path", seed).operations()
-             if op.name == "simulate_cycle"]
-    for _ in range(repeats):
-        start = clock()
-        traj = op.run(Direct(), 0)
-        walls.append(clock() - start)
-        counts.append(traj.n_events)
-else:
-    simulate, thermo = sys.modules["incproc.simulate"], sys.modules["incproc.thermo"]
-    thermo._STRETCH_EVENTS = 1 << 17
-    spent, events = [0.0], [0]
-    run, finish = simulate._Kernel.run, thermo._ThirdSite.finish
-
-    def counted(self, *args):
-        dts, moves = run(self, *args)
-        events[0] += len(moves)
-        return dts, moves
-
-    def timed(self, *args):
-        start = clock()
-        try:
-            return finish(self, *args)
-        finally:
-            spent[0] += clock() - start
-
-    simulate._Kernel.run, thermo._ThirdSite.finish = counted, timed
-    step = {(1, 0): 0.25, (-1, 0): 0.25, (0, 1): 0.25, (0, -1): 0.25}
-    spec = ip.build_torus(2, arg, step, rho=32 / arg ** 2, d_l=float(arg) ** -2)
-    for _ in range(repeats):
-        spent[0], events[0] = 0.0, 0
-        try:
-            ip.run_condensate(spec, 1.0, seed=seed)
-        except ip.BudgetExceeded:
-            pass
-        walls.append(spent[0])
-        counts.append(events[0])
-if len(set(counts)) != 1 or not counts[0]:
-    sys.exit(f"events per repeat {counts}")
-wall = statistics.median(walls)
-print(json.dumps({"us_per_event": wall / counts[0] * 1e6, "events": counts[0],
-                  "wall_s": wall}))
-"""
+# run as ``python kernel_probe.py kind arg seed repeats`` in the checkout
+PROBE = Path(__file__).with_name("kernel_probe.py")
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
@@ -139,7 +79,7 @@ def run_kernel_row(checkout: Path, workload: str, seed: int) -> dict:
     """The row of one kernel layer probe, run in a process of its own."""
     kind, arg, repeats = KERNEL_ROWS[workload]
     started = time.time()
-    proc = subprocess.run([sys.executable, "-c", PROBE, kind, str(arg), str(seed),
+    proc = subprocess.run([sys.executable, str(PROBE), kind, str(arg), str(seed),
                            str(repeats)], cwd=checkout, capture_output=True, text=True)
     row = {"workload": workload, "seed": seed, "trace": 0, "started": started,
            "repeats": repeats}

@@ -635,7 +635,7 @@ def test_run_leaves_the_state_its_moves_lead_to(case):
     assert warm == cold
     assert kernel.cache.lookups - lookups == sum(len(taken) for taken, _ in warm)
     ends = {end for _, slice_ends in cold for end in slice_ends}
-    assert ends == ({"limit", case} if case != "limit" else {"limit"})
+    assert ends == {"limit", case}
 
 
 def test_blocks_follow_the_philox_stream():
