@@ -15,21 +15,24 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (InsufficientData, InvalidCase, NotSemiAttracting,
-                     OutOfRange, PremiseViolated)
+from .errors import NotSemiAttracting, OutOfRange, PremiseViolated
 from .gordan import GordanCertificate, gordan_certificate
-from .model import WalkSpec, analyze_walk, dense_stationary, site_set
+from .model import ProcessParams, WalkSpec, analyze_walk, dense_stationary, site_set
 from .regions import RegionSpec
 from .states import StateEnumeration
 
 
 @dataclass(frozen=True)
 class ErrorScale:
-    """The error scale ell_N = d_N log N + q**N with its two components."""
+    """The error scale ell_N = d_N log N + q**N with its two components;
+    ``n`` and ``d`` are checked as :class:`ProcessParams` checks them."""
 
     n: int
     d: float
     q: float
+
+    def __post_init__(self):
+        ProcessParams(self.n, self.d)
 
     @property
     def log_term(self) -> float:
@@ -123,6 +126,9 @@ class LimitChain:
     nu: np.ndarray
 
     def theta(self, n: int, d: float) -> float:
+        """The time scale at N = ``n`` and d_N = ``d``, checked as
+        :class:`ProcessParams` checks them."""
+        ProcessParams(n, d)
         return 1.0 / d if self.mode == "rv" else 1.0 / (n * d)
 
 
@@ -154,43 +160,6 @@ def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> Li
         raise OutOfRange(f"unknown mode {mode!r}; expected 'rv' or 'nrv'")
     return LimitChain(mode=mode, sites=s0, rates=rates, scale=scale,
                       nu=dense_stationary(rates - np.diag(rates.sum(axis=1))))
-
-
-TUBE_CASES = ("asym_fwd", "asym_bwd", "asym_noback", "symmetric")
-
-
-@dataclass(frozen=True)
-class TubePrediction:
-    """Leading-order boundary-hitting probability from the first tube state."""
-
-    case: str
-    probability: float
-    error_scale: ErrorScale
-
-
-def tube_hitting_prediction(case: str, q_xy: float, n: int,
-                            d: float = 0.0) -> TubePrediction:
-    """Closed-form crossing probability for one tube, by rate ordering.
-
-    ``asym_fwd`` (r(x,y) > r(y,x) > 0): (1-q)/(1-q^N); ``asym_bwd``
-    (reverse ordering): (q^{N-1}-q^N)/(1-q^N); ``asym_noback``
-    (r(y,x) = 0): 1; ``symmetric``: 1/N. The attached scale bounds the
-    omitted corrections.
-    """
-    if case not in TUBE_CASES:
-        raise InvalidCase(f"{case!r} not one of {TUBE_CASES}")
-    if not 0.0 <= q_xy < 1.0:
-        raise InvalidCase(f"q_xy={q_xy} outside [0, 1)")
-    if case == "asym_fwd":
-        prob = (1.0 - q_xy) / (1.0 - q_xy ** n)
-    elif case == "asym_bwd":
-        prob = (q_xy ** (n - 1) - q_xy ** n) / (1.0 - q_xy ** n)
-    elif case == "asym_noback":
-        prob = 1.0
-    else:
-        prob = 1.0 / n
-    return TubePrediction(case=case, probability=prob,
-                          error_scale=ErrorScale(n=n, d=d, q=q_xy))
 
 
 @dataclass(frozen=True)
@@ -352,38 +321,3 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
         coefficients=np.asarray(coeff, dtype=float), certificate=cert,
         oscillation=oscillation, min_drift=min_drift, drift=drift,
         inner_core=inner, row_sum_range=rng)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Cauchy differences across system sizes and a final-point residual."""
-
-    sizes: tuple[int, ...]
-    cauchy: tuple[float, ...]
-    residual: float | None
-
-
-def convergence_probe(points: Sequence[tuple[int, Sequence[float]]],
-                      rates: np.ndarray | None = None) -> ConvergenceReport:
-    """Check a size-indexed family of vectors for stabilization.
-
-    ``points`` is a list of (N, vector); reports sup-norm differences between
-    consecutive vectors and, when limiting chain rates are supplied, the
-    stationarity residual ``max_x |sum_y pi(x) a(x,y) - sum_y pi(y) a(y,x)|``
-    of the final vector.
-    """
-    if len(points) < 3:
-        raise InsufficientData(f"need at least 3 points, got {len(points)}")
-    sizes = tuple(int(n) for n, _ in sorted(points, key=lambda t: t[0]))
-    vecs = [np.atleast_1d(np.asarray(v, dtype=float))
-            for _, v in sorted(points, key=lambda t: t[0])]
-    cauchy = tuple(float(np.abs(vecs[i + 1] - vecs[i]).max())
-                   for i in range(len(vecs) - 1))
-    residual = None
-    if rates is not None:
-        a = np.asarray(rates, dtype=float)
-        pi = vecs[-1]
-        out = pi * a.sum(axis=1)
-        inc = pi @ a
-        residual = float(np.abs(out - inc).max())
-    return ConvergenceReport(sizes=sizes, cauchy=cauchy, residual=residual)

@@ -9,14 +9,6 @@ class NonIrreducibleWalk(IncprocError):
     """The rate graph of the underlying walk is not strongly connected."""
 
 
-class SameSite(IncprocError):
-    """A particle move was requested with identical source and target."""
-
-
-class MissingValue(IncprocError):
-    """A state-indexed function is undefined at a state the generator needs."""
-
-
 class StateSpaceTooLarge(IncprocError):
     """The configuration space exceeds the enumeration cap, or its LU
     factors the memory budget; ``cap`` is None then, and ``reason`` says
@@ -47,10 +39,6 @@ class OutOfRange(IncprocError, ValueError):
     Also a ``ValueError``, so callers that catch that keep working."""
 
 
-class InvalidCase(IncprocError):
-    """Unknown case label for a closed-form prediction."""
-
-
 class NotSemiAttracting(IncprocError):
     """The queried set is not semi-attracting, so no prediction applies."""
 
@@ -61,10 +49,6 @@ class PremiseViolated(IncprocError):
 
 class NotSkewSymmetric(IncprocError):
     """The certificate solver requires a skew-symmetric matrix."""
-
-
-class InsufficientData(IncprocError):
-    """Too few points for the requested analysis."""
 
 
 class WindowExceedsTrajectory(IncprocError):

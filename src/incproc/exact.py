@@ -361,6 +361,11 @@ class MassReport:
 
 def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassReport:
     """Masses of the metastable states, occupied-count sets, and given tubes."""
+    if not isinstance(mu, Distribution):
+        raise OutOfRange(f"mu must be a Distribution, got {mu!r}")
+    if not (isinstance(regions, Sequence)
+            and all(isinstance(reg, RegionSpec) for reg in regions)):
+        raise OutOfRange(f"regions must be a sequence of RegionSpec, got {regions!r}")
     enum = mu.enum
     for reg in regions:
         if not reg.enum.same_space(enum):
@@ -527,14 +532,6 @@ def flow(spec: WalkSpec, params: ProcessParams, mu: Distribution,
         raise OutOfRange(f"k={k!r} is not an integer in [0, {n - 1}]")
     up, down = flow_profile(spec, params, mu, r_set, x)
     return float(up[k]), float(down[k])
-
-
-def m_function(mu: Distribution, r_set) -> np.ndarray:
-    """State-indexed values ``mu(eta) * prod_{x in R} eta_x``."""
-    r_set = site_set(r_set, mu.enum.kappa)
-    counts = mu.enum.counts_matrix()
-    prod = counts[:, list(r_set)].astype(float).prod(axis=1)
-    return mu.weights * prod
 
 
 EXACT_RATIONAL_LIMIT = 300

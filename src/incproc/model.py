@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import MissingValue, NonIrreducibleWalk, OutOfRange, SameSite
+from .errors import NonIrreducibleWalk, OutOfRange
 
 MAX_SITES = 64
 
@@ -34,6 +34,12 @@ def check_site(x, sites, name: str) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x not in sites:
         raise OutOfRange(f"site {x!r} not in {name}")
     return int(x)
+
+
+def finite_real(value) -> bool:
+    """``value`` is a finite real number and not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def site_set(sites, kappa: int) -> tuple[int, ...]:
@@ -216,10 +222,8 @@ class ProcessParams:
             raise OutOfRange(f"N must be an integer, got {self.n!r}")
         if self.n < 1:
             raise OutOfRange("N must be a positive integer")
-        if not math.isfinite(self.d):
-            raise OutOfRange(f"d_N must be finite, got {self.d!r}")
-        if not self.d > 0:
-            raise OutOfRange("d_N must be positive")
+        if not (finite_real(self.d) and self.d > 0):
+            raise OutOfRange(f"d_N must be a positive finite real, got {self.d!r}")
 
 
 def schedule_power(coeff: float, exponent: float) -> Callable[[int], float]:
@@ -276,84 +280,6 @@ def state_counts(eta: Configuration | Sequence[int], kappa: int,
     if sum(counts) != n:
         raise OutOfRange(f"state holds {sum(counts)} particles, N is {n}")
     return tuple(int(c) for c in counts)
-
-
-def apply_move(eta: Configuration | Sequence[int], x: int, y: int):
-    """Send one particle from x to y; identity when site x is empty."""
-    if x == y:
-        raise SameSite(f"move {x} -> {y}")
-    counts = eta.counts if isinstance(eta, Configuration) else tuple(eta)
-    if counts[x] == 0:
-        return eta if isinstance(eta, Configuration) else counts
-    moved = list(counts)
-    moved[x] -= 1
-    moved[y] += 1
-    moved = tuple(moved)
-    return Configuration(moved) if isinstance(eta, Configuration) else moved
-
-
-@dataclass(frozen=True)
-class LocalKinetics:
-    """Outgoing moves of one configuration: rates, holding rate, jump probs."""
-
-    moves: tuple[tuple[int, int, float], ...]
-    holding: float
-    probs: tuple[tuple[int, int, float], ...]
-
-
-def local_kinetics(spec: WalkSpec, params: ProcessParams,
-                   eta: Configuration | Sequence[int]) -> LocalKinetics:
-    """All positive-rate moves out of ``eta`` with the holding rate.
-
-    The rate of the move x -> y is ``eta_x * (d + eta_y) * r(x, y)``; moves
-    with zero rate are omitted.
-    """
-    counts = eta.counts if isinstance(eta, Configuration) else tuple(eta)
-    r = spec.rates
-    d = params.d
-    moves = []
-    holding = 0.0
-    for x in range(spec.kappa):
-        cx = counts[x]
-        if cx == 0:
-            continue
-        for y in range(spec.kappa):
-            rxy = r[x, y]
-            if rxy == 0.0 or y == x:
-                continue
-            rate = cx * (d + counts[y]) * rxy
-            moves.append((x, y, rate))
-            holding += rate
-    probs = tuple((x, y, rate / holding) for x, y, rate in moves)
-    return LocalKinetics(moves=tuple(moves), holding=holding, probs=probs)
-
-
-def generator_apply(spec: WalkSpec, params: ProcessParams,
-                    f: Mapping | Callable, eta: Configuration | Sequence[int]) -> float:
-    """Apply the process generator to a state-indexed function at ``eta``.
-
-    Returns ``sum_{x,y} eta_x (d + eta_y) r(x,y) (f(sigma^{x,y} eta) - f(eta))``.
-    ``f`` may be a mapping keyed by count tuples or a callable on them.
-    """
-    counts = eta.counts if isinstance(eta, Configuration) else tuple(eta)
-
-    def value(state: tuple[int, ...]) -> float:
-        try:
-            if callable(f):
-                return float(f(state))
-            return float(f[state])
-        except KeyError as exc:
-            raise MissingValue(f"function undefined at state {state}") from exc
-
-    here = value(counts)
-    kin = local_kinetics(spec, params, counts)
-    total = 0.0
-    for x, y, rate in kin.moves:
-        moved = list(counts)
-        moved[x] -= 1
-        moved[y] += 1
-        total += rate * (value(tuple(moved)) - here)
-    return total
 
 
 def log_weight_table(n: int, d: float) -> np.ndarray:

@@ -10,13 +10,18 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StateSpaceTooLarge
-from .model import _add_in_order, check_site
+from .model import _add_in_order, check_site, state_counts
 
 DEFAULT_CAP = 500_000
 
 
 def space_size(kappa: int, n: int) -> int:
     """Number of configurations of n particles on kappa sites."""
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               for v in (kappa, n)):
+        raise OutOfRange(f"kappa and N must be integers, got {kappa!r}, {n!r}")
+    if kappa < 1 or n < 0:
+        raise OutOfRange(f"need kappa >= 1 and N >= 0, got {kappa}, {n}")
     return comb(n + kappa - 1, kappa - 1)
 
 
@@ -28,14 +33,11 @@ class StateEnumeration:
     """
 
     def __init__(self, kappa: int, n: int):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (kappa, n)):
-            raise OutOfRange(f"kappa and N must be integers, got {kappa!r}, {n!r}")
+        size = space_size(kappa, n)
         if kappa < 2:
             raise OutOfRange("kappa must be at least 2")
         if n < 1:
             raise OutOfRange("N must be at least 1")
-        size = space_size(kappa, n)
         if size > DEFAULT_CAP:
             raise StateSpaceTooLarge(size, DEFAULT_CAP)
         self.kappa = kappa
@@ -50,12 +52,10 @@ class StateEnumeration:
         self._counts_matrix: np.ndarray | None = None
 
     def rank(self, eta: Sequence[int]) -> int:
-        eta = tuple(int(v) for v in eta)
+        eta = tuple(eta)
         if len(eta) != self.kappa:
             raise DimensionMismatch(f"state has {len(eta)} sites, expected {self.kappa}")
-        if any(v < 0 for v in eta) or sum(eta) != self.n:
-            raise OutOfRange(f"not a configuration of {self.n} particles: {eta}")
-        return int(self.rank_many(np.array([eta]))[0])
+        return int(self.rank_many(np.array([state_counts(eta, self.kappa, self.n)]))[0])
 
     def unrank(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
@@ -208,7 +208,7 @@ class Distribution:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.enum.size,):
             raise DimensionMismatch(
-                f"{self.weights.shape[0]} weights for {self.enum.size} states")
+                f"weights of shape {self.weights.shape} for {self.enum.size} states")
         if self.normalized and abs(self.weights.sum() - 1.0) > 1e-12:
             raise OutOfRange("normalized distribution must sum to 1 within 1e-12")
 
@@ -220,7 +220,12 @@ class Distribution:
                             log_norm=self.log_norm)
 
     def mass(self, indices) -> float:
-        return float(self.weights[np.asarray(indices, dtype=np.int64)].sum())
+        """Total weight of the states of the given ranks."""
+        idx = np.asarray(indices)
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0
+                         or idx.max() >= self.enum.size):
+            raise OutOfRange(f"state ranks must be integers in [0, {self.enum.size})")
+        return float(self.weights[idx.astype(np.int64)].sum())
 
     def xi_mass(self, x: int) -> float:
         return float(self.weights[self.enum.xi_index(x)])

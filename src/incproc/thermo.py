@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
                      OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
-from .model import WalkSpec, _add_in_order, log_weight_table
+from .model import WalkSpec, _add_in_order, finite_real, log_weight_table
 from .simulate import (_SLICE, Trajectory, _Blocks, _check_key, _check_replicas, _Kernel,
                        _map_batches, _philox_key, replica_rng, trace_project)
 
@@ -48,11 +48,19 @@ BOUND_TERMS = 8
 
 
 def _canonical_kernel(d: int, kernel: Mapping) -> dict[tuple[int, ...], float]:
+    if not isinstance(kernel, Mapping):
+        raise OutOfRange(f"kernel must map offsets to weights, got {kernel!r}")
     out: dict[tuple[int, ...], float] = {}
     for key, weight in kernel.items():
-        offset = (int(key),) if isinstance(key, (int, np.integer)) else tuple(int(v) for v in key)
+        offset = tuple(key) if isinstance(key, (tuple, list)) else (key,)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in offset):
+            raise OutOfRange(f"offset {key!r} is not an integer or a tuple of integers")
+        offset = tuple(int(v) for v in offset)
         if len(offset) != d:
             raise OutOfRange(f"offset {offset} has dimension {len(offset)}, expected {d}")
+        if not finite_real(weight):
+            raise OutOfRange(f"kernel weight {weight!r} at {offset} is not a finite number")
         w = float(weight)
         if w < 0:
             raise OutOfRange(f"negative kernel weight at {offset}")
@@ -121,16 +129,17 @@ def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> TorusSpec:
     """Validate and derive a torus model: regime, velocity, diffusion matrices."""
+    for name, value in (("dimension", d), ("side", side)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise OutOfRange(f"{name} must be an integer, got {value!r}")
     if d < 1:
         raise OutOfRange("dimension must be >= 1")
-    if not isinstance(side, numbers.Integral):
-        raise OutOfRange(f"side must be an integer, got {side!r}")
-    if not (math.isfinite(rho) and rho > 0):
+    if not (finite_real(rho) and rho > 0):
         raise OutOfRange(f"density must be positive and finite, got {rho!r}")
     n = int(round(rho * side ** d))
     if n < 1:
         raise OutOfRange(f"density {rho!r} puts no particle on {side ** d} sites")
-    if not (math.isfinite(d_l) and d_l > 0):
+    if not (finite_real(d_l) and d_l > 0):
         raise OutOfRange(f"d_L must be positive and finite, got {d_l!r}")
     kern = _canonical_kernel(d, kernel)
     radius = max(max(abs(v) for v in off) for off in kern)
@@ -204,14 +213,6 @@ def torus_walk(spec: TorusSpec) -> WalkSpec:
     return WalkSpec.from_matrix(rates)
 
 
-@dataclass(frozen=True)
-class TorusRates:
-    """Trace jump rates between neighboring condensate positions."""
-
-    method: str
-    rates: dict[tuple[int, ...], float]
-
-
 def _channel_rates(n: int, d: float, fwd: float, bwd: float) -> tuple[np.ndarray, np.ndarray]:
     """Up and down rates of a two-site channel at the levels 0..N, the count
     at the far site: ``(N - i)(d + i) fwd`` and ``i (d + N - i) bwd``."""
@@ -219,30 +220,10 @@ def _channel_rates(n: int, d: float, fwd: float, bwd: float) -> tuple[np.ndarray
     return (n - level) * (d + level) * fwd, level * (d + n - level) * bwd
 
 
-def _tube_crossing_probability(n: int, d: float, fwd: float, bwd: float) -> float:
-    """Absorption at the far end of the two-site channel from one particle in.
-
-    The birth-death chain of :func:`_channel_rates`, by the gambler's-ruin
-    product form; ``cumprod`` and ``cumsum`` run in level order.
-    """
-    if fwd <= 0:
-        return 0.0
-    up, down = _channel_rates(n, d, fwd, bwd)
-    with np.errstate(over="ignore"):   # an infinite sum is probability 0
-        prods = np.cumprod(down[1:n] / up[1:n])
-        return 1.0 / float(np.cumsum(np.concatenate(([1.0], prods)))[-1])
-
-
-def torus_mean_rates(spec: TorusSpec, method: str = "formula") -> TorusRates:
-    """Condensate jump-rate kernel by offset.
-
-    ``formula`` uses the leading asymptotics: ``d_L N (h(y) - h(-y))`` on
-    winning directions in the asymmetric regimes, ``d_L h(y)`` in the
-    symmetric regime. ``tube`` computes the exact two-site-channel crossing
-    probability and multiplies by the escape rate ``N d_L h(y)``.
-    """
-    if method not in ("formula", "tube"):
-        raise OutOfRange(f"unknown method {method!r}")
+def torus_mean_rates(spec: TorusSpec) -> dict[tuple[int, ...], float]:
+    """Condensate jump-rate kernel by offset, from the leading asymptotics:
+    ``d_L N (h(y) - h(-y))`` on winning directions in the asymmetric
+    regimes, ``d_L h(y)`` in the symmetric regime."""
     out: dict[tuple[int, ...], float] = {}
     n, d_l = spec.n, spec.d_l
     offsets = set(spec.kernel)
@@ -250,30 +231,13 @@ def torus_mean_rates(spec: TorusSpec, method: str = "formula") -> TorusRates:
     for off in sorted(offsets):
         h_fwd = spec.h(off)
         h_bwd = spec.h(tuple(-v for v in off))
-        if method == "formula":
-            if spec.regime == "symmetric":
-                rate = d_l * h_fwd if h_fwd > 0 else 0.0
-            else:
-                rate = d_l * n * (h_fwd - h_bwd) if h_fwd > h_bwd else 0.0
+        if spec.regime == "symmetric":
+            rate = d_l * h_fwd if h_fwd > 0 else 0.0
         else:
-            rate = n * d_l * h_fwd * _tube_crossing_probability(n, d_l, h_fwd, h_bwd)
+            rate = d_l * n * (h_fwd - h_bwd) if h_fwd > h_bwd else 0.0
         if rate > 0:
             out[off] = rate
-    return TorusRates(method=method, rates=out)
-
-
-def compare_rate_methods(spec: TorusSpec) -> dict[tuple[int, ...], tuple[float, float, float]]:
-    """Per-offset (formula, tube, relative difference); difference is
-    measured against the larger of the two."""
-    formula = torus_mean_rates(spec, "formula").rates
-    tube = torus_mean_rates(spec, "tube").rates
-    report = {}
-    for off in sorted(set(formula) | set(tube)):
-        a = formula.get(off, 0.0)
-        b = tube.get(off, 0.0)
-        denom = max(abs(a), abs(b))
-        report[off] = (a, b, abs(a - b) / denom if denom > 0 else 0.0)
-    return report
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,15 +266,6 @@ def cosine_mode(freq: Sequence[int] | int) -> SmoothFunction:
     return SmoothFunction(value=value, grad=grad, hess=hess)
 
 
-def linear_function(slope: Sequence[float] | float) -> SmoothFunction:
-    """A lifted linear function (not periodic; useful for drift checks)."""
-    a = np.atleast_1d(np.asarray(slope, dtype=float))
-    return SmoothFunction(
-        value=lambda u: float(a @ np.atleast_1d(u)),
-        grad=lambda u: a.copy(),
-        hess=lambda u: np.zeros((a.size, a.size)))
-
-
 def limit_generator_apply(spec: TorusSpec, f: SmoothFunction, u) -> float:
     """Limiting generator of the rescaled condensate motion at point u:
     ``rho v . grad f``, ``tr(S1 hess f) / 2`` or ``tr(S2 hess f) / 2`` by
@@ -322,14 +277,20 @@ def limit_generator_apply(spec: TorusSpec, f: SmoothFunction, u) -> float:
     return 0.5 * float(np.sum(s * f.hess(u)))
 
 
-def generator_gap(spec: TorusSpec, f: SmoothFunction, method: str = "formula") -> float:
+def generator_gap(spec: TorusSpec, f: SmoothFunction) -> float:
     """Sup over lattice points of |rescaled discrete generator - limit|.
 
     The discrete generator applies the trace-rate kernel to f sampled at
     lattice points (lifted to R^d, which agrees with the torus for periodic
     f and keeps lifted linear functions exact).
     """
-    rates = torus_mean_rates(spec, method).rates
+    return _generator_gap(spec, f, torus_mean_rates(spec))
+
+
+def _generator_gap(spec: TorusSpec, f: SmoothFunction,
+                   rates: Mapping[tuple[int, ...], float]) -> float:
+    """:func:`generator_gap` with the kernel ``rates`` in place of the
+    leading-order one."""
     coords, _ = _lattice(spec)
     worst = 0.0
     for i in range(spec.n_sites):

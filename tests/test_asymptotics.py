@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (ErrorScale, InsufficientData, InvalidCase,
-                     NonIrreducibleWalk, NotSemiAttracting, NotSkewSymmetric,
-                     OutOfRange, PremiseViolated, ProcessParams, WalkSpec,
-                     analyze_walk, classify, convergence_probe,
-                     gordan_certificate, limit_chain,
-                     mean_jump_rate_exact, predicted_mean_rate,
-                     stationary_exact, tube_hitting_prediction)
+from incproc import (ErrorScale, NonIrreducibleWalk, NotSemiAttracting,
+                     NotSkewSymmetric, OutOfRange, PremiseViolated, ProcessParams,
+                     WalkSpec, analyze_walk, classify, gordan_certificate,
+                     limit_chain, mean_jump_rate_exact, predicted_mean_rate,
+                     stationary_exact)
 from incproc import test_function as make_test_function
 from incproc.model import dense_stationary
 from incproc.asymptotics import _harmonic
@@ -308,27 +306,15 @@ class TestLimitChain:
         gen = lc.rates - np.diag(lc.rates.sum(axis=1))
         assert np.abs(lc.nu @ gen).max() <= 1e-12
 
-
-class TestTubePredictions:
-    def test_asym_fwd_limit(self):
-        pred = tube_hitting_prediction("asym_fwd", 3 / 7, 10_000)
-        assert pred.probability == pytest.approx(4 / 7, abs=1e-12)
-
-    def test_symmetric(self):
-        assert tube_hitting_prediction("symmetric", 0.0, 100).probability == 0.01
-
-    def test_noback(self):
-        assert tube_hitting_prediction("asym_noback", 0.0, 50).probability == 1.0
-
-    def test_asym_bwd_small(self):
-        pred = tube_hitting_prediction("asym_bwd", 0.5, 30)
-        assert pred.probability == pytest.approx(0.5 ** 29 * 0.5 / (1 - 0.5 ** 30))
-
-    def test_invalid(self):
-        with pytest.raises(InvalidCase):
-            tube_hitting_prediction("bogus", 0.1, 10)
-        with pytest.raises(InvalidCase):
-            tube_hitting_prediction("asym_fwd", 1.0, 10)
+    @pytest.mark.parametrize("mode", ["rv", "nrv"])
+    @pytest.mark.parametrize("n, d", [(0, 0.1), (True, 0.1), (2.5, 0.1), (100, 0.0),
+                                      (100, -1e-4), (100, math.nan), (100, "0.1")])
+    def test_theta_rejects_bad_n_and_d(self, n, d, mode):
+        # theta(0, 0.1) divided by zero in the nrv mode
+        walk = WalkSpec.cycle(4, 0.5) if mode == "rv" else WalkSpec.cycle(3, 0.7)
+        lc = limit_chain(walk, classify(walk), mode)
+        with pytest.raises(OutOfRange):
+            lc.theta(n, d)
 
 
 class TestPredictedMeanRate:
@@ -345,6 +331,15 @@ class TestPredictedMeanRate:
     def test_error_scale_value(self):
         scale = ErrorScale(n=100, d=1e-4, q=3 / 7)
         assert scale.ell == pytest.approx(4.6e-4, rel=0.01)
+
+    @pytest.mark.parametrize("n, d", [(0, 0.1), (-3, 0.1), (True, 0.1), (100, 0.0),
+                                      (100, math.inf), (100, "1e-4")])
+    def test_rejects_bad_n_and_d(self, cycle3, n, d):
+        # n = 0 raised a math-domain ValueError from log(0)
+        with pytest.raises(OutOfRange):
+            predicted_mean_rate(cycle3, (0, 1, 2), n, d)
+        with pytest.raises(OutOfRange):
+            ErrorScale(n=n, d=d, q=3 / 7)
 
     def test_not_semi_attracting(self, cycle3):
         with pytest.raises(NotSemiAttracting):
@@ -627,22 +622,24 @@ class TestTestFunction:
             make_test_function(chain4, (0, 2), n=20, d=1e-4, eps=0.1)
 
 
-class TestConvergenceProbe:
+def _stationarity_residual(pi, rates):
+    """``max_x |sum_y pi(x) a(x,y) - sum_y pi(y) a(y,x)|`` for the limit
+    chain rates ``a``."""
+    return float(np.abs(pi * rates.sum(axis=1) - pi @ rates).max())
+
+
+class TestLimitMasses:
     def test_cycle_masses_stabilize(self, cycle3):
         points = []
         for n in (40, 80, 160):
             mu = stationary_exact(cycle3, ProcessParams(n, 1e-6))
             xi = np.array([mu.xi_mass(x) for x in range(3)])
-            points.append((n, xi / xi.sum()))
+            points.append(xi / xi.sum())
         cls = classify(cycle3)
         lc = limit_chain(cycle3, cls, "nrv")
-        rep = convergence_probe(points, rates=lc.rates)
-        assert rep.cauchy[-1] <= rep.cauchy[0] + 1e-12
-        assert rep.residual <= 1e-6
-
-    def test_constant_sequence(self):
-        rep = convergence_probe([(1, [0.5]), (2, [0.5]), (3, [0.5])])
-        assert rep.cauchy == (0.0, 0.0)
+        cauchy = [np.abs(b - a).max() for a, b in zip(points, points[1:])]
+        assert cauchy[-1] <= cauchy[0] + 1e-12
+        assert _stationarity_residual(points[-1], lc.rates) <= 1e-6
 
     def test_chain_example_rv_masses(self, chain4):
         # conditioned metastable masses approach the symmetric-pair limit
@@ -650,16 +647,11 @@ class TestConvergenceProbe:
         for n in (12, 24, 48):
             mu = stationary_exact(chain4, ProcessParams(n, 1e-5))
             xi = np.array([mu.xi_mass(x) for x in (1, 2)])
-            points.append((n, xi / xi.sum()))
+            points.append(xi / xi.sum())
         cls = classify(chain4)
         lc = limit_chain(chain4, cls, "rv")
-        rep = convergence_probe(points, rates=lc.rates)
-        assert rep.residual <= 0.05
-        assert np.abs(points[-1][1] - 0.5).max() <= 0.05
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientData):
-            convergence_probe([(1, [0.1]), (2, [0.1])])
+        assert _stationarity_residual(points[-1], lc.rates) <= 0.05
+        assert np.abs(points[-1] - 0.5).max() <= 0.05
 
 
 class TestTrichotomy:

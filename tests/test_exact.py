@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (ConditionNotSatisfied, IncprocError, OutOfRange, ProcessParams,
+from incproc import (ConditionNotSatisfied, DimensionMismatch, IncprocError,
+                     OutOfRange, ProcessParams,
                      RegionSpec, WalkSpec, analyze_walk, enumerate_states,
-                     flow, flow_profile, hitting_probabilities, m_function,
+                     flow, flow_profile, hitting_probabilities,
                      mean_jump_rate_exact, reciprocal_sum, region_masses,
                      stationary_closed_form, stationary_exact)
 from incproc.exact import (STATIONARY_TOL, build_generator, reciprocal_bound_holds,
@@ -145,6 +146,24 @@ class TestRegionMasses:
         mu = stationary_exact(cycle3, ProcessParams(100, 1e-5))
         rep = region_masses(mu)
         assert rep.e_mass >= 0.99
+
+    def test_region_of_another_space_is_a_mismatch(self, up3):
+        mu = stationary_exact(up3, ProcessParams(5, 0.1))
+        reg = RegionSpec(up3, enumerate_states(3, 6), (0, 1), eps=0.1)
+        with pytest.raises(DimensionMismatch):
+            region_masses(mu, [reg])
+
+    @pytest.mark.parametrize("regions", ["x", 5, [None], (0, 1)])
+    def test_rejects_regions_that_are_not_region_specs(self, up3, regions):
+        # "x" raised an AttributeError
+        mu = stationary_exact(up3, ProcessParams(5, 0.1))
+        with pytest.raises(OutOfRange):
+            region_masses(mu, regions)
+
+    def test_rejects_a_distribution_that_is_not_one(self, up3):
+        mu = stationary_exact(up3, ProcessParams(5, 0.1))
+        with pytest.raises(OutOfRange):
+            region_masses(mu.weights)
 
     def test_region_decomposition(self, up3):
         params = ProcessParams(25, 1e-3)
@@ -322,25 +341,6 @@ class TestFlows:
         mu = stationary_exact(two_sym, params)
         with pytest.raises(ValueError):
             flow(two_sym, params, mu, (0, 1), 0, 2)
-
-
-class TestMFunction:
-    def test_metastable_states_vanish(self, up3):
-        mu = stationary_exact(up3, ProcessParams(5, 0.1))
-        vals = m_function(mu, (0, 1, 2))
-        for x in range(3):
-            assert vals[mu.enum.xi_index(x)] == 0.0
-
-    def test_two_site_value(self, two_sym):
-        mu = stationary_exact(two_sym, ProcessParams(2, 0.1))
-        vals = m_function(mu, (0, 1))
-        assert vals[mu.enum.rank((1, 1))] == pytest.approx(1 / 12, abs=1e-14)
-
-    def test_single_site_region(self, two_sym):
-        mu = stationary_exact(two_sym, ProcessParams(2, 0.1))
-        vals = m_function(mu, (0,))
-        counts = mu.enum.counts_matrix()
-        assert vals == pytest.approx(mu.weights * counts[:, 0])
 
 
 def _brute_reciprocal(n, k):

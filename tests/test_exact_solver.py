@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import incproc.exact as exact
 from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure,
                      StateSpaceTooLarge, WalkSpec, analyze_walk, enumerate_states,
-                     flow_profile, hitting_probabilities, m_function,
+                     flow_profile, hitting_probabilities,
                      mean_jump_rate_exact, stationary_exact)
 from incproc.exact import (HITTING_TOL, STATIONARY_TOL, build_generator,
                            build_rate_matrix)
@@ -482,13 +482,6 @@ class TestSiteSets:
     def test_region_rejects_bad_set(self, cycle3, r_set):
         with pytest.raises(OutOfRange):
             RegionSpec(cycle3, enumerate_states(3, 4), r_set)
-
-    @pytest.mark.parametrize("r_set", [(-1,), (0, 5)])
-    def test_m_function_rejects_bad_site(self, cycle3, r_set):
-        # (-1,) used to wrap round to the last site; (0, 5) an IndexError
-        mu = stationary_exact(cycle3, ProcessParams(4, 0.1))
-        with pytest.raises(OutOfRange):
-            m_function(mu, r_set)
 
     def test_flow_profile_rejects_out_of_range_site(self, cycle3):
         params = ProcessParams(4, 0.1)

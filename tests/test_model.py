@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (Configuration, IncprocError, MissingValue, NonIrreducibleWalk,
-                     OutOfRange, ProcessParams, SameSite, WalkSpec, analyze_walk,
-                     apply_move, asymptotics, generator_apply, local_kinetics,
+from incproc import (Configuration, IncprocError, NonIrreducibleWalk,
+                     OutOfRange, ProcessParams, WalkSpec, analyze_walk, asymptotics,
                      log_weight_table, schedule_fixed, schedule_power, states,
                      stationary_exact, thermo)
 from incproc.asymptotics import _harmonic
+from reference import local_kinetics
 
 
 def _loop_pair_constants(spec, m):
@@ -165,40 +165,6 @@ class TestConfiguration:
             Configuration.single_site(3, 5, x)
 
 
-class TestMoves:
-    def test_basic_move(self):
-        assert apply_move((2, 1, 0), 0, 1) == (1, 2, 0)
-
-    def test_empty_source_is_identity(self):
-        assert apply_move((0, 3), 0, 1) == (0, 3)
-
-    def test_last_particle(self):
-        assert apply_move((1, 1), 0, 1) == (0, 2)
-
-    def test_same_site_raises(self):
-        with pytest.raises(SameSite):
-            apply_move((1, 1), 1, 1)
-
-    def test_configuration_wrapper(self):
-        eta = Configuration((2, 1))
-        moved = apply_move(eta, 0, 1)
-        assert isinstance(moved, Configuration)
-        assert moved.counts == (1, 2)
-        assert moved.total == 3
-
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=5),
-           st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_move_conserves_particles(self, counts, data):
-        if sum(counts) == 0:
-            counts[0] = 1
-        kappa = len(counts)
-        x = data.draw(st.integers(0, kappa - 1))
-        y = data.draw(st.integers(0, kappa - 1).filter(lambda v: v != x))
-        moved = apply_move(tuple(counts), x, y)
-        assert sum(moved) == sum(counts)
-
-
 class TestKinetics:
     def test_example_rates(self, two_sym):
         kin = local_kinetics(two_sym, ProcessParams(3, 0.1), (2, 1))
@@ -240,35 +206,6 @@ class TestKinetics:
         assert sum(p for _, _, p in kin.probs) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestGenerator:
-    def test_symmetric_cancellation(self, two_sym):
-        val = generator_apply(two_sym, ProcessParams(2, 0.1),
-                              lambda s: s[0], (1, 1))
-        assert val == pytest.approx(0.0, abs=1e-15)
-
-    def test_single_active_move(self, two_sym):
-        val = generator_apply(two_sym, ProcessParams(2, 0.1),
-                              lambda s: s[0], (2, 0))
-        assert val == pytest.approx(-0.2)
-
-    def test_constants_annihilated(self, up3):
-        for eta in [(6, 0, 0), (2, 2, 2), (0, 1, 5)]:
-            assert generator_apply(up3, ProcessParams(6, 0.2),
-                                   lambda s: 3.14, eta) == 0.0
-
-    def test_indicator_gives_negative_holding(self, up3):
-        eta = (2, 3, 1)
-        params = ProcessParams(6, 0.2)
-        kin = local_kinetics(up3, params, eta)
-        val = generator_apply(up3, params, lambda s: 1.0 if s == eta else 0.0, eta)
-        assert val == pytest.approx(-kin.holding, rel=1e-12)
-
-    def test_missing_value(self, two_sym):
-        table = {(2, 0): 1.0}
-        with pytest.raises(MissingValue):
-            generator_apply(two_sym, ProcessParams(2, 0.1), table, (2, 0))
-
-
 class TestParams:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -286,8 +223,17 @@ class TestParams:
         with pytest.raises(OutOfRange):
             ProcessParams(5, d)
 
+    @pytest.mark.parametrize("d", ["0.1", None, True, 1j, [0.1]])
+    def test_rejects_non_real_d(self, d):
+        with pytest.raises(OutOfRange):
+            ProcessParams(4, d)
+
     def test_accepts_numpy_integer_n(self):
         assert ProcessParams(np.int64(5), 0.1).n == 5
+
+    def test_accepts_numpy_and_integer_d(self):
+        assert ProcessParams(5, np.float64(0.1)).d == 0.1
+        assert ProcessParams(5, 1).d == 1
 
     def test_schedules_deterministic(self):
         pw = schedule_power(2.0, 3.0)

@@ -13,6 +13,7 @@ from incproc import (BudgetExceeded, Configuration, DegenerateData,
                      replica_rng, run_condensate, scaling_fit, simulate,
                      stationary_exact, trace_project)
 from incproc.simulate import CEMETERY, _Blocks
+from reference import local_kinetics
 
 SIMULATE = sys.modules["incproc.simulate"]
 
@@ -122,7 +123,6 @@ class TestSimulate:
 
     def test_jump_chain_frequencies_chi_square(self, up3):
         # empirical move frequencies per state vs the jump kernel
-        from incproc import local_kinetics
         params = ProcessParams(3, 0.5)
         traj = simulate(up3, params, (1, 1, 1), horizon=1e9, seed=17,
                         max_events=200_000)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import Distribution, OutOfRange, StateSpaceTooLarge, space_size
+from incproc import (DimensionMismatch, Distribution, IncprocError, OutOfRange,
+                     StateSpaceTooLarge, space_size)
 from incproc.states import StateEnumeration, b_set_masses
 
 
@@ -165,12 +166,57 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enum.rank((1, 1))
 
+    @pytest.mark.parametrize("eta", [(1.5, 2.5), (1.0, 2.0), (True, 2), ("1", "2")])
+    def test_rank_rejects_counts_that_are_not_integers(self, eta):
+        # each was truncated and ranked as (1, 2)
+        with pytest.raises(OutOfRange):
+            StateEnumeration(2, 3).rank(eta)
+
+    @pytest.mark.parametrize("eta", [(3,), (1, 1, 1), ()])
+    def test_rank_of_a_state_on_other_sites_is_a_mismatch(self, eta):
+        with pytest.raises(DimensionMismatch):
+            StateEnumeration(2, 3).rank(eta)
+
+
+class TestSpaceSize:
+    @pytest.mark.parametrize("kappa, n, size", [(3, 2, 6), (2, 5, 6), (1, 4, 1),
+                                                (4, 0, 1), (np.int64(3), np.int64(2), 6)])
+    def test_counts_compositions(self, kappa, n, size):
+        assert space_size(kappa, n) == size == comb(n + kappa - 1, kappa - 1)
+
+    @pytest.mark.parametrize("kappa, n", [(True, 2), (3, True), (3, 2.5), (3.0, 2),
+                                          (3, "2"), (None, 2), (3, -1), (-2, 3), (0, 2)])
+    def test_rejects_non_integer_or_negative_arguments(self, kappa, n):
+        # (3, True) and (3, -1) were counted; (3, 2.5) raised a TypeError
+        with pytest.raises(OutOfRange):
+            space_size(kappa, n)
+
 
 class TestDistribution:
     def test_normalized_check(self):
         enum = StateEnumeration(2, 2)
         with pytest.raises(ValueError):
             Distribution(enum, np.array([0.5, 0.5, 0.5]), normalized=True)
+
+    @pytest.mark.parametrize("weights", [0.5, [1.0, 2.0], np.ones((3, 1)), np.ones(4)])
+    def test_weights_of_another_shape_are_a_mismatch(self, weights):
+        # a scalar raised an IndexError while the message was built
+        with pytest.raises(DimensionMismatch):
+            Distribution(StateEnumeration(2, 2), weights)
+
+    def test_mass_sums_the_given_ranks(self):
+        dist = Distribution(StateEnumeration(2, 3), np.array([0.1, 0.2, 0.3, 0.4]))
+        assert dist.mass([1, 3]) == 0.2 + 0.4
+        assert dist.mass(np.array([0, 1, 2, 3], dtype=np.intp)) == dist.weights.sum()
+        assert dist.mass([]) == 0.0
+        assert dist.mass(np.array([], dtype=np.intp)) == 0.0
+
+    @pytest.mark.parametrize("indices", [[99], [4], [-1], [0, -4], [1.0], [True, False], ["a"]])
+    def test_mass_rejects_a_rank_off_the_space(self, indices):
+        # [99] raised an IndexError and [-1] read the last state
+        dist = Distribution(StateEnumeration(2, 3), np.array([0.1, 0.2, 0.3, 0.4]))
+        with pytest.raises(IncprocError):
+            dist.mass(indices)
 
     def test_normalize(self):
         enum = StateEnumeration(2, 2)

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from incproc import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
                      OutOfRange, ProcessParams,
                      SupportTooLarge, TooFewRelocations, analyze_walk, build_torus,
-                     compare_rate_methods, condensate_statistics, cosine_mode,
-                     generator_gap, limit_generator_apply, linear_function,
+                     condensate_statistics, cosine_mode, generator_gap,
                      measure_diffusion, measure_drift, run_condensate,
                      simulate, stationary_exact, torus_condensation,
                      torus_mean_rates, torus_walk)
 from incproc.exact import reciprocal_sum_table
 from incproc.model import log_weight_table
 from incproc.thermo import (_MOVED, _HOPPED, _condensate_runs, _CondensateReplica,
-                            _lattice, _tube_crossing_probability)
+                            _generator_gap, _lattice, limit_generator_apply)
+from reference import _tube_crossing_probability, linear_function, tube_rates
 
 THERMO = sys.modules["incproc.thermo"]
 SIMULATE = sys.modules["incproc.simulate"]
@@ -70,10 +70,43 @@ class TestBuildTorus:
         with pytest.raises(ValueError):
             build_torus(1, 8, {1: -1.0}, rho=1.0, d_l=1e-4)
 
-    @pytest.mark.parametrize("side", [8.5, 8.0])
+    @pytest.mark.parametrize("side", [8.5, 8.0, True])
     def test_rejects_non_integer_side(self, side):
         with pytest.raises(OutOfRange):
             build_torus(1, side, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-4)
+
+    @pytest.mark.parametrize("d", [True, 1.0, "1", None])
+    def test_rejects_non_integer_dimension(self, d):
+        # True raised a bare TypeError
+        with pytest.raises(OutOfRange):
+            build_torus(d, 6, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-4)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), "x", None, True])
+    def test_rejects_a_kernel_weight_that_is_not_finite(self, weight):
+        # {1: nan, -1: 1.0} built a TorusSpec, and "x" raised a bare ValueError
+        with pytest.raises(OutOfRange):
+            build_torus(1, 6, {1: weight, -1: 1.0}, rho=1.0, d_l=1e-4)
+
+    @pytest.mark.parametrize("kernel", [{1.5: 1.0, -1: 1.0}, {(1.5,): 1.0, -1: 1.0},
+                                        {True: 1.0, -1: 1.0}, {"1": 1.0, -1: 1.0},
+                                        [(1, 1.0), (-1, 1.0)]])
+    def test_rejects_offsets_that_are_not_integers(self, kernel):
+        # (1.5,) was read as offset 1, and 1.5 raised a bare TypeError
+        with pytest.raises(OutOfRange):
+            build_torus(1, 6, kernel, rho=1.0, d_l=1e-4)
+
+    def test_accepts_numpy_offsets_and_weights(self):
+        spec = build_torus(1, 6, {np.int64(1): np.float64(0.8), (np.int64(-1),): 0.2},
+                           rho=np.float64(1.0), d_l=1e-4)
+        assert spec.kernel == {(1,): 0.8, (-1,): 0.2}
+
+    @pytest.mark.parametrize("field", ["rho", "d_l"])
+    @pytest.mark.parametrize("value", ["1", None, True])
+    def test_rejects_density_and_d_l_that_are_not_numbers(self, field, value):
+        # "1" raised a bare TypeError
+        args = {"rho": 1.0, "d_l": 1e-4, field: value}
+        with pytest.raises(OutOfRange):
+            build_torus(1, 6, {1: 0.8, -1: 0.2}, **args)
 
     @pytest.mark.parametrize("rho", [0.05, float("nan"), float("inf")])
     def test_rejects_density_without_finite_particles(self, rho):
@@ -107,21 +140,22 @@ class TestBuildTorus:
 class TestTorusRates:
     def test_asymmetric_formula(self):
         spec = build_torus(1, 24, {1: 0.8, -1: 0.2}, rho=3.0, d_l=1e-4)
-        rates = torus_mean_rates(spec, "formula").rates
+        rates = torus_mean_rates(spec)
         assert rates[(1,)] == pytest.approx(1e-4 * 72 * 0.6)
         assert (-1,) not in rates
 
     def test_symmetric_formula(self):
         spec = build_torus(1, 16, {1: 0.5, -1: 0.5}, rho=2.0, d_l=1e-5)
-        rates = torus_mean_rates(spec, "formula").rates
+        rates = torus_mean_rates(spec)
         assert rates[(1,)] == pytest.approx(1e-5 * 0.5)
         assert rates[(-1,)] == pytest.approx(1e-5 * 0.5)
 
     def test_formula_vs_tube_close(self):
         spec = build_torus(1, 16, {1: 0.5, -1: 0.5}, rho=2.0, d_l=1e-8)
-        report = compare_rate_methods(spec)
-        for _, (_, _, rel) in report.items():
-            assert rel <= 0.02
+        formula, tube = torus_mean_rates(spec), tube_rates(spec)
+        for off in set(formula) | set(tube):
+            a, b = formula.get(off, 0.0), tube.get(off, 0.0)
+            assert abs(a - b) <= 0.02 * max(abs(a), abs(b)), off
 
     def test_tube_against_exact_trace_rate(self):
         # oracle: full-chain mean-jump rate on the smallest torus walk
@@ -131,7 +165,7 @@ class TestTorusRates:
         from incproc import mean_jump_rate_exact
         exact = mean_jump_rate_exact(walk, ProcessParams(spec.n, spec.d_l),
                                      tuple(range(5)))
-        tube = torus_mean_rates(spec, "tube").rates
+        tube = tube_rates(spec)
         assert tube[(1,)] == pytest.approx(exact.raw[0, 1], rel=1e-3)
 
 
@@ -178,7 +212,7 @@ class TestGeneratorGap:
             spec = build_torus(1, side, {1: 0.8, -1: 0.2}, rho=1.0,
                                d_l=float(side) ** -4)
             assert generator_gap(spec, linear_function(1.0)) <= 1e-12
-            gaps.append(generator_gap(spec, linear_function(1.0), method="tube"))
+            gaps.append(_generator_gap(spec, linear_function(1.0), tube_rates(spec)))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] <= 1e-4
 
@@ -373,7 +407,7 @@ class TestRenewalSampler:
         runs, channel, status = self.excursions(spec, 2_000 / (spec.theta * leave),
                                                 seed=67, replicas=30)
         trace = sum(r.trace_time for r in runs)
-        rates = torus_mean_rates(spec, "tube").rates
+        rates = tube_rates(spec)
         assert (status == _HOPPED).sum() <= 3
         means = [rates.get(off, 0.0) * trace for off in spec.kernel]
         assert max(means) > 1_000
