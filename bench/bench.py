@@ -23,8 +23,8 @@ file, run in DIR): the microseconds per event of
 workload at the seed, and of ``kernel.stretch_L<L>``, the third-site
 stretches of ``run_condensate(spec, 1.0, seed)`` on the 2-D nearest-neighbour
 torus of side L with N = 32 and d_L = L^-2, each weight 1/4, with the
-stretch bound lowered to 2^17 events. A row holds the median wall time of
-its repeats, the events of one repeat and their ratio.
+stretch bound lowered to 2^17 events. A row holds the median CPU time of
+its repeats (``cpu_s``), the events of one repeat and their ratio.
 
 Standard library only. Exits 1 if a run printed no metrics line; its row
 then has ``fail_rate`` 1.0 and the tail of its standard error.

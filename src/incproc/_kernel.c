@@ -1,0 +1,96 @@
+/* The event loop of incproc's direct-method (Gillespie) kernel.
+
+   incproc.simulate compiles this file once per source hash with
+   cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
+   weight rounds as the scalar definition does) and calls incproc_slice
+   through ctypes.
+
+   The move table is in CSR form: the moves out of site x are the entries
+   first[x] .. first[x + 1] - 1 of target and coef. */
+
+#include <stdint.h>
+#include <string.h>
+
+/* Run at most n events of one replica, ending after the first one whose
+   source is left with stop particles or fewer, or, for listed sources,
+   after the one that leaves a single occupied site.
+
+   Each event weighs the row of the current state anew: the moves x -> y of
+   the sources x in order, then of table row x in order, each weighing
+   c_x (d + c_y) coef, sources with no particle skipped, or c_y (d + c_x) coef
+   when by_target. With u = unis[m] * total it takes the first move whose
+   running sum reaches u, or exceeds it when u is 0.0, so a zero-weight move
+   is never taken. The holding time is exps[m] / total (not written when dts
+   is NULL). The move id x * kappa + y goes to moves[m], and the move is
+   applied to counts. Listed sources hold the occupied sites in arrival order:
+   a site that becomes occupied is appended, one that empties is removed in
+   place, and *n_sources is updated.
+
+   cum and ids are scratch rows of room entries. Returns the number of
+   events; -1 if a state has no move of positive weight; or -2, before any
+   event, if a source is not a site, and at a row that does not fit. */
+int64_t incproc_slice(const int64_t *first, const int64_t *target, const double *coef,
+                      int64_t kappa, double d, int by_target, double stop, int listed,
+                      int64_t *counts, int64_t *sources, int64_t *n_sources,
+                      const double *exps, const double *unis, int64_t n,
+                      double *cum, int64_t *ids, int64_t room,
+                      double *dts, int64_t *moves)
+{
+    int64_t ns = *n_sources, m = 0;
+    for (int64_t s = 0; s < ns; s++)
+        if (sources[s] < 0 || sources[s] >= kappa)
+            return -2;
+    while (m < n) {
+        int64_t len = 0;
+        double total = 0.0;
+        for (int64_t s = 0; s < ns; s++) {
+            int64_t x = sources[s];
+            if (!by_target && counts[x] == 0)
+                continue;
+            if (first[x + 1] - first[x] > room - len)
+                return -2;
+            double cx = (double)counts[x];
+            for (int64_t k = first[x]; k < first[x + 1]; k++) {
+                int64_t y = target[k];
+                double w = by_target ? (double)counts[y] * (d + cx) * coef[k]
+                                     : cx * (d + (double)counts[y]) * coef[k];
+                total += w;
+                cum[len] = total;
+                ids[len++] = x * kappa + y;
+            }
+        }
+        double u = unis[m] * total;
+        int64_t lo = 0, hi = len;
+        while (lo < hi) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (u != 0.0 ? cum[mid] < u : cum[mid] <= u)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo == len)
+            return -1;
+        int64_t move = ids[lo], x = move / kappa, y = move % kappa;
+        if (dts)
+            dts[m] = exps[m] / total;
+        moves[m++] = move;
+        counts[x]--;
+        counts[y]++;
+        if (listed) {
+            if (counts[y] == 1)
+                sources[ns++] = y;
+            if (counts[x] == 0) {
+                int64_t s = 0;
+                while (sources[s] != x)
+                    s++;
+                memmove(sources + s, sources + s + 1, (size_t)(ns - s - 1) * sizeof *sources);
+                if (--ns == 1)
+                    break;
+            }
+        } else if ((double)counts[x] <= stop) {
+            break;
+        }
+    }
+    *n_sources = ns;
+    return m;
+}

@@ -28,8 +28,8 @@ from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk,
                     schedule_fixed, schedule_power, state_counts)
 from .simulate import (DEFAULT_STEP_CAP, HittingTask, mc_hitting, mc_mean_jump_rate,
                        scaling_fit, simulate, trace_project)
-from .thermo import (REGIMES, build_torus, cosine_mode, generator_gap, measure_diffusion,
-                     measure_drift, torus_condensation)
+from .thermo import (REGIMES, _canonical_kernel, build_torus, cosine_mode, generator_gap,
+                     measure_diffusion, measure_drift, torus_condensation)
 
 DEFAULT_SEED = 20240817
 SCHEMA_VERSION = 1
@@ -117,19 +117,22 @@ def _schedule(desc, path: str, named: dict[str, int] | None = None):
     raise ConfigError(path, f"unsupported schedule {desc!r}")
 
 
-def _kernel(pairs, path: str) -> dict[tuple[int, ...], float]:
-    """A list of ``[offset, weight]`` pairs as a map from integer offsets to
-    weights; ``build_torus`` checks the values."""
-    def offset(off) -> tuple[int, ...] | None:
-        coords = tuple(off) if isinstance(off, list) else (off,)
-        return coords if coords and all(map(_is_int, coords)) else None
-
-    if not (isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and offset(p[0]) and _is_number(p[1])
-            for p in pairs)):
-        raise ConfigError(path, "expected a list of [offset, weight] pairs "
-                                f"with integer offsets, got {pairs!r}")
-    return {offset(off): float(w) for off, w in pairs}
+def _kernel(pairs, dim: int) -> dict[tuple[int, ...], float]:
+    """The ``kernel`` field, read where the dimension is known: a list of
+    ``[offset, weight]`` pairs as the map from integer offsets to weights,
+    checked by the rule ``build_torus`` applies."""
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ConfigError("kernel", f"expected a list of [offset, weight] pairs, got {pairs!r}")
+    try:
+        kernel = {tuple(off) if isinstance(off, list) else off: w for off, w in pairs}
+    except TypeError:       # an object, or a list inside an offset
+        raise ConfigError("kernel", "offsets must be integers or lists of integers, "
+                                    f"got {pairs!r}") from None
+    try:
+        return _canonical_kernel(dim, kernel)
+    except OutOfRange as exc:
+        raise ConfigError("kernel", str(exc)) from exc
 
 
 def _initial(init, walk: WalkSpec, n: int):
@@ -179,7 +182,7 @@ SCHEMA = {
                           step_cap=(_integer(0), DEFAULT_STEP_CAP)),
     # without replicas, the handler runs 100 in the symmetric regime and 2 otherwise
     "thermo": _fields(dim=(_COUNT, REQUIRED), sides=(_list_of(_COUNT), REQUIRED),
-                      kernel=(_kernel, REQUIRED), rho=(_positive, REQUIRED),
+                      kernel=(_as_given, REQUIRED), rho=(_positive, REQUIRED),
                       dl_schedule=(_as_given, REQUIRED),
                       regime_assert=(_choice(*REGIMES), None),
                       drift_t=(_positive, 10.0), diffusion_t=(_positive, 0.4),
@@ -391,9 +394,10 @@ def _run_thermo(c, out, threads, report, echo):
     dim, seed, replicas = c["dim"], c["seed"], c["replicas"]
     schedule = _schedule(c["dl_schedule"], "dl_schedule",
                          {"tt1": dim + 2, "tt2": dim + 3, "tt3": 2 * dim + 3})
+    kernel = _kernel(c["kernel"], dim)
     rows = []
     for side in c["sides"]:
-        spec = build_torus(dim, side, c["kernel"], c["rho"], schedule(side))
+        spec = build_torus(dim, side, kernel, c["rho"], schedule(side))
         if c["regime_assert"] and spec.regime != c["regime_assert"]:
             raise ConfigError("regime_assert",
                               f"model regime is {spec.regime!r}")

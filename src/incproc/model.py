@@ -96,14 +96,29 @@ class WalkSpec:
 
     @classmethod
     def from_matrix(cls, rates, sites: Sequence[str] | None = None) -> "WalkSpec":
-        r = np.asarray(rates, dtype=float)
+        """The walk of the square rate matrix ``rates``, with the labels
+        ``sites`` (``"0"``, ``"1"``, ... by default)."""
+        try:
+            r = np.asarray(rates, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise OutOfRange(f"rates must be a numeric matrix: {exc}") from None
+        if r.ndim != 2:
+            raise OutOfRange(f"rates must be a matrix, got shape {r.shape}")
         if sites is None:
             sites = tuple(str(i) for i in range(r.shape[0]))
         return cls(tuple(str(s) for s in sites), r)
 
     @classmethod
     def cycle(cls, kappa: int, p: float) -> "WalkSpec":
-        """Directed cycle: rate ``p`` to x+1 and ``1-p`` to x-1."""
+        """Directed cycle: rate ``p`` to x+1 and ``1-p`` to x-1, for an
+        integer ``kappa`` of 2 to ``MAX_SITES`` sites and a real ``p`` in
+        [0, 1]."""
+        if (isinstance(kappa, bool) or not isinstance(kappa, numbers.Integral)
+                or not 2 <= kappa <= MAX_SITES):
+            raise OutOfRange(f"a cycle needs an integer of 2 to {MAX_SITES} sites, "
+                             f"got {kappa!r}")
+        if not (finite_real(p) and 0 <= p <= 1):
+            raise OutOfRange(f"p must be a real number in [0, 1], got {p!r}")
         r = np.zeros((kappa, kappa))
         for x in range(kappa):
             r[x, (x + 1) % kappa] += p

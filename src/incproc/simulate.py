@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
+import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DegenerateData, OutOfRange,
+from .errors import (BudgetExceeded, DegenerateData, IncprocError, OutOfRange,
                      WindowExceedsTrajectory)
 from .model import (Configuration, ProcessParams, WalkSpec, _add_in_order, site_set,
                     state_counts)
@@ -30,9 +32,6 @@ _SLICE = 1 << 10
 # intervals trace_project, the one replay of a stored path, takes per numpy
 # pass (about 2 MB of temporaries)
 _TRACE_CHUNK = 1 << 14
-# values (key entries, running sums and link slots) one state cache may
-# hold; full, it is about 8,500 states of a 3-site walk in 4.4 MB
-_CACHE_VALUES = 1 << 17
 
 
 def replica_rng(seed: int, stream: int) -> np.random.Generator:
@@ -52,19 +51,19 @@ def _philox_key(seed: int, stream: int) -> np.ndarray:
 class _Blocks:
     """Batched draws from a Generator; consumption order is deterministic.
 
-    Exponentials are drawn ``_BLOCK`` at a time and handed out as array
-    slices; uniforms come in blocks of the same size, drawn ``_SLICE`` at a
-    time as needed and handed out as Python floats. The rest of a uniform
-    block is drawn before the next exponential block, so the stream holds
-    whole blocks in the order they are first needed.
+    Exponentials are drawn ``_BLOCK`` at a time, and uniforms in blocks of
+    the same size, drawn ``_SLICE`` at a time as needed; both are handed out
+    as array slices. The rest of a uniform block is drawn before the next
+    exponential block, so the stream holds whole blocks in the order they
+    are first needed.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._exp = rng.exponential(1.0, _BLOCK)
         self._ei = 0
-        self._owed = 0                  # uniforms of the block not drawn yet
-        self._uni: list[float] = []     # the uniforms drawn and not yet used
+        self._owed = 0                      # uniforms of the block not drawn yet
+        self._uni = np.zeros(0)             # the uniforms drawn and not yet used
         self._ui = 0
 
     def exponentials(self, n: int) -> np.ndarray:
@@ -72,21 +71,21 @@ class _Blocks:
         (at least one); :meth:`use` consumes them."""
         if self._ei == _BLOCK:
             if self._owed:
-                self._uni = self._uni[self._ui:] + self._rng.random(self._owed).tolist()
+                self._uni = np.concatenate((self._uni[self._ui:], self._rng.random(self._owed)))
                 self._ui = self._owed = 0
             self._exp = self._rng.exponential(1.0, _BLOCK)
             self._ei = 0
         return self._exp[self._ei:self._ei + n]
 
-    def uniforms(self, n: int) -> list[float]:
+    def uniforms(self, n: int) -> np.ndarray:
         """The next ``n`` uniforms, or the rest of the piece if fewer (at
         least one); :meth:`use` consumes them."""
         if self._ui == len(self._uni):
             if not self._owed:
                 self._owed = _BLOCK
-            piece = self._rng.random(min(_SLICE, self._owed))
-            self._owed -= len(piece)
-            self._uni, self._ui = piece.tolist(), 0
+            self._uni = self._rng.random(min(_SLICE, self._owed))
+            self._owed -= len(self._uni)
+            self._ui = 0
         return self._uni[self._ui:self._ui + n]
 
     def use(self, uniforms: int, exponentials: int) -> None:
@@ -99,7 +98,7 @@ class _Blocks:
         return e
 
     def uniform(self) -> float:
-        u = self.uniforms(1)[0]
+        u = float(self.uniforms(1)[0])
         self.use(1, 0)
         return u
 
@@ -134,177 +133,144 @@ class Trajectory:
                 fh.write(f"{t!r},{int(x)},{int(y)}\n")
 
 
-def _weigh(counts: Sequence[int], sources: Sequence[int], table: list[list[tuple]],
-           d: float, by_target: bool) -> tuple[tuple[float, ...], tuple[int, ...], float]:
-    """The weight row of a state: the running sums of the weights of the
-    moves ``x -> y`` with ``x`` in ``sources`` and ``(y, coef, move)`` in
-    ``table[x]``, in that order, their move ids ``move = x * kappa + y``,
-    and the total.
-
-    A move weighs ``c_x (d + c_y) coef``, skipping sources with no
-    particle, or ``c_y (d + c_x) coef`` when ``by_target``.
-    """
-    cum: list[float] = []
-    ids: list[int] = []
-    push_cum, push_id = cum.append, ids.append
-    total = 0.0
-    if by_target:
-        for x in sources:
-            dx = d + counts[x]
-            for y, coef, move in table[x]:
-                total += counts[y] * dx * coef
-                push_cum(total)
-                push_id(move)
-    else:
-        for x in sources:
-            cx = counts[x]
-            if cx:
-                for y, coef, move in table[x]:
-                    total += cx * (d + counts[y]) * coef
-                    push_cum(total)
-                    push_id(move)
-    return tuple(cum), tuple(ids), total
-
-
 class _Kernel:
     """Exact direct-method (Gillespie) events of one chain, a slice at a
-    time: the move table ``out[x] = [(y, coef), ...]``, ``d``, ``by_target``
-    and the stop level ``stop``. Its replicas share ``cache``, the weight
-    row of each visited state keyed on the state (its counts, or a list's
-    sites and their counts), emptied when it would hold more than
-    ``_CACHE_VALUES`` values.
-
-    A row is ``(cum, ids, total, links, key)``: ``ids`` holds the move ids,
-    one tuple shared by the rows of states that weigh the same moves, and
-    ``links[i]`` is the row that move ``ids[i]`` leads to, filled the first
-    time that move is taken unless it ends the run. A linked step reads
-    nothing but its row; the counts are brought up to date, and the key
-    built, only on a link miss. A row in the cache links only to rows in
-    the cache: a new row starts with no links, and an eviction empties the
-    cache before the new row goes in. The rows an eviction drops, and those
-    of a kernel that goes, are unlinked, so they are freed at once.
+    time, run by the compiled loop of ``_kernel.c``: the move table
+    ``out[x] = [(y, coef), ...]`` (held as CSR arrays), ``d``, ``by_target``
+    and the stop level ``stop``. Each step weighs the row of its state
+    anew; nothing is cached. A kernel runs one replica at a time, with
+    scratch arrays of its own.
     """
 
     def __init__(self, out: Sequence[Sequence[tuple[int, float]]], d: float,
                  by_target: bool = False, stop: float = -1):
-        self.cache: dict = {}
-        self.held = 0       # key entries, running sums and link slots in the cache
-        self.move_lists: dict = {}
-        self.table = [[(y, coef, x * len(out) + y) for y, coef in moves]
-                      for x, moves in enumerate(out)]
+        self.kappa = len(out)
         self.d, self.by_target, self.stop = d, by_target, stop
+        first = np.cumsum([0] + [len(moves) for moves in out], dtype=np.int64)
+        target = np.array([y for moves in out for y, _ in moves], dtype=np.int64)
+        coef = np.array([c for moves in out for _, c in moves], dtype=float)
+        if len(target) and not (0 <= target.min() and target.max() < self.kappa):
+            raise OutOfRange(f"move targets must be sites 0..{self.kappa - 1}")
+        # the running sums and move ids of a row, which holds at most one
+        # entry per move of the table
+        room = max(len(coef), 1)
+        cum, ids = np.empty(room), np.empty(room, dtype=np.int64)
+        self.sources = np.zeros(self.kappa, dtype=np.int64)
+        self.n_sources = np.zeros(1, dtype=np.int64)
+        # held, so the addresses passed to the loop stay valid
+        self.arrays = (first, target, coef, cum, ids)
+        self.table = [_address(a) for a in (first, target, coef)]
+        self.scratch = [_address(cum), _address(ids), room]
 
-    def __del__(self):
-        self._unlink()
-
-    def _unlink(self) -> None:
-        """Cut the links of the cached rows. The rows link to one another in
-        cycles, so without this the rows an eviction drops, or those of a
-        kernel that goes, would live on until a cyclic collection. Each row
-        keeps its slots, all None, as the row in use still takes a link."""
-        for row in self.cache.values():
-            links = row[3]
-            links[:] = [None] * len(links)
-
-    def _add(self, key: tuple, counts: list[int], sources: Sequence[int]) -> tuple:
-        """The new cached row of the state ``counts``, keyed on ``key``."""
-        cum, ids, total = _weigh(counts, sources, self.table, self.d, self.by_target)
-        size = len(key) + 2 * len(cum)
-        if self.held + size > _CACHE_VALUES:
-            self._unlink()
-            self.cache.clear()
-            self.held = 0
-            self.move_lists.clear()
-        self.held += size
-        row = self.cache[key] = (cum, self.move_lists.setdefault(ids, ids), total,
-                                 [None] * len(cum), key)
-        return row
-
-    def run(self, counts: list[int], sources: Sequence[int], blocks: _Blocks,
-            limit: int) -> tuple[np.ndarray | None, list[int]]:
+    def run(self, counts: np.ndarray, sources: Sequence[int], blocks: _Blocks,
+            limit: int) -> tuple[np.ndarray | None, np.ndarray]:
         """Run at most ``limit`` events (``limit <= _SLICE``) of a replica
         from ``blocks``, ending after the first one whose source is left with
-        ``stop`` particles or fewer. Each picks a move of ``counts`` with
-        probability proportional to its :func:`_weigh` weight (never a
-        zero-weight one); it lasts an exponential over the total weight, or
-        1.0 when ``by_target`` (no exponentials drawn). ``sources`` fixes the
-        move order; as a list it holds the occupied sites in arrival order,
-        kept so, and the run ends when one site is left. ``counts``, and a
-        list ``sources``, are left at the state the last event leads to.
-        Returns the holding times (None when ``by_target``) and the move ids
-        ``x * kappa + y``.
-
-        A linked step pushes its row's total and the move id and follows the
-        link. Only a link miss applies a move: it brings ``counts`` from the
-        row's key to the state the move leads to and runs the stop test
-        there; a move that ends the run is never linked. The state is
-        written back once, at the end of the slice.
+        ``stop`` particles or fewer. Each picks a move of ``counts`` (an
+        int64 array, updated in place) with probability proportional to its
+        weight (never a zero-weight one); it lasts an exponential over the
+        total weight, or 1.0 when ``by_target`` (no exponentials drawn).
+        ``sources`` (distinct sites) fixes the move order; as a list it
+        holds the occupied sites in arrival order, kept so, and the run ends
+        when one site is left. Returns the holding times (None when
+        ``by_target``) and the move ids ``x * kappa + y``.
         """
-        lookup, kappa, stop = self.cache.get, len(self.table), self.stop
-        keyed = isinstance(sources, list)
+        # the loop writes through the address of ``counts``, and checks the sources
+        if not (counts.dtype == np.int64 and counts.flags.c_contiguous
+                and len(counts) == self.kappa and len(sources) <= self.kappa):
+            raise OutOfRange("counts must be a contiguous int64 array of one entry per "
+                             "site, and the sources at most one per site")
+        listed = isinstance(sources, list)
         # a block of exponentials is drawn before the uniforms of its events
         exps = None if self.by_target else blocks.exponentials(limit)
-        totals: list[float] = []
-        moves: list[int] = []
-        push_total, push_move = totals.append, moves.append
-        # the first row is looked up, and linked from nowhere
-        key = (*sources, *[counts[x] for x in sources]) if keyed else tuple(counts)
-        row, links, i = None, [None], 0
-        at = None           # the key of the state ``counts`` holds, once looked up
-        for u in blocks.uniforms(limit if exps is None else len(exps)):
-            if row is None:
-                row = links[i] = lookup(key) or self._add(key, counts, sources)
-                at = row[4]
-            cum, ids, total, links, key = row
-            u *= total
-            # the first move whose cumulative weight reaches u; a draw of
-            # exactly 0.0 would otherwise land on a leading zero-weight move
-            i = bisect_left(cum, u) if u else bisect_right(cum, u)
-            push_total(total)
-            push_move(ids[i])
-            row = links[i]
-            if row is None:
-                # a link miss: apply the move to the state of ``key``
-                x, y = divmod(ids[i], kappa)
-                if keyed:
-                    if key is not at:
-                        _load_sites(counts, sources, key)
-                    counts[x] -= 1
-                    counts[y] += 1
-                    if counts[y] == 1:
-                        sources.append(y)
-                    if not counts[x]:
-                        sources.remove(x)
-                        if len(sources) == 1:
-                            break
-                    key = (*sources, *[counts[z] for z in sources])
-                else:
-                    if key is not at:
-                        counts[:] = key
-                    counts[x] -= 1
-                    counts[y] += 1
-                    if counts[x] <= stop:
-                        break
-                    key = tuple(counts)
-        if row is not None and row[4] is not at:
-            if keyed:
-                _load_sites(counts, sources, row[4])
-            else:
-                counts[:] = row[4]
-        m = len(moves)
+        unis = blocks.uniforms(limit if exps is None else len(exps))
+        n = len(unis)
+        self.n_sources[0] = len(sources)
+        self.sources[:len(sources)] = sources
+        dts = None if exps is None else np.empty(n)
+        moves = np.empty(n, dtype=np.int64)
+        m = _compiled_slice()(
+            *self.table, self.kappa, self.d, self.by_target, self.stop, listed,
+            _address(counts), _address(self.sources), _address(self.n_sources),
+            None if exps is None else _address(exps), _address(unis), n, *self.scratch,
+            None if dts is None else _address(dts), _address(moves))
+        if m < 0:
+            raise OutOfRange("a state of the chain has no move of positive weight" if m == -1
+                             else "sources must be distinct sites of the chain")
+        if listed:
+            sources[:] = self.sources[:self.n_sources[0]].tolist()
         blocks.use(m, 0 if exps is None else m)
-        return (None if exps is None else exps[:m] / np.array(totals)), moves
+        return (None if dts is None else dts[:m]), moves[:m]
 
 
-def _load_sites(counts: list[int], sources: list[int], key: tuple) -> None:
-    """Set ``counts`` and the list ``sources`` to the state keyed on ``key``,
-    its occupied sites in arrival order and then their counts."""
-    for x in sources:
-        counts[x] = 0
-    half = len(key) >> 1
-    sources[:] = key[:half]
-    for x, c in zip(sources, key[half:]):
-        counts[x] = c
+def _address(a: np.ndarray) -> int:
+    """The address of the first element of the contiguous array ``a``."""
+    return a.__array_interface__["data"][0]
+
+
+# the command that builds ``_kernel.c``; no contraction to fused
+# multiply-adds (gcc's default on aarch64), so each weight rounds as the
+# scalar definition does
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_slice_function = None
+
+
+def _compiled_slice():
+    """``incproc_slice`` of ``_kernel.c``, built and loaded on first use.
+
+    The build is cached in ``$XDG_CACHE_HOME/incproc``, else
+    ``~/.cache/incproc``, under a hash of the source and the command. It is
+    compiled to a temporary file that is then renamed into place, so
+    processes that load at once each find a whole file or none. Where that
+    directory cannot be written, or there is no home directory, it is built
+    in a temporary directory of this process, removed once loaded. Raises ``IncprocError``, naming the
+    command, if the build fails.
+    """
+    global _slice_function
+    if _slice_function is None:
+        import ctypes
+        import hashlib
+        import shutil
+        import subprocess
+        import tempfile
+        source = Path(__file__).with_name("_kernel.c")
+        tag = hashlib.sha256(source.read_bytes() + " ".join(
+            (*_CC, platform.machine())).encode()).hexdigest()[:16]
+        own = tmp = None
+        try:
+            cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "incproc"
+            lib = cache / f"kernel-{tag}.so"
+            if not lib.exists():
+                cache.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(".so", dir=cache)
+        except (OSError, RuntimeError):     # no home directory, or none that can be written
+            own = tempfile.mkdtemp(prefix="incproc-")
+            lib = Path(own) / "kernel.so"
+            fd, tmp = tempfile.mkstemp(".so", dir=own)
+        if tmp is not None:
+            os.close(fd)
+            command = [*_CC, "-o", tmp, str(source)]
+            try:
+                built = subprocess.run(command, capture_output=True, text=True)
+                failure = built.stderr.strip() if built.returncode else None
+            except OSError as exc:
+                failure = str(exc)
+            if failure is not None:
+                os.unlink(tmp)
+                if own:
+                    shutil.rmtree(own)
+                raise IncprocError(f"cannot build the event kernel with "
+                                   f"`{' '.join(command)}`: {failure}")
+            os.replace(tmp, lib)
+        function = ctypes.CDLL(str(lib)).incproc_slice
+        if own:
+            shutil.rmtree(own)
+        i64, real, flag, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
+        function.argtypes = [ptr, ptr, ptr, i64, real, flag, real, flag, ptr, ptr, ptr,
+                             ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+        function.restype = i64
+        _slice_function = function
+    return _slice_function
 
 
 def _walk_moves(spec: WalkSpec) -> list[list[tuple[int, float]]]:
@@ -335,9 +301,9 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
                                    or not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
-    counts, blocks = list(initial), _Blocks(replica_rng(seed, stream))
+    counts, blocks = np.array(initial, dtype=np.int64), _Blocks(replica_rng(seed, stream))
     times: list[np.ndarray] = []
-    moves: list[int] = []
+    moves: list[np.ndarray] = []
     t, left = 0.0, math.inf if max_events is None else max_events
     while left:
         # slices grow from 32 events, so a short path runs few past its horizon
@@ -351,12 +317,13 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
                 clock[i] = max(clock[i - 1] + dt, math.nextafter(clock[i - 1], math.inf))
         kept = int(np.searchsorted(clock[1:], horizon, side="right"))
         times.append(clock[1:kept + 1])
-        moves += picked[:kept]
+        moves.append(picked[:kept])
         if kept < len(picked):
             break
         t, left = float(clock[-1]), left - kept
-    n_events = len(moves)
-    move_from, move_to = np.divmod(np.array(moves, dtype=np.int32), spec.kappa)
+    move_from, move_to = np.divmod(np.concatenate(moves or [np.zeros(0, np.int32)])
+                                   .astype(np.int32), spec.kappa)
+    n_events = len(move_from)
     times = np.concatenate(times) if times else np.zeros(0)
     real_horizon = horizon if max_events is None or n_events < max_events \
         else (float(times[-1]) if n_events else 0.0)
@@ -716,14 +683,15 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
         return [(0.0, False)] * len(streams)
     results = []
     for i in streams:
-        counts, blocks = list(task.start), _Blocks(replica_rng(task.seed, i))
+        counts = np.array(task.start, dtype=np.int64)
+        blocks = _Blocks(replica_rng(task.seed, i))
         t, taken, censored = 0.0, 0, True
         while taken < task.step_cap and censored:
             dts, moves = kernel.run(counts, sources, blocks,
                                     min(_SLICE, task.step_cap - taken))
             taken += len(moves)
             t = float(taken) if kernel.by_target else _add_in_order(t, dts)
-            censored = counts[moves[-1] // spec.kappa] > stop
+            censored = bool(counts[moves[-1] // spec.kappa] > stop)
         results.append((t, censored))
     return results
 

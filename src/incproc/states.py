@@ -209,13 +209,15 @@ class Distribution:
         if self.weights.shape != (self.enum.size,):
             raise DimensionMismatch(
                 f"weights of shape {self.weights.shape} for {self.enum.size} states")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise OutOfRange("weights must be finite and nonnegative")
         if self.normalized and abs(self.weights.sum() - 1.0) > 1e-12:
             raise OutOfRange("normalized distribution must sum to 1 within 1e-12")
 
     def normalize(self) -> "Distribution":
         total = self.weights.sum()
-        if total <= 0:
-            raise OutOfRange("cannot normalize nonpositive total mass")
+        if not 0 < total < np.inf:
+            raise OutOfRange(f"cannot normalize a total mass of {total}")
         return Distribution(self.enum, self.weights / total, normalized=True,
                             log_norm=self.log_norm)
 

@@ -473,7 +473,7 @@ class _ThirdSite:
         self.spec = spec
         self.coords, targets = _lattice(spec)
         self.out = [list(zip(to, spec.kernel.values())) for to in targets.T.tolist()]
-        self.counts = [0] * spec.n_sites
+        self.counts = np.zeros(spec.n_sites, dtype=np.int64)
         self.occupied: list[int] = []
         self.kernel = _Kernel(self.out, spec.d_l)
 

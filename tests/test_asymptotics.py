@@ -530,34 +530,35 @@ class TestTestFunction:
     def test_auxiliary_chain_steps_by_kernel_rows(self, request, monkeypatch,
                                                   walk_name, r_set, start):
         # the step law mc_hitting runs on the auxiliary chain, read from the
-        # event kernel's weight row at every inner-core state, is the row of
-        # the reversed kernel: the same moves, with no self-loop
+        # move table and weight rule of its event kernel at every inner-core
+        # state, is the row of the reversed kernel: the same moves, with no
+        # self-loop
         from incproc import HittingTask, RegionSpec, mc_hitting
         from incproc.states import StateEnumeration
         sim = importlib.import_module("incproc.simulate")
         walk = request.getfixturevalue(walk_name)
         n, d, eps = 30, 1e-4, 0.4
-        weigh, calls = sim._weigh, []
+        init, built = sim._Kernel.__init__, []
 
-        def spy(*args):
-            calls.append(args)
-            return weigh(*args)
+        def spy(self, out, d, by_target=False, stop=-1):
+            built.append((out, d, by_target))
+            init(self, out, d, by_target, stop)
 
-        monkeypatch.setattr(sim, "_weigh", spy)
+        monkeypatch.setattr(sim._Kernel, "__init__", spy)
         task = HittingTask(chain="auxiliary", start=start, replicas=1, seed=5,
                            r_set=r_set, eps=eps)
         mc_hitting(task, walk, ProcessParams(n, d))
-        _, sources, table, d_run, by_target = calls[0]
+        ((table, d_run, by_target),) = built
         assert by_target is True and d_run == d
 
         enum = StateEnumeration(walk.kappa, n)
         reg = RegionSpec(walk, enum, r_set, eps=eps)
         for eta in enum.counts_matrix()[reg.inner_core]:
-            cum, ids, total = weigh(eta.tolist(), sources, table, d, True)
-            law = {}
-            for move, p in zip(ids, np.diff(np.r_[0.0, cum]) / total):
-                x, y = divmod(move, walk.kappa)
-                law[(x, y)] = law.get((x, y), 0.0) + p
+            # the kernel's weight of x -> y when by_target: c_y (d + c_x) coef
+            weights = {(x, y): eta[y] * (d + eta[x]) * coef
+                       for x in r_set for y, coef in table[x]}
+            total = sum(weights.values())
+            law = {xy: w / total for xy, w in weights.items()}
             moves, self_loop = auxiliary_kernel_row(walk, d, reg, eta)
             assert self_loop == pytest.approx(0.0, abs=1e-12)
             assert {(x, y) for x, y, _ in moves} == {xy for xy, p in law.items() if p > 0}

@@ -423,3 +423,24 @@ class TestMalformedInputs:
         code = main([base["kind"], "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    @pytest.mark.parametrize("kernel, message", [
+        ([[1, -0.8], [-1, 0.2]], "negative kernel weight"),
+        ([[[1, 0], 0.8], [[-1, 0], 0.2]], "has dimension 2, expected 1"),
+        ([[0, 0.5], [1, 0.5]], "origin"),
+        ([[1, 0.0]], "empty support"),
+        ([], "empty support"),
+        ([[[[1]], 0.5]], "offsets must be integers"),
+        ([[{"a": 1}, 0.5]], "offsets must be integers"),
+        ([[True, 0.5]], "not an integer"),
+        ([[1, "0.5"]], "not a finite number")])
+    def test_kernel_values_follow_the_library_rule(self, tmp_path, capsys, kernel, message):
+        # the torus-kernel rule of build_torus, as a configuration error naming
+        # the field; a negative weight or an offset of another dimension was
+        # a runtime error, and a nested offset a bare TypeError
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(_THERMO, kernel=kernel)))
+        code = main(["thermo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: kernel: ") and message in err

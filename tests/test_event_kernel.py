@@ -7,9 +7,9 @@ stopping on a zero-weight move. Walks list all site pairs x-major; the
 auxiliary chain weighs by the target count, ``c_y (d + c_x) r(y, x)``; the
 torus lists the moves of occupied sites in the order the sites became
 occupied. Draws come from the package's Philox block streams, so the
-simulators must reproduce the reference event for event. The kernel caches
-each visited state's weights; the tests also run it with room for only one
-to three states, so rows are evicted and recomputed all the time.
+simulators must reproduce the reference event for event. The compiled
+kernel weighs each state's row anew at every event, so every event checks
+its weights, not a cached copy.
 
 ``ref_trace_project`` replays a trajectory event by event; the vectorised
 ``trace_project`` must give the same labels, sojourns, clocks and samples,
@@ -32,16 +32,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from incproc import (BudgetExceeded, HittingTask, ProcessParams, Trajectory, WalkSpec,
-                     build_torus, condensate_statistics, mc_hitting, measure_drift,
-                     run_condensate, simulate, torus_walk, trace_project)
+from incproc import (BudgetExceeded, HittingTask, OutOfRange, ProcessParams, Trajectory,
+                     WalkSpec, build_torus, condensate_statistics, mc_hitting,
+                     measure_drift, run_condensate, simulate, torus_walk, trace_project)
 from incproc.simulate import (_BLOCK, _SLICE, CEMETERY, _Blocks, _segment_sums,
                               replica_rng)
 from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
 
 KS_LEVEL = 1e-3
 KERNEL = sys.modules["incproc.simulate"]
-THERMO = sys.modules["incproc.thermo"]
 
 WALKS = ("cycle3", "two_sym", "two_asym", "up3", "chain4")
 TORI = {
@@ -373,66 +372,6 @@ def test_condensate_statistics_matches_replay(torus, trace_chunk):
     assert seen >= 3
 
 
-@pytest.mark.parametrize("bound", [1, 25])
-def test_evicting_cache_keeps_events(bound, monkeypatch, request):
-    # room for one state, or for two or three states of a small walk
-    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", bound)
-    test_simulate_matches_reference("up3", request)
-    test_simulate_matches_reference("chain4", request)
-    for chain in ("inclusion", "auxiliary"):
-        test_mc_hitting_matches_reference("cycle3", chain, request)
-    for torus in sorted(TORI):
-        test_run_condensate_matches_reference(torus)
-
-
-def test_evicting_cache_drops_shared_move_lists(monkeypatch):
-    # rows of states with the same occupied sources share one tuple of
-    # moves; those tuples go when the rows go, so a long run stays bounded
-    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", 500)
-    kernels = []
-    init = KERNEL._Kernel.__init__
-
-    def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        kernels.append(self)
-
-    monkeypatch.setattr(KERNEL._Kernel, "__init__", spy)
-    spec = TORI["1d"]()
-    eta0 = [2, 1, 2, 1, 2, 1, 2, 1]
-    traj = simulate(torus_walk(spec), ProcessParams(spec.n, spec.d_l), eta0,
-                    horizon=1e300, seed=2, max_events=20_000)
-    steps = np.zeros((traj.n_events + 1, len(eta0)), dtype=np.int64)
-    steps[0] = eta0
-    rows = np.arange(1, traj.n_events + 1)
-    np.add.at(steps, (rows, traj.move_from), -1)
-    np.add.at(steps, (rows, traj.move_to), 1)
-    patterns = {tuple(c) for c in (np.cumsum(steps, axis=0) > 0).tolist()}
-    (kernel,) = kernels
-    assert 0 < len(kernel.move_lists) <= len(kernel.cache) < 50 < len(patterns)
-    # each row holds its id tuple by reference, the one its pattern shares
-    shared = {id(ids) for ids in kernel.move_lists.values()}
-    assert {id(ids) for _, ids, *_ in kernel.cache.values()} <= shared
-
-
-def test_third_site_keys_hold_the_occupied_sites_only(monkeypatch):
-    # a third-site state is keyed on its occupied sites and their counts, so
-    # a key holds at most 2N entries however many sites the torus has
-    channels = []
-    init = THERMO._Channels.__init__
-
-    def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        channels.append(self)
-
-    monkeypatch.setattr(THERMO._Channels, "__init__", spy)
-    spec = build_torus(1, 32, {1: 0.6, -1: 0.4}, rho=0.5, d_l=0.05)
-    run_condensate(spec, 1.0, seed=5)
-    (ch,) = channels
-    cache = ch.third_site().kernel.cache
-    assert cache
-    assert max(len(key) for key in cache) <= 2 * spec.n
-
-
 def test_one_third_site_kernel_per_torus(monkeypatch):
     # the lattice move table is built once per torus, however many replicas
     # and chunks take a third-site hop
@@ -447,102 +386,13 @@ def test_one_third_site_kernel_per_torus(monkeypatch):
     spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=2, d_l=0.05)
     measure_drift(spec, 10.0, seed=7, replicas=4, min_relocations=1)
     (kernel,) = kernels
-    assert len(kernel.table) == spec.n_sites
-    assert kernel.cache
-
-
-class CountingCache(dict):
-    """A kernel cache that counts its lookups and evictions."""
-
-    lookups = clears = 0
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
-
-    def clear(self):
-        self.clears += 1
-        super().clear()
-
-
-def spy_kernels(monkeypatch):
-    """The kernels built from now on, each with a :class:`CountingCache`."""
-    kernels = []
-    init = KERNEL._Kernel.__init__
-
-    def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.cache = CountingCache()
-        kernels.append(self)
-
-    monkeypatch.setattr(KERNEL._Kernel, "__init__", spy)
-    return kernels
-
-
-def test_steps_follow_links_not_keys(cycle3, monkeypatch):
-    # the cache is consulted only on a link miss: a (state, move) pair taken
-    # for the first time, or the first event of a slice
-    kernels = spy_kernels(monkeypatch)
-    slices = []
-    run = KERNEL._Kernel.run
-
-    def count_run(self, *args, **kwargs):
-        slices.append(1)
-        return run(self, *args, **kwargs)
-
-    monkeypatch.setattr(KERNEL._Kernel, "run", count_run)
-    eta0 = [12, 0, 0]
-    traj = simulate(cycle3, ProcessParams(12, 0.05), eta0, horizon=1e300, seed=3,
-                    max_events=10_000)
-    steps = np.zeros((traj.n_events + 1, 3), dtype=np.int64)
-    steps[0] = eta0
-    rows = np.arange(1, traj.n_events + 1)
-    np.add.at(steps, (rows, traj.move_from), -1)
-    np.add.at(steps, (rows, traj.move_to), 1)
-    states = np.cumsum(steps, axis=0)
-    links = {(tuple(s), int(x), int(y)) for s, x, y in
-             zip(states[:-1].tolist(), traj.move_from, traj.move_to)}
-    (kernel,) = kernels
-    assert traj.n_events == 10_000 and kernel.cache.clears == 0
-    assert len(kernel.cache) <= kernel.cache.lookups <= len(links) + len(slices)
-    assert kernel.cache.lookups < traj.n_events / 10
-
-
-def linked_outside(cache):
-    """The links of rows in ``cache`` to rows that are not in it."""
-    held = {id(row) for row in cache.values()}
-    return [nxt for _, _, _, links, _ in cache.values() for nxt in links
-            if nxt is not None and id(nxt) not in held]
+    assert kernel.kappa == spec.n_sites
 
 
 @pytest.mark.parametrize("chain", ["walk", "third_site"])
-def test_evicted_rows_leave_no_links_outside_the_cache(chain, monkeypatch):
-    # a row in the cache links only to rows in it, after evictions too, so
-    # the rows an eviction drops are not kept alive by the rows it keeps
-    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", 300)
-    kernels = spy_kernels(monkeypatch)
-    if chain == "walk":
-        spec = TORI["1d"]()
-        simulate(torus_walk(spec), ProcessParams(spec.n, spec.d_l),
-                 [2, 1, 2, 1, 2, 1, 2, 1], horizon=1e300, seed=2, max_events=5_000)
-    else:
-        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=2, d_l=0.05)
-        measure_drift(spec, 10.0, seed=7, replicas=4, min_relocations=1)
-    (kernel,) = kernels
-    assert kernel.cache.clears > 0
-    assert kernel.held <= KERNEL._CACHE_VALUES
-    assert any(nxt is not None for _, _, _, links, _ in kernel.cache.values()
-               for nxt in links)
-    assert linked_outside(kernel.cache) == []
-
-
-@pytest.mark.parametrize("bound", [300, 1 << 17])
-@pytest.mark.parametrize("chain", ["walk", "third_site"])
-def test_dropped_rows_go_without_a_cyclic_collection(chain, bound, monkeypatch):
-    # the rows link to one another in cycles; an eviction and a kernel that
-    # goes cut their links, so the rows they drop are freed at once and
-    # none is left for the cycle collector
-    monkeypatch.setattr(KERNEL, "_CACHE_VALUES", bound)
+def test_runs_leave_nothing_for_the_cycle_collector(chain):
+    # a run, and the kernel it drops, are freed at once: none of it is left
+    # for the cycle collector
     if chain == "walk":
         spec = TORI["1d"]()
         run = lambda: simulate(torus_walk(spec), ProcessParams(spec.n, spec.d_l),
@@ -599,14 +449,15 @@ def run_slices(kernel, case, stream):
     moves. Returns the moves of each slice and how each slice ended."""
     out, _, stop, start, listed, limit, slices = case
     kappa = len(out)
-    counts = list(start)
+    counts = np.array(start, dtype=np.int64)
     sources = [x for x in range(kappa) if counts[x]] if listed else range(kappa)
     blocks = _Blocks(replica_rng(11, stream))
     taken, ends = [], []
     while slices is None or len(taken) < slices:
-        before = list(counts), list(sources)
+        before = counts.tolist(), list(sources)
         _, moves = kernel.run(counts, sources, blocks, limit)
-        assert (counts, list(sources)) == replay(*before, moves, kappa, listed)
+        moves = moves.tolist()
+        assert (counts.tolist(), list(sources)) == replay(*before, moves, kappa, listed)
         taken.append(moves)
         if listed and len(sources) == 1:
             ends.append("one_site")
@@ -621,21 +472,36 @@ def run_slices(kernel, case, stream):
 
 @pytest.mark.parametrize("case", sorted(SLICE_CASES))
 def test_run_leaves_the_state_its_moves_lead_to(case):
-    # the kernel applies moves only on link misses and writes the state back
-    # at the end of each slice; cold, and again with every link the same
-    # replicas take already filled, so each step but a slice's first follows
-    # a link or ends the run
+    # the compiled loop updates the caller's counts, and list sources in
+    # arrival order, event by event; a kernel run again over the same
+    # replicas, with its scratch arrays used, takes the same events
     out, d, stop, *_ = SLICE_CASES[case]
     kernel = KERNEL._Kernel(out, d, stop=stop)
-    kernel.cache = CountingCache()
-    cold = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
-    assert kernel.cache.clears == 0
-    lookups = kernel.cache.lookups
-    warm = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
-    assert warm == cold
-    assert kernel.cache.lookups - lookups == sum(len(taken) for taken, _ in warm)
-    ends = {end for _, slice_ends in cold for end in slice_ends}
+    first = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
+    again = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
+    assert again == first
+    ends = {end for _, slice_ends in first for end in slice_ends}
     assert ends == {"limit", case}
+
+
+@pytest.mark.parametrize("counts, sources", [
+    (np.array([3, 2, 1], dtype=np.int32), range(3)),
+    (np.array([3, 2, 1], dtype=np.int64)[::-1], range(3)),
+    (np.array([3, 2], dtype=np.int64), range(2)),
+    (np.array([3, 2, 1], dtype=np.int64), (0, 3)),
+    (np.array([3, 2, 1], dtype=np.int64), [-1, 2]),
+    (np.array([3, 2, 1], dtype=np.int64), (0, 1, 2, 0)),
+    (np.array([3, 2, 1], dtype=np.int64), (0, 0, 1)),
+    (np.array([0, 2, 0], dtype=np.int64), (0, 2))],
+    ids=["int32", "strided", "short", "past-end", "negative", "too-many", "repeated",
+         "no-move"])
+def test_run_refuses_what_the_compiled_loop_cannot_take(counts, sources):
+    # the loop reads and writes through raw addresses: a count array of
+    # another type, stride or length, a source that is not a site, and
+    # repeated sources whose row outgrows the table are refused
+    kernel = KERNEL._Kernel([[(1, 0.5), (2, 0.5)], [(0, 1.0)], [(0, 1.0)]], 0.1)
+    with pytest.raises(OutOfRange):
+        kernel.run(counts, sources, _Blocks(replica_rng(1, 0)), 8)
 
 
 def test_blocks_follow_the_philox_stream():
@@ -682,7 +548,7 @@ def take_slices(blocks, kind, n):
             got = blocks.exponentials(n - len(out)).tolist()
             blocks.use(0, len(got))
         else:
-            got = blocks.uniforms(n - len(out))
+            got = blocks.uniforms(n - len(out)).tolist()
             blocks.use(len(got), 0)
         out += got
     return out
@@ -718,7 +584,7 @@ def test_uniforms_drawn_a_piece_at_a_time():
     rng.exponential(1.0, _BLOCK)
     piece = rng.random(_SLICE)
     assert first == piece[0]
-    assert blocks.uniforms(_SLICE) == piece[1:].tolist()
+    assert blocks.uniforms(_SLICE).tolist() == piece[1:].tolist()
     # and has drawn nothing more from the stream
     assert blocks._rng.random(4).tolist() == rng.random(4).tolist()
 

@@ -128,6 +128,22 @@ class TestWalkSpec:
         with pytest.raises(OutOfRange):
             WalkSpec.from_matrix([[0.0, rate], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("kappa, p", [(True, 0.7), (3.0, 0.7), (1, 0.5), (-2, 0.5),
+                                          (1 << 40, 0.5), ("3", 0.7), (3, "a"), (3, None),
+                                          (3, 1.5), (3, -0.1), (3, True)])
+    def test_cycle_rejects_bad_arguments(self, kappa, p):
+        # (True, 0.7) and (3.0, 0.7) raised a bare TypeError, (-2, 0.5) a
+        # numpy ValueError; 2**40 sites would allocate before any check
+        with pytest.raises(OutOfRange):
+            WalkSpec.cycle(kappa, p)
+
+    @pytest.mark.parametrize("rates", ["x", 5.0, None, [[0, "a"], [1, 0]], [1.0, 2.0],
+                                       [[0, 1j], [1, 0]]])
+    def test_from_matrix_rejects_what_is_not_a_numeric_matrix(self, rates):
+        # "x" raised a bare ValueError and 5.0 an IndexError
+        with pytest.raises(OutOfRange):
+            WalkSpec.from_matrix(rates)
+
     def test_json_round_trip(self, up3):
         again = WalkSpec.from_json(up3.to_json())
         assert again.sites == up3.sites

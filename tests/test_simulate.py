@@ -96,6 +96,17 @@ class TestSimulate:
             simulate(cycle3, ProcessParams(5, 0.1), (0, 5, 0), 1.0, seed=1,
                      max_events=max_events)
 
+    def test_a_state_with_no_move_of_positive_weight_is_refused(self, cycle3):
+        # both raised a bare IndexError: an auxiliary chain on one site has
+        # no move, and rates of 1e-300 with d = 1e-300 weigh 0.0
+        task = HittingTask(chain="auxiliary", start=(30, 0, 0), replicas=2, seed=1,
+                           r_set=(0,), eps=0.1)
+        with pytest.raises(OutOfRange, match="no move of positive weight"):
+            mc_hitting(task, cycle3, ProcessParams(30, 0.01))
+        tiny = WalkSpec.from_matrix([[0, 1e-300, 0], [0, 0, 1e-300], [1e-300, 0, 0]])
+        with pytest.raises(OutOfRange, match="no move of positive weight"):
+            simulate(tiny, ProcessParams(1, 1e-300), (1, 0, 0), 10.0, seed=1)
+
     def test_zero_draw_never_picks_zero_rate_move(self, cycle3, monkeypatch):
         # Generator.random() can return exactly 0.0; site 0 is empty, so its
         # moves have rate 0 and must not be picked. The kernel reads its
@@ -104,7 +115,7 @@ class TestSimulate:
 
         def zeros(self, n):
             handed.append(n)
-            return [0.0] * n
+            return np.zeros(n)
 
         monkeypatch.setattr(_Blocks, "uniforms", zeros)
         traj = simulate(cycle3, ProcessParams(5, 0.1), (0, 5, 0), 10.0,

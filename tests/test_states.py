@@ -204,6 +204,22 @@ class TestDistribution:
         with pytest.raises(DimensionMismatch):
             Distribution(StateEnumeration(2, 2), weights)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 0, 0, 0], [2.0, -1.0, 0, 0],
+                                         [np.inf, 0, 0, 0], [0.5, 0.5, -0.0, -1e-300]])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_refuses_weights_that_are_not_finite_and_nonnegative(self, weights, normalized):
+        # nan and [2, -1, 0, 0] passed the sum check when normalized
+        with pytest.raises(OutOfRange):
+            Distribution(StateEnumeration(2, 3), np.array(weights), normalized=normalized)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_normalize_refuses_a_total_that_is_not_finite(self, bad):
+        # an all-nan total returned an all-nan law marked normalized
+        dist = Distribution(StateEnumeration(2, 3), np.array([0.1, 0.2, 0.3, 0.4]))
+        dist.weights[0] = bad
+        with pytest.raises(OutOfRange):
+            dist.normalize()
+
     def test_mass_sums_the_given_ranks(self):
         dist = Distribution(StateEnumeration(2, 3), np.array([0.1, 0.2, 0.3, 0.4]))
         assert dist.mass([1, 3]) == 0.2 + 0.4
