@@ -3,7 +3,7 @@
     python bench/bench.py --label L --checkout DIR --workloads long_path mc_ensemble \
         --seeds 4101 --runs 2 --trace 0
     python bench/bench.py --label L --checkout DIR --workloads kernel.long_path \
-        kernel.stretch_L16 kernel.stretch_L32 kernel.stretch_L64 --seeds 4101
+        kernel.stretch_L16 kernel.stretch_L32 kernel.stretch_L64 kernel.channels --seeds 4101
 
 For each of ``--runs`` passes, each workload and each seed, this runs the
 benchmark command of ``DIR/BENCHMARK.json`` (``perfbench/run.py``) in DIR,
@@ -23,8 +23,12 @@ file, run in DIR): the microseconds per event of
 workload at the seed, and of ``kernel.stretch_L<L>``, the third-site
 stretches of ``run_condensate(spec, 1.0, seed)`` on the 2-D nearest-neighbour
 torus of side L with N = 32 and d_L = L^-2, each weight 1/4, with the
-stretch bound lowered to 2^17 events. A row holds the median CPU time of
-its repeats (``cpu_s``), the events of one repeat and their ratio.
+stretch bound lowered to 2^17 events, and of ``kernel.channels``, the
+channel steps of the condensate excursions of ``measure_diffusion`` on the
+``mc_ensemble`` torus (1-D, L = 16, rho = 2, d_L = 16^-5, 32 replicas,
+t = 0.025) at the seed; its events are those steps. A row holds the median
+CPU time of its repeats (``cpu_s``), the events of one repeat and their
+ratio.
 
 Standard library only. Exits 1 if a run printed no metrics line; its row
 then has ``fail_rate`` 1.0 and the tail of its standard error.
@@ -45,7 +49,8 @@ RUN_FACTS = ("workload", "seed", "rounds", "untraced_rounds", "traced_rounds",
 
 # the kernel layer rows: (probe, argument, repeats)
 KERNEL_ROWS = {"kernel.long_path": ("path", 0, 5),
-               **{f"kernel.stretch_L{side}": ("stretch", side, 3) for side in (16, 32, 64)}}
+               **{f"kernel.stretch_L{side}": ("stretch", side, 3) for side in (16, 32, 64)},
+               "kernel.channels": ("channels", 0, 5)}
 
 # run as ``python kernel_probe.py kind arg seed repeats`` in the checkout
 PROBE = Path(__file__).with_name("kernel_probe.py")

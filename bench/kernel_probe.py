@@ -1,6 +1,6 @@
 """One kernel layer probe of ``bench.py``, run in a checkout against its ``src``.
 
-    cd CHECKOUT && python PATH/TO/bench/kernel_probe.py path|stretch ARG SEED REPEATS
+    cd CHECKOUT && python PATH/TO/bench/kernel_probe.py path|stretch|channels ARG SEED REPEATS
 
 ``path`` times the ``simulate_cycle`` operation of the checkout's
 ``long_path`` workload at SEED (ARG unused); ``stretch`` times the
@@ -8,7 +8,13 @@ third-site stretches of ``run_condensate(spec, 1.0, SEED)`` on the 2-D
 nearest-neighbour torus of side ARG, N = 32, d_L = ARG^-2, with the stretch
 bound lowered to 2^17 events. A stretch's events are the total
 ``_ThirdSite.finish`` returns, or, for a stretch cut at the bound, the count
-its ``BudgetExceeded`` names. Prints the median CPU time of the repeats
+its ``BudgetExceeded`` names. ``channels`` times
+``measure_diffusion(spec, 0.025, 32, SEED)`` on the torus of the
+``mc_ensemble`` workload (1-D, L = 16, rho = 2, d_L = 16^-5, weights 1/2;
+ARG unused), and its events are the channel steps of the condensate runs:
+the ``events`` of every run, less the one sojourn event each excursion adds
+(a third-site stretch, about one excursion in 10^5 here, adds its events
+too). Prints the median CPU time of the repeats
 (``time.process_time``: the event kernel is single-threaded, and CPU time
 does not count the time other processes take), the events of one repeat and
 their ratio in microseconds as one JSON line; exits non-zero if the repeats
@@ -44,6 +50,29 @@ if kind == "path":
         traj = op.run(Direct(), 0)
         spans.append(clock() - start)
         counts.append(traj.n_events)
+elif kind == "channels":
+    thermo = sys.modules["incproc.thermo"]
+    tally = [0]
+    draw_chunk, result = thermo._CondensateReplica.draw_chunk, thermo._CondensateReplica.result
+
+    def drawn(self, ch):
+        excursions = draw_chunk(self, ch)
+        tally[0] -= excursions
+        return excursions
+
+    def counted(self):
+        tally[0] += self.events
+        return result(self)
+
+    thermo._CondensateReplica.draw_chunk = drawn
+    thermo._CondensateReplica.result = counted
+    spec = ip.build_torus(1, 16, {1: 0.5, -1: 0.5}, rho=2.0, d_l=16.0 ** -5)
+    for _ in range(repeats):
+        tally[0] = 0
+        start = clock()
+        ip.measure_diffusion(spec, 0.025, replicas=32, seed=seed)
+        spans.append(clock() - start)
+        counts.append(tally[0])
 else:
     thermo = sys.modules["incproc.thermo"]
     thermo._STRETCH_EVENTS = 1 << 17

@@ -1,12 +1,14 @@
-/* The event loop of incproc's direct-method (Gillespie) kernel.
+/* The compiled loops of incproc: the event loop of the direct-method
+   (Gillespie) kernel, incproc_slice, and the channel steps of the condensate
+   runs' two-site excursions, incproc_channels.
 
    incproc.simulate compiles this file once per source hash with
    cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
-   weight rounds as the scalar definition does) and calls incproc_slice
+   weight rounds as the scalar definition does) and calls both functions
    through ctypes.
 
-   The move table is in CSR form: the moves out of site x are the entries
-   first[x] .. first[x + 1] - 1 of target and coef. */
+   The move table of incproc_slice is in CSR form: the moves out of site x
+   are the entries first[x] .. first[x + 1] - 1 of target and coef. */
 
 #include <stdint.h>
 #include <string.h>
@@ -93,4 +95,50 @@ int64_t incproc_slice(const int64_t *first, const int64_t *target, const double 
     }
     *n_sources = ns;
     return m;
+}
+
+/* Step the channel excursions of one chunk of a condensate run until none
+   is running, or, at a step boundary, fewer draws are left than excursions
+   running. Returns the draws used.
+
+   Row p of rows holds channel position p's total rate and its probabilities
+   of a step up and of a step up or down; end[p] is the status of an
+   excursion that ends at p, or 0. live[0 .. *n_live - 1] are the running
+   excursions in order. A step takes the next exponential e and uniform u
+   for each running excursion j: dur[j] grows by e / rate; if
+   u >= P(up or down), j hops to a third site (status hopped, pos[j] kept),
+   else pos[j] steps up if u < P(up) and down if not. An excursion that ends
+   leaves live, which keeps its order, with taken[j] = *steps. */
+int64_t incproc_channels(const double *rows, const uint8_t *end, uint8_t hopped,
+                         int64_t *live, int64_t *n_live, int64_t *steps,
+                         int64_t *pos, double *dur, uint8_t *status, int64_t *taken,
+                         const double *exps, const double *unis, int64_t n)
+{
+    int64_t nl = *n_live, used = 0;
+    while (nl && n - used >= nl) {
+        const double *e = exps + used, *u = unis + used;
+        int64_t kept = 0, step = ++*steps;
+        for (int64_t i = 0; i < nl; i++) {
+            int64_t j = live[i];
+            const double *row = rows + 3 * pos[j];
+            dur[j] += e[i] / row[0];
+            uint8_t fin;
+            if (u[i] >= row[2]) {
+                fin = hopped;
+            } else {
+                pos[j] += u[i] < row[1] ? 1 : -1;
+                fin = end[pos[j]];
+            }
+            if (fin) {
+                status[j] = fin;
+                taken[j] = step;
+            } else {
+                live[kept++] = j;
+            }
+        }
+        used += nl;
+        nl = kept;
+    }
+    *n_live = nl;
+    return used;
 }

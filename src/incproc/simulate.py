@@ -157,10 +157,15 @@ class _Kernel:
         cum, ids = np.empty(room), np.empty(room, dtype=np.int64)
         self.sources = np.zeros(self.kappa, dtype=np.int64)
         self.n_sources = np.zeros(1, dtype=np.int64)
+        # the output of a slice, copied out on return; a slice takes at most
+        # one uniform piece of _Blocks, at most _SLICE entries
+        self.dts, self.moves = np.empty(_SLICE), np.empty(_SLICE, dtype=np.int64)
         # held, so the addresses passed to the loop stay valid
         self.arrays = (first, target, coef, cum, ids)
         self.table = [_address(a) for a in (first, target, coef)]
         self.scratch = [_address(cum), _address(ids), room]
+        self.state = [_address(self.sources), _address(self.n_sources)]
+        self.output = [_address(self.dts), _address(self.moves)]
 
     def run(self, counts: np.ndarray, sources: Sequence[int], blocks: _Blocks,
             limit: int) -> tuple[np.ndarray | None, np.ndarray]:
@@ -184,23 +189,20 @@ class _Kernel:
         # a block of exponentials is drawn before the uniforms of its events
         exps = None if self.by_target else blocks.exponentials(limit)
         unis = blocks.uniforms(limit if exps is None else len(exps))
-        n = len(unis)
         self.n_sources[0] = len(sources)
         self.sources[:len(sources)] = sources
-        dts = None if exps is None else np.empty(n)
-        moves = np.empty(n, dtype=np.int64)
-        m = _compiled_slice()(
+        dts, moves = self.output
+        m = _compiled().incproc_slice(
             *self.table, self.kappa, self.d, self.by_target, self.stop, listed,
-            _address(counts), _address(self.sources), _address(self.n_sources),
-            None if exps is None else _address(exps), _address(unis), n, *self.scratch,
-            None if dts is None else _address(dts), _address(moves))
+            _address(counts), *self.state, None if exps is None else _address(exps),
+            _address(unis), len(unis), *self.scratch, None if exps is None else dts, moves)
         if m < 0:
             raise OutOfRange("a state of the chain has no move of positive weight" if m == -1
                              else "sources must be distinct sites of the chain")
         if listed:
             sources[:] = self.sources[:self.n_sources[0]].tolist()
         blocks.use(m, 0 if exps is None else m)
-        return (None if dts is None else dts[:m]), moves[:m]
+        return (None if exps is None else self.dts[:m].copy()), self.moves[:m].copy()
 
 
 def _address(a: np.ndarray) -> int:
@@ -212,22 +214,24 @@ def _address(a: np.ndarray) -> int:
 # multiply-adds (gcc's default on aarch64), so each weight rounds as the
 # scalar definition does
 _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_slice_function = None
+_library = None
 
 
-def _compiled_slice():
-    """``incproc_slice`` of ``_kernel.c``, built and loaded on first use.
+def _compiled():
+    """The library built from ``_kernel.c``, built and loaded on first use,
+    with the argument types of its two functions, ``incproc_slice`` and
+    ``incproc_channels``, set.
 
     The build is cached in ``$XDG_CACHE_HOME/incproc``, else
     ``~/.cache/incproc``, under a hash of the source and the command. It is
     compiled to a temporary file that is then renamed into place, so
     processes that load at once each find a whole file or none. Where that
     directory cannot be written, or there is no home directory, it is built
-    in a temporary directory of this process, removed once loaded. Raises ``IncprocError``, naming the
-    command, if the build fails.
+    in a temporary directory of this process, removed once loaded. Raises
+    ``IncprocError``, naming the command, if the build fails.
     """
-    global _slice_function
-    if _slice_function is None:
+    global _library
+    if _library is None:
         import ctypes
         import hashlib
         import shutil
@@ -262,15 +266,17 @@ def _compiled_slice():
                 raise IncprocError(f"cannot build the event kernel with "
                                    f"`{' '.join(command)}`: {failure}")
             os.replace(tmp, lib)
-        function = ctypes.CDLL(str(lib)).incproc_slice
+        library = ctypes.CDLL(str(lib))
         if own:
             shutil.rmtree(own)
         i64, real, flag, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-        function.argtypes = [ptr, ptr, ptr, i64, real, flag, real, flag, ptr, ptr, ptr,
-                             ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
-        function.restype = i64
-        _slice_function = function
-    return _slice_function
+        library.incproc_slice.argtypes = [ptr, ptr, ptr, i64, real, flag, real, flag, ptr,
+                                          ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+        library.incproc_channels.argtypes = [ptr, ptr, ctypes.c_uint8, ptr, ptr, ptr, ptr,
+                                             ptr, ptr, ptr, ptr, ptr, i64]
+        library.incproc_slice.restype = library.incproc_channels.restype = i64
+        _library = library
+    return _library
 
 
 def _walk_moves(spec: WalkSpec) -> list[list[tuple[int, float]]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, combinations
@@ -25,8 +24,9 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, _add_in_order, finite_real, log_weight_table
-from .simulate import (_SLICE, Trajectory, _Blocks, _check_key, _check_replicas, _Kernel,
-                       _map_batches, _philox_key, replica_rng, trace_project)
+from .simulate import (_SLICE, Trajectory, _address, _Blocks, _check_key, _check_replicas,
+                       _compiled, _Kernel, _map_batches, _philox_key, replica_rng,
+                       trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -325,12 +325,8 @@ class CondensateRun:
 # sojourns a replica draws from its trace clock at first; each later chunk
 # is twice as long, up to the second value
 _CHUNKS = (1 << 12, 1 << 16)
-# excursions one lockstep pass holds when it gathers more than one replica;
-# a full pass peaks at about 25 MB
-_LOCKSTEP_EXCURSIONS = 1 << 17
 # how a channel excursion ends
 _HOME, _MOVED, _HOPPED = 1, 2, 3
-_STEP = np.array([-1, 1])
 
 
 class _Channels:
@@ -370,6 +366,7 @@ class _Channels:
         self.end = np.zeros(len(self.rows), dtype=np.uint8)
         self.end[0::n + 1] = _HOME
         self.end[n::n + 1] = _MOVED
+        self.tables = [_address(self.rows), _address(self.end)]
         self._third: _ThirdSite | None = None
 
     def third_site(self) -> _ThirdSite:
@@ -379,14 +376,6 @@ class _Channels:
         return self._third
 
 
-def _chunk_streams(key: np.ndarray, chunk: int) -> list[np.random.Generator]:
-    """The channel exponentials, channel uniforms and third-site stretches
-    of a replica's chunk: its Philox key jumped 3c + 1, 3c + 2 and 3c + 3
-    times for chunk c. Jump 0 is the replica's trace clock."""
-    bits = np.random.Philox(key=key)
-    return [np.random.Generator(bits.jumped(3 * chunk + j)) for j in (1, 2, 3)]
-
-
 class _CondensateReplica:
     """One condensate run as a renewal process on the trace clock.
 
@@ -394,15 +383,14 @@ class _CondensateReplica:
     the condensate, with excursions through a two-site channel. Sojourns and
     leaving offsets come from the stream ``(seed, stream)`` a chunk at a
     time; each chunk's excursions draw from streams of their own
-    (:func:`_chunk_streams`), so nothing carries over from one chunk to the
-    next, and a replica's draws do not depend on the replicas batched with
-    it.
+    (:meth:`stream`), so nothing carries over from one chunk to the next.
     """
 
     def __init__(self, ch: _Channels, seed: int, stream: int, horizon: float,
                  checkpoints: np.ndarray):
         self.key = _philox_key(seed, stream)
         self.clock = replica_rng(seed, stream)
+        self.bits = np.random.Philox(key=self.key)      # never drawn from; jumped
         self.horizon = horizon
         self.checkpoints = checkpoints
         self.chunks = 0
@@ -419,7 +407,7 @@ class _CondensateReplica:
         """Draw the next sojourns; keep the start times and channels of the
         excursions that begin before the horizon. Returns their number."""
         size = min(_CHUNKS[0] << self.chunks, _CHUNKS[1])
-        self.exps, self.unis, self.hops = _chunk_streams(self.key, self.chunks)
+        self.exps, self.unis = (self.stream(3 * self.chunks + j) for j in (1, 2))
         self.chunks += 1
         ends = np.cumsum(np.concatenate(
             ([self.trace_time], self.clock.exponential(1.0, size) / ch.leave_rate)))[1:]
@@ -430,6 +418,12 @@ class _CondensateReplica:
         k = np.searchsorted(ch.cum_weights, picks[:m] * ch.cum_weights[-1], side="right")
         self.chunk = ends[:m], np.minimum(k, len(ch.cum_weights) - 1)
         return m
+
+    def stream(self, jumps: int) -> np.random.Generator:
+        """The replica's Philox key jumped ``jumps`` times. Chunk c's channel
+        exponentials, channel uniforms and third-site stretches take jumps
+        3c + 1, 3c + 2 and 3c + 3; jump 0 is the trace clock."""
+        return np.random.Generator(self.bits.jumped(jumps))
 
     def record(self, ch: _Channels, status: np.ndarray, pos: np.ndarray,
                dur: np.ndarray, events: np.ndarray) -> None:
@@ -442,7 +436,8 @@ class _CondensateReplica:
         moves[moved] = ch.offsets[k[moved]]
         hopped = np.flatnonzero(status == _HOPPED)
         if len(hopped):
-            third, blocks = ch.third_site(), _Blocks(self.hops)
+            # the stretches' stream is built only for a chunk that hops
+            third, blocks = ch.third_site(), _Blocks(self.stream(3 * self.chunks))
             for j in hopped:
                 extra, more, moves[j] = third.finish(
                     int(pos[j]), blocks, f"replica {int(self.key[1])}, chunk {self.chunks - 1}")
@@ -515,87 +510,34 @@ class _ThirdSite:
         return t, taken, _wrap(self.coords[occupied[0]] - self.coords[home], self.spec.side)
 
 
-def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:
-    """Run the excursions of every replica's current chunk together, one
-    channel step per pass, and record their outcomes.
+def _channel_steps(ch: _Channels, r: _CondensateReplica) -> tuple[np.ndarray, ...]:
+    """Step the excursions of ``r``'s current chunk to their ends in the
+    compiled loop (``incproc_channels`` of ``_kernel.c``).
 
-    At each step a replica takes one exponential and one uniform per active
-    excursion, in excursion order, from its chunk's two channel streams. The
-    draws sit in one buffer segment per replica, refilled from the streams
-    when it runs short, so a step costs a fixed number of array operations.
+    At each step every excursion still running takes one exponential and one
+    uniform, in excursion order, from the chunk's two channel streams. The
+    loop returns at a step boundary when its draws run short; they are then
+    topped up from the same streams, twice as many each time up to two per
+    excursion of a full chunk, so memory stays bounded. Returns how each
+    excursion ended, its last channel position, its duration and its steps.
     """
-    sizes = [len(r.chunk[1]) for r in batch]
-    n_rep, n_exc = len(batch), sum(sizes)
-    rep = np.repeat(np.arange(n_rep), sizes)
-    pos = np.concatenate([r.chunk[1] for r in batch]) * (ch.n + 1) + 1
-    eid = np.arange(n_exc)
-    dur = np.zeros(n_exc)
-    status = np.zeros(n_exc, dtype=np.uint8)
-    last = np.zeros(n_exc, dtype=np.int64)
-    spent = np.zeros(n_exc)
-    taken = np.zeros(n_exc, dtype=np.int64)
-
-    width = 2 * np.array(sizes)
-    seg = np.concatenate(([0], np.cumsum(width)[:-1]))
-    ebuf = np.concatenate([r.exps.exponential(1.0, w) for r, w in zip(batch, width)])
-    ubuf = np.concatenate([r.unis.random(w) for r, w in zip(batch, width)])
-    used = np.zeros(n_rep, dtype=np.int64)
-    counts = np.zeros(n_rep, dtype=np.int64)
-    since = 0            # steps since ``used`` was brought up to date
-    fresh = 0            # steps every segment can still serve
-
-    n_steps = 0
-    fin = ch.end[pos]
+    k = r.chunk[1]
+    pos = k * (ch.n + 1) + 1
+    status = ch.end[pos]            # with one particle, level 1 is a relocation
+    live = np.flatnonzero(status == 0)
+    dur, taken = np.zeros(len(k)), np.zeros(len(k), dtype=np.int64)
+    n_live, steps = np.array([len(live)], dtype=np.int64), np.zeros(1, dtype=np.int64)
+    state = [_address(a) for a in (live, n_live, steps, pos, dur, status, taken)]
+    drawn = 2 * len(k)
+    exps, unis = r.exps.exponential(1.0, drawn), r.unis.random(drawn)
     while True:
-        if np.count_nonzero(fin):
-            done = np.flatnonzero(fin)
-            status[eid[done]] = fin[done]
-            spent[eid[done]] = dur[done]
-            last[eid[done]] = pos[done]
-            taken[eid[done]] = n_steps
-            keep = fin == 0
-            rep, pos, eid, dur = rep[keep], pos[keep], eid[keep], dur[keep]
-            fresh = 0
-        if not pos.size:
-            break
-        if not fresh:
-            used += counts * since
-            since = 0
-            counts = np.bincount(rep, minlength=n_rep)
-            short = np.flatnonzero(width - used < counts)
-            for i, s, w, u in zip(short.tolist(), seg[short].tolist(),
-                                  width[short].tolist(), used[short].tolist()):
-                ebuf[s:s + w - u] = ebuf[s + u:s + w]
-                ubuf[s:s + w - u] = ubuf[s + u:s + w]
-                ebuf[s + w - u:s + w] = batch[i].exps.exponential(1.0, u)
-                ubuf[s + w - u:s + w] = batch[i].unis.random(u)
-                used[i] = 0
-            live = counts > 0
-            fresh = int(((width - used)[live] // counts[live]).min())
-            first = np.cumsum(counts) - counts
-            at = (seg + used - first)[rep] + np.arange(rep.size)
-            stride = counts[rep]
-        e = ebuf[at]
-        u = ubuf[at]
-        at += stride
-        n_steps += 1
-        since += 1
-        fresh -= 1
-        row = ch.rows[pos]
-        dur += e / row[:, 0]
-        hop = u >= row[:, 2]
-        step = _STEP[(u < row[:, 1]).view(np.uint8)]
-        pos += step
-        fin = ch.end[pos]
-        if np.count_nonzero(hop):
-            fin[hop] = _HOPPED
-            pos[hop] -= step[hop]
-
-    lo = 0
-    for r, size in zip(batch, sizes):
-        part = slice(lo, lo + size)
-        r.record(ch, status[part], last[part], spent[part], taken[part])
-        lo += size
+        used = _compiled().incproc_channels(*ch.tables, _HOPPED, *state, _address(exps),
+                                            _address(unis), len(exps))
+        if not n_live[0]:
+            return status, pos, dur, taken
+        exps = np.concatenate((exps[used:], r.exps.exponential(1.0, drawn)))
+        unis = np.concatenate((unis[used:], r.unis.random(drawn)))
+        drawn = min(2 * drawn, 2 * _CHUNKS[1])
 
 
 def _check_run(spec: TorusSpec, t_rescaled: float) -> None:
@@ -615,30 +557,22 @@ def _check_run(spec: TorusSpec, t_rescaled: float) -> None:
 
 def _condensate_runs(spec: TorusSpec, t_rescaled: float, seed: int,
                      streams: Sequence[int]) -> list[CondensateRun]:
-    """One condensate run per stream, their excursions sampled in lockstep.
-
-    Replicas take turns: each pass gathers the next chunk of as many
-    replicas as fit in ``_LOCKSTEP_EXCURSIONS``, so memory does not grow
-    with the horizon. Callers check the arguments with :func:`_check_run`.
+    """One condensate run per stream, one replica after another: each chunk
+    of sojourns is drawn, its excursions stepped to their ends
+    (:func:`_channel_steps`) and recorded, so memory does not grow with the
+    horizon. Callers check the arguments with :func:`_check_run`.
     """
     horizon = spec.theta * t_rescaled
     checkpoints = horizon * (np.arange(1, CHECKPOINTS + 1) / CHECKPOINTS)
     ch = _Channels(spec)
-    runs = [_CondensateReplica(ch, seed, s, horizon, checkpoints) for s in streams]
-    queue = deque(runs)
-    while queue:
-        batch: list[_CondensateReplica] = []
-        held = 0
-        while queue:
-            r = queue[0]
-            size = len(r.chunk[1]) if r.chunk is not None else r.draw_chunk(ch)
-            if batch and held + size > _LOCKSTEP_EXCURSIONS:
-                break
-            batch.append(queue.popleft())
-            held += size
-        _lockstep(ch, batch)
-        queue.extend(r for r in batch if not r.finished)
-    return [r.result() for r in runs]
+    runs = []
+    for stream in streams:
+        r = _CondensateReplica(ch, seed, stream, horizon, checkpoints)
+        while not r.finished:
+            r.draw_chunk(ch)
+            r.record(ch, *_channel_steps(ch, r))
+        runs.append(r.result())
+    return runs
 
 
 def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
@@ -743,7 +677,11 @@ class DriftEstimate:
 def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
                   replicas: int = 1, min_relocations: int = 100,
                   threads: int = 1) -> DriftEstimate:
-    """Rescaled drift of the condensate over independent streamed runs."""
+    """Rescaled drift of the condensate over independent streamed runs.
+    Raises ``OutOfRange`` unless ``min_relocations`` is an integer >= 0."""
+    if (isinstance(min_relocations, bool) or not isinstance(min_relocations, numbers.Integral)
+            or min_relocations < 0):
+        raise OutOfRange(f"min_relocations must be an integer >= 0, got {min_relocations!r}")
     runs = _replica_runs(spec, t_rescaled, replicas, seed, threads)
     drifts = np.array([(run.displacement / spec.side) / (run.trace_time / spec.theta)
                        for run in runs])
@@ -791,7 +729,8 @@ def measure_diffusion(spec: TorusSpec, t_rescaled: float, replicas: int,
     msd = sq / replicas
     slope = float((msd @ ck_resc) / (ck_resc @ ck_resc))
     drift = finals.mean(axis=0) / t_rescaled
-    stderr = finals.std(axis=0, ddof=1) / math.sqrt(replicas) / t_rescaled
+    stderr = (finals.std(axis=0, ddof=1) / math.sqrt(replicas) / t_rescaled
+              if replicas > 1 else np.full(spec.d, float("nan")))
     cov = (finals - finals.mean(axis=0)).T @ (finals - finals.mean(axis=0))
     cov = np.atleast_2d(cov / (replicas * t_rescaled))
     return DiffusionEstimate(msd_slope=slope, drift=drift, drift_stderr=stderr,

@@ -107,17 +107,20 @@ def package_checkout(tmp_path):
 
 def test_kernel_rows_time_the_event_kernel(package_checkout, tmp_path):
     res = drive(tmp_path, package_checkout, "--workloads", "kernel.long_path",
-                "kernel.stretch_L16", "--seeds", "4101")
+                "kernel.stretch_L16", "kernel.channels", "--seeds", "4101")
     assert res.returncode == 0, res.stderr
     rows = json.loads((tmp_path / "BENCH_x.json").read_text())["rows"]
     assert [(r["workload"], r["seed"], r["fail_rate"]) for r in rows] == [
-        ("kernel.long_path", 4101, 0.0), ("kernel.stretch_L16", 4101, 0.0)]
-    path, stretch = (r["metrics"] for r in rows)
-    assert set(path) == set(stretch) == {"us_per_event", "events", "cpu_s"}
+        ("kernel.long_path", 4101, 0.0), ("kernel.stretch_L16", 4101, 0.0),
+        ("kernel.channels", 4101, 0.0)]
+    path, stretch, channels = (r["metrics"] for r in rows)
+    assert set(path) == set(stretch) == set(channels) == {"us_per_event", "events", "cpu_s"}
     assert path["events"] == 300_000
     # every stretch of this torus and seed, the last cut at the lowered bound
     assert stretch["events"] >= 1 << 17
-    for m in (path, stretch):
+    # the channel steps of the 32 replicas' excursions at this seed
+    assert channels["events"] == 203_271
+    for m in (path, stretch, channels):
         assert m["us_per_event"] == pytest.approx(m["cpu_s"] / m["events"] * 1e6)
 
 

@@ -20,13 +20,17 @@ Condensate runs are the exception: they are sampled as a renewal process of
 one-site sojourns and two-site excursions, with the draws in another order,
 so they are compared with the reference in distribution. Each two-sample
 Kolmogorov-Smirnov test below rejects a correct sampler with probability at
-most 1e-3; the seeds are fixed, so every outcome is deterministic.
+most 1e-3; the seeds are fixed, so every outcome is deterministic. Their
+compiled channel steps must match the numpy lockstep they replaced
+(``lockstep_runs`` of ``tests/reference.py``) bit for bit.
 """
 
+import dataclasses
 import gc
 import hashlib
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,9 +42,11 @@ from incproc import (BudgetExceeded, HittingTask, OutOfRange, ProcessParams, Tra
 from incproc.simulate import (_BLOCK, _SLICE, CEMETERY, _Blocks, _segment_sums,
                               replica_rng)
 from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
+from reference import lockstep_runs
 
 KS_LEVEL = 1e-3
 KERNEL = sys.modules["incproc.simulate"]
+THERMO = sys.modules["incproc.thermo"]
 
 WALKS = ("cycle3", "two_sym", "two_asym", "up3", "chain4")
 TORI = {
@@ -294,6 +300,60 @@ def test_third_site_hops_match_reference():
     }
     for name, (want, got) in pairs.items():
         assert ks_2samp(want, got).pvalue > KS_LEVEL, name
+
+
+# (torus, t_rescaled, seed, replicas, chunk lengths) of the channel-step
+# comparison; None keeps the package's chunk lengths
+CHANNEL_CASES = {
+    # one particle: level 1 is a relocation, so every excursion takes 0 steps
+    "one_particle": (lambda: build_torus(1, 4, {1: 0.6, -1: 0.4}, rho=0.25, d_l=0.5),
+                     10.0, 9, 4, None),
+    # about half the excursions hop to a third site
+    "third_site": (lambda: build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5),
+                   1.0, 20, 40, None),
+    "2d": (TORI["2d"], 1.0, 5, 8, None),
+    "totally_asym": (lambda: build_torus(1, 8, {1: 1.0}, rho=1.5, d_l=1e-2), 4.0, 3, 6, None),
+    # the torus of the mc_ensemble benchmark, in chunks so short that the
+    # compiled loop runs out of draws within a chunk
+    "mc_ensemble": (lambda: build_torus(1, 16, {1: 0.5, -1: 0.5}, rho=2.0, d_l=16.0 ** -5),
+                    0.025, 4101, 32, (16, 64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHANNEL_CASES))
+def test_channel_steps_match_the_lockstep(case, monkeypatch):
+    make, t, seed, replicas, chunks = CHANNEL_CASES[case]
+    if chunks is not None:
+        monkeypatch.setattr(THERMO, "_CHUNKS", chunks)
+    spec = make()
+    library, calls, statuses = THERMO._compiled(), [], []
+    record = _CondensateReplica.record
+
+    def channels(*args):
+        calls.append(args)
+        return library.incproc_channels(*args)
+
+    def spy(self, ch, status, pos, dur, events):
+        statuses.append(status.copy())
+        record(self, ch, status, pos, dur, events)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(THERMO, "_compiled", lambda: SimpleNamespace(incproc_channels=channels))
+        mp.setattr(_CondensateReplica, "record", spy)
+        runs = _condensate_runs(spec, t, seed, list(range(replicas)))
+    ref = lockstep_runs(spec, t, seed, range(replicas))
+    for run, want in zip(runs, ref, strict=True):
+        for field in dataclasses.fields(run):
+            assert np.array_equal(getattr(run, field.name), getattr(want, field.name)), field
+    status = np.concatenate(statuses)
+    assert len(status) > 20
+    if case == "one_particle":
+        assert sum(r.events for r in runs) == sum(r.relocations for r in runs) == len(status)
+    if case == "third_site":
+        assert (status == _HOPPED).sum() > 10
+    if case == "mc_ensemble":
+        # more loop calls than chunks: draws were topped up within a chunk
+        assert len(calls) > len(statuses)
 
 
 @pytest.mark.parametrize("torus", sorted(TORI))

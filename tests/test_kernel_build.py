@@ -1,5 +1,6 @@
-"""The event kernel's compiled loop is built on first use, once per source
-hash, into ``$XDG_CACHE_HOME/incproc``.
+"""The compiled loops of the event kernel and of the condensate channel
+steps are built on first use, once per source hash, into
+``$XDG_CACHE_HOME/incproc``.
 
 Each test runs fresh Python processes with a cache directory of its own, so
 nothing here reads or writes the cache of the user who runs the tests.
@@ -91,16 +92,24 @@ def test_an_unwritable_cache_directory_still_gives_a_kernel(tmp_path):
 def test_no_compiler_is_one_incproc_error(tmp_path):
     env = env_for(tmp_path / "cache", tmp_path, PATH=no_compiler(tmp_path))
     script = """
-from incproc import IncprocError, ProcessParams, WalkSpec, simulate
-try:
-    simulate(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1), (10, 0, 0), 5.0, seed=1)
-except IncprocError as exc:
-    print(type(exc).__name__, exc)
+from incproc import (IncprocError, ProcessParams, WalkSpec, build_torus, measure_diffusion,
+                     simulate)
+for run in (lambda: simulate(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1), (10, 0, 0),
+                             5.0, seed=1),
+            lambda: measure_diffusion(build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0,
+                                                  d_l=1e-3), 0.5, replicas=2, seed=1)):
+    try:
+        run()
+    except IncprocError as exc:
+        print(type(exc).__name__, exc)
 """
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True)
     assert res.returncode == 0 and res.stderr == "", res.stderr
-    assert res.stdout.startswith("IncprocError cannot build the event kernel with `cc -O2 ")
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2, lines
+    for line in lines:
+        assert line.startswith("IncprocError cannot build the event kernel with `cc -O2 ")
     # the command line: exit status 1, one error line, no traceback
     cfg = tmp_path / "simulate.json"
     cfg.write_text(json.dumps({

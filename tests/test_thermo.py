@@ -3,6 +3,7 @@ import math
 import signal
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -286,8 +287,9 @@ class TestCondensateRuns:
 
 class TestRenewalSampler:
     """The condensate runs are sampled as renewal processes: one-site
-    sojourns on the trace clock, and excursions run together in numpy
-    lockstep on their two-site channel. Bands are stated per test."""
+    sojourns on the trace clock, and excursions stepped on their two-site
+    channel by the compiled loop, a replica's chunk at a time. Bands are
+    stated per test."""
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, -1.0, 0.0])
     def test_rejects_a_horizon_that_is_not_positive_and_finite(self, t):
@@ -311,6 +313,20 @@ class TestRenewalSampler:
             measure_drift(spec, t_rescaled=t, seed=1, replicas=replicas, threads=2)
         with pytest.raises(OutOfRange):
             measure_diffusion(spec, t_rescaled=t, replicas=replicas, seed=1, threads=2)
+
+    @pytest.mark.parametrize("bad", [1.5, True, -3, None, "2"])
+    def test_measure_drift_refuses_a_relocation_bound_that_is_not_a_count(self, bad):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        with pytest.raises(OutOfRange, match="min_relocations"):
+            measure_drift(spec, t_rescaled=0.5, seed=1, replicas=2, min_relocations=bad)
+
+    def test_one_diffusion_replica_has_no_stderr_and_no_warning(self):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = measure_diffusion(spec, t_rescaled=0.5, replicas=1, seed=1)
+        assert np.isnan(est.drift_stderr).all() and est.drift_stderr.shape == (1,)
+        assert np.isfinite(est.drift).all() and np.isfinite(est.msd).all()
 
     def test_rejects_an_empty_torus(self):
         spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
@@ -416,14 +432,11 @@ class TestRenewalSampler:
             # a mean below 1 (crossing against the drift) allows 4 crossings
             assert abs(got - mean) <= 4.5 * math.sqrt(max(mean, 1.0)), off
 
-    @pytest.mark.parametrize("passes, chunks", [(None, None), (1, (16, 64)),
-                                                (40, (16, 64))])
-    def test_run_condensate_is_a_replica_of_the_measurements(self, passes, chunks,
-                                                             monkeypatch):
-        # how the replicas are batched into lockstep passes, and how long
-        # each pass is, never changes what a replica draws
-        if passes is not None:
-            monkeypatch.setattr(THERMO, "_LOCKSTEP_EXCURSIONS", passes)
+    @pytest.mark.parametrize("chunks", [None, (16, 64)])
+    def test_run_condensate_is_a_replica_of_the_measurements(self, chunks, monkeypatch):
+        # a replica's draws depend on its seed and stream only, at any
+        # chunk lengths
+        if chunks is not None:
             monkeypatch.setattr(THERMO, "_CHUNKS", chunks)
         spec = build_torus(1, 8, {1: 0.6, -1: 0.4}, rho=1.5, d_l=2e-2)
         t, seed, replicas = 4.0, 71, 6     # about 48 excursions per replica
