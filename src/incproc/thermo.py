@@ -390,7 +390,6 @@ class _CondensateReplica:
                  checkpoints: np.ndarray):
         self.key = _philox_key(seed, stream)
         self.clock = replica_rng(seed, stream)
-        self.bits = np.random.Philox(key=self.key)      # never drawn from; jumped
         self.horizon = horizon
         self.checkpoints = checkpoints
         self.chunks = 0
@@ -420,10 +419,13 @@ class _CondensateReplica:
         return m
 
     def stream(self, jumps: int) -> np.random.Generator:
-        """The replica's Philox key jumped ``jumps`` times. Chunk c's channel
-        exponentials, channel uniforms and third-site stretches take jumps
-        3c + 1, 3c + 2 and 3c + 3; jump 0 is the trace clock."""
-        return np.random.Generator(self.bits.jumped(jumps))
+        """The replica's Philox stream jumped ``jumps`` times, as by
+        ``Philox.jumped``: each jump adds 2^128 to the counter, so word 2 of
+        a fresh counter holds the jumps. Chunk c's channel exponentials,
+        channel uniforms and third-site stretches take jumps 3c + 1, 3c + 2
+        and 3c + 3; jump 0 is the trace clock."""
+        return np.random.Generator(np.random.Philox(
+            key=self.key, counter=np.array([0, 0, jumps, 0], dtype=np.uint64)))
 
     def record(self, ch: _Channels, status: np.ndarray, pos: np.ndarray,
                dur: np.ndarray, events: np.ndarray) -> None:

@@ -14,7 +14,7 @@ from incproc import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
                      OutOfRange, ProcessParams,
                      SupportTooLarge, TooFewRelocations, analyze_walk, build_torus,
                      condensate_statistics, cosine_mode, generator_gap,
-                     measure_diffusion, measure_drift, run_condensate,
+                     measure_diffusion, measure_drift, replica_rng, run_condensate,
                      simulate, stationary_exact, torus_condensation,
                      torus_mean_rates, torus_walk)
 from incproc.exact import reciprocal_sum_table
@@ -372,6 +372,18 @@ class TestRenewalSampler:
         spec = build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5)
         with pytest.raises(BudgetExceeded, match="replica 5, chunk 0: an excursion"):
             run_condensate(spec, t_rescaled=1.0, seed=20, stream=5)
+
+    def test_chunk_streams_are_the_jumped_replica_stream(self):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
+        ch = THERMO._Channels(spec)
+        r = _CondensateReplica(ch, 2**64 - 1, 12, 1.0, np.ones(1))
+        bits = np.random.Philox(key=np.array([2**64 - 1, 12], dtype=np.uint64))
+        assert r.stream(0).random(4).tolist() == replica_rng(2**64 - 1, 12).random(4).tolist()
+        for jumps in (1, 2, 3, 3 * 40 + 2):
+            want = np.random.Generator(bits.jumped(jumps))
+            got = r.stream(jumps)
+            assert got.exponential(1.0, 9).tolist() == want.exponential(1.0, 9).tolist()
+            assert got.random(9).tolist() == want.random(9).tolist()
 
     @staticmethod
     def excursions(spec, t, seed, replicas):
