@@ -3,7 +3,8 @@
     python bench/bench.py --label L --checkout DIR --workloads long_path mc_ensemble \
         --seeds 4101 --runs 2 --trace 0
     python bench/bench.py --label L --checkout DIR --workloads kernel.long_path \
-        kernel.stretch_L16 kernel.stretch_L32 kernel.stretch_L64 kernel.channels --seeds 4101
+        kernel.stretch_L16 kernel.stretch_L32 kernel.stretch_L64 kernel.channels \
+        kernel.hitting --seeds 4101
 
 For each of ``--runs`` passes, each workload and each seed, this runs the
 benchmark command of ``DIR/BENCHMARK.json`` (``perfbench/run.py``) in DIR,
@@ -28,7 +29,11 @@ channel steps of the condensate excursions of ``measure_diffusion`` on the
 ``mc_ensemble`` torus (1-D, L = 16, rho = 2, d_L = 16^-5, 32 replicas,
 t = 0.025) at the seed; its events are those steps. A row holds the median
 CPU time of its repeats (``cpu_s``), the events of one repeat and their
-ratio.
+ratio. ``kernel.hitting`` is the per-replica fixed cost of the hitting
+estimators: the CPU time of the ``hitting_inclusion`` and
+``hitting_auxiliary`` operations of the ``mc_ensemble`` workload over its
+first 10 rounds at the seed, in milliseconds per replica
+(``ms_per_replica``, with ``replicas`` in place of ``events``).
 
 Standard library only. Exits 1 if a run printed no metrics line; its row
 then has ``fail_rate`` 1.0 and the tail of its standard error.
@@ -50,7 +55,7 @@ RUN_FACTS = ("workload", "seed", "rounds", "untraced_rounds", "traced_rounds",
 # the kernel layer rows: (probe, argument, repeats)
 KERNEL_ROWS = {"kernel.long_path": ("path", 0, 5),
                **{f"kernel.stretch_L{side}": ("stretch", side, 3) for side in (16, 32, 64)},
-               "kernel.channels": ("channels", 0, 5)}
+               "kernel.channels": ("channels", 0, 5), "kernel.hitting": ("hitting", 0, 5)}
 
 # run as ``python kernel_probe.py kind arg seed repeats`` in the checkout
 PROBE = Path(__file__).with_name("kernel_probe.py")

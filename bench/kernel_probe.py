@@ -1,6 +1,6 @@
 """One kernel layer probe of ``bench.py``, run in a checkout against its ``src``.
 
-    cd CHECKOUT && python PATH/TO/bench/kernel_probe.py path|stretch|channels ARG SEED REPEATS
+    cd CHECKOUT && python PATH/TO/bench/kernel_probe.py path|stretch|channels|hitting ARG SEED REPEATS
 
 ``path`` times the ``simulate_cycle`` operation of the checkout's
 ``long_path`` workload at SEED (ARG unused); ``stretch`` times the
@@ -14,11 +14,15 @@ its ``BudgetExceeded`` names. ``channels`` times
 ARG unused), and its events are the channel steps of the condensate runs:
 the ``events`` of every run, less the one sojourn event each excursion adds
 (a third-site stretch, about one excursion in 10^5 here, adds its events
-too). Prints the median CPU time of the repeats
-(``time.process_time``: the event kernel is single-threaded, and CPU time
-does not count the time other processes take), the events of one repeat and
-their ratio in microseconds as one JSON line; exits non-zero if the repeats
-ran different event counts.
+too). ``hitting`` times the ``hitting_inclusion`` and ``hitting_auxiliary``
+operations of the checkout's ``mc_ensemble`` workload at SEED over its
+first ``HITTING_ROUNDS`` rounds (ARG unused), and counts replicas in place
+of events: the per-replica fixed cost of the hitting estimators. Prints the
+median CPU time of the repeats (``time.process_time``: the event kernel is
+single-threaded, and CPU time does not count the time other processes
+take), the events of one repeat and their ratio in microseconds (for
+``hitting``, the replicas and the milliseconds per replica) as one JSON
+line; exits non-zero if the repeats ran different event counts.
 """
 
 import json
@@ -36,12 +40,19 @@ if src not in Path(ip.__file__).resolve().parents:
     sys.exit(f"incproc imported from {ip.__file__}, not {src}")
 clock = time.process_time
 spans, counts = [], []
+# rounds of the mc_ensemble workload a hitting repeat runs
+HITTING_ROUNDS = 10
+
+
+class Direct:
+    """A tracer that only calls: the operations run untraced."""
+
+    def call(self, name, f, *args, count=None, **kwargs):
+        return f(*args, **kwargs)
+
+
 if kind == "path":
     import workloads
-
-    class Direct:
-        def call(self, name, f, *args, count=None, **kwargs):
-            return f(*args, **kwargs)
 
     (op,) = [op for op in workloads.make("long_path", seed).operations()
              if op.name == "simulate_cycle"]
@@ -50,6 +61,19 @@ if kind == "path":
         traj = op.run(Direct(), 0)
         spans.append(clock() - start)
         counts.append(traj.n_events)
+elif kind == "hitting":
+    import workloads
+
+    ops = [op for op in workloads.make("mc_ensemble", seed).operations()
+           if op.name in ("hitting_inclusion", "hitting_auxiliary")]
+    for _ in range(repeats):
+        replicas = 0
+        start = clock()
+        for rnd in range(HITTING_ROUNDS):
+            for op in ops:
+                replicas += op.run(Direct(), rnd).values.size
+        spans.append(clock() - start)
+        counts.append(replicas)
 elif kind == "channels":
     thermo = sys.modules["incproc.thermo"]
     tally = [0]
@@ -105,5 +129,9 @@ else:
 if len(set(counts)) != 1 or not counts[0]:
     sys.exit(f"events per repeat {counts}")
 cpu = statistics.median(spans)
-print(json.dumps({"us_per_event": cpu / counts[0] * 1e6, "events": counts[0],
-                  "cpu_s": cpu}))
+if kind == "hitting":
+    print(json.dumps({"ms_per_replica": cpu / counts[0] * 1e3, "replicas": counts[0],
+                      "cpu_s": cpu}))
+else:
+    print(json.dumps({"us_per_event": cpu / counts[0] * 1e6, "events": counts[0],
+                      "cpu_s": cpu}))

@@ -200,7 +200,12 @@ def criterion_8(level: str = "full") -> CriterionResult:
 
 @_timed
 def criterion_9(level: str = "full") -> CriterionResult:
-    """Nucleation time per particle does not grow along doublings."""
+    """Nucleation time per particle does not grow along doublings.
+
+    False rejections: none over 200 seeds at either level. The growth has
+    mean 0.71 and standard deviation 0.014 (full) or 0.033 (quick), so the
+    bound of 1.5 is over 20 standard deviations away.
+    """
     replicas = 1000 if level == "full" else 200
     means = []
     for n in (30, 60, 120):
@@ -219,7 +224,12 @@ def criterion_9(level: str = "full") -> CriterionResult:
 
 @_timed
 def criterion_10(level: str = "full") -> CriterionResult:
-    """Auxiliary reversed-chain hitting times scale at most cubically."""
+    """Auxiliary reversed-chain hitting times scale at most cubically.
+
+    False rejections: none over 200 seeds at either level. The exponent has
+    mean 2.02 and standard deviation 0.031 (full) or 0.065 (quick), so the
+    bound of 3.3 is over 19 standard deviations away.
+    """
     replicas = 400 if level == "full" else 120
     points = []
     for n in (30, 60, 120):
@@ -240,25 +250,36 @@ def criterion_10(level: str = "full") -> CriterionResult:
 # function of its arguments, so it runs once per process
 @functools.cache
 def _drift_run(level: str):
+    # 32 replicas at both levels: a replica's off-condensate fraction is
+    # heavy-tailed (mean 0.006, but above 0.05 in one replica in 40, when a
+    # third-site stretch runs long), so with 2 replicas criterion 14
+    # rejected an exact sampler at 3% of seeds (full) and 2% (quick)
     spec = build_torus(1, 24, {1: 0.8, -1: 0.2}, rho=3.0, d_l=24.0 ** -3)
     t_resc = 25.0 if level == "full" else 8.0
     return spec, measure_drift(spec, t_rescaled=t_resc, seed=SEED + 11,
-                               replicas=2, min_relocations=100)
+                               replicas=32, min_relocations=100)
 
 
 @functools.cache
 def _diffusion_run():
-    # 200 replicas at both levels: with 100, the MSD slope's standard
-    # deviation is 0.11, so the 20% band would reject an exact sampler at
-    # about one seed in twelve
+    # 400 replicas at both levels: the MSD slope's standard deviation is
+    # 0.061, so the 20% band lies 3.3 deviations out; with 200 replicas it
+    # is 0.083-0.095, and the band rejected an exact sampler at 0.5-3.5% of
+    # seeds
     spec = build_torus(1, 16, {1: 0.5, -1: 0.5}, rho=2.0, d_l=16.0 ** -5)
-    return spec, measure_diffusion(spec, t_rescaled=0.4, replicas=200,
+    return spec, measure_diffusion(spec, t_rescaled=0.4, replicas=400,
                                    seed=SEED + 12)
 
 
 @_timed
 def criterion_11(level: str = "full") -> CriterionResult:
-    """Totally asymmetric torus: ballistic condensate at velocity rho*v."""
+    """Totally asymmetric torus: ballistic condensate at velocity rho*v.
+
+    False rejections: none over 100 seeds at either level. With 32 replicas
+    the relative error had mean 0.004 and maximum 0.014 (full), 0.007 and
+    0.028 (quick), against the 10% band, and no replica relocated fewer
+    than 272 times.
+    """
     spec, est = _drift_run(level)
     target = spec.rho * float(spec.v[0])
     rel = abs(float(est.drift[0]) - target) / target
@@ -271,7 +292,14 @@ def criterion_11(level: str = "full") -> CriterionResult:
 
 @_timed
 def criterion_12(level: str = "full") -> CriterionResult:
-    """Symmetric torus: diffusive condensate with unit mean-square slope."""
+    """Symmetric torus: diffusive condensate with unit mean-square slope.
+
+    False rejections: none over 100 seeds (both levels run the same 400
+    replicas). The slope had mean 1.003 and standard deviation 0.062, so
+    the 20% band lies 3.2 deviations out, and the drift stayed within 2.7
+    sigma. Over 200 seeds with 200 replicas the band rejected 1 seed (and 7
+    on the draw streams before the purpose substreams).
+    """
     spec, est = _diffusion_run()
     slope_err = abs(est.msd_slope - 1.0)
     drift_sigmas = (abs(float(est.drift[0])) / float(est.drift_stderr[0])
@@ -306,7 +334,13 @@ def criterion_13(level: str = "full") -> CriterionResult:
 
 @_timed
 def criterion_14(level: str = "full") -> CriterionResult:
-    """Off-condensate occupation is negligible in the torus runs."""
+    """Off-condensate occupation is negligible in the torus runs.
+
+    False rejections: none over 100 seeds at either level; the drift run's
+    off fraction reached 0.042 (full) and 0.033 (quick), the diffusion
+    run's 0.001. Resampling 32,000 single replicas puts the rate near 5e-5
+    (full) and 2e-4 (quick) at 32 drift replicas, against 3% and 2% at 2.
+    """
     _, drift_est = _drift_run(level)
     _, diff_est = _diffusion_run()
     worst = max(drift_est.off_fraction, diff_est.off_fraction)

@@ -142,7 +142,10 @@ def gordan_certificate(q) -> GordanCertificate:
     -(Q beta)^T alpha = 0`` contradicts ``beta <= 0, beta != 0, Q alpha < 0``,
     so a branch verified exactly rules out the other.
     """
-    q = np.asarray(q, dtype=float)
+    try:
+        q = np.asarray(q, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise NotSkewSymmetric(f"matrix entries must be real numbers: {exc}") from None
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
         raise NotSkewSymmetric(f"matrix shape {q.shape} is not square and nonempty")
     if not np.isfinite(q).all():

@@ -1,9 +1,15 @@
 """Event-driven simulation, trace extraction, and Monte Carlo estimators.
 
 Sampling is exact (exponential holding times, jump-probability kernel) and
-fully reproducible: streams come from the counter-based Philox generator
+fully reproducible. Every draw comes from the counter-based Philox generator
 keyed by (master seed, stream index), so replica r is independent of
-scheduling and identical across platforms.
+scheduling and identical across platforms. Each purpose draws from a
+substream of its own under that key (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11): counter word 3 holds the purpose
+(exponentials or uniforms), word 2 a jump that separates the parts of one
+replica (the condensate runs' chunks), and the draws advance word 0, so no
+two substreams overlap. A substream is built on its first use and drawn
+``_SLICE`` values at a time; its values do not depend on how it is cut.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateData, IncprocError, OutOfRange,
                      WindowExceedsTrajectory)
-from .model import (Configuration, ProcessParams, WalkSpec, _add_in_order, site_set,
-                    state_counts)
+from .model import (Configuration, ProcessParams, WalkSpec, _add_in_order, finite_real,
+                    site_set, state_counts)
 
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
-_BLOCK = 1 << 14
 _SLICE = 1 << 10
+# the purposes of a replica's substreams: Philox counter word 3
+_EXPONENTIALS, _UNIFORMS = 0, 1
 # intervals trace_project, the one replay of a stored path, takes per numpy
 # pass (about 2 MB of temporaries)
 _TRACE_CHUNK = 1 << 14
@@ -36,7 +43,8 @@ _TRACE_CHUNK = 1 << 14
 
 def replica_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox stream (seed, stream); child streams never collide. Raises
-    ``OutOfRange`` unless both are integers in ``[0, 2**64)``."""
+    ``OutOfRange`` unless both are integers in ``[0, 2**64)``. It is the
+    exponential substream of replica ``stream`` (:func:`_substream` at jump 0)."""
     _check_key(seed, "seed")
     _check_key(stream, "stream")
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
@@ -48,44 +56,46 @@ def _philox_key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed, stream], dtype=np.uint64)
 
 
-class _Blocks:
-    """Batched draws from a Generator; consumption order is deterministic.
+def _substream(key: np.ndarray, jump: int, purpose: int) -> np.random.Generator:
+    """The substream ``purpose`` of the Philox ``key`` at ``jump``: its
+    counter starts at ``[0, 0, jump, purpose]``, the state that
+    ``Philox(key).advance(purpose << 192).jumped(jump)`` holds."""
+    return np.random.Generator(np.random.Philox(
+        key=key, counter=np.array([0, 0, jump, purpose], dtype=np.uint64)))
 
-    Exponentials are drawn ``_BLOCK`` at a time, and uniforms in blocks of
-    the same size, drawn ``_SLICE`` at a time as needed; both are handed out
-    as array slices. The rest of a uniform block is drawn before the next
-    exponential block, so the stream holds whole blocks in the order they
-    are first needed.
+
+class _Blocks:
+    """The draws of one replica (or one part of it, at ``jump``), handed out
+    as array slices in the order they are asked for.
+
+    Exponentials and uniforms come from their own substreams of ``key``
+    (:func:`_substream`), each built on its first use, so a chain that draws
+    no exponentials builds no exponential stream. Each is drawn ``_SLICE``
+    values at a time as its last piece runs out.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._exp = rng.exponential(1.0, _BLOCK)
-        self._ei = 0
-        self._owed = 0                      # uniforms of the block not drawn yet
-        self._uni = np.zeros(0)             # the uniforms drawn and not yet used
-        self._ui = 0
+    def __init__(self, key: np.ndarray, jump: int = 0):
+        self._key, self._jump = key, jump
+        self._exp_rng = self._uni_rng = None
+        self._exp = self._uni = np.zeros(0)
+        self._ei = self._ui = 0
 
     def exponentials(self, n: int) -> np.ndarray:
-        """The next ``n`` exponentials, or the rest of the block if fewer
+        """The next ``n`` exponentials, or the rest of the piece if fewer
         (at least one); :meth:`use` consumes them."""
-        if self._ei == _BLOCK:
-            if self._owed:
-                self._uni = np.concatenate((self._uni[self._ui:], self._rng.random(self._owed)))
-                self._ui = self._owed = 0
-            self._exp = self._rng.exponential(1.0, _BLOCK)
-            self._ei = 0
+        if self._ei == len(self._exp):
+            if self._exp_rng is None:
+                self._exp_rng = _substream(self._key, self._jump, _EXPONENTIALS)
+            self._exp, self._ei = self._exp_rng.exponential(1.0, _SLICE), 0
         return self._exp[self._ei:self._ei + n]
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next ``n`` uniforms, or the rest of the piece if fewer (at
         least one); :meth:`use` consumes them."""
         if self._ui == len(self._uni):
-            if not self._owed:
-                self._owed = _BLOCK
-            self._uni = self._rng.random(min(_SLICE, self._owed))
-            self._owed -= len(self._uni)
-            self._ui = 0
+            if self._uni_rng is None:
+                self._uni_rng = _substream(self._key, self._jump, _UNIFORMS)
+            self._uni, self._ui = self._uni_rng.random(_SLICE), 0
         return self._uni[self._ui:self._ui + n]
 
     def use(self, uniforms: int, exponentials: int) -> None:
@@ -158,7 +168,7 @@ class _Kernel:
         self.sources = np.zeros(self.kappa, dtype=np.int64)
         self.n_sources = np.zeros(1, dtype=np.int64)
         # the output of a slice, copied out on return; a slice takes at most
-        # one uniform piece of _Blocks, at most _SLICE entries
+        # one piece of _Blocks, at most _SLICE entries
         self.dts, self.moves = np.empty(_SLICE), np.empty(_SLICE, dtype=np.int64)
         # held, so the addresses passed to the loop stay valid
         self.arrays = (first, target, coef, cum, ids)
@@ -186,7 +196,6 @@ class _Kernel:
             raise OutOfRange("counts must be a contiguous int64 array of one entry per "
                              "site, and the sources at most one per site")
         listed = isinstance(sources, list)
-        # a block of exponentials is drawn before the uniforms of its events
         exps = None if self.by_target else blocks.exponentials(limit)
         unis = blocks.uniforms(limit if exps is None else len(exps))
         self.n_sources[0] = len(sources)
@@ -307,7 +316,9 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
                                    or not isinstance(max_events, numbers.Integral)
                                    or max_events < 0):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
-    counts, blocks = np.array(initial, dtype=np.int64), _Blocks(replica_rng(seed, stream))
+    _check_key(seed, "seed")
+    _check_key(stream, "stream")
+    counts, blocks = np.array(initial, dtype=np.int64), _Blocks(_philox_key(seed, stream))
     times: list[np.ndarray] = []
     moves: list[np.ndarray] = []
     t, left = 0.0, math.inf if max_events is None else max_events
@@ -380,7 +391,9 @@ def trace_project(traj: Trajectory, a_set, theta: float,
 
     ``window`` (in rescaled time) restricts the off-set occupation report to
     wall-clock ``[0, theta * window]`` and is returned normalized by
-    ``theta``; requesting a window beyond the horizon raises.
+    ``theta``; requesting a window beyond the horizon raises. Raises
+    ``OutOfRange`` unless ``theta`` is a finite positive real, ``window`` a
+    finite real >= 0 and ``marginal_times`` a sequence of finite reals >= 0.
 
     Interval ``i`` runs from event ``i - 1`` (or time 0) to event ``i`` (or
     the horizon) in the state left by the first ``i`` events. The path is
@@ -391,6 +404,16 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     """
     kappa = len(traj.initial)
     a_set = site_set(a_set, kappa)
+    if not (finite_real(theta) and theta > 0):
+        raise OutOfRange(f"theta must be a finite positive real, got {theta!r}")
+    if window is not None and not (finite_real(window) and window >= 0):
+        raise OutOfRange(f"window must be a finite real >= 0, got {window!r}")
+    if marginal_times is not None and not (
+            isinstance(marginal_times, (Sequence, np.ndarray))
+            and not isinstance(marginal_times, str)
+            and all(finite_real(t) and t >= 0 for t in marginal_times)):
+        raise OutOfRange(f"marginal_times must be a sequence of finite reals >= 0, "
+                         f"got {marginal_times!r}")
     if traj.n_events and not all(0 <= m.min() and m.max() < kappa
                                  for m in (traj.move_from, traj.move_to)):
         raise OutOfRange(f"trajectory moves leave the sites 0..{kappa - 1}")
@@ -690,7 +713,7 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     results = []
     for i in streams:
         counts = np.array(task.start, dtype=np.int64)
-        blocks = _Blocks(replica_rng(task.seed, i))
+        blocks = _Blocks(_philox_key(task.seed, i))
         t, taken, censored = 0.0, 0, True
         while taken < task.step_cap and censored:
             dts, moves = kernel.run(counts, sources, blocks,

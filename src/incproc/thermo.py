@@ -18,15 +18,16 @@ from itertools import accumulate, combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .errors import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
-                     OutOfRange, SupportTooLarge, TooFewRelocations)
+from .errors import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
+                     NonSpanningSupport, OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import WalkSpec, _add_in_order, finite_real, log_weight_table
-from .simulate import (_SLICE, Trajectory, _address, _Blocks, _check_key, _check_replicas,
-                       _compiled, _Kernel, _map_batches, _philox_key, replica_rng,
-                       trace_project)
+from .simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, Trajectory, _address, _Blocks,
+                       _check_key, _check_replicas, _compiled, _Kernel, _map_batches,
+                       _philox_key, _substream, trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -242,16 +243,26 @@ def torus_mean_rates(spec: TorusSpec) -> dict[tuple[int, ...], float]:
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """A torus function with gradient and Hessian evaluators."""
+    """A torus function with gradient and Hessian evaluators; ``dim`` is the
+    dimension of its argument, or None where it is not known."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+    dim: int | None = None
 
 
 def cosine_mode(freq: Sequence[int] | int) -> SmoothFunction:
-    """cos(2 pi k . u) with exact derivatives."""
-    k = np.atleast_1d(np.asarray(freq, dtype=float))
+    """cos(2 pi k . u) with exact derivatives. Raises ``OutOfRange`` unless
+    ``freq`` is an integer or a nonempty sequence of integers (not bools):
+    only an integer frequency is periodic on the torus."""
+    values = [freq] if isinstance(freq, numbers.Integral) else freq
+    integers = isinstance(values, (Sequence, np.ndarray)) and not isinstance(values, str) \
+        and all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
+    if not (integers and len(values)):
+        raise OutOfRange(f"frequency must be an integer or a nonempty sequence of "
+                         f"integers, got {freq!r}")
+    k = np.array(values, dtype=float)
     two_pi_k = 2.0 * math.pi * k
 
     def value(u):
@@ -263,7 +274,7 @@ def cosine_mode(freq: Sequence[int] | int) -> SmoothFunction:
     def hess(u):
         return -np.cos(two_pi_k @ np.atleast_1d(u)) * np.outer(two_pi_k, two_pi_k)
 
-    return SmoothFunction(value=value, grad=grad, hess=hess)
+    return SmoothFunction(value=value, grad=grad, hess=hess, dim=len(k))
 
 
 def limit_generator_apply(spec: TorusSpec, f: SmoothFunction, u) -> float:
@@ -282,8 +293,11 @@ def generator_gap(spec: TorusSpec, f: SmoothFunction) -> float:
 
     The discrete generator applies the trace-rate kernel to f sampled at
     lattice points (lifted to R^d, which agrees with the torus for periodic
-    f and keeps lifted linear functions exact).
+    f and keeps lifted linear functions exact). Raises ``DimensionMismatch``
+    if ``f.dim`` is known and is not the torus dimension.
     """
+    if f.dim is not None and f.dim != spec.d:
+        raise DimensionMismatch(f"the function takes {f.dim}-D points, the torus is {spec.d}-D")
     return _generator_gap(spec, f, torus_mean_rates(spec))
 
 
@@ -322,9 +336,10 @@ class CondensateRun:
         return self.off_time / wall if wall > 0 else 0.0
 
 
-# sojourns a replica draws from its trace clock at first; each later chunk
-# is twice as long, up to the second value
-_CHUNKS = (1 << 12, 1 << 16)
+# a replica's first chunk holds the sojourns expected before its horizon,
+# four standard deviations and the first value more; each later chunk is
+# twice as long, and none is longer than the second value
+_CHUNKS = (16, 1 << 16)
 # how a channel excursion ends
 _HOME, _MOVED, _HOPPED = 1, 2, 3
 
@@ -340,7 +355,8 @@ class _Channels:
     + i sum_{o != -off} h(o)). Level 0 is home, level N a relocation by off.
     Row ``k (N + 1) + i`` of ``rows`` (the total rate, the probability of a
     step up, and of a step up or down) and of ``end`` belongs to offset k at
-    level i.
+    level i. ``mean_steps`` is the expected number of channel steps of an
+    excursion, over the leaving offsets.
     """
 
     def __init__(self, spec: TorusSpec):
@@ -363,6 +379,8 @@ class _Channels:
             total.append(rate)
         self.rows = np.stack([np.concatenate(total), np.concatenate(up),
                               np.concatenate(move)], axis=1)
+        steps = [_excursion_steps(u, m - u) for u, m in zip(up, move)]
+        self.mean_steps = float(np.dot(weights, steps) / weights.sum())
         self.end = np.zeros(len(self.rows), dtype=np.uint8)
         self.end[0::n + 1] = _HOME
         self.end[n::n + 1] = _MOVED
@@ -376,20 +394,40 @@ class _Channels:
         return self._third
 
 
+def _excursion_steps(up: np.ndarray, down: np.ndarray) -> float:
+    """The expected steps of a channel excursion from level 1 until level 0,
+    level N or a third-site hop, where a step at level i goes up with
+    probability ``up[i]`` and down with ``down[i]``: ``t[1]`` of
+    ``t[i] = 1 + up[i] t[i + 1] + down[i] t[i - 1]``, ``t[0] = t[N] = 0``."""
+    n = len(up) - 1
+    if n < 2:
+        return 0.0
+    band = np.zeros((3, n - 1))
+    band[0, 1:] = -up[1:n - 1]
+    band[1] = 1.0
+    band[2, :-1] = -down[2:n]
+    return float(solve_banded((1, 1), band, np.ones(n - 1))[0])
+
+
 class _CondensateReplica:
     """One condensate run as a renewal process on the trace clock.
 
     The run alternates one-site sojourns, exponential at the rate of leaving
     the condensate, with excursions through a two-site channel. Sojourns and
-    leaving offsets come from the stream ``(seed, stream)`` a chunk at a
-    time; each chunk's excursions draw from streams of their own
-    (:meth:`stream`), so nothing carries over from one chunk to the next.
+    leaving offsets come a chunk at a time from the two clock substreams of
+    the key ``(seed, stream)``, at jump 0. Chunk c's channel steps draw from
+    the substreams at jump 2c + 1, and its third-site stretches from those
+    at jump 2c + 2 (:func:`incproc.simulate._substream`), so nothing carries
+    over from one chunk to the next.
     """
 
     def __init__(self, ch: _Channels, seed: int, stream: int, horizon: float,
                  checkpoints: np.ndarray):
         self.key = _philox_key(seed, stream)
-        self.clock = replica_rng(seed, stream)
+        self.sojourns = _substream(self.key, 0, _EXPONENTIALS)
+        self.picks = _substream(self.key, 0, _UNIFORMS)
+        expected = horizon * ch.leave_rate
+        self.first = int(min(expected + 4 * math.sqrt(expected) + _CHUNKS[0], _CHUNKS[1]))
         self.horizon = horizon
         self.checkpoints = checkpoints
         self.chunks = 0
@@ -403,29 +441,26 @@ class _CondensateReplica:
         self.positions = np.zeros((len(checkpoints), ch.spec.d), dtype=np.int64)
 
     def draw_chunk(self, ch: _Channels) -> int:
-        """Draw the next sojourns; keep the start times and channels of the
-        excursions that begin before the horizon. Returns their number."""
-        size = min(_CHUNKS[0] << self.chunks, _CHUNKS[1])
-        self.exps, self.unis = (self.stream(3 * self.chunks + j) for j in (1, 2))
+        """Draw the next sojourns and leaving offsets, each from its clock
+        substream; keep the start times and channels of the excursions that
+        begin before the horizon. Returns their number. The first chunk holds
+        the sojourns expected before the horizon, ``horizon * leave_rate``,
+        with a margin of four standard deviations and ``_CHUNKS[0]``, so it is
+        almost always the only one; each later chunk is twice as long, up to
+        ``_CHUNKS[1]``."""
+        size = min(self.first << self.chunks, _CHUNKS[1])
+        self.exps, self.unis = (_substream(self.key, 2 * self.chunks + 1, purpose)
+                                for purpose in (_EXPONENTIALS, _UNIFORMS))
         self.chunks += 1
         ends = np.cumsum(np.concatenate(
-            ([self.trace_time], self.clock.exponential(1.0, size) / ch.leave_rate)))[1:]
-        picks = self.clock.random(size)
+            ([self.trace_time], self.sojourns.exponential(1.0, size) / ch.leave_rate)))[1:]
+        picks = self.picks.random(size)
         m = int(np.searchsorted(ends, self.horizon))
         self.finished = m < size
         self.trace_time = float(ends[min(m, size - 1)])
         k = np.searchsorted(ch.cum_weights, picks[:m] * ch.cum_weights[-1], side="right")
         self.chunk = ends[:m], np.minimum(k, len(ch.cum_weights) - 1)
         return m
-
-    def stream(self, jumps: int) -> np.random.Generator:
-        """The replica's Philox stream jumped ``jumps`` times, as by
-        ``Philox.jumped``: each jump adds 2^128 to the counter, so word 2 of
-        a fresh counter holds the jumps. Chunk c's channel exponentials,
-        channel uniforms and third-site stretches take jumps 3c + 1, 3c + 2
-        and 3c + 3; jump 0 is the trace clock."""
-        return np.random.Generator(np.random.Philox(
-            key=self.key, counter=np.array([0, 0, jumps, 0], dtype=np.uint64)))
 
     def record(self, ch: _Channels, status: np.ndarray, pos: np.ndarray,
                dur: np.ndarray, events: np.ndarray) -> None:
@@ -439,7 +474,7 @@ class _CondensateReplica:
         hopped = np.flatnonzero(status == _HOPPED)
         if len(hopped):
             # the stretches' stream is built only for a chunk that hops
-            third, blocks = ch.third_site(), _Blocks(self.stream(3 * self.chunks))
+            third, blocks = ch.third_site(), _Blocks(self.key, 2 * self.chunks)
             for j in hopped:
                 extra, more, moves[j] = third.finish(
                     int(pos[j]), blocks, f"replica {int(self.key[1])}, chunk {self.chunks - 1}")
@@ -517,11 +552,15 @@ def _channel_steps(ch: _Channels, r: _CondensateReplica) -> tuple[np.ndarray, ..
     compiled loop (``incproc_channels`` of ``_kernel.c``).
 
     At each step every excursion still running takes one exponential and one
-    uniform, in excursion order, from the chunk's two channel streams. The
-    loop returns at a step boundary when its draws run short; they are then
-    topped up from the same streams, twice as many each time up to two per
-    excursion of a full chunk, so memory stays bounded. Returns how each
-    excursion ended, its last channel position, its duration and its steps.
+    uniform, in excursion order, from the chunk's two channel substreams.
+    The first draw holds the chunk's expected steps (``mean_steps`` per
+    excursion) and ``_SLICE`` more. The loop returns at a step boundary when
+    its draws run short; they are then topped up from the same substreams, a
+    quarter of the first draw at first and twice as many each time after,
+    and no draw holds more than two per excursion of a full chunk, so memory
+    stays bounded. A substream's values do not depend on how it is cut, so
+    these sizes move no result. Returns how each excursion ended, its last
+    channel position, its duration and its steps.
     """
     k = r.chunk[1]
     pos = k * (ch.n + 1) + 1
@@ -529,9 +568,12 @@ def _channel_steps(ch: _Channels, r: _CondensateReplica) -> tuple[np.ndarray, ..
     live = np.flatnonzero(status == 0)
     dur, taken = np.zeros(len(k)), np.zeros(len(k), dtype=np.int64)
     n_live, steps = np.array([len(live)], dtype=np.int64), np.zeros(1, dtype=np.int64)
+    if not len(live):
+        return status, pos, dur, taken
     state = [_address(a) for a in (live, n_live, steps, pos, dur, status, taken)]
-    drawn = 2 * len(k)
+    drawn = int(min(ch.mean_steps * len(k) + _SLICE, 2 * _CHUNKS[1]))
     exps, unis = r.exps.exponential(1.0, drawn), r.unis.random(drawn)
+    drawn //= 4
     while True:
         used = _compiled().incproc_channels(*ch.tables, _HOPPED, *state, _address(exps),
                                             _address(unis), len(exps))

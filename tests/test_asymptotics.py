@@ -403,6 +403,13 @@ class TestGordan:
         with pytest.raises(NotSkewSymmetric):
             gordan_certificate(q)
 
+    @pytest.mark.parametrize("q", [[[0, "a"], ["a", 0]], [[0, 1j], [-1j, 0]],
+                                   [[0, [1]], [[1], 0]]],
+                             ids=["str", "complex", "ragged"])
+    def test_rejects_entries_that_are_not_reals(self, q):
+        with pytest.raises(NotSkewSymmetric):
+            gordan_certificate(q)
+
     def test_random_64_sites(self):
         rng = np.random.Generator(np.random.Philox(key=(13, 64)))
         a = rng.normal(size=(64, 64))

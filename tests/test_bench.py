@@ -119,9 +119,21 @@ def test_kernel_rows_time_the_event_kernel(package_checkout, tmp_path):
     # every stretch of this torus and seed, the last cut at the lowered bound
     assert stretch["events"] >= 1 << 17
     # the channel steps of the 32 replicas' excursions at this seed
-    assert channels["events"] == 203_271
+    assert channels["events"] == 199_015
     for m in (path, stretch, channels):
         assert m["us_per_event"] == pytest.approx(m["cpu_s"] / m["events"] * 1e6)
+
+
+def test_hitting_row_times_the_hitting_replicas(package_checkout, tmp_path):
+    res = drive(tmp_path, package_checkout, "--workloads", "kernel.hitting", "--seeds", "4101")
+    assert res.returncode == 0, res.stderr
+    (row,) = json.loads((tmp_path / "BENCH_x.json").read_text())["rows"]
+    assert (row["workload"], row["seed"], row["fail_rate"]) == ("kernel.hitting", 4101, 0.0)
+    m = row["metrics"]
+    assert set(m) == {"ms_per_replica", "replicas", "cpu_s"}
+    # 10 rounds of 50 inclusion and 40 auxiliary replicas
+    assert m["replicas"] == 900
+    assert m["ms_per_replica"] == pytest.approx(m["cpu_s"] / m["replicas"] * 1e3)
 
 
 def test_a_kernel_row_without_the_package_fails(checkout, tmp_path):

@@ -6,7 +6,7 @@ it, and walks the running sum until it reaches the uniform draw, never
 stopping on a zero-weight move. Walks list all site pairs x-major; the
 auxiliary chain weighs by the target count, ``c_y (d + c_x) r(y, x)``; the
 torus lists the moves of occupied sites in the order the sites became
-occupied. Draws come from the package's Philox block streams, so the
+occupied. Draws come from the package's Philox purpose substreams, so the
 simulators must reproduce the reference event for event. The compiled
 kernel weighs each state's row anew at every event, so every event checks
 its weights, not a cached copy.
@@ -39,8 +39,8 @@ from scipy.stats import ks_2samp
 from incproc import (BudgetExceeded, HittingTask, OutOfRange, ProcessParams, Trajectory,
                      WalkSpec, build_torus, condensate_statistics, mc_hitting,
                      measure_drift, run_condensate, simulate, torus_walk, trace_project)
-from incproc.simulate import (_BLOCK, _SLICE, CEMETERY, _Blocks, _segment_sums,
-                              replica_rng)
+from incproc.simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, CEMETERY, _Blocks,
+                              _philox_key, _segment_sums, _substream)
 from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
 from reference import lockstep_runs
 
@@ -84,7 +84,7 @@ def walk_moves(spec):
 def ref_simulate(spec, params, eta0, horizon, seed, stream=0, max_events=None):
     counts = list(eta0)
     moves = walk_moves(spec)
-    blocks = _Blocks(replica_rng(seed, stream))
+    blocks = _Blocks(_philox_key(seed, stream))
     times, efrom, eto = [], [], []
     t = 0.0
     while max_events is None or len(times) < max_events:
@@ -106,7 +106,7 @@ def ref_simulate(spec, params, eta0, horizon, seed, stream=0, max_events=None):
 def ref_hit(task, spec, params, replica):
     """(value, censored) of one mc_hitting replica."""
     counts = list(task.start)
-    blocks = _Blocks(replica_rng(task.seed, replica))
+    blocks = _Blocks(_philox_key(task.seed, replica))
     if task.chain == "inclusion":
         stop = task.threshold
         moves = walk_moves(spec)
@@ -197,7 +197,7 @@ def ref_run_condensate(spec, t_rescaled, seed, stream=0, n_checkpoints=4,
     counts[start_site] = spec.n
     ref = RefCondensate(spec, counts,
                         horizon * (np.arange(1, n_checkpoints + 1) / n_checkpoints))
-    blocks = _Blocks(replica_rng(seed, stream))
+    blocks = _Blocks(_philox_key(seed, stream))
     while True:
         moves = [(x, ref.site(c + o for c, o in zip(ref.coords[x], off)), w)
                  for x in ref.occupied for off, w in spec.kernel.items()]
@@ -362,7 +362,7 @@ def test_condensate_statistics_matches_reference(torus):
     eta0 = [0] * spec.n_sites
     eta0[1] = spec.n
     traj = simulate(torus_walk(spec), ProcessParams(spec.n, spec.d_l), eta0,
-                    horizon=0.4 * spec.theta, seed=17)
+                    horizon=20.0 * spec.theta, seed=17)
     ref = RefCondensate(spec, eta0, [traj.horizon])
     t_prev = 0.0
     for t, x, y in zip(traj.times.tolist(), traj.move_from.tolist(),
@@ -511,7 +511,7 @@ def run_slices(kernel, case, stream):
     kappa = len(out)
     counts = np.array(start, dtype=np.int64)
     sources = [x for x in range(kappa) if counts[x]] if listed else range(kappa)
-    blocks = _Blocks(replica_rng(11, stream))
+    blocks = _Blocks(_philox_key(11, stream))
     taken, ends = [], []
     while slices is None or len(taken) < slices:
         before = counts.tolist(), list(sources)
@@ -561,43 +561,59 @@ def test_run_refuses_what_the_compiled_loop_cannot_take(counts, sources):
     # repeated sources whose row outgrows the table are refused
     kernel = KERNEL._Kernel([[(1, 0.5), (2, 0.5)], [(0, 1.0)], [(0, 1.0)]], 0.1)
     with pytest.raises(OutOfRange):
-        kernel.run(counts, sources, _Blocks(replica_rng(1, 0)), 8)
+        kernel.run(counts, sources, _Blocks(_philox_key(1, 0)), 8)
 
 
-def test_blocks_follow_the_philox_stream():
-    # drawn as the reference kernel draws, one exponential then one uniform,
-    # each refill takes a block of exponentials, then a block of uniforms
-    blocks = _Blocks(replica_rng(4, 1))
-    n = 2 * _BLOCK + 700
+def pinned(key, jump, purpose):
+    """The substream ``purpose`` at ``jump`` built from the documented Philox
+    operations: the key's stream advanced by ``purpose * 2**192`` counter
+    steps (counter word 3), then jumped ``jump`` times (word 2)."""
+    return np.random.Generator(np.random.Philox(key=key).advance(purpose << 192).jumped(jump))
+
+
+def test_substreams_are_pinned_to_their_counter_words():
+    # exponentials are purpose 0 and uniforms purpose 1, in counter word 3;
+    # the jump is word 2, and the draws advance word 0
+    key = _philox_key(2**64 - 1, 12)
+    assert (_EXPONENTIALS, _UNIFORMS) == (0, 1)
+    for jump in (0, 1, 2, 81):
+        for purpose in (_EXPONENTIALS, _UNIFORMS):
+            got = _substream(key, jump, purpose)
+            assert got.bit_generator.state["state"]["counter"].tolist() == [0, 0, jump, purpose]
+            want = pinned(key, jump, purpose)
+            assert got.exponential(1.0, 9).tolist() == want.exponential(1.0, 9).tolist()
+            assert got.random(9).tolist() == want.random(9).tolist()
+            assert got.bit_generator.state["state"]["counter"][1:].tolist() == [0, jump, purpose]
+
+
+@pytest.mark.parametrize("jump", [0, 5])
+def test_blocks_follow_the_substreams(jump):
+    # drawn as the reference kernel draws, one exponential then one uniform:
+    # each kind is its own substream, read in order
+    key = _philox_key(4, 1)
+    blocks = _Blocks(key, jump)
+    n = 2 * _SLICE + 700
     exps, unis = [], []
     for _ in range(n):
         exps.append(blocks.exponential())
         unis.append(blocks.uniform())
-    rng = replica_rng(4, 1)
-    raw = []
-    for _ in range(3):
-        raw += [rng.exponential(1.0, _BLOCK), rng.random(_BLOCK)]
-    assert exps == np.concatenate(raw[0::2])[:n].tolist()
-    assert unis == np.concatenate(raw[1::2])[:n].tolist()
+    assert exps == pinned(key, jump, _EXPONENTIALS).exponential(1.0, n).tolist()
+    assert unis == pinned(key, jump, _UNIFORMS).random(n).tolist()
     assert all(type(v) is float for v in exps[:3] + unis[:3])
 
 
-class RefBlocks:
-    """Whole blocks drawn at first need, one stream for both kinds: each
-    kind's next block is drawn when its last one is used up."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.left = {"e": list(rng.exponential(1.0, _BLOCK)), "u": list(rng.random(_BLOCK))}
-
-    def take(self, kind, n):
-        out = []
-        for _ in range(n):
-            if not self.left[kind]:
-                self.left[kind] = list(self.rng.exponential(1.0, _BLOCK) if kind == "e"
-                                       else self.rng.random(_BLOCK))
-            out.append(float(self.left[kind].pop(0)))
-        return out
+@pytest.mark.parametrize("piece", [1, 7, 1024])
+def test_a_substream_drawn_in_pieces_gives_one_draw(piece):
+    # numpy's exponential sampler takes a varying number of raw draws per
+    # value; cut anywhere, a substream still gives the values of one draw
+    key = _philox_key(3, 9)
+    n = 3 * _SLICE + 5
+    for purpose, draw in ((_EXPONENTIALS, lambda g, m: g.exponential(1.0, m)),
+                          (_UNIFORMS, lambda g, m: g.random(m))):
+        whole = draw(_substream(key, 2, purpose), n)
+        rng = _substream(key, 2, purpose)
+        cut = np.concatenate([draw(rng, min(piece, n - i)) for i in range(0, n, piece)])
+        assert cut.tolist() == whole.tolist()
 
 
 def take_slices(blocks, kind, n):
@@ -615,11 +631,11 @@ def take_slices(blocks, kind, n):
 
 
 @pytest.mark.parametrize("pattern", ["kernel", "uniforms_lead", "uniforms_only"])
-def test_blocks_in_slices_follow_the_block_stream(pattern):
+def test_blocks_in_slices_follow_the_substreams(pattern):
     # the kernel takes a slice of exponentials, then the uniforms of its
     # events; a third-site stretch takes one uniform more per hop; the
-    # auxiliary chain takes uniforms only. Uniforms are drawn in pieces, so
-    # each pattern crosses block boundaries with a uniform block part drawn
+    # auxiliary chain takes uniforms only. However the kinds interleave,
+    # each reads its own substream in order, across many pieces
     rng = np.random.default_rng(5)
     sizes = rng.integers(1, 3 * _SLICE, 60).tolist()
     ops = []
@@ -629,29 +645,35 @@ def test_blocks_in_slices_follow_the_block_stream(pattern):
         if pattern != "uniforms_only":
             ops.append(("e", m))
         ops.append(("u", m))
-    blocks, ref = _Blocks(replica_rng(6, 2)), RefBlocks(replica_rng(6, 2))
+    key = _philox_key(6, 2)
+    blocks = _Blocks(key)
+    got = {"e": [], "u": []}
     for kind, m in ops:
-        assert take_slices(blocks, kind, m) == ref.take(kind, m), (kind, m)
-    assert sum(m for kind, m in ops if kind == "u") > 3 * _BLOCK
+        got[kind] += take_slices(blocks, kind, m)
+    assert got["e"] == pinned(key, 0, _EXPONENTIALS).exponential(1.0, len(got["e"])).tolist()
+    assert got["u"] == pinned(key, 0, _UNIFORMS).random(len(got["u"])).tolist()
+    assert len(got["u"]) > 30 * _SLICE
+    assert (blocks._exp_rng is None) == (pattern == "uniforms_only")
 
 
 def test_uniforms_drawn_a_piece_at_a_time():
-    # the first uniform draws one piece, not the block, after the first
-    # block of exponentials
-    blocks = _Blocks(replica_rng(8, 0))
+    # the first uniform draws one piece of the uniform substream and builds
+    # no exponential substream
+    key = _philox_key(8, 0)
+    blocks = _Blocks(key)
     first = blocks.uniform()
-    rng = replica_rng(8, 0)
-    rng.exponential(1.0, _BLOCK)
+    rng = pinned(key, 0, _UNIFORMS)
     piece = rng.random(_SLICE)
     assert first == piece[0]
     assert blocks.uniforms(_SLICE).tolist() == piece[1:].tolist()
-    # and has drawn nothing more from the stream
-    assert blocks._rng.random(4).tolist() == rng.random(4).tolist()
+    assert blocks._exp_rng is None
+    # and has drawn nothing more from the substream
+    assert blocks._uni_rng.random(4).tolist() == rng.random(4).tolist()
 
 
 class ZeroedExponentials:
-    """A Philox stream whose exponential draws are 0.0 at the given
-    positions, so the event there lasts 0.0 and does not move the clock."""
+    """An exponential substream whose draws are 0.0 at the given positions,
+    so the event there lasts 0.0 and does not move the clock."""
 
     def __init__(self, rng, zero_at):
         self.rng, self.zero_at, self.drawn = rng, np.asarray(zero_at), 0
@@ -663,15 +685,12 @@ class ZeroedExponentials:
         self.drawn += size
         return out
 
-    def random(self, size):
-        return self.rng.random(size)
-
 
 @pytest.mark.parametrize("walk", ["cycle3", "chain4"])
 def test_simulate_clamp_matches_reference(walk, request, monkeypatch):
     # a step that does not move the clock advances it by one ulp: planted
     # inside a slice, on both sides of a slice boundary, and at the first
-    # event of the second block; the slice sizes are read from a first run
+    # event of the third piece; the slice sizes are read from a first run
     spec = request.getfixturevalue(walk)
     params = ProcessParams(30, 0.2)
     eta0 = [0] * spec.kappa
@@ -684,15 +703,17 @@ def test_simulate_clamp_matches_reference(walk, request, monkeypatch):
         return dts, moves
 
     monkeypatch.setattr(KERNEL._Kernel, "run", spy)
-    simulate(spec, params, eta0, 1e300, seed=3, max_events=_BLOCK + 300)
+    events = 3 * _SLICE + 300
+    simulate(spec, params, eta0, 1e300, seed=3, max_events=events)
     starts = np.cumsum(sizes)
     cut = int(starts[np.searchsorted(starts, _SLICE)])     # a slice starts here
-    zero_at = [int(starts[2]) + 3, cut - 1, cut, _BLOCK]
-    assert zero_at[0] not in starts
-    real = replica_rng
-    planted = lambda seed, stream: ZeroedExponentials(real(seed, stream), zero_at)
-    monkeypatch.setattr(KERNEL, "replica_rng", planted)
-    monkeypatch.setattr(sys.modules[__name__], "replica_rng", planted)
+    zero_at = [int(starts[2]) + 3, cut - 1, cut, 2 * _SLICE]
+    assert zero_at[0] not in starts and cut < 2 * _SLICE
+    real = _substream
+    # ref_simulate reads the same patched substreams through _Blocks
+    monkeypatch.setattr(KERNEL, "_substream", lambda key, jump, purpose: (
+        ZeroedExponentials(real(key, jump, purpose), zero_at)
+        if purpose == _EXPONENTIALS else real(key, jump, purpose)))
 
     def check(horizon, max_events):
         traj = simulate(spec, params, eta0, horizon, seed=3, max_events=max_events)
@@ -706,23 +727,23 @@ def test_simulate_clamp_matches_reference(walk, request, monkeypatch):
         assert (np.diff(traj.times) > 0).all()
         return traj
 
-    full = check(1e300, _BLOCK + 300)
-    assert full.n_events == _BLOCK + 300
+    full = check(1e300, events)
+    assert full.n_events == events
     # a horizon cut in the slice after the last clamp
-    assert check(float(full.times[_BLOCK + 200]), None).n_events == _BLOCK + 201
+    assert check(float(full.times[events - 100]), None).n_events == events - 99
 
 
-# SHA-256 of the event streams below, recorded before the event kernel read
-# its draws a slice at a time; they are checked without the in-repo
-# references, so a change in the draws shows even if a reference changes too
+# SHA-256 of the event streams below, recorded when each kind of draw
+# moved to a purpose substream of its own; they are checked without the
+# in-repo references, so a change in the draws shows even if a reference
+# changes too
 DIGESTS = {
-    "cycle": (40_000, "a295e6c615d8082b26184abb53ac5888c0da352e91d863384e9bdacfd16e3f66"),
-    "walk4": (3_366, "5790c6ad6a7a14e68111bb652bd45b8dff3bf1dbbc65385aab2c49dcdf1a13c4"),
-    "inclusion": "8e368ae93363ca8094fb10e73881d68748c4fc51e7c91a5203881e2ebd8f7be7",
-    "auxiliary": "d2fd94427128eb4f6d72e5b630cbf01fac2da91aaee9f51aad7ae5aa0d17e305",
-    # its third-site stretches use up a block of exponentials twice while
-    # the uniform block in progress is partly drawn
-    "condensate": (42_794, "b08301ec11f15f2ae623eb1d5360883ffb0516ee81094df8d1faba74aab76a71"),
+    "cycle": (40_000, "eb4761378697a619e2cbbe1cb2a4891b92717ed74c0e385b22d360b53eb7e4e3"),
+    "walk4": (3_535, "a344fc52f8bf1e15a68bd868d6e114a1f545350a56e6ba739bccc18f3552e71a"),
+    "inclusion": "86da8ca10ff462824c07bc0d609496f6b8d939e4f0bec74b4fa009b615f70fe9",
+    "auxiliary": "17ef7332ca4af66eb22d25886fd57560b5e4020470dd33fe98da39c0b7541010",
+    # its one chunk's third-site stretches draw 48 pieces of each kind
+    "condensate": (50_070, "908b387e7ccecbcdc0bb6da46f10fac651bb8541e631641735fd089613c75407"),
 }
 
 

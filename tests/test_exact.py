@@ -244,13 +244,13 @@ class TestHitting:
 
     def test_against_monte_carlo_absorption(self, up3):
         # independent oracle: direct jump-chain absorption frequencies
-        from incproc.simulate import _Blocks, replica_rng
+        from incproc.simulate import _Blocks, _philox_key
         params = ProcessParams(4, 0.3)
         h, enum = hitting_probabilities(up3, params, (0, 1, 2), 2)
         start = (2, 1, 1)
         targets = {enum.xi_index(x): x for x in range(3)}
         runs = 100_000
-        blocks = _Blocks(replica_rng(99, 0))
+        blocks = _Blocks(_philox_key(99, 0))
         moves = [(x, y, up3.rates[x, y]) for x in range(3) for y in range(3)
                  if x != y and up3.rates[x, y] > 0]
         wins = 0

@@ -226,6 +226,18 @@ class TestTraceProject:
         with pytest.raises(OutOfRange):
             trace_project(traj, (0, 1), 1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(theta=math.nan), dict(theta=0), dict(theta=-1.0),
+        dict(theta=1.0, window=math.nan),
+        dict(theta=1.0, marginal_times="ab"), dict(theta=1.0, marginal_times=[math.nan]),
+        dict(theta=1.0, marginal_times=[-1])],
+        ids=["theta-nan", "theta-0", "theta-negative", "window-nan", "marginal-str",
+             "marginal-nan", "marginal-negative"])
+    def test_refuses_a_bad_time_argument(self, up3, kwargs):
+        traj = simulate(up3, ProcessParams(4, 0.2), (4, 0, 0), 20.0, seed=9)
+        with pytest.raises(OutOfRange):
+            trace_project(traj, (0, 1, 2), **kwargs)
+
     def test_time_change_identity(self, up3):
         params = ProcessParams(6, 0.2)
         traj = simulate(up3, params, (6, 0, 0), 500.0, seed=9)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (BudgetExceeded, ConditionNotSatisfied, NonSpanningSupport,
+from incproc import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
+                     NonSpanningSupport,
                      OutOfRange, ProcessParams,
                      SupportTooLarge, TooFewRelocations, analyze_walk, build_torus,
                      condensate_statistics, cosine_mode, generator_gap,
@@ -218,6 +219,21 @@ class TestGeneratorGap:
         assert gaps[2] <= 1e-4
 
 
+    @pytest.mark.parametrize("freq", ["a", 1.5, True, [], [1, 0.5], None],
+                             ids=repr)
+    def test_cosine_mode_needs_integer_frequencies(self, freq):
+        # only an integer frequency is periodic on the torus
+        with pytest.raises(OutOfRange):
+            cosine_mode(freq)
+
+    def test_a_function_of_another_dimension_is_refused(self):
+        spec = build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0, d_l=8.0 ** -5)
+        with pytest.raises(DimensionMismatch):
+            generator_gap(spec, cosine_mode((1, 1)))
+        assert generator_gap(spec, cosine_mode(np.array([1]))) == \
+            generator_gap(spec, cosine_mode(1))
+
+
 class TestCondensateRuns:
     def test_streaming_run_consistency(self):
         spec = build_torus(1, 12, {1: 0.8, -1: 0.2}, rho=2.0, d_l=1e-3)
@@ -374,16 +390,29 @@ class TestRenewalSampler:
             run_condensate(spec, t_rescaled=1.0, seed=20, stream=5)
 
     def test_chunk_streams_are_the_jumped_replica_stream(self):
+        # the clock is jump 0, chunk c's channel steps jump 2c + 1 and its
+        # third-site stretches jump 2c + 2; exponentials (sojourns) are
+        # purpose 0 and uniforms (leaving offsets) purpose 1 in counter word 3
         spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
         ch = THERMO._Channels(spec)
         r = _CondensateReplica(ch, 2**64 - 1, 12, 1.0, np.ones(1))
-        bits = np.random.Philox(key=np.array([2**64 - 1, 12], dtype=np.uint64))
-        assert r.stream(0).random(4).tolist() == replica_rng(2**64 - 1, 12).random(4).tolist()
-        for jumps in (1, 2, 3, 3 * 40 + 2):
-            want = np.random.Generator(bits.jumped(jumps))
-            got = r.stream(jumps)
-            assert got.exponential(1.0, 9).tolist() == want.exponential(1.0, 9).tolist()
-            assert got.random(9).tolist() == want.random(9).tolist()
+        key = np.array([2**64 - 1, 12], dtype=np.uint64)
+
+        def pinned(jump, purpose):
+            bits = np.random.Philox(key=key).advance(purpose << 192).jumped(jump)
+            return np.random.Generator(bits)
+
+        assert r.sojourns.exponential(1.0, 4).tolist() == \
+            replica_rng(2**64 - 1, 12).exponential(1.0, 4).tolist()
+        assert r.picks.random(9).tolist() == pinned(0, 1).random(9).tolist()
+        for c in range(3):
+            r.draw_chunk(ch)
+            assert r.exps.exponential(1.0, 9).tolist() == \
+                pinned(2 * c + 1, 0).exponential(1.0, 9).tolist()
+            assert r.unis.random(9).tolist() == pinned(2 * c + 1, 1).random(9).tolist()
+        blocks = THERMO._Blocks(r.key, 2 * r.chunks)
+        assert blocks.uniform() == pinned(2 * 3, 1).random(1)[0]
+        assert blocks.exponential() == pinned(2 * 3, 0).exponential(1.0, 1)[0]
 
     @staticmethod
     def excursions(spec, t, seed, replicas):
