@@ -337,9 +337,9 @@ def criterion_14(level: str = "full") -> CriterionResult:
     """Off-condensate occupation is negligible in the torus runs.
 
     False rejections: none over 100 seeds at either level; the drift run's
-    off fraction reached 0.042 (full) and 0.033 (quick), the diffusion
-    run's 0.001. Resampling 32,000 single replicas puts the rate near 5e-5
-    (full) and 2e-4 (quick) at 32 drift replicas, against 3% and 2% at 2.
+    off fraction reached 0.026 (full) and 0.034 (quick), the diffusion
+    run's 0.0005. Resampling 32,000 single replicas puts the rate near 7e-5
+    (full) and 4e-4 (quick) at 32 drift replicas, against 3% and 2% at 2.
     """
     _, drift_est = _drift_run(level)
     _, diff_est = _diffusion_run()

@@ -342,6 +342,10 @@ class CondensateRun:
 _CHUNKS = (16, 1 << 16)
 # how a channel excursion ends
 _HOME, _MOVED, _HOPPED = 1, 2, 3
+# the purpose (Philox counter word 3) of the uniforms that pick a chunk's
+# third-site hops, beside the kernel's exponentials and uniforms: apart, the
+# kernel's two substreams stay in step, so its slices end at piece ends
+_HOP_PICKS = 2
 
 
 class _Channels:
@@ -417,8 +421,9 @@ class _CondensateReplica:
     leaving offsets come a chunk at a time from the two clock substreams of
     the key ``(seed, stream)``, at jump 0. Chunk c's channel steps draw from
     the substreams at jump 2c + 1, and its third-site stretches from those
-    at jump 2c + 2 (:func:`incproc.simulate._substream`), so nothing carries
-    over from one chunk to the next.
+    at jump 2c + 2, with their hop picks from purpose ``_HOP_PICKS`` there
+    (:func:`incproc.simulate._substream`), so nothing carries over from one
+    chunk to the next.
     """
 
     def __init__(self, ch: _Channels, seed: int, stream: int, horizon: float,
@@ -473,11 +478,13 @@ class _CondensateReplica:
         moves[moved] = ch.offsets[k[moved]]
         hopped = np.flatnonzero(status == _HOPPED)
         if len(hopped):
-            # the stretches' stream is built only for a chunk that hops
+            # the stretches' substreams are built only for a chunk that hops
             third, blocks = ch.third_site(), _Blocks(self.key, 2 * self.chunks)
-            for j in hopped:
+            picks = _substream(self.key, 2 * self.chunks, _HOP_PICKS).random(len(hopped))
+            for j, pick in zip(hopped, picks.tolist()):
                 extra, more, moves[j] = third.finish(
-                    int(pos[j]), blocks, f"replica {int(self.key[1])}, chunk {self.chunks - 1}")
+                    int(pos[j]), pick, blocks,
+                    f"replica {int(self.key[1])}, chunk {self.chunks - 1}")
                 dur[j] += extra
                 events[j] += more
         self.off_time += float(dur.sum())
@@ -509,10 +516,11 @@ class _ThirdSite:
         self.occupied: list[int] = []
         self.kernel = _Kernel(self.out, spec.d_l)
 
-    def finish(self, pos: int, blocks: _Blocks, where: str) -> tuple[float, int, np.ndarray]:
+    def finish(self, pos: int, pick: float, blocks: _Blocks,
+               where: str) -> tuple[float, int, np.ndarray]:
         """Finish an excursion whose last event left channel ``pos`` for a
-        third site: pick that hop, then run the kernel on ``blocks`` until
-        one site holds every particle. Returns the time and the events this
+        third site: pick that hop with the uniform ``pick``, then run the
+        kernel on ``blocks`` until one site holds every particle. Returns the time and the events this
         took, and the condensate's move. After ``_STRETCH_EVENTS`` events,
         raises ``BudgetExceeded`` naming ``where``."""
         counts, occupied = self.counts, self.occupied
@@ -528,7 +536,7 @@ class _ThirdSite:
                 for y, w in self.out[x] if y != skip]
         # picked as the kernel picks, by bisecting the running sums
         cum = list(accumulate(w for _, _, w in hops))
-        x, y, _ = hops[bisect_left(cum, blocks.uniform() * cum[-1])]
+        x, y, _ = hops[bisect_left(cum, pick * cum[-1])]
         counts[x] -= 1
         counts[y] += 1
         if not counts[x]:

@@ -742,8 +742,8 @@ DIGESTS = {
     "walk4": (3_535, "a344fc52f8bf1e15a68bd868d6e114a1f545350a56e6ba739bccc18f3552e71a"),
     "inclusion": "86da8ca10ff462824c07bc0d609496f6b8d939e4f0bec74b4fa009b615f70fe9",
     "auxiliary": "17ef7332ca4af66eb22d25886fd57560b5e4020470dd33fe98da39c0b7541010",
-    # its one chunk's third-site stretches draw 48 pieces of each kind
-    "condensate": (50_070, "908b387e7ccecbcdc0bb6da46f10fac651bb8541e631641735fd089613c75407"),
+    # its one chunk's third-site stretches draw 45 pieces of each kind
+    "condensate": (47_800, "60fefb4f6c2f39ce9058736e8634579bc4cfda2d48366a28ac41e2412c53175e"),
 }
 
 

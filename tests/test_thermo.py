@@ -236,10 +236,13 @@ class TestGeneratorGap:
 
 class TestCondensateRuns:
     def test_streaming_run_consistency(self):
+        # the off-condensate fraction of one run is heavy-tailed: it exceeds
+        # 0.2 at 3-4% of seeds at t = 8, at 0.4% at t = 128 and at 0.1% at
+        # t = 256 (1,000 seeds each)
         spec = build_torus(1, 12, {1: 0.8, -1: 0.2}, rho=2.0, d_l=1e-3)
-        run = run_condensate(spec, t_rescaled=8.0, seed=41)
+        run = run_condensate(spec, t_rescaled=256.0, seed=41)
         assert run.relocations > 0
-        assert run.trace_time >= 8.0 * spec.theta * (1 - 1e-9)
+        assert run.trace_time >= 256.0 * spec.theta * (1 - 1e-9)
         assert 0.0 <= run.off_fraction < 0.2
 
     def test_replay_matches_streaming_semantics(self):
