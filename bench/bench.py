@@ -3,8 +3,8 @@
     python bench/bench.py --label L --checkout DIR --workloads long_path mc_ensemble \
         --seeds 4101 --runs 2 --trace 0
     python bench/bench.py --label L --checkout DIR --workloads kernel.long_path \
-        kernel.stretch_L16 kernel.stretch_L32 kernel.stretch_L64 kernel.channels \
-        kernel.hitting --seeds 4101
+        kernel.trace_long_path kernel.trace_fixed kernel.stretch_L16 kernel.stretch_L32 \
+        kernel.stretch_L64 kernel.channels kernel.hitting --seeds 4101
 
 For each of ``--runs`` passes, each workload and each seed, this runs the
 benchmark command of ``DIR/BENCHMARK.json`` (``perfbench/run.py``) in DIR,
@@ -21,7 +21,8 @@ The ``kernel.*`` workloads are event-kernel layer rows, each also run in
 a process of its own against DIR's ``src`` (``kernel_probe.py`` beside this
 file, run in DIR): the microseconds per event of
 ``kernel.long_path``, the 300,000-event 3-cycle path of the ``long_path``
-workload at the seed, and of ``kernel.stretch_L<L>``, the third-site
+workload at the seed, of ``kernel.trace_long_path``, that workload's
+``trace_project`` call on the path, and of ``kernel.stretch_L<L>``, the third-site
 stretches of ``run_condensate(spec, 1.0, seed)`` on the 2-D nearest-neighbour
 torus of side L with N = 32 and d_L = L^-2, each weight 1/4, with the
 stretch bound lowered to 2^17 events, and of ``kernel.channels``, the
@@ -34,6 +35,10 @@ estimators: the CPU time of the ``hitting_inclusion`` and
 ``hitting_auxiliary`` operations of the ``mc_ensemble`` workload over its
 first 10 rounds at the seed, in milliseconds per replica
 (``ms_per_replica``, with ``replicas`` in place of ``events``).
+``kernel.trace_fixed`` is the fixed cost of ``trace_project``: the
+microseconds per call (``us_per_call``, with ``calls`` in place of
+``events``) on the first 50 events of the ``long_path`` 3-cycle at the seed,
+and ``us_per_call_torus64``, the same on a 50-event path of a 64-site torus.
 
 Standard library only. Exits 1 if a run printed no metrics line; its row
 then has ``fail_rate`` 1.0 and the tail of its standard error.
@@ -54,6 +59,8 @@ RUN_FACTS = ("workload", "seed", "rounds", "untraced_rounds", "traced_rounds",
 
 # the kernel layer rows: (probe, argument, repeats)
 KERNEL_ROWS = {"kernel.long_path": ("path", 0, 5),
+               "kernel.trace_long_path": ("trace_path", 0, 5),
+               "kernel.trace_fixed": ("trace_fixed", 0, 5),
                **{f"kernel.stretch_L{side}": ("stretch", side, 3) for side in (16, 32, 64)},
                "kernel.channels": ("channels", 0, 5), "kernel.hitting": ("hitting", 0, 5)}
 

@@ -1,9 +1,18 @@
 """One kernel layer probe of ``bench.py``, run in a checkout against its ``src``.
 
-    cd CHECKOUT && python PATH/TO/bench/kernel_probe.py path|stretch|channels|hitting ARG SEED REPEATS
+    cd CHECKOUT && python PATH/TO/bench/kernel_probe.py \
+        path|trace_path|trace_fixed|stretch|channels|hitting ARG SEED REPEATS
 
 ``path`` times the ``simulate_cycle`` operation of the checkout's
-``long_path`` workload at SEED (ARG unused); ``stretch`` times the
+``long_path`` workload at SEED (ARG unused), and ``trace_path`` the
+``trace_project`` call of that workload on the path it makes, whose events
+are the path's; ``trace_fixed`` times ``TRACE_CALLS`` calls of
+``trace_project`` on the first 50 events of that workload's 3-cycle at SEED,
+projected onto every site with theta 1 as ``mc_mean_jump_rate`` does, and
+reports the microseconds per call (``us_per_call``, with ``calls`` in place
+of events) and, as ``us_per_call_torus64``, the same on a 50-event path of
+the 2-D nearest-neighbour torus of side 8, N = 32, d_L = 8^-2 (ARG unused),
+so the fixed cost shows against the site count; ``stretch`` times the
 third-site stretches of ``run_condensate(spec, 1.0, SEED)`` on the 2-D
 nearest-neighbour torus of side ARG, N = 32, d_L = ARG^-2, with the stretch
 bound lowered to 2^17 events. A stretch's events are the total
@@ -42,6 +51,8 @@ clock = time.process_time
 spans, counts = [], []
 # rounds of the mc_ensemble workload a hitting repeat runs
 HITTING_ROUNDS = 10
+# trace_project calls a trace_fixed repeat makes on each path
+TRACE_CALLS = 2000
 
 
 class Direct:
@@ -61,6 +72,38 @@ if kind == "path":
         traj = op.run(Direct(), 0)
         spans.append(clock() - start)
         counts.append(traj.n_events)
+elif kind == "trace_path":
+    import workloads
+
+    work = workloads.make("long_path", seed)
+    (op,) = [op for op in work.operations() if op.name == "simulate_cycle"]
+    traj = op.run(Direct(), 0)
+    for _ in range(repeats):
+        start = clock()
+        ip.trace_project(traj, (0, 1, 2), theta=work.theta)
+        spans.append(clock() - start)
+        counts.append(traj.n_events)
+elif kind == "trace_fixed":
+    import workloads
+
+    work = workloads.make("long_path", seed)
+    step = {(1, 0): 0.25, (-1, 0): 0.25, (0, 1): 0.25, (0, -1): 0.25}
+    torus = ip.build_torus(2, 8, step, rho=0.5, d_l=8.0 ** -2)
+    paths = [ip.simulate(work.cycle, work.params, work.start, 1e300, seed, max_events=50),
+             ip.simulate(ip.torus_walk(torus), ip.ProcessParams(torus.n, torus.d_l),
+                         ip.Configuration.single_site(64, torus.n, 0), 1e300, seed,
+                         max_events=50)]
+    if [p.n_events for p in paths] != [50, 50]:
+        sys.exit(f"paths of {[p.n_events for p in paths]} events, not 50")
+    torus_spans = []
+    for _ in range(repeats):
+        for traj, out in zip(paths, (spans, torus_spans)):
+            sites = range(len(traj.initial))
+            start = clock()
+            for _ in range(TRACE_CALLS):
+                ip.trace_project(traj, sites, 1.0)
+            out.append(clock() - start)
+        counts.append(TRACE_CALLS)
 elif kind == "hitting":
     import workloads
 
@@ -132,6 +175,9 @@ cpu = statistics.median(spans)
 if kind == "hitting":
     print(json.dumps({"ms_per_replica": cpu / counts[0] * 1e3, "replicas": counts[0],
                       "cpu_s": cpu}))
+elif kind == "trace_fixed":
+    print(json.dumps({"us_per_call": cpu / counts[0] * 1e6, "calls": counts[0], "cpu_s": cpu,
+                      "us_per_call_torus64": statistics.median(torus_spans) / counts[0] * 1e6}))
 else:
     print(json.dumps({"us_per_event": cpu / counts[0] * 1e6, "events": counts[0],
                       "cpu_s": cpu}))

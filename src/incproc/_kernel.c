@@ -1,11 +1,12 @@
 /* The compiled loops of incproc: the event loop of the direct-method
-   (Gillespie) kernel, incproc_slice, and the channel steps of the condensate
-   runs' two-site excursions, incproc_channels.
+   (Gillespie) kernel, incproc_slice, the channel steps of the condensate
+   runs' two-site excursions, incproc_channels, and the replay of a stored
+   path onto the metastable states of a site set, incproc_trace.
 
    incproc.simulate compiles this file once per source hash with
    cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
-   weight rounds as the scalar definition does) and calls both functions
-   through ctypes.
+   weight rounds as the scalar definition does) and calls the three
+   functions through ctypes.
 
    The move table of incproc_slice is in CSR form: the moves out of site x
    are the entries first[x] .. first[x + 1] - 1 of target and coef. */
@@ -141,4 +142,85 @@ int64_t incproc_channels(const double *rows, const uint8_t *end, uint8_t hopped,
     }
     *n_live = nl;
     return used;
+}
+
+/* Replay a stored path of n events on kappa sites, N = total particles,
+   onto the states of the sites x with in_a[x] set that hold all N.
+
+   Interval i runs from event i - 1 (or time 0) to event i (or horizon) in
+   the state left by the first i events, whose label is that site (the
+   lowest, when N = 0 and every site holds all N), or -1 off the set. Event
+   i moves a particle from move_from[i] to move_to[i] in counts (the initial
+   counts, updated in place); after it only the target can hold all N. Each
+   interval's dt = max(until - start, 0) is added, one at a time in path
+   order, to the trace clock clocks[0] when it is on the set, else to the
+   off clock clocks[1]; an off interval also adds its overlap with
+   [0, limit], when positive, to clocks[2] if windowed. A segment opens where the label on
+   the set differs from the last one seen on it (leaving the set and coming
+   back to the same site merges) and closes where the next one opens: its
+   label, the trace time it held (added in path order) and the trace clock
+   at its close go to labels, sojourns and ends, which hold room for n + 1.
+   The sorted samples take the label of the interval whose end is the first
+   at or after them: marginal[s] is written while samples[s] <= until, so
+   samples beyond the horizon are left as they are.
+
+   Returns the number of segments, or -1 at an event that is not a move
+   between sites. */
+int64_t incproc_trace(const double *times, const int32_t *move_from, const int32_t *move_to,
+                      int64_t n, double horizon, int64_t kappa, int64_t total,
+                      const uint8_t *in_a, int64_t *counts, int windowed, double limit,
+                      const double *samples, int64_t n_samples, int64_t *marginal,
+                      int64_t *labels, double *sojourns, double *ends, double *clocks)
+{
+    int64_t label = -1, m = 0, s = 0;
+    for (int64_t x = kappa - 1; x >= 0; x--)
+        if (in_a[x] && counts[x] == total)
+            label = x;
+    int64_t seg = label;
+    double start = 0.0, trace = 0.0, off = 0.0, in_window = 0.0, seg_time = 0.0;
+    for (int64_t i = 0; i <= n; i++) {
+        double until = i < n ? times[i] : horizon, dt = until - start;
+        if (dt < 0)
+            dt = 0.0;
+        while (s < n_samples && samples[s] <= until)
+            marginal[s++] = label;
+        if (label >= 0) {
+            trace += dt;
+            seg_time += dt;
+        } else {
+            off += dt;
+            if (windowed) {
+                double overlap = (until < limit ? until : limit) - (start < limit ? start : limit);
+                if (overlap > 0)
+                    in_window += overlap;
+            }
+        }
+        start = until;
+        if (i == n)
+            break;
+        int64_t x = move_from[i], y = move_to[i];
+        if (x < 0 || x >= kappa || y < 0 || y >= kappa)
+            return -1;
+        counts[x]--;
+        counts[y]++;
+        label = counts[y] == total && in_a[y] ? y : -1;
+        if (label >= 0 && label != seg) {
+            if (seg >= 0) {
+                labels[m] = seg;
+                sojourns[m] = seg_time;
+                ends[m++] = trace;
+            }
+            seg = label;
+            seg_time = 0.0;
+        }
+    }
+    if (seg >= 0) {
+        labels[m] = seg;
+        sojourns[m] = seg_time;
+        ends[m++] = trace;
+    }
+    clocks[0] = trace;
+    clocks[1] = off;
+    clocks[2] = in_window;
+    return m;
 }

@@ -31,7 +31,9 @@ def _add_in_order(total: float, terms) -> float:
 
 def check_site(x, sites, name: str) -> int:
     """``x`` as an int, once checked to be an integer (not a bool) in ``sites``."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x not in sites:
+    # an int passes without the slower abstract-class check
+    if (type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral))
+            or x not in sites):
         raise OutOfRange(f"site {x!r} not in {name}")
     return int(x)
 
@@ -42,9 +44,16 @@ def finite_real(value) -> bool:
             and math.isfinite(value))
 
 
+def nonnegative_integer(value) -> bool:
+    """``value`` is a nonnegative integer and not a bool: a particle count."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0)
+
+
 def site_set(sites, kappa: int) -> tuple[int, ...]:
     """Sorted distinct site indices of a nonempty set inside ``0..kappa-1``."""
-    out = tuple(sorted({check_site(x, range(kappa), f"0..{kappa - 1}") for x in sites}))
+    within, name = range(kappa), f"0..{kappa - 1}"
+    out = tuple(sorted({check_site(x, within, name) for x in sites}))
     if not out:
         raise OutOfRange("site set must be nonempty")
     return out
@@ -242,14 +251,22 @@ class ProcessParams:
 
 
 def schedule_power(coeff: float, exponent: float) -> Callable[[int], float]:
-    """Deterministic schedule N -> coeff * N**(-exponent)."""
+    """Deterministic schedule N -> coeff * N**(-exponent), for a finite real
+    ``coeff`` > 0 and a finite real ``exponent``."""
+    if not (finite_real(coeff) and coeff > 0 and finite_real(exponent)):
+        raise OutOfRange(f"a power schedule needs a finite coeff > 0 and a finite exponent, "
+                         f"got {coeff!r} and {exponent!r}")
+
     def d_of_n(n: int) -> float:
         return coeff * float(n) ** (-exponent)
     return d_of_n
 
 
 def schedule_fixed(value: float) -> Callable[[int], float]:
-    """Constant schedule N -> value."""
+    """Constant schedule N -> value, for a finite real ``value`` > 0."""
+    if not (finite_real(value) and value > 0):
+        raise OutOfRange(f"a fixed schedule needs a finite real value > 0, got {value!r}")
+
     def d_of_n(n: int) -> float:
         return value
     return d_of_n
@@ -263,8 +280,8 @@ class Configuration:
     total: int = field(init=False)
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise OutOfRange("counts must be nonnegative")
+        if not all(nonnegative_integer(c) for c in self.counts):
+            raise OutOfRange(f"counts must be nonnegative integers, got {self.counts}")
         object.__setattr__(self, "total", int(sum(self.counts)))
 
     @classmethod
@@ -289,8 +306,7 @@ def state_counts(eta: Configuration | Sequence[int], kappa: int,
     counts = tuple(eta.counts if isinstance(eta, Configuration) else eta)
     if len(counts) != kappa:
         raise OutOfRange(f"state has {len(counts)} sites, the walk has {kappa}")
-    if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 0
-           for c in counts):
+    if not all(nonnegative_integer(c) for c in counts):
         raise OutOfRange(f"counts must be nonnegative integers, got {counts}")
     if sum(counts) != n:
         raise OutOfRange(f"state holds {sum(counts)} particles, N is {n}")
@@ -302,8 +318,13 @@ def log_weight_table(n: int, d: float) -> np.ndarray:
 
     w(0) = 1 and w(k+1) = w(k) * (k + d) / (k + 1); equivalently
     w(k) = Gamma(k + d) / (k! Gamma(d)). Computed in log space because the
-    products underflow for large n.
+    products underflow for large n. Raises ``OutOfRange`` unless ``n`` is an
+    integer >= 0 and ``d`` a finite real > 0.
     """
+    if not nonnegative_integer(n):
+        raise OutOfRange(f"n must be an integer >= 0, got {n!r}")
+    if not (finite_real(d) and d > 0):
+        raise OutOfRange(f"d must be a finite real > 0, got {d!r}")
     # math.log, not np.log: numpy's SIMD log can differ from libm's in the
     # last bit, which would make the table depend on the CPU
     steps = [math.log((k - 1 + d) / k) for k in range(1, n + 1)]

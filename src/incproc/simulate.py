@@ -29,16 +29,13 @@ import numpy as np
 from .errors import (BudgetExceeded, DegenerateData, IncprocError, OutOfRange,
                      WindowExceedsTrajectory)
 from .model import (Configuration, ProcessParams, WalkSpec, _add_in_order, finite_real,
-                    site_set, state_counts)
+                    nonnegative_integer, site_set, state_counts)
 
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
 _SLICE = 1 << 10
 # the purposes of a replica's substreams: Philox counter word 3
 _EXPONENTIALS, _UNIFORMS = 0, 1
-# intervals trace_project, the one replay of a stored path, takes per numpy
-# pass (about 2 MB of temporaries)
-_TRACE_CHUNK = 1 << 14
 
 
 def replica_rng(seed: int, stream: int) -> np.random.Generator:
@@ -115,7 +112,12 @@ class _Blocks:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One continuous-time path: initial state plus a chronological move list."""
+    """One continuous-time path: initial state plus a chronological move list.
+
+    Raises ``OutOfRange`` unless ``times``, ``move_from`` and ``move_to``
+    are 1-D and of one length, and every move is between the sites of
+    ``initial`` (integers in ``0..len(initial) - 1``).
+    """
 
     initial: tuple[int, ...]
     times: np.ndarray
@@ -124,6 +126,16 @@ class Trajectory:
     horizon: float
     seed: int
     stream: int
+
+    def __post_init__(self):
+        kappa = len(self.initial)
+        moves = [np.asarray(m) for m in (self.move_from, self.move_to)]
+        if not all(np.ndim(a) == 1 for a in (self.times, *moves)) or not (
+                len(self.times) == len(moves[0]) == len(moves[1])):
+            raise OutOfRange("times, move_from and move_to must be 1-D arrays of one length")
+        if len(self.times) and not all(m.dtype.kind in "iu" and 0 <= m.min()
+                                       and m.max() < kappa for m in moves):
+            raise OutOfRange(f"trajectory moves leave the sites 0..{kappa - 1}")
 
     @property
     def n_events(self) -> int:
@@ -216,7 +228,7 @@ class _Kernel:
 
 def _address(a: np.ndarray) -> int:
     """The address of the first element of the contiguous array ``a``."""
-    return a.__array_interface__["data"][0]
+    return a.ctypes.data
 
 
 # the command that builds ``_kernel.c``; no contraction to fused
@@ -228,8 +240,8 @@ _library = None
 
 def _compiled():
     """The library built from ``_kernel.c``, built and loaded on first use,
-    with the argument types of its two functions, ``incproc_slice`` and
-    ``incproc_channels``, set.
+    with the argument types of its three functions, ``incproc_slice``,
+    ``incproc_channels`` and ``incproc_trace``, set.
 
     The build is cached in ``$XDG_CACHE_HOME/incproc``, else
     ``~/.cache/incproc``, under a hash of the source and the command. It is
@@ -283,7 +295,10 @@ def _compiled():
                                           ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
         library.incproc_channels.argtypes = [ptr, ptr, ctypes.c_uint8, ptr, ptr, ptr, ptr,
                                              ptr, ptr, ptr, ptr, ptr, i64]
+        library.incproc_trace.argtypes = [ptr, ptr, ptr, i64, real, i64, i64, ptr, ptr, flag,
+                                          real, ptr, i64, ptr, ptr, ptr, ptr, ptr]
         library.incproc_slice.restype = library.incproc_channels.restype = i64
+        library.incproc_trace.restype = i64
         _library = library
     return _library
 
@@ -312,9 +327,7 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
     """:func:`simulate` through ``kernel``, the event kernel of the walk."""
     _check_horizon(horizon)
     initial = state_counts(eta0, spec.kappa, params.n)
-    if max_events is not None and (isinstance(max_events, bool)
-                                   or not isinstance(max_events, numbers.Integral)
-                                   or max_events < 0):
+    if max_events is not None and not nonnegative_integer(max_events):
         raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
     _check_key(seed, "seed")
     _check_key(stream, "stream")
@@ -397,10 +410,10 @@ def trace_project(traj: Trajectory, a_set, theta: float,
 
     Interval ``i`` runs from event ``i - 1`` (or time 0) to event ``i`` (or
     the horizon) in the state left by the first ``i`` events. The path is
-    replayed with numpy ``_TRACE_CHUNK`` intervals at a time, which bounds
-    the temporaries. Every clock, and every segment's sojourn, adds its
-    intervals one at a time in path order (masked sequential ``cumsum``
-    carried across chunks), so the sums do not depend on how the path is cut.
+    replayed event by event in one pass of the compiled loop
+    ``incproc_trace`` of ``_kernel.c``: after a move only its target can
+    hold all N, and every clock, and every segment's sojourn, adds its
+    intervals one at a time in path order.
     """
     kappa = len(traj.initial)
     a_set = site_set(a_set, kappa)
@@ -414,137 +427,43 @@ def trace_project(traj: Trajectory, a_set, theta: float,
             and all(finite_real(t) and t >= 0 for t in marginal_times)):
         raise OutOfRange(f"marginal_times must be a sequence of finite reals >= 0, "
                          f"got {marginal_times!r}")
-    if traj.n_events and not all(0 <= m.min() and m.max() < kappa
-                                 for m in (traj.move_from, traj.move_to)):
-        raise OutOfRange(f"trajectory moves leave the sites 0..{kappa - 1}")
     if window is not None and theta * window > traj.horizon * (1 + 1e-12):
         raise WindowExceedsTrajectory(
             f"window {theta * window:.3g} exceeds horizon {traj.horizon:.3g}")
-    sample_ts = sample_out = sample_state = None
+    sample_ts = sample_out = None
     if marginal_times is not None:
         sample_ts = np.asarray(sorted(float(theta * t) for t in marginal_times))
         if sample_ts.size and sample_ts[-1] > traj.horizon * (1 + 1e-12):
             raise WindowExceedsTrajectory("marginal sample beyond horizon")
         sample_out = np.full(sample_ts.size, CEMETERY, dtype=np.int64)
-        # the state at a sample time is the one before the first event at
-        # or after it
-        sample_state = np.searchsorted(traj.times, sample_ts, side="left")
 
-    n = sum(traj.initial)
-    n_events = traj.n_events
-    times = np.asarray(traj.times, dtype=float)
-    limit = theta * window if window is not None else None
-    in_a = np.zeros(kappa, dtype=bool)
-    in_a[list(a_set)] = True
-    # carried from chunk to chunk; the lowest site wins when N = 0 and every
-    # site holds all N
-    counts = np.asarray(traj.initial, dtype=np.int64)
-    state_label = next((x for x in a_set if counts[x] == n), CEMETERY)
-    trace_time = off_time = off_in_window = 0.0
-    seg_label, seg_time = CEMETERY, 0.0       # open trace segment
-    labels: list[int] = []
-    sojourns: list[float] = []
-    ends: list[float] = []
-    for lo in range(0, n_events + 1, _TRACE_CHUNK):
-        hi = min(lo + _TRACE_CHUNK, n_events + 1)
-        src, dst = traj.move_from[lo:hi], traj.move_to[lo:hi]
-        # touches of event j: its source at 2j, its target at 2j + 1; a
-        # stable sort by site keeps each site's touches in path order
-        site = np.empty(2 * len(src), dtype=np.min_scalar_type(kappa))
-        site[0::2], site[1::2] = src, dst
-        order = np.argsort(site, kind="stable")
-        ranked = site[order]
-        # run[k]: net arrivals over the first k touches in site order; site
-        # x's touches take it from run[first[x]] to run[last[x]]
-        run = np.concatenate(([0], np.cumsum(2 * (order & 1) - 1)))
-        bounds = np.searchsorted(ranked, np.arange(kappa + 1))
-        first, last = bounds[:-1], bounds[1:]
-        # metastable label of each interval's state, CEMETERY off the set:
-        # after an event, only its target can hold all N
-        hit = np.flatnonzero((counts - run[first])[ranked] + run[1:] == n)
-        hit = hit[in_a[ranked[hit]]]
-        reached = np.full(len(src), CEMETERY, dtype=np.int64)
-        reached[order[hit] >> 1] = ranked[hit]
-        counts += run[last] - run[first]
-        label = np.concatenate(([state_label], reached))
-        state_label = int(label[-1])
-        label = label[:hi - lo]
-        on = label != CEMETERY
-
-        edges = np.concatenate(([0.0] if lo == 0 else [], times[max(lo - 1, 0):hi],
-                                [float(traj.horizon)] if hi > n_events else []))
-        dt = np.diff(edges)
-        dt[dt < 0] = 0.0
-        on_dt = np.where(on, dt, 0.0)
-        # clock[j] is the trace clock before interval lo + j
-        clock = np.cumsum(np.concatenate(([trace_time], on_dt)))
-        trace_time = float(clock[-1])
-        off_time = _add_in_order(off_time, np.where(on, 0.0, dt))
-        if limit is not None:
-            overlap = np.minimum(edges[1:], limit) - np.minimum(edges[:-1], limit)
-            off_in_window = _add_in_order(
-                off_in_window, np.where(~on & (overlap > 0), overlap, 0.0))
-
-        # a segment opens where the label differs from the last label seen
-        # on the set (leaving the set and coming back to the same site
-        # merges) and closes where the next one opens; the first sum
-        # continues the segment left open by the previous chunk
-        where_on = np.flatnonzero(on)
-        on_labels = label[where_on]
-        opens = where_on[on_labels != np.concatenate(([seg_label], on_labels[:-1]))]
-        sums = _segment_sums(on_dt, np.concatenate(([0], opens)), seg_time)
-        if len(opens):
-            seg_labels = np.concatenate(([seg_label], label[opens]))
-            closed = seg_labels[:-1] != CEMETERY
-            labels += seg_labels[:-1][closed].tolist()
-            sojourns += sums[:-1][closed].tolist()
-            ends += clock[opens][closed].tolist()
-            seg_label = int(seg_labels[-1])
-        seg_time = float(sums[-1])
-
-        if sample_state is not None:
-            here = (sample_state >= lo) & (sample_state < hi)
-            sample_out[here] = label[sample_state[here] - lo]
-    if seg_label != CEMETERY:
-        labels.append(seg_label)
-        sojourns.append(seg_time)
-        ends.append(trace_time)
-    if sample_out is not None:
-        sample_out[sample_ts > traj.horizon] = CEMETERY
-
+    counts = np.array(traj.initial, dtype=np.int64)
+    in_a = np.zeros(kappa, dtype=np.uint8)
+    in_a[list(a_set)] = 1
+    # no copy of a path as simulate stores it
+    times = np.ascontiguousarray(traj.times, dtype=np.float64)
+    src, dst = (np.ascontiguousarray(m, dtype=np.int32) for m in (traj.move_from, traj.move_to))
+    # a segment opens at most at each event, and one is open at the start
+    room = traj.n_events + 1
+    labels, sojourns, ends = np.empty(room, dtype=np.int64), np.empty(room), np.empty(room)
+    clocks = np.empty(3)
+    m = _compiled().incproc_trace(
+        _address(times), _address(src), _address(dst), traj.n_events, traj.horizon,
+        kappa, sum(traj.initial), _address(in_a), _address(counts), window is not None,
+        theta * window if window is not None else 0.0,
+        None if sample_ts is None else _address(sample_ts),
+        0 if sample_ts is None else sample_ts.size,
+        None if sample_out is None else _address(sample_out),
+        _address(labels), _address(sojourns), _address(ends), _address(clocks))
+    if m < 0:
+        raise OutOfRange(f"trajectory moves leave the sites 0..{kappa - 1}")
+    trace_time, off_time, off_in_window = clocks.tolist()
     return TracePath(
-        a_set=a_set, labels=np.asarray(labels, dtype=np.int64),
-        sojourns=np.asarray(sojourns, dtype=float), ends=np.asarray(ends, dtype=float),
-        trace_time=trace_time, off_time=off_time, horizon=traj.horizon,
-        theta=theta, window=window,
+        a_set=a_set, labels=labels[:m].copy(), sojourns=sojourns[:m].copy(),
+        ends=ends[:m].copy(), trace_time=trace_time, off_time=off_time,
+        horizon=traj.horizon, theta=theta, window=window,
         off_occupation=(off_in_window / theta if window is not None else None),
         marginal_times=sample_ts, marginal=sample_out)
-
-
-def _segment_sums(terms: np.ndarray, starts: np.ndarray, carry: float) -> np.ndarray:
-    """Left-to-right sums of the segments ``terms[starts[i]:starts[i + 1]]``
-    (the last one runs to the end), the first added onto ``carry`` and every
-    other onto 0.0.
-
-    Segments are grouped by length: those of length ``L`` with
-    ``2**(e-1) <= L < 2**e`` form one block of rows ``[carry or 0.0, terms]``
-    padded with 0.0 to width ``2**e``, whose row ``cumsum`` adds in order.
-    """
-    lengths = np.diff(starts, append=len(terms))
-    exponents = np.frexp(lengths)[1]
-    padded = np.concatenate((terms, [0.0, carry]))
-    zero = len(terms)
-    sums = np.empty(len(starts))
-    for e in np.unique(exponents).tolist():
-        rows = np.flatnonzero(exponents == e)
-        cols = np.arange(1 << e)
-        # column c > 0 holds term c - 1 of the row's segment
-        take = np.where(cols <= lengths[rows, None], starts[rows, None] + cols - 1, zero)
-        take[:, 0] = zero
-        if rows[0] == 0:
-            take[0, 0] = zero + 1
-        sums[rows] = np.cumsum(padded[take], axis=1)[:, -1]
-    return sums
 
 
 @dataclass(frozen=True)
@@ -642,8 +561,7 @@ class HittingTask:
                 and 0 <= level < math.inf and (level > 0 or name == "threshold")):
             raise OutOfRange(f"{self.chain} chain needs a finite real {name} "
                              f"{'>= 0' if name == 'threshold' else '> 0'}, got {level!r}")
-        if (isinstance(self.step_cap, bool) or not isinstance(self.step_cap, numbers.Integral)
-                or self.step_cap < 0):
+        if not nonnegative_integer(self.step_cap):
             raise OutOfRange(f"step_cap must be a nonnegative integer, got {self.step_cap!r}")
         _check_key(self.seed, "seed")
 

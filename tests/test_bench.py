@@ -3,7 +3,7 @@
 The perfbench checkout here is a stub: its benchmark command prints the two
 lines ``perfbench/run.py`` prints, so those tests run in well under a
 second. The kernel layer rows run on a committed copy of this repository's
-package and benchmark, in about four seconds.
+package and benchmark, in a few seconds each.
 """
 
 import json
@@ -134,6 +134,23 @@ def test_hitting_row_times_the_hitting_replicas(package_checkout, tmp_path):
     # 10 rounds of 50 inclusion and 40 auxiliary replicas
     assert m["replicas"] == 900
     assert m["ms_per_replica"] == pytest.approx(m["cpu_s"] / m["replicas"] * 1e3)
+
+
+def test_trace_rows_time_the_replay(package_checkout, tmp_path):
+    res = drive(tmp_path, package_checkout, "--workloads", "kernel.trace_long_path",
+                "kernel.trace_fixed", "--seeds", "4101")
+    assert res.returncode == 0, res.stderr
+    rows = json.loads((tmp_path / "BENCH_x.json").read_text())["rows"]
+    assert [(r["workload"], r["seed"], r["fail_rate"]) for r in rows] == [
+        ("kernel.trace_long_path", 4101, 0.0), ("kernel.trace_fixed", 4101, 0.0)]
+    path, fixed = (r["metrics"] for r in rows)
+    assert set(path) == {"us_per_event", "events", "cpu_s"}
+    assert path["events"] == 300_000
+    assert path["us_per_event"] == pytest.approx(path["cpu_s"] / path["events"] * 1e6)
+    assert set(fixed) == {"us_per_call", "us_per_call_torus64", "calls", "cpu_s"}
+    assert fixed["calls"] == 2000
+    assert fixed["us_per_call"] == pytest.approx(fixed["cpu_s"] / fixed["calls"] * 1e6)
+    assert fixed["us_per_call_torus64"] > 0
 
 
 def test_a_kernel_row_without_the_package_fails(checkout, tmp_path):

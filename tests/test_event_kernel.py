@@ -11,9 +11,9 @@ simulators must reproduce the reference event for event. The compiled
 kernel weighs each state's row anew at every event, so every event checks
 its weights, not a cached copy.
 
-``ref_trace_project`` replays a trajectory event by event; the vectorised
-``trace_project`` must give the same labels, sojourns, clocks and samples,
-bit for bit, whatever its chunk size. ``condensate_statistics`` must match
+``ref_trace_project`` replays a trajectory event by event in Python; the
+compiled replay of ``trace_project`` must give the same labels, sojourns,
+clocks and samples, bit for bit. ``condensate_statistics`` must match
 the condensate following of ``RefCondensate`` the same way.
 
 Condensate runs are the exception: they are sampled as a renewal process of
@@ -30,6 +30,7 @@ import gc
 import hashlib
 import math
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +41,7 @@ from incproc import (BudgetExceeded, HittingTask, OutOfRange, ProcessParams, Tra
                      WalkSpec, build_torus, condensate_statistics, mc_hitting,
                      measure_drift, run_condensate, simulate, torus_walk, trace_project)
 from incproc.simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, CEMETERY, _Blocks,
-                              _philox_key, _segment_sums, _substream)
+                              _philox_key, _substream)
 from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
 from reference import lockstep_runs
 
@@ -410,7 +411,7 @@ REPLAY_TORI = {**TORI, "64": lambda: build_torus(
 
 
 @pytest.mark.parametrize("torus", sorted(REPLAY_TORI))
-def test_condensate_statistics_matches_replay(torus, trace_chunk):
+def test_condensate_statistics_matches_replay(torus):
     spec = REPLAY_TORI[torus]()
     walk, params = torus_walk(spec), ProcessParams(spec.n, spec.d_l)
     seen = 0
@@ -871,16 +872,8 @@ def assert_same_trace(traj, a_set, theta, window=None, marginal_times=None):
     return path
 
 
-@pytest.fixture(params=[None, 1, 3, 250])
-def trace_chunk(request, monkeypatch):
-    """The replay's chunk size: the default, or small enough to cut paths
-    into many chunks (a chunk of 1 holds one interval)."""
-    if request.param is not None:
-        monkeypatch.setattr(KERNEL, "_TRACE_CHUNK", request.param)
-
-
 @pytest.mark.parametrize("walk", WALKS)
-def test_trace_project_matches_reference(walk, request, trace_chunk):
+def test_trace_project_matches_reference(walk, request):
     spec = request.getfixturevalue(walk)
     k = spec.kappa
     params = ProcessParams(3, 0.3)
@@ -904,24 +897,78 @@ def test_trace_project_matches_reference(walk, request, trace_chunk):
     assert visits > 20
 
 
-def test_segment_sums_add_left_to_right():
-    # terms of mixed magnitudes, so any other order of addition rounds
-    # differently; segments of 0, 1, 3, 4, 31, 128 and 129 terms
-    rng = np.random.default_rng(3)
-    terms = rng.exponential(1.0, 300) * 10.0 ** rng.integers(-8, 8, 300)
-    starts = np.array([0, 0, 1, 2, 5, 9, 40, 41, 42, 170, 299])
-    bounds = [*starts.tolist(), len(terms)]
-    for carry in (0.0, 0.1, 3e7):
-        want = []
-        for i in range(len(starts)):
-            total = carry if i == 0 else 0.0
-            for t in terms[bounds[i]:bounds[i + 1]].tolist():
-                total += t
-            want.append(total)
-        assert _segment_sums(terms, starts, carry).tolist() == want
+def long_path(seed):
+    """The 300,000-event 3-cycle path of the ``long_path`` benchmark workload
+    at ``seed`` (its first round), and the theta it is projected with."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    work = workloads.make("long_path", seed)
+    (op,) = [op for op in work.operations() if op.name == "simulate_cycle"]
+    return op.run(SimpleNamespace(call=lambda name, f, *a, count=None, **kw: f(*a, **kw)),
+                  0), work.theta
 
 
-def test_trace_project_empty_and_underflowing_paths(trace_chunk):
+@pytest.mark.parametrize("seed", [4101, 7919])
+def test_trace_project_matches_reference_on_the_long_path(seed):
+    traj, theta = long_path(seed)
+    assert traj.n_events == 300_000
+    path = assert_same_trace(traj, (0, 1, 2), theta)
+    assert len(path.labels) > 100
+    samples = np.concatenate((traj.times[::997], [traj.horizon]))
+    assert_same_trace(traj, (0,), 1.0, window=traj.horizon / 3, marginal_times=samples)
+
+
+@pytest.mark.parametrize("seed, horizon, max_events", [(0, 20.0, None), (1, 1e300, 5_000)])
+def test_trace_project_matches_reference_on_the_64_site_torus(seed, horizon, max_events):
+    # a condensate that relocates tens of times in 20 theta
+    spec = build_torus(2, 8, {(1, 0): 1.0, (-1, 0): 0.6, (0, 1): 0.8, (0, -1): 0.8},
+                       rho=0.5, d_l=5e-3)
+    walk, params = torus_walk(spec), ProcessParams(spec.n, spec.d_l)
+    assert walk.kappa == 64
+    eta0 = [0] * 64
+    eta0[seed] = spec.n
+    traj = simulate(walk, params, eta0, horizon=horizon * spec.theta, seed=seed,
+                    max_events=max_events)
+    theta = 0.5      # a power of two: theta * (t / theta) == t
+    # samples at event times and at the horizon, which the second path ends
+    # on with an event
+    samples = np.concatenate((traj.times[::41], [traj.horizon])) / theta
+    labels = 0
+    for a_set in (range(64), range(0, 64, 3)):
+        path = assert_same_trace(traj, a_set, theta, window=0.6 * traj.horizon / theta,
+                                 marginal_times=samples)
+        labels += len(path.labels)
+    assert labels > 20
+
+
+@pytest.mark.parametrize("layout", ["int64-moves", "uint8-moves", "strided-times"])
+def test_trace_project_reads_a_path_stored_in_another_layout(layout, up3):
+    # the replay reads the path as simulate stores it (contiguous float64
+    # times, int32 moves) in place and converts any other layout first
+    traj = simulate(up3, ProcessParams(3, 0.3), (1, 1, 1), 150.0, seed=5)
+    if layout == "strided-times":
+        spread = np.repeat(traj.times, 2)[::2]
+        assert not spread.flags.c_contiguous
+        other = dataclasses.replace(traj, times=spread)
+    else:
+        dtype = np.int64 if layout == "int64-moves" else np.uint8
+        other = dataclasses.replace(traj, move_from=traj.move_from.astype(dtype),
+                                    move_to=traj.move_to.astype(dtype))
+    samples = traj.times[::7].tolist() + [150.0]
+    want = trace_project(traj, (0, 2), 1.0, window=70.0, marginal_times=samples)
+    got = trace_project(other, (0, 2), 1.0, window=70.0, marginal_times=samples)
+    assert len(want.labels) > 5
+    for field in dataclasses.fields(want):
+        a, b = getattr(want, field.name), getattr(got, field.name)
+        if isinstance(a, np.ndarray):
+            a, b = (a.dtype, a.tolist()), (b.dtype, b.tolist())
+        assert a == b, field.name
+
+
+def test_trace_project_empty_and_underflowing_paths():
     none = np.zeros(0)
     for eta0 in ((2, 0), (1, 1)):
         empty = Trajectory(initial=eta0, times=none, move_from=none.astype(np.int32),

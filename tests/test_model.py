@@ -180,6 +180,12 @@ class TestConfiguration:
         with pytest.raises(OutOfRange):
             Configuration.single_site(3, 5, x)
 
+    @pytest.mark.parametrize("counts", [(1.5, 1), (True, 1), (-1, 2)],
+                             ids=["float", "bool", "negative"])
+    def test_rejects_counts_that_are_not_particle_counts(self, counts):
+        with pytest.raises(OutOfRange):
+            Configuration(counts)
+
 
 class TestKinetics:
     def test_example_rates(self, two_sym):
@@ -255,6 +261,24 @@ class TestParams:
         pw = schedule_power(2.0, 3.0)
         assert pw(10) == pw(10) == 2.0 * 10.0 ** -3
         assert schedule_fixed(1e-4)(999) == 1e-4
+
+    @pytest.mark.parametrize("make", [lambda: schedule_fixed(-1.0),
+                                      lambda: schedule_fixed(math.nan),
+                                      lambda: schedule_power(math.nan, 1),
+                                      lambda: schedule_power(1.0, math.inf)],
+                             ids=["fixed-negative", "fixed-nan", "power-nan-coeff",
+                                  "power-inf-exponent"])
+    def test_schedules_refuse_a_value_that_is_no_d(self, make):
+        with pytest.raises(OutOfRange):
+            make()
+
+    @pytest.mark.parametrize("n, d", [(True, 0.1), (2.0, 0.1), (-1, 0.1), (3, math.nan),
+                                      (3, -1), (3, 0.0), (3, True)],
+                             ids=["n-bool", "n-float", "n-negative", "d-nan", "d-negative",
+                                  "d-zero", "d-bool"])
+    def test_weight_table_refuses_bad_arguments(self, n, d):
+        with pytest.raises(OutOfRange):
+            log_weight_table(n, d)
 
     def test_weight_table(self):
         logw = log_weight_table(2, 0.1)

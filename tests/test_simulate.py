@@ -219,12 +219,32 @@ class TestPathTallies:
 class TestTraceProject:
     @pytest.mark.parametrize("site", [-1, 5])
     def test_rejects_moves_off_the_sites(self, site):
-        traj = Trajectory(initial=(2, 0), times=np.array([1.0]),
-                          move_from=np.array([0], dtype=np.int32),
-                          move_to=np.array([site], dtype=np.int32),
-                          horizon=2.0, seed=0, stream=0)
+        def path(to):
+            return Trajectory(initial=(2, 0), times=np.array([1.0]),
+                              move_from=np.array([0], dtype=np.int32),
+                              move_to=np.array([to], dtype=np.int32),
+                              horizon=2.0, seed=0, stream=0)
+        with pytest.raises(OutOfRange):
+            path(site)
+        # a move changed in place after the checks is refused by the replay
+        traj = path(1)
+        traj.move_to[0] = site
         with pytest.raises(OutOfRange):
             trace_project(traj, (0, 1), 1.0)
+
+    @pytest.mark.parametrize("times, moves", [
+        ([1.0], [[0, 1], [1, 0]]), ([1.0, 2.0, 3.0], [[0, 1], [1, 0]]),
+        ([[1.0, 2.0]], [[0, 1], [1, 0]]), ([1.0, 2.0], [[[0, 1]], [[1, 0]]]),
+        (1.0, [0, 1]), ([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])],
+        ids=["times-short", "times-long", "times-2d", "moves-2d", "times-scalar",
+             "moves-float"])
+    def test_refuses_a_path_of_mismatched_shape(self, times, moves):
+        # every consumer of a stored path, the compiled replay too, reads
+        # one time and one move per event
+        with pytest.raises(OutOfRange):
+            Trajectory(initial=(1, 1), times=np.asarray(times),
+                       move_from=np.asarray(moves[0]), move_to=np.asarray(moves[1]),
+                       horizon=4.0, seed=0, stream=0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(theta=math.nan), dict(theta=0), dict(theta=-1.0),
