@@ -1,7 +1,8 @@
 /* The compiled loops of incproc: the event loop of the direct-method
-   (Gillespie) kernel, incproc_slice, the channel steps of the condensate
-   runs' two-site excursions, incproc_channels, and the replay of a stored
-   path onto the metastable states of a site set, incproc_trace.
+   (Gillespie) kernel, incproc_slice, which keeps a run's clock and its stop
+   rules; the channel steps of the condensate runs' two-site excursions,
+   incproc_channels; and the replay of a stored path onto the metastable
+   states of a site set, incproc_trace.
 
    incproc.simulate compiles this file once per source hash with
    cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
@@ -11,23 +12,26 @@
    The move table of incproc_slice is in CSR form: the moves out of site x
    are the entries first[x] .. first[x + 1] - 1 of target and coef. */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-/* Run at most n events of one replica, ending after the first one whose
-   source is left with stop particles or fewer, or, for listed sources,
-   after the one that leaves a single occupied site.
+/* Run at most n events of one replica on the clock *clock, ending after the
+   first one whose source is left with stop particles or fewer, or, for
+   listed sources, after the one that leaves a single occupied site (both
+   set *stopped), or before one that would come after horizon.
 
    Each event weighs the row of the current state anew: the moves x -> y of
    the sources x in order, then of table row x in order, each weighing
    c_x (d + c_y) coef, sources with no particle skipped, or c_y (d + c_x) coef
    when by_target. With u = unis[m] * total it takes the first move whose
    running sum reaches u, or exceeds it when u is 0.0, so a zero-weight move
-   is never taken. The holding time is exps[m] / total (not written when dts
-   is NULL). The move id x * kappa + y goes to moves[m], and the move is
-   applied to counts. Listed sources hold the occupied sites in arrival order:
-   a site that becomes occupied is appended, one that empties is removed in
-   place, and *n_sources is updated.
+   is never taken. Its holding time exps[m] / total (1.0 when by_target)
+   moves the clock at least one ulp. The clock goes to times[m] and the move
+   id x * kappa + y to moves[m] (if moves is not NULL), and the move is
+   applied to counts. Listed sources hold the occupied sites in arrival
+   order: a site that becomes occupied is appended, one that empties is
+   removed in place, and *n_sources is updated.
 
    cum and ids are scratch rows of room entries. Returns the number of
    events; -1 if a state has no move of positive weight; or -2, before any
@@ -36,14 +40,15 @@ int64_t incproc_slice(const int64_t *first, const int64_t *target, const double 
                       int64_t kappa, double d, int by_target, double stop, int listed,
                       int64_t *counts, int64_t *sources, int64_t *n_sources,
                       const double *exps, const double *unis, int64_t n,
-                      double *cum, int64_t *ids, int64_t room,
-                      double *dts, int64_t *moves)
+                      double *cum, int64_t *ids, int64_t room, double horizon,
+                      double *clock, int64_t *stopped, double *times, int64_t *moves)
 {
-    int64_t ns = *n_sources, m = 0;
+    int64_t ns = *n_sources, m = 0, done = 0;
+    double t = *clock;
     for (int64_t s = 0; s < ns; s++)
         if (sources[s] < 0 || sources[s] >= kappa)
             return -2;
-    while (m < n) {
+    while (m < n && !done) {
         int64_t len = 0;
         double total = 0.0;
         for (int64_t s = 0; s < ns; s++) {
@@ -73,28 +78,36 @@ int64_t incproc_slice(const int64_t *first, const int64_t *target, const double 
         }
         if (lo == len)
             return -1;
+        double next = t + (by_target ? 1.0 : exps[m] / total);
+        if (next <= t) {    /* one ulp on: t >= 0, so its bits plus one */
+            union { double f; uint64_t u; } up = {t};
+            up.u++;
+            next = up.f;
+        }
+        if (next > horizon)
+            break;
+        t = next;
         int64_t move = ids[lo], x = move / kappa, y = move % kappa;
-        if (dts)
-            dts[m] = exps[m] / total;
-        moves[m++] = move;
+        if (moves) {
+            times[m] = t;
+            moves[m] = move;
+        }
+        m++;
         counts[x]--;
         counts[y]++;
-        if (listed) {
-            if (counts[y] == 1)
-                sources[ns++] = y;
-            if (counts[x] == 0) {
-                int64_t s = 0;
-                while (sources[s] != x)
-                    s++;
-                memmove(sources + s, sources + s + 1, (size_t)(ns - s - 1) * sizeof *sources);
-                if (--ns == 1)
-                    break;
-            }
-        } else if ((double)counts[x] <= stop) {
-            break;
+        if (listed && counts[y] == 1)
+            sources[ns++] = y;
+        if (listed && counts[x] == 0) {
+            int64_t s = 0;
+            while (sources[s] != x)
+                s++;
+            memmove(sources + s, sources + s + 1, (size_t)(--ns - s) * sizeof *sources);
         }
+        done = listed ? ns == 1 : (double)counts[x] <= stop;
     }
     *n_sources = ns;
+    *clock = t;
+    *stopped = done;
     return m;
 }
 
@@ -152,8 +165,7 @@ int64_t incproc_channels(const double *rows, const uint8_t *end, uint8_t hopped,
    lowest, when N = 0 and every site holds all N), or -1 off the set. Event
    i moves a particle from move_from[i] to move_to[i] in counts (the initial
    counts, updated in place); after it only the target can hold all N. Each
-   interval's dt = max(until - start, 0) is added, one at a time in path
-   order, to the trace clock clocks[0] when it is on the set, else to the
+   interval's dt = until - start is added, one at a time in path order, to the trace clock clocks[0] when it is on the set, else to the
    off clock clocks[1]; an off interval also adds its overlap with
    [0, limit], when positive, to clocks[2] if windowed. A segment opens where the label on
    the set differs from the last one seen on it (leaving the set and coming
@@ -164,8 +176,9 @@ int64_t incproc_channels(const double *rows, const uint8_t *end, uint8_t hopped,
    at or after them: marginal[s] is written while samples[s] <= until, so
    samples beyond the horizon are left as they are.
 
-   Returns the number of segments, or -1 at an event that is not a move
-   between sites. */
+   Returns the number of segments; -1 at an event that is not a move
+   between sites; -2 at a time that is not finite, is below the one before
+   (or 0), or is past the horizon; or -3 at a move out of an empty site. */
 int64_t incproc_trace(const double *times, const int32_t *move_from, const int32_t *move_to,
                       int64_t n, double horizon, int64_t kappa, int64_t total,
                       const uint8_t *in_a, int64_t *counts, int windowed, double limit,
@@ -180,8 +193,8 @@ int64_t incproc_trace(const double *times, const int32_t *move_from, const int32
     double start = 0.0, trace = 0.0, off = 0.0, in_window = 0.0, seg_time = 0.0;
     for (int64_t i = 0; i <= n; i++) {
         double until = i < n ? times[i] : horizon, dt = until - start;
-        if (dt < 0)
-            dt = 0.0;
+        if (!isfinite(until) || dt < 0)
+            return -2;
         while (s < n_samples && samples[s] <= until)
             marginal[s++] = label;
         if (label >= 0) {
@@ -201,6 +214,8 @@ int64_t incproc_trace(const double *times, const int32_t *move_from, const int32
         int64_t x = move_from[i], y = move_to[i];
         if (x < 0 || x >= kappa || y < 0 || y >= kappa)
             return -1;
+        if (counts[x] == 0)
+            return -3;
         counts[x]--;
         counts[y]++;
         label = counts[y] == total && in_a[y] ? y : -1;

@@ -17,7 +17,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NotSemiAttracting, OutOfRange, PremiseViolated
 from .gordan import GordanCertificate, gordan_certificate
-from .model import ProcessParams, WalkSpec, analyze_walk, dense_stationary, site_set
+from .model import (ProcessParams, WalkSpec, analyze_walk, dense_stationary, finite_real,
+                    site_set)
 from .regions import RegionSpec
 from .states import StateEnumeration
 
@@ -255,7 +256,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     r_set = site_set(r_set, walk.kappa)
     if len(r_set) < 2:
         raise OutOfRange(f"R needs at least two sites, got {r_set}")
-    if not (math.isfinite(d) and d > 0):
+    if not (finite_real(d) and d > 0):
         raise OutOfRange(f"d must be finite and positive, got {d!r}")
     rmat = walk.rates
     for x in r_set:

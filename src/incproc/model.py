@@ -51,9 +51,16 @@ def nonnegative_integer(value) -> bool:
 
 
 def site_set(sites, kappa: int) -> tuple[int, ...]:
-    """Sorted distinct site indices of a nonempty set inside ``0..kappa-1``."""
+    """Sorted distinct site indices of a nonempty set inside ``0..kappa-1``;
+    a range or a 1-D integer array is checked at its two ends once sorted."""
     within, name = range(kappa), f"0..{kappa - 1}"
-    out = tuple(sorted({check_site(x, within, name) for x in sites}))
+    if isinstance(sites, range) or (isinstance(sites, np.ndarray) and sites.ndim == 1
+                                    and sites.dtype.kind in "iu"):
+        out = tuple(sorted(sites) if isinstance(sites, range) else np.unique(sites).tolist())
+        for x in out[:1] + out[-1:]:
+            check_site(x, within, name)
+    else:
+        out = tuple(sorted({check_site(x, within, name) for x in sites}))
     if not out:
         raise OutOfRange("site set must be nonempty")
     return out

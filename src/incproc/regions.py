@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OutOfRange
-from .model import WalkAnalysis, WalkSpec, analyze_walk, check_site, site_set
+from .model import WalkAnalysis, WalkSpec, analyze_walk, check_site, finite_real, site_set
 from .states import StateEnumeration
 
 
@@ -28,7 +28,7 @@ class RegionSpec:
     def __init__(self, walk: WalkSpec, enum: StateEnumeration,
                  r_set, eps: float = 0.1, validate_eps: bool = True):
         r_set = site_set(r_set, enum.kappa)
-        if not (math.isfinite(eps) and eps > 0):
+        if not (finite_real(eps) and eps > 0):
             raise OutOfRange(f"eps must be finite and positive, got {eps!r}")
         self.walk = walk
         self.enum = enum

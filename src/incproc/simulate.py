@@ -15,7 +15,6 @@ two substreams overlap. A substream is built on its first use and drawn
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
@@ -28,8 +27,8 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateData, IncprocError, OutOfRange,
                      WindowExceedsTrajectory)
-from .model import (Configuration, ProcessParams, WalkSpec, _add_in_order, finite_real,
-                    nonnegative_integer, site_set, state_counts)
+from .model import (Configuration, ProcessParams, WalkSpec, finite_real, nonnegative_integer,
+                    site_set, state_counts)
 
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
@@ -156,8 +155,8 @@ class Trajectory:
 
 
 class _Kernel:
-    """Exact direct-method (Gillespie) events of one chain, a slice at a
-    time, run by the compiled loop of ``_kernel.c``: the move table
+    """Exact direct-method (Gillespie) events of one chain, run by the
+    compiled loop ``incproc_slice`` of ``_kernel.c``: the move table
     ``out[x] = [(y, coef), ...]`` (held as CSR arrays), ``d``, ``by_target``
     and the stop level ``stop``. Each step weighs the row of its state
     anew; nothing is cached. A kernel runs one replica at a time, with
@@ -179,28 +178,25 @@ class _Kernel:
         cum, ids = np.empty(room), np.empty(room, dtype=np.int64)
         self.sources = np.zeros(self.kappa, dtype=np.int64)
         self.n_sources = np.zeros(1, dtype=np.int64)
-        # the output of a slice, copied out on return; a slice takes at most
-        # one piece of _Blocks, at most _SLICE entries
-        self.dts, self.moves = np.empty(_SLICE), np.empty(_SLICE, dtype=np.int64)
+        self.clock, self.stopped = np.zeros(1), np.zeros(1, dtype=np.int64)
         # held, so the addresses passed to the loop stay valid
         self.arrays = (first, target, coef, cum, ids)
         self.table = [_address(a) for a in (first, target, coef)]
         self.scratch = [_address(cum), _address(ids), room]
         self.state = [_address(self.sources), _address(self.n_sources)]
-        self.output = [_address(self.dts), _address(self.moves)]
+        self.ends = [_address(self.clock), _address(self.stopped)]
 
-    def run(self, counts: np.ndarray, sources: Sequence[int], blocks: _Blocks,
-            limit: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """Run at most ``limit`` events (``limit <= _SLICE``) of a replica
-        from ``blocks``, ending after the first one whose source is left with
-        ``stop`` particles or fewer. Each picks a move of ``counts`` (an
-        int64 array, updated in place) with probability proportional to its
-        weight (never a zero-weight one); it lasts an exponential over the
-        total weight, or 1.0 when ``by_target`` (no exponentials drawn).
-        ``sources`` (distinct sites) fixes the move order; as a list it
-        holds the occupied sites in arrival order, kept so, and the run ends
-        when one site is left. Returns the holding times (None when
-        ``by_target``) and the move ids ``x * kappa + y``.
+    def run(self, counts: np.ndarray, sources: Sequence[int], blocks: _Blocks, cap,
+            horizon: float = math.inf, record: bool = False) -> tuple:
+        """Run a replica from ``blocks`` until the first event whose source is
+        left with ``stop`` particles or fewer, ``cap`` events, or the last one
+        at or before ``horizon``. An event picks a move of ``counts`` (int64,
+        updated in place) in proportion to its weight and lasts an
+        exponential over the total weight (1.0 when ``by_target``).
+        ``sources`` (distinct sites) fixes the move order; a list holds the
+        occupied sites in arrival order, kept so, and the run stops at one.
+        Returns the events, the clock, whether the run stopped, and, if
+        ``record``, the event times and move ids ``x * kappa + y``.
         """
         # the loop writes through the address of ``counts``, and checks the sources
         if not (counts.dtype == np.int64 and counts.flags.c_contiguous
@@ -208,22 +204,35 @@ class _Kernel:
             raise OutOfRange("counts must be a contiguous int64 array of one entry per "
                              "site, and the sources at most one per site")
         listed = isinstance(sources, list)
-        exps = None if self.by_target else blocks.exponentials(limit)
-        unis = blocks.uniforms(limit if exps is None else len(exps))
         self.n_sources[0] = len(sources)
         self.sources[:len(sources)] = sources
-        dts, moves = self.output
-        m = _compiled().incproc_slice(
-            *self.table, self.kappa, self.d, self.by_target, self.stop, listed,
-            _address(counts), *self.state, None if exps is None else _address(exps),
-            _address(unis), len(unis), *self.scratch, None if exps is None else dts, moves)
-        if m < 0:
-            raise OutOfRange("a state of the chain has no move of positive weight" if m == -1
-                             else "sources must be distinct sites of the chain")
+        self.clock[0], self.stopped[0] = 0.0, 0
+        # recorded times and moves: room for a cap up to 2^20, else doubled from one piece
+        size = cap if cap <= 1 << 20 else _SLICE
+        out = [np.empty(size), np.empty(size, dtype=np.int64)] if record else []
+        taken = 0
+        while taken < cap:
+            n = min(_SLICE, cap - taken)
+            exps = None if self.by_target else blocks.exponentials(n)
+            unis = blocks.uniforms(n if exps is None else len(exps))
+            if out and taken + len(unis) > len(out[0]):
+                out = [np.concatenate((a, np.empty_like(a))) for a in out]
+            m = _compiled().incproc_slice(
+                *self.table, self.kappa, self.d, self.by_target, self.stop, listed,
+                _address(counts), *self.state, None if exps is None else _address(exps),
+                _address(unis), len(unis), *self.scratch, horizon, *self.ends,
+                *([_address(a[taken:]) for a in out] or [None, None]))
+            if m < 0:
+                raise OutOfRange("a state of the chain has no move of positive weight"
+                                 if m == -1 else "sources must be distinct sites of the chain")
+            blocks.use(m, 0 if exps is None else m)
+            taken += m
+            if m < len(unis) or self.stopped[0]:
+                break
         if listed:
             sources[:] = self.sources[:self.n_sources[0]].tolist()
-        blocks.use(m, 0 if exps is None else m)
-        return (None if exps is None else self.dts[:m].copy()), self.moves[:m].copy()
+        return (taken, float(self.clock[0]), bool(self.stopped[0]),
+                *([a if taken == len(a) else a[:taken].copy() for a in out] or [None, None]))
 
 
 def _address(a: np.ndarray) -> int:
@@ -291,8 +300,9 @@ def _compiled():
         if own:
             shutil.rmtree(own)
         i64, real, flag, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-        library.incproc_slice.argtypes = [ptr, ptr, ptr, i64, real, flag, real, flag, ptr,
-                                          ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+        library.incproc_slice.argtypes = [ptr, ptr, ptr, i64, real, flag, real, flag, ptr, ptr,
+                                          ptr, ptr, ptr, i64, ptr, ptr, i64, real, ptr, ptr,
+                                          ptr, ptr]
         library.incproc_channels.argtypes = [ptr, ptr, ctypes.c_uint8, ptr, ptr, ptr, ptr,
                                              ptr, ptr, ptr, ptr, ptr, i64]
         library.incproc_trace.argtypes = [ptr, ptr, ptr, i64, real, i64, i64, ptr, ptr, flag,
@@ -324,7 +334,7 @@ def simulate(spec: WalkSpec, params: ProcessParams,
 def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
               eta0: Configuration | Sequence[int], horizon: float, seed: int,
               stream: int, max_events: int | None) -> Trajectory:
-    """:func:`simulate` through ``kernel``, the event kernel of the walk."""
+    """:func:`simulate` through ``kernel``, the event kernel of the walk, in one run."""
     _check_horizon(horizon)
     initial = state_counts(eta0, spec.kappa, params.n)
     if max_events is not None and not nonnegative_integer(max_events):
@@ -332,31 +342,11 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
     _check_key(seed, "seed")
     _check_key(stream, "stream")
     counts, blocks = np.array(initial, dtype=np.int64), _Blocks(_philox_key(seed, stream))
-    times: list[np.ndarray] = []
-    moves: list[np.ndarray] = []
-    t, left = 0.0, math.inf if max_events is None else max_events
-    while left:
-        # slices grow from 32 events, so a short path runs few past its horizon
-        dts, picked = kernel.run(counts, range(spec.kappa), blocks,
-                                 min(_SLICE, left, 32 << len(times)))
-        # the clock adds one holding time at a time, as a scalar loop would
-        clock = np.cumsum(np.concatenate(([t], dts)))
-        if not (clock[1:] > clock[:-1]).all():
-            # a step too small to move the clock advances it by one ulp
-            for i, dt in enumerate(dts.tolist(), 1):
-                clock[i] = max(clock[i - 1] + dt, math.nextafter(clock[i - 1], math.inf))
-        kept = int(np.searchsorted(clock[1:], horizon, side="right"))
-        times.append(clock[1:kept + 1])
-        moves.append(picked[:kept])
-        if kept < len(picked):
-            break
-        t, left = float(clock[-1]), left - kept
-    move_from, move_to = np.divmod(np.concatenate(moves or [np.zeros(0, np.int32)])
-                                   .astype(np.int32), spec.kappa)
-    n_events = len(move_from)
-    times = np.concatenate(times) if times else np.zeros(0)
-    real_horizon = horizon if max_events is None or n_events < max_events \
-        else (float(times[-1]) if n_events else 0.0)
+    cap = math.inf if max_events is None else max_events
+    n_events, _, _, times, moves = kernel.run(counts, range(spec.kappa), blocks, cap,
+                                              horizon, record=True)
+    move_from, move_to = np.divmod(moves.astype(np.int32), spec.kappa)
+    real_horizon = horizon if n_events < cap else (float(times[-1]) if n_events else 0.0)
     return Trajectory(initial=initial, times=times, move_from=move_from, move_to=move_to,
                       horizon=real_horizon, seed=seed, stream=stream)
 
@@ -456,7 +446,9 @@ def trace_project(traj: Trajectory, a_set, theta: float,
         None if sample_out is None else _address(sample_out),
         _address(labels), _address(sojourns), _address(ends), _address(clocks))
     if m < 0:
-        raise OutOfRange(f"trajectory moves leave the sites 0..{kappa - 1}")
+        raise OutOfRange({-1: f"trajectory moves leave the sites 0..{kappa - 1}",
+                          -2: "trajectory times must rise from 0 to the horizon, finite",
+                          -3: "a trajectory move leaves an empty site"}[m])
     trace_time, off_time, off_in_window = clocks.tolist()
     return TracePath(
         a_set=a_set, labels=labels[:m].copy(), sojourns=sojourns[:m].copy(),
@@ -557,8 +549,7 @@ class HittingTask:
         # a nan or negative level is never reached; eps > 0 as RegionSpec requires
         name = "threshold" if self.chain == "inclusion" else "eps"
         level = getattr(self, name)
-        if not (isinstance(level, numbers.Real) and not isinstance(level, bool)
-                and 0 <= level < math.inf and (level > 0 or name == "threshold")):
+        if not (finite_real(level) and level >= 0 and (level > 0 or name == "threshold")):
             raise OutOfRange(f"{self.chain} chain needs a finite real {name} "
                              f"{'>= 0' if name == 'threshold' else '> 0'}, got {level!r}")
         if not nonnegative_integer(self.step_cap):
@@ -611,7 +602,7 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
                    streams: Sequence[int]) -> list[tuple[float, bool]]:
     """(value, censored) of each replica in ``streams``.
 
-    Each chain picks its sites, moves and stop level; then one loop adds the
+    Each chain picks its sites, moves and stop level; then one run adds the
     event times (1.0 a step for the auxiliary chain, so its value is the step
     count) until a source count drops to ``stop`` or ``step_cap`` events.
     """
@@ -630,23 +621,15 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
         return [(0.0, False)] * len(streams)
     results = []
     for i in streams:
-        counts = np.array(task.start, dtype=np.int64)
-        blocks = _Blocks(_philox_key(task.seed, i))
-        t, taken, censored = 0.0, 0, True
-        while taken < task.step_cap and censored:
-            dts, moves = kernel.run(counts, sources, blocks,
-                                    min(_SLICE, task.step_cap - taken))
-            taken += len(moves)
-            t = float(taken) if kernel.by_target else _add_in_order(t, dts)
-            censored = bool(counts[moves[-1] // spec.kappa] > stop)
-        results.append((t, censored))
+        _, t, stopped, _, _ = kernel.run(np.array(task.start, dtype=np.int64), sources,
+                                         _Blocks(_philox_key(task.seed, i)), task.step_cap)
+        results.append((t, not stopped))
     return results
 
 
 def _check_replicas(replicas: int) -> None:
     """Raise ``OutOfRange`` unless ``replicas`` is an integer count >= 1."""
-    if (isinstance(replicas, bool) or not isinstance(replicas, numbers.Integral)
-            or replicas < 1):
+    if not (nonnegative_integer(replicas) and replicas >= 1):
         raise OutOfRange(f"need an integer count of at least one replica, got {replicas!r}")
 
 
@@ -654,19 +637,14 @@ def _check_key(value: int, name: str) -> None:
     """Raise ``OutOfRange`` unless ``value``, a seed or a stream, is an
     integer in ``[0, 2**64)``: one word of the Philox key, the same on
     every platform."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 0 <= value < 1 << 64):
+    if not (nonnegative_integer(value) and value < 1 << 64):
         raise OutOfRange(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 def _check_horizon(horizon: float) -> None:
     """Raise ``OutOfRange`` unless ``horizon`` is a finite positive real."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Real):
-        raise OutOfRange(f"horizon must be a real number, got {horizon!r}")
-    if not math.isfinite(horizon):
-        raise OutOfRange(f"horizon must be finite, got {horizon!r}")
-    if horizon <= 0:
-        raise OutOfRange("horizon must be positive")
+    if not (finite_real(horizon) and horizon > 0):
+        raise OutOfRange(f"horizon must be a finite positive real, got {horizon!r}")
 
 
 def _map_batches(batch, streams: Sequence[int], threads: int) -> list:
@@ -678,7 +656,7 @@ def _map_batches(batch, streams: Sequence[int], threads: int) -> list:
     returns one result per stream, in stream order. ``threads`` must be an
     integer of at least one.
     """
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+    if not (nonnegative_integer(threads) and threads >= 1):
         raise OutOfRange(f"threads must be an integer of at least one, got {threads!r}")
     if threads == 1 or len(streams) <= 1:
         return batch(streams)
@@ -696,7 +674,11 @@ class FitResult:
 
 
 def scaling_fit(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Log-log least squares over (N, value) points."""
+    """Log-log least squares over (N, value) points, a sequence of pairs of
+    finite reals (else ``OutOfRange``)."""
+    if not (isinstance(points, Sequence) and all(
+            isinstance(p, Sequence) and len(p) == 2 and all(map(finite_real, p)) for p in points)):
+        raise OutOfRange(f"points must be (N, value) pairs of finite reals, got {points!r}")
     if len(points) < 3:
         raise DegenerateData(f"need at least 3 points, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)

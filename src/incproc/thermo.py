@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
                      NonSpanningSupport, OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
-from .model import WalkSpec, _add_in_order, finite_real, log_weight_table
+from .model import WalkSpec, _add_in_order, finite_real, log_weight_table, nonnegative_integer
 from .simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, Trajectory, _address, _Blocks,
                        _check_key, _check_replicas, _compiled, _Kernel, _map_batches,
                        _philox_key, _substream, trace_project)
@@ -344,7 +344,7 @@ _CHUNKS = (16, 1 << 16)
 _HOME, _MOVED, _HOPPED = 1, 2, 3
 # the purpose (Philox counter word 3) of the uniforms that pick a chunk's
 # third-site hops, beside the kernel's exponentials and uniforms: apart, the
-# kernel's two substreams stay in step, so its slices end at piece ends
+# kernel's two substreams stay in step, so its loop's calls end at piece ends
 _HOP_PICKS = 2
 
 
@@ -520,9 +520,9 @@ class _ThirdSite:
                where: str) -> tuple[float, int, np.ndarray]:
         """Finish an excursion whose last event left channel ``pos`` for a
         third site: pick that hop with the uniform ``pick``, then run the
-        kernel on ``blocks`` until one site holds every particle. Returns the time and the events this
-        took, and the condensate's move. After ``_STRETCH_EVENTS`` events,
-        raises ``BudgetExceeded`` naming ``where``."""
+        kernel on ``blocks`` until one site holds every particle. Returns the
+        time and the events this took, and the condensate's move. After
+        ``_STRETCH_EVENTS`` events, raises ``BudgetExceeded`` naming ``where``."""
         counts, occupied = self.counts, self.occupied
         n, d = self.spec.n, self.spec.d_l
         k, level = divmod(pos, n + 1)
@@ -543,15 +543,10 @@ class _ThirdSite:
             occupied.remove(x)
         if counts[y] == 1:
             occupied.append(y)
-        t, taken = 0.0, 0
-        while len(occupied) > 1:
-            if taken >= _STRETCH_EVENTS:
-                raise BudgetExceeded(
-                    f"{where}: an excursion took {taken} events without "
-                    "gathering every particle on one site")
-            dts, moves = self.kernel.run(counts, occupied, blocks, _SLICE)
-            t = _add_in_order(t, dts)
-            taken += len(moves)
+        taken, t, gathered, _, _ = self.kernel.run(counts, occupied, blocks, _STRETCH_EVENTS)
+        if not gathered:
+            raise BudgetExceeded(f"{where}: an excursion took {taken} events without "
+                                 "gathering every particle on one site")
         return t, taken, _wrap(self.coords[occupied[0]] - self.coords[home], self.spec.side)
 
 
@@ -598,7 +593,7 @@ def _check_run(spec: TorusSpec, t_rescaled: float) -> None:
     exact condensate mass is below ``MIN_CONDENSATE_MASS``."""
     if spec.n < 1:
         raise OutOfRange("the torus holds no particles")
-    if not (t_rescaled > 0 and math.isfinite(spec.theta * t_rescaled)):
+    if not (finite_real(t_rescaled) and 0 < spec.theta * t_rescaled < math.inf):
         raise OutOfRange(f"t_rescaled must be positive and finite, got {t_rescaled!r}")
     mass, _, _ = _condensate_mass(spec)
     if mass < MIN_CONDENSATE_MASS:
@@ -731,8 +726,7 @@ def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
                   threads: int = 1) -> DriftEstimate:
     """Rescaled drift of the condensate over independent streamed runs.
     Raises ``OutOfRange`` unless ``min_relocations`` is an integer >= 0."""
-    if (isinstance(min_relocations, bool) or not isinstance(min_relocations, numbers.Integral)
-            or min_relocations < 0):
+    if not nonnegative_integer(min_relocations):
         raise OutOfRange(f"min_relocations must be an integer >= 0, got {min_relocations!r}")
     runs = _replica_runs(spec, t_rescaled, replicas, seed, threads)
     drifts = np.array([(run.displacement / spec.side) / (run.trace_time / spec.theta)

@@ -616,8 +616,10 @@ class TestTestFunction:
 
     @pytest.mark.parametrize("r_set,d", [((0,), 1e-6), ((0, 1, 2), math.nan),
                                          ((0, 1, 2), math.inf), ((0, 1, 2), 0.0),
-                                         ((0, 1, 2), -0.5)])
+                                         ((0, 1, 2), -0.5), ((0, 1, 2), "x"),
+                                         ((0, 1, 2), True)])
     def test_rejects_single_site_r_or_bad_d(self, cycle3, r_set, d):
+        # "x" raised a bare TypeError, and True was taken as d = 1
         with pytest.raises(OutOfRange):
             make_test_function(cycle3, r_set, n=20, d=d, eps=0.1)
 

@@ -82,6 +82,12 @@ def walk_moves(spec):
             for x in range(k) for y in range(k) if x != y]
 
 
+def tick(t, dt):
+    """The clock after an event of holding time ``dt``: one ulp on if ``dt``
+    does not move it."""
+    return max(t + dt, math.nextafter(t, math.inf))
+
+
 def ref_simulate(spec, params, eta0, horizon, seed, stream=0, max_events=None):
     counts = list(eta0)
     moves = walk_moves(spec)
@@ -90,9 +96,7 @@ def ref_simulate(spec, params, eta0, horizon, seed, stream=0, max_events=None):
     t = 0.0
     while max_events is None or len(times) < max_events:
         dt, x, y = ref_step(counts, moves, params.d, blocks)
-        t_next = t + dt
-        if t_next <= t:
-            t_next = math.nextafter(t, math.inf)
+        t_next = tick(t, dt)
         if t_next > horizon:
             break
         t = t_next
@@ -125,7 +129,7 @@ def ref_hit(task, spec, params, replica):
                             by_target=task.chain == "auxiliary")
         counts[x] -= 1
         counts[y] += 1
-        clock += dt
+        clock = tick(clock, dt)
         if counts[x] <= stop:
             return clock, False
     return clock, True
@@ -493,55 +497,57 @@ def ring(sites, right):
     return [[((x + 1) % sites, right), ((x - 1) % sites, 1 - right)] for x in range(sites)]
 
 
-# (move table, d, stop, start, list sources, slice limit, slices per replica):
-# a walk slice ends on the limit, a hitting slice on the limit or the stop
-# level, a third-site slice on the limit or with one site left; the limits
-# divide the uniform pieces, so no slice is cut short by a piece's end
-SLICE_CASES = {
-    "limit": (ring(3, 0.7), 0.05, -1, [12, 0, 0], False, 64, 40),
+# (move table, d, stop, start, list sources, event cap, runs per replica):
+# a walk run ends on the cap, a hitting run on the cap or the stop level, a
+# third-site run on the cap or with one site left; the walk's cap is no
+# multiple of the draws' pieces, so its runs end, and start, inside a piece
+RUN_CASES = {
+    "limit": (ring(3, 0.7), 0.05, -1, [12, 0, 0], False, 700, 6),
     "stop": (ring(4, 0.6), 0.5, 1, [8, 8, 8, 8], False, 16, None),
     "one_site": (ring(9, 0.6), 0.3, -1, [0, 3, 3, 0, 0, 0, 0, 0, 0], True, 16, None),
 }
 
 
-def run_slices(kernel, case, stream):
-    """Run one replica of ``case`` a slice at a time, checking after every
-    call that the caller's counts and sources are the replay of the returned
-    moves. Returns the moves of each slice and how each slice ended."""
-    out, _, stop, start, listed, limit, slices = case
+def run_replica(kernel, case, stream):
+    """Run one replica of ``case`` in kernel runs of at most the case's cap,
+    checking after every run that the caller's counts and sources are the
+    replay of the moves it returns, and that its clock is its last event's
+    time. Returns the moves of each run and how each run ended."""
+    out, _, stop, start, listed, cap, runs = case
     kappa = len(out)
     counts = np.array(start, dtype=np.int64)
     sources = [x for x in range(kappa) if counts[x]] if listed else range(kappa)
     blocks = _Blocks(_philox_key(11, stream))
     taken, ends = [], []
-    while slices is None or len(taken) < slices:
+    while runs is None or len(taken) < runs:
         before = counts.tolist(), list(sources)
-        _, moves = kernel.run(counts, sources, blocks, limit)
+        events, clock, stopped, times, moves = kernel.run(counts, sources, blocks, cap,
+                                                          record=True)
         moves = moves.tolist()
         assert (counts.tolist(), list(sources)) == replay(*before, moves, kappa, listed)
+        assert events == len(moves) == len(times) and clock == times[-1]
+        assert times[0] > 0 and (np.diff(times) > 0).all()
         taken.append(moves)
-        if listed and len(sources) == 1:
-            ends.append("one_site")
+        if stopped:
+            assert len(sources) == 1 if listed else counts[moves[-1] // kappa] <= stop
+            ends.append("one_site" if listed else "stop")
             break
-        if counts[moves[-1] // kappa] <= stop:
-            ends.append("stop")
-            break
-        assert len(moves) == limit
+        assert events == cap
         ends.append("limit")
     return taken, ends
 
 
-@pytest.mark.parametrize("case", sorted(SLICE_CASES))
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
 def test_run_leaves_the_state_its_moves_lead_to(case):
     # the compiled loop updates the caller's counts, and list sources in
     # arrival order, event by event; a kernel run again over the same
     # replicas, with its scratch arrays used, takes the same events
-    out, d, stop, *_ = SLICE_CASES[case]
+    out, d, stop, *_ = RUN_CASES[case]
     kernel = KERNEL._Kernel(out, d, stop=stop)
-    first = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
-    again = [run_slices(kernel, SLICE_CASES[case], stream) for stream in range(4)]
+    first = [run_replica(kernel, RUN_CASES[case], stream) for stream in range(4)]
+    again = [run_replica(kernel, RUN_CASES[case], stream) for stream in range(4)]
     assert again == first
-    ends = {end for _, slice_ends in first for end in slice_ends}
+    ends = {end for _, run_ends in first for end in run_ends}
     assert ends == {"limit", case}
 
 
@@ -618,7 +624,7 @@ def test_a_substream_drawn_in_pieces_gives_one_draw(piece):
 
 
 def take_slices(blocks, kind, n):
-    """``n`` draws of one kind, read a slice at a time as the kernel reads."""
+    """``n`` draws of one kind, read a piece at a time as the kernel reads."""
     out = []
     while len(out) < n:
         if kind == "e":
@@ -687,34 +693,27 @@ class ZeroedExponentials:
         return out
 
 
+def zeroed(monkeypatch, zero_at):
+    """Plant zero draws at ``zero_at`` in every exponential substream, which
+    the references read through ``_Blocks`` too."""
+    real = _substream
+    monkeypatch.setattr(KERNEL, "_substream", lambda key, jump, purpose: (
+        ZeroedExponentials(real(key, jump, purpose), zero_at)
+        if purpose == _EXPONENTIALS else real(key, jump, purpose)))
+
+
 @pytest.mark.parametrize("walk", ["cycle3", "chain4"])
 def test_simulate_clamp_matches_reference(walk, request, monkeypatch):
     # a step that does not move the clock advances it by one ulp: planted
-    # inside a slice, on both sides of a slice boundary, and at the first
-    # event of the third piece; the slice sizes are read from a first run
+    # inside the first piece of draws, on both sides of its end, and at the
+    # first event of the third piece; a run reads the pieces in turn
     spec = request.getfixturevalue(walk)
     params = ProcessParams(30, 0.2)
     eta0 = [0] * spec.kappa
     eta0[0] = 30
-    run, sizes = KERNEL._Kernel.run, []
-
-    def spy(self, *args):
-        dts, moves = run(self, *args)
-        sizes.append(len(moves))
-        return dts, moves
-
-    monkeypatch.setattr(KERNEL._Kernel, "run", spy)
     events = 3 * _SLICE + 300
-    simulate(spec, params, eta0, 1e300, seed=3, max_events=events)
-    starts = np.cumsum(sizes)
-    cut = int(starts[np.searchsorted(starts, _SLICE)])     # a slice starts here
-    zero_at = [int(starts[2]) + 3, cut - 1, cut, 2 * _SLICE]
-    assert zero_at[0] not in starts and cut < 2 * _SLICE
-    real = _substream
-    # ref_simulate reads the same patched substreams through _Blocks
-    monkeypatch.setattr(KERNEL, "_substream", lambda key, jump, purpose: (
-        ZeroedExponentials(real(key, jump, purpose), zero_at)
-        if purpose == _EXPONENTIALS else real(key, jump, purpose)))
+    zero_at = [300, _SLICE - 1, _SLICE, 2 * _SLICE]
+    zeroed(monkeypatch, zero_at)
 
     def check(horizon, max_events):
         traj = simulate(spec, params, eta0, horizon, seed=3, max_events=max_events)
@@ -730,8 +729,97 @@ def test_simulate_clamp_matches_reference(walk, request, monkeypatch):
 
     full = check(1e300, events)
     assert full.n_events == events
-    # a horizon cut in the slice after the last clamp
+    # a horizon cut in the piece after the last clamp
     assert check(float(full.times[events - 100]), None).n_events == events - 99
+
+
+@pytest.mark.parametrize("walk", ["cycle3", "chain4"])
+def test_mc_hitting_clamp_matches_reference(walk, request, monkeypatch):
+    # a zero holding time moves a hitting run's clock by one ulp, as in simulate
+    spec = request.getfixturevalue(walk)
+    params = ProcessParams(24, 0.7)
+    start = [0] * spec.kappa
+    for i in range(24):
+        start[i % spec.kappa] += 1
+    task = HittingTask(chain="inclusion", start=tuple(start), replicas=6, seed=9,
+                       threshold=2.0)
+    zeroed(monkeypatch, list(range(1, 4 * _SLICE, 3)))
+    res = mc_hitting(task, spec, params)
+    expected = [ref_hit(task, spec, params, i) for i in range(task.replicas)]
+    assert not res.censored.any()
+    assert res.values.tolist() == [v for v, _ in expected]
+
+
+def ref_stretch(third, counts, occupied, blocks):
+    """(clock, events, site) of a third-site stretch run event by event from
+    ``counts`` until one site, of the ``occupied`` sites in arrival order, is
+    left."""
+    clock, events = 0.0, 0
+    while len(occupied) > 1:
+        moves = [(x, y, w) for x in occupied for y, w in third.out[x]]
+        dt, x, y = ref_step(counts, moves, third.spec.d_l, blocks)
+        clock, events = tick(clock, dt), events + 1
+        counts[x] -= 1
+        counts[y] += 1
+        if counts[y] == 1:
+            occupied.append(y)
+        if not counts[x]:
+            occupied.remove(x)
+    return clock, events, occupied[0]
+
+
+def test_third_site_stretch_clamp_matches_reference(monkeypatch):
+    # stretches from the state after their hop, with zero holding times
+    # planted, one at the first event, where the clock moves to 5e-324
+    spec = build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5)
+    zeroed(monkeypatch, [0, 5, 6, 100])
+    third, starts = THERMO._ThirdSite(spec), []
+    run = third.kernel.run
+
+    def spy(counts, sources, *args):
+        starts.append((counts.tolist(), list(sources)))
+        return run(counts, sources, *args)
+
+    monkeypatch.setattr(third.kernel, "run", spy)
+    lengths = []
+    for seed in range(6):
+        t, taken, _ = third.finish(spec.n // 2, 0.3, _Blocks(_philox_key(seed, 0), 2), "")
+        want = ref_stretch(third, *starts[-1], _Blocks(_philox_key(seed, 0), 2))
+        assert (t, taken, third.occupied) == (want[0], want[1], [want[2]])
+        lengths.append(taken)
+    assert max(lengths) > 100
+
+
+def test_stretch_cap_stops_at_exactly_that_many_events(monkeypatch):
+    # a cap one event short of a stretch stops it there, inside a piece of
+    # draws, and a cap of its length lets it gather
+    spec = build_torus(1, 7, {1: 0.6, -1: 0.4}, rho=1.0, d_l=0.5)
+    third = THERMO._ThirdSite(spec)
+
+    def finish():
+        return third.finish(spec.n // 2, 0.3, _Blocks(_philox_key(4, 0), 2), "chunk 0")
+
+    t, taken, _ = finish()
+    assert 16 < taken < _SLICE
+    monkeypatch.setattr(THERMO, "_STRETCH_EVENTS", taken - 1)
+    with pytest.raises(BudgetExceeded, match=f"chunk 0: an excursion took {taken - 1} events"):
+        finish()
+    monkeypatch.setattr(THERMO, "_STRETCH_EVENTS", taken)
+    assert finish()[:2] == (t, taken)
+
+
+def test_step_cap_stops_at_exactly_that_many_events():
+    # the auxiliary chain's value is its step count: a replica the cap cuts
+    # took exactly step_cap steps, and the others keep their uncapped values
+    walk, params = WalkSpec.cycle(3, 0.7), ProcessParams(300, 1e-6)
+    task = HittingTask(chain="auxiliary", start=(100, 100, 100), replicas=12, seed=12,
+                       r_set=(0, 1, 2), eps=0.1)
+    free = mc_hitting(task, walk, params)
+    cap = 6 * _SLICE + 300
+    capped = mc_hitting(dataclasses.replace(task, step_cap=cap), walk, params)
+    assert 0 < capped.n_censored < task.replicas
+    assert capped.censored.tolist() == (free.values > cap).tolist()
+    assert capped.values.tolist() == np.minimum(free.values, cap).tolist()
 
 
 # SHA-256 of the event streams below, recorded when each kind of draw

@@ -473,8 +473,9 @@ class TestSiteSets:
         with pytest.raises(OutOfRange):
             hitting_probabilities(cycle3, ProcessParams(4, 0.1), (-1, 0), 0)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, "x", True])
     def test_region_rejects_non_finite_eps(self, cycle3, eps):
+        # "x" raised a bare TypeError, and True was taken as eps = 1
         with pytest.raises(OutOfRange):
             RegionSpec(cycle3, enumerate_states(3, 4), (0, 1), eps=eps)
 

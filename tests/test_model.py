@@ -11,6 +11,7 @@ from incproc import (Configuration, IncprocError, NonIrreducibleWalk,
                      log_weight_table, schedule_fixed, schedule_power, states,
                      stationary_exact, thermo)
 from incproc.asymptotics import _harmonic
+from incproc.model import site_set
 from reference import local_kinetics
 
 
@@ -168,6 +169,22 @@ class TestWalkSpec:
     def test_json_rejects_malformed_documents(self, doc, field):
         with pytest.raises(IncprocError, match=field):
             WalkSpec.from_json(doc)
+
+
+class TestSiteSet:
+    @pytest.mark.parametrize("sites", [range(5), range(4, -1, -1), range(1, 5, 2),
+                                       np.array([3, 1, 3, 0]), np.array([4, 0], dtype=np.uint8)])
+    def test_a_range_or_an_integer_array_names_its_entries(self, sites):
+        got = site_set(sites, 5)
+        assert got == site_set([int(x) for x in sites], 5)
+        assert all(type(x) is int for x in got)
+
+    @pytest.mark.parametrize("sites", [range(0), range(-1, 3), range(6), range(5, -1, -1),
+                                       np.array([], dtype=np.int64), np.array([0, 5]),
+                                       np.array([-1, 2]), np.array([[0, 1]])])
+    def test_a_bad_range_or_integer_array_is_refused(self, sites):
+        with pytest.raises(OutOfRange):
+            site_set(sites, 5)
 
 
 class TestConfiguration:

@@ -110,7 +110,7 @@ class TestSimulate:
     def test_zero_draw_never_picks_zero_rate_move(self, cycle3, monkeypatch):
         # Generator.random() can return exactly 0.0; site 0 is empty, so its
         # moves have rate 0 and must not be picked. The kernel reads its
-        # uniforms a slice at a time; every one it is handed here is 0.0
+        # uniforms a piece at a time; every one it is handed here is 0.0
         handed = []
 
         def zeros(self, n):
@@ -232,6 +232,20 @@ class TestTraceProject:
         with pytest.raises(OutOfRange):
             trace_project(traj, (0, 1), 1.0)
 
+    @pytest.mark.parametrize("times, move_from", [
+        ([2.0, 1.0], [0, 1]), ([math.nan, 2.0], [0, 1]), ([1.0, math.inf], [0, 1]),
+        ([-1.0, 1.0], [0, 1]), ([1.0, 3.5], [0, 1]), ([1.0, 2.0], [0, 0])],
+        ids=["decreasing", "nan", "inf", "negative", "past-horizon", "empty-source"])
+    def test_replay_refuses_impossible_times_and_counts(self, times, move_from):
+        # a hand-made path on horizon 3.0 whose intervals would be negative
+        # or nan, or whose move leaves an empty site: [2.0, 1.0] replayed to
+        # a trace time of 4.0
+        move_from = np.asarray(move_from, dtype=np.int32)
+        traj = Trajectory(initial=(1, 0), times=np.asarray(times), move_from=move_from,
+                          move_to=1 - move_from, horizon=3.0, seed=0, stream=0)
+        with pytest.raises(OutOfRange):
+            trace_project(traj, (0, 1), 1.0)
+
     @pytest.mark.parametrize("times, moves", [
         ([1.0], [[0, 1], [1, 0]]), ([1.0, 2.0, 3.0], [[0, 1], [1, 0]]),
         ([[1.0, 2.0]], [[0, 1], [1, 0]]), ([1.0, 2.0], [[[0, 1]], [[1, 0]]]),
@@ -306,7 +320,9 @@ class TestTraceProject:
         with pytest.raises(WindowExceedsTrajectory):
             trace_project(traj, (0, 1), theta=100.0, window=1.0)
 
-    @pytest.mark.parametrize("a_set", [(), (0, 2), (-1, 0), (1.5,), (0.9, 1)])
+    @pytest.mark.parametrize("a_set", [(), (0, 2), (-1, 0), (1.5,), (0.9, 1), range(0),
+                                       range(-1, 1), range(3), np.array([0, 2]),
+                                       np.array([1, -1]), np.array([], dtype=np.int64)])
     def test_rejects_bad_site_set(self, two_sym, a_set):
         traj = simulate(two_sym, ProcessParams(2, 0.1), (2, 0), 10.0, seed=2)
         with pytest.raises(OutOfRange):
@@ -628,6 +644,14 @@ class TestScalingFit:
                for n in (10, 20, 40, 80, 160)]
         fit = scaling_fit(pts)
         assert 2.8 <= fit.slope <= 3.2
+
+    @pytest.mark.parametrize("points", [None, 3, [(1, "a"), (2, "b"), (3, "c")],
+                                        [(1, 1.0), (2, 2.0), (3,)], [(1, 1.0), (2, 2.0), "ab"],
+                                        [(1, 1.0), (2, math.nan), (3, 3.0)]])
+    def test_refuses_points_that_are_not_pairs_of_reals(self, points):
+        # None raised a bare TypeError, and string values a bare ValueError
+        with pytest.raises(OutOfRange):
+            scaling_fit(points)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateData):

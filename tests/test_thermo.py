@@ -310,8 +310,9 @@ class TestRenewalSampler:
     channel by the compiled loop, a replica's chunk at a time. Bands are
     stated per test."""
 
-    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, -1.0, 0.0, "2", None])
     def test_rejects_a_horizon_that_is_not_positive_and_finite(self, t):
+        # "2" and None raised a bare TypeError
         spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=1.0, d_l=1e-3)
         with pytest.raises(OutOfRange):
             run_condensate(spec, t_rescaled=t, seed=1)
