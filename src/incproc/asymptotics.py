@@ -17,8 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NotSemiAttracting, OutOfRange, PremiseViolated
 from .gordan import GordanCertificate, gordan_certificate
-from .model import (ProcessParams, WalkSpec, analyze_walk, dense_stationary, finite_real,
-                    site_set)
+from .model import ProcessParams, WalkSpec, analyze_walk, dense_stationary, real, site_set
 from .regions import RegionSpec
 from .states import StateEnumeration
 
@@ -75,7 +74,7 @@ class Classification:
         return self._attracting(a_set, strict=False)
 
     def _attracting(self, a_set, strict: bool) -> bool:
-        a = set(int(v) for v in a_set)
+        a = set(site_set(a_set, self.walk.kappa))
         r = self.walk.rates
         for x in a:
             for y in range(self.walk.kappa):
@@ -215,7 +214,6 @@ class TestFunction:
     """
 
     variant: str            # certificate branch: "alpha" | "beta"
-    mode: str               # "reversed" (discrete kernel) | "forward" (generator)
     r_set: tuple[int, ...]
     coefficients: np.ndarray
     certificate: GordanCertificate
@@ -241,23 +239,17 @@ def _harmonic(k: int) -> float:
     return float(_harmonics(k)[-1])
 
 
-def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
-                  mode: str = "reversed") -> TestFunction:
-    """Build the harmonic test function and evaluate its drift exactly.
-
-    ``reversed`` mode uses the discrete auxiliary chain whose step weights
-    swap source and target roles (weight of moving a particle x -> y is
-    ``eta_y (d + eta_x) r(y, x)``, normalized per state); ``forward`` mode
-    uses the continuous-time process generator. Both need at least two sites
-    in R, strictly positive rates inside R and a finite d > 0.
+def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float) -> TestFunction:
+    """Build the harmonic test function and evaluate its drift exactly under
+    the discrete auxiliary chain whose step weights swap source and target
+    roles (weight of moving a particle x -> y is ``eta_y (d + eta_x) r(y, x)``,
+    normalized per state). Needs at least two sites in R, strictly positive
+    rates inside R and a finite d > 0.
     """
-    if mode not in ("reversed", "forward"):
-        raise OutOfRange(f"unknown mode {mode!r}")
     r_set = site_set(r_set, walk.kappa)
     if len(r_set) < 2:
         raise OutOfRange(f"R needs at least two sites, got {r_set}")
-    if not (finite_real(d) and d > 0):
-        raise OutOfRange(f"d must be finite and positive, got {d!r}")
+    d = real(d, "d", above=0)
     rmat = walk.rates
     for x in r_set:
         for y in r_set:
@@ -267,10 +259,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
 
     q = np.array([[rmat[x, y] - rmat[y, x] for y in r_set] for x in r_set])
     cert = gordan_certificate(q)
-    if cert.variant == "alpha":
-        coeff = cert.vector if mode == "reversed" else -cert.vector
-    else:
-        coeff = cert.vector
+    coeff = cert.vector
 
     enum = StateEnumeration(walk.kappa, n)
     reg = RegionSpec(walk, enum, r_set, eps=eps)
@@ -302,23 +291,16 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float,
     f_moved = f0[enum.move_ranks(inner, xs, ys)]
     for f_there, (x, y) in zip(f_moved, moves):
         w_state += s[:, x] * (d + s[:, y]) * rmat[x, y]
-        if mode == "reversed":
-            weight = s[:, y] * (d + s[:, x]) * rmat[y, x]
-        else:
-            weight = s[:, x] * (d + s[:, y]) * rmat[x, y]
+        weight = s[:, y] * (d + s[:, x]) * rmat[y, x]
         acc += weight * (f_there - f_here)
         rs += weight
-    if mode == "reversed":
-        drift = acc / w_state
-        row_sums = rs / w_state
-    else:
-        drift = acc
-        row_sums = rs
+    drift = acc / w_state
+    row_sums = rs / w_state
     min_drift = float(drift.min()) if drift.size else float("nan")
     rng = ((float(row_sums.min()), float(row_sums.max()))
            if row_sums.size else (float("nan"), float("nan")))
     return TestFunction(
-        variant=cert.variant, mode=mode, r_set=r_set,
+        variant=cert.variant, r_set=r_set,
         coefficients=np.asarray(coeff, dtype=float), certificate=cert,
         oscillation=oscillation, min_drift=min_drift, drift=drift,
         inner_core=inner, row_sum_range=rng)

@@ -24,10 +24,10 @@ from .asymptotics import limit_chain, predicted_mean_rate
 from .errors import ConfigError, IncprocError, OutOfRange, PremiseViolated
 from .exact import (mean_jump_rate_exact, stage_times, stationary_closed_form,
                     stationary_exact)
-from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk,
-                    schedule_fixed, schedule_power, state_counts)
-from .simulate import (DEFAULT_STEP_CAP, HittingTask, mc_hitting, mc_mean_jump_rate,
-                       scaling_fit, simulate, trace_project)
+from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk, csv_line, integer,
+                    real, schedule_fixed, schedule_power, state_counts)
+from .simulate import (DEFAULT_STEP_CAP, MAX_KEY, HittingTask, mc_hitting,
+                       mc_mean_jump_rate, scaling_fit, simulate, trace_project)
 from .thermo import (REGIMES, _canonical_kernel, build_torus, cosine_mode, generator_gap,
                      measure_diffusion, measure_drift, torus_condensation)
 
@@ -36,25 +36,28 @@ SCHEMA_VERSION = 1
 REQUIRED = object()  # the default of a field that must be given
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check(ok, what: str, typed=lambda value: value):
-    """The check that a JSON value passes ``ok``; it returns ``typed(value)``."""
+def _check(ok, what: str):
+    """The check that a JSON value passes ``ok``; it returns the value."""
     def check(value, path: str):
         if not ok(value):
             raise ConfigError(path, f"expected {what}, got {value!r}")
-        return typed(value)
+        return value
+    return check
+
+
+def _validated(validator, **bounds):
+    """The check that a JSON value passes the library's ``validator`` (see
+    :mod:`incproc.model`) under ``bounds``; it returns the typed value."""
+    def check(value, path: str):
+        try:
+            return validator(value, path.rpartition(".")[2], **bounds)
+        except OutOfRange as exc:
+            raise ConfigError(path, str(exc)) from None
     return check
 
 
 def _integer(low: int):
-    return _check(lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+    return _validated(integer, low=low)
 
 
 def _choice(*options):
@@ -65,8 +68,7 @@ def _choice(*options):
 
 _flag = _check(lambda v: isinstance(v, bool), "true or false")
 _text = _check(lambda v: isinstance(v, str), "a string")
-_positive = _check(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
-                   "a positive finite number", float)
+_positive = _validated(real, above=0)
 
 
 def _list_of(item):
@@ -107,13 +109,11 @@ def _schedule(desc, path: str, named: dict[str, int] | None = None):
     number, the fixed schedule."""
     if named is not None and isinstance(desc, str) and desc in named:
         return schedule_power(1.0, named[desc])
-    if named is None and _is_number(desc):
-        return schedule_fixed(float(desc))
     if isinstance(desc, dict) and desc.get("type") == "power":
-        for key in ("coeff", "exponent"):
-            if not _is_number(desc.get(key)):
-                raise ConfigError(f"{path}.{key}", "power schedule needs a number")
-        return schedule_power(float(desc["coeff"]), float(desc["exponent"]))
+        return schedule_power(_positive(desc.get("coeff"), f"{path}.coeff"),
+                              _validated(real)(desc.get("exponent"), f"{path}.exponent"))
+    if named is None and not isinstance(desc, dict):
+        return schedule_fixed(_positive(desc, path))
     raise ConfigError(path, f"unsupported schedule {desc!r}")
 
 
@@ -155,7 +155,7 @@ def _initial(init, walk: WalkSpec, n: int):
 def _fields(**own) -> dict:
     """A kind's fields: the four every kind has, then its own."""
     return {"schema_version": (_choice(SCHEMA_VERSION), REQUIRED),
-            "kind": (_text, REQUIRED), "seed": (_integer(0), DEFAULT_SEED),
+            "kind": (_text, REQUIRED), "seed": (_validated(integer, high=MAX_KEY), DEFAULT_SEED),
             "out": (_text, "."), **own}
 
 
@@ -247,10 +247,9 @@ def _jsonable(obj):
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(csv_line(header))
         for row in rows:
-            cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
-            fh.write(",".join(cells) + "\n")
+            fh.write(csv_line(row))
 
 
 def run(cfg: dict, out_dir: str | Path | None = None, threads: int = 1,

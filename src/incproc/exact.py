@@ -17,7 +17,6 @@ seconds each solve spends ordering, building, factoring and solving.
 
 from __future__ import annotations
 
-import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -35,7 +34,7 @@ import scipy.sparse.linalg as spla
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure, StateSpaceTooLarge)
 from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, dense_stationary,
-                    log_weight_table, site_set)
+                    integer, log_weight_table, site_set)
 from .regions import RegionSpec
 from .states import Distribution, SolverReport, StateEnumeration, b_set_masses
 
@@ -527,9 +526,7 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
 def flow(spec: WalkSpec, params: ProcessParams, mu: Distribution,
          r_set, x: int, k: int) -> tuple[float, float]:
     """Flow pair (up, down) across level k -> k+1 of the slice at site x."""
-    n = mu.enum.n
-    if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and 0 <= k <= n - 1):
-        raise OutOfRange(f"k={k!r} is not an integer in [0, {n - 1}]")
+    integer(k, "k", 0, mu.enum.n - 1)
     up, down = flow_profile(spec, params, mu, r_set, x)
     return float(up[k]), float(down[k])
 
@@ -609,13 +606,8 @@ def reciprocal_sum(n: int, k: int) -> ReciprocalSum:
     Exact rational for n <= 300, float beyond; the bound checked is
     ``(3 log(n+1))**(k-1) / n``.
     """
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (n, k)):
-        raise OutOfRange(f"n and k must be integers, got n={n!r}, k={k!r}")
-    if not (1 <= k <= n):
-        raise OutOfRange(f"need n >= k >= 1, got n={n}, k={k}")
-    if n > RECIPROCAL_N_MAX or k > RECIPROCAL_K_MAX:
-        raise OutOfRange(
-            f"supported range is n <= {RECIPROCAL_N_MAX}, k <= {RECIPROCAL_K_MAX}")
+    n = integer(n, "n", 1, RECIPROCAL_N_MAX)
+    k = integer(k, "k", 1, min(n, RECIPROCAL_K_MAX))
     if n <= EXACT_RATIONAL_LIMIT:
         value = Fraction(factorial(k) * _stirling_first(n, k)[k][n], factorial(n))
     else:

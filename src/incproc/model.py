@@ -29,25 +29,53 @@ def _add_in_order(total: float, terms) -> float:
     return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
-def check_site(x, sites, name: str) -> int:
-    """``x`` as an int, once checked to be an integer (not a bool) in ``sites``."""
+def is_integer(value) -> bool:
+    """``value`` is an integer and not a bool."""
     # an int passes without the slower abstract-class check
-    if (type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral))
-            or x not in sites):
-        raise OutOfRange(f"site {x!r} not in {name}")
-    return int(x)
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def integer(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int, once checked to be an integer (not a bool) of at
+    least ``low`` and, unless ``high`` is None, at most ``high``; else
+    ``OutOfRange`` naming ``name``."""
+    if not (is_integer(value) and low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise OutOfRange(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 def finite_real(value) -> bool:
-    """``value`` is a finite real number and not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """``value`` is a finite real number and not a bool; an integer or a
+    fraction beyond the float range is not finite."""
+    try:
+        return ((type(value) is float or isinstance(value, numbers.Real)
+                 and not isinstance(value, bool)) and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
-def nonnegative_integer(value) -> bool:
-    """``value`` is a nonnegative integer and not a bool: a particle count."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 0)
+def real(value, name: str, above: float | None = None, at_least: float | None = None,
+         at_most: float | None = None) -> float:
+    """``value`` as a float, once checked to be a finite real (not a bool)
+    above ``above``, at least ``at_least`` and at most ``at_most``, each
+    bound where given; else ``OutOfRange`` naming ``name``."""
+    if not (finite_real(value) and (above is None or value > above)
+            and (at_least is None or value >= at_least)
+            and (at_most is None or value <= at_most)):
+        bounds = [f"{op} {b}" for op, b in ((">", above), (">=", at_least), ("<=", at_most))
+                  if b is not None]
+        raise OutOfRange(f"{name} must be a finite real{' ' if bounds else ''}"
+                         f"{' and '.join(bounds)}, got {value!r}")
+    return float(value)
+
+
+def check_site(x, sites, name: str) -> int:
+    """``x`` as an int, once checked to be an integer (not a bool) in ``sites``."""
+    if not is_integer(x) or x not in sites:
+        raise OutOfRange(f"site {x!r} not in {name}")
+    return int(x)
 
 
 def site_set(sites, kappa: int) -> tuple[int, ...]:
@@ -60,7 +88,10 @@ def site_set(sites, kappa: int) -> tuple[int, ...]:
         for x in out[:1] + out[-1:]:
             check_site(x, within, name)
     else:
-        out = tuple(sorted({check_site(x, within, name) for x in sites}))
+        try:
+            out = tuple(sorted({check_site(x, within, name) for x in sites}))
+        except TypeError:   # not iterable
+            raise OutOfRange(f"a site set must be an iterable of sites, got {sites!r}") from None
     if not out:
         raise OutOfRange("site set must be nonempty")
     return out
@@ -84,6 +115,8 @@ class WalkSpec:
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
         object.__setattr__(self, "rates", r)
+        if not isinstance(self.sites, Sequence):
+            raise OutOfRange(f"sites must be a sequence of labels, got {self.sites!r}")
         kappa = len(self.sites)
         if kappa < 2:
             raise OutOfRange("need at least 2 sites")
@@ -129,12 +162,8 @@ class WalkSpec:
         """Directed cycle: rate ``p`` to x+1 and ``1-p`` to x-1, for an
         integer ``kappa`` of 2 to ``MAX_SITES`` sites and a real ``p`` in
         [0, 1]."""
-        if (isinstance(kappa, bool) or not isinstance(kappa, numbers.Integral)
-                or not 2 <= kappa <= MAX_SITES):
-            raise OutOfRange(f"a cycle needs an integer of 2 to {MAX_SITES} sites, "
-                             f"got {kappa!r}")
-        if not (finite_real(p) and 0 <= p <= 1):
-            raise OutOfRange(f"p must be a real number in [0, 1], got {p!r}")
+        integer(kappa, "kappa", 2, MAX_SITES)
+        real(p, "p", at_least=0, at_most=1)
         r = np.zeros((kappa, kappa))
         for x in range(kappa):
             r[x, (x + 1) % kappa] += p
@@ -249,20 +278,15 @@ class ProcessParams:
     d: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise OutOfRange(f"N must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise OutOfRange("N must be a positive integer")
-        if not (finite_real(self.d) and self.d > 0):
-            raise OutOfRange(f"d_N must be a positive finite real, got {self.d!r}")
+        integer(self.n, "N", 1)
+        real(self.d, "d_N", above=0)
 
 
 def schedule_power(coeff: float, exponent: float) -> Callable[[int], float]:
     """Deterministic schedule N -> coeff * N**(-exponent), for a finite real
     ``coeff`` > 0 and a finite real ``exponent``."""
-    if not (finite_real(coeff) and coeff > 0 and finite_real(exponent)):
-        raise OutOfRange(f"a power schedule needs a finite coeff > 0 and a finite exponent, "
-                         f"got {coeff!r} and {exponent!r}")
+    real(coeff, "coeff", above=0)
+    real(exponent, "exponent")
 
     def d_of_n(n: int) -> float:
         return coeff * float(n) ** (-exponent)
@@ -271,8 +295,7 @@ def schedule_power(coeff: float, exponent: float) -> Callable[[int], float]:
 
 def schedule_fixed(value: float) -> Callable[[int], float]:
     """Constant schedule N -> value, for a finite real ``value`` > 0."""
-    if not (finite_real(value) and value > 0):
-        raise OutOfRange(f"a fixed schedule needs a finite real value > 0, got {value!r}")
+    real(value, "value", above=0)
 
     def d_of_n(n: int) -> float:
         return value
@@ -287,14 +310,13 @@ class Configuration:
     total: int = field(init=False)
 
     def __post_init__(self):
-        if not all(nonnegative_integer(c) for c in self.counts):
-            raise OutOfRange(f"counts must be nonnegative integers, got {self.counts}")
-        object.__setattr__(self, "total", int(sum(self.counts)))
+        object.__setattr__(self, "total", int(sum(_counts(self.counts))))
 
     @classmethod
     def single_site(cls, kappa: int, n: int, x: int) -> "Configuration":
-        """All n particles at site x, one of ``0..kappa-1``."""
-        counts = [0] * kappa
+        """All n particles at site x, one of ``0..kappa-1``, for an integer
+        ``kappa`` of 1 to ``MAX_SITES``."""
+        counts = [0] * integer(kappa, "kappa", 1, MAX_SITES)
         counts[check_site(x, range(kappa), f"0..{kappa - 1}")] = n
         return cls(tuple(counts))
 
@@ -305,16 +327,26 @@ class Configuration:
         return len(self.counts)
 
 
+def _counts(values) -> tuple:
+    """``values`` as a tuple, once checked to be particle counts: integers
+    (not bools) of 0 to 2**63 - 1, the range of the int64 count arrays."""
+    try:
+        counts = tuple(values)
+    except TypeError:   # not iterable
+        raise OutOfRange(f"counts must be a sequence of integers, got {values!r}") from None
+    if not all(is_integer(c) and 0 <= c < 1 << 63 for c in counts):
+        raise OutOfRange(f"counts must be integers in [0, 2**63), got {counts}")
+    return counts
+
+
 def state_counts(eta: Configuration | Sequence[int], kappa: int,
                  n: int) -> tuple[int, ...]:
     """The counts of ``eta`` as a tuple of ints, once checked to be a state of
     N = ``n`` particles on ``kappa`` sites: ``kappa`` nonnegative integer
     counts that sum to ``n``."""
-    counts = tuple(eta.counts if isinstance(eta, Configuration) else eta)
+    counts = _counts(eta.counts if isinstance(eta, Configuration) else eta)
     if len(counts) != kappa:
         raise OutOfRange(f"state has {len(counts)} sites, the walk has {kappa}")
-    if not all(nonnegative_integer(c) for c in counts):
-        raise OutOfRange(f"counts must be nonnegative integers, got {counts}")
     if sum(counts) != n:
         raise OutOfRange(f"state holds {sum(counts)} particles, N is {n}")
     return tuple(int(c) for c in counts)
@@ -328,11 +360,16 @@ def log_weight_table(n: int, d: float) -> np.ndarray:
     products underflow for large n. Raises ``OutOfRange`` unless ``n`` is an
     integer >= 0 and ``d`` a finite real > 0.
     """
-    if not nonnegative_integer(n):
-        raise OutOfRange(f"n must be an integer >= 0, got {n!r}")
-    if not (finite_real(d) and d > 0):
-        raise OutOfRange(f"d must be a finite real > 0, got {d!r}")
+    integer(n, "n")
+    real(d, "d", above=0)
     # math.log, not np.log: numpy's SIMD log can differ from libm's in the
     # last bit, which would make the table depend on the CPU
     steps = [math.log((k - 1 + d) / k) for k in range(1, n + 1)]
     return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def csv_line(cells) -> str:
+    """One line of a CSV artifact: a float cell as the shortest repr that
+    round-trips (a numpy float as the Python float it equals), any other
+    cell as ``str``."""
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in cells) + "\n"

@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import OutOfRange
-from .model import WalkAnalysis, WalkSpec, analyze_walk, check_site, finite_real, site_set
+from .model import WalkAnalysis, WalkSpec, analyze_walk, check_site, real, site_set
 from .states import StateEnumeration
 
 
@@ -28,13 +27,12 @@ class RegionSpec:
     def __init__(self, walk: WalkSpec, enum: StateEnumeration,
                  r_set, eps: float = 0.1, validate_eps: bool = True):
         r_set = site_set(r_set, enum.kappa)
-        if not (finite_real(eps) and eps > 0):
-            raise OutOfRange(f"eps must be finite and positive, got {eps!r}")
+        real(eps, "eps", above=0)
         self.walk = walk
         self.enum = enum
         self.r_set = r_set
         self.eps = eps
-        self.threshold = int(math.floor(eps * math.log(enum.n)))
+        self.threshold = int(math.floor(real(eps * math.log(enum.n), "eps * log N")))
         if validate_eps and self.threshold > 0:
             self.check_epsilon(analyze_walk(walk))
 
@@ -101,14 +99,15 @@ class RegionSpec:
         The slice recursion multiplies at most C0 per level, with
         C0 = max over k of R2 (k + d)(N - k) / (R1 (k + 1)(N - k - 1 + d))
         evaluated at d -> 0; the threshold is admissible when
-        C0 ** threshold <= N. Warns (and returns False) otherwise.
+        C0 ** threshold <= N, decided in logs so that a huge threshold does
+        not overflow. Warns (and returns False) otherwise.
         """
         n = self.enum.n
         ks = np.arange(0, n - 1, dtype=float)
         ratios = (analysis.r2 * np.maximum(ks, 1.0) * (n - ks)
                   / (analysis.r1 * (ks + 1.0) * (n - ks - 1.0)))
         c0 = float(ratios.max()) if ratios.size else analysis.r2 / analysis.r1
-        ok = c0 ** self.threshold <= n
+        ok = c0 <= 1 or self.threshold * math.log(c0) <= math.log(n)
         if not ok:
             warnings.warn(
                 f"threshold {self.threshold} too large for slice constant "

@@ -27,11 +27,13 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateData, IncprocError, OutOfRange,
                      WindowExceedsTrajectory)
-from .model import (Configuration, ProcessParams, WalkSpec, finite_real, nonnegative_integer,
-                    site_set, state_counts)
+from .model import (Configuration, ProcessParams, WalkSpec, csv_line, finite_real, integer,
+                    real, site_set, state_counts)
 
 CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
+# the largest seed or stream: one word of the Philox key, the same on every platform
+MAX_KEY = (1 << 64) - 1
 _SLICE = 1 << 10
 # the purposes of a replica's substreams: Philox counter word 3
 _EXPONENTIALS, _UNIFORMS = 0, 1
@@ -39,10 +41,10 @@ _EXPONENTIALS, _UNIFORMS = 0, 1
 
 def replica_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox stream (seed, stream); child streams never collide. Raises
-    ``OutOfRange`` unless both are integers in ``[0, 2**64)``. It is the
+    ``OutOfRange`` unless both are integers in ``[0, MAX_KEY]``. It is the
     exponential substream of replica ``stream`` (:func:`_substream` at jump 0)."""
-    _check_key(seed, "seed")
-    _check_key(stream, "stream")
+    integer(seed, "seed", 0, MAX_KEY)
+    integer(stream, "stream", 0, MAX_KEY)
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
@@ -151,7 +153,7 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             fh.write("time,site_from,site_to\n")
             for t, x, y in zip(self.times, self.move_from, self.move_to):
-                fh.write(f"{t!r},{int(x)},{int(y)}\n")
+                fh.write(csv_line((t, x, y)))
 
 
 class _Kernel:
@@ -335,12 +337,12 @@ def _simulate(kernel: _Kernel, spec: WalkSpec, params: ProcessParams,
               eta0: Configuration | Sequence[int], horizon: float, seed: int,
               stream: int, max_events: int | None) -> Trajectory:
     """:func:`simulate` through ``kernel``, the event kernel of the walk, in one run."""
-    _check_horizon(horizon)
+    real(horizon, "horizon", above=0)
     initial = state_counts(eta0, spec.kappa, params.n)
-    if max_events is not None and not nonnegative_integer(max_events):
-        raise OutOfRange(f"max_events must be a nonnegative integer, got {max_events!r}")
-    _check_key(seed, "seed")
-    _check_key(stream, "stream")
+    if max_events is not None:
+        integer(max_events, "max_events")
+    integer(seed, "seed", 0, MAX_KEY)
+    integer(stream, "stream", 0, MAX_KEY)
     counts, blocks = np.array(initial, dtype=np.int64), _Blocks(_philox_key(seed, stream))
     cap = math.inf if max_events is None else max_events
     n_events, _, _, times, moves = kernel.run(counts, range(spec.kappa), blocks, cap,
@@ -407,16 +409,15 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     """
     kappa = len(traj.initial)
     a_set = site_set(a_set, kappa)
-    if not (finite_real(theta) and theta > 0):
-        raise OutOfRange(f"theta must be a finite positive real, got {theta!r}")
-    if window is not None and not (finite_real(window) and window >= 0):
-        raise OutOfRange(f"window must be a finite real >= 0, got {window!r}")
-    if marginal_times is not None and not (
-            isinstance(marginal_times, (Sequence, np.ndarray))
-            and not isinstance(marginal_times, str)
-            and all(finite_real(t) and t >= 0 for t in marginal_times)):
-        raise OutOfRange(f"marginal_times must be a sequence of finite reals >= 0, "
-                         f"got {marginal_times!r}")
+    real(theta, "theta", above=0)
+    if window is not None:
+        real(window, "window", at_least=0)
+    if marginal_times is not None:
+        if isinstance(marginal_times, str) or not isinstance(
+                marginal_times, (Sequence, np.ndarray)):
+            raise OutOfRange(f"marginal_times must be a sequence, got {marginal_times!r}")
+        for t in marginal_times:
+            real(t, "a marginal time", at_least=0)
     if window is not None and theta * window > traj.horizon * (1 + 1e-12):
         raise WindowExceedsTrajectory(
             f"window {theta * window:.3g} exceeds horizon {traj.horizon:.3g}")
@@ -481,9 +482,9 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
     state (cycling over the set); entries never observed are flagged rather
     than raised.
     """
-    _check_replicas(replicas)
-    _check_horizon(horizon)
-    _check_key(seed, "seed")
+    integer(replicas, "replicas", 1)
+    real(horizon, "horizon", above=0)
+    integer(seed, "seed", 0, MAX_KEY)
     a_set = site_set(a_set, spec.kappa)
     kappa = spec.kappa
     results = _map_batches(partial(_trace_batch, spec, params, a_set, horizon, seed),
@@ -547,14 +548,12 @@ class HittingTask:
         if self.chain == "auxiliary" and self.r_set is None:
             raise OutOfRange("auxiliary chain needs r_set")
         # a nan or negative level is never reached; eps > 0 as RegionSpec requires
-        name = "threshold" if self.chain == "inclusion" else "eps"
-        level = getattr(self, name)
-        if not (finite_real(level) and level >= 0 and (level > 0 or name == "threshold")):
-            raise OutOfRange(f"{self.chain} chain needs a finite real {name} "
-                             f"{'>= 0' if name == 'threshold' else '> 0'}, got {level!r}")
-        if not nonnegative_integer(self.step_cap):
-            raise OutOfRange(f"step_cap must be a nonnegative integer, got {self.step_cap!r}")
-        _check_key(self.seed, "seed")
+        if self.chain == "inclusion":
+            real(self.threshold, "threshold", at_least=0)
+        else:
+            real(self.eps, "eps", above=0)
+        integer(self.step_cap, "step_cap")
+        integer(self.seed, "seed", 0, MAX_KEY)
 
 
 @dataclass(frozen=True)
@@ -580,7 +579,7 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     mean and variance use uncensored replicas only. Raises only when every
     replica is censored.
     """
-    _check_replicas(task.replicas)
+    integer(task.replicas, "replicas", 1)
     state_counts(task.start, spec.kappa, params.n)
     if task.chain == "auxiliary":
         task = replace(task, r_set=site_set(task.r_set, spec.kappa))
@@ -627,42 +626,21 @@ def _hitting_batch(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     return results
 
 
-def _check_replicas(replicas: int) -> None:
-    """Raise ``OutOfRange`` unless ``replicas`` is an integer count >= 1."""
-    if not (nonnegative_integer(replicas) and replicas >= 1):
-        raise OutOfRange(f"need an integer count of at least one replica, got {replicas!r}")
-
-
-def _check_key(value: int, name: str) -> None:
-    """Raise ``OutOfRange`` unless ``value``, a seed or a stream, is an
-    integer in ``[0, 2**64)``: one word of the Philox key, the same on
-    every platform."""
-    if not (nonnegative_integer(value) and value < 1 << 64):
-        raise OutOfRange(f"{name} must be an integer in [0, 2**64), got {value!r}")
-
-
-def _check_horizon(horizon: float) -> None:
-    """Raise ``OutOfRange`` unless ``horizon`` is a finite positive real."""
-    if not (finite_real(horizon) and horizon > 0):
-        raise OutOfRange(f"horizon must be a finite positive real, got {horizon!r}")
-
-
 def _map_batches(batch, streams: Sequence[int], threads: int) -> list:
-    """``batch(streams)`` in one process, or ``batch`` over contiguous chunks
-    of ``streams`` in a pool of ``threads`` workers; the only place a process
-    pool starts.
+    """``batch(streams)`` in one process, or ``batch`` over ``threads``
+    contiguous chunks of ``streams`` in a process pool; the only place a
+    pool starts. The pool starts no more workers than there are chunks or
+    CPUs: with the fork start method all of them start at once.
 
     Each call builds one event kernel per chain for all its streams and
     returns one result per stream, in stream order. ``threads`` must be an
     integer of at least one.
     """
-    if not (nonnegative_integer(threads) and threads >= 1):
-        raise OutOfRange(f"threads must be an integer of at least one, got {threads!r}")
-    if threads == 1 or len(streams) <= 1:
+    if integer(threads, "threads", 1) == 1 or len(streams) <= 1:
         return batch(streams)
     size = -(-len(streams) // threads)
     chunks = [streams[i:i + size] for i in range(0, len(streams), size)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
         return [res for part in pool.map(batch, chunks) for res in part]
 
 

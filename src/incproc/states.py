@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -10,18 +9,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StateSpaceTooLarge
-from .model import _add_in_order, check_site, state_counts
+from .model import _add_in_order, check_site, csv_line, integer, state_counts
 
 DEFAULT_CAP = 500_000
 
 
 def space_size(kappa: int, n: int) -> int:
-    """Number of configurations of n particles on kappa sites."""
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-               for v in (kappa, n)):
-        raise OutOfRange(f"kappa and N must be integers, got {kappa!r}, {n!r}")
-    if kappa < 1 or n < 0:
-        raise OutOfRange(f"need kappa >= 1 and N >= 0, got {kappa}, {n}")
+    """Number of configurations of n particles on kappa sites, for integers
+    ``kappa`` >= 1 and ``n`` >= 0."""
+    kappa, n = integer(kappa, "kappa", 1), integer(n, "N")
     return comb(n + kappa - 1, kappa - 1)
 
 
@@ -33,11 +29,7 @@ class StateEnumeration:
     """
 
     def __init__(self, kappa: int, n: int):
-        size = space_size(kappa, n)
-        if kappa < 2:
-            raise OutOfRange("kappa must be at least 2")
-        if n < 1:
-            raise OutOfRange("N must be at least 1")
+        size = space_size(integer(kappa, "kappa", 2), integer(n, "N", 1))
         if size > DEFAULT_CAP:
             raise StateSpaceTooLarge(size, DEFAULT_CAP)
         self.kappa = kappa
@@ -52,14 +44,12 @@ class StateEnumeration:
         self._counts_matrix: np.ndarray | None = None
 
     def rank(self, eta: Sequence[int]) -> int:
-        eta = tuple(eta)
-        if len(eta) != self.kappa:
+        if hasattr(eta, "__len__") and len(eta) != self.kappa:
             raise DimensionMismatch(f"state has {len(eta)} sites, expected {self.kappa}")
         return int(self.rank_many(np.array([state_counts(eta, self.kappa, self.n)]))[0])
 
     def unrank(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise OutOfRange(f"rank {index} out of range [0, {self.size})")
+        integer(index, "rank", 0, self.size - 1)
         return tuple(int(v) for v in self._unrank_many(np.array([index]))[0])
 
     def _unrank_many(self, ranks: np.ndarray) -> np.ndarray:
@@ -237,10 +227,9 @@ class Distribution:
         labels = list(site_labels) if site_labels is not None else [
             str(i) for i in range(self.enum.kappa)]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(["rank"] + labels + ["weight"]) + "\n")
+            fh.write(csv_line(["rank"] + labels + ["weight"]))
             for i, row in enumerate(self.enum.counts_matrix()):
-                cells = [str(i)] + [str(int(v)) for v in row] + [repr(float(self.weights[i]))]
-                fh.write(",".join(cells) + "\n")
+                fh.write(csv_line([i, *row.tolist(), self.weights[i]]))
 
     def summary(self) -> dict:
         """JSON-ready summary: condensate masses, the masses ``B_mass`` of

@@ -10,7 +10,6 @@ scale in the symmetric regime.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -24,10 +23,11 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
                      NonSpanningSupport, OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
-from .model import WalkSpec, _add_in_order, finite_real, log_weight_table, nonnegative_integer
-from .simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, Trajectory, _address, _Blocks,
-                       _check_key, _check_replicas, _compiled, _Kernel, _map_batches,
-                       _philox_key, _substream, trace_project)
+from .model import (WalkSpec, _add_in_order, finite_real, integer, is_integer,
+                    log_weight_table, real)
+from .simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, MAX_KEY, Trajectory, _address,
+                       _Blocks, _compiled, _Kernel, _map_batches, _philox_key, _substream,
+                       trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12
@@ -54,8 +54,7 @@ def _canonical_kernel(d: int, kernel: Mapping) -> dict[tuple[int, ...], float]:
     out: dict[tuple[int, ...], float] = {}
     for key, weight in kernel.items():
         offset = tuple(key) if isinstance(key, (tuple, list)) else (key,)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in offset):
+        if not all(map(is_integer, offset)):
             raise OutOfRange(f"offset {key!r} is not an integer or a tuple of integers")
         offset = tuple(int(v) for v in offset)
         if len(offset) != d:
@@ -130,18 +129,13 @@ def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> TorusSpec:
     """Validate and derive a torus model: regime, velocity, diffusion matrices."""
-    for name, value in (("dimension", d), ("side", side)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise OutOfRange(f"{name} must be an integer, got {value!r}")
-    if d < 1:
-        raise OutOfRange("dimension must be >= 1")
-    if not (finite_real(rho) and rho > 0):
-        raise OutOfRange(f"density must be positive and finite, got {rho!r}")
+    integer(d, "dimension", 1)
+    integer(side, "side", 1)
+    real(rho, "density", above=0)
     n = int(round(rho * side ** d))
     if n < 1:
         raise OutOfRange(f"density {rho!r} puts no particle on {side ** d} sites")
-    if not (finite_real(d_l) and d_l > 0):
-        raise OutOfRange(f"d_L must be positive and finite, got {d_l!r}")
+    real(d_l, "d_L", above=0)
     kern = _canonical_kernel(d, kernel)
     radius = max(max(abs(v) for v in off) for off in kern)
     if side <= 2 * radius:
@@ -256,9 +250,9 @@ def cosine_mode(freq: Sequence[int] | int) -> SmoothFunction:
     """cos(2 pi k . u) with exact derivatives. Raises ``OutOfRange`` unless
     ``freq`` is an integer or a nonempty sequence of integers (not bools):
     only an integer frequency is periodic on the torus."""
-    values = [freq] if isinstance(freq, numbers.Integral) else freq
+    values = [freq] if is_integer(freq) else freq
     integers = isinstance(values, (Sequence, np.ndarray)) and not isinstance(values, str) \
-        and all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
+        and all(map(is_integer, values))
     if not (integers and len(values)):
         raise OutOfRange(f"frequency must be an integer or a nonempty sequence of "
                          f"integers, got {freq!r}")
@@ -593,8 +587,7 @@ def _check_run(spec: TorusSpec, t_rescaled: float) -> None:
     exact condensate mass is below ``MIN_CONDENSATE_MASS``."""
     if spec.n < 1:
         raise OutOfRange("the torus holds no particles")
-    if not (finite_real(t_rescaled) and 0 < spec.theta * t_rescaled < math.inf):
-        raise OutOfRange(f"t_rescaled must be positive and finite, got {t_rescaled!r}")
+    real(spec.theta * real(t_rescaled, "t_rescaled", above=0), "theta * t_rescaled", above=0)
     mass, _, _ = _condensate_mass(spec)
     if mass < MIN_CONDENSATE_MASS:
         raise ConditionNotSatisfied(
@@ -636,17 +629,17 @@ def run_condensate(spec: TorusSpec, t_rescaled: float, seed: int,
     with ``ConditionNotSatisfied``, as in the measurements.
     """
     _check_run(spec, t_rescaled)
-    _check_key(seed, "seed")
-    _check_key(stream, "stream")
+    integer(seed, "seed", 0, MAX_KEY)
+    integer(stream, "stream", 0, MAX_KEY)
     return _condensate_runs(spec, t_rescaled, seed, [stream])[0]
 
 
 def _replica_runs(spec: TorusSpec, t_rescaled: float, replicas: int, seed: int,
                   threads: int) -> list[CondensateRun]:
     """Runs of the streams ``0..replicas-1``, checked before any worker starts."""
-    _check_replicas(replicas)
+    integer(replicas, "replicas", 1)
     _check_run(spec, t_rescaled)
-    _check_key(seed, "seed")
+    integer(seed, "seed", 0, MAX_KEY)
     return _map_batches(partial(_condensate_runs, spec, t_rescaled, seed),
                         range(replicas), threads)
 
@@ -675,8 +668,12 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     states, :func:`incproc.simulate.trace_project` onto every site: each new
     label is a relocation, the displacement adds the wrapped steps between
     consecutive labels, and a window's position is that of the segment whose
-    trace clock reaches the window's end.
+    trace clock reaches the window's end. Raises ``OutOfRange`` unless
+    ``min_relocations`` is an integer >= 0 and ``n_windows`` an integer >= 1
+    whose grid of window ends numpy can index.
     """
+    integer(min_relocations, "min_relocations")
+    integer(n_windows, "n_windows", 1, np.iinfo(np.intp).max - 1)
     counts = np.asarray(traj.initial, dtype=np.int64)
     if len(counts) != spec.n_sites or counts.sum() != spec.n:
         raise OutOfRange("trajectory does not match the torus spec")
@@ -726,8 +723,7 @@ def measure_drift(spec: TorusSpec, t_rescaled: float, seed: int,
                   threads: int = 1) -> DriftEstimate:
     """Rescaled drift of the condensate over independent streamed runs.
     Raises ``OutOfRange`` unless ``min_relocations`` is an integer >= 0."""
-    if not nonnegative_integer(min_relocations):
-        raise OutOfRange(f"min_relocations must be an integer >= 0, got {min_relocations!r}")
+    integer(min_relocations, "min_relocations")
     runs = _replica_runs(spec, t_rescaled, replicas, seed, threads)
     drifts = np.array([(run.displacement / spec.side) / (run.trace_time / spec.theta)
                        for run in runs])

@@ -61,7 +61,7 @@ def _check_against_closure(walk):
                 limit_chain(walk, cls, "rv")
 
 
-def _loop_drift(walk, r_set, n, d, eps, mode):
+def _loop_drift(walk, r_set, n, d, eps):
     """The scalar drift loop of ``test_function``, one state and one move at a
     time (reference): (drift, row sums, oscillation)."""
     from incproc import RegionSpec
@@ -69,7 +69,7 @@ def _loop_drift(walk, r_set, n, d, eps, mode):
     rmat = walk.rates
     q = np.array([[rmat[x, y] - rmat[y, x] for y in r_set] for x in r_set])
     cert = gordan_certificate(q)
-    coeff = -cert.vector if cert.variant == "alpha" and mode == "forward" else cert.vector
+    coeff = cert.vector
     enum = StateEnumeration(walk.kappa, n)
     reg = RegionSpec(walk, enum, r_set, eps=eps)
     counts = enum.counts_matrix()
@@ -106,10 +106,7 @@ def _loop_drift(walk, r_set, n, d, eps, mode):
             for y in r_set:
                 if y == x:
                     continue
-                if mode == "reversed":
-                    weight = s[y] * (d + s[x]) * rmat[y, x]
-                else:
-                    weight = s[x] * (d + s[y]) * rmat[x, y]
+                weight = s[y] * (d + s[x]) * rmat[y, x]
                 if weight == 0.0:
                     continue
                 moved = s.astype(np.int64).copy()
@@ -121,18 +118,14 @@ def _loop_drift(walk, r_set, n, d, eps, mode):
                     f_there = f0_of(counts[j])
                 acc += weight * (f_there - f_here)
                 rs += weight
-        if mode == "reversed":
-            drift[pos] = acc / w_state
-            row_sums[pos] = rs / w_state
-        else:
-            drift[pos] = acc
-            row_sums[pos] = rs
+        drift[pos] = acc / w_state
+        row_sums[pos] = rs / w_state
     return drift, row_sums, oscillation
 
 
-def _assert_drift_matches_loop(walk, r_set, n, d, eps, mode):
-    tf = make_test_function(walk, r_set, n=n, d=d, eps=eps, mode=mode)
-    drift, row_sums, oscillation = _loop_drift(walk, r_set, n, d, eps, mode)
+def _assert_drift_matches_loop(walk, r_set, n, d, eps):
+    tf = make_test_function(walk, r_set, n=n, d=d, eps=eps)
+    drift, row_sums, oscillation = _loop_drift(walk, r_set, n, d, eps)
     assert np.array_equal(tf.drift, drift)
     assert tf.oscillation == oscillation
     if drift.size:
@@ -195,6 +188,14 @@ class TestClassify:
         assert cls.symmetric_on_s0
         assert cls.is_attracting((1, 2))
         assert len(cls.terminal_components) == 2
+
+    @pytest.mark.parametrize("a_set", [(1.5, 2.7), (True, 2), (1, 7), (), 5, None])
+    def test_attracting_checks_refuse_a_bad_site_set(self, chain4, a_set):
+        # (1.5, 2.7) and (True, 2) were read as (1, 2), and (1, 7) raised a bare IndexError
+        cls = classify(chain4)
+        for check in (cls.is_attracting, cls.is_semi_attracting):
+            with pytest.raises(OutOfRange):
+                check(a_set)
 
     def test_s0_always_semi_attracting(self, cycle3, chain4, up3, two_sym):
         for spec in (cycle3, chain4, up3, two_sym):
@@ -585,27 +586,20 @@ class TestTestFunction:
         assert tf.variant == "alpha"
         assert tf.min_drift > 0
 
-    def test_forward_mode_positive(self, cycle3, up3):
-        for spec, r_set in ((cycle3, (0, 1, 2)), (up3, (0, 1))):
-            tf = make_test_function(spec, r_set, n=40, d=1e-6, eps=0.1, mode="forward")
-            assert tf.min_drift > 0
-
     FIXTURE_CASES = [("cycle3", (0, 1, 2)), ("up3", (0, 1, 2)), ("up3", (0, 1)),
                      ("two_sym", (0, 1)), ("two_asym", (0, 1)), ("chain4", (1, 2)),
                      ("chain4", (0, 1))]
 
-    @pytest.mark.parametrize("mode", ["reversed", "forward"])
     @pytest.mark.parametrize("name,r_set", FIXTURE_CASES)
-    def test_drift_matches_loop(self, request, name, r_set, mode):
+    def test_drift_matches_loop(self, request, name, r_set):
         walk = request.getfixturevalue(name)
-        _assert_drift_matches_loop(walk, r_set, n=40, d=1e-6, eps=0.1, mode=mode)
+        _assert_drift_matches_loop(walk, r_set, n=40, d=1e-6, eps=0.1)
 
-    @given(_walks_positive_in_r(), st.integers(3, 30),
-           st.sampled_from([1e-2, 1e-4, 1e-6]), st.sampled_from(["reversed", "forward"]))
+    @given(_walks_positive_in_r(), st.integers(3, 30), st.sampled_from([1e-2, 1e-4, 1e-6]))
     @settings(max_examples=60, deadline=None)
-    def test_drift_matches_loop_random(self, walk_r, n, d, mode):
+    def test_drift_matches_loop_random(self, walk_r, n, d):
         walk, r_set = walk_r
-        _assert_drift_matches_loop(walk, r_set, n=n, d=d, eps=0.1, mode=mode)
+        _assert_drift_matches_loop(walk, r_set, n=n, d=d, eps=0.1)
 
     def test_large_cycle_is_fast(self, cycle3):
         # 20,301 states; the scalar loop needed several seconds here

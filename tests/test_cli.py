@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from incproc import ProcessParams, WalkSpec, simulate
 from incproc.cli import (DEFAULT_SEED, RunReport, _schedule, main, run,
                          validate_config)
 from incproc.errors import ConfigError
@@ -123,6 +124,9 @@ class TestRun:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "time,site_from,site_to"
         assert report.metrics["events"] == len(lines) - 1
+        # every time cell is a plain float, the one the path holds
+        traj = simulate(WalkSpec.from_json(WALK2), ProcessParams(3, 0.2), (3, 0), 50.0, seed=3)
+        assert [float(line.split(",")[0]) for line in lines[1:]] == traj.times.tolist()
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["trace_time"] + trace["off_time"] == pytest.approx(50.0)
 
@@ -405,6 +409,7 @@ class TestMalformedInputs:
         (_THERMO, {"replicas": [2]}, "replicas"),
         (_SIMULATE3, {"params": {"n": True, "d_N": 0.2}, "initial": [1, 0, 0]}, "params.n"),
         (_SIMULATE3, {"seed": True}, "seed"),
+        (_SIMULATE3, {"seed": 2**64}, "seed"),
         (stationary_cfg(), {"compare_closed_form": "no"}, "compare_closed_form"),
         (_MEANRATE, {"mc_replicas": 2.5}, "mc_replicas"),
         (_THERMO, {"dim": "1"}, "dim"),
@@ -418,7 +423,7 @@ class TestMalformedInputs:
             "site-past-end", "site-negative", "site-missing", "sides-number",
             "sizes-number", "a-set-number", "trace-set-number", "mode-unknown",
             "horizon-null", "theta-null", "delta-null", "rho-null", "initial-number",
-            "replicas-list", "n-true", "seed-true", "compare-string",
+            "replicas-list", "n-true", "seed-true", "seed-past-key", "compare-string",
             "mc-replicas-fraction", "dim-string", "horizon-string", "sizes-strings",
             "replicas-zero", "level-unknown", "d-infinite"])
     def test_is_a_config_error(self, tmp_path, capsys, base, changes, field):

@@ -197,11 +197,13 @@ class TestRegionMasses:
                        / (an.r1 * (k + 1) * (n - k - 1 + d)))
                 assert sl[xi, k + 1] <= cap * sl[xi, k] * (1 + 1e-9)
 
-    def test_epsilon_validation_warns(self, up3):
-        # a huge threshold makes the slice-growth budget exceed N
+    @pytest.mark.parametrize("eps", [2.5, 2**64])
+    def test_epsilon_validation_warns(self, up3, eps):
+        # a huge threshold makes the slice-growth budget exceed N; at 2**64
+        # the power C0 ** threshold overflowed
         enum = enumerate_states(3, 50)
         with pytest.warns(UserWarning, match="threshold"):
-            RegionSpec(up3, enum, (0, 1, 2), eps=2.5)
+            RegionSpec(up3, enum, (0, 1, 2), eps=eps)
 
     def test_default_epsilon_is_admissible(self, up3):
         import warnings

@@ -473,9 +473,10 @@ class TestSiteSets:
         with pytest.raises(OutOfRange):
             hitting_probabilities(cycle3, ProcessParams(4, 0.1), (-1, 0), 0)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, "x", True])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, "x", True, 1.7e308])
     def test_region_rejects_non_finite_eps(self, cycle3, eps):
-        # "x" raised a bare TypeError, and True was taken as eps = 1
+        # "x" raised a bare TypeError, and True was taken as eps = 1; at
+        # 1.7e308 the threshold eps * log N overflowed to a bare OverflowError
         with pytest.raises(OutOfRange):
             RegionSpec(cycle3, enumerate_states(3, 4), (0, 1), eps=eps)
 

@@ -197,6 +197,13 @@ class TestConfiguration:
         with pytest.raises(OutOfRange):
             Configuration.single_site(3, 5, x)
 
+    @pytest.mark.parametrize("kappa, n", [(1.5, 5), ("2", 5), (None, 5), (2**64, 5), (0, 5),
+                                          (3, 1.5), (3, -1), (3, 2**64)])
+    def test_single_site_rejects_a_bad_site_count_or_particle_count(self, kappa, n):
+        # a kappa of 1.5, "2" or None raised a bare TypeError, and 2**64 an OverflowError
+        with pytest.raises(OutOfRange):
+            Configuration.single_site(kappa, n, 0)
+
     @pytest.mark.parametrize("counts", [(1.5, 1), (True, 1), (-1, 2)],
                              ids=["float", "bool", "negative"])
     def test_rejects_counts_that_are_not_particle_counts(self, counts):

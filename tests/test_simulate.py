@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -84,8 +85,9 @@ class TestSimulate:
             simulate(cycle3, ProcessParams(5, 0.1), (0, 5, 0), horizon, seed=1,
                      max_events=10)
 
-    @pytest.mark.parametrize("eta0", [(-1, 6, 0), (0, 2.5, 2.5)])
+    @pytest.mark.parametrize("eta0", [(-1, 6, 0), (0, 2.5, 2.5), 5, None])
     def test_rejects_bad_counts(self, cycle3, eta0):
+        # 5 and None raised a bare TypeError
         with pytest.raises(OutOfRange):
             simulate(cycle3, ProcessParams(5, 0.1), eta0, 1.0, seed=1,
                      max_events=10)
@@ -619,6 +621,34 @@ class TestEntryPointArguments:
         with pytest.raises(OutOfRange, match="horizon"):
             mc_mean_jump_rate(two_sym, params, (0, 1), replicas=2, horizon=horizon,
                               seed=1, threads=2)
+
+    @pytest.mark.parametrize("entry", ["mc_hitting", "mc_mean_jump_rate",
+                                       "measure_drift", "measure_diffusion"])
+    @pytest.mark.parametrize("threads, cpus, workers", [(64, 8, 2), (2, 8, 2), (64, 1, 1)])
+    def test_pool_starts_no_more_workers_than_chunks_or_cpus(self, two_sym, entry, threads,
+                                                             cpus, workers, monkeypatch):
+        # every entry point runs 2 replicas, so 2 chunks; the fork start method
+        # starts all max_workers processes at the first submit
+        class InProcessPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        seen = []
+        one = entry_points(two_sym)[entry](1, threads=1)
+        monkeypatch.setattr(SIMULATE, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(SIMULATE.os, "cpu_count", lambda: cpus)
+        pooled = entry_points(two_sym)[entry](1, threads=threads)
+        assert seen == [workers]
+        assert pickle.dumps(pooled) == pickle.dumps(one)
 
     def test_bool_event_budgets_are_refused(self, two_sym):
         with pytest.raises(OutOfRange, match="step_cap"):

@@ -97,8 +97,9 @@ class TestUnrankAgainstLoops:
             assert got == _loop_rank(enum, eta)
 
     def test_unrank_rejects_out_of_range(self):
+        # "2" and None raised a bare TypeError, and 1.5 and True were unranked as rank 1
         enum = StateEnumeration(3, 4)
-        for bad in (-1, enum.size):
+        for bad in (-1, enum.size, "2", None, 1.5, True):
             with pytest.raises(OutOfRange):
                 enum.unrank(bad)
 
@@ -166,9 +167,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enum.rank((1, 1))
 
-    @pytest.mark.parametrize("eta", [(1.5, 2.5), (1.0, 2.0), (True, 2), ("1", "2")])
+    @pytest.mark.parametrize("eta", [(1.5, 2.5), (1.0, 2.0), (True, 2), ("1", "2"), 5, None])
     def test_rank_rejects_counts_that_are_not_integers(self, eta):
-        # each was truncated and ranked as (1, 2)
+        # each sequence was truncated and ranked as (1, 2); 5 and None raised
+        # a bare TypeError
         with pytest.raises(OutOfRange):
             StateEnumeration(2, 3).rank(eta)
 
