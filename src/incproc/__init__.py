@@ -5,8 +5,7 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, ConfigError,
                      DegenerateData, DimensionMismatch, IncprocError,
                      NonIrreducibleWalk, NonSpanningSupport, NotSemiAttracting,
                      NotSkewSymmetric, OutOfRange, PremiseViolated, SolverFailure,
-                     StateSpaceTooLarge, SupportTooLarge, TooFewRelocations,
-                     WindowExceedsTrajectory)
+                     StateSpaceTooLarge, SupportTooLarge, TooFewRelocations)
 from .model import (Configuration, ProcessParams, WalkAnalysis, WalkSpec,
                     analyze_walk, log_weight_table, schedule_fixed, schedule_power)
 from .states import Distribution, StateEnumeration, space_size
@@ -20,9 +19,8 @@ from .gordan import GordanCertificate, gordan_certificate
 from .asymptotics import (Classification, ErrorScale, LimitChain,
                           MeanRatePrediction, TestFunction, classify,
                           limit_chain, predicted_mean_rate, test_function)
-from .simulate import (CEMETERY, FitResult, HittingTask, MCHitting,
-                       MCTraceRates, TracePath, Trajectory, mc_hitting,
-                       mc_mean_jump_rate, replica_rng, scaling_fit, simulate,
+from .simulate import (FitResult, HittingTask, MCHitting, MCTraceRates, TracePath,
+                       Trajectory, mc_hitting, mc_mean_jump_rate, scaling_fit, simulate,
                        trace_project)
 from .thermo import (CondensateStats, CondensationReport, DiffusionEstimate,
                      DriftEstimate, SmoothFunction, TorusSpec, build_torus,

@@ -165,48 +165,37 @@ int64_t incproc_channels(const double *rows, const uint8_t *end, uint8_t hopped,
    lowest, when N = 0 and every site holds all N), or -1 off the set. Event
    i moves a particle from move_from[i] to move_to[i] in counts (the initial
    counts, updated in place); after it only the target can hold all N. Each
-   interval's dt = until - start is added, one at a time in path order, to the trace clock clocks[0] when it is on the set, else to the
-   off clock clocks[1]; an off interval also adds its overlap with
-   [0, limit], when positive, to clocks[2] if windowed. A segment opens where the label on
-   the set differs from the last one seen on it (leaving the set and coming
-   back to the same site merges) and closes where the next one opens: its
-   label, the trace time it held (added in path order) and the trace clock
-   at its close go to labels, sojourns and ends, which hold room for n + 1.
-   The sorted samples take the label of the interval whose end is the first
-   at or after them: marginal[s] is written while samples[s] <= until, so
-   samples beyond the horizon are left as they are.
+   interval's dt = until - start is added, one at a time in path order, to
+   the trace clock clocks[0] when it is on the set, else to the off clock
+   clocks[1]. A segment opens where the label on the set differs from the
+   last one seen on it (leaving the set and coming back to the same site
+   merges) and closes where the next one opens: its label, the trace time it
+   held (added in path order) and the trace clock at its close go to labels,
+   sojourns and ends, which hold room for n + 1.
 
    Returns the number of segments; -1 at an event that is not a move
    between sites; -2 at a time that is not finite, is below the one before
    (or 0), or is past the horizon; or -3 at a move out of an empty site. */
 int64_t incproc_trace(const double *times, const int32_t *move_from, const int32_t *move_to,
                       int64_t n, double horizon, int64_t kappa, int64_t total,
-                      const uint8_t *in_a, int64_t *counts, int windowed, double limit,
-                      const double *samples, int64_t n_samples, int64_t *marginal,
-                      int64_t *labels, double *sojourns, double *ends, double *clocks)
+                      const uint8_t *in_a, int64_t *counts, int64_t *labels,
+                      double *sojourns, double *ends, double *clocks)
 {
-    int64_t label = -1, m = 0, s = 0;
+    int64_t label = -1, m = 0;
     for (int64_t x = kappa - 1; x >= 0; x--)
         if (in_a[x] && counts[x] == total)
             label = x;
     int64_t seg = label;
-    double start = 0.0, trace = 0.0, off = 0.0, in_window = 0.0, seg_time = 0.0;
+    double start = 0.0, trace = 0.0, off = 0.0, seg_time = 0.0;
     for (int64_t i = 0; i <= n; i++) {
         double until = i < n ? times[i] : horizon, dt = until - start;
         if (!isfinite(until) || dt < 0)
             return -2;
-        while (s < n_samples && samples[s] <= until)
-            marginal[s++] = label;
         if (label >= 0) {
             trace += dt;
             seg_time += dt;
         } else {
             off += dt;
-            if (windowed) {
-                double overlap = (until < limit ? until : limit) - (start < limit ? start : limit);
-                if (overlap > 0)
-                    in_window += overlap;
-            }
         }
         start = until;
         if (i == n)
@@ -236,6 +225,5 @@ int64_t incproc_trace(const double *times, const int32_t *move_from, const int32
     }
     clocks[0] = trace;
     clocks[1] = off;
-    clocks[2] = in_window;
     return m;
 }

@@ -25,7 +25,8 @@ from .states import StateEnumeration
 @dataclass(frozen=True)
 class ErrorScale:
     """The error scale ell_N = d_N log N + q**N with its two components;
-    ``n`` and ``d`` are checked as :class:`ProcessParams` checks them."""
+    ``n`` and ``d`` are checked as :class:`ProcessParams` checks them, and
+    ``q`` must be a real in [0, 1]."""
 
     n: int
     d: float
@@ -33,6 +34,7 @@ class ErrorScale:
 
     def __post_init__(self):
         ProcessParams(self.n, self.d)
+        real(self.q, "q", at_least=0, at_most=1)
 
     @property
     def log_term(self) -> float:

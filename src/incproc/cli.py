@@ -174,8 +174,7 @@ SCHEMA = {
                         mc_replicas=(_COUNT, None), mc_horizon=(_positive, 100.0)),
     "classify": _fields(walk=_WALK, mode=(_choice("auto", "rv", "nrv"), "auto")),
     "simulate": _fields(walk=_WALK, params=_PARAMS, initial=(_as_given, REQUIRED),
-                        horizon=(_positive, REQUIRED), trace_set=(_SITES, None),
-                        theta=(_positive, 1.0)),
+                        horizon=(_positive, REQUIRED), trace_set=(_SITES, None)),
     "nucleation": _fields(walk=_WALK, sizes=(_list_of(_COUNT), REQUIRED),
                           d_schedule=(_schedule, REQUIRED), delta=(_positive, REQUIRED),
                           replicas=(_COUNT, REQUIRED),
@@ -352,7 +351,7 @@ def _run_simulate(c, out, threads, report, echo):
     report.artifacts.append(str(csv_path))
     report.metrics["events"] = traj.n_events
     if c["trace_set"]:
-        path = trace_project(traj, c["trace_set"], c["theta"])
+        path = trace_project(traj, c["trace_set"], 1.0)
         payload = {"labels": path.labels.tolist(), "sojourns": path.sojourns.tolist(),
                    "trace_time": path.trace_time, "off_time": path.off_time}
         _write_json(out / "trace.json", payload)

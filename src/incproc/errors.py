@@ -51,10 +51,6 @@ class NotSkewSymmetric(IncprocError):
     """The certificate solver requires a skew-symmetric matrix."""
 
 
-class WindowExceedsTrajectory(IncprocError):
-    """The requested rescaled window is longer than the simulated horizon."""
-
-
 class BudgetExceeded(IncprocError):
     """Every replica hit the step cap; no uncensored observations exist."""
 

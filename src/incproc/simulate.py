@@ -25,27 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DegenerateData, IncprocError, OutOfRange,
-                     WindowExceedsTrajectory)
+from .errors import BudgetExceeded, DegenerateData, IncprocError, OutOfRange
 from .model import (Configuration, ProcessParams, WalkSpec, csv_line, finite_real, integer,
                     real, site_set, state_counts)
 
-CEMETERY = -1
 DEFAULT_STEP_CAP = 1_000_000_000
 # the largest seed or stream: one word of the Philox key, the same on every platform
 MAX_KEY = (1 << 64) - 1
 _SLICE = 1 << 10
 # the purposes of a replica's substreams: Philox counter word 3
 _EXPONENTIALS, _UNIFORMS = 0, 1
-
-
-def replica_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox stream (seed, stream); child streams never collide. Raises
-    ``OutOfRange`` unless both are integers in ``[0, MAX_KEY]``. It is the
-    exponential substream of replica ``stream`` (:func:`_substream` at jump 0)."""
-    integer(seed, "seed", 0, MAX_KEY)
-    integer(stream, "stream", 0, MAX_KEY)
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -99,16 +88,6 @@ class _Blocks:
     def use(self, uniforms: int, exponentials: int) -> None:
         self._ui += uniforms
         self._ei += exponentials
-
-    def exponential(self) -> float:
-        e = float(self.exponentials(1)[0])
-        self.use(0, 1)
-        return e
-
-    def uniform(self) -> float:
-        u = float(self.uniforms(1)[0])
-        self.use(1, 0)
-        return u
 
 
 @dataclass(frozen=True)
@@ -307,8 +286,8 @@ def _compiled():
                                           ptr, ptr]
         library.incproc_channels.argtypes = [ptr, ptr, ctypes.c_uint8, ptr, ptr, ptr, ptr,
                                              ptr, ptr, ptr, ptr, ptr, i64]
-        library.incproc_trace.argtypes = [ptr, ptr, ptr, i64, real, i64, i64, ptr, ptr, flag,
-                                          real, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+        library.incproc_trace.argtypes = [ptr, ptr, ptr, i64, real, i64, i64, ptr, ptr, ptr,
+                                          ptr, ptr, ptr]
         library.incproc_slice.restype = library.incproc_channels.restype = i64
         library.incproc_trace.restype = i64
         _library = library
@@ -361,8 +340,9 @@ class TracePath:
     sojourn times (consecutive equal labels merged: the clock is frozen off
     the set), and ``ends`` the trace clock at the end of each of these
     segments, where the next one opens (the last ends at ``trace_time``).
-    ``marginal`` holds state labels at the requested wall-clock
-    sample times, with the cemetery label for non-metastable states.
+    ``trace_time`` and ``off_time`` split the horizon into the time on the
+    set's one-site states and the time off them. ``theta`` is the time
+    scale the call was given, recorded only.
     """
 
     a_set: tuple[int, ...]
@@ -373,10 +353,6 @@ class TracePath:
     off_time: float
     horizon: float
     theta: float
-    window: float | None
-    off_occupation: float | None
-    marginal_times: np.ndarray | None = None
-    marginal: np.ndarray | None = None
 
     def transition_counts(self, kappa: int) -> np.ndarray:
         counts = np.zeros((kappa, kappa), dtype=np.int64)
@@ -389,16 +365,14 @@ class TracePath:
         return out
 
 
-def trace_project(traj: Trajectory, a_set, theta: float,
-                  window: float | None = None,
-                  marginal_times: Sequence[float] | None = None) -> TracePath:
-    """Project a trajectory onto the metastable states of ``a_set``.
+def trace_project(traj: Trajectory, a_set, theta: float) -> TracePath:
+    """Project a trajectory onto the metastable states of ``a_set``: the
+    trace process (labels, sojourns and segment ends) and the split of the
+    horizon into ``trace_time`` on those states and ``off_time`` off them.
 
-    ``window`` (in rescaled time) restricts the off-set occupation report to
-    wall-clock ``[0, theta * window]`` and is returned normalized by
-    ``theta``; requesting a window beyond the horizon raises. Raises
-    ``OutOfRange`` unless ``theta`` is a finite positive real, ``window`` a
-    finite real >= 0 and ``marginal_times`` a sequence of finite reals >= 0.
+    ``theta``, the time scale of the path, is recorded on the result only:
+    no output depends on it. Raises ``OutOfRange`` unless it is a finite
+    positive real.
 
     Interval ``i`` runs from event ``i - 1`` (or time 0) to event ``i`` (or
     the horizon) in the state left by the first ``i`` events. The path is
@@ -410,24 +384,6 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     kappa = len(traj.initial)
     a_set = site_set(a_set, kappa)
     real(theta, "theta", above=0)
-    if window is not None:
-        real(window, "window", at_least=0)
-    if marginal_times is not None:
-        if isinstance(marginal_times, str) or not isinstance(
-                marginal_times, (Sequence, np.ndarray)):
-            raise OutOfRange(f"marginal_times must be a sequence, got {marginal_times!r}")
-        for t in marginal_times:
-            real(t, "a marginal time", at_least=0)
-    if window is not None and theta * window > traj.horizon * (1 + 1e-12):
-        raise WindowExceedsTrajectory(
-            f"window {theta * window:.3g} exceeds horizon {traj.horizon:.3g}")
-    sample_ts = sample_out = None
-    if marginal_times is not None:
-        sample_ts = np.asarray(sorted(float(theta * t) for t in marginal_times))
-        if sample_ts.size and sample_ts[-1] > traj.horizon * (1 + 1e-12):
-            raise WindowExceedsTrajectory("marginal sample beyond horizon")
-        sample_out = np.full(sample_ts.size, CEMETERY, dtype=np.int64)
-
     counts = np.array(traj.initial, dtype=np.int64)
     in_a = np.zeros(kappa, dtype=np.uint8)
     in_a[list(a_set)] = 1
@@ -437,26 +393,20 @@ def trace_project(traj: Trajectory, a_set, theta: float,
     # a segment opens at most at each event, and one is open at the start
     room = traj.n_events + 1
     labels, sojourns, ends = np.empty(room, dtype=np.int64), np.empty(room), np.empty(room)
-    clocks = np.empty(3)
+    clocks = np.empty(2)
     m = _compiled().incproc_trace(
         _address(times), _address(src), _address(dst), traj.n_events, traj.horizon,
-        kappa, sum(traj.initial), _address(in_a), _address(counts), window is not None,
-        theta * window if window is not None else 0.0,
-        None if sample_ts is None else _address(sample_ts),
-        0 if sample_ts is None else sample_ts.size,
-        None if sample_out is None else _address(sample_out),
-        _address(labels), _address(sojourns), _address(ends), _address(clocks))
+        kappa, sum(traj.initial), _address(in_a), _address(counts), _address(labels),
+        _address(sojourns), _address(ends), _address(clocks))
     if m < 0:
         raise OutOfRange({-1: f"trajectory moves leave the sites 0..{kappa - 1}",
                           -2: "trajectory times must rise from 0 to the horizon, finite",
                           -3: "a trajectory move leaves an empty site"}[m])
-    trace_time, off_time, off_in_window = clocks.tolist()
+    trace_time, off_time = clocks.tolist()
     return TracePath(
         a_set=a_set, labels=labels[:m].copy(), sojourns=sojourns[:m].copy(),
         ends=ends[:m].copy(), trace_time=trace_time, off_time=off_time,
-        horizon=traj.horizon, theta=theta, window=window,
-        off_occupation=(off_in_window / theta if window is not None else None),
-        marginal_times=sample_ts, marginal=sample_out)
+        horizon=traj.horizon, theta=theta)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ channel (the gambler's-ruin quantity behind the reversible analysis of
 Bianchi, Dommers and Giardina, EJP 2017) with the trace-rate kernel it
 gives, and a lifted linear function on the torus.
 
+``draw`` reads one value of a replica's draws as the references of the
+event kernel read them.
+
 ``lockstep_runs`` keeps the numpy sampler of the condensate runs that the
 compiled channel steps replaced: ``_lockstep`` steps the excursions of a
 batch of replicas together, one array pass per channel step. The compiled
@@ -24,6 +27,14 @@ import numpy as np
 from incproc import Configuration, ProcessParams, SmoothFunction, TorusSpec, WalkSpec
 from incproc.thermo import (CHECKPOINTS, CondensateRun, _Channels, _channel_rates,
                             _CondensateReplica, _HOPPED)
+
+
+def draw(blocks, kind: str) -> float:
+    """The next ``kind`` ("exponential" or "uniform") of ``blocks``, an
+    ``incproc.simulate._Blocks``, used."""
+    value = float(getattr(blocks, kind + "s")(1)[0])
+    blocks.use(kind == "uniform", kind == "exponential")
+    return value
 
 
 @dataclass(frozen=True)

@@ -110,20 +110,18 @@ ROWS = {
     "classify": Row(dict(walk=WALK), {}),
     "limit_chain": Row(dict(walk=WALK, classification=ip.classify(WALK), mode="nrv"),
                        dict(mode=P())),
+    "ErrorScale": Row(dict(n=4, d=0.1, q=0.5),
+                      dict(n=INTEGER, d=POSITIVE, q=P(huge=HUGE))),
     "predicted_mean_rate": Row(dict(walk=WALK, a_set=(0, 1, 2), n=4, d=0.1),
                                dict(a_set=SITES, n=INTEGER, d=POSITIVE)),
     "test_function": Row(dict(walk=WALK, r_set=(0, 1, 2), n=8, d=0.1, eps=0.5),
                          dict(r_set=SITES, n=INTEGER, d=POSITIVE, eps=POSITIVE)),
-    "replica_rng": Row(dict(seed=1, stream=2), dict(seed=KEY, stream=KEY)),
     "simulate": Row(dict(spec=WALK, params=PARAMS, eta0=(4, 0, 0), horizon=2.0, seed=1,
                          stream=0, max_events=None),
                     dict(eta0=STATE, horizon=DURATION, seed=KEY, stream=KEY,
                          max_events=P(ok=(None,)))),
-    "trace_project": Row(dict(traj=TRAJ, a_set=(0, 1, 2), theta=1.0, window=None,
-                              marginal_times=None),
-                         dict(a_set=SITES, theta=POSITIVE,
-                              window=P(ok=(None, 1.5, HUGE), huge=HUGE),
-                              marginal_times=P(ok=(None, ())))),
+    "trace_project": Row(dict(traj=TRAJ, a_set=(0, 1, 2), theta=1.0),
+                         dict(a_set=SITES, theta=POSITIVE)),
     "mc_mean_jump_rate": Row(dict(spec=WALK, params=PARAMS, a_set=(0, 1, 2), replicas=2,
                                   horizon=2.0, seed=1, threads=1),
                              dict(a_set=SITES, replicas=INTEGER, horizon=DURATION,
@@ -161,19 +159,17 @@ ROWS = {
                                  dict(min_relocations=INTEGER, n_windows=P(huge=HUGE))),
 }
 
-# exception classes, result dataclasses and constants
+# exception classes and result dataclasses
 EXEMPT = (
     "BudgetExceeded", "ConditionNotSatisfied", "ConfigError", "DegenerateData",
     "DimensionMismatch", "IncprocError", "NonIrreducibleWalk", "NonSpanningSupport",
     "NotSemiAttracting", "NotSkewSymmetric", "OutOfRange", "PremiseViolated",
     "SolverFailure", "StateSpaceTooLarge", "SupportTooLarge", "TooFewRelocations",
-    "WindowExceedsTrajectory",
     "Classification", "CondensateStats", "CondensationReport", "DiffusionEstimate",
-    "Distribution", "DriftEstimate", "ErrorScale", "FitResult", "GordanCertificate",
+    "Distribution", "DriftEstimate", "FitResult", "GordanCertificate",
     "LimitChain", "MCHitting", "MCTraceRates", "MassReport", "MeanRatePrediction",
     "SmoothFunction", "TestFunction", "TorusSpec", "TracePath", "TraceRateMatrix",
     "Trajectory", "WalkAnalysis",
-    "CEMETERY",
 )
 
 

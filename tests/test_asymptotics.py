@@ -342,6 +342,13 @@ class TestPredictedMeanRate:
         with pytest.raises(OutOfRange):
             ErrorScale(n=n, d=d, q=3 / 7)
 
+    @pytest.mark.parametrize("q", ["x", math.nan, -2.0, 1.5, True, None], ids=repr)
+    def test_rejects_a_bad_q(self, q):
+        # "x" raised a bare TypeError from ell, and nan and -2.0 gave the
+        # ell of q = 0
+        with pytest.raises(OutOfRange, match="q"):
+            ErrorScale(n=4, d=0.1, q=q)
+
     def test_not_semi_attracting(self, cycle3):
         with pytest.raises(NotSemiAttracting):
             predicted_mean_rate(cycle3, (0,), 100, 1e-4)

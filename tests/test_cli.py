@@ -400,9 +400,10 @@ class TestMalformedInputs:
         (_MEANRATE, {"a_set": 5}, "a_set"),
         (_SIMULATE3, {"trace_set": 5}, "trace_set"),
         (_CLASSIFY, {"mode": "bogus"}, "mode"),
+        # an unknown field: no output of simulate depends on a time scale
+        (_SIMULATE3, {"trace_set": [0, 1], "theta": 50}, "theta"),
         # a JSON value of the wrong type or out of range
         (_SIMULATE3, {"horizon": None}, "horizon"),
-        (_SIMULATE3, {"trace_set": [0, 1], "theta": None}, "theta"),
         (_NUCLEATION, {"delta": None}, "delta"),
         (_THERMO, {"rho": None}, "rho"),
         (_SIMULATE3, {"initial": 5}, "initial"),
@@ -422,7 +423,7 @@ class TestMalformedInputs:
             "kernel-number", "kernel-bad-pair", "kernel-fractional-offset",
             "site-past-end", "site-negative", "site-missing", "sides-number",
             "sizes-number", "a-set-number", "trace-set-number", "mode-unknown",
-            "horizon-null", "theta-null", "delta-null", "rho-null", "initial-number",
+            "theta-unknown", "horizon-null", "delta-null", "rho-null", "initial-number",
             "replicas-list", "n-true", "seed-true", "seed-past-key", "compare-string",
             "mc-replicas-fraction", "dim-string", "horizon-string", "sizes-strings",
             "replicas-zero", "level-unknown", "d-infinite"])

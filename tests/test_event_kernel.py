@@ -13,7 +13,7 @@ its weights, not a cached copy.
 
 ``ref_trace_project`` replays a trajectory event by event in Python; the
 compiled replay of ``trace_project`` must give the same labels, sojourns,
-clocks and samples, bit for bit. ``condensate_statistics`` must match
+segment ends and clocks, bit for bit. ``condensate_statistics`` must match
 the condensate following of ``RefCondensate`` the same way.
 
 Condensate runs are the exception: they are sampled as a renewal process of
@@ -40,10 +40,10 @@ from scipy.stats import ks_2samp
 from incproc import (BudgetExceeded, HittingTask, OutOfRange, ProcessParams, Trajectory,
                      WalkSpec, build_torus, condensate_statistics, mc_hitting,
                      measure_drift, run_condensate, simulate, torus_walk, trace_project)
-from incproc.simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, CEMETERY, _Blocks,
-                              _philox_key, _substream)
+from incproc.simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, _Blocks, _philox_key,
+                              _substream)
 from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
-from reference import lockstep_runs
+from reference import draw, lockstep_runs
 
 KS_LEVEL = 1e-3
 KERNEL = sys.modules["incproc.simulate"]
@@ -66,8 +66,8 @@ def ref_step(counts, moves, d, blocks, by_target=False):
     total = 0.0
     for w in weights:
         total += w
-    dt = 1.0 if by_target else blocks.exponential() / total
-    u = blocks.uniform() * total
+    dt = 1.0 if by_target else draw(blocks, "exponential") / total
+    u = draw(blocks, "uniform") * total
     acc = 0.0
     for (x, y, _), w in zip(moves, weights):
         acc += w
@@ -602,8 +602,8 @@ def test_blocks_follow_the_substreams(jump):
     n = 2 * _SLICE + 700
     exps, unis = [], []
     for _ in range(n):
-        exps.append(blocks.exponential())
-        unis.append(blocks.uniform())
+        exps.append(draw(blocks, "exponential"))
+        unis.append(draw(blocks, "uniform"))
     assert exps == pinned(key, jump, _EXPONENTIALS).exponential(1.0, n).tolist()
     assert unis == pinned(key, jump, _UNIFORMS).random(n).tolist()
     assert all(type(v) is float for v in exps[:3] + unis[:3])
@@ -668,7 +668,7 @@ def test_uniforms_drawn_a_piece_at_a_time():
     # no exponential substream
     key = _philox_key(8, 0)
     blocks = _Blocks(key)
-    first = blocks.uniform()
+    first = draw(blocks, "uniform")
     rng = pinned(key, 0, _UNIFORMS)
     piece = rng.random(_SLICE)
     assert first == piece[0]
@@ -873,7 +873,7 @@ def test_events_match_recorded_digests():
     assert got == DIGESTS
 
 
-def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):
+def ref_trace_project(traj, a_set):
     """The event-by-event replay ``trace_project`` replaced."""
     a_set = tuple(sorted(set(a_set)))
     counts = list(traj.initial)
@@ -886,36 +886,21 @@ def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):
                 return x
         return None
 
-    sample_ts = sample_out = None
-    si = 0
-    if marginal_times is not None:
-        sample_ts = np.asarray(sorted(float(theta * t) for t in marginal_times))
-        sample_out = np.full(sample_ts.size, CEMETERY, dtype=np.int64)
     labels, sojourns, ends = [], [], []
     cur_label = seg_label = metastable_site()
-    seg_time = trace_time = off_time = off_in_window = 0.0
-    limit = theta * window if window is not None else None
+    seg_time = trace_time = off_time = 0.0
     t_prev = 0.0
 
     def advance(until):
-        nonlocal trace_time, off_time, off_in_window, seg_time, si, t_prev
+        nonlocal trace_time, off_time, seg_time, t_prev
         dt = until - t_prev
         if dt < 0:
             dt = 0.0
-        if sample_ts is not None:
-            while si < sample_ts.size and sample_ts[si] <= until:
-                here = metastable_site()
-                sample_out[si] = here if here is not None else CEMETERY
-                si += 1
         if cur_label is not None:
             trace_time += dt
             seg_time += dt
         else:
             off_time += dt
-            if limit is not None:
-                overlap = min(until, limit) - min(t_prev, limit)
-                if overlap > 0:
-                    off_in_window += overlap
         t_prev = until
 
     for t, x, y in zip(traj.times, traj.move_from, traj.move_to):
@@ -939,16 +924,12 @@ def ref_trace_project(traj, a_set, theta, window=None, marginal_times=None):
     return dict(labels=np.asarray(labels, dtype=np.int64),
                 sojourns=np.asarray(sojourns, dtype=float),
                 ends=np.asarray(ends, dtype=float),
-                trace_time=trace_time, off_time=off_time,
-                off_occupation=off_in_window / theta if window is not None else None,
-                marginal_times=sample_ts, marginal=sample_out)
+                trace_time=trace_time, off_time=off_time)
 
 
-def assert_same_trace(traj, a_set, theta, window=None, marginal_times=None):
-    path = trace_project(traj, a_set, theta, window=window,
-                         marginal_times=marginal_times)
-    ref = ref_trace_project(traj, a_set, theta, window=window,
-                            marginal_times=marginal_times)
+def assert_same_trace(traj, a_set, theta=1.0):
+    path = trace_project(traj, a_set, theta)
+    ref = ref_trace_project(traj, a_set)
     for name, want in ref.items():
         got = getattr(path, name)
         if isinstance(want, np.ndarray):
@@ -966,22 +947,13 @@ def test_trace_project_matches_reference(walk, request):
     k = spec.kappa
     params = ProcessParams(3, 0.3)
     spread = [1] * 3 + [0] * (k - 3) if k >= 3 else [2, 1]
-    rng = np.random.default_rng(k)
     visits = 0
     for stream, eta0 in enumerate(([3] + [0] * (k - 1), spread)):
         for horizon, max_events in ((150.0, None), (1e300, 1_500)):
             traj = simulate(spec, params, eta0, horizon, seed=21, stream=stream,
                             max_events=max_events)
-            theta = 0.5      # a power of two: theta * (t / theta) == t
-            scaled = traj.horizon / theta
-            samples = np.concatenate((rng.uniform(0, scaled, 40), [0.0, scaled],
-                                      traj.times[::37] / theta))
             for a_set in (range(k), (k - 1,), (0, k - 1)):
-                path = assert_same_trace(traj, a_set, theta,
-                                         window=rng.uniform(0, scaled),
-                                         marginal_times=samples)
-                assert_same_trace(traj, a_set, 1.0)
-                visits += len(path.labels)
+                visits += len(assert_same_trace(traj, a_set).labels)
     assert visits > 20
 
 
@@ -1005,8 +977,7 @@ def test_trace_project_matches_reference_on_the_long_path(seed):
     assert traj.n_events == 300_000
     path = assert_same_trace(traj, (0, 1, 2), theta)
     assert len(path.labels) > 100
-    samples = np.concatenate((traj.times[::997], [traj.horizon]))
-    assert_same_trace(traj, (0,), 1.0, window=traj.horizon / 3, marginal_times=samples)
+    assert_same_trace(traj, (0,))
 
 
 @pytest.mark.parametrize("seed, horizon, max_events", [(0, 20.0, None), (1, 1e300, 5_000)])
@@ -1020,15 +991,9 @@ def test_trace_project_matches_reference_on_the_64_site_torus(seed, horizon, max
     eta0[seed] = spec.n
     traj = simulate(walk, params, eta0, horizon=horizon * spec.theta, seed=seed,
                     max_events=max_events)
-    theta = 0.5      # a power of two: theta * (t / theta) == t
-    # samples at event times and at the horizon, which the second path ends
-    # on with an event
-    samples = np.concatenate((traj.times[::41], [traj.horizon])) / theta
     labels = 0
     for a_set in (range(64), range(0, 64, 3)):
-        path = assert_same_trace(traj, a_set, theta, window=0.6 * traj.horizon / theta,
-                                 marginal_times=samples)
-        labels += len(path.labels)
+        labels += len(assert_same_trace(traj, a_set).labels)
     assert labels > 20
 
 
@@ -1045,9 +1010,8 @@ def test_trace_project_reads_a_path_stored_in_another_layout(layout, up3):
         dtype = np.int64 if layout == "int64-moves" else np.uint8
         other = dataclasses.replace(traj, move_from=traj.move_from.astype(dtype),
                                     move_to=traj.move_to.astype(dtype))
-    samples = traj.times[::7].tolist() + [150.0]
-    want = trace_project(traj, (0, 2), 1.0, window=70.0, marginal_times=samples)
-    got = trace_project(other, (0, 2), 1.0, window=70.0, marginal_times=samples)
+    want = trace_project(traj, (0, 2), 1.0)
+    got = trace_project(other, (0, 2), 1.0)
     assert len(want.labels) > 5
     for field in dataclasses.fields(want):
         a, b = getattr(want, field.name), getattr(got, field.name)
@@ -1062,8 +1026,7 @@ def test_trace_project_empty_and_underflowing_paths():
         empty = Trajectory(initial=eta0, times=none, move_from=none.astype(np.int32),
                            move_to=none.astype(np.int32), horizon=5.0, seed=0, stream=0)
         for a_set in ((0,), (0, 1)):
-            assert_same_trace(empty, a_set, 1.0, window=2.0,
-                              marginal_times=[0.0, 2.5, 5.0])
+            assert_same_trace(empty, a_set)
     # simulate bumps an event that would not advance the clock by one ulp
     times = [1.0]
     for _ in range(7):
@@ -1073,5 +1036,4 @@ def test_trace_project_empty_and_underflowing_paths():
     bumped = Trajectory(initial=(1, 0), times=np.asarray(times), move_from=move_from,
                         move_to=1 - move_from, horizon=3.0, seed=0, stream=0)
     for a_set in ((0,), (1,), (0, 1)):
-        assert_same_trace(bumped, a_set, 1.0, window=1.5,
-                          marginal_times=times + [0.5, 2.5, 3.0])
+        assert_same_trace(bumped, a_set)

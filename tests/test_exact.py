@@ -247,6 +247,7 @@ class TestHitting:
     def test_against_monte_carlo_absorption(self, up3):
         # independent oracle: direct jump-chain absorption frequencies
         from incproc.simulate import _Blocks, _philox_key
+        from reference import draw
         params = ProcessParams(4, 0.3)
         h, enum = hitting_probabilities(up3, params, (0, 1, 2), 2)
         start = (2, 1, 1)
@@ -262,7 +263,7 @@ class TestHitting:
                 rates = [counts[x] * (params.d + counts[y]) * r
                          for x, y, r in moves]
                 total = sum(rates)
-                u = blocks.uniform() * total
+                u = draw(blocks, "uniform") * total
                 acc = 0.0
                 for k, rate in enumerate(rates):
                     acc += rate

@@ -9,11 +9,11 @@ from scipy import stats
 
 from incproc import (BudgetExceeded, Configuration, DegenerateData,
                      HittingTask, OutOfRange, ProcessParams, Trajectory, WalkSpec,
-                     WindowExceedsTrajectory, build_torus, mc_hitting, mc_mean_jump_rate,
+                     build_torus, mc_hitting, mc_mean_jump_rate,
                      mean_jump_rate_exact, measure_diffusion, measure_drift,
-                     replica_rng, run_condensate, scaling_fit, simulate,
-                     stationary_exact, trace_project)
-from incproc.simulate import CEMETERY, _Blocks
+                     run_condensate, scaling_fit, simulate, stationary_exact,
+                     trace_project)
+from incproc.simulate import _Blocks
 from reference import local_kinetics
 
 SIMULATE = sys.modules["incproc.simulate"]
@@ -263,12 +263,8 @@ class TestTraceProject:
                        horizon=4.0, seed=0, stream=0)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(theta=math.nan), dict(theta=0), dict(theta=-1.0),
-        dict(theta=1.0, window=math.nan),
-        dict(theta=1.0, marginal_times="ab"), dict(theta=1.0, marginal_times=[math.nan]),
-        dict(theta=1.0, marginal_times=[-1])],
-        ids=["theta-nan", "theta-0", "theta-negative", "window-nan", "marginal-str",
-             "marginal-nan", "marginal-negative"])
+        dict(theta=math.nan), dict(theta=0), dict(theta=-1.0)],
+        ids=["theta-nan", "theta-0", "theta-negative"])
     def test_refuses_a_bad_time_argument(self, up3, kwargs):
         traj = simulate(up3, ProcessParams(4, 0.2), (4, 0, 0), 20.0, seed=9)
         with pytest.raises(OutOfRange):
@@ -310,17 +306,10 @@ class TestTraceProject:
         mu = stationary_exact(two_sym, params)
         delta_mass = 1.0 - (mu.xi_mass(0) + mu.xi_mass(1))
         traj = simulate(two_sym, params, (2, 0), 20_000.0, seed=23)
-        theta = 1.0 / params.d
-        window = traj.horizon / theta
-        path = trace_project(traj, (0, 1), theta=theta, window=window)
-        measured = path.off_occupation / window
+        path = trace_project(traj, (0, 1), theta=1.0 / params.d)
+        measured = path.off_time / traj.horizon
         sigma = delta_mass / math.sqrt(traj.horizon * params.d)  # crude scale
         assert abs(measured - delta_mass) <= max(3 * sigma, 0.25 * delta_mass)
-
-    def test_window_exceeds(self, two_sym):
-        traj = simulate(two_sym, ProcessParams(2, 0.1), (2, 0), 10.0, seed=2)
-        with pytest.raises(WindowExceedsTrajectory):
-            trace_project(traj, (0, 1), theta=100.0, window=1.0)
 
     @pytest.mark.parametrize("a_set", [(), (0, 2), (-1, 0), (1.5,), (0.9, 1), range(0),
                                        range(-1, 1), range(3), np.array([0, 2]),
@@ -329,14 +318,6 @@ class TestTraceProject:
         traj = simulate(two_sym, ProcessParams(2, 0.1), (2, 0), 10.0, seed=2)
         with pytest.raises(OutOfRange):
             trace_project(traj, a_set, theta=1.0)
-
-    def test_marginal_sampling(self, two_sym):
-        params = ProcessParams(2, 0.1)
-        traj = simulate(two_sym, params, (2, 0), 100.0, seed=6)
-        path = trace_project(traj, (0, 1), theta=10.0,
-                             marginal_times=[0.5, 2.0, 9.0])
-        assert path.marginal.shape == (3,)
-        assert set(path.marginal) <= {0, 1, CEMETERY}
 
 
 class TestMCMeanJumpRate:
@@ -590,18 +571,12 @@ class TestEntryPointArguments:
         with pytest.raises(OutOfRange, match="stream"):
             entry_points(two_sym)[entry](1, stream=stream)
 
-    @pytest.mark.parametrize("seed, stream", [(True, 0), (0, False), (-1, 0), (0, -1),
-                                              (1.5, 0), (2 ** 64, 0), (0, 2 ** 64)])
-    def test_replica_rng_refuses_a_key_off_the_philox_word(self, seed, stream):
-        with pytest.raises(OutOfRange):
-            replica_rng(seed, stream)
-
     def test_largest_key_is_exact(self):
         # both words of the key are taken as given, with no float cast
         top = 2 ** 64 - 1
         for seed, stream in [(top, 0), (0, top), (top, top), (2 ** 63, 3)]:
-            key = replica_rng(seed, stream).bit_generator.state["state"]["key"]
-            assert key.tolist() == [seed, stream]
+            bits = np.random.Philox(key=SIMULATE._philox_key(seed, stream))
+            assert bits.state["state"]["key"].tolist() == [seed, stream]
 
     @pytest.mark.parametrize("threads", [0, -1, 1.5, "2", True, None], ids=repr)
     @pytest.mark.parametrize("entry", ["mc_hitting", "mc_mean_jump_rate",
@@ -669,7 +644,7 @@ class TestScalingFit:
         assert fit.slope == pytest.approx(3.0, abs=1e-12)
 
     def test_noisy_cubic(self):
-        rng = replica_rng(77, 0)
+        rng = np.random.Generator(np.random.Philox(key=np.array([77, 0], dtype=np.uint64)))
         pts = [(n, 2.0 * n ** 3 * (1 + 0.1 * (rng.random() - 0.5)))
                for n in (10, 20, 40, 80, 160)]
         fit = scaling_fit(pts)

@@ -15,14 +15,14 @@ from incproc import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
                      OutOfRange, ProcessParams,
                      SupportTooLarge, TooFewRelocations, analyze_walk, build_torus,
                      condensate_statistics, cosine_mode, generator_gap,
-                     measure_diffusion, measure_drift, replica_rng, run_condensate,
+                     measure_diffusion, measure_drift, run_condensate,
                      simulate, stationary_exact, torus_condensation,
                      torus_mean_rates, torus_walk)
 from incproc.exact import reciprocal_sum_table
 from incproc.model import log_weight_table
 from incproc.thermo import (_MOVED, _HOPPED, _condensate_runs, _CondensateReplica,
                             _generator_gap, _lattice, limit_generator_apply)
-from reference import _tube_crossing_probability, linear_function, tube_rates
+from reference import _tube_crossing_probability, draw, linear_function, tube_rates
 
 THERMO = sys.modules["incproc.thermo"]
 SIMULATE = sys.modules["incproc.simulate"]
@@ -407,7 +407,7 @@ class TestRenewalSampler:
             return np.random.Generator(bits)
 
         assert r.sojourns.exponential(1.0, 4).tolist() == \
-            replica_rng(2**64 - 1, 12).exponential(1.0, 4).tolist()
+            pinned(0, 0).exponential(1.0, 4).tolist()
         assert r.picks.random(9).tolist() == pinned(0, 1).random(9).tolist()
         for c in range(3):
             r.draw_chunk(ch)
@@ -415,8 +415,8 @@ class TestRenewalSampler:
                 pinned(2 * c + 1, 0).exponential(1.0, 9).tolist()
             assert r.unis.random(9).tolist() == pinned(2 * c + 1, 1).random(9).tolist()
         blocks = THERMO._Blocks(r.key, 2 * r.chunks)
-        assert blocks.uniform() == pinned(2 * 3, 1).random(1)[0]
-        assert blocks.exponential() == pinned(2 * 3, 0).exponential(1.0, 1)[0]
+        assert draw(blocks, "uniform") == pinned(2 * 3, 1).random(1)[0]
+        assert draw(blocks, "exponential") == pinned(2 * 3, 0).exponential(1.0, 1)[0]
 
     @staticmethod
     def excursions(spec, t, seed, replicas):
