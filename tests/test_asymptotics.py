@@ -349,6 +349,12 @@ class TestPredictedMeanRate:
         with pytest.raises(OutOfRange, match="q"):
             ErrorScale(n=4, d=0.1, q=q)
 
+    @pytest.mark.parametrize("q, geometric", [(0, 0.0), (1, 1.0)])
+    def test_accepts_q_at_the_ends(self, q, geometric):
+        scale = ErrorScale(n=4, d=0.1, q=q)
+        assert scale.geometric_term == geometric
+        assert scale.ell == 0.1 * math.log(4) + geometric
+
     def test_not_semi_attracting(self, cycle3):
         with pytest.raises(NotSemiAttracting):
             predicted_mean_rate(cycle3, (0,), 100, 1e-4)

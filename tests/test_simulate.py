@@ -277,6 +277,28 @@ class TestTraceProject:
         assert path.trace_time + path.off_time == pytest.approx(
             traj.horizon, abs=1e-9 * traj.horizon)
 
+    @pytest.mark.parametrize("theta", [1e-6, 0.5, 50.0, 1e12], ids=repr)
+    def test_theta_is_recorded_only(self, up3, theta):
+        # no output of the replay depends on the time scale it is given
+        traj = simulate(up3, ProcessParams(6, 0.2), (6, 0, 0), 200.0, seed=9)
+        base = trace_project(traj, (0, 1, 2), theta=1.0)
+        path = trace_project(traj, (0, 1, 2), theta=theta)
+        assert path.theta == theta
+        for name in ("labels", "sojourns", "ends"):
+            assert np.array_equal(getattr(path, name), getattr(base, name))
+        assert (path.trace_time, path.off_time) == (base.trace_time, base.off_time)
+
+    @pytest.mark.parametrize("a_set", [(0, 1, 2), (0, 1), (2,)])
+    def test_segments_fill_the_trace_clock(self, up3, a_set):
+        # each segment ends where the next opens, and the last at trace_time
+        traj = simulate(up3, ProcessParams(6, 0.2), (6, 0, 0), 300.0, seed=4)
+        path = trace_project(traj, a_set, theta=1.0)
+        assert len(path.labels) == len(path.sojourns) == len(path.ends)
+        assert set(path.labels.tolist()) <= set(a_set)
+        assert np.all(path.sojourns >= 0)
+        assert np.allclose(path.ends, np.cumsum(path.sojourns), rtol=1e-12, atol=0)
+        assert path.ends[-1] == path.trace_time
+
     def test_replay_determinism(self, up3):
         params = ProcessParams(6, 0.2)
         traj = simulate(up3, params, (6, 0, 0), 200.0, seed=9)
@@ -549,7 +571,7 @@ ENTRY_POINTS = ("simulate", "mc_hitting", "mc_mean_jump_rate", "run_condensate",
                 "measure_drift", "measure_diffusion")
 # a bool, a fraction, an integral float, a string, a negative value and one
 # past the 64-bit key word
-BAD_KEYS = (True, 1.5, 2.0, "1", -1, 2 ** 64)
+BAD_KEYS = (True, False, 1.5, 2.0, "1", -1, 2 ** 64)
 
 
 def no_pool(*args, **kwargs):
