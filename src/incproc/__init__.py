@@ -11,10 +11,9 @@ from .model import (Configuration, ProcessParams, WalkAnalysis, WalkSpec,
 from .states import Distribution, StateEnumeration, space_size
 from .regions import RegionSpec
 from .exact import (MassReport, TraceRateMatrix, build_generator,
-                    build_rate_matrix, enumerate_states, flow, flow_profile,
-                    hitting_probabilities, mean_jump_rate_exact,
-                    reciprocal_sum, region_masses, stationary_closed_form,
-                    stationary_exact)
+                    build_rate_matrix, enumerate_states, flow_profile,
+                    mean_jump_rate_exact, reciprocal_sum, region_masses,
+                    stationary_closed_form, stationary_exact)
 from .gordan import GordanCertificate, gordan_certificate
 from .asymptotics import (Classification, ErrorScale, LimitChain,
                           MeanRatePrediction, TestFunction, classify,

@@ -55,16 +55,6 @@ class CriterionResult:
                 f"({self.tolerance}) {parts} [{self.runtime_s:.1f}s]")
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CriterionResult:
-        t0 = time.perf_counter()
-        res = fn(*args, **kwargs)
-        res.runtime_s = time.perf_counter() - t0
-        return res
-    return wrapper
-
-
-@_timed
 def criterion_1(level: str = "full") -> CriterionResult:
     """Closed-form and solver stationary distributions agree."""
     params = ProcessParams(20, 1e-3)
@@ -75,7 +65,6 @@ def criterion_1(level: str = "full") -> CriterionResult:
                            "max dev <= 1e-10", {"max_dev": dev})
 
 
-@_timed
 def criterion_2(level: str = "full") -> CriterionResult:
     """Stationary slice flows balance exactly on the full site set."""
     params = ProcessParams(30, 1e-4)
@@ -88,7 +77,6 @@ def criterion_2(level: str = "full") -> CriterionResult:
                            "|up-down| <= 1e-12", {"max_imbalance": worst})
 
 
-@_timed
 def criterion_3(level: str = "full") -> CriterionResult:
     """Normalized trace rate approaches the drift difference and the error
     shrinks with N along a vanishing-d schedule anchored at N=200."""
@@ -107,7 +95,6 @@ def criterion_3(level: str = "full") -> CriterionResult:
                            {"err_50": err50, "err_200": err200})
 
 
-@_timed
 def criterion_4(level: str = "full") -> CriterionResult:
     """Metastable masses approach the uniform limit; condensation holds."""
     mu = stationary_exact(CYCLE3, ProcessParams(200, 1e-6))
@@ -119,7 +106,6 @@ def criterion_4(level: str = "full") -> CriterionResult:
                            {"max_dev": dev, "E_mass": rep.e_mass})
 
 
-@_timed
 def criterion_5(level: str = "full") -> CriterionResult:
     """Symmetric-pair trace rate equals d_N up to the stated error budget."""
     worst_ratio = 0.0
@@ -138,7 +124,6 @@ def criterion_5(level: str = "full") -> CriterionResult:
                             "n2_dev": exact_dev})
 
 
-@_timed
 def criterion_6(level: str = "full") -> CriterionResult:
     """Certificate dichotomy on random skew matrices and the two fixtures."""
     rng = np.random.Generator(np.random.Philox(key=(SEED, 6)))
@@ -167,7 +152,6 @@ def criterion_6(level: str = "full") -> CriterionResult:
                             "two_site": two_cert.variant})
 
 
-@_timed
 def criterion_7(level: str = "full") -> CriterionResult:
     """Harmonic test function has positive drift on the inner core."""
     tf = test_function(CYCLE3, (0, 1, 2), n=60, d=1e-6, eps=0.1)
@@ -180,7 +164,6 @@ def criterion_7(level: str = "full") -> CriterionResult:
                             "variant": tf.variant})
 
 
-@_timed
 def criterion_8(level: str = "full") -> CriterionResult:
     """Exact rational reciprocal sums meet the logarithmic bound."""
     n_max, k_max = 300, 6
@@ -198,7 +181,6 @@ def criterion_8(level: str = "full") -> CriterionResult:
                            {"violations": violations, "spots_ok": str(spots)})
 
 
-@_timed
 def criterion_9(level: str = "full") -> CriterionResult:
     """Nucleation time per particle does not grow along doublings.
 
@@ -222,7 +204,6 @@ def criterion_9(level: str = "full") -> CriterionResult:
                             "tau_over_n_120": means[2], "max_growth": growth})
 
 
-@_timed
 def criterion_10(level: str = "full") -> CriterionResult:
     """Auxiliary reversed-chain hitting times scale at most cubically.
 
@@ -271,7 +252,6 @@ def _diffusion_run():
                                    seed=SEED + 12)
 
 
-@_timed
 def criterion_11(level: str = "full") -> CriterionResult:
     """Totally asymmetric torus: ballistic condensate at velocity rho*v.
 
@@ -290,7 +270,6 @@ def criterion_11(level: str = "full") -> CriterionResult:
                             "rel_err": rel, "min_reloc": est.relocations_min})
 
 
-@_timed
 def criterion_12(level: str = "full") -> CriterionResult:
     """Symmetric torus: diffusive condensate with unit mean-square slope.
 
@@ -312,7 +291,6 @@ def criterion_12(level: str = "full") -> CriterionResult:
                             "replicas_reloc": est.total_relocations})
 
 
-@_timed
 def criterion_13(level: str = "full") -> CriterionResult:
     """Rescaled discrete generators converge to the limit generator."""
     f = cosine_mode(1)
@@ -332,7 +310,6 @@ def criterion_13(level: str = "full") -> CriterionResult:
                            "gap strictly decreasing over L in {8,16,32}", gaps)
 
 
-@_timed
 def criterion_14(level: str = "full") -> CriterionResult:
     """Off-condensate occupation is negligible in the torus runs.
 
@@ -386,7 +363,9 @@ def verify_suite(level: str = "quick", echo=print) -> VerifyReport:
     t0 = time.perf_counter()
     results = []
     for fn in ALL_CRITERIA:
+        start = time.perf_counter()
         res = fn(level)
+        res.runtime_s = time.perf_counter() - start
         results.append(res)
         if echo is not None:
             echo(res.line())

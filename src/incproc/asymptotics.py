@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -210,9 +209,10 @@ def predicted_mean_rate(walk: WalkSpec, a_set, n: int, d: float) -> MeanRatePred
 class TestFunction:
     """Harmonic-sum drift witness on the inner core of an R-tube.
 
-    ``f0(eta) = sum_x coeff_x * H(eta_x)`` with H the harmonic numbers; the
-    drift of ``f0`` under the auxiliary kernel is positive everywhere on the
-    inner core, which is what the hitting-time bound needs.
+    The function is ``f0(eta) = sum_x coeff_x * H(eta_x)``, with H the
+    harmonic numbers and ``coeff`` the ``coefficients``; its drift under the
+    auxiliary kernel is positive everywhere on the inner core, which is what
+    the hitting-time bound needs.
     """
 
     variant: str            # certificate branch: "alpha" | "beta"
@@ -225,20 +225,10 @@ class TestFunction:
     inner_core: np.ndarray
     row_sum_range: tuple[float, float]  # kernel row sums over the inner core
 
-    def f0(self, eta: Sequence[int]) -> float:
-        total = 0.0
-        for i, x in enumerate(self.r_set):
-            total += self.coefficients[i] * _harmonic(int(eta[x]))
-        return total
-
 
 def _harmonics(n: int) -> np.ndarray:
     """The harmonic numbers ``H(0..n)``, each added left to right."""
     return np.cumsum(np.concatenate(([0.0], 1.0 / np.arange(1, n + 1))))
-
-
-def _harmonic(k: int) -> float:
-    return float(_harmonics(k)[-1])
 
 
 def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float) -> TestFunction:

@@ -35,7 +35,7 @@ from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure, StateSpaceTooLarge)
 from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, dense_stationary,
                     integer, log_weight_table, site_set)
-from .regions import RegionSpec
+from .regions import RegionSpec, supported_on
 from .states import Distribution, SolverReport, StateEnumeration, b_set_masses
 
 STATIONARY_TOL = 1e-10
@@ -52,8 +52,8 @@ _stage_times: ContextVar[dict[str, float] | None] = ContextVar("stage_times", de
 def stage_times() -> Iterator[dict[str, float]]:
     """Record the seconds the sparse solves run inside the block spend
     finding the order (``order_s``), building the rate matrix and the
-    interior system (``build_s``), permuting and factoring (``factor_s``)
-    and solving with one refinement step (``solve_s``), summed over solves.
+    interior system (``build_s``), factoring (``factor_s``) and solving with
+    one refinement step (``solve_s``), summed over solves.
 
     Yields the dict it fills. The times stay off the returned results, whose
     contents do not change from run to run.
@@ -221,36 +221,31 @@ def _lu_memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def _solve_refined(a: sp.spmatrix, b: np.ndarray,
-                   order: tuple[np.ndarray, int]) -> tuple[np.ndarray, dict]:
+def _solve_refined(a: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve ``a x = b`` by one sparse LU plus one step of iterative refinement.
 
-    ``order`` is the elimination order of the unknowns and its predicted
-    L+U nonzeros, from :func:`_nested_dissection`. ``b`` may hold
-    several right-hand sides as columns. Returns the solution and the
-    :class:`SolverReport` fields of the factorization: the nonzeros stored
-    for L and U, and the predicted ones. The factor and solve times go to
+    The unknowns are eliminated in the order ``a`` lists them, which
+    :func:`_interior_system` makes the nested-dissection order. ``b`` may
+    hold several right-hand sides as columns. Returns the solution and the
+    nonzeros SuperLU stored for L and U. The factor and solve times go to
     :func:`stage_times`.
     """
     start = time.perf_counter()
-    perm, predicted = order
-    ap = a.tocsr()[perm][:, perm].tocsc()
-    lu = spla.splu(ap, permc_spec="NATURAL")
+    a = a.tocsc()       # no copy of the stationary solve's transpose
+    lu = spla.splu(a, permc_spec="NATURAL")
     factored = time.perf_counter()
-    bp = b[perm]
-    y = lu.solve(bp)
-    y -= lu.solve(ap @ y - bp)
-    x = np.empty_like(y)
-    x[perm] = y
+    x = lu.solve(b)
+    x -= lu.solve(a @ x - b)
     _record(factor_s=factored - start, solve_s=time.perf_counter() - factored)
-    return x, dict(lu_nnz=int(lu.nnz), predicted_nnz=predicted)
+    return x, int(lu.nnz)
 
 
 def _interior_system(spec: WalkSpec, params: ProcessParams,
                      enum: StateEnumeration, targets) -> tuple:
     """The system ``I - P_ii`` of the jump chain on the interior states, those
-    off ``targets``, that every exact solve factors: the interior states, their
-    elimination order and its predicted L+U nonzeros, ``I - P_ii`` in CSR, and
+    off ``targets``, that every exact solve factors: the interior states in
+    their elimination order, the L+U nonzeros that order is predicted to
+    store, ``I - P_ii`` in CSR with its rows and columns in that order, and
     the rate matrix and holding rates of every state.
 
     The interior is ordered before anything is built. ``StateSpaceTooLarge``
@@ -267,17 +262,18 @@ def _interior_system(spec: WalkSpec, params: ProcessParams,
             f"its LU factors are predicted to hold {predicted:,} nonzeros, "
             f"{need / 2**30:.1f} GiB, over the budget of {budget / 2**30:.1f} GiB "
             "(half the physical memory)"))
+    order = interior[perm]
     ordered = time.perf_counter()
     rates = build_rate_matrix(spec, params, enum)
     holding = np.asarray(rates.sum(axis=1)).ravel()
-    stuck = holding[interior] < 1.0 / np.finfo(float).max     # 1 / holding overflows
+    stuck = holding[order] < 1.0 / np.finfo(float).max     # 1 / holding overflows
     if stuck.any():
         raise OutOfRange(f"{int(stuck.sum())} states off the target set have a "
                          "holding rate too small to invert (d_N too small)")
-    p_i = sp.diags(1.0 / holding[interior]) @ rates[interior]
-    a = sp.eye(interior.size, format="csr") - p_i[:, interior]
+    p_i = sp.diags(1.0 / holding[order]) @ rates[order]
+    a = sp.eye(order.size, format="csr") - p_i[:, order]
     _record(order_s=ordered - start, build_s=time.perf_counter() - ordered)
-    return interior, (perm, predicted), a, rates, holding
+    return order, predicted, a, rates, holding
 
 
 def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
@@ -294,18 +290,18 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
     """
     enum = enumerate_states(spec.kappa, params.n)
     ref = enum.xi_index(int(np.argmax(analyze_walk(spec).m)))
-    interior, order, a, rates, holding = _interior_system(spec, params, enum, [ref])
-    nu, factors = _solve_refined(a.T, rates[ref].toarray().ravel()[interior], order)
+    order, predicted, a, rates, holding = _interior_system(spec, params, enum, [ref])
+    nu, lu_nnz = _solve_refined(a.T, rates[ref].toarray().ravel()[order])
     mu = np.ones(enum.size)
-    mu[interior] = np.clip(nu, 0.0, None) / holding[interior]
+    mu[order] = np.clip(nu, 0.0, None) / holding[order]
     mu /= mu.sum()
     residual = float(np.abs(mu @ rates - mu * holding).max())
     bound = STATIONARY_TOL * float(holding.max())
     if not residual <= bound:
         raise SolverFailure(f"stationary residual {residual:.3e} > "
                             f"{STATIONARY_TOL:.1e} * {holding.max():.3e}")
-    return Distribution(enum, mu, normalized=True,
-                        solver=SolverReport("lu", residual, bound, **factors))
+    return Distribution(enum, mu, solver=SolverReport("lu", residual, bound, lu_nnz,
+                                                      predicted))
 
 
 def stationary_closed_form(spec: WalkSpec, params: ProcessParams) -> Distribution:
@@ -330,7 +326,7 @@ def stationary_closed_form(spec: WalkSpec, params: ProcessParams) -> Distributio
     unnorm = np.exp(logs - shift)
     total = unnorm.sum()
     log_norm = float(shift + np.log(total))
-    return Distribution(enum, unnorm / total, normalized=True, log_norm=log_norm)
+    return Distribution(enum, unnorm / total, log_norm=log_norm)
 
 
 @dataclass(frozen=True)
@@ -409,32 +405,16 @@ def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeratio
         # every state is metastable (N = 1, A = all sites): nothing to solve
         return h, None, SolverReport("lu", 0.0, HITTING_TOL, 0)
 
-    interior, order, a, rates, holding = _interior_system(spec, params, enum, xi)
-    b = rates[:, xi][interior].toarray() * (1.0 / holding[interior])[:, None]
-    h_int, factors = _solve_refined(a, b, order)
+    order, predicted, a, rates, holding = _interior_system(spec, params, enum, xi)
+    b = rates[:, xi][order].toarray() * (1.0 / holding[order])[:, None]
+    h_int, lu_nnz = _solve_refined(a, b)
     residual = float(np.abs(a @ h_int - b).max())
     if not residual <= HITTING_TOL:     # a nan residual fails too
         raise SolverFailure(
             f"hitting-probability residual {residual:.3e} > {HITTING_TOL:.1e}")
 
-    h[interior] = np.clip(h_int, 0.0, 1.0)
-    return h, rates, SolverReport("lu", residual, HITTING_TOL, **factors)
-
-
-def hitting_probabilities(spec: WalkSpec, params: ProcessParams, a_set,
-                          y: int) -> tuple[np.ndarray, StateEnumeration]:
-    """Probability, per starting state, of reaching all-particles-at-y before
-    any other all-particles-at-z with z in the target set.
-
-    Solves the first-step system with boundary values 1 at xi^y and 0 at the
-    other metastable states of ``a_set``; returns the full state-indexed
-    vector and the enumeration.
-    """
-    a_set = site_set(a_set, spec.kappa)
-    y = check_site(y, a_set, f"target set {a_set}")
-    enum = enumerate_states(spec.kappa, params.n)
-    h, _, _ = _hitting_matrix(spec, params, enum, a_set)
-    return h[:, a_set.index(y)].copy(), enum
+    h[order] = np.clip(h_int, 0.0, 1.0)
+    return h, rates, SolverReport("lu", residual, HITTING_TOL, lu_nnz, predicted)
 
 
 @dataclass(frozen=True)
@@ -495,10 +475,8 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
     enum = mu.enum
     r_set = site_set(r_set, enum.kappa)
     x = check_site(x, r_set, f"R {r_set}")
-    # only the tube mask is needed; the occupancy threshold is irrelevant here
-    reg = RegionSpec(spec, enum, r_set, eps=0.1, validate_eps=False)
     counts = enum.counts_matrix()
-    tube = reg.tube
+    tube = np.nonzero(supported_on(enum, r_set))[0]
     n, d = enum.n, params.d
     up = np.zeros(n + 1)
     down = np.zeros(n + 1)
@@ -521,14 +499,6 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
             rate = k * (d + counts[src, y]) * rxy
             np.add.at(down, k - 1, w[src] * rate)
     return up[:n], down[:n]
-
-
-def flow(spec: WalkSpec, params: ProcessParams, mu: Distribution,
-         r_set, x: int, k: int) -> tuple[float, float]:
-    """Flow pair (up, down) across level k -> k+1 of the slice at site x."""
-    integer(k, "k", 0, mu.enum.n - 1)
-    up, down = flow_profile(spec, params, mu, r_set, x)
-    return float(up[k]), float(down[k])
 
 
 EXACT_RATIONAL_LIMIT = 300

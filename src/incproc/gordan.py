@@ -31,14 +31,6 @@ class GordanCertificate:
     q: np.ndarray
     residual: float
 
-    @property
-    def alpha(self) -> np.ndarray | None:
-        return self.vector if self.variant == "alpha" else None
-
-    @property
-    def beta(self) -> np.ndarray | None:
-        return self.vector if self.variant == "beta" else None
-
 
 def _integers(values) -> list[int]:
     """Integers proportional to the floats ``values``, with a positive factor."""

@@ -170,12 +170,6 @@ class WalkSpec:
             r[x, (x - 1) % kappa] += 1.0 - p
         return cls.from_matrix(r)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"sites": list(self.sites), "rates": self.rates.tolist()},
-            sort_keys=True,
-        )
-
     @classmethod
     def from_json(cls, doc: str | Mapping) -> "WalkSpec":
         try:

@@ -1,9 +1,9 @@
-"""Tube, core, and slice index sets used by the condensation analysis.
+"""Tube and core index sets used by the condensation analysis.
 
 For a site subset R the R-tube holds the configurations supported on R. It
 splits into the boundary (some site of R empty), the outer core (all sites of
 R occupied, some at most ``floor(eps*log N)`` particles), and the inner core
-(every site of R above that threshold). Slices fix the count at one site.
+(every site of R above that threshold).
 """
 
 from __future__ import annotations
@@ -14,8 +14,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import WalkAnalysis, WalkSpec, analyze_walk, check_site, real, site_set
+from .model import WalkAnalysis, WalkSpec, analyze_walk, real, site_set
 from .states import StateEnumeration
+
+
+def supported_on(enum: StateEnumeration, r_set: tuple[int, ...]) -> np.ndarray:
+    """Mask, in rank order, of the states with no particle off the sites of
+    ``r_set``: the R-tube."""
+    off_r = np.ones(enum.kappa, dtype=bool)
+    off_r[list(r_set)] = False
+    return (enum.counts_matrix()[:, off_r] == 0).all(axis=1)
 
 
 class RegionSpec:
@@ -25,7 +33,7 @@ class RegionSpec:
     """
 
     def __init__(self, walk: WalkSpec, enum: StateEnumeration,
-                 r_set, eps: float = 0.1, validate_eps: bool = True):
+                 r_set, eps: float = 0.1):
         r_set = site_set(r_set, enum.kappa)
         real(eps, "eps", above=0)
         self.walk = walk
@@ -33,7 +41,7 @@ class RegionSpec:
         self.r_set = r_set
         self.eps = eps
         self.threshold = int(math.floor(real(eps * math.log(enum.n), "eps * log N")))
-        if validate_eps and self.threshold > 0:
+        if self.threshold > 0:
             self.check_epsilon(analyze_walk(walk))
 
     @cached_property
@@ -44,8 +52,7 @@ class RegionSpec:
 
     @cached_property
     def tube_mask(self) -> np.ndarray:
-        counts = self.enum.counts_matrix()
-        return (counts[:, ~self._in_r] == 0).all(axis=1)
+        return supported_on(self.enum, self.r_set)
 
     @cached_property
     def tube(self) -> np.ndarray:
@@ -84,14 +91,6 @@ class RegionSpec:
         moved = self.enum.move_ranks(inner, xs, ys)
         reach[moved[counts[inner][:, xs].T >= 1]] = True
         return np.nonzero(reach)[0]
-
-    def slice_indices(self, x: int, k: int) -> np.ndarray:
-        """Tube states with exactly k particles at site x: the slice set of the
-        condensation analysis, public for callers that check the slice
-        bounds on a solved distribution."""
-        x = check_site(x, self.r_set, f"R {self.r_set}")
-        counts = self.enum.counts_matrix()
-        return np.nonzero(self.tube_mask & (counts[:, x] == k))[0]
 
     def check_epsilon(self, analysis: WalkAnalysis) -> tuple[float, bool]:
         """Validate that the slice-growth constant stays polynomially bounded.

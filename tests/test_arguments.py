@@ -1,4 +1,5 @@
-"""One row per callable that ``incproc`` exports, with small valid arguments.
+"""One row per callable that ``incproc`` exports, with small valid arguments,
+and a scan that every export is reached from outside the tests.
 
 Each scalar, sequence, state or site-set parameter of a row is replaced in
 turn by every value of ``BAD``, and, where the row names one, by a value
@@ -15,16 +16,21 @@ Out of scope:
   ``replicas`` and ``t_rescaled`` at 2**64, ``log_weight_table(n=2**64)``
   and ``build_torus(d=2**64)``, which computes ``side ** d``. So 2**64 goes
   only where a bound refuses it (seeds, streams, sites, counts, ``kappa``,
-  ``k``, ``n_windows``) and into reals, which may succeed with it.
-- ``RegionSpec``'s flag ``validate_eps``, which is read as a truth value.
+  ``k``, a torus's particle count) and into reals, which may succeed with
+  it.
 
 Refusing the first two needs type checks at every entry point or resource
 bounds, each a decision of its own.
 """
 
+import ast
+import inspect
 import math
+import re
 import signal
 import warnings
+from functools import cached_property
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -95,14 +101,10 @@ ROWS = {
     "build_rate_matrix": Row(dict(spec=WALK, params=PARAMS, enum=ENUM), {}),
     "stationary_exact": Row(dict(spec=WALK, params=PARAMS), {}),
     "stationary_closed_form": Row(dict(spec=ip.WalkSpec.cycle(3, 0.5), params=PARAMS), {}),
-    "hitting_probabilities": Row(dict(spec=WALK, params=PARAMS, a_set=(0, 1), y=0),
-                                 dict(a_set=SITES, y=SITE)),
     "mean_jump_rate_exact": Row(dict(spec=WALK, params=PARAMS, a_set=(0, 1, 2)),
                                 dict(a_set=SITES)),
     "flow_profile": Row(dict(spec=WALK, params=PARAMS, mu=MU, r_set=(0, 1), x=0),
                         dict(r_set=SITES, x=SITE)),
-    "flow": Row(dict(spec=WALK, params=PARAMS, mu=MU, r_set=(0, 1), x=0, k=1),
-                dict(r_set=SITES, x=SITE, k=P(huge=HUGE))),
     "region_masses": Row(dict(mu=MU, regions=[ip.RegionSpec(WALK, ENUM, (0, 1))]),
                          dict(regions=P(ok=((),)))),
     "reciprocal_sum": Row(dict(n=6, k=2), dict(n=P(huge=HUGE), k=P(huge=HUGE))),
@@ -138,7 +140,7 @@ ROWS = {
                       _auxiliary_hitting),
     "scaling_fit": Row(dict(points=[(1, 1.0), (2, 4.0), (4, 16.0)]), dict(points=P())),
     "build_torus": Row(dict(d=1, side=8, kernel={1: 0.8, -1: 0.2}, rho=2.0, d_l=0.05),
-                       dict(d=INTEGER, side=INTEGER, kernel=P(), rho=POSITIVE,
+                       dict(d=INTEGER, side=INTEGER, kernel=P(), rho=P(ok=(1.5,), huge=HUGE),
                             d_l=POSITIVE)),
     "torus_walk": Row(dict(spec=TORUS), {}),
     "torus_mean_rates": Row(dict(spec=TORUS), {}),
@@ -154,9 +156,8 @@ ROWS = {
     "measure_diffusion": Row(dict(spec=TORUS, t_rescaled=0.5, replicas=2, seed=1, threads=1),
                              dict(t_rescaled=DURATION, replicas=INTEGER, seed=KEY,
                                   threads=INTEGER)),
-    "condensate_statistics": Row(dict(traj=TORUS_TRAJ, spec=TORUS, min_relocations=0,
-                                      n_windows=3),
-                                 dict(min_relocations=INTEGER, n_windows=P(huge=HUGE))),
+    "condensate_statistics": Row(dict(traj=TORUS_TRAJ, spec=TORUS, min_relocations=0),
+                                 dict(min_relocations=INTEGER)),
 }
 
 # exception classes and result dataclasses
@@ -229,3 +230,41 @@ def test_a_bad_argument_raises_an_incproc_error(name, param):
         got = _call(name, {**row.args, param: value}, label)
         assert isinstance(got, ip.IncprocError) or any(
             value is v or value == v for v in probe.ok), f"{label} returned {got!r}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _callers() -> list[ast.AST]:
+    """The code that reaches the package from outside the tests: its own
+    modules, the benchmark and bench drivers and the README's Python."""
+    files = [f for f in sorted((ROOT / "src" / "incproc").glob("*.py"))
+             if f.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = [ast.parse(f.read_text(), str(f)) for f in files]
+    readme = (ROOT / "README.md").read_text()
+    trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    return trees
+
+
+def _public_members(cls: type) -> set[str]:
+    """The public methods and properties a class defines itself."""
+    return {name for name, value in vars(cls).items() if not name.startswith("_")
+            and (inspect.isfunction(value) or isinstance(
+                value, (property, cached_property, classmethod, staticmethod)))}
+
+
+def test_every_export_and_its_members_are_reached_outside_the_tests():
+    # public surface that only tests reach goes: each exported name is read
+    # as a name or an attribute by some caller, and each public method or
+    # property of an exported class that is not an exception as an attribute
+    nodes = [node for tree in _callers() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
+    exported = {name: getattr(ip, name) for name in dir(ip) if not name.startswith("_")
+                and not isinstance(getattr(ip, name), type(ip))}
+    members = set()
+    for value in exported.values():
+        if isinstance(value, type) and not issubclass(value, BaseException):
+            members |= _public_members(value)
+    assert sorted((set(exported) - names) | (members - attributes)) == []

@@ -7,6 +7,8 @@ one-move closure of a region's inner core and the stationary interior
 system through LIL. The new code must reproduce them bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -166,15 +168,20 @@ def test_inner_closure_matches_loop(walk_params, data):
     enum = StateEnumeration(walk.kappa, params.n)
     r_set = data.draw(st.lists(st.integers(0, walk.kappa - 1), min_size=1,
                                unique=True))
-    reg = RegionSpec(walk, enum, r_set, eps=data.draw(st.floats(0.05, 1.0)),
-                     validate_eps=False)
+    eps = data.draw(st.floats(0.05, 1.0))
+    with warnings.catch_warnings():
+        # on walks with subnormal rates the threshold check overflows and
+        # warns; the closure is built whatever it finds
+        warnings.simplefilter("ignore")
+        reg = RegionSpec(walk, enum, r_set, eps=eps)
     assert np.array_equal(reg.inner_closure, _loop_inner_closure(reg))
 
 
 @pytest.mark.parametrize("walk,n", [("up3", 12), ("cycle3", 9), ("chain4", 7)])
 def test_stationary_system_matches_lil(walk, n, request, monkeypatch):
     # the stationary solve hands over (I - P_ii)^T off the pinned state and
-    # the pinned row of the rates, here built entry by entry through LIL
+    # the pinned row of the rates, with the interior states in elimination
+    # order, here built entry by entry through LIL
     walk = request.getfixturevalue(walk)
     params = ProcessParams(n, 1e-3)
     enum = StateEnumeration(walk.kappa, n)
@@ -182,10 +189,11 @@ def test_stationary_system_matches_lil(walk, n, request, monkeypatch):
     holding = np.asarray(coo.sum(axis=1)).ravel()
     rates = coo.tolil()
     ref = enum.xi_index(int(np.argmax(analyze_walk(walk).m)))
-    interior = [i for i in range(enum.size) if i != ref]
-    col = {state: k for k, state in enumerate(interior)}
-    lil = sp.lil_matrix((len(interior), len(interior)))
-    for k, i in enumerate(interior):
+    interior = np.array([i for i in range(enum.size) if i != ref])
+    order = interior[exact._nested_dissection(enum.counts_matrix()[interior])[0]]
+    col = {state: k for k, state in enumerate(order)}
+    lil = sp.lil_matrix((len(order), len(order)))
+    for k, i in enumerate(order):
         lil[k, k] = 1.0
         for j, r in zip(rates.rows[i], rates.data[i]):
             if j != ref:
@@ -193,12 +201,12 @@ def test_stationary_system_matches_lil(walk, n, request, monkeypatch):
     systems = []
     solve = exact._solve_refined
 
-    def spy(a, b, coords):
+    def spy(a, b):
         systems.append((a, b))
-        return solve(a, b, coords)
+        return solve(a, b)
 
     monkeypatch.setattr(exact, "_solve_refined", spy)
     stationary_exact(walk, params)
     a, b = systems[0]
     _assert_same_csr(a.tocsr(), lil.tocsr())
-    assert np.array_equal(b, rates[ref].toarray().ravel()[interior])
+    assert np.array_equal(b, rates[ref].toarray().ravel()[order])

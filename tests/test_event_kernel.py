@@ -42,7 +42,7 @@ from incproc import (BudgetExceeded, HittingTask, OutOfRange, ProcessParams, Tra
                      measure_drift, run_condensate, simulate, torus_walk, trace_project)
 from incproc.simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, _Blocks, _philox_key,
                               _substream)
-from incproc.thermo import _HOPPED, _condensate_runs, _CondensateReplica
+from incproc.thermo import WINDOWS, _HOPPED, _condensate_runs, _CondensateReplica
 from reference import draw, lockstep_runs
 
 KS_LEVEL = 1e-3
@@ -376,7 +376,7 @@ def test_condensate_statistics_matches_reference(torus):
         t_prev = t
         ref.move(x, y)
     ref.dwell(traj.horizon - t_prev)
-    stats = condensate_statistics(traj, spec, min_relocations=1, n_windows=1)
+    stats = condensate_statistics(traj, spec, min_relocations=1)
     t_resc = ref.trace / spec.theta
     assert stats.relocations == ref.relocations
     assert stats.trace_time_rescaled == t_resc
@@ -384,10 +384,10 @@ def test_condensate_statistics_matches_reference(torus):
     assert stats.drift.tolist() == (np.asarray(ref.disp) / spec.side / t_resc).tolist()
 
 
-def ref_condensate_statistics(traj, spec, n_windows):
+def ref_condensate_statistics(traj, spec):
     """The event-by-event replay ``condensate_statistics`` replaced:
     (drift, diffusion, off_fraction, relocations, trace_time_rescaled)."""
-    windows = np.linspace(0.0, traj.horizon, n_windows + 1)[1:]
+    windows = np.linspace(0.0, traj.horizon, WINDOWS + 1)[1:]
     ref = RefCondensate(spec, traj.initial, windows)
     t_prev = 0.0
     for t, x, y in zip(traj.times.tolist(), traj.move_from.tolist(),
@@ -397,12 +397,12 @@ def ref_condensate_statistics(traj, spec, n_windows):
         ref.move(x, y)
     ref.dwell(traj.horizon - t_prev)
     filled = len(ref.positions)
-    positions = np.array(ref.positions + [ref.disp] * (n_windows - filled), dtype=float)
+    positions = np.array(ref.positions + [ref.disp] * (WINDOWS - filled), dtype=float)
     t_resc = ref.trace / spec.theta
     drift = (np.asarray(ref.disp) / spec.side) / t_resc
     pos = positions[:max(filled, 1)] / spec.side
     incs = np.diff(np.vstack([np.zeros(spec.d), pos]), axis=0)
-    dt_resc = (windows[1] - windows[0]) / spec.theta if len(windows) > 1 else t_resc
+    dt_resc = (windows[1] - windows[0]) / spec.theta
     centered = incs - incs.mean(axis=0)
     diffusion = np.atleast_2d(centered.T @ centered / (len(incs) * dt_resc))
     wall = ref.trace + ref.off
@@ -425,14 +425,12 @@ def test_condensate_statistics_matches_replay(torus):
         eta0[seed] = spec.n
         traj = simulate(walk, params, eta0, horizon=horizon * spec.theta,
                         seed=seed, max_events=max_events)
-        for n_windows in (1, 3, 20):
-            stats = condensate_statistics(traj, spec, min_relocations=0,
-                                          n_windows=n_windows)
-            got = (stats.drift, stats.diffusion, stats.off_fraction,
-                   stats.relocations, stats.trace_time_rescaled)
-            for name, a, b in zip(("drift", "diffusion", "off", "reloc", "t"), got,
-                                  ref_condensate_statistics(traj, spec, n_windows)):
-                assert np.array_equal(a, b), name
+        stats = condensate_statistics(traj, spec, min_relocations=0)
+        got = (stats.drift, stats.diffusion, stats.off_fraction,
+               stats.relocations, stats.trace_time_rescaled)
+        for name, a, b in zip(("drift", "diffusion", "off", "reloc", "t"), got,
+                              ref_condensate_statistics(traj, spec)):
+            assert np.array_equal(a, b), name
         seen += stats.relocations
     assert seen >= 3
 

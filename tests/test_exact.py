@@ -11,11 +11,18 @@ from hypothesis import strategies as st
 from incproc import (ConditionNotSatisfied, DimensionMismatch, IncprocError,
                      OutOfRange, ProcessParams,
                      RegionSpec, WalkSpec, analyze_walk, enumerate_states,
-                     flow, flow_profile, hitting_probabilities,
-                     mean_jump_rate_exact, reciprocal_sum, region_masses,
+                     flow_profile, mean_jump_rate_exact, reciprocal_sum, region_masses,
                      stationary_closed_form, stationary_exact)
-from incproc.exact import (STATIONARY_TOL, build_generator, reciprocal_bound_holds,
-                           reciprocal_sum_table)
+from incproc.exact import (STATIONARY_TOL, _hitting_matrix, build_generator,
+                           reciprocal_bound_holds, reciprocal_sum_table)
+
+
+def hitting_column(spec, params, a_set, y):
+    """The probability, per starting state, of reaching xi^y first among the
+    metastable states of ``a_set``, and the enumeration."""
+    enum = enumerate_states(spec.kappa, params.n)
+    h, _, _ = _hitting_matrix(spec, params, enum, a_set)
+    return h[:, a_set.index(y)], enum
 
 
 class TestStationaryExact:
@@ -176,12 +183,13 @@ class TestRegionMasses:
         assert rep.slices[0].sum() == pytest.approx(rep.tube, rel=1e-12)
 
     def test_region_identities(self, up3):
-        enum = enumerate_states(3, 20)
-        reg = RegionSpec(up3, enum, (0, 1), eps=0.1)
+        mu = stationary_exact(up3, ProcessParams(20, 1e-3))
+        reg = RegionSpec(up3, mu.enum, (0, 1), eps=0.1)
+        sub = RegionSpec(up3, mu.enum, (1,), eps=0.1)
+        slices = region_masses(mu, [reg]).regions[0].slices
         # extreme slices: all particles at x, and the tube without x
-        assert set(reg.slice_indices(0, 20)) == {enum.xi_index(0)}
-        sub = RegionSpec(up3, enum, (1,), eps=0.1)
-        assert set(reg.slice_indices(0, 0)) == set(sub.tube)
+        assert slices[0, 20] == mu.xi_mass(0)
+        assert slices[0, 0] == pytest.approx(mu.mass(sub.tube), rel=1e-12)
 
     def test_slice_bound_under_up(self, up3):
         # stationary slice masses obey the flow-derived ratio bound
@@ -225,12 +233,12 @@ class TestRegionMasses:
 
 class TestHitting:
     def test_symmetric_midpoint(self, two_sym):
-        h, enum = hitting_probabilities(two_sym, ProcessParams(2, 0.1), (0, 1), 1)
+        h, enum = hitting_column(two_sym, ProcessParams(2, 0.1), (0, 1), 1)
         assert h[enum.rank((1, 1))] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_backward_moves(self):
         spec = WalkSpec.from_matrix([[0.0, 1.0], [1e-300, 0.0]])
-        h, enum = hitting_probabilities(spec, ProcessParams(6, 0.01), (0, 1), 1)
+        h, enum = hitting_column(spec, ProcessParams(6, 0.01), (0, 1), 1)
         for i in range(1, 6):
             assert h[enum.rank((6 - i, i))] == pytest.approx(1.0, abs=1e-12)
 
@@ -238,7 +246,7 @@ class TestHitting:
         params = ProcessParams(8, 0.05)
         total = None
         for y in range(3):
-            h, enum = hitting_probabilities(up3, params, (0, 1, 2), y)
+            h, enum = hitting_column(up3, params, (0, 1, 2), y)
             total = h if total is None else total + h
         interior = [i for i in range(enum.size)
                     if i not in {enum.xi_index(x) for x in range(3)}]
@@ -249,7 +257,7 @@ class TestHitting:
         from incproc.simulate import _Blocks, _philox_key
         from reference import draw
         params = ProcessParams(4, 0.3)
-        h, enum = hitting_probabilities(up3, params, (0, 1, 2), 2)
+        h, enum = hitting_column(up3, params, (0, 1, 2), 2)
         start = (2, 1, 1)
         targets = {enum.xi_index(x): x for x in range(3)}
         runs = 100_000
@@ -308,7 +316,7 @@ class TestMeanJumpRate:
     def test_row_sum_escape_minus_return(self, up3):
         params = ProcessParams(12, 0.05)
         tr = mean_jump_rate_exact(up3, params, (0, 1, 2))
-        h0, enum = hitting_probabilities(up3, params, (0, 1, 2), 0)
+        h0, enum = hitting_column(up3, params, (0, 1, 2), 0)
         lam = up3.holding
         escape = tr.raw[0, 1] + tr.raw[0, 2]
         ret = sum(params.n * params.d * up3.rates[0, z]
@@ -328,9 +336,9 @@ class TestFlows:
     def test_two_site_example(self, two_sym):
         params = ProcessParams(2, 0.1)
         mu = stationary_exact(two_sym, params)
-        up, down = flow(two_sym, params, mu, (0, 1), 0, 0)
-        assert up == pytest.approx(11 / 120, abs=1e-14)
-        assert down == pytest.approx(11 / 120, abs=1e-14)
+        up, down = flow_profile(two_sym, params, mu, (0, 1), 0)
+        assert up[0] == pytest.approx(11 / 120, abs=1e-14)
+        assert down[0] == pytest.approx(11 / 120, abs=1e-14)
 
     def test_full_set_flow_symmetry(self, up3):
         params = ProcessParams(20, 1e-3)
@@ -338,12 +346,6 @@ class TestFlows:
         for x in range(3):
             up, down = flow_profile(up3, params, mu, (0, 1, 2), x)
             assert np.abs(up - down).max() <= 1e-12
-
-    def test_k_out_of_range(self, two_sym):
-        params = ProcessParams(2, 0.1)
-        mu = stationary_exact(two_sym, params)
-        with pytest.raises(ValueError):
-            flow(two_sym, params, mu, (0, 1), 0, 2)
 
 
 def _brute_reciprocal(n, k):
@@ -476,27 +478,13 @@ class TestReciprocalSums:
 
 @pytest.mark.parametrize("call", [
     lambda walk: ProcessParams(0, 0.1),
-    lambda walk: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), 2),
     lambda walk: flow_profile(walk, ProcessParams(4, 0.1),
                               stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 2),
-    lambda walk: flow(walk, ProcessParams(4, 0.1),
-                      stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 0, 1.5),
-    lambda walk: flow(walk, ProcessParams(4, 0.1),
-                      stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), 0, True),
-    lambda walk: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), True),
-    lambda walk: hitting_probabilities(walk, ProcessParams(4, 0.1), (0, 1), 1.0),
-    *[lambda walk, x=x: flow(walk, ProcessParams(4, 0.1),
-                             stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), x, 1)
-      for x in (1.0, True)],
     *[lambda walk, x=x: flow_profile(walk, ProcessParams(4, 0.1),
                                      stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), x)
       for x in (1.0, True)],
-    *[lambda walk, x=x: RegionSpec(walk, enumerate_states(3, 4), (0, 1)).slice_indices(x, 1)
-      for x in (1.0, True)],
-], ids=["params_n_zero", "hitting_target_outside_a", "flow_site_outside_r",
-        "flow_level_not_an_integer", "flow_level_bool", "hitting_target_bool", "hitting_target_float",
-        "flow_site_float", "flow_site_bool", "flow_profile_site_float",
-        "flow_profile_site_bool", "slice_site_float", "slice_site_bool"])
+], ids=["params_n_zero", "flow_site_outside_r", "flow_profile_site_float",
+        "flow_profile_site_bool"])
 def test_bad_arguments_raise_incproc_error(up3, call):
     with pytest.raises(IncprocError):
         call(up3)

@@ -29,8 +29,7 @@ from hypothesis import strategies as st
 import incproc.exact as exact
 from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure,
                      StateSpaceTooLarge, WalkSpec, analyze_walk, enumerate_states,
-                     flow_profile, hitting_probabilities,
-                     mean_jump_rate_exact, stationary_exact)
+                     flow_profile, mean_jump_rate_exact, stationary_exact)
 from incproc.exact import (HITTING_TOL, STATIONARY_TOL, build_generator,
                            build_rate_matrix)
 from incproc.thermo import build_torus, torus_walk
@@ -125,9 +124,9 @@ def test_agrees_with_reference_solver(request, walk, params, a_set):
     spec = request.getfixturevalue(walk) if isinstance(walk, str) else walk
     close(stationary_exact(spec, params).weights,
           reference_stationary(spec, params), "stationary law")
-    for y in a_set:
-        h, _ = hitting_probabilities(spec, params, a_set, y)
-        close(h, reference_hitting(spec, params, a_set, y), f"h_{y}")
+    h = exact._hitting_matrix(spec, params, enumerate_states(spec.kappa, params.n), a_set)[0]
+    for y, column in zip(a_set, h.T):
+        close(column, reference_hitting(spec, params, a_set, y), f"h_{y}")
     close(mean_jump_rate_exact(spec, params, a_set).raw,
           reference_trace_rates(spec, params, a_set), "trace rates")
 
@@ -379,7 +378,7 @@ class TestFillCap:
     def test_refusal_names_the_budget(self, cycle3, monkeypatch):
         monkeypatch.setattr(exact, "_lu_memory_budget", lambda: 1000)
         with pytest.raises(StateSpaceTooLarge, match="over the budget") as exc:
-            hitting_probabilities(cycle3, ProcessParams(10, 0.1), (0, 1), 0)
+            mean_jump_rate_exact(cycle3, ProcessParams(10, 0.1), (0, 1))
         # the size of the state space, the two target states included
         assert exc.value.size == 66 and exc.value.cap is None
 
@@ -395,7 +394,7 @@ class TestDiagnostics:
     def test_stationary_failed_solve_raises(self, up3, monkeypatch, negative):
         # a solution with negative entries, and a positive one that misses
         # the residual bound: there is no fallback
-        def broken(a, b, coords):
+        def broken(a, b):
             return (-np.ones_like(b) if negative else np.linspace(1.0, 2.0, len(b))), 7
         monkeypatch.setattr(exact, "_solve_refined", broken)
         with pytest.raises(SolverFailure, match="stationary residual"):
@@ -405,14 +404,14 @@ class TestDiagnostics:
         # a nan fails the residual bound as any other miss does
         solve = exact._solve_refined
 
-        def planted(a, b, coords):
-            h, factors = solve(a, b, coords)
+        def planted(a, b):
+            h, lu_nnz = solve(a, b)
             h[0, 0] = np.nan
-            return h, factors
+            return h, lu_nnz
 
         monkeypatch.setattr(exact, "_solve_refined", planted)
         with pytest.raises(SolverFailure, match="hitting-probability residual"):
-            hitting_probabilities(cycle3, ProcessParams(6, 0.1), (0, 1, 2), 1)
+            mean_jump_rate_exact(cycle3, ProcessParams(6, 0.1), (0, 1, 2))
 
     def test_closed_form_has_no_solver(self, cycle3):
         assert exact.stationary_closed_form(cycle3, ProcessParams(5, 0.1)).solver is None
@@ -447,9 +446,9 @@ class TestDiagnostics:
         calls = []
         solve = exact._solve_refined
 
-        def counted(a, b, coords):
+        def counted(a, b):
             calls.append(b.shape)
-            return solve(a, b, coords)
+            return solve(a, b)
 
         monkeypatch.setattr(exact, "_solve_refined", counted)
         mean_jump_rate_exact(up3, ProcessParams(8, 0.05), (0, 1, 2))
@@ -465,13 +464,9 @@ class TestSiteSets:
         with pytest.raises(OutOfRange):
             mean_jump_rate_exact(cycle3, ProcessParams(4, 0.1), ())
 
-    def test_hitting_rejects_out_of_range_site(self, cycle3):
+    def test_trace_rates_reject_negative_site(self, cycle3):
         with pytest.raises(OutOfRange):
-            hitting_probabilities(cycle3, ProcessParams(4, 0.1), (0, 7), 7)
-
-    def test_hitting_rejects_negative_site(self, cycle3):
-        with pytest.raises(OutOfRange):
-            hitting_probabilities(cycle3, ProcessParams(4, 0.1), (-1, 0), 0)
+            mean_jump_rate_exact(cycle3, ProcessParams(4, 0.1), (-1, 0))
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, "x", True, 1.7e308])
     def test_region_rejects_non_finite_eps(self, cycle3, eps):
@@ -495,12 +490,14 @@ class TestSiteSets:
 class TestSmallSystems:
     def test_hitting_every_state_metastable(self, cycle3):
         # N = 1 and A = every site: no interior states, nothing to solve
+        enum = enumerate_states(3, 1)
+        h, rates, solver = exact._hitting_matrix(cycle3, ProcessParams(1, 0.1), enum,
+                                                 (0, 1, 2))
         for y in range(3):
-            h, enum = hitting_probabilities(cycle3, ProcessParams(1, 0.1),
-                                            (0, 1, 2), y)
             want = np.zeros(enum.size)
             want[enum.xi_index(y)] = 1.0
-            assert h.tolist() == want.tolist()
+            assert h[:, y].tolist() == want.tolist()
+        assert rates is None and solver.residual == 0.0
 
     def test_hitting_refuses_holding_rates_it_cannot_invert(self, cycle3):
         # d = 5e-324 leaves each metastable state a subnormal holding rate,
@@ -508,15 +505,16 @@ class TestSmallSystems:
         # the stationary solve pins one metastable state, so the others are
         params = ProcessParams(3, 5e-324)
         with pytest.raises(OutOfRange, match="too small to invert"):
-            hitting_probabilities(cycle3, params, (0, 1), 0)
+            mean_jump_rate_exact(cycle3, params, (0, 1))
         for subnormal in (params, ProcessParams(8, 1e-320)):
             with pytest.raises(OutOfRange, match="too small to invert"):
                 stationary_exact(cycle3, subnormal)
         # with A = every site only the boundary has them, and it is not inverted
+        enum = enumerate_states(3, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h, enum = hitting_probabilities(cycle3, params, (0, 1, 2), 0)
-        assert np.isfinite(h).all() and h[enum.xi_index(0)] == 1.0
+            h = exact._hitting_matrix(cycle3, params, enum, (0, 1, 2))[0]
+        assert np.isfinite(h).all() and h[enum.xi_index(0), 0] == 1.0
 
     def test_trace_rates_need_two_particles(self, cycle3):
         with pytest.raises(OutOfRange):

@@ -74,14 +74,13 @@ class TestUnrankAgainstLoops:
         assert not mat.flags.writeable
 
     @pytest.mark.parametrize("kappa,n", CASES)
-    def test_unrank_matches_loop(self, kappa, n):
+    def test_counts_matrix_rows_match_loop_unrank(self, kappa, n):
         enum = StateEnumeration(kappa, n)
         ranks = np.unique(np.r_[0, enum.size - 1,
                                 np.linspace(0, enum.size - 1, 400).astype(int)])
-        got = np.array([enum.unrank(int(i)) for i in ranks])
+        got = enum.counts_matrix()[ranks]
         ref = np.array([_loop_unrank(enum, int(i)) for i in ranks])
         assert np.array_equal(got, ref)
-        assert all(type(v) is int for v in enum.unrank(int(ranks[-1])))
 
     @pytest.mark.parametrize("kappa,n", CASES)
     def test_rank_matches_loop(self, kappa, n):
@@ -90,18 +89,11 @@ class TestUnrankAgainstLoops:
         # random compositions: n particles dropped on uniform sites
         states = [np.bincount(rng.integers(kappa, size=n), minlength=kappa)
                   for _ in range(200)]
-        states += [enum.unrank(0), enum.unrank(enum.size - 1)]
+        states += [enum.counts_matrix()[0], enum.counts_matrix()[-1]]
         for eta in states:
             got = enum.rank(eta)
             assert type(got) is int
             assert got == _loop_rank(enum, eta)
-
-    def test_unrank_rejects_out_of_range(self):
-        # "2" and None raised a bare TypeError, and 1.5 and True were unranked as rank 1
-        enum = StateEnumeration(3, 4)
-        for bad in (-1, enum.size, "2", None, 1.5, True):
-            with pytest.raises(OutOfRange):
-                enum.unrank(bad)
 
 
 class TestEnumeration:
@@ -113,7 +105,7 @@ class TestEnumeration:
     def test_two_site_order(self):
         enum = StateEnumeration(2, 2)
         assert enum.size == 3
-        assert list(enum) == [(2, 0), (1, 1), (0, 2)]
+        assert enum.counts_matrix().tolist() == [[2, 0], [1, 1], [0, 2]]
 
     def test_three_site_size(self):
         assert StateEnumeration(3, 2).size == 6
@@ -122,17 +114,10 @@ class TestEnumeration:
     def test_bijection_full(self):
         enum = StateEnumeration(4, 7)
         seen = set()
-        for i in range(enum.size):
-            state = enum.unrank(i)
+        for i, state in enumerate(enum.counts_matrix().tolist()):
             assert enum.rank(state) == i
-            seen.add(state)
+            seen.add(tuple(state))
         assert len(seen) == enum.size
-
-    def test_counts_matrix_matches_unrank(self):
-        enum = StateEnumeration(3, 5)
-        mat = enum.counts_matrix()
-        for i in range(enum.size):
-            assert tuple(int(v) for v in mat[i]) == enum.unrank(i)
 
     def test_rank_many(self):
         enum = StateEnumeration(3, 6)
@@ -145,7 +130,7 @@ class TestEnumeration:
     def test_bijection_random(self, kappa, n, data):
         enum = StateEnumeration(kappa, n)
         i = data.draw(st.integers(0, enum.size - 1))
-        assert enum.rank(enum.unrank(i)) == i
+        assert enum.rank(enum.counts_matrix()[i]) == i
 
     def test_cap_enforced(self):
         with pytest.raises(StateSpaceTooLarge) as exc:
@@ -154,7 +139,7 @@ class TestEnumeration:
 
     def test_xi_index(self):
         enum = StateEnumeration(3, 4)
-        assert enum.unrank(enum.xi_index(1)) == (0, 4, 0)
+        assert enum.counts_matrix()[enum.xi_index(1)].tolist() == [0, 4, 0]
 
     @pytest.mark.parametrize("x", [-1, 3, 1.0, True])
     def test_xi_index_rejects_a_site_off_the_walk(self, x):
@@ -198,7 +183,7 @@ class TestDistribution:
     def test_normalized_check(self):
         enum = StateEnumeration(2, 2)
         with pytest.raises(ValueError):
-            Distribution(enum, np.array([0.5, 0.5, 0.5]), normalized=True)
+            Distribution(enum, np.array([0.5, 0.5, 0.5]))
 
     @pytest.mark.parametrize("weights", [0.5, [1.0, 2.0], np.ones((3, 1)), np.ones(4)])
     def test_weights_of_another_shape_are_a_mismatch(self, weights):
@@ -208,19 +193,10 @@ class TestDistribution:
 
     @pytest.mark.parametrize("weights", [[np.nan, 0, 0, 0], [2.0, -1.0, 0, 0],
                                          [np.inf, 0, 0, 0], [0.5, 0.5, -0.0, -1e-300]])
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_refuses_weights_that_are_not_finite_and_nonnegative(self, weights, normalized):
-        # nan and [2, -1, 0, 0] passed the sum check when normalized
+    def test_refuses_weights_that_are_not_finite_and_nonnegative(self, weights):
+        # nan and [2, -1, 0, 0] passed the sum check
         with pytest.raises(OutOfRange):
-            Distribution(StateEnumeration(2, 3), np.array(weights), normalized=normalized)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_normalize_refuses_a_total_that_is_not_finite(self, bad):
-        # an all-nan total returned an all-nan law marked normalized
-        dist = Distribution(StateEnumeration(2, 3), np.array([0.1, 0.2, 0.3, 0.4]))
-        dist.weights[0] = bad
-        with pytest.raises(OutOfRange):
-            dist.normalize()
+            Distribution(StateEnumeration(2, 3), np.array(weights))
 
     def test_mass_sums_the_given_ranks(self):
         dist = Distribution(StateEnumeration(2, 3), np.array([0.1, 0.2, 0.3, 0.4]))
@@ -236,15 +212,9 @@ class TestDistribution:
         with pytest.raises(IncprocError):
             dist.mass(indices)
 
-    def test_normalize(self):
-        enum = StateEnumeration(2, 2)
-        dist = Distribution(enum, np.array([1.0, 2.0, 1.0])).normalize()
-        assert dist.weights.sum() == pytest.approx(1.0, abs=1e-15)
-        assert dist.normalized
-
     def test_summary_identities(self):
         enum = StateEnumeration(3, 3)
-        dist = Distribution(enum, np.ones(enum.size)).normalize()
+        dist = Distribution(enum, np.ones(enum.size) / enum.size)
         summary = dist.summary()
         # one-occupied-site mass equals the metastable mass; full count is 1
         assert summary["E_mass"] == pytest.approx(
@@ -253,7 +223,7 @@ class TestDistribution:
     def test_summary_ratios_from_b_set_masses(self):
         enum = StateEnumeration(3, 4)
         weights = np.arange(1.0, enum.size + 1.0)
-        dist = Distribution(enum, weights / weights.sum(), normalized=True)
+        dist = Distribution(enum, weights / weights.sum())
         b_mass = b_set_masses(dist.weights, enum)
         occ = (enum.counts_matrix() > 0).sum(axis=1)
         assert b_mass == pytest.approx([dist.weights[occ <= k].sum() for k in (1, 2, 3)])
@@ -262,7 +232,7 @@ class TestDistribution:
 
     def test_csv_round_trip_stable(self, tmp_path):
         enum = StateEnumeration(2, 3)
-        dist = Distribution(enum, np.array([0.1, 0.2, 0.3, 0.4]), normalized=True)
+        dist = Distribution(enum, np.array([0.1, 0.2, 0.3, 0.4]))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         dist.to_csv(p1)

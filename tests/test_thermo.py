@@ -116,6 +116,17 @@ class TestBuildTorus:
         with pytest.raises(OutOfRange):
             build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=rho, d_l=1e-4)
 
+    @pytest.mark.parametrize("rho", [1e300, 1.7e308, 2.0**64, 131072.125])
+    def test_refuses_more_particles_than_a_torus_holds(self, rho):
+        # rho = 1e300 built a spec of N = 8e300 particles, and 1.7e308 raised
+        # a bare OverflowError; 131072.125 is one particle over the cap
+        with pytest.raises(OutOfRange, match="a torus holds 1 to 1048576"):
+            build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=rho, d_l=0.05)
+
+    def test_holds_as_many_particles_as_the_cap(self):
+        spec = build_torus(1, 8, {1: 0.8, -1: 0.2}, rho=131072.0625, d_l=0.05)
+        assert spec.n == THERMO.MAX_PARTICLES == 1 << 20
+
     @pytest.mark.parametrize("d_l", [0.0, float("nan"), float("inf")])
     def test_rejects_d_l_that_is_not_positive_and_finite(self, d_l):
         with pytest.raises(OutOfRange):
