@@ -391,7 +391,8 @@ def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassR
 def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
                     a_set: tuple[int, ...]) -> tuple:
     """Hitting probabilities of every metastable state of ``a_set`` at once,
-    the rate matrix they were solved from (None if nothing was) and the solve.
+    the rate matrix they were read from (None when every state is a target)
+    and the solve.
 
     Column j holds, per starting state, the probability of reaching
     xi^{a_set[j]} before any other metastable state of ``a_set``. The ``|A|``
@@ -404,6 +405,11 @@ def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeratio
     if enum.size == len(a_set):
         # every state is metastable (N = 1, A = all sites): nothing to solve
         return h, None, SolverReport("lu", 0.0, HITTING_TOL, 0)
+    if len(a_set) == 1:
+        # the one target is reached first from every state; when it is hard
+        # to reach, the pivots of the interior system cancel to an exact zero
+        h[:] = 1.0
+        return h, build_rate_matrix(spec, params, enum), SolverReport("lu", 0.0, HITTING_TOL, 0)
 
     order, predicted, a, rates, holding = _interior_system(spec, params, enum, xi)
     b = rates[:, xi][order].toarray() * (1.0 / holding[order])[:, None]

@@ -210,3 +210,44 @@ def test_stationary_system_matches_lil(walk, n, request, monkeypatch):
     a, b = systems[0]
     _assert_same_csr(a.tocsr(), lil.tocsr())
     assert np.array_equal(b, rates[ref].toarray().ravel()[order])
+
+
+@pytest.mark.parametrize("walk,n,a_set", [("up3", 10, (0, 1, 2)), ("cycle3", 9, (0, 1)),
+                                          ("chain4", 7, (1, 2)), ("chain4", 6, (0, 3)),
+                                          ("two_asym", 8, (0, 1))])
+def test_hitting_system_matches_lil(walk, n, a_set, request, monkeypatch):
+    # the hitting solve hands over I - P_ii off the metastable states of A
+    # and the jump probabilities into each of them, with the interior states
+    # in elimination order, here built entry by entry through LIL
+    walk = request.getfixturevalue(walk)
+    params = ProcessParams(n, 1e-3)
+    enum = StateEnumeration(walk.kappa, n)
+    coo = _coo_rate_matrix(walk, params, enum)
+    holding = np.asarray(coo.sum(axis=1)).ravel()
+    rates = coo.tolil()
+    xi = [enum.xi_index(x) for x in a_set]
+    interior = np.array([i for i in range(enum.size) if i not in xi])
+    order = interior[exact._nested_dissection(enum.counts_matrix()[interior])[0]]
+    row = {state: k for k, state in enumerate(order)}
+    lil = sp.lil_matrix((len(order), len(order)))
+    want_b = np.zeros((len(order), len(xi)))
+    for k, i in enumerate(order):
+        lil[k, k] = 1.0
+        for j, r in zip(rates.rows[i], rates.data[i]):
+            if j in xi:
+                want_b[k, xi.index(j)] = r * (1.0 / holding[i])
+            else:
+                lil[k, row[j]] = -((1.0 / holding[i]) * r)
+    systems = []
+    solve = exact._solve_refined
+
+    def spy(a, b):
+        systems.append((a, b))
+        return solve(a, b)
+
+    monkeypatch.setattr(exact, "_solve_refined", spy)
+    exact._hitting_matrix(walk, params, enum, a_set)
+    a, b = systems[0]
+    # the identity minus P_ii stores a row's entries in another column order
+    _assert_same_csr(a.tocsr().sorted_indices(), lil.tocsr())
+    assert np.array_equal(b, want_b)

@@ -232,6 +232,16 @@ class TestRegionMasses:
 
 
 class TestHitting:
+    @pytest.mark.parametrize("walk,a_set", [("two_sym", (0, 1)), ("up3", (0, 2)),
+                                            ("cycle3", (0, 1, 2)), ("chain4", (1, 3))])
+    def test_rows_sum_to_one(self, walk, a_set, request):
+        # from every state the walk reaches some metastable state of A first
+        spec = request.getfixturevalue(walk)
+        enum = enumerate_states(spec.kappa, 7)
+        h = _hitting_matrix(spec, ProcessParams(7, 0.05), enum, a_set)[0]
+        assert h.shape == (enum.size, len(a_set))
+        assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-10
+
     def test_symmetric_midpoint(self, two_sym):
         h, enum = hitting_column(two_sym, ProcessParams(2, 0.1), (0, 1), 1)
         assert h[enum.rank((1, 1))] == pytest.approx(0.5, abs=1e-12)
@@ -339,6 +349,32 @@ class TestFlows:
         up, down = flow_profile(two_sym, params, mu, (0, 1), 0)
         assert up[0] == pytest.approx(11 / 120, abs=1e-14)
         assert down[0] == pytest.approx(11 / 120, abs=1e-14)
+
+    @pytest.mark.parametrize("walk,r_set,x", [("up3", (0, 1, 2), 0), ("up3", (0, 1), 1),
+                                              ("cycle3", (0, 2), 2), ("chain4", (1, 2), 1),
+                                              ("chain4", (0, 1, 2, 3), 3)])
+    def test_profile_matches_loop_over_moves(self, walk, r_set, x, request):
+        # level k of the profile, read one state and one move at a time
+        spec = request.getfixturevalue(walk)
+        params = ProcessParams(6, 0.2)
+        mu = stationary_exact(spec, params)
+        enum = mu.enum
+        up, down = flow_profile(spec, params, mu, r_set, x)
+        assert up.shape == down.shape == (params.n,)
+        want_up, want_down = np.zeros(params.n), np.zeros(params.n)
+        for i, eta in enumerate(enum.counts_matrix().tolist()):
+            if any(eta[z] for z in range(spec.kappa) if z not in r_set):
+                continue
+            for y in r_set:
+                if y != x and eta[y] >= 1:
+                    want_up[eta[x]] += (mu.weights[i] * eta[y] * (params.d + eta[x])
+                                        * spec.rates[y, x])
+                if y != x and eta[x] >= 1:
+                    want_down[eta[x] - 1] += (mu.weights[i] * eta[x] * (params.d + eta[y])
+                                              * spec.rates[x, y])
+        assert want_up.any() and want_down.any()
+        assert up == pytest.approx(want_up, rel=1e-12, abs=1e-300)
+        assert down == pytest.approx(want_down, rel=1e-12, abs=1e-300)
 
     def test_full_set_flow_symmetry(self, up3):
         params = ProcessParams(20, 1e-3)
@@ -483,8 +519,15 @@ class TestReciprocalSums:
     *[lambda walk, x=x: flow_profile(walk, ProcessParams(4, 0.1),
                                      stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1), x)
       for x in (1.0, True)],
+    lambda walk: flow_profile(walk, ProcessParams(4, 0.1),
+                              stationary_exact(walk, ProcessParams(4, 0.1)), (0, 1.0), 0),
+    *[lambda walk, x=x: mean_jump_rate_exact(walk, ProcessParams(4, 0.1), (0, x))
+      for x in (1.0, True)],
+    *[lambda walk, x=x: RegionSpec(walk, enumerate_states(3, 4), (0, x))
+      for x in (1.0, True)],
 ], ids=["params_n_zero", "flow_site_outside_r", "flow_profile_site_float",
-        "flow_profile_site_bool"])
+        "flow_profile_site_bool", "flow_profile_r_set_float", "trace_site_float",
+        "trace_site_bool", "region_site_float", "region_site_bool"])
 def test_bad_arguments_raise_incproc_error(up3, call):
     with pytest.raises(IncprocError):
         call(up3)

@@ -464,6 +464,16 @@ class TestSiteSets:
         with pytest.raises(OutOfRange):
             mean_jump_rate_exact(cycle3, ProcessParams(4, 0.1), ())
 
+    def test_hitting_rejects_out_of_range_site(self, cycle3):
+        with pytest.raises(OutOfRange):
+            exact._hitting_matrix(cycle3, ProcessParams(4, 0.1), enumerate_states(3, 4),
+                                  (0, 7))
+
+    def test_hitting_rejects_negative_site(self, cycle3):
+        with pytest.raises(OutOfRange):
+            exact._hitting_matrix(cycle3, ProcessParams(4, 0.1), enumerate_states(3, 4),
+                                  (-1, 0))
+
     def test_trace_rates_reject_negative_site(self, cycle3):
         with pytest.raises(OutOfRange):
             mean_jump_rate_exact(cycle3, ProcessParams(4, 0.1), (-1, 0))
@@ -498,6 +508,16 @@ class TestSmallSystems:
             want[enum.xi_index(y)] = 1.0
             assert h[:, y].tolist() == want.tolist()
         assert rates is None and solver.residual == 0.0
+
+    def test_one_target_is_reached_from_every_state(self):
+        # rates 1.23 and 0.11 at N = 30: the interior pivots cancelled to an
+        # exact zero and SuperLU raised a bare RuntimeError
+        spec, params = random_walk(295)
+        enum = enumerate_states(spec.kappa, params.n)
+        h, rates, solver = exact._hitting_matrix(spec, params, enum, (0,))
+        assert h.tolist() == [[1.0]] * enum.size
+        assert rates.shape == (enum.size, enum.size) and solver.residual == 0.0
+        assert mean_jump_rate_exact(spec, params, (0,)).raw.tolist() == [[0.0]]
 
     def test_hitting_refuses_holding_rates_it_cannot_invert(self, cycle3):
         # d = 5e-324 leaves each metastable state a subnormal holding rate,

@@ -198,6 +198,12 @@ class TestDistribution:
         with pytest.raises(OutOfRange):
             Distribution(StateEnumeration(2, 3), np.array(weights))
 
+    @pytest.mark.parametrize("weights", [[0.1, 0.2, 0.3, 0.5], [0.0, 0.0, 0.0, 0.0],
+                                         [0.25, 0.25, 0.25, 0.25 + 1e-11]])
+    def test_refuses_weights_that_do_not_sum_to_one(self, weights):
+        with pytest.raises(OutOfRange, match="sum to 1"):
+            Distribution(StateEnumeration(2, 3), np.array(weights))
+
     def test_mass_sums_the_given_ranks(self):
         dist = Distribution(StateEnumeration(2, 3), np.array([0.1, 0.2, 0.3, 0.4]))
         assert dist.mass([1, 3]) == 0.2 + 0.4
