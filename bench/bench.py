@@ -5,6 +5,8 @@
     python bench/bench.py --label L --checkout DIR --workloads kernel.long_path \
         kernel.trace_long_path kernel.trace_fixed kernel.stretch_L16 kernel.stretch_L32 \
         kernel.stretch_L64 kernel.channels kernel.hitting --seeds 4101
+    python bench/bench.py --label L --checkout DIR --workloads exact.kappa4_N20 \
+        exact.kappa4_N35 exact.kappa4_N50 exact.cycle5_N20 exact.torus8 --seeds 4101
 
 For each of ``--runs`` passes, each workload and each seed, this runs the
 benchmark command of ``DIR/BENCHMARK.json`` (``perfbench/run.py``) in DIR,
@@ -40,6 +42,15 @@ microseconds per call (``us_per_call``, with ``calls`` in place of
 ``events``) on the first 50 events of the ``long_path`` 3-cycle at the seed,
 and ``us_per_call_torus64``, the same on a 50-event path of a 64-site torus.
 
+The ``exact.*`` workloads are the exact solves' layer rows, run the same
+way: the sparse LU factor of ``stationary_exact`` on the 4-site walk of the
+``exact_lu`` workload at the seed with N = 20, 35 and 50
+(``exact.kappa4_N20`` ...), on ``WalkSpec.cycle(5, 0.7)`` at N = 20
+(``exact.cycle5_N20``) and on the walk of the 8-site 1-D torus
+(``exact.torus8``). A row holds the states, the L+U entries stored
+(``lu_nnz``) and predicted (``predicted_nnz``), the median CPU seconds of
+the factor (``factor_cpu_s``) and the probe's peak RSS (``maxrss_mb``).
+
 Standard library only. Exits 1 if a run printed no metrics line; its row
 then has ``fail_rate`` 1.0 and the tail of its standard error.
 """
@@ -57,12 +68,15 @@ from pathlib import Path
 RUN_FACTS = ("workload", "seed", "rounds", "untraced_rounds", "traced_rounds",
              "fail_rate", "setup_runs_s")
 
-# the kernel layer rows: (probe, argument, repeats)
+# the kernel and exact layer rows: (probe, argument, repeats)
 KERNEL_ROWS = {"kernel.long_path": ("path", 0, 5),
                "kernel.trace_long_path": ("trace_path", 0, 5),
                "kernel.trace_fixed": ("trace_fixed", 0, 5),
                **{f"kernel.stretch_L{side}": ("stretch", side, 3) for side in (16, 32, 64)},
-               "kernel.channels": ("channels", 0, 5), "kernel.hitting": ("hitting", 0, 5)}
+               "kernel.channels": ("channels", 0, 5), "kernel.hitting": ("hitting", 0, 5),
+               # the exact rows: case ARG of kernel_probe.EXACT_CASES
+               **{f"exact.{name}": ("exact", case, 3) for case, name in enumerate(
+                   ("kappa4_N20", "kappa4_N35", "kappa4_N50", "cycle5_N20", "torus8"))}}
 
 # run as ``python kernel_probe.py kind arg seed repeats`` in the checkout
 PROBE = Path(__file__).with_name("kernel_probe.py")

@@ -1,7 +1,7 @@
 """One kernel layer probe of ``bench.py``, run in a checkout against its ``src``.
 
     cd CHECKOUT && python PATH/TO/bench/kernel_probe.py \
-        path|trace_path|trace_fixed|stretch|channels|hitting ARG SEED REPEATS
+        path|trace_path|trace_fixed|stretch|channels|hitting|exact ARG SEED REPEATS
 
 ``path`` times the ``simulate_cycle`` operation of the checkout's
 ``long_path`` workload at SEED (ARG unused), and ``trace_path`` the
@@ -32,15 +32,31 @@ single-threaded, and CPU time does not count the time other processes
 take), the events of one repeat and their ratio in microseconds (for
 ``hitting``, the replicas and the milliseconds per replica) as one JSON
 line; exits non-zero if the repeats ran different event counts.
+
+``exact`` times the sparse LU factor of ``stationary_exact`` on case ARG of
+``EXACT_CASES``: the 4-site walk of the checkout's ``exact_lu`` workload at
+SEED with N = 20, 35 or 50 and d_N = 1e-4, ``WalkSpec.cycle(5, 0.7)`` at
+N = 20 and d_N = 1e-4, or the walk of the 1-D torus of side 8 with weights
+0.7 and 0.3, rho = 1 and d_L = 1e-3. The factor's time is the ``factor_s``
+stage of ``incproc.exact.stage_times()`` with that module's clock read as
+``time.process_time``, so it is the factor's CPU time whatever factors.
+It prints the states, the L+U entries stored (``lu_nnz``, the events of
+the consistency check) and the entries predicted before the factor, the
+median factor CPU seconds (``factor_cpu_s``) and the process's peak RSS
+(``maxrss_mb``, ``ru_maxrss``). BLAS runs on one thread, as perfbench
+runs it.
 """
 
 import json
+import os
 import re
 import statistics
 import sys
 import time
 from pathlib import Path
 
+# before numpy loads
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 kind, arg, seed, repeats = sys.argv[1], *map(int, sys.argv[2:])
 src = (Path.cwd() / "src").resolve()
 sys.path[:0] = [str(src), str(Path.cwd() / "perfbench")]
@@ -53,6 +69,9 @@ spans, counts = [], []
 HITTING_ROUNDS = 10
 # trace_project calls a trace_fixed repeat makes on each path
 TRACE_CALLS = 2000
+# the walks and N of the exact rows; "kappa4" is the exact_lu workload's walk
+EXACT_CASES = (("kappa4", 20), ("kappa4", 35), ("kappa4", 50), ("cycle5", 20),
+               ("torus8", 8))
 
 
 class Direct:
@@ -117,6 +136,27 @@ elif kind == "hitting":
                 replicas += op.run(Direct(), rnd).values.size
         spans.append(clock() - start)
         counts.append(replicas)
+elif kind == "exact":
+    import resource
+    from types import SimpleNamespace
+
+    import workloads
+
+    exact = sys.modules["incproc.exact"]
+    walk_name, n = EXACT_CASES[arg]
+    if walk_name == "kappa4":
+        walk, params = workloads.make("exact_lu", seed).walk, ip.ProcessParams(n, 1e-4)
+    elif walk_name == "cycle5":
+        walk, params = ip.WalkSpec.cycle(5, 0.7), ip.ProcessParams(n, 1e-4)
+    else:
+        torus = ip.build_torus(1, n, {1: 0.7, -1: 0.3}, rho=1.0, d_l=1e-3)
+        walk, params = ip.torus_walk(torus), ip.ProcessParams(torus.n, torus.d_l)
+    exact.time = SimpleNamespace(perf_counter=clock)
+    for _ in range(repeats):
+        with exact.stage_times() as stages:
+            mu = ip.stationary_exact(walk, params)
+        spans.append(stages["factor_s"])
+        counts.append(mu.solver.lu_nnz)
 elif kind == "channels":
     thermo = sys.modules["incproc.thermo"]
     tally = [0]
@@ -175,6 +215,10 @@ cpu = statistics.median(spans)
 if kind == "hitting":
     print(json.dumps({"ms_per_replica": cpu / counts[0] * 1e3, "replicas": counts[0],
                       "cpu_s": cpu}))
+elif kind == "exact":
+    print(json.dumps({"states": mu.enum.size, "lu_nnz": counts[0],
+                      "predicted_nnz": mu.solver.predicted_nnz, "factor_cpu_s": cpu,
+                      "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 elif kind == "trace_fixed":
     print(json.dumps({"us_per_call": cpu / counts[0] * 1e6, "calls": counts[0], "cpu_s": cpu,
                       "us_per_call_torus64": statistics.median(torus_spans) / counts[0] * 1e6}))

@@ -1,13 +1,15 @@
 /* The compiled loops of incproc: the event loop of the direct-method
    (Gillespie) kernel, incproc_slice, which keeps a run's clock and its stop
    rules; the channel steps of the condensate runs' two-site excursions,
-   incproc_channels; and the replay of a stored path onto the metastable
-   states of a site set, incproc_trace.
+   incproc_channels; the replay of a stored path onto the metastable
+   states of a site set, incproc_trace; and the multifrontal LU factor of
+   the exact solves and its solve, incproc_lu_factor and incproc_lu_solve.
 
-   incproc.simulate compiles this file once per source hash with
+   incproc._native compiles this file once per source hash with
    cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
-   weight rounds as the scalar definition does) and calls the three
-   functions through ctypes.
+   weight rounds as the scalar definition does) and calls the five
+   functions through ctypes. The LU functions call scipy's BLAS and LAPACK
+   through function pointers they are handed, so nothing is linked.
 
    The move table of incproc_slice is in CSR form: the moves out of site x
    are the entries first[x] .. first[x + 1] - 1 of target and coef. */
@@ -226,4 +228,201 @@ int64_t incproc_trace(const double *times, const int32_t *move_from, const int32
     clocks[0] = trace;
     clocks[1] = off;
     return m;
+}
+
+/* The multifrontal LU factor of a sparse n x n matrix A and its solve, on
+   the blocks of a separator tree in elimination order (Duff and Reid, ACM
+   TOMS 9, 1983; Liu, SIAM Review 34, 1992).
+
+   Block k eliminates the s = size[k] positions start .. start + s - 1,
+   start the sum of the sizes before it. Its boundary is the b = bptr[k + 1]
+   - bptr[k] later positions bnd[bptr[k]] .., ascending, that the block and
+   the blocks below it may touch; its children are the nchild[k] blocks
+   whose boundaries it collects. Its front is the dense (s + b) x (s + b)
+   matrix on its own positions, then its boundary, and is kept in four
+   column-major pieces: F11 (s x s), F12 (s x b), F21 (b x s) and F22 (b x b).
+   The first three are the block's share of the factor, in order in lu; F22
+   is its update matrix, on a stack in work.
+
+   fn holds dgemm, dtrsm, dgetrf and dlaswp, called with Fortran's
+   conventions. */
+
+typedef void blas_fn(void);
+typedef void dgemm_fn(char *, char *, int *, int *, int *, double *, double *, int *, double *,
+                      int *, double *, double *, int *);
+typedef void dtrsm_fn(char *, char *, char *, char *, int *, int *, double *, double *, int *,
+                      double *, int *);
+typedef void dgetrf_fn(int *, int *, double *, int *, int *, int *);
+typedef void dlaswp_fn(int *, double *, int *, int *, int *, int *, int *);
+
+/* Factor A, given by its rows (rptr, rind, rval: CSR) and its columns
+   (cptr, cind, cval: CSC), with pivoting inside each block's F11.
+
+   Each block zeroes its front, adds the entries of A in its own rows from
+   its first column on and in its own columns below its own rows, adds its
+   children's update matrices (the top nchild[k] of the stack, popped),
+   then factors F11 = P L11 U11 (dgetrf, swaps in ipiv[start ..], numbered
+   from 1 in the block), applies P to F12, forms U12 = L11^-1 F12 and
+   L21 = F21 U11^-1 (dtrsm) and the update F22 - L21 U12 (dgemm), which it
+   pushes. lu receives, per block, the LU of F11 (unit L below the
+   diagonal, U on and above it), U12 and L21: s (s + 2 b) entries. work has
+   room for room entries; ids room for the block ids of the stack; where
+   for n entries, all -1 on entry and left so; loc for the largest boundary.
+
+   A zero pivot is left to give an inf or nan factor. Returns 0; -1 if an
+   entry of A, or a child's boundary, falls outside the block's front; -2 if
+   the stack would outgrow work. */
+int64_t incproc_lu_factor(int64_t nblocks, const int64_t *size, const int64_t *nchild,
+                          const int64_t *bptr, const int32_t *bnd, const int32_t *rptr,
+                          const int32_t *rind, const double *rval, const int32_t *cptr,
+                          const int32_t *cind, const double *cval, double *lu, int *ipiv,
+                          double *work, int64_t room, int64_t *ids, int32_t *where,
+                          int32_t *loc, blas_fn *const *fn)
+{
+    dgemm_fn *gemm = (dgemm_fn *)fn[0];
+    dtrsm_fn *trsm = (dtrsm_fn *)fn[1];
+    dgetrf_fn *getrf = (dgetrf_fn *)fn[2];
+    dlaswp_fn *laswp = (dlaswp_fn *)fn[3];
+    char no = 'N', left = 'L', right = 'R', lower = 'L', upper = 'U', unit = 'U';
+    double one = 1.0, minus = -1.0;
+    int inc = 1, info;
+    int64_t start = 0, depth = 0, top = 0;
+    for (int64_t k = 0; k < nblocks; k++) {
+        int64_t s = size[k], b = bptr[k + 1] - bptr[k], end = start + s;
+        const int32_t *bk = bnd + bptr[k];
+        double *f11 = lu, *f12 = f11 + s * s, *f21 = f12 + s * b;
+        lu = f21 + b * s;
+        /* the children's updates run from base to top; this block's goes above */
+        int64_t base = top;
+        if (nchild[k] > depth)
+            return -1;
+        for (int64_t c = depth - nchild[k]; c < depth; c++) {
+            int64_t cb = bptr[ids[c] + 1] - bptr[ids[c]];
+            base -= cb * cb;
+        }
+        if (top + b * b > room)
+            return -2;
+        double *f22 = work + top;
+        memset(f11, 0, (size_t)(s * (s + 2 * b)) * sizeof *f11);
+        memset(f22, 0, (size_t)(b * b) * sizeof *f22);
+        for (int64_t i = 0; i < s; i++)
+            where[start + i] = (int32_t)i;
+        for (int64_t p = 0; p < b; p++)
+            where[bk[p]] = (int32_t)(s + p);
+        for (int64_t i = start; i < end; i++)
+            for (int32_t e = rptr[i]; e < rptr[i + 1]; e++) {
+                if (rind[e] < start)
+                    continue;
+                int32_t l = where[rind[e]];
+                if (l < 0)
+                    return -1;
+                if (l < s)
+                    f11[l * s + (i - start)] += rval[e];
+                else
+                    f12[(l - s) * s + (i - start)] += rval[e];
+            }
+        for (int64_t j = start; j < end; j++)
+            for (int32_t e = cptr[j]; e < cptr[j + 1]; e++) {
+                if (cind[e] < end)
+                    continue;
+                int32_t l = where[cind[e]];
+                if (l < 0)
+                    return -1;
+                f21[(j - start) * b + (l - s)] += cval[e];
+            }
+        const double *u = work + base;
+        for (int64_t c = depth - nchild[k]; c < depth; c++) {
+            int64_t cb = bptr[ids[c] + 1] - bptr[ids[c]], own = 0;
+            const int32_t *cbnd = bnd + bptr[ids[c]];
+            /* the child's boundary ascends, so the entries in this block's
+               own positions come first and the rest lie in its boundary */
+            for (int64_t p = 0; p < cb; p++) {
+                loc[p] = where[cbnd[p]];
+                if (loc[p] < 0 || (loc[p] < s && own++ != p))
+                    return -1;
+            }
+            for (int64_t q = 0; q < cb; q++, u += cb) {
+                int64_t l = loc[q];
+                double *top_rows = l < s ? f11 + l * s : f12 + (l - s) * s;
+                double *bottom_rows = l < s ? f21 + l * b : f22 + (l - s) * b;
+                for (int64_t p = 0; p < own; p++)
+                    top_rows[loc[p]] += u[p];
+                for (int64_t p = own; p < cb; p++)
+                    bottom_rows[loc[p] - s] += u[p];
+            }
+        }
+        depth -= nchild[k];
+        int is = (int)s, ib = (int)b;
+        if (s) {
+            getrf(&is, &is, f11, &is, ipiv + start, &info);
+            if (b) {
+                laswp(&ib, f12, &is, &inc, &is, ipiv + start, &inc);
+                trsm(&left, &lower, &no, &unit, &is, &ib, &one, f11, &is, f12, &is);
+                trsm(&right, &upper, &no, &no, &ib, &is, &one, f11, &is, f21, &ib);
+                gemm(&no, &no, &ib, &ib, &is, &minus, f21, &ib, f12, &is, &one, f22, &ib);
+            }
+        }
+        memmove(work + base, f22, (size_t)(b * b) * sizeof *f22);
+        top = base + b * b;
+        ids[depth++] = k;
+        for (int64_t i = start; i < end; i++)
+            where[i] = -1;
+        for (int64_t p = 0; p < b; p++)
+            where[bk[p]] = -1;
+        start = end;
+    }
+    return 0;
+}
+
+/* Solve A x = y in place for the nrhs columns of x (column-major, n rows)
+   with the factor incproc_lu_factor left in lu and ipiv: per block in
+   order, the swaps, L11 and L21 down the boundary, then per block in
+   reverse, U12 from the boundary and U11. scratch has room for the largest
+   boundary times nrhs. */
+void incproc_lu_solve(int64_t nblocks, const int64_t *size, const int64_t *bptr,
+                      const int32_t *bnd, const double *lu, const int *ipiv, int64_t n,
+                      int64_t nrhs, double *x, double *scratch, blas_fn *const *fn)
+{
+    dgemm_fn *gemm = (dgemm_fn *)fn[0];
+    dtrsm_fn *trsm = (dtrsm_fn *)fn[1];
+    dlaswp_fn *laswp = (dlaswp_fn *)fn[3];
+    char no = 'N', left = 'L', lower = 'L', upper = 'U', unit = 'U';
+    double one = 1.0, minus = -1.0, zero = 0.0;
+    int inc = 1, in = (int)n, ir = (int)nrhs;
+    int64_t start = 0;
+    for (int64_t k = 0; k < nblocks; k++) {
+        int64_t s = size[k], b = bptr[k + 1] - bptr[k];
+        const int32_t *bk = bnd + bptr[k];
+        const double *f11 = lu, *f21 = lu + s * s + s * b;
+        int is = (int)s, ib = (int)b;
+        lu = f21 + b * s;
+        if (s) {
+            laswp(&ir, x + start, &in, &inc, &is, (int *)ipiv + start, &inc);
+            trsm(&left, &lower, &no, &unit, &is, &ir, &one, (double *)f11, &is, x + start, &in);
+        }
+        if (s && b) {
+            gemm(&no, &no, &ib, &ir, &is, &one, (double *)f21, &ib, x + start, &in, &zero,
+                 scratch, &ib);
+            for (int64_t j = 0; j < nrhs; j++)
+                for (int64_t p = 0; p < b; p++)
+                    x[j * n + bk[p]] -= scratch[j * b + p];
+        }
+        start += s;
+    }
+    for (int64_t k = nblocks - 1; k >= 0; k--) {
+        int64_t s = size[k], b = bptr[k + 1] - bptr[k];
+        const int32_t *bk = bnd + bptr[k];
+        int is = (int)s, ib = (int)b;
+        lu -= s * (s + 2 * b);
+        start -= s;
+        if (s && b) {
+            for (int64_t j = 0; j < nrhs; j++)
+                for (int64_t p = 0; p < b; p++)
+                    scratch[j * b + p] = x[j * n + bk[p]];
+            gemm(&no, &no, &is, &ir, &ib, &minus, (double *)lu + s * s, &is, scratch, &ib, &one,
+                 x + start, &in);
+        }
+        if (s)
+            trsm(&left, &upper, &no, &no, &is, &ir, &one, (double *)lu, &is, x + start, &in);
+    }
 }

@@ -8,11 +8,14 @@ targets, and the stationary law is the hitting system of its one pinned
 state, solved transposed. Sparse direct solves eliminate the states in
 nested-dissection order, split on level sets of subset sums of their
 counts, carry one step of iterative refinement and are checked against
-explicit residual tolerances. The separator tree of the order predicts the
-L+U fill before anything is built, and a system whose predicted factors do
-not fit in half the physical memory is refused with ``StateSpaceTooLarge``.
-The results are the same from run to run; :func:`stage_times` records the
-seconds each solve spends ordering, building, factoring and solving.
+explicit residual tolerances. The separator tree of the order is what the
+factor runs on: a multifrontal LU, one dense front per block, in the
+compiled ``_kernel.c`` on scipy's BLAS and LAPACK. So the tree gives the
+factor's size before anything is built, and a system whose factor and
+update matrices do not fit in half the physical memory is refused with
+``StateSpaceTooLarge``. The results are the same from run to run;
+:func:`stage_times` records the seconds each solve spends ordering,
+building, factoring and solving.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from ._native import _address, _compiled, _lapack
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure, StateSpaceTooLarge)
 from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, dense_stationary,
@@ -42,7 +45,6 @@ STATIONARY_TOL = 1e-10
 HITTING_TOL = 1e-12
 ND_LEAF = 32
 ND_ALL_SUBSETS = 8
-LU_BYTES_PER_NNZ = 12   # a float64 value and an int32 index
 STAGES = ("order_s", "build_s", "factor_s", "solve_s")
 
 _stage_times: ContextVar[dict[str, float] | None] = ContextVar("stage_times", default=None)
@@ -170,9 +172,42 @@ def _smallest_level_set(sums: np.ndarray) -> tuple[int, int]:
     return c, med[c]
 
 
-def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
-    """Fill-reducing elimination order from the count coordinates, and the
-    L+U nonzeros it is predicted to store.
+@dataclass(frozen=True)
+class _Tree:
+    """The separator tree of a nested-dissection order: its blocks, each a
+    separator or a leaf, in elimination order.
+
+    Block k eliminates the next ``sizes[k]`` states of ``perm``. Its
+    boundary, ``bounds[bound_ptr[k]:bound_ptr[k + 1]]``, holds the
+    positions, ascending, of the later states it or a block below it may
+    touch; its ``children[k]`` children are the last blocks before it whose
+    boundaries it takes in. ``stored`` counts the entries the factor
+    stores, ``s (s + 2 b)`` for a block of s states and b boundary states,
+    and ``updates`` the most entries of update matrices alive at once.
+    """
+
+    perm: np.ndarray
+    sizes: np.ndarray
+    children: np.ndarray
+    bound_ptr: np.ndarray
+    bounds: np.ndarray
+    stored: int
+    updates: int
+
+    @property
+    def factor_bytes(self) -> int:
+        """Bytes of the factor and of its update matrices, 8 an entry."""
+        return 8 * (self.stored + self.updates)
+
+    @property
+    def widest(self) -> int:
+        """The size of the largest boundary."""
+        return int(np.diff(self.bound_ptr).max(initial=0))
+
+
+def _nested_dissection(coords: np.ndarray) -> _Tree:
+    """Fill-reducing elimination order from the count coordinates, as the
+    separator tree the factor runs on.
 
     A move changes the subset sum ``eta(S) = sum_{j in S} eta_j`` of any
     site set S by at most one, so the states with ``eta(S) == v`` separate
@@ -186,83 +221,148 @@ def _nested_dissection(coords: np.ndarray) -> tuple[np.ndarray, int]:
     beyond, so the family stays small on large walks. Their sums are
     tabulated once and scored per block all at once.
 
-    The prediction models each block, separator or leaf, of s states whose
-    b boundary states (earlier separators it may touch) are eliminated
-    after it: it fills a dense s x s block and s x b entries each in L and
-    in U, so it adds ``s (s + 2 b)``. A separator state z of an earlier split
-    can touch the ``eta(S) < v`` side only if ``eta_z(S) <= v``, and the
-    ``eta(S) > v`` side only if ``eta_z(S) >= v``.
+    A block's boundary is the states of earlier splits' separators, which
+    are eliminated after it, that it may touch: a separator state z of an
+    earlier split can touch the ``eta(S) < v`` side only if
+    ``eta_z(S) <= v``, and the ``eta(S) > v`` side only if ``eta_z(S) >= v``.
+    The two sides are the children of the split's separator.
     """
     n, kappa = coords.shape
     dtype = np.min_scalar_type(int(coords.sum(axis=1).max(initial=0)))
     table = coords.astype(dtype) @ _candidate_sets(kappa).astype(dtype)
+    blocks = []     # (states, boundary, children) in elimination order
 
-    order = []
-    fill = 0
-
-    def dissect(idx: np.ndarray, bnd: np.ndarray) -> None:
-        nonlocal fill
-        sep = idx
+    def dissect(idx: np.ndarray, bnd: np.ndarray) -> tuple[int, int, int]:
+        """Order the states ``idx`` inside the boundary ``bnd``. Returns the
+        blocks it leaves for the caller to take in (none when ``idx`` is
+        empty, else one), the entries of that block's update matrix, and
+        the most update entries alive at once while ``idx`` is factored."""
+        if not idx.size:
+            return 0, 0, 0
+        sep, children, below, peak = idx, 0, 0, 0
         if idx.size > ND_LEAF:
             c, v = _smallest_level_set(table[idx])
             col, side = table[idx, c], table[bnd, c]
             sep = idx[col == v]
-            dissect(idx[col < v], np.concatenate((bnd[side <= v], sep)))
-            dissect(idx[col > v], np.concatenate((bnd[side >= v], sep)))
-        order.append(sep)
-        fill += sep.size * (sep.size + 2 * bnd.size)
+            for part, near in ((col < v, side <= v), (col > v, side >= v)):
+                added, update, most = dissect(idx[part], np.concatenate((bnd[near], sep)))
+                children += added
+                peak = max(peak, below + most)
+                below += update
+        blocks.append((sep, bnd, children))
+        return 1, bnd.size ** 2, max(peak, below + bnd.size ** 2)
 
-    dissect(np.arange(n), np.zeros(0, dtype=np.intp))
-    return np.concatenate(order), fill
+    updates = dissect(np.arange(n), np.zeros(0, dtype=np.intp))[2]
+    seps, bnds, children = zip(*blocks) if blocks else ((), (), ())
+    perm = np.concatenate((np.zeros(0, dtype=np.intp), *seps))
+    sizes = np.array([sep.size for sep in seps], dtype=np.int64)
+    widths = np.array([bnd.size for bnd in bnds], dtype=np.int64)
+    bound_ptr = np.concatenate(([0], np.cumsum(widths)))
+    # each boundary's positions in the order, sorted within its block
+    pos = np.empty(n, dtype=np.int64)
+    pos[perm] = np.arange(n)
+    block = np.repeat(np.arange(sizes.size, dtype=np.int64), widths) * n
+    bounds = np.sort(pos[np.concatenate((np.zeros(0, dtype=np.intp), *bnds))] + block) - block
+    return _Tree(perm, sizes, np.array(children, dtype=np.int64), bound_ptr,
+                 bounds.astype(np.int32), int((sizes * (sizes + 2 * widths)).sum()), updates)
 
 
 def _lu_memory_budget() -> int:
-    """Bytes the LU factors may take: half the physical memory."""
+    """Bytes the LU factor and its update matrices may take: half the
+    physical memory."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def _solve_refined(a: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve ``a x = b`` by one sparse LU plus one step of iterative refinement.
+def _factor(a: sp.spmatrix, tree: _Tree) -> tuple[np.ndarray, np.ndarray]:
+    """The multifrontal LU factor of ``a``, whose rows and columns are in
+    the order of ``tree``, on the blocks of that tree: ``incproc_lu_factor``
+    of ``_kernel.c``, which reaches scipy's BLAS and LAPACK.
+
+    Each block factors its dense front and pivots inside its own states.
+    That is stable here: ``I - P_ii`` is a nonsingular M-matrix, row
+    diagonally dominant, its transpose column diagonally dominant, and
+    Schur complements keep both (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 9.5). Returns the factor's
+    ``tree.stored`` entries and its row swaps; the update matrices take
+    ``tree.updates`` entries while it runs.
+    """
+    n = tree.perm.size
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"a {a.shape} system for a tree of {n} states")
+    # its rows and its columns; scipy keeps 32-bit indices at these sizes,
+    # so only the conversion copies
+    matrix = [np.asarray(part, dtype=dtype) for m in (a.tocsr(), a.tocsc())
+              for part, dtype in ((m.indptr, np.int32), (m.indices, np.int32), (m.data, float))]
+    lu, ipiv, work = np.empty(tree.stored), np.empty(n, dtype=np.intc), np.empty(tree.updates)
+    where, loc = np.full(n, -1, dtype=np.int32), np.empty(tree.widest, dtype=np.int32)
+    ids = np.empty(tree.sizes.size, dtype=np.int64)
+    status = _compiled().incproc_lu_factor(
+        tree.sizes.size, *map(_address, (tree.sizes, tree.children, tree.bound_ptr,
+                                         tree.bounds, *matrix, lu, ipiv, work)),
+        tree.updates, *map(_address, (ids, where, loc)), _lapack())
+    if status:
+        raise SolverFailure(f"the separator tree does not cover the interior system "
+                            f"(factor status {status})")
+    return lu, ipiv
+
+
+def _lu_solve(tree: _Tree, lu: np.ndarray, ipiv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve with the factor :func:`_factor` made, by ``incproc_lu_solve``;
+    ``b`` may hold several right-hand sides as columns."""
+    x = np.array(b, dtype=float, order="F")
+    if x.shape[0] != tree.perm.size:
+        raise DimensionMismatch(f"{x.shape[0]} right-hand rows for a tree of "
+                                f"{tree.perm.size} states")
+    nrhs = x.shape[1] if x.ndim == 2 else 1
+    scratch = np.empty(tree.widest * nrhs)
+    _compiled().incproc_lu_solve(tree.sizes.size, *map(_address, (
+        tree.sizes, tree.bound_ptr, tree.bounds, lu, ipiv)), x.shape[0], nrhs,
+        _address(x), _address(scratch), _lapack())
+    return x
+
+
+def _solve_refined(a: sp.spmatrix, b: np.ndarray, tree: _Tree) -> tuple[np.ndarray, int]:
+    """Solve ``a x = b`` by one multifrontal LU on ``tree`` plus one step of
+    iterative refinement.
 
     The unknowns are eliminated in the order ``a`` lists them, which
-    :func:`_interior_system` makes the nested-dissection order. ``b`` may
-    hold several right-hand sides as columns. Returns the solution and the
-    nonzeros SuperLU stored for L and U. The factor and solve times go to
+    :func:`_interior_system` makes the order of ``tree``. ``b`` may hold
+    several right-hand sides as columns. Returns the solution and the
+    entries stored for L and U. The factor and solve times go to
     :func:`stage_times`.
     """
     start = time.perf_counter()
-    a = a.tocsc()       # no copy of the stationary solve's transpose
-    lu = spla.splu(a, permc_spec="NATURAL")
+    lu, ipiv = _factor(a, tree)
     factored = time.perf_counter()
-    x = lu.solve(b)
-    x -= lu.solve(a @ x - b)
+    x = _lu_solve(tree, lu, ipiv, b)
+    x -= _lu_solve(tree, lu, ipiv, a @ x - b)
     _record(factor_s=factored - start, solve_s=time.perf_counter() - factored)
-    return x, int(lu.nnz)
+    return x, lu.size
 
 
 def _interior_system(spec: WalkSpec, params: ProcessParams,
                      enum: StateEnumeration, targets) -> tuple:
     """The system ``I - P_ii`` of the jump chain on the interior states, those
     off ``targets``, that every exact solve factors: the interior states in
-    their elimination order, the L+U nonzeros that order is predicted to
-    store, ``I - P_ii`` in CSR with its rows and columns in that order, and
-    the rate matrix and holding rates of every state.
+    their elimination order, the separator tree of that order, ``I - P_ii``
+    in CSR with its rows and columns in that order, and the rate matrix and
+    holding rates of every state.
 
     The interior is ordered before anything is built. ``StateSpaceTooLarge``
-    refuses it then if its predicted factors, at ``LU_BYTES_PER_NNZ`` bytes a
-    nonzero, exceed :func:`_lu_memory_budget`; ``OutOfRange`` refuses an
-    interior holding rate too small to invert.
+    refuses it then if its factor and update matrices, at 8 bytes an entry,
+    exceed :func:`_lu_memory_budget`; ``OutOfRange`` refuses an interior
+    holding rate too small to invert.
     """
     start = time.perf_counter()
     interior = np.setdiff1d(np.arange(enum.size), targets)
-    perm, predicted = _nested_dissection(enum.counts_matrix()[interior])
-    need, budget = predicted * LU_BYTES_PER_NNZ, _lu_memory_budget()
+    tree = _nested_dissection(enum.counts_matrix()[interior])
+    need, budget = tree.factor_bytes, _lu_memory_budget()
     if need > budget:
         raise StateSpaceTooLarge(enum.size, reason=(
-            f"its LU factors are predicted to hold {predicted:,} nonzeros, "
-            f"{need / 2**30:.1f} GiB, over the budget of {budget / 2**30:.1f} GiB "
-            "(half the physical memory)"))
-    order = interior[perm]
+            f"its LU factor holds {tree.stored:,} entries and its update matrices "
+            f"{tree.updates:,} at once, {need / 2**30:.1f} GiB, over the budget of "
+            f"{budget / 2**30:.1f} GiB (half the physical memory)"))
+    order = interior[tree.perm]
     ordered = time.perf_counter()
     rates = build_rate_matrix(spec, params, enum)
     holding = np.asarray(rates.sum(axis=1)).ravel()
@@ -273,7 +373,7 @@ def _interior_system(spec: WalkSpec, params: ProcessParams,
     p_i = sp.diags(1.0 / holding[order]) @ rates[order]
     a = sp.eye(order.size, format="csr") - p_i[:, order]
     _record(order_s=ordered - start, build_s=time.perf_counter() - ordered)
-    return order, predicted, a, rates, holding
+    return order, tree, a, rates, holding
 
 
 def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
@@ -290,8 +390,8 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
     """
     enum = enumerate_states(spec.kappa, params.n)
     ref = enum.xi_index(int(np.argmax(analyze_walk(spec).m)))
-    order, predicted, a, rates, holding = _interior_system(spec, params, enum, [ref])
-    nu, lu_nnz = _solve_refined(a.T, rates[ref].toarray().ravel()[order])
+    order, tree, a, rates, holding = _interior_system(spec, params, enum, [ref])
+    nu, lu_nnz = _solve_refined(a.T, rates[ref].toarray().ravel()[order], tree)
     mu = np.ones(enum.size)
     mu[order] = np.clip(nu, 0.0, None) / holding[order]
     mu /= mu.sum()
@@ -301,7 +401,7 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
         raise SolverFailure(f"stationary residual {residual:.3e} > "
                             f"{STATIONARY_TOL:.1e} * {holding.max():.3e}")
     return Distribution(enum, mu, solver=SolverReport("lu", residual, bound, lu_nnz,
-                                                      predicted))
+                                                      tree.stored))
 
 
 def stationary_closed_form(spec: WalkSpec, params: ProcessParams) -> Distribution:
@@ -411,16 +511,16 @@ def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeratio
         h[:] = 1.0
         return h, build_rate_matrix(spec, params, enum), SolverReport("lu", 0.0, HITTING_TOL, 0)
 
-    order, predicted, a, rates, holding = _interior_system(spec, params, enum, xi)
+    order, tree, a, rates, holding = _interior_system(spec, params, enum, xi)
     b = rates[:, xi][order].toarray() * (1.0 / holding[order])[:, None]
-    h_int, lu_nnz = _solve_refined(a, b)
+    h_int, lu_nnz = _solve_refined(a, b, tree)
     residual = float(np.abs(a @ h_int - b).max())
     if not residual <= HITTING_TOL:     # a nan residual fails too
         raise SolverFailure(
             f"hitting-probability residual {residual:.3e} > {HITTING_TOL:.1e}")
 
     h[order] = np.clip(h_int, 0.0, 1.0)
-    return h, rates, SolverReport("lu", residual, HITTING_TOL, lu_nnz, predicted)
+    return h, rates, SolverReport("lu", residual, HITTING_TOL, lu_nnz, tree.stored)
 
 
 @dataclass(frozen=True)

@@ -234,8 +234,10 @@ def analyze_walk(spec: WalkSpec) -> WalkAnalysis:
     kappa = spec.kappa
     gen = r - np.diag(spec.holding)
     m = dense_stationary(gen)
-    residual = np.abs(m @ gen).max()
-    if residual > 1e-10 * max(1.0, np.abs(r).max()):
+    with np.errstate(invalid="ignore", over="ignore"):     # judged by the check below
+        residual = np.abs(m @ gen).max()
+    # a nan residual fails too
+    if not residual <= 1e-10 * max(1.0, np.abs(r).max()):
         raise NonIrreducibleWalk(f"stationary solve residual {residual:.2e}")
 
     m_star = float(m.max())

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 import os
-import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateData, IncprocError, OutOfRange
+from ._native import _address, _compiled
+from .errors import BudgetExceeded, DegenerateData, OutOfRange
 from .model import (Configuration, ProcessParams, WalkSpec, csv_line, finite_real, integer,
                     real, site_set, state_counts)
 
@@ -214,84 +213,6 @@ class _Kernel:
             sources[:] = self.sources[:self.n_sources[0]].tolist()
         return (taken, float(self.clock[0]), bool(self.stopped[0]),
                 *([a if taken == len(a) else a[:taken].copy() for a in out] or [None, None]))
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of the first element of the contiguous array ``a``."""
-    return a.ctypes.data
-
-
-# the command that builds ``_kernel.c``; no contraction to fused
-# multiply-adds (gcc's default on aarch64), so each weight rounds as the
-# scalar definition does
-_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_library = None
-
-
-def _compiled():
-    """The library built from ``_kernel.c``, built and loaded on first use,
-    with the argument types of its three functions, ``incproc_slice``,
-    ``incproc_channels`` and ``incproc_trace``, set.
-
-    The build is cached in ``$XDG_CACHE_HOME/incproc``, else
-    ``~/.cache/incproc``, under a hash of the source and the command. It is
-    compiled to a temporary file that is then renamed into place, so
-    processes that load at once each find a whole file or none. Where that
-    directory cannot be written, or there is no home directory, it is built
-    in a temporary directory of this process, removed once loaded. Raises
-    ``IncprocError``, naming the command, if the build fails.
-    """
-    global _library
-    if _library is None:
-        import ctypes
-        import hashlib
-        import shutil
-        import subprocess
-        import tempfile
-        source = Path(__file__).with_name("_kernel.c")
-        tag = hashlib.sha256(source.read_bytes() + " ".join(
-            (*_CC, platform.machine())).encode()).hexdigest()[:16]
-        own = tmp = None
-        try:
-            cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "incproc"
-            lib = cache / f"kernel-{tag}.so"
-            if not lib.exists():
-                cache.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(".so", dir=cache)
-        except (OSError, RuntimeError):     # no home directory, or none that can be written
-            own = tempfile.mkdtemp(prefix="incproc-")
-            lib = Path(own) / "kernel.so"
-            fd, tmp = tempfile.mkstemp(".so", dir=own)
-        if tmp is not None:
-            os.close(fd)
-            command = [*_CC, "-o", tmp, str(source)]
-            try:
-                built = subprocess.run(command, capture_output=True, text=True)
-                failure = built.stderr.strip() if built.returncode else None
-            except OSError as exc:
-                failure = str(exc)
-            if failure is not None:
-                os.unlink(tmp)
-                if own:
-                    shutil.rmtree(own)
-                raise IncprocError(f"cannot build the event kernel with "
-                                   f"`{' '.join(command)}`: {failure}")
-            os.replace(tmp, lib)
-        library = ctypes.CDLL(str(lib))
-        if own:
-            shutil.rmtree(own)
-        i64, real, flag, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-        library.incproc_slice.argtypes = [ptr, ptr, ptr, i64, real, flag, real, flag, ptr, ptr,
-                                          ptr, ptr, ptr, i64, ptr, ptr, i64, real, ptr, ptr,
-                                          ptr, ptr]
-        library.incproc_channels.argtypes = [ptr, ptr, ctypes.c_uint8, ptr, ptr, ptr, ptr,
-                                             ptr, ptr, ptr, ptr, ptr, i64]
-        library.incproc_trace.argtypes = [ptr, ptr, ptr, i64, real, i64, i64, ptr, ptr, ptr,
-                                          ptr, ptr, ptr]
-        library.incproc_slice.restype = library.incproc_channels.restype = i64
-        library.incproc_trace.restype = i64
-        _library = library
-    return _library
 
 
 def _walk_moves(spec: WalkSpec) -> list[list[tuple[int, float]]]:

@@ -158,8 +158,9 @@ class SolverReport:
     ``path`` is always ``"lu"``, the sparse direct solve; it names the
     solver in reports. ``residual`` is the final max-norm
     residual and ``bound`` the tolerance it was checked against. ``lu_nnz``
-    counts the nonzeros SuperLU stored for L and U of the one factorization,
-    and ``predicted_nnz`` those the elimination order predicted before it.
+    counts the entries the multifrontal factor stored for L and U, and
+    ``predicted_nnz`` those the separator tree gave before it; they are
+    equal.
     The stage times are not here, so that a result is the same run to run;
     :func:`incproc.exact.stage_times` records them.
     """

@@ -19,15 +19,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._native import _address, _compiled
 from .errors import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
                      NonSpanningSupport, OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_table
 from .gordan import _bareiss
 from .model import (WalkSpec, _add_in_order, finite_real, integer, is_integer,
                     log_weight_table, real)
-from .simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, MAX_KEY, Trajectory, _address,
-                       _Blocks, _compiled, _Kernel, _map_batches, _philox_key, _substream,
-                       trace_project)
+from .simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, MAX_KEY, Trajectory, _Blocks,
+                       _Kernel, _map_batches, _philox_key, _substream, trace_project)
 
 REGIMES = ("totally_asym", "mean_zero_asym", "symmetric")
 _V_TOL = 1e-12

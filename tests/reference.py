@@ -10,6 +10,10 @@ gives, and a lifted linear function on the torus.
 ``draw`` reads one value of a replica's draws as the references of the
 event kernel read them.
 
+``superlu_refined`` keeps the SuperLU solve that the multifrontal factor
+of the exact solves replaced: the same interior system, eliminated in the
+order it lists its unknowns, with one step of iterative refinement.
+
 ``lockstep_runs`` keeps the numpy sampler of the condensate runs that the
 compiled channel steps replaced: ``_lockstep`` steps the excursions of a
 batch of replicas together, one array pass per channel step. The compiled
@@ -23,6 +27,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from incproc import Configuration, ProcessParams, SmoothFunction, TorusSpec, WalkSpec
 from incproc.thermo import (CHECKPOINTS, CondensateRun, _Channels, _channel_rates,
@@ -35,6 +41,17 @@ def draw(blocks, kind: str) -> float:
     value = float(getattr(blocks, kind + "s")(1)[0])
     blocks.use(kind == "uniform", kind == "exponential")
     return value
+
+
+def superlu_refined(a, b, tree=None) -> tuple[np.ndarray, int]:
+    """Solve ``a x = b`` as ``incproc.exact._solve_refined`` does, with
+    SuperLU in the order ``a`` lists its unknowns in place of the
+    multifrontal factor on ``tree`` (unused). Returns the solution and the
+    L+U nonzeros SuperLU stored."""
+    lu = spla.splu(sp.csc_matrix(a), permc_spec="NATURAL")
+    x = lu.solve(b)
+    x -= lu.solve(a @ x - b)
+    return x, int(lu.nnz)
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,18 @@ def test_trace_rows_time_the_replay(package_checkout, tmp_path):
     assert fixed["us_per_call_torus64"] > 0
 
 
+def test_exact_row_times_the_factor(package_checkout, tmp_path):
+    res = drive(tmp_path, package_checkout, "--workloads", "exact.kappa4_N20", "--seeds", "4101")
+    assert res.returncode == 0, res.stderr
+    (row,) = json.loads((tmp_path / "BENCH_x.json").read_text())["rows"]
+    assert (row["workload"], row["seed"], row["fail_rate"]) == ("exact.kappa4_N20", 4101, 0.0)
+    m = row["metrics"]
+    assert set(m) == {"states", "lu_nnz", "predicted_nnz", "factor_cpu_s", "maxrss_mb"}
+    # the stationary system of the 4-site walk at N = 20: every state but the pinned one
+    assert m["states"] == 1771 and m["lu_nnz"] == m["predicted_nnz"] == 303_600
+    assert m["factor_cpu_s"] > 0 and m["maxrss_mb"] > 0
+
+
 def test_a_kernel_row_without_the_package_fails(checkout, tmp_path):
     repo, _ = checkout
     res = drive(tmp_path, repo, "--workloads", "kernel.stretch_L32", "--seeds", "1")

@@ -1,4 +1,4 @@
-"""The exact LU path against a reference solver, plus its diagnostics.
+"""The exact LU path against reference solvers, plus its diagnostics.
 
 The reference below is the solver the nested-dissection path replaced: one
 SuperLU factorization per system in ``MMD_AT_PLUS_A`` order, the stationary
@@ -6,7 +6,9 @@ law from the transposed generator with one balance row replaced by a pin on
 the heaviest metastable state, and one hitting solve per target. The code
 solves the stationary law as the hitting system of that pinned state
 instead, transposed, and reads the trace rates off the rate matrix's rows;
-``pinned_balance`` and ``loop_trace_rates`` keep what it replaced.
+``pinned_balance`` and ``loop_trace_rates`` keep what it replaced. The
+multifrontal factor is checked against ``reference.superlu_refined``,
+SuperLU on the same interior system in the same order.
 """
 
 import math
@@ -15,8 +17,10 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from itertools import combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -33,6 +37,7 @@ from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure,
 from incproc.exact import (HITTING_TOL, STATIONARY_TOL, build_generator,
                            build_rate_matrix)
 from incproc.thermo import build_torus, torus_walk
+from reference import superlu_refined
 
 AGREE = 1e-12
 
@@ -211,8 +216,73 @@ class TestRandomWalks:
     def test_nested_dissection_is_a_permutation(self, seed):
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
-        perm, _ = exact._nested_dissection(enum.counts_matrix())
+        perm = exact._nested_dissection(enum.counts_matrix()).perm
         assert np.array_equal(np.sort(perm), np.arange(enum.size))
+
+
+def one_way_walk(seed: int) -> tuple[WalkSpec, ProcessParams]:
+    """An irreducible walk on 3..5 sites none of whose moves has its reverse
+    (a directed cycle and some chords along it), and a small N."""
+    rng = np.random.default_rng(seed)
+    kappa = int(rng.integers(3, 6))
+    cycle = rng.permutation(kappa)
+    rates = np.zeros((kappa, kappa))
+    rates[cycle, np.roll(cycle, -1)] = rng.uniform(0.1, 2.0, size=kappa)
+    i, j = np.triu_indices(kappa, 2)
+    chord = (j - i < kappa - 1) & (rng.random(i.size) < 0.5)
+    rates[cycle[i[chord]], cycle[j[chord]]] = rng.uniform(0.1, 2.0, size=int(chord.sum()))
+    n_max = {3: 20, 4: 10, 5: 7}[kappa]
+    params = ProcessParams(int(rng.integers(2, n_max + 1)),
+                           float(10.0 ** rng.uniform(-4, -0.5)))
+    return WalkSpec.from_matrix(rates), params
+
+
+def agree_with_superlu(spec, params, a_set):
+    """The stationary law, the hitting matrix and the trace rates agree with
+    SuperLU factoring the same interior systems in the same order."""
+    new = solve_all(spec, params, a_set)
+    with mock.patch.object(exact, "_solve_refined", superlu_refined):
+        ref = solve_all(spec, params, a_set)
+    for what, got, want in zip(("stationary law", "hitting matrix", "trace rates"), new, ref):
+        close(got, want, what)
+
+
+class TestAgainstSuperLU:
+    @given(st.integers(0, 100_000), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_walks_agree(self, seed, one_way, data):
+        spec, params = (one_way_walk if one_way else random_walk)(seed)
+        if one_way:
+            assert not ((spec.rates > 0) & (spec.rates.T > 0)).any()
+        a_set = tuple(sorted(data.draw(st.sets(st.integers(0, spec.kappa - 1),
+                                                min_size=1))))
+        agree_with_superlu(spec, params, a_set)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_one_way_walk_agrees_for_every_target_set(self, up3, size):
+        for a_set in combinations(range(3), size):
+            agree_with_superlu(up3, ProcessParams(14, 0.05), a_set)
+
+    def test_benchmark_walk_agrees(self):
+        agree_with_superlu(KAPPA4, ProcessParams(35, 1e-4), (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("a_set, caught", [((0,), AssertionError),
+                                               ((0, 1, 2, 3), SolverFailure)])
+    def test_a_perturbed_front_entry_fails(self, monkeypatch, a_set, caught):
+        # block 0 assembles row 0 of each system from its first stored entry,
+        # here 0.1% off. With one target only the stationary law is factored,
+        # and the comparison catches it inside the residual bound; with four
+        # the hitting residual check catches it first
+        factor = exact._factor
+
+        def planted(a, tree):
+            a = a.tocsr(copy=True)
+            a.data[0] *= 1.0 + 1e-3
+            return factor(a, tree)
+
+        monkeypatch.setattr(exact, "_factor", planted)
+        with pytest.raises(caught):
+            agree_with_superlu(KAPPA4, ProcessParams(12, 1e-3), a_set)
 
 
 def single_count_order(coords):
@@ -244,10 +314,16 @@ def solve_all(spec, params, a_set):
             mean_jump_rate_exact(spec, params, a_set).raw)
 
 
+def single_count_tree(coords):
+    """What the solves read of a tree, for the single-count order; SuperLU
+    factors the system in that order."""
+    return SimpleNamespace(perm=single_count_order(coords), stored=0, factor_bytes=0)
+
+
 def agree_with_single_count_order(spec, params, a_set):
     new = solve_all(spec, params, a_set)
-    with mock.patch.object(exact, "_nested_dissection",
-                           lambda coords: (single_count_order(coords), 0)):
+    with mock.patch.object(exact, "_nested_dissection", single_count_tree), \
+            mock.patch.object(exact, "_solve_refined", superlu_refined):
         ref = solve_all(spec, params, a_set)
     close(new[0], ref[0], "stationary law")
     for y, h_new, h_ref in zip(a_set, new[1], ref[1]):
@@ -267,7 +343,7 @@ class TestNestedDissection:
         for walk in (WalkSpec.cycle(4, 0.6), KAPPA4, WalkSpec.cycle(5, 0.6)):
             enum = enumerate_states(walk.kappa, params.n)
             counts = enum.counts_matrix().astype(int)
-            perm, _ = exact._nested_dissection(counts)
+            perm = exact._nested_dissection(counts).perm
             rates = build_rate_matrix(walk, params, enum).tocoo()
             found = []
             for size in range(1, walk.kappa):
@@ -308,15 +384,19 @@ class TestNestedDissection:
         (torus_walk(TORUS8), ProcessParams(TORUS8.n, TORUS8.d_l), 11_791_144),
     ])
     def test_fill_and_its_prediction(self, walk, params, single_count_nnz):
-        # single_count_nnz: L+U of the stationary system under the single-count order
+        # single_count_nnz: SuperLU's L+U of the stationary system under the
+        # single-count order; the order's quality is read the same way
+        with mock.patch.object(exact, "_solve_refined", superlu_refined):
+            assert stationary_exact(walk, params).solver.lu_nnz <= single_count_nnz
         solver = stationary_exact(walk, params).solver
-        assert solver.lu_nnz <= single_count_nnz
-        assert solver.lu_nnz / 2 <= solver.predicted_nnz <= 2 * solver.lu_nnz
+        assert solver.lu_nnz == solver.predicted_nnz
 
     def test_hitting_fill_below_single_count_order(self):
-        solver = mean_jump_rate_exact(KAPPA4, ProcessParams(35, 1e-4), (0, 1, 2, 3)).solver
-        assert solver.lu_nnz <= 2_761_282
-        assert solver.lu_nnz / 2 <= solver.predicted_nnz <= 2 * solver.lu_nnz
+        params, a_set = ProcessParams(35, 1e-4), (0, 1, 2, 3)
+        with mock.patch.object(exact, "_solve_refined", superlu_refined):
+            assert mean_jump_rate_exact(KAPPA4, params, a_set).solver.lu_nnz <= 2_761_282
+        solver = mean_jump_rate_exact(KAPPA4, params, a_set).solver
+        assert solver.lu_nnz == solver.predicted_nnz
 
     def test_candidate_family_is_bounded(self):
         # every |S| <= kappa/2 up to eight sites, half-size sets once per
@@ -327,10 +407,10 @@ class TestNestedDissection:
         assert (exact._candidate_sets(40) == np.eye(40, dtype=int)).all()
         counts = enumerate_states(40, 3).counts_matrix()
         start = time.perf_counter()
-        perm, predicted = exact._nested_dissection(counts)
+        tree = exact._nested_dissection(counts)
         assert time.perf_counter() - start < 2.0
-        assert np.array_equal(np.sort(perm), np.arange(counts.shape[0]))
-        assert predicted > 0
+        assert np.array_equal(np.sort(tree.perm), np.arange(counts.shape[0]))
+        assert tree.stored > 0
 
     def test_less_fill_than_minimum_degree(self):
         # at desk scale on four sites the count-coordinate dissection beats
@@ -338,7 +418,8 @@ class TestNestedDissection:
         spec, params = KAPPA4, ProcessParams(25, 1e-4)
         a, _ = pinned_balance(spec, params)
         mmd = spla.splu(a, permc_spec="MMD_AT_PLUS_A").nnz
-        assert stationary_exact(spec, params).solver.lu_nnz < 0.8 * mmd
+        with mock.patch.object(exact, "_solve_refined", superlu_refined):
+            assert stationary_exact(spec, params).solver.lu_nnz < 0.8 * mmd
 
 
 REFUSE = """
@@ -347,7 +428,7 @@ import incproc.exact as exact
 from incproc import ProcessParams, StateSpaceTooLarge, WalkSpec, stationary_exact
 # the budget of an 8 GiB machine; factoring must not start
 exact._lu_memory_budget = lambda: 4 * 2**30
-exact.spla.splu = None
+exact._factor = None
 for kappa, n in ((4, 140), (5, 44)):
     try:
         stationary_exact(WalkSpec.cycle(kappa, 0.7), ProcessParams(n, 1e-4))
@@ -375,6 +456,29 @@ class TestFillCap:
         assert all("GiB, over the budget of 4.0 GiB" in line for line in out[:2])
         assert int(out[2]) < 500 * 1024     # ru_maxrss is in KiB on Linux
 
+    def test_guard_counts_what_the_factor_allocates(self):
+        # the factor's entries and its update matrices alive at once are the
+        # guard's bytes; beyond them it allocates the column copy of the
+        # system and index arrays of a few bytes a state
+        params = ProcessParams(35, 1e-4)
+        enum = enumerate_states(4, 35)
+        ref = enum.xi_index(int(np.argmax(analyze_walk(KAPPA4).m)))
+        _, tree, a, _, _ = exact._interior_system(KAPPA4, params, enum, [ref])
+        assert (tree.stored, tree.updates) == (2_694_621, 682_045)
+        n = a.shape[0]
+        columns = a.T.tocsr()
+        copied = columns.data.nbytes + columns.indices.nbytes + columns.indptr.nbytes
+        index = 4 * n + 4 * n + 4 * tree.widest + 8 * tree.sizes.size
+        exact._factor(a.T, tree)      # the library and the BLAS table load once
+        tracemalloc.start()
+        try:
+            lu, ipiv = exact._factor(a.T, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lu.nbytes == 8 * tree.stored and ipiv.nbytes == 4 * n
+        assert 0 <= peak - (tree.factor_bytes + copied + index) < 16 * 1024
+
     def test_refusal_names_the_budget(self, cycle3, monkeypatch):
         monkeypatch.setattr(exact, "_lu_memory_budget", lambda: 1000)
         with pytest.raises(StateSpaceTooLarge, match="over the budget") as exc:
@@ -394,7 +498,7 @@ class TestDiagnostics:
     def test_stationary_failed_solve_raises(self, up3, monkeypatch, negative):
         # a solution with negative entries, and a positive one that misses
         # the residual bound: there is no fallback
-        def broken(a, b):
+        def broken(a, b, tree):
             return (-np.ones_like(b) if negative else np.linspace(1.0, 2.0, len(b))), 7
         monkeypatch.setattr(exact, "_solve_refined", broken)
         with pytest.raises(SolverFailure, match="stationary residual"):
@@ -404,8 +508,8 @@ class TestDiagnostics:
         # a nan fails the residual bound as any other miss does
         solve = exact._solve_refined
 
-        def planted(a, b):
-            h, lu_nnz = solve(a, b)
+        def planted(a, b, tree):
+            h, lu_nnz = solve(a, b, tree)
             h[0, 0] = np.nan
             return h, lu_nnz
 
@@ -446,9 +550,9 @@ class TestDiagnostics:
         calls = []
         solve = exact._solve_refined
 
-        def counted(a, b):
+        def counted(a, b, tree):
             calls.append(b.shape)
-            return solve(a, b)
+            return solve(a, b, tree)
 
         monkeypatch.setattr(exact, "_solve_refined", counted)
         mean_jump_rate_exact(up3, ProcessParams(8, 0.05), (0, 1, 2))

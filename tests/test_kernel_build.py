@@ -1,6 +1,6 @@
-"""The compiled loops of the event kernel and of the condensate channel
-steps are built on first use, once per source hash, into
-``$XDG_CACHE_HOME/incproc``.
+"""The compiled loops of the event kernel, of the condensate channel steps
+and of the exact solves' LU factor are built on first use, once per source
+hash, into ``$XDG_CACHE_HOME/incproc``.
 
 Each test runs fresh Python processes with a cache directory of its own, so
 nothing here reads or writes the cache of the user who runs the tests.
@@ -93,11 +93,12 @@ def test_no_compiler_is_one_incproc_error(tmp_path):
     env = env_for(tmp_path / "cache", tmp_path, PATH=no_compiler(tmp_path))
     script = """
 from incproc import (IncprocError, ProcessParams, WalkSpec, build_torus, measure_diffusion,
-                     simulate)
+                     simulate, stationary_exact)
 for run in (lambda: simulate(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1), (10, 0, 0),
                              5.0, seed=1),
             lambda: measure_diffusion(build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0,
-                                                  d_l=1e-3), 0.5, replicas=2, seed=1)):
+                                                  d_l=1e-3), 0.5, replicas=2, seed=1),
+            lambda: stationary_exact(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1))):
     try:
         run()
     except IncprocError as exc:
@@ -107,9 +108,9 @@ for run in (lambda: simulate(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1), (10
                          text=True)
     assert res.returncode == 0 and res.stderr == "", res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 2, lines
+    assert len(lines) == 3, lines
     for line in lines:
-        assert line.startswith("IncprocError cannot build the event kernel with `cc -O2 ")
+        assert line.startswith("IncprocError cannot build the compiled kernels with `cc -O2 ")
     # the command line: exit status 1, one error line, no traceback
     cfg = tmp_path / "simulate.json"
     cfg.write_text(json.dumps({
@@ -122,5 +123,5 @@ for run in (lambda: simulate(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1), (10
                          env=env, capture_output=True, text=True)
     assert res.returncode == 1
     lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: cannot build the event kernel")
+    assert len(lines) == 1 and lines[0].startswith("error: cannot build the compiled kernels")
     assert not (tmp_path / "cache" / "incproc").exists() or builds(tmp_path / "cache") == []

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ class TestWalkSpec:
     def test_rejects_non_irreducible(self):
         with pytest.raises(NonIrreducibleWalk):
             WalkSpec.from_matrix([[0.0, 1.0], [0.0, 0.0]])
+
+    def test_nan_residual_is_refused(self):
+        # subnormal rates: the measure solves to [inf, -inf, -0.5], whose
+        # residual is nan; the walk used to pass, and the exact solves picked
+        # their pin from that measure
+        walk = WalkSpec.from_matrix([[0, 5e-324, 0], [5e-324, 0, 5e-324], [5e-324, 2, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonIrreducibleWalk, match="residual nan"):
+                analyze_walk(walk)
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rejects_non_finite_rates(self, rate):
