@@ -267,7 +267,8 @@ typedef void dlaswp_fn(int *, double *, int *, int *, int *, int *, int *);
    pushes. lu receives, per block, the LU of F11 (unit L below the
    diagonal, U on and above it), U12 and L21: s (s + 2 b) entries. work has
    room for room entries; ids room for the block ids of the stack; where
-   for n entries, all -1 on entry and left so; loc for the largest boundary.
+   for n entries, all -1 on entry and left so on success; loc for the
+   largest boundary.
 
    A zero pivot is left to give an inf or nan factor. Returns 0; -1 if an
    entry of A, or a child's boundary, falls outside the block's front; -2 if

@@ -105,10 +105,10 @@ def reference_trace_rates(spec, params, a_set):
     return loop_trace_rates(spec, params, enum, a_set, h)
 
 
-def close(new, ref, what):
+def close(new, ref, what, tol=AGREE):
     new, ref = np.asarray(new), np.asarray(ref)
     err = np.abs(new - ref).max() / max(np.abs(ref).max(), 1e-300)
-    assert err <= AGREE, f"{what}: relative deviation {err:.2e}"
+    assert err <= tol, f"{what}: relative deviation {err:.2e}"
 
 
 KAPPA4 = WalkSpec.from_matrix([[0.0, 1.2, 0.3, 0.7],
@@ -237,14 +237,40 @@ def one_way_walk(seed: int) -> tuple[WalkSpec, ProcessParams]:
     return WalkSpec.from_matrix(rates), params
 
 
+def condition(a):
+    """The 1-norm condition number of the sparse matrix ``a``, its inverse's
+    norm estimated by ``onenormest`` through a SuperLU factor."""
+    lu = spla.splu(sp.csc_matrix(a))
+    inverse = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float,
+                                  rmatvec=lambda x: lu.solve(x, trans="T"))
+    return spla.norm(a, 1) * spla.onenormest(inverse)
+
+
 def agree_with_superlu(spec, params, a_set):
     """The stationary law, the hitting matrix and the trace rates agree with
-    SuperLU factoring the same interior systems in the same order."""
-    new = solve_all(spec, params, a_set)
+    SuperLU factoring the same interior systems in the same order: within
+    AGREE, or within cond(A) * eps where the condition number of the system
+    A they were solved from puts that above AGREE. Two backward-stable
+    solves of A may differ by about that much: on one of 600 random walks,
+    with cond(A) = 2.9e8, SuperLU in two orders agreed to 1e-21 and missed
+    the exact solution by 1.1e-9, where the multifrontal factor missed it by
+    9.3e-11."""
+    cond = {}
+    solve = exact._solve_refined
+
+    def measured(a, b, tree):
+        # the stationary solve has one right-hand side, the hitting solves one a target
+        cond[b.ndim] = condition(a)
+        return solve(a, b, tree)
+
+    with mock.patch.object(exact, "_solve_refined", measured):
+        new = solve_all(spec, params, a_set)
     with mock.patch.object(exact, "_solve_refined", superlu_refined):
         ref = solve_all(spec, params, a_set)
-    for what, got, want in zip(("stationary law", "hitting matrix", "trace rates"), new, ref):
-        close(got, want, what)
+    tol = {b_ndim: max(AGREE, c * np.finfo(float).eps) for b_ndim, c in cond.items()}
+    for what, got, want, b_ndim in zip(("stationary law", "hitting matrix", "trace rates"),
+                                       new, ref, (1, 2, 2)):
+        close(got, want, what, tol.get(b_ndim, AGREE))
 
 
 class TestAgainstSuperLU:
