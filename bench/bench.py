@@ -7,6 +7,9 @@
         kernel.stretch_L64 kernel.channels kernel.hitting --seeds 4101
     python bench/bench.py --label L --checkout DIR --workloads exact.kappa4_N20 \
         exact.kappa4_N35 exact.kappa4_N50 exact.cycle5_N20 exact.torus8 --seeds 4101
+    python bench/bench.py --label L --checkout DIR --workloads states.enumerate_k5_N30 \
+        states.build_generator_k5_N30 states.build_rate_matrix_k4_N35 \
+        exact.nested_dissection_k4_N35 --seeds 4101
 
 For each of ``--runs`` passes, each workload and each seed, this runs the
 benchmark command of ``DIR/BENCHMARK.json`` (``perfbench/run.py``) in DIR,
@@ -51,6 +54,16 @@ way: the sparse LU factor of ``stationary_exact`` on the 4-site walk of the
 (``lu_nnz``) and predicted (``predicted_nnz``), the median CPU seconds of
 the factor (``factor_cpu_s``) and the probe's peak RSS (``maxrss_mb``).
 
+The ``states.*`` rows and ``exact.nested_dissection_k4_N35`` time one call
+each of the state-space layer and of the order, run the same way: the
+enumeration of 5 sites and N = 30 (``states.enumerate_k5_N30``),
+``build_generator`` on the ``analysis`` walk at the seed
+(``states.build_generator_k5_N30``), ``build_rate_matrix`` on the
+``exact_lu`` walk at the seed with N = 35 (``states.build_rate_matrix_k4_N35``)
+and ``_nested_dissection`` of the stationary interior of that walk. A row
+holds the median CPU seconds of 9 calls (``cpu_s``), the states, the
+entries made and the probe's peak RSS (``maxrss_mb``).
+
 Standard library only. Exits 1 if a run printed no metrics line; its row
 then has ``fail_rate`` 1.0 and the tail of its standard error.
 """
@@ -76,7 +89,11 @@ KERNEL_ROWS = {"kernel.long_path": ("path", 0, 5),
                "kernel.channels": ("channels", 0, 5), "kernel.hitting": ("hitting", 0, 5),
                # the exact rows: case ARG of kernel_probe.EXACT_CASES
                **{f"exact.{name}": ("exact", case, 3) for case, name in enumerate(
-                   ("kappa4_N20", "kappa4_N35", "kappa4_N50", "cycle5_N20", "torus8"))}}
+                   ("kappa4_N20", "kappa4_N35", "kappa4_N50", "cycle5_N20", "torus8"))},
+               # the state-space and order rows: case ARG of kernel_probe.LAYER_CASES
+               **{name: ("layer", case, 9) for case, name in enumerate(
+                   ("states.enumerate_k5_N30", "states.build_generator_k5_N30",
+                    "states.build_rate_matrix_k4_N35", "exact.nested_dissection_k4_N35"))}}
 
 # run as ``python kernel_probe.py kind arg seed repeats`` in the checkout
 PROBE = Path(__file__).with_name("kernel_probe.py")

@@ -1,7 +1,7 @@
 """One kernel layer probe of ``bench.py``, run in a checkout against its ``src``.
 
     cd CHECKOUT && python PATH/TO/bench/kernel_probe.py \
-        path|trace_path|trace_fixed|stretch|channels|hitting|exact ARG SEED REPEATS
+        path|trace_path|trace_fixed|stretch|channels|hitting|exact|layer ARG SEED REPEATS
 
 ``path`` times the ``simulate_cycle`` operation of the checkout's
 ``long_path`` workload at SEED (ARG unused), and ``trace_path`` the
@@ -45,6 +45,18 @@ the consistency check) and the entries predicted before the factor, the
 median factor CPU seconds (``factor_cpu_s``) and the process's peak RSS
 (``maxrss_mb``, ``ru_maxrss``). BLAS runs on one thread, as perfbench
 runs it.
+
+``layer`` times one call of the state-space layer or of the order on case
+ARG of ``LAYER_CASES``: the enumeration of the states of 5 sites and N = 30
+(``enumerate_states(5, 30).counts_matrix()``, a new enumeration each
+repeat); ``build_generator`` of the checkout's ``analysis`` workload at
+SEED (5 sites, N = 30); ``build_rate_matrix`` of the 4-site walk of its
+``exact_lu`` workload at SEED with N = 35 and d_N = 1e-4; and
+``_nested_dissection`` of the interior of ``stationary_exact`` on that
+walk, every state but the pinned one. It prints the median CPU seconds of
+the repeats (``cpu_s``), the states, the entries made (``entries``: the
+counts of the enumeration, the matrix's stored entries, or the entries the
+order's factor stores) and the process's peak RSS (``maxrss_mb``).
 """
 
 import json
@@ -72,6 +84,8 @@ TRACE_CALLS = 2000
 # the walks and N of the exact rows; "kappa4" is the exact_lu workload's walk
 EXACT_CASES = (("kappa4", 20), ("kappa4", 35), ("kappa4", 50), ("cycle5", 20),
                ("torus8", 8))
+# the calls of the layer rows
+LAYER_CASES = ("enumerate", "build_generator", "build_rate_matrix", "nested_dissection")
 
 
 class Direct:
@@ -157,6 +171,34 @@ elif kind == "exact":
             mu = ip.stationary_exact(walk, params)
         spans.append(stages["factor_s"])
         counts.append(mu.solver.lu_nnz)
+elif kind == "layer":
+    import resource
+
+    import numpy as np
+    import workloads
+
+    exact = sys.modules["incproc.exact"]
+    case = LAYER_CASES[arg]
+    if case == "build_generator":
+        work = workloads.make("analysis", seed)
+        walk, params = work.walk, work.params
+    elif case == "enumerate":
+        walk, params = ip.WalkSpec.cycle(5, 0.7), ip.ProcessParams(30, 1e-3)
+    else:
+        walk, params = workloads.make("exact_lu", seed).walk, ip.ProcessParams(35, 1e-4)
+    enum = ip.enumerate_states(walk.kappa, params.n)
+    pin = enum.xi_index(int(np.argmax(ip.analyze_walk(walk).m)))
+    interior = enum.counts_matrix()[np.arange(enum.size) != pin]
+    for _ in range(repeats):
+        start = clock()
+        if case == "enumerate":
+            entries = ip.enumerate_states(walk.kappa, params.n).counts_matrix().size
+        elif case == "nested_dissection":
+            entries = exact._nested_dissection(interior).stored
+        else:
+            entries = getattr(ip, case)(walk, params, enum).nnz
+        spans.append(clock() - start)
+        counts.append(entries)
 elif kind == "channels":
     thermo = sys.modules["incproc.thermo"]
     tally = [0]
@@ -218,6 +260,9 @@ if kind == "hitting":
 elif kind == "exact":
     print(json.dumps({"states": mu.enum.size, "lu_nnz": counts[0],
                       "predicted_nnz": mu.solver.predicted_nnz, "factor_cpu_s": cpu,
+                      "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+elif kind == "layer":
+    print(json.dumps({"cpu_s": cpu, "states": enum.size, "entries": counts[0],
                       "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 elif kind == "trace_fixed":
     print(json.dumps({"us_per_call": cpu / counts[0] * 1e6, "calls": counts[0], "cpu_s": cpu,

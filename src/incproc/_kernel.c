@@ -2,12 +2,16 @@
    (Gillespie) kernel, incproc_slice, which keeps a run's clock and its stop
    rules; the channel steps of the condensate runs' two-site excursions,
    incproc_channels; the replay of a stored path onto the metastable
-   states of a site set, incproc_trace; and the multifrontal LU factor of
-   the exact solves and its solve, incproc_lu_factor and incproc_lu_solve.
+   states of a site set, incproc_trace; the state space of the exact
+   analysis, its states in rank order, their ranks, the ranks of moved
+   states and the rate matrix or generator in CSR form, incproc_counts,
+   incproc_rank_many, incproc_move_ranks and incproc_assemble; and the
+   multifrontal LU factor of the exact solves and its solve,
+   incproc_lu_factor and incproc_lu_solve.
 
    incproc._native compiles this file once per source hash with
    cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
-   weight rounds as the scalar definition does) and calls the five
+   weight rounds as the scalar definition does) and calls the nine
    functions through ctypes. The LU functions call scipy's BLAS and LAPACK
    through function pointers they are handed, so nothing is linked.
 
@@ -228,6 +232,226 @@ int64_t incproc_trace(const double *times, const int32_t *move_from, const int32
     clocks[0] = trace;
     clocks[1] = off;
     return m;
+}
+
+/* The configuration space of N = n particles on kappa >= 2 sites: its
+   states in rank order, their ranks, the ranks of moved states, and the
+   jump-rate matrix or generator over it in CSR form.
+
+   States are ordered lexicographically with larger counts first, so rank 0
+   is (N, 0, ..., 0). cum is the (N + 1) x kappa table, row-major, of
+   cum[m][k] = C(m + k, k), the number of compositions of totals 0 .. m into
+   k parts. With P_{j+1} the count prefix sum through site j,
+   rank(eta) = sum_{j < kappa - 1} F_j(P_{j+1}), where
+   F_j(P) = cum[N - P - 1][kappa - 1 - j] for P < N and 0 from N on. The
+   states' counts are rows of kappa int32, the rows incproc_rank_many ranks
+   of kappa int64. */
+
+static int64_t rank_term(const int64_t *cum, int64_t kappa, int64_t n, int64_t j, int64_t p)
+{
+    return p < n ? cum[(n - p - 1) * kappa + kappa - 1 - j] : 0;
+}
+
+/* The prefix steps of the state c: steps[k] sums, over j < k, the change of
+   F_j when P_{j+1} drops by one, and steps[kappa + k] its change when
+   P_{j+1} rises by one. A move from x to y lowers P_{j+1} by one for
+   x <= j < y and raises it for y <= j < x, so it moves the rank by
+   steps[y] - steps[x] when x < y, and by steps[kappa + x] - steps[kappa + y]
+   when y < x (move_shift). */
+static void prefix_steps(const int32_t *c, int64_t kappa, int64_t n, const int64_t *cum,
+                         int64_t *steps)
+{
+    int64_t p = 0;
+    steps[0] = steps[kappa] = 0;
+    for (int64_t j = 0; j < kappa - 1; j++) {
+        p += c[j];
+        int64_t here = rank_term(cum, kappa, n, j, p);
+        steps[j + 1] = steps[j] + rank_term(cum, kappa, n, j, p - 1) - here;
+        steps[kappa + j + 1] = steps[kappa + j] + rank_term(cum, kappa, n, j, p + 1) - here;
+    }
+}
+
+static int64_t move_shift(const int64_t *steps, int64_t kappa, int64_t x, int64_t y)
+{
+    return x < y ? steps[y] - steps[x] : steps[kappa + x] - steps[kappa + y];
+}
+
+/* The size states in rank order, one row of out each. The state after eta
+   takes one particle off the last site j < kappa - 1 that holds one and
+   puts it, with all of the last site's, on site j + 1. */
+void incproc_counts(int64_t kappa, int64_t n, int64_t size, int32_t *out)
+{
+    memset(out, 0, (size_t)kappa * sizeof *out);
+    out[0] = (int32_t)n;
+    for (int64_t i = 1; i < size; i++) {
+        int32_t *row = out + i * kappa;
+        memcpy(row, row - kappa, (size_t)kappa * sizeof *row);
+        int64_t j = kappa - 2;
+        while (row[j] == 0)
+            j--;
+        int32_t tail = row[kappa - 1];
+        row[j]--;
+        row[kappa - 1] = 0;
+        row[j + 1] = tail + 1;
+    }
+}
+
+/* The ranks of the m rows of kappa counts in counts. Returns m; or, at the
+   first row that is not a state of N particles (a negative count, or
+   counts that do not sum to N), the number of rows before it. */
+int64_t incproc_rank_many(int64_t kappa, int64_t n, const int64_t *cum, const int64_t *counts,
+                          int64_t m, int64_t *ranks)
+{
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t *c = counts + i * kappa;
+        int64_t r = 0, rest = n;
+        for (int64_t j = 0; j < kappa - 1; j++) {
+            if (c[j] < 0 || c[j] > rest)
+                return i;
+            rest -= c[j];
+            if (rest > 0)
+                r += cum[(rest - 1) * kappa + kappa - 1 - j];
+        }
+        if (c[kappa - 1] != rest)
+            return i;
+        ranks[i] = r;
+    }
+    return m;
+}
+
+/* The ranks of the states index[0 .. m - 1] (of the size rows of counts)
+   with one particle moved from xs[k] to ys[k], into out[k * m + i]: the
+   state's rank plus its move_shift, whether or not the state holds a
+   particle at xs[k] (callers mask those entries out). steps has room for
+   2 kappa. Returns 0; -1 if a site is outside 0 .. kappa - 1; or -2 if an
+   index is outside 0 .. size - 1. */
+int64_t incproc_move_ranks(int64_t kappa, int64_t n, const int64_t *cum, const int32_t *counts,
+                           int64_t size, const int64_t *index, int64_t m, const int64_t *xs,
+                           const int64_t *ys, int64_t nmoves, int64_t *steps, int64_t *out)
+{
+    for (int64_t k = 0; k < nmoves; k++)
+        if (xs[k] < 0 || xs[k] >= kappa || ys[k] < 0 || ys[k] >= kappa)
+            return -1;
+    for (int64_t i = 0; i < m; i++)
+        if (index[i] < 0 || index[i] >= size)
+            return -2;
+    for (int64_t i = 0; i < m; i++) {
+        prefix_steps(counts + index[i] * kappa, kappa, n, cum, steps);
+        for (int64_t k = 0; k < nmoves; k++)
+            out[k * m + i] = index[i] + move_shift(steps, kappa, xs[k], ys[k]);
+    }
+    return 0;
+}
+
+/* numpy's pairwise sum of a[0 .. len - 1] (its DOUBLE_pairwise_sum): a
+   running sum from 0.0 below 8 terms; up to 128, eight running sums over
+   the largest multiple of 8 terms, added as ((0 + 1) + (2 + 3)) + ((4 + 5)
+   + (6 + 7)), then the rest one at a time; beyond, the sum of the halves,
+   split at a multiple of 8. */
+static double pairwise_sum(const double *a, int64_t len)
+{
+    if (len < 8) {
+        double s = 0.0;
+        for (int64_t i = 0; i < len; i++)
+            s += a[i];
+        return s;
+    }
+    if (len <= 128) {
+        double r[8];
+        int64_t i;
+        for (int64_t j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < len - len % 8; i += 8)
+            for (int64_t j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < len; i++)
+            s += a[i];
+        return s;
+    }
+    int64_t half = len / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, len - half);
+}
+
+/* The moves of the state c of rank i, with prefix steps steps, into row
+   and cols: the moves xs[k] -> ys[k] out of the sites c occupies, in
+   order, each of weight c_x (d + c_y) rate[k] at the moved state's rank.
+   The first before moves have y < x. Returns the moves written, and those
+   of the first before in *below. Each move is written and then kept or
+   not, with no branch on the counts. */
+static int64_t row_moves(const int32_t *c, int64_t kappa, const int64_t *steps, int64_t i,
+                         const int64_t *xs, const int64_t *ys, const double *rate,
+                         int64_t nmoves, int64_t before, double d, double *row, int32_t *cols,
+                         int64_t *below)
+{
+    int64_t len = 0, k = 0;
+    for (; k < before; k++) {
+        int64_t x = xs[k], y = ys[k];
+        row[len] = (double)c[x] * (d + (double)c[y]) * rate[k];
+        cols[len] = (int32_t)(i + steps[kappa + x] - steps[kappa + y]);
+        len += c[x] != 0;
+    }
+    *below = len;
+    for (; k < nmoves; k++) {
+        int64_t x = xs[k], y = ys[k];
+        row[len] = (double)c[x] * (d + (double)c[y]) * rate[k];
+        cols[len] = (int32_t)(i + steps[y] - steps[x]);
+        len += c[x] != 0;
+    }
+    return len;
+}
+
+/* The jump-rate matrix (generator 0) or the generator (generator 1) of the
+   walk with the nmoves moves xs[k] -> ys[k] of rate rate[k] over the size
+   states in rank order, in CSR form: indptr, indices and data, which have
+   room for every row's moves, and for the generator one diagonal entry a
+   row more. Returns the entries written.
+
+   The moves come in the column order of every row, the first before of
+   them, those with y < x, below the diagonal. A state's row lists the
+   moves of row_moves. The generator puts the holding rate, negated, after
+   the row's moves with y < x and leaves out the entries that are exactly
+   zero, the holding rate too. The holding rate is scipy's row sum of the
+   rate row, np.add.reduceat: its first weight plus the pairwise sum of the
+   others. row and cols have room for nmoves, steps for 2 kappa. */
+int64_t incproc_assemble(int64_t kappa, int64_t n, const int64_t *cum, const int32_t *counts,
+                         int64_t size, const int64_t *xs, const int64_t *ys, const double *rate,
+                         int64_t nmoves, int64_t before, double d, int generator,
+                         int32_t *indptr, int32_t *indices, double *data, double *row,
+                         int32_t *cols, int64_t *steps)
+{
+    int64_t nnz = 0, below;
+    indptr[0] = 0;
+    for (int64_t i = 0; i < size; i++) {
+        const int32_t *c = counts + i * kappa;
+        prefix_steps(c, kappa, n, cum, steps);
+        int64_t len = row_moves(c, kappa, steps, i, xs, ys, rate, nmoves, before, d, row,
+                                cols, &below);
+        int32_t *ind = indices + nnz;
+        double *val = data + nnz;
+        if (!generator) {
+            memcpy(ind, cols, (size_t)len * sizeof *ind);
+            memcpy(val, row, (size_t)len * sizeof *val);
+            nnz += len;
+        } else {
+            double holding = len ? row[0] + pairwise_sum(row + 1, len - 1) : 0.0;
+            int64_t out = 0;
+            for (int64_t k = 0; k <= len; k++) {
+                if (k == below && holding != 0.0) {
+                    ind[out] = (int32_t)i;
+                    val[out++] = -holding;
+                }
+                if (k < len && row[k] != 0.0) {
+                    ind[out] = cols[k];
+                    val[out++] = row[k];
+                }
+            }
+            nnz += out;
+        }
+        indptr[i + 1] = (int32_t)nnz;
+    }
+    return nnz;
 }
 
 /* The multifrontal LU factor of a sparse n x n matrix A and its solve, on

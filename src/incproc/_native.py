@@ -29,9 +29,11 @@ def _address(a: np.ndarray) -> int:
 
 def _compiled():
     """The library built from ``_kernel.c``, built and loaded on first use,
-    with the argument types of its five functions, ``incproc_slice``,
-    ``incproc_channels``, ``incproc_trace``, ``incproc_lu_factor`` and
-    ``incproc_lu_solve``, set.
+    with the argument types of its nine functions set: the event loop
+    ``incproc_slice``, the channel steps ``incproc_channels``, the path
+    replay ``incproc_trace``, the state-space layer ``incproc_counts``,
+    ``incproc_rank_many``, ``incproc_move_ranks`` and ``incproc_assemble``,
+    and the LU ``incproc_lu_factor`` and ``incproc_lu_solve``.
 
     The build is cached in ``$XDG_CACHE_HOME/incproc``, else
     ``~/.cache/incproc``, under a hash of the source and the command. It is
@@ -92,9 +94,17 @@ def _compiled():
                                               ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
         library.incproc_lu_solve.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr,
                                              ptr]
-        library.incproc_slice.restype = library.incproc_channels.restype = i64
-        library.incproc_trace.restype = library.incproc_lu_factor.restype = i64
-        library.incproc_lu_solve.restype = None
+        library.incproc_counts.argtypes = [i64, i64, i64, ptr]
+        library.incproc_rank_many.argtypes = [i64, i64, ptr, ptr, i64, ptr]
+        library.incproc_move_ranks.argtypes = [i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, i64,
+                                               ptr, ptr]
+        library.incproc_assemble.argtypes = [i64, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, i64,
+                                             real, flag, ptr, ptr, ptr, ptr, ptr, ptr]
+        for function in (library.incproc_slice, library.incproc_channels, library.incproc_trace,
+                         library.incproc_rank_many, library.incproc_move_ranks,
+                         library.incproc_assemble, library.incproc_lu_factor):
+            function.restype = i64
+        library.incproc_counts.restype = library.incproc_lu_solve.restype = None
         _library = library
     return _library
 

@@ -11,8 +11,8 @@ class NonIrreducibleWalk(IncprocError):
 
 class StateSpaceTooLarge(IncprocError):
     """The configuration space exceeds the enumeration cap, or its LU
-    factors the memory budget; ``cap`` is None then, and ``reason`` says
-    why."""
+    factor the memory budget or its rate matrix 32-bit indices; ``cap`` is
+    None then, and ``reason`` says why."""
 
     def __init__(self, size: int, cap: int | None = None, reason: str | None = None):
         self.size = size

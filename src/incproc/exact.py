@@ -39,7 +39,8 @@ from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
 from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, dense_stationary,
                     integer, log_weight_table, site_set)
 from .regions import RegionSpec, supported_on
-from .states import Distribution, SolverReport, StateEnumeration, b_set_masses
+from .states import (Distribution, SolverReport, StateEnumeration, b_set_masses,
+                     space_size)
 
 STATIONARY_TOL = 1e-10
 HITTING_TOL = 1e-12
@@ -92,49 +93,62 @@ def _column_key(move: tuple[int, int]) -> tuple[int, int, int]:
 
 def _assemble(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
               generator: bool) -> sp.csr_matrix:
-    """The jump-rate matrix, or the generator, assembled straight into CSR.
+    """The jump-rate matrix, or the generator, written straight into CSR in
+    one pass over the states in rank order, by ``incproc_assemble`` of
+    ``_kernel.c``.
 
     Every row lists the positive-rate moves in one fixed order (see
     :func:`_column_key`), which is the sorted column order in every row; a
-    move exists where its source site is occupied. The generator inserts the
-    holding rate, scipy's ``sum(axis=1)`` of the rate row, at the diagonal's
-    fixed slot and keeps the nonzero entries only, like the sparse difference
-    ``rates - diag(holding)`` it replaces.
+    move exists where its source site is occupied, and its column is the
+    moved state's rank (:meth:`StateEnumeration.move_ranks`). The generator
+    puts the holding rate, scipy's ``sum(axis=1)`` of the rate row, at the
+    diagonal's fixed slot and keeps the nonzero entries only, like the
+    sparse difference ``rates - diag(holding)``.
+
+    A move out of site x exists in the ``space_size(kappa, N - 1)`` states
+    that occupy x, so the arrays are sized exactly; only a generator with
+    rates that round to zero keeps fewer entries, and is cut to them. The
+    index arrays are int32, as scipy keeps them at these sizes;
+    ``StateSpaceTooLarge`` refuses a matrix of more entries than that.
     """
     n = enum.size
-    counts = enum.counts_matrix().T
     moves = sorted(((x, y) for x in range(spec.kappa) for y in range(spec.kappa)
                     if x != y and spec.rates[x, y] != 0.0), key=_column_key)
-    xs, ys = np.array(moves, dtype=np.intp).T
-    # the (move, state) arrays are read state by state through their transposes
-    src = counts[xs]
-    keep = (src >= 1).T
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    rates = sp.csr_matrix(
-        ((src * (params.d + counts[ys]) * spec.rates[xs, ys, None]).T[keep],
-         enum.move_ranks(np.arange(n), xs, ys).T[keep], indptr), shape=(n, n))
-    if not generator:
-        return rates
-    holding = np.asarray(rates.sum(axis=1)).ravel()
-    # the diagonal follows the row's kept moves with y < x
-    pos = indptr[:-1] + keep[:, ys < xs].sum(axis=1)
-    q = sp.csr_matrix((np.insert(rates.data, pos, -holding),
-                       np.insert(rates.indices, pos, np.arange(n)),
-                       indptr + np.arange(n + 1)), shape=(n, n))
-    q.eliminate_zeros()
-    return q
+    xs, ys = np.array(moves, dtype=np.int64).reshape(-1, 2).T.copy()
+    room = xs.size * space_size(spec.kappa, params.n - 1) + (n if generator else 0)
+    if room > np.iinfo(np.int32).max:
+        raise StateSpaceTooLarge(n, reason=f"its rate matrix has {room:,} entries, more "
+                                 "than 32-bit indices can count")
+    # every array the call reads or writes is held by a name until it returns
+    rates, counts = spec.rates[xs, ys], enum.counts_matrix()
+    indptr, indices, data = (np.empty(size, dtype=dtype) for size, dtype in
+                             ((n + 1, np.int32), (room, np.int32), (room, float)))
+    row, cols = np.empty(xs.size), np.empty(xs.size, dtype=np.int32)
+    steps = np.empty(2 * spec.kappa, dtype=np.int64)
+    nnz = _compiled().incproc_assemble(
+        spec.kappa, params.n, _address(enum._cum), _address(counts), n, _address(xs),
+        _address(ys), _address(rates), xs.size, int((ys < xs).sum()), params.d, generator,
+        *map(_address, (indptr, indices, data, row, cols, steps)))
+    if nnz < room:
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def build_rate_matrix(spec: WalkSpec, params: ProcessParams,
                       enum: StateEnumeration) -> sp.csr_matrix:
-    """Sparse jump-rate matrix over the enumeration (zero diagonal)."""
+    """Sparse jump-rate matrix over the enumeration (zero diagonal), with a
+    stored entry, zero or not, for every move out of an occupied site;
+    written by the compiled ``incproc_assemble`` (see :func:`_assemble`)."""
     return _assemble(spec, params, enum, generator=False)
 
 
 def build_generator(spec: WalkSpec, params: ProcessParams,
                     enum: StateEnumeration) -> sp.csr_matrix:
-    """Sparse generator: the jump rates minus the holding rates on the diagonal."""
+    """Sparse generator: the jump rates minus the holding rates on the
+    diagonal, with no stored zeros. The holding rate rounds as scipy's
+    ``build_rate_matrix(...).sum(axis=1)`` does; the compiled
+    ``incproc_assemble`` writes the CSR arrays in one pass (see
+    :func:`_assemble`)."""
     return _assemble(spec, params, enum, generator=True)
 
 

@@ -303,9 +303,9 @@ def trace_project(traj: Trajectory, a_set, theta: float) -> TracePath:
     kappa = len(traj.initial)
     a_set = site_set(a_set, kappa)
     real(theta, "theta", above=0)
-    counts = np.array(traj.initial, dtype=np.int64)
+    counts = np.fromiter(traj.initial, np.int64, kappa)
     in_a = np.zeros(kappa, dtype=np.uint8)
-    in_a[list(a_set)] = 1
+    in_a[np.fromiter(a_set, np.intp, len(a_set))] = 1
     # no copy of a path as simulate stores it
     times = np.ascontiguousarray(traj.times, dtype=np.float64)
     src, dst = (np.ascontiguousarray(m, dtype=np.int32) for m in (traj.move_from, traj.move_to))

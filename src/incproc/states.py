@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._native import _address, _compiled
 from .errors import DimensionMismatch, OutOfRange, StateSpaceTooLarge
 from .model import _add_in_order, check_site, csv_line, integer, state_counts
 
@@ -25,7 +26,10 @@ class StateEnumeration:
     """Ranked enumeration of all count vectors summing to N.
 
     States are ordered lexicographically with larger counts first, so rank 0
-    is ``(N, 0, ..., 0)`` and the last rank is ``(0, ..., 0, N)``.
+    is ``(N, 0, ..., 0)`` and the last rank is ``(0, ..., 0, N)``. The
+    states in rank order, the ranks and the moved ranks are computed by the
+    compiled state-space functions of ``_kernel.c``, which are built on the
+    first call that needs them (:func:`incproc._native._compiled`).
     """
 
     def __init__(self, kappa: int, n: int):
@@ -36,35 +40,20 @@ class StateEnumeration:
         self.n = n
         self.size = size
         # cum[m, k] = number of compositions of totals 0..m into k parts
-        #           = sum_{u=0}^{m} C(u+k-1, k-1) = C(m+k, k)
-        self._cum = np.zeros((n + 1, kappa), dtype=np.int64)
-        for m in range(n + 1):
-            for k in range(1, kappa):
-                self._cum[m, k] = comb(m + k, k)
+        #           = sum_{u=0}^{m} C(u+k-1, k-1) = C(m+k, k): each column is
+        #           the running sum of the one before, and as C(m+k, k) is
+        #           symmetric in m and k, so is each row; the recurrence
+        #           runs along the longer side
+        self._cum = np.ones((n + 1, kappa), dtype=np.int64)
+        table = self._cum if n + 1 >= kappa else self._cum.T
+        for k in range(1, table.shape[1]):
+            np.cumsum(table[:, k - 1], out=table[:, k])
         self._counts_matrix: np.ndarray | None = None
 
     def rank(self, eta: Sequence[int]) -> int:
         if hasattr(eta, "__len__") and len(eta) != self.kappa:
             raise DimensionMismatch(f"state has {len(eta)} sites, expected {self.kappa}")
         return int(self.rank_many(np.array([state_counts(eta, self.kappa, self.n)]))[0])
-
-    def _unrank_many(self, ranks: np.ndarray) -> np.ndarray:
-        """Count vectors of valid ranks as a (len(ranks), kappa) int64 matrix."""
-        r = np.array(ranks, dtype=np.int64)
-        out = np.empty((r.size, self.kappa), dtype=np.int64)
-        remaining = np.full(r.size, self.n, dtype=np.int64)
-        for j in range(self.kappa - 1):
-            parts_after = self.kappa - 1 - j
-            # the block of states with count remaining - u at position j
-            # starts at offset cum[u - 1, parts_after] (0 for u = 0), and the
-            # offsets grow with u; u counts the block starts at or below r
-            col = self._cum[:, parts_after]
-            u = np.searchsorted(col, r, side="right")
-            out[:, j] = remaining - u
-            r -= np.where(u > 0, col[u - 1], 0)
-            remaining = u
-        out[:, -1] = remaining
-        return out
 
     def xi_index(self, x: int) -> int:
         """Rank of the configuration with all particles at site x."""
@@ -73,68 +62,72 @@ class StateEnumeration:
         return self.rank(eta)
 
     def counts_matrix(self) -> np.ndarray:
-        """All states as a (size, kappa) int32 matrix, in rank order."""
+        """All states as a read-only (size, kappa) int32 matrix, in rank
+        order, made once by the compiled successor loop ``incproc_counts``."""
         if self._counts_matrix is None:
-            mat = self._unrank_many(np.arange(self.size)).astype(np.int32)
+            mat = np.empty((self.size, self.kappa), dtype=np.int32)
+            _compiled().incproc_counts(self.kappa, self.n, self.size, _address(mat))
             mat.setflags(write=False)
             self._counts_matrix = mat
         return self._counts_matrix
 
     def rank_many(self, counts: np.ndarray) -> np.ndarray:
-        """Vectorized rank of a (m, kappa) array of valid configurations."""
-        counts = np.asarray(counts, dtype=np.int64)
-        m = counts.shape[0]
-        r = np.zeros(m, dtype=np.int64)
-        remaining = np.full(m, self.n, dtype=np.int64)
-        for j in range(self.kappa - 1):
-            parts_after = self.kappa - 1 - j
-            v = counts[:, j]
-            gap = remaining - v - 1
-            mask = gap >= 0
-            if mask.any():
-                r[mask] += self._cum[gap[mask], parts_after]
-            remaining -= v
-        return r
+        """Ranks of the rows of an (m, kappa) integer array of states, as an
+        int64 array, by ``incproc_rank_many``.
+
+        Raises ``DimensionMismatch`` unless ``counts`` has two dimensions and
+        kappa columns, and ``OutOfRange`` if it is not of integers or a row
+        is not a state: a negative count, or counts that do not sum to N.
+        """
+        counts = np.asarray(counts)
+        if counts.ndim != 2 or counts.shape[1] != self.kappa:
+            raise DimensionMismatch(f"states of shape {counts.shape}, expected rows of "
+                                    f"{self.kappa} sites")
+        counts = _integers(counts, "state counts")
+        ranks = np.empty(counts.shape[0], dtype=np.int64)
+        done = _compiled().incproc_rank_many(self.kappa, self.n, _address(self._cum),
+                                             _address(counts), ranks.size, _address(ranks))
+        if done < ranks.size:
+            raise OutOfRange(f"row {done}, {counts[done].tolist()}, is not a state of "
+                             f"N = {self.n} particles: counts must be >= 0 and sum to N")
+        return ranks
 
     def move_ranks(self, index: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Ranks of the states ``index`` (valid ranks) with one particle moved
-        from site ``xs[m]`` to site ``ys[m]``, as a (len(xs), len(index)) int64
-        matrix, one row per move.
+        """Ranks of the states ``index`` with one particle moved from site
+        ``xs[m]`` to site ``ys[m]``, as a (len(xs), len(index)) int64 matrix,
+        one row per move, by ``incproc_move_ranks``.
 
         Entry (m, i) is valid where state ``index[i]`` holds a particle at
         ``xs[m]``; elsewhere it is meaningless, and callers mask it out.
+        Raises ``DimensionMismatch`` unless the three are 1-D and ``xs`` and
+        ``ys`` of one length, and ``OutOfRange`` unless they are integers,
+        ``index`` in ``[0, size)`` and the sites in ``0..kappa-1``.
 
-        With ``P_{j+1}`` the count prefix sum through site j, the loop of
-        :meth:`rank` is ``rank(eta) = sum_{j < kappa-1} F_j(P_{j+1})`` with
+        With ``P_{j+1}`` the count prefix sum through site j, the rank of
+        ``eta`` is ``sum_{j < kappa-1} F_j(P_{j+1})`` with
         ``F_j(P) = cum[N - P - 1, kappa - 1 - j]`` for ``P < N`` and 0 beyond.
         A move from x to y lowers ``P_{j+1}`` by one for ``x <= j < y``, raises
         it by one for ``y <= j < x`` and keeps it elsewhere, so the moved rank
         is the rank plus a difference of two entries of a per-state prefix sum
-        over j of ``F_j(P_{j+1} -+ 1) - F_j(P_{j+1})``.
+        over j of ``F_j(P_{j+1} -+ 1) - F_j(P_{j+1})``; each state's prefix row
+        is made once for all the moves.
         """
-        index = np.asarray(index, dtype=np.int64)
-        xs = np.asarray(xs, dtype=np.intp)
-        ys = np.asarray(ys, dtype=np.intp)
-        kappa, n = self.kappa, self.n
-        counts = self.counts_matrix()[index]
-        # f[j, P + 1] = F_j(P) for P = -1 .. N + 1
-        f = np.zeros((kappa - 1, n + 3), dtype=np.int64)
-        f[:, :n + 1] = self._cum[::-1, :0:-1].T
-        # steps[k] sums the change of F_j over j < k when P_{j+1} drops by
-        # one, steps[kappa + k] when it rises by one
-        steps = np.zeros((2 * kappa, index.size), dtype=np.int64)
-        p = np.ones(index.size, dtype=np.int64)
-        for j in range(kappa - 1):
-            p += counts[:, j]
-            here = f[j, p]
-            steps[j + 1] = steps[j] + f[j, p - 1] - here
-            steps[kappa + j + 1] = steps[kappa + j] + f[j, p + 1] - here
-        forward = xs < ys
-        hi = np.where(forward, ys, kappa + xs)
-        lo = np.where(forward, xs, kappa + ys)
-        moved = steps[hi]
-        moved -= steps[lo]
-        moved += index
+        index, xs, ys = (np.asarray(a) for a in (index, xs, ys))
+        if index.ndim != 1 or xs.ndim != 1 or xs.shape != ys.shape:
+            raise DimensionMismatch(f"index of shape {index.shape} and moves of shapes "
+                                    f"{xs.shape} and {ys.shape}; expected 1-D, the moves "
+                                    "of one length")
+        index, xs, ys = (_integers(a, name) for a, name in
+                         ((index, "state ranks"), (xs, "sites"), (ys, "sites")))
+        moved = np.empty((xs.size, index.size), dtype=np.int64)
+        steps = np.empty(2 * self.kappa, dtype=np.int64)
+        status = _compiled().incproc_move_ranks(
+            self.kappa, self.n, _address(self._cum), _address(self.counts_matrix()), self.size,
+            _address(index), index.size, _address(xs), _address(ys), xs.size,
+            _address(steps), _address(moved))
+        if status:
+            raise OutOfRange(f"sites must lie in 0..{self.kappa - 1}" if status == -1 else
+                             f"state ranks must lie in [0, {self.size})")
         return moved
 
     def occupied_counts(self) -> np.ndarray:
@@ -143,6 +136,14 @@ class StateEnumeration:
 
     def same_space(self, other: "StateEnumeration") -> bool:
         return self.kappa == other.kappa and self.n == other.n
+
+
+def _integers(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as a contiguous int64 array; ``OutOfRange`` unless its values
+    are integers."""
+    if a.size and a.dtype.kind not in "iu":
+        raise OutOfRange(f"{name} must be integers, got an array of {a.dtype}")
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def b_set_masses(weights: np.ndarray, enum: StateEnumeration) -> np.ndarray:

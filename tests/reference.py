@@ -18,12 +18,21 @@ order it lists its unknowns, with one step of iterative refinement.
 compiled channel steps replaced: ``_lockstep`` steps the excursions of a
 batch of replicas together, one array pass per channel step. The compiled
 loop must give the same runs, bit for bit.
+
+``NumpyStates`` and ``assemble`` keep the numpy state-space layer that the
+compiled ``incproc_counts``, ``incproc_rank_many``, ``incproc_move_ranks``
+and ``incproc_assemble`` replaced: the states in rank order by a binary
+search per position, the ranks, the moved ranks from per-state prefix
+sums, and the rate matrix or generator gathered into CSR with scipy's row
+sum as the holding rate. They call no compiled code, and the compiled
+layer must give the same arrays, bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from incproc import Configuration, ProcessParams, SmoothFunction, TorusSpec, WalkSpec
+from incproc.exact import _column_key
 from incproc.thermo import (CHECKPOINTS, CondensateRun, _Channels, _channel_rates,
                             _CondensateReplica, _HOPPED)
 
@@ -240,3 +250,113 @@ def _lockstep(ch: _Channels, batch: list[_CondensateReplica]) -> None:
         part = slice(lo, lo + size)
         r.record(ch, status[part], last[part], spent[part], taken[part])
         lo += size
+
+
+class NumpyStates:
+    """The configuration space of ``n`` particles on ``kappa`` sites in the
+    larger-counts-first order, by numpy alone."""
+
+    def __init__(self, kappa: int, n: int):
+        self.kappa, self.n = kappa, n
+        self.size = comb(n + kappa - 1, kappa - 1)
+        # cum[m, k] = number of compositions of totals 0..m into k parts
+        self.cum = np.zeros((n + 1, kappa), dtype=np.int64)
+        for m in range(n + 1):
+            for k in range(1, kappa):
+                self.cum[m, k] = comb(m + k, k)
+        self.counts = self.unrank_many(np.arange(self.size)).astype(np.int32)
+
+    def unrank_many(self, ranks: np.ndarray) -> np.ndarray:
+        """Count vectors of valid ranks as a (len(ranks), kappa) int64 matrix."""
+        r = np.array(ranks, dtype=np.int64)
+        out = np.empty((r.size, self.kappa), dtype=np.int64)
+        remaining = np.full(r.size, self.n, dtype=np.int64)
+        for j in range(self.kappa - 1):
+            parts_after = self.kappa - 1 - j
+            # the block of states with count remaining - u at position j
+            # starts at offset cum[u - 1, parts_after] (0 for u = 0), and the
+            # offsets grow with u; u counts the block starts at or below r
+            col = self.cum[:, parts_after]
+            u = np.searchsorted(col, r, side="right")
+            out[:, j] = remaining - u
+            r -= np.where(u > 0, col[u - 1], 0)
+            remaining = u
+        out[:, -1] = remaining
+        return out
+
+    def rank_many(self, counts: np.ndarray) -> np.ndarray:
+        """Ranks of a (m, kappa) array of valid configurations."""
+        counts = np.asarray(counts, dtype=np.int64)
+        m = counts.shape[0]
+        r = np.zeros(m, dtype=np.int64)
+        remaining = np.full(m, self.n, dtype=np.int64)
+        for j in range(self.kappa - 1):
+            parts_after = self.kappa - 1 - j
+            v = counts[:, j]
+            gap = remaining - v - 1
+            mask = gap >= 0
+            if mask.any():
+                r[mask] += self.cum[gap[mask], parts_after]
+            remaining -= v
+        return r
+
+    def move_ranks(self, index: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Ranks of the states ``index`` with one particle moved from
+        ``xs[m]`` to ``ys[m]``, a (len(xs), len(index)) int64 matrix: the
+        rank plus a difference of two entries of a per-state prefix sum over
+        j of ``F_j(P_{j+1} -+ 1) - F_j(P_{j+1})``."""
+        index = np.asarray(index, dtype=np.int64)
+        xs = np.asarray(xs, dtype=np.intp)
+        ys = np.asarray(ys, dtype=np.intp)
+        kappa, n = self.kappa, self.n
+        counts = self.counts[index]
+        # f[j, P + 1] = F_j(P) for P = -1 .. N + 1
+        f = np.zeros((kappa - 1, n + 3), dtype=np.int64)
+        f[:, :n + 1] = self.cum[::-1, :0:-1].T
+        # steps[k] sums the change of F_j over j < k when P_{j+1} drops by
+        # one, steps[kappa + k] when it rises by one
+        steps = np.zeros((2 * kappa, index.size), dtype=np.int64)
+        p = np.ones(index.size, dtype=np.int64)
+        for j in range(kappa - 1):
+            p += counts[:, j]
+            here = f[j, p]
+            steps[j + 1] = steps[j] + f[j, p - 1] - here
+            steps[kappa + j + 1] = steps[kappa + j] + f[j, p + 1] - here
+        forward = xs < ys
+        hi = np.where(forward, ys, kappa + xs)
+        lo = np.where(forward, xs, kappa + ys)
+        moved = steps[hi]
+        moved -= steps[lo]
+        moved += index
+        return moved
+
+
+def assemble(spec: WalkSpec, params: ProcessParams, states: NumpyStates,
+             generator: bool) -> sp.csr_matrix:
+    """The jump-rate matrix, or the generator, gathered straight into CSR:
+    each row lists its positive-rate moves in ``_column_key`` order, and
+    the generator inserts scipy's row sum of the rate row, negated, at the
+    diagonal's slot and drops its zero entries."""
+    n = states.size
+    counts = states.counts.T
+    moves = sorted(((x, y) for x in range(spec.kappa) for y in range(spec.kappa)
+                    if x != y and spec.rates[x, y] != 0.0), key=_column_key)
+    xs, ys = np.array(moves, dtype=np.intp).T
+    # the (move, state) arrays are read state by state through their transposes
+    src = counts[xs]
+    keep = (src >= 1).T
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    rates = sp.csr_matrix(
+        ((src * (params.d + counts[ys]) * spec.rates[xs, ys, None]).T[keep],
+         states.move_ranks(np.arange(n), xs, ys).T[keep], indptr), shape=(n, n))
+    if not generator:
+        return rates
+    holding = np.asarray(rates.sum(axis=1)).ravel()
+    # the diagonal follows the row's kept moves with y < x
+    pos = indptr[:-1] + keep[:, ys < xs].sum(axis=1)
+    q = sp.csr_matrix((np.insert(rates.data, pos, -holding),
+                       np.insert(rates.indices, pos, np.arange(n)),
+                       indptr + np.arange(n + 1)), shape=(n, n))
+    q.eliminate_zeros()
+    return q

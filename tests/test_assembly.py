@@ -1,13 +1,18 @@
 """Rate-matrix assembly and move ranks against the code they replaced.
 
-The references below rank every moved state with ``rank_many`` on a shifted
-copy of the counts, one move at a time: the COO build of the rate matrix,
-with the generator as the sparse difference ``rates - diag(holding)``, the
-one-move closure of a region's inner core and the stationary interior
-system through LIL. The new code must reproduce them bit for bit.
+The references below take the states and their ranks from the numpy layer
+of ``reference.NumpyStates``, which calls no compiled code, and rank every
+moved state on a shifted copy of the counts, one move at a time: the COO
+build of the rate matrix, with the generator as the sparse difference
+``rates - diag(holding)``, the one-move closure of a region's inner core
+and the stationary interior system through LIL. ``reference.assemble`` is
+the numpy CSR gather the compiled ``incproc_assemble`` replaced. The
+compiled layer must reproduce them bit for bit.
 """
 
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +25,12 @@ from incproc import (NonIrreducibleWalk, ProcessParams, RegionSpec, WalkSpec, an
                      stationary_exact)
 from incproc.exact import build_generator, build_rate_matrix
 from incproc.states import StateEnumeration
+from reference import NumpyStates, assemble
 
 
 def _coo_rate_matrix(spec, params, enum):
-    counts = enum.counts_matrix()
+    states = NumpyStates(enum.kappa, enum.n)
+    counts = states.counts
     d = params.d
     rows, cols, vals = [], [], []
     for x in range(spec.kappa):
@@ -39,7 +46,7 @@ def _coo_rate_matrix(spec, params, enum):
             shifted[:, x] -= 1
             shifted[:, y] += 1
             rows.append(src)
-            cols.append(enum.rank_many(shifted))
+            cols.append(states.rank_many(shifted))
             vals.append(cx[src] * (d + counts[src, y]) * rxy)
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -53,7 +60,8 @@ def _coo_generator(spec, params, enum):
 
 
 def _loop_inner_closure(reg):
-    counts = reg.enum.counts_matrix()
+    states = NumpyStates(reg.enum.kappa, reg.enum.n)
+    counts = states.counts
     inner = reg.inner_core
     reach = np.zeros(reg.enum.size, dtype=bool)
     reach[inner] = True
@@ -67,7 +75,7 @@ def _loop_inner_closure(reg):
             shifted = counts[src].astype(np.int64)
             shifted[:, x] -= 1
             shifted[:, y] += 1
-            reach[reg.enum.rank_many(shifted)] = True
+            reach[states.rank_many(shifted)] = True
     return np.nonzero(reach)[0]
 
 
@@ -79,6 +87,15 @@ def _assert_same_csr(got, want):
         assert np.array_equal(a, b), name
 
 
+def _assert_same_bits(got, want):
+    """The same CSR arrays, dtypes and every bit of every value."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 # Rates: a positive cycle keeps the walk irreducible; the smallest subnormal
 # underflows to a zero jump rate from states with few particles at the
 # source and makes rows with no nonzero move.
@@ -86,16 +103,89 @@ _RATE = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.05, 3.0))
 
 
 @st.composite
-def _walks(draw):
+def _walks(draw, one_way=False):
     kappa = draw(st.integers(2, 6))
     n = draw(st.integers(1, 12))
-    rates = np.array([[draw(_RATE) if x != y else 0.0 for y in range(kappa)]
-                      for x in range(kappa)])
+    # a one-way walk moves only around its cycle, x -> x + 1
+    if one_way:
+        one_way = draw(st.booleans())
+    rates = np.array([[draw(_RATE) if x != y and not one_way else 0.0
+                       for y in range(kappa)] for x in range(kappa)])
     for x in range(kappa):
         if rates[x, (x + 1) % kappa] == 0.0:
             rates[x, (x + 1) % kappa] = draw(st.sampled_from([5e-324, 1.0]))
     d = draw(st.floats(1e-6, 0.5))
     return WalkSpec.from_matrix(rates), ProcessParams(n, d)
+
+
+def _dense_walk(kappa, seed, dense):
+    """A walk around the cycle whose first ``dense`` sites also move to
+    almost every site, so a state on them has a row of up to
+    ``dense (kappa - 1)`` entries, with zero and subnormal rates among them.
+    Their rates spread over nine decades, so that sums in another order
+    round differently."""
+    rng = np.random.Generator(np.random.Philox(key=(31, seed)))
+    rates = np.zeros((kappa, kappa))
+    rates[:dense] = 10.0 ** rng.uniform(-6.0, 3.0, size=(dense, kappa))
+    rates[:dense][rng.random((dense, kappa)) < 0.1] = 0.0
+    rates[:dense][rng.random((dense, kappa)) < 0.05] = 5e-324
+    np.fill_diagonal(rates, 0.0)
+    rates[np.arange(kappa), (np.arange(kappa) + 1) % kappa] = 1.0
+    return WalkSpec.from_matrix(rates)
+
+
+class TestAgainstNumpyAssembly:
+    """Both builders against the numpy gather they replaced: the same
+    ``indptr``, ``indices`` and ``data``, dtypes and bits. The holding rate
+    must round as scipy's row sum does, ``np.add.reduceat``: the first entry
+    plus numpy's pairwise sum of the rest, eight running sums from 8 terms
+    on and halves from 129 on."""
+
+    @given(_walks(one_way=True))
+    @settings(max_examples=200, deadline=None)
+    def test_builders_match(self, walk_params):
+        walk, params = walk_params
+        enum, states = StateEnumeration(walk.kappa, params.n), NumpyStates(walk.kappa, params.n)
+        _assert_same_bits(build_rate_matrix(walk, params, enum),
+                          assemble(walk, params, states, generator=False))
+        _assert_same_bits(build_generator(walk, params, enum),
+                          assemble(walk, params, states, generator=True))
+
+    @pytest.mark.parametrize("kappa,n,d,dense", [(6, 12, 0.3, 6), (8, 6, 1e-3, 8),
+                                                 (64, 3, 0.3, 4)])
+    def test_long_rows(self, kappa, n, d, dense):
+        # rows of more than 8 entries, and at kappa = 64 four of more than
+        # 129, where numpy's pairwise sum splits in halves; d = 0.3 makes the
+        # subnormal rates' entries round to zero
+        walk, params = _dense_walk(kappa, n, dense), ProcessParams(n, d)
+        enum, states = StateEnumeration(kappa, n), NumpyStates(kappa, n)
+        q = build_generator(walk, params, enum)
+        assert np.diff(q.indptr).max() > (129 if kappa == 64 else 8)
+        _assert_same_bits(build_rate_matrix(walk, params, enum),
+                          assemble(walk, params, states, generator=False))
+        _assert_same_bits(q, assemble(walk, params, states, generator=True))
+
+
+def _benchmark_walk(name, seed):
+    """The walk and parameters of the ``name`` benchmark workload at ``seed``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    work = workloads.make(name, seed)
+    return work.walk, work.params
+
+
+@pytest.mark.parametrize("seed", [4101, 2718])
+@pytest.mark.parametrize("name", ["analysis", "exact_lu"])
+def test_benchmark_walks_match_numpy_assembly(name, seed):
+    walk, params = _benchmark_walk(name, seed)
+    enum, states = StateEnumeration(walk.kappa, params.n), NumpyStates(walk.kappa, params.n)
+    _assert_same_bits(build_rate_matrix(walk, params, enum),
+                      assemble(walk, params, states, generator=False))
+    _assert_same_bits(build_generator(walk, params, enum),
+                      assemble(walk, params, states, generator=True))
 
 
 class TestAssembly:
@@ -137,18 +227,21 @@ class TestMoveRanks:
     @given(st.integers(2, 6), st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_every_move_matches_rank_many(self, kappa, n):
-        enum = StateEnumeration(kappa, n)
-        counts = enum.counts_matrix()
+        enum, states = StateEnumeration(kappa, n), NumpyStates(kappa, n)
+        counts = states.counts
         xs, ys = np.array([(x, y) for x in range(kappa) for y in range(kappa)
                            if x != y]).T
         moved = enum.move_ranks(np.arange(enum.size), xs, ys)
         assert moved.shape == (xs.size, enum.size)
+        assert moved.dtype == np.int64
         for row, x, y in zip(moved, xs, ys):
             src = np.nonzero(counts[:, x] >= 1)[0]
             shifted = counts[src].astype(np.int64)
             shifted[:, x] -= 1
             shifted[:, y] += 1
-            assert np.array_equal(row[src], enum.rank_many(shifted)), (x, y)
+            assert np.array_equal(row[src], states.rank_many(shifted)), (x, y)
+        # the entries of states without a particle to move, too
+        assert np.array_equal(moved, states.move_ranks(np.arange(enum.size), xs, ys))
 
     def test_subset_of_states(self):
         enum = StateEnumeration(4, 9)

@@ -165,6 +165,23 @@ def test_exact_row_times_the_factor(package_checkout, tmp_path):
     assert m["factor_cpu_s"] > 0 and m["maxrss_mb"] > 0
 
 
+def test_layer_rows_time_the_state_space_and_the_order(package_checkout, tmp_path):
+    names = ["states.enumerate_k5_N30", "states.build_generator_k5_N30",
+             "states.build_rate_matrix_k4_N35", "exact.nested_dissection_k4_N35"]
+    res = drive(tmp_path, package_checkout, "--workloads", *names, "--seeds", "4101")
+    assert res.returncode == 0, res.stderr
+    rows = json.loads((tmp_path / "BENCH_x.json").read_text())["rows"]
+    assert [(r["workload"], r["fail_rate"], r["repeats"]) for r in rows] == [
+        (name, 0.0, 9) for name in names]
+    for row in rows:
+        assert set(row["metrics"]) == {"cpu_s", "states", "entries", "maxrss_mb"}
+        assert row["metrics"]["cpu_s"] > 0 and row["metrics"]["maxrss_mb"] > 0
+    # the counts of 46,376 states of 5 sites, the analysis generator's entries,
+    # the rate matrix of 8,436 states and the entries the stationary factor stores
+    assert [(r["metrics"]["states"], r["metrics"]["entries"]) for r in rows] == [
+        (46_376, 231_880), (46_376, 660_176), (8_436, 93_240), (8_436, 2_700_907)]
+
+
 def test_a_kernel_row_without_the_package_fails(checkout, tmp_path):
     repo, _ = checkout
     res = drive(tmp_path, repo, "--workloads", "kernel.stretch_L32", "--seeds", "1")

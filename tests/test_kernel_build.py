@@ -1,6 +1,6 @@
-"""The compiled loops of the event kernel, of the condensate channel steps
-and of the exact solves' LU factor are built on first use, once per source
-hash, into ``$XDG_CACHE_HOME/incproc``.
+"""The compiled loops of the event kernel, of the condensate channel steps,
+of the state space and of the exact solves' LU factor are built on first
+use, once per source hash, into ``$XDG_CACHE_HOME/incproc``.
 
 Each test runs fresh Python processes with a cache directory of its own, so
 nothing here reads or writes the cache of the user who runs the tests.
@@ -92,13 +92,17 @@ def test_an_unwritable_cache_directory_still_gives_a_kernel(tmp_path):
 def test_no_compiler_is_one_incproc_error(tmp_path):
     env = env_for(tmp_path / "cache", tmp_path, PATH=no_compiler(tmp_path))
     script = """
-from incproc import (IncprocError, ProcessParams, WalkSpec, build_torus, measure_diffusion,
-                     simulate, stationary_exact)
-for run in (lambda: simulate(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1), (10, 0, 0),
-                             5.0, seed=1),
+from incproc import (IncprocError, ProcessParams, WalkSpec, build_generator, build_torus,
+                     enumerate_states, measure_diffusion, simulate, stationary_closed_form,
+                     stationary_exact)
+walk, params = WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1)
+for run in (lambda: simulate(walk, params, (10, 0, 0), 5.0, seed=1),
             lambda: measure_diffusion(build_torus(1, 8, {1: 0.5, -1: 0.5}, rho=1.0,
                                                   d_l=1e-3), 0.5, replicas=2, seed=1),
-            lambda: stationary_exact(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1))):
+            lambda: stationary_exact(walk, params),
+            lambda: enumerate_states(3, 4).counts_matrix(),
+            lambda: build_generator(walk, params, enumerate_states(3, 10)),
+            lambda: stationary_closed_form(WalkSpec.cycle(3, 0.5), params)):
     try:
         run()
     except IncprocError as exc:
@@ -108,7 +112,7 @@ for run in (lambda: simulate(WalkSpec.cycle(3, 0.7), ProcessParams(10, 0.1), (10
                          text=True)
     assert res.returncode == 0 and res.stderr == "", res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 3, lines
+    assert len(lines) == 6, lines
     for line in lines:
         assert line.startswith("IncprocError cannot build the compiled kernels with `cc -O2 ")
     # the command line: exit status 1, one error line, no traceback

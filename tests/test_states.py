@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from incproc import (DimensionMismatch, Distribution, IncprocError, OutOfRange,
                      StateSpaceTooLarge, space_size)
 from incproc.states import StateEnumeration, b_set_masses
+from reference import NumpyStates
 
 
 def _loop_counts_matrix(enum):
@@ -94,6 +95,78 @@ class TestUnrankAgainstLoops:
             got = enum.rank(eta)
             assert type(got) is int
             assert got == _loop_rank(enum, eta)
+
+
+class TestAgainstNumpyStates:
+    """The compiled states, ranks and moved ranks against the numpy layer
+    they replaced (``reference.NumpyStates``), entry for entry."""
+
+    CASES = [(2, 1), (2, 40), (3, 120), (5, 30), (8, 8), (64, 3)]
+
+    @pytest.mark.parametrize("kappa,n", CASES)
+    def test_counts_ranks_and_moves(self, kappa, n):
+        enum, states = StateEnumeration(kappa, n), NumpyStates(kappa, n)
+        counts = enum.counts_matrix()
+        assert counts.dtype == states.counts.dtype == np.int32
+        assert np.array_equal(counts, states.counts)
+        rng = np.random.Generator(np.random.Philox(key=(23, 1000 * kappa + n)))
+        rows = rng.integers(enum.size, size=300)
+        assert np.array_equal(enum.rank_many(counts[rows]), states.rank_many(counts[rows]))
+        assert np.array_equal(enum.rank_many(counts), np.arange(enum.size))
+        xs, ys = rng.integers(kappa, size=(2, 40))
+        assert np.array_equal(enum.move_ranks(rows, xs, ys), states.move_ranks(rows, xs, ys))
+
+
+class TestRankingInputs:
+    """The ranking methods refuse what is not a state, a rank or a site of
+    the space; each case was once answered with a wrong rank, a silent
+    wrap-around or a bare IndexError."""
+
+    enum = StateEnumeration(3, 4)     # 15 states
+
+    @pytest.mark.parametrize("counts", [[[1, 1, 1]], [[-1, 5, 0]], [[5, 0, -1]],
+                                        [[4, 0, 0], [0, 0, 5]], [[2**62, 2**62, 0]]])
+    def test_rank_many_refuses_a_row_that_is_not_a_state(self, counts):
+        # [[1, 1, 1]] ranked 8 and [[-1, 5, 0]] 15, one past the last rank
+        with pytest.raises(OutOfRange):
+            self.enum.rank_many(np.array(counts))
+
+    @pytest.mark.parametrize("counts", [[[1, 2]], [[1, 1, 1, 1]], [4, 0, 0], np.zeros((1, 3, 1))])
+    def test_rank_many_refuses_another_width(self, counts):
+        # [[1, 2]] ranked 7
+        with pytest.raises(DimensionMismatch):
+            self.enum.rank_many(np.array(counts))
+
+    @pytest.mark.parametrize("counts", [[[4.0, 0.0, 0.0]], [[True, False, False]]])
+    def test_rank_many_refuses_counts_that_are_not_integers(self, counts):
+        with pytest.raises(OutOfRange):
+            self.enum.rank_many(np.array(counts))
+
+    def test_rank_many_of_no_rows(self):
+        assert self.enum.rank_many(np.zeros((0, 3), dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("index", [[-1], [99], [15], [0, 2**40]])
+    def test_move_ranks_refuses_an_index_off_the_space(self, index):
+        # [-1] wrapped round to the last state and [99] raised an IndexError
+        with pytest.raises(OutOfRange):
+            self.enum.move_ranks(np.array(index), np.array([0]), np.array([1]))
+
+    @pytest.mark.parametrize("xs,ys", [([3], [0]), ([0], [3]), ([-1], [0]), ([0], [-1])])
+    def test_move_ranks_refuses_a_site_off_the_walk(self, xs, ys):
+        with pytest.raises(OutOfRange):
+            self.enum.move_ranks(np.array([0]), np.array(xs), np.array(ys))
+
+    @pytest.mark.parametrize("index,xs,ys", [([0.0], [0], [1]), ([0], [0.5], [1]),
+                                             ([0], [0], ["1"])])
+    def test_move_ranks_refuses_values_that_are_not_integers(self, index, xs, ys):
+        with pytest.raises(OutOfRange):
+            self.enum.move_ranks(np.array(index), np.array(xs), np.array(ys))
+
+    @pytest.mark.parametrize("index,xs,ys", [([[0]], [0], [1]), ([0], [0, 1], [1]),
+                                             ([0], [[0]], [[1]])])
+    def test_move_ranks_refuses_other_shapes(self, index, xs, ys):
+        with pytest.raises(DimensionMismatch):
+            self.enum.move_ranks(np.array(index), np.array(xs), np.array(ys))
 
 
 class TestEnumeration:
