@@ -80,14 +80,6 @@ def _loop_inner_closure(reg):
 
 
 def _assert_same_csr(got, want):
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
-
-
-def _assert_same_bits(got, want):
     """The same CSR arrays, dtypes and every bit of every value."""
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
@@ -139,40 +131,28 @@ class TestAgainstNumpyAssembly:
     ``indptr``, ``indices`` and ``data``, dtypes and bits. The holding rate
     must round as scipy's row sum does, ``np.add.reduceat``: the first entry
     plus numpy's pairwise sum of the rest, eight running sums from 8 terms
-    on and halves from 129 on."""
+    on and halves from 129 on (``TestAssembly.test_long_rows``)."""
 
     @given(_walks(one_way=True))
     @settings(max_examples=200, deadline=None)
     def test_builders_match(self, walk_params):
         walk, params = walk_params
         enum, states = StateEnumeration(walk.kappa, params.n), NumpyStates(walk.kappa, params.n)
-        _assert_same_bits(build_rate_matrix(walk, params, enum),
-                          assemble(walk, params, states, generator=False))
-        _assert_same_bits(build_generator(walk, params, enum),
-                          assemble(walk, params, states, generator=True))
-
-    @pytest.mark.parametrize("kappa,n,d,dense", [(6, 12, 0.3, 6), (8, 6, 1e-3, 8),
-                                                 (64, 3, 0.3, 4)])
-    def test_long_rows(self, kappa, n, d, dense):
-        # rows of more than 8 entries, and at kappa = 64 four of more than
-        # 129, where numpy's pairwise sum splits in halves; d = 0.3 makes the
-        # subnormal rates' entries round to zero
-        walk, params = _dense_walk(kappa, n, dense), ProcessParams(n, d)
-        enum, states = StateEnumeration(kappa, n), NumpyStates(kappa, n)
-        q = build_generator(walk, params, enum)
-        assert np.diff(q.indptr).max() > (129 if kappa == 64 else 8)
-        _assert_same_bits(build_rate_matrix(walk, params, enum),
-                          assemble(walk, params, states, generator=False))
-        _assert_same_bits(q, assemble(walk, params, states, generator=True))
+        _assert_same_csr(build_rate_matrix(walk, params, enum),
+                         assemble(walk, params, states, generator=False))
+        _assert_same_csr(build_generator(walk, params, enum),
+                         assemble(walk, params, states, generator=True))
 
 
 def _benchmark_walk(name, seed):
     """The walk and parameters of the ``name`` benchmark workload at ``seed``."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
     try:
         import workloads
     finally:
-        sys.path.pop(0)
+        # workloads puts the package's src before it
+        sys.path.remove(bench)
     work = workloads.make(name, seed)
     return work.walk, work.params
 
@@ -182,13 +162,28 @@ def _benchmark_walk(name, seed):
 def test_benchmark_walks_match_numpy_assembly(name, seed):
     walk, params = _benchmark_walk(name, seed)
     enum, states = StateEnumeration(walk.kappa, params.n), NumpyStates(walk.kappa, params.n)
-    _assert_same_bits(build_rate_matrix(walk, params, enum),
-                      assemble(walk, params, states, generator=False))
-    _assert_same_bits(build_generator(walk, params, enum),
-                      assemble(walk, params, states, generator=True))
+    _assert_same_csr(build_rate_matrix(walk, params, enum),
+                     assemble(walk, params, states, generator=False))
+    _assert_same_csr(build_generator(walk, params, enum),
+                     assemble(walk, params, states, generator=True))
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("kappa,n,d,dense", [(6, 12, 0.3, 6), (8, 6, 1e-3, 8),
+                                                 (64, 3, 0.3, 4)])
+    def test_long_rows(self, kappa, n, d, dense):
+        # rows of more than 8 entries, and at kappa = 64 four of more than
+        # 129, where numpy's pairwise sum splits in halves; d = 0.3 makes the
+        # subnormal rates' entries round to zero. The reference is the COO
+        # build, whose memory grows with the entries, not with moves x states
+        walk, params = _dense_walk(kappa, n, dense), ProcessParams(n, d)
+        enum = StateEnumeration(kappa, n)
+        q = build_generator(walk, params, enum)
+        assert np.diff(q.indptr).max() > (129 if kappa == 64 else 8)
+        _assert_same_csr(build_rate_matrix(walk, params, enum),
+                         _coo_rate_matrix(walk, params, enum))
+        _assert_same_csr(q, _coo_generator(walk, params, enum))
+
     @given(_walks())
     @settings(max_examples=150, deadline=None)
     def test_builders_match_coo_reference(self, walk_params):
