@@ -304,15 +304,14 @@ int64_t incproc_rank_many(int64_t kappa, int64_t n, const int64_t *cum, const in
 {
     for (int64_t i = 0; i < m; i++) {
         const int64_t *c = counts + i * kappa;
-        int64_t r = 0, rest = n;
+        int64_t r = 0, p = 0;
         for (int64_t j = 0; j < kappa - 1; j++) {
-            if (c[j] < 0 || c[j] > rest)
+            if (c[j] < 0 || c[j] > n - p)
                 return i;
-            rest -= c[j];
-            if (rest > 0)
-                r += cum[(rest - 1) * kappa + kappa - 1 - j];
+            p += c[j];
+            r += rank_term(cum, kappa, n, j, p);
         }
-        if (c[kappa - 1] != rest)
+        if (c[kappa - 1] != n - p)
             return i;
         ranks[i] = r;
     }

@@ -110,7 +110,12 @@ def _assemble(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
     rates that round to zero keeps fewer entries, and is cut to them. The
     index arrays are int32, as scipy keeps them at these sizes;
     ``StateSpaceTooLarge`` refuses a matrix of more entries than that.
+    ``DimensionMismatch`` refuses an enumeration of another site count or
+    N than the walk's, whose tables the compiled pass would read past.
     """
+    if (spec.kappa, params.n) != (enum.kappa, enum.n):
+        raise DimensionMismatch(f"a walk on {spec.kappa} sites with N = {params.n} over "
+                                f"the states of {enum.kappa} sites and N = {enum.n}")
     n = enum.size
     moves = sorted(((x, y) for x in range(spec.kappa) for y in range(spec.kappa)
                     if x != y and spec.rates[x, y] != 0.0), key=_column_key)

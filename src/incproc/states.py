@@ -41,13 +41,10 @@ class StateEnumeration:
         self.size = size
         # cum[m, k] = number of compositions of totals 0..m into k parts
         #           = sum_{u=0}^{m} C(u+k-1, k-1) = C(m+k, k): each column is
-        #           the running sum of the one before, and as C(m+k, k) is
-        #           symmetric in m and k, so is each row; the recurrence
-        #           runs along the longer side
+        #           the running sum of the one before
         self._cum = np.ones((n + 1, kappa), dtype=np.int64)
-        table = self._cum if n + 1 >= kappa else self._cum.T
-        for k in range(1, table.shape[1]):
-            np.cumsum(table[:, k - 1], out=table[:, k])
+        for k in range(1, kappa):
+            np.cumsum(self._cum[:, k - 1], out=self._cum[:, k])
         self._counts_matrix: np.ndarray | None = None
 
     def rank(self, eta: Sequence[int]) -> int:

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incproc.exact as exact
-from incproc import (NonIrreducibleWalk, ProcessParams, RegionSpec, WalkSpec, analyze_walk,
-                     stationary_exact)
+from incproc import (DimensionMismatch, NonIrreducibleWalk, ProcessParams, RegionSpec, WalkSpec,
+                     analyze_walk, stationary_exact)
 from incproc.exact import build_generator, build_rate_matrix
 from incproc.states import StateEnumeration
 from reference import NumpyStates, assemble
@@ -193,6 +193,18 @@ class TestAssembly:
                          _coo_rate_matrix(walk, params, enum))
         _assert_same_csr(build_generator(walk, params, enum),
                          _coo_generator(walk, params, enum))
+
+    @pytest.mark.parametrize("kappa,n", [(3, 10), (3, 4), (4, 6), (2, 6)])
+    def test_enumeration_of_another_space_is_refused(self, kappa, n):
+        # a walk on 3 sites with N = 6 over fewer or more particles, or
+        # sites: the compiled pass would write past the arrays sized from
+        # the walk, or read past the enumeration's tables
+        walk, params = WalkSpec.cycle(3, 0.7), ProcessParams(6, 0.1)
+        enum = StateEnumeration(kappa, n)
+        for build in (build_rate_matrix, build_generator):
+            with pytest.raises(DimensionMismatch, match="over the states of"):
+                build(walk, params, enum)
+        assert build_generator(walk, params, StateEnumeration(3, 6)).shape == (28, 28)
 
     def test_rows_without_a_nonzero_move(self):
         # every move out of site 0 underflows to 0 from (4, 0, 0)
