@@ -52,8 +52,8 @@ ARG of ``LAYER_CASES``: the enumeration of the states of 5 sites and N = 30
 repeat); ``build_generator`` of the checkout's ``analysis`` workload at
 SEED (5 sites, N = 30); ``build_rate_matrix`` of the 4-site walk of its
 ``exact_lu`` workload at SEED with N = 35 and d_N = 1e-4; and
-``_nested_dissection`` of the interior of ``stationary_exact`` on that
-walk, every state but the pinned one. It prints the median CPU seconds of
+``_nested_dissection`` of the interior every exact solve factors on that
+walk, every state but the metastable ones. It prints the median CPU seconds of
 the repeats (``cpu_s``), the states, the entries made (``entries``: the
 counts of the enumeration, the matrix's stored entries, or the entries the
 order's factor stores) and the process's peak RSS (``maxrss_mb``).
@@ -187,8 +187,8 @@ elif kind == "layer":
     else:
         walk, params = workloads.make("exact_lu", seed).walk, ip.ProcessParams(35, 1e-4)
     enum = ip.enumerate_states(walk.kappa, params.n)
-    pin = enum.xi_index(int(np.argmax(ip.analyze_walk(walk).m)))
-    interior = enum.counts_matrix()[np.arange(enum.size) != pin]
+    xi = [enum.xi_index(x) for x in range(walk.kappa)]
+    interior = enum.counts_matrix()[np.setdiff1d(np.arange(enum.size), xi)]
     for _ in range(repeats):
         start = clock()
         if case == "enumerate":

@@ -601,38 +601,51 @@ int64_t incproc_lu_factor(int64_t nblocks, const int64_t *size, const int64_t *n
 /* Solve A x = y in place for the nrhs columns of x (column-major, n rows)
    with the factor incproc_lu_factor left in lu and ipiv: per block in
    order, the swaps, L11 and L21 down the boundary, then per block in
-   reverse, U12 from the boundary and U11. scratch has room for the largest
-   boundary times nrhs. */
+   reverse, U12 from the boundary and U11. With trans, solve A^T x = y by
+   the transposed sweeps in the opposite order: per block in order, U11^T
+   and U12^T down the boundary, then per block in reverse, L21^T from the
+   boundary, L11^T and the swaps undone last. scratch has room for the
+   largest boundary times nrhs. */
 void incproc_lu_solve(int64_t nblocks, const int64_t *size, const int64_t *bptr,
                       const int32_t *bnd, const double *lu, const int *ipiv, int64_t n,
-                      int64_t nrhs, double *x, double *scratch, blas_fn *const *fn)
+                      int64_t nrhs, double *x, double *scratch, int trans, blas_fn *const *fn)
 {
     dgemm_fn *gemm = (dgemm_fn *)fn[0];
     dtrsm_fn *trsm = (dtrsm_fn *)fn[1];
     dlaswp_fn *laswp = (dlaswp_fn *)fn[3];
-    char no = 'N', left = 'L', lower = 'L', upper = 'U', unit = 'U';
+    char no = 'N', tr = 'T', left = 'L', lower = 'L', upper = 'U', unit = 'U';
     double one = 1.0, minus = -1.0, zero = 0.0;
-    int inc = 1, in = (int)n, ir = (int)nrhs;
+    int inc = 1, back = -1, in = (int)n, ir = (int)nrhs;
     int64_t start = 0;
+    /* down: L (or U^T) per block in order, its boundary rows updated from
+       L21 (or U12^T) */
     for (int64_t k = 0; k < nblocks; k++) {
         int64_t s = size[k], b = bptr[k + 1] - bptr[k];
         const int32_t *bk = bnd + bptr[k];
-        const double *f11 = lu, *f21 = lu + s * s + s * b;
+        const double *f11 = lu, *f12 = lu + s * s, *f21 = f12 + s * b;
         int is = (int)s, ib = (int)b;
         lu = f21 + b * s;
-        if (s) {
+        if (s && trans)
+            trsm(&left, &upper, &tr, &no, &is, &ir, &one, (double *)f11, &is, x + start, &in);
+        else if (s) {
             laswp(&ir, x + start, &in, &inc, &is, (int *)ipiv + start, &inc);
             trsm(&left, &lower, &no, &unit, &is, &ir, &one, (double *)f11, &is, x + start, &in);
         }
         if (s && b) {
-            gemm(&no, &no, &ib, &ir, &is, &one, (double *)f21, &ib, x + start, &in, &zero,
-                 scratch, &ib);
+            if (trans)
+                gemm(&tr, &no, &ib, &ir, &is, &one, (double *)f12, &is, x + start, &in, &zero,
+                     scratch, &ib);
+            else
+                gemm(&no, &no, &ib, &ir, &is, &one, (double *)f21, &ib, x + start, &in, &zero,
+                     scratch, &ib);
             for (int64_t j = 0; j < nrhs; j++)
                 for (int64_t p = 0; p < b; p++)
                     x[j * n + bk[p]] -= scratch[j * b + p];
         }
         start += s;
     }
+    /* up: U (or L^T and the swaps) per block in reverse, its own rows
+       updated from its boundary by U12 (or L21^T) */
     for (int64_t k = nblocks - 1; k >= 0; k--) {
         int64_t s = size[k], b = bptr[k + 1] - bptr[k];
         const int32_t *bk = bnd + bptr[k];
@@ -643,10 +656,17 @@ void incproc_lu_solve(int64_t nblocks, const int64_t *size, const int64_t *bptr,
             for (int64_t j = 0; j < nrhs; j++)
                 for (int64_t p = 0; p < b; p++)
                     scratch[j * b + p] = x[j * n + bk[p]];
-            gemm(&no, &no, &is, &ir, &ib, &minus, (double *)lu + s * s, &is, scratch, &ib, &one,
-                 x + start, &in);
+            if (trans)
+                gemm(&tr, &no, &is, &ir, &ib, &minus, (double *)lu + s * s + s * b, &ib,
+                     scratch, &ib, &one, x + start, &in);
+            else
+                gemm(&no, &no, &is, &ir, &ib, &minus, (double *)lu + s * s, &is, scratch, &ib,
+                     &one, x + start, &in);
         }
-        if (s)
+        if (s && trans) {
+            trsm(&left, &lower, &tr, &unit, &is, &ir, &one, (double *)lu, &is, x + start, &in);
+            laswp(&ir, x + start, &in, &inc, &is, (int *)ipiv + start, &back);
+        } else if (s)
             trsm(&left, &upper, &no, &no, &is, &ir, &one, (double *)lu, &is, x + start, &in);
     }
 }

@@ -93,7 +93,7 @@ def _compiled():
         library.incproc_lu_factor.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                               ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
         library.incproc_lu_solve.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr,
-                                             ptr]
+                                             flag, ptr]
         library.incproc_counts.argtypes = [i64, i64, i64, ptr]
         library.incproc_rank_many.argtypes = [i64, i64, ptr, ptr, i64, ptr]
         library.incproc_move_ranks.argtypes = [i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, i64,

@@ -1,21 +1,25 @@
 """Exact stationary distributions, hitting probabilities, trace rates, flows.
 
 Everything here is a direct linear-algebra computation on the enumerated
-configuration space; no asymptotics. Every exact solve factors one interior
-system ``I - P_ii`` of the jump chain off a set of target states: the
-hitting and trace-rate solves take the metastable states of ``A`` as
-targets, and the stationary law is the hitting system of its one pinned
-state, solved transposed. Sparse direct solves eliminate the states in
-nested-dissection order, split on level sets of subset sums of their
-counts, carry one step of iterative refinement and are checked against
-explicit residual tolerances. The separator tree of the order is what the
-factor runs on: a multifrontal LU, one dense front per block, in the
-compiled ``_kernel.c`` on scipy's BLAS and LAPACK. So the tree gives the
-factor's size before anything is built, and a system whose factor and
-update matrices do not fit in half the physical memory is refused with
-``StateSpaceTooLarge``. The results are the same from run to run;
-:func:`stage_times` records the seconds each solve spends ordering,
-building, factoring and solving.
+configuration space; no asymptotics. Every exact solve reads one reduction
+onto the metastable states xi = {xi^x}, the trace process of Beltran and
+Landim (J. Stat. Phys. 140, 2010): the interior system ``I - P_ii`` of the
+jump chain off every metastable state is factored once, its kappa hitting
+columns h give the trace generator ``G = R[xi] @ h``, and the stationary
+law and the trace rates on any A come from G by the subtraction-free
+elimination of Grassmann, Taksar and Heyman (Oper. Res. 33, 1985). The
+stationary law off xi is the transposed solve of the same factor.
+
+Sparse direct solves eliminate the states in nested-dissection order,
+split on level sets of subset sums of their counts, carry one step of
+iterative refinement and are checked against explicit residual tolerances.
+The separator tree of the order is what the factor runs on: a multifrontal
+LU, one dense front per block, in the compiled ``_kernel.c`` on scipy's
+BLAS and LAPACK. So the tree gives the factor's size before anything is
+built, and a system whose factor and update matrices do not fit in half
+the physical memory is refused with ``StateSpaceTooLarge``. The results are
+the same from run to run; :func:`stage_times` records the seconds each
+solve spends ordering, building, factoring and solving.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, log
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +40,8 @@ import scipy.sparse as sp
 from ._native import _address, _compiled, _lapack
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure, StateSpaceTooLarge)
-from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, dense_stationary,
-                    integer, log_weight_table, site_set)
+from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, integer,
+                    log_weight_table, site_set)
 from .regions import RegionSpec, supported_on
 from .states import (Distribution, SolverReport, StateEnumeration, b_set_masses,
                      space_size)
@@ -325,9 +329,11 @@ def _factor(a: sp.spmatrix, tree: _Tree) -> tuple[np.ndarray, np.ndarray]:
     return lu, ipiv
 
 
-def _lu_solve(tree: _Tree, lu: np.ndarray, ipiv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with the factor :func:`_factor` made, by ``incproc_lu_solve``;
-    ``b`` may hold several right-hand sides as columns."""
+def _lu_solve(tree: _Tree, lu: np.ndarray, ipiv: np.ndarray, b: np.ndarray,
+              trans: bool = False) -> np.ndarray:
+    """Solve ``a x = b``, or ``a.T x = b`` with ``trans``, with the factor
+    :func:`_factor` made of ``a``, by ``incproc_lu_solve``; ``b`` may hold
+    several right-hand sides as columns."""
     x = np.array(b, dtype=float, order="F")
     if x.shape[0] != tree.perm.size:
         raise DimensionMismatch(f"{x.shape[0]} right-hand rows for a tree of "
@@ -336,44 +342,76 @@ def _lu_solve(tree: _Tree, lu: np.ndarray, ipiv: np.ndarray, b: np.ndarray) -> n
     scratch = np.empty(tree.widest * nrhs)
     _compiled().incproc_lu_solve(tree.sizes.size, *map(_address, (
         tree.sizes, tree.bound_ptr, tree.bounds, lu, ipiv)), x.shape[0], nrhs,
-        _address(x), _address(scratch), _lapack())
+        _address(x), _address(scratch), trans, _lapack())
     return x
 
 
-def _solve_refined(a: sp.spmatrix, b: np.ndarray, tree: _Tree) -> tuple[np.ndarray, int]:
-    """Solve ``a x = b`` by one multifrontal LU on ``tree`` plus one step of
-    iterative refinement.
-
-    The unknowns are eliminated in the order ``a`` lists them, which
-    :func:`_interior_system` makes the order of ``tree``. ``b`` may hold
-    several right-hand sides as columns. Returns the solution and the
-    entries stored for L and U. The factor and solve times go to
-    :func:`stage_times`.
+def _solver(a: sp.csr_matrix, tree: _Tree) -> tuple[Callable, int]:
+    """Factor ``a`` once, by the multifrontal LU on ``tree``, whose order is
+    the order ``a`` lists its unknowns in. Returns ``solve(b, trans=False)``,
+    which solves ``a x = b``, or ``a.T x = b`` with ``trans``, plus one step
+    of iterative refinement, and the entries stored for L and U. ``b`` may
+    hold several right-hand sides as columns. The factor and solve times go
+    to :func:`stage_times`.
     """
     start = time.perf_counter()
     lu, ipiv = _factor(a, tree)
-    factored = time.perf_counter()
-    x = _lu_solve(tree, lu, ipiv, b)
-    x -= _lu_solve(tree, lu, ipiv, a @ x - b)
-    _record(factor_s=factored - start, solve_s=time.perf_counter() - factored)
-    return x, lu.size
+    _record(factor_s=time.perf_counter() - start)
+
+    def solve(b: np.ndarray, trans: bool = False) -> np.ndarray:
+        start = time.perf_counter()
+        x = _lu_solve(tree, lu, ipiv, b, trans)
+        x -= _lu_solve(tree, lu, ipiv, (a.T if trans else a) @ x - b, trans)
+        _record(solve_s=time.perf_counter() - start)
+        return x
+
+    return solve, lu.size
 
 
-def _interior_system(spec: WalkSpec, params: ProcessParams,
-                     enum: StateEnumeration, targets) -> tuple:
-    """The system ``I - P_ii`` of the jump chain on the interior states, those
-    off ``targets``, that every exact solve factors: the interior states in
-    their elimination order, the separator tree of that order, ``I - P_ii``
-    in CSR with its rows and columns in that order, and the rate matrix and
-    holding rates of every state.
+@dataclass(frozen=True)
+class _TraceChain:
+    """The reduction of the walk's state space onto its metastable states
+    (see :func:`_trace_chain`).
+
+    ``xi[x]`` is the rank of xi^x and ``order`` the interior states, every
+    other, in elimination order. ``hitting[:, y]`` holds, per state, the
+    probability of reaching xi^y first among the metastable states, and
+    ``generator`` is the kappa x kappa generator G of the trace chain on
+    xi, its rows and columns by site. ``solve`` solves the interior system
+    ``I - P_ii``, in ``order``, with its one factor (see :func:`_solver`);
+    ``solver`` records the hitting solve.
+    """
+
+    enum: StateEnumeration
+    xi: np.ndarray
+    order: np.ndarray
+    rates: sp.csr_matrix
+    holding: np.ndarray
+    hitting: np.ndarray
+    generator: np.ndarray
+    solve: Callable
+    solver: SolverReport
+
+
+def _trace_chain(spec: WalkSpec, params: ProcessParams) -> _TraceChain:
+    """The trace of the walk's inclusion process on its metastable states,
+    from one factor of the interior system ``I - P_ii`` of the jump chain
+    off every metastable state.
 
     The interior is ordered before anything is built. ``StateSpaceTooLarge``
     refuses it then if its factor and update matrices, at 8 bytes an entry,
-    exceed :func:`_lu_memory_budget`; ``OutOfRange`` refuses an interior
-    holding rate too small to invert.
+    exceed :func:`_lu_memory_budget`; ``OutOfRange`` refuses a holding rate
+    below the smallest normal float, whose reciprocal overflows or whose
+    rate row keeps too few bits (d_N too small). The kappa hitting columns,
+    the probability of reaching each xi^y first, are solved against that
+    factor and checked against ``HITTING_TOL``; the trace generator is then
+    ``G = R[xi] @ h``, off the diagonal, with the diagonal its negated row
+    sums (Beltran and Landim, J. Stat. Phys. 140 (2010)).
     """
+    enum = enumerate_states(spec.kappa, params.n)
     start = time.perf_counter()
-    interior = np.setdiff1d(np.arange(enum.size), targets)
+    xi = np.array([enum.xi_index(x) for x in range(spec.kappa)], dtype=np.int64)
+    interior = np.setdiff1d(np.arange(enum.size), xi)
     tree = _nested_dissection(enum.counts_matrix()[interior])
     need, budget = tree.factor_bytes, _lu_memory_budget()
     if need > budget:
@@ -385,33 +423,113 @@ def _interior_system(spec: WalkSpec, params: ProcessParams,
     ordered = time.perf_counter()
     rates = build_rate_matrix(spec, params, enum)
     holding = np.asarray(rates.sum(axis=1)).ravel()
-    stuck = holding[order] < 1.0 / np.finfo(float).max     # 1 / holding overflows
+    stuck = holding < np.finfo(float).tiny
     if stuck.any():
-        raise OutOfRange(f"{int(stuck.sum())} states off the target set have a "
-                         "holding rate too small to invert (d_N too small)")
+        raise OutOfRange(f"{int(stuck.sum())} states have a subnormal holding rate, too "
+                         "small to invert (d_N too small)")
     p_i = sp.diags(1.0 / holding[order]) @ rates[order]
     a = sp.eye(order.size, format="csr") - p_i[:, order]
+    b = p_i[:, xi].toarray()
     _record(order_s=ordered - start, build_s=time.perf_counter() - ordered)
-    return order, tree, a, rates, holding
+
+    solve, lu_nnz = _solver(a, tree)
+    h_int = solve(b)
+    residual = float(np.abs(a @ h_int - b).max(initial=0.0))
+    if not residual <= HITTING_TOL:     # a nan residual fails too
+        raise SolverFailure(f"hitting-probability residual {residual:.3e} > {HITTING_TOL:.1e}")
+    h = np.zeros((enum.size, spec.kappa))
+    h[xi, np.arange(spec.kappa)] = 1.0
+    h[order] = np.clip(h_int, 0.0, 1.0)
+    g = rates[xi] @ h
+    np.fill_diagonal(g, 0.0)
+    np.fill_diagonal(g, -g.sum(axis=1))
+    return _TraceChain(enum, xi, order, rates, holding, h, g, solve,
+                       SolverReport("lu", residual, HITTING_TOL, lu_nnz, tree.stored))
+
+
+def _reaching(rates: np.ndarray, first: Sequence[int]) -> list[int]:
+    """``first``, then the states that reach it along positive off-diagonal
+    ``rates``, by the fewest jumps they take, then by index."""
+    order, rest = list(first), [k for k in range(rates.shape[0]) if k not in first]
+    frontier = list(first)
+    while frontier:
+        frontier = [k for k in rest if (rates[k, frontier] > 0.0).any()]
+        rest = [k for k in rest if k not in frontier]
+        order += frontier
+    return order
+
+
+def _gth(rates: np.ndarray, keep: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """Grassmann-Taksar-Heyman elimination (Oper. Res. 33 (1985)) onto the
+    states ``keep`` of the chain with off-diagonal rates ``rates``; the
+    diagonal is never read.
+
+    The states are put in :func:`_reaching` order and eliminated last
+    first. Eliminating k adds the flow through k, ``q[i, k] q[k, j] / s_k``,
+    to each rate i -> j of the states before it, where ``s_k`` is k's rate
+    to them summed: nothing is subtracted, so positive rates stay positive
+    however small, and ``s_k`` is at least k's rate to the state it reaches
+    ``keep`` through. Raises ``SolverFailure`` if a state reaches none of
+    ``keep`` along rates above zero, which in floats means its rates
+    underflowed. Returns the order and the rates in it: the leading block
+    holds the trace chain on ``keep``, in the order given, off its
+    diagonal, and row and column k the rates at k's elimination.
+    """
+    order = _reaching(rates, keep)
+    if len(order) < rates.shape[0]:
+        lost = sorted(set(range(rates.shape[0])) - set(order))
+        raise SolverFailure(f"trace-chain states {lost} reach none of {list(keep)} at "
+                            "rates above zero: their rates underflow")
+    q = np.array(rates, dtype=float)[np.ix_(order, order)]
+    for k in range(q.shape[0] - 1, len(keep) - 1, -1):
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k] / q[k, :k].sum())
+    return order, q
+
+
+def _gth_stationary(rates: np.ndarray) -> np.ndarray:
+    """The stationary law of the chain with off-diagonal rates ``rates``:
+    :func:`_gth` down to the first state that every state reaches, then
+    back, ``pi_k = sum_{i<k} pi_i q[i, k] / s_k``, which is subtraction-free
+    too. Raises ``SolverFailure`` if no state is reached from every other,
+    or if the shares span more than the float range."""
+    n = rates.shape[0]
+    root = next((r for r in range(n) if len(_reaching(rates, [r])) == n), None)
+    if root is None:
+        raise SolverFailure("no trace-chain state is reached from every other at rates "
+                            "above zero: the rates underflow")
+    order, q = _gth(rates, [root])
+    pi = np.ones(n)
+    with np.errstate(over="ignore", invalid="ignore"):      # judged below
+        for k in range(1, n):
+            pi[k] = pi[:k] @ q[:k, k] / q[k, :k].sum()
+        total = pi.sum()
+    if not np.isfinite(total):
+        raise SolverFailure("the trace chain's stationary shares span more than the "
+                            "float range")
+    law = np.empty(n)
+    law[order] = pi / total
+    return law
 
 
 def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
-    """Stationary distribution as the hitting system of one pinned state.
+    """Stationary distribution from the trace chain on the metastable states.
 
-    The pin is the heaviest metastable state by the walk measure, so the
-    solution stays well scaled. With ``mu_ref = 1``, the flux ``nu = mu *
-    holding`` of the other states solves the transposed interior system
-    ``nu (I - P_ii) = R[ref, interior]``; the law is clipped at zero and
-    normalized. Raises ``SolverFailure`` if it misses the residual target
-    ``|mu R - mu * holding| <= STATIONARY_TOL * max(holding)``, which is
-    ``|mu Q| <= STATIONARY_TOL * max|Q|`` for the generator Q. ``solver``
-    records the solve.
+    On xi, mu is the stationary law of the trace generator G of
+    :func:`_trace_chain`, by GTH elimination towards a metastable state
+    every other reaches at rates above zero, so a rate of G that underflows
+    is never divided by. Off xi, the flux ``nu = mu *
+    holding`` solves the transposed interior system ``nu (I - P_ii) =
+    mu_xi R[xi, interior]`` with the same factor; the law is clipped at
+    zero and normalized. Raises ``SolverFailure`` if it misses the residual
+    target ``|mu R - mu * holding| <= STATIONARY_TOL * max(holding)``, which
+    is ``|mu Q| <= STATIONARY_TOL * max|Q|`` for the generator Q.
+    ``solver`` records the solve.
     """
-    enum = enumerate_states(spec.kappa, params.n)
-    ref = enum.xi_index(int(np.argmax(analyze_walk(spec).m)))
-    order, tree, a, rates, holding = _interior_system(spec, params, enum, [ref])
-    nu, lu_nnz = _solve_refined(a.T, rates[ref].toarray().ravel()[order], tree)
-    mu = np.ones(enum.size)
+    chain = _trace_chain(spec, params)
+    enum, rates, holding, order = chain.enum, chain.rates, chain.holding, chain.order
+    mu = np.empty(enum.size)
+    mu[chain.xi] = _gth_stationary(chain.generator)
+    nu = chain.solve(rates[chain.xi][:, order].T @ mu[chain.xi], trans=True)
     mu[order] = np.clip(nu, 0.0, None) / holding[order]
     mu /= mu.sum()
     residual = float(np.abs(mu @ rates - mu * holding).max())
@@ -419,8 +537,9 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
     if not residual <= bound:
         raise SolverFailure(f"stationary residual {residual:.3e} > "
                             f"{STATIONARY_TOL:.1e} * {holding.max():.3e}")
-    return Distribution(enum, mu, solver=SolverReport("lu", residual, bound, lu_nnz,
-                                                      tree.stored))
+    return Distribution(enum, mu, solver=SolverReport("lu", residual, bound,
+                                                      chain.solver.lu_nnz,
+                                                      chain.solver.predicted_nnz))
 
 
 def stationary_closed_form(spec: WalkSpec, params: ProcessParams) -> Distribution:
@@ -507,41 +626,6 @@ def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassR
                       b_ratios=b_ratios, regions=tuple(reports))
 
 
-def _hitting_matrix(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
-                    a_set: tuple[int, ...]) -> tuple:
-    """Hitting probabilities of every metastable state of ``a_set`` at once,
-    the rate matrix they were read from (None when every state is a target)
-    and the solve.
-
-    Column j holds, per starting state, the probability of reaching
-    xi^{a_set[j]} before any other metastable state of ``a_set``. The ``|A|``
-    boundary columns are solved together against one factor of the interior
-    system; every column's residual is checked against ``HITTING_TOL``.
-    """
-    xi = np.asarray([enum.xi_index(x) for x in a_set], dtype=np.int64)
-    h = np.zeros((enum.size, len(a_set)))
-    h[xi, np.arange(len(a_set))] = 1.0
-    if enum.size == len(a_set):
-        # every state is metastable (N = 1, A = all sites): nothing to solve
-        return h, None, SolverReport("lu", 0.0, HITTING_TOL, 0)
-    if len(a_set) == 1:
-        # the one target is reached first from every state; when it is hard
-        # to reach, the pivots of the interior system cancel to an exact zero
-        h[:] = 1.0
-        return h, build_rate_matrix(spec, params, enum), SolverReport("lu", 0.0, HITTING_TOL, 0)
-
-    order, tree, a, rates, holding = _interior_system(spec, params, enum, xi)
-    b = rates[:, xi][order].toarray() * (1.0 / holding[order])[:, None]
-    h_int, lu_nnz = _solve_refined(a, b, tree)
-    residual = float(np.abs(a @ h_int - b).max())
-    if not residual <= HITTING_TOL:     # a nan residual fails too
-        raise SolverFailure(
-            f"hitting-probability residual {residual:.3e} > {HITTING_TOL:.1e}")
-
-    h[order] = np.clip(h_int, 0.0, 1.0)
-    return h, rates, SolverReport("lu", residual, HITTING_TOL, lu_nnz, tree.stored)
-
-
 @dataclass(frozen=True)
 class TraceRateMatrix:
     """Mean-jump rates of the trace process on the metastable states of A.
@@ -565,28 +649,32 @@ class TraceRateMatrix:
         return gen
 
     def stationary(self) -> np.ndarray:
-        """Stationary distribution of the trace chain on A."""
-        return dense_stationary(self.generator())
+        """Stationary distribution of the trace chain on A, by GTH elimination."""
+        return _gth_stationary(self.raw)
 
 
 def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set) -> TraceRateMatrix:
-    """Exact trace-process mean-jump rates between metastable states.
+    """Exact trace-process mean-jump rates between the metastable states of A.
 
-    Uses the first-step decomposition: the rate from xi^x to xi^y equals
-    ``sum_z N d r(x, z) * h(one particle moved from x to z)`` where h is the
-    exact probability of reaching xi^y before the rest of the metastable set,
-    that is the row of xi^x in the rate matrix times the hitting matrix.
+    Traces compose, so the trace chain on A is the trace, onto A, of the
+    trace chain on every metastable state: the GTH Schur complement of the
+    generator G of :func:`_trace_chain` onto A. Off the diagonal G is the
+    first-step sum ``sum_z N d r(x, z) h_y(one particle moved from x to z)``,
+    the row of xi^x in the rate matrix times the exact probability of
+    reaching xi^y first among the metastable states. Raises
+    ``SolverFailure`` if a metastable state outside A reaches A at no rate
+    of G above zero: its row of G underflowed, and with it how its exits
+    share out over A.
     """
     a_set = site_set(a_set, spec.kappa)
     n, d = params.n, params.d
     if n < 2:
         raise OutOfRange(f"trace rates need N >= 2, got N = {n}")
-    enum = enumerate_states(spec.kappa, params.n)
-    h, rates, solver = _hitting_matrix(spec, params, enum, a_set)
-    raw = rates[[enum.xi_index(x) for x in a_set]] @ h
+    chain = _trace_chain(spec, params)
+    raw = _gth(chain.generator, a_set)[1][:len(a_set), :len(a_set)]
     np.fill_diagonal(raw, 0.0)
     return TraceRateMatrix(a_set=a_set, raw=raw, normalized=raw / (d * n),
-                           n=n, d=d, solver=solver)
+                           n=n, d=d, solver=chain.solver)
 
 
 def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,

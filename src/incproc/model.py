@@ -233,7 +233,11 @@ def analyze_walk(spec: WalkSpec) -> WalkAnalysis:
     r = spec.rates
     kappa = spec.kappa
     gen = r - np.diag(spec.holding)
-    m = dense_stationary(gen)
+    try:
+        m = dense_stationary(gen)
+    except np.linalg.LinAlgError:           # subnormal rates can do this
+        raise NonIrreducibleWalk("the balance solve for the invariant measure is "
+                                 "singular in floats") from None
     with np.errstate(invalid="ignore", over="ignore"):     # judged by the check below
         residual = np.abs(m @ gen).max()
     # a nan residual fails too

@@ -10,9 +10,10 @@ gives, and a lifted linear function on the torus.
 ``draw`` reads one value of a replica's draws as the references of the
 event kernel read them.
 
-``superlu_refined`` keeps the SuperLU solve that the multifrontal factor
+``superlu_solver`` keeps the SuperLU solve that the multifrontal factor
 of the exact solves replaced: the same interior system, eliminated in the
-order it lists its unknowns, with one step of iterative refinement.
+order it lists its unknowns, solved as given or transposed, with one step
+of iterative refinement.
 
 ``lockstep_runs`` keeps the numpy sampler of the condensate runs that the
 compiled channel steps replaced: ``_lockstep`` steps the excursions of a
@@ -53,15 +54,21 @@ def draw(blocks, kind: str) -> float:
     return value
 
 
-def superlu_refined(a, b, tree=None) -> tuple[np.ndarray, int]:
-    """Solve ``a x = b`` as ``incproc.exact._solve_refined`` does, with
-    SuperLU in the order ``a`` lists its unknowns in place of the
-    multifrontal factor on ``tree`` (unused). Returns the solution and the
-    L+U nonzeros SuperLU stored."""
+def superlu_solver(a, tree=None):
+    """Factor ``a`` as ``incproc.exact._solver`` does, with SuperLU in the
+    order ``a`` lists its unknowns in, in place of the multifrontal factor on
+    ``tree`` (unused). Returns ``solve(b, trans=False)``, which solves
+    ``a x = b``, or ``a.T x = b`` with ``trans``, plus one step of iterative
+    refinement, and the L+U nonzeros SuperLU stored."""
     lu = spla.splu(sp.csc_matrix(a), permc_spec="NATURAL")
-    x = lu.solve(b)
-    x -= lu.solve(a @ x - b)
-    return x, int(lu.nnz)
+
+    def solve(b, trans=False):
+        side = "T" if trans else "N"
+        x = lu.solve(b, trans=side)
+        x -= lu.solve((a.T if trans else a) @ x - b, trans=side)
+        return x
+
+    return solve, int(lu.nnz)
 
 
 @dataclass(frozen=True)

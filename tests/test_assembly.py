@@ -284,55 +284,21 @@ def test_inner_closure_matches_loop(walk_params, data):
     assert np.array_equal(reg.inner_closure, _loop_inner_closure(reg))
 
 
-@pytest.mark.parametrize("walk,n", [("up3", 12), ("cycle3", 9), ("chain4", 7)])
-def test_stationary_system_matches_lil(walk, n, request, monkeypatch):
-    # the stationary solve hands over (I - P_ii)^T off the pinned state and
-    # the pinned row of the rates, with the interior states in elimination
-    # order, here built entry by entry through LIL
+@pytest.mark.parametrize("walk,n", [("up3", 12), ("up3", 10), ("cycle3", 9), ("chain4", 7),
+                                    ("chain4", 6), ("two_asym", 8)])
+def test_interior_system_matches_lil(walk, n, request, monkeypatch):
+    # every exact solve factors I - P_ii off every metastable state, with
+    # the interior states in elimination order, here built entry by entry
+    # through LIL; the hitting solve hands over the jump probabilities into
+    # each metastable state, and the stationary solve then the flux into the
+    # interior from mu on them, transposed
     walk = request.getfixturevalue(walk)
     params = ProcessParams(n, 1e-3)
     enum = StateEnumeration(walk.kappa, n)
     coo = _coo_rate_matrix(walk, params, enum)
     holding = np.asarray(coo.sum(axis=1)).ravel()
     rates = coo.tolil()
-    ref = enum.xi_index(int(np.argmax(analyze_walk(walk).m)))
-    interior = np.array([i for i in range(enum.size) if i != ref])
-    order = interior[exact._nested_dissection(enum.counts_matrix()[interior]).perm]
-    col = {state: k for k, state in enumerate(order)}
-    lil = sp.lil_matrix((len(order), len(order)))
-    for k, i in enumerate(order):
-        lil[k, k] = 1.0
-        for j, r in zip(rates.rows[i], rates.data[i]):
-            if j != ref:
-                lil[col[j], k] = -((1.0 / holding[i]) * r)
-    systems = []
-    solve = exact._solve_refined
-
-    def spy(a, b, tree):
-        systems.append((a, b))
-        return solve(a, b, tree)
-
-    monkeypatch.setattr(exact, "_solve_refined", spy)
-    stationary_exact(walk, params)
-    a, b = systems[0]
-    _assert_same_csr(a.tocsr(), lil.tocsr())
-    assert np.array_equal(b, rates[ref].toarray().ravel()[order])
-
-
-@pytest.mark.parametrize("walk,n,a_set", [("up3", 10, (0, 1, 2)), ("cycle3", 9, (0, 1)),
-                                          ("chain4", 7, (1, 2)), ("chain4", 6, (0, 3)),
-                                          ("two_asym", 8, (0, 1))])
-def test_hitting_system_matches_lil(walk, n, a_set, request, monkeypatch):
-    # the hitting solve hands over I - P_ii off the metastable states of A
-    # and the jump probabilities into each of them, with the interior states
-    # in elimination order, here built entry by entry through LIL
-    walk = request.getfixturevalue(walk)
-    params = ProcessParams(n, 1e-3)
-    enum = StateEnumeration(walk.kappa, n)
-    coo = _coo_rate_matrix(walk, params, enum)
-    holding = np.asarray(coo.sum(axis=1)).ravel()
-    rates = coo.tolil()
-    xi = [enum.xi_index(x) for x in a_set]
+    xi = [enum.xi_index(x) for x in range(walk.kappa)]
     interior = np.array([i for i in range(enum.size) if i not in xi])
     order = interior[exact._nested_dissection(enum.counts_matrix()[interior]).perm]
     row = {state: k for k, state in enumerate(order)}
@@ -345,16 +311,25 @@ def test_hitting_system_matches_lil(walk, n, a_set, request, monkeypatch):
                 want_b[k, xi.index(j)] = r * (1.0 / holding[i])
             else:
                 lil[k, row[j]] = -((1.0 / holding[i]) * r)
-    systems = []
-    solve = exact._solve_refined
+    systems, rights = [], []
+    solver = exact._solver
 
-    def spy(a, b, tree):
-        systems.append((a, b))
-        return solve(a, b, tree)
+    def spy(a, tree):
+        systems.append(a)
+        solve, lu_nnz = solver(a, tree)
 
-    monkeypatch.setattr(exact, "_solve_refined", spy)
-    exact._hitting_matrix(walk, params, enum, a_set)
-    a, b = systems[0]
+        def each(b, trans=False):
+            rights.append((b, trans))
+            return solve(b, trans)
+
+        return each, lu_nnz
+
+    monkeypatch.setattr(exact, "_solver", spy)
+    stationary_exact(walk, params)
+    (a,) = systems
     # the identity minus P_ii stores a row's entries in another column order
     _assert_same_csr(a.tocsr().sorted_indices(), lil.tocsr())
-    assert np.array_equal(b, want_b)
+    (b, trans), (flux, flux_trans) = rights
+    assert np.array_equal(b, want_b) and not trans and flux_trans
+    mu_xi = exact._gth_stationary(exact._trace_chain(walk, params).generator)
+    np.testing.assert_allclose(flux, rates[xi][:, order].toarray().T @ mu_xi, rtol=1e-14)

@@ -958,11 +958,13 @@ def test_trace_project_matches_reference(walk, request):
 def long_path(seed):
     """The 300,000-event 3-cycle path of the ``long_path`` benchmark workload
     at ``seed`` (its first round), and the theta it is projected with."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
     try:
         import workloads
     finally:
-        sys.path.pop(0)
+        # workloads puts the package's src before it
+        sys.path.remove(bench)
     work = workloads.make("long_path", seed)
     (op,) = [op for op in work.operations() if op.name == "simulate_cycle"]
     return op.run(SimpleNamespace(call=lambda name, f, *a, count=None, **kw: f(*a, **kw)),

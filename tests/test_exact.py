@@ -13,16 +13,15 @@ from incproc import (ConditionNotSatisfied, DimensionMismatch, IncprocError,
                      RegionSpec, WalkSpec, analyze_walk, enumerate_states,
                      flow_profile, mean_jump_rate_exact, reciprocal_sum, region_masses,
                      stationary_closed_form, stationary_exact)
-from incproc.exact import (STATIONARY_TOL, _hitting_matrix, build_generator,
+from incproc.exact import (STATIONARY_TOL, _trace_chain, build_generator,
                            reciprocal_bound_holds, reciprocal_sum_table)
 
 
-def hitting_column(spec, params, a_set, y):
+def hitting_column(spec, params, y):
     """The probability, per starting state, of reaching xi^y first among the
-    metastable states of ``a_set``, and the enumeration."""
-    enum = enumerate_states(spec.kappa, params.n)
-    h, _, _ = _hitting_matrix(spec, params, enum, a_set)
-    return h[:, a_set.index(y)], enum
+    metastable states, and the enumeration."""
+    chain = _trace_chain(spec, params)
+    return chain.hitting[:, y], chain.enum
 
 
 class TestStationaryExact:
@@ -232,23 +231,22 @@ class TestRegionMasses:
 
 
 class TestHitting:
-    @pytest.mark.parametrize("walk,a_set", [("two_sym", (0, 1)), ("up3", (0, 2)),
-                                            ("cycle3", (0, 1, 2)), ("chain4", (1, 3))])
-    def test_rows_sum_to_one(self, walk, a_set, request):
-        # from every state the walk reaches some metastable state of A first
+    @pytest.mark.parametrize("walk", ["two_sym", "up3", "cycle3", "chain4"])
+    def test_rows_sum_to_one(self, walk, request):
+        # from every state the walk reaches some metastable state first
         spec = request.getfixturevalue(walk)
         enum = enumerate_states(spec.kappa, 7)
-        h = _hitting_matrix(spec, ProcessParams(7, 0.05), enum, a_set)[0]
-        assert h.shape == (enum.size, len(a_set))
+        h = _trace_chain(spec, ProcessParams(7, 0.05)).hitting
+        assert h.shape == (enum.size, spec.kappa)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-10
 
     def test_symmetric_midpoint(self, two_sym):
-        h, enum = hitting_column(two_sym, ProcessParams(2, 0.1), (0, 1), 1)
+        h, enum = hitting_column(two_sym, ProcessParams(2, 0.1), 1)
         assert h[enum.rank((1, 1))] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_backward_moves(self):
         spec = WalkSpec.from_matrix([[0.0, 1.0], [1e-300, 0.0]])
-        h, enum = hitting_column(spec, ProcessParams(6, 0.01), (0, 1), 1)
+        h, enum = hitting_column(spec, ProcessParams(6, 0.01), 1)
         for i in range(1, 6):
             assert h[enum.rank((6 - i, i))] == pytest.approx(1.0, abs=1e-12)
 
@@ -256,7 +254,7 @@ class TestHitting:
         params = ProcessParams(8, 0.05)
         total = None
         for y in range(3):
-            h, enum = hitting_column(up3, params, (0, 1, 2), y)
+            h, enum = hitting_column(up3, params, y)
             total = h if total is None else total + h
         interior = [i for i in range(enum.size)
                     if i not in {enum.xi_index(x) for x in range(3)}]
@@ -267,7 +265,7 @@ class TestHitting:
         from incproc.simulate import _Blocks, _philox_key
         from reference import draw
         params = ProcessParams(4, 0.3)
-        h, enum = hitting_column(up3, params, (0, 1, 2), 2)
+        h, enum = hitting_column(up3, params, 2)
         start = (2, 1, 1)
         targets = {enum.xi_index(x): x for x in range(3)}
         runs = 100_000
@@ -326,7 +324,7 @@ class TestMeanJumpRate:
     def test_row_sum_escape_minus_return(self, up3):
         params = ProcessParams(12, 0.05)
         tr = mean_jump_rate_exact(up3, params, (0, 1, 2))
-        h0, enum = hitting_column(up3, params, (0, 1, 2), 0)
+        h0, enum = hitting_column(up3, params, 0)
         lam = up3.holding
         escape = tr.raw[0, 1] + tr.raw[0, 2]
         ret = sum(params.n * params.d * up3.rates[0, z]

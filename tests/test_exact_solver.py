@@ -1,14 +1,22 @@
 """The exact LU path against reference solvers, plus its diagnostics.
 
-The reference below is the solver the nested-dissection path replaced: one
-SuperLU factorization per system in ``MMD_AT_PLUS_A`` order, the stationary
-law from the transposed generator with one balance row replaced by a pin on
-the heaviest metastable state, and one hitting solve per target. The code
-solves the stationary law as the hitting system of that pinned state
-instead, transposed, and reads the trace rates off the rate matrix's rows;
-``pinned_balance`` and ``loop_trace_rates`` keep what it replaced. The
-multifrontal factor is checked against ``reference.superlu_refined``,
-SuperLU on the same interior system in the same order.
+Every exact solve reads one reduction: the interior system ``I - P_ii`` of
+the jump chain off every metastable state, factored once. Its kappa hitting
+columns give the generator G of the trace chain on the metastable states.
+The stationary law is G's stationary law there, by GTH elimination, and the
+transposed solve of the same factor off them; the trace rates on A are the
+GTH Schur complement of G onto A.
+
+The references below are the solvers this replaced, one SuperLU
+factorization per system in ``MMD_AT_PLUS_A`` order: the stationary law
+from the transposed generator with one balance row replaced by a pin on the
+heaviest metastable state (``pinned_balance``), and one hitting solve per
+target of A on the system off the metastable states of A alone
+(``per_a_system``), with the trace rates summed move by move
+(``loop_trace_rates``). ``oracle_trace_rates`` solves that per-A system in
+exact rational arithmetic. The multifrontal factor is checked against
+``reference.superlu_solver``, SuperLU on the same interior system in the
+same order.
 """
 
 import math
@@ -19,6 +27,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 from unittest import mock
@@ -37,7 +46,7 @@ from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure,
 from incproc.exact import (HITTING_TOL, STATIONARY_TOL, build_generator,
                            build_rate_matrix)
 from incproc.thermo import build_torus, torus_walk
-from reference import superlu_refined
+from reference import superlu_solver
 
 AGREE = 1e-12
 
@@ -67,19 +76,28 @@ def reference_stationary(spec, params):
     return mu / mu.sum()
 
 
-def reference_hitting(spec, params, a_set, y):
+def per_a_system(spec, params, a_set):
+    """The hitting system ``I - P_ii`` off the metastable states of ``a_set``
+    alone, the jump probabilities into each of them as columns, and the
+    interior states."""
     enum = enumerate_states(spec.kappa, params.n)
     rates = build_rate_matrix(spec, params, enum)
     holding = np.asarray(rates.sum(axis=1)).ravel()
     p = (sp.diags(1.0 / holding) @ rates).tocsc()
-    boundary = np.zeros(enum.size, dtype=bool)
-    boundary[[enum.xi_index(x) for x in a_set]] = True
-    interior = np.nonzero(~boundary)[0]
+    interior = np.setdiff1d(np.arange(enum.size), [enum.xi_index(x) for x in a_set])
     a_mat = (sp.eye(interior.size) - p[interior][:, interior]).tocsc()
-    b = np.asarray(p[interior][:, [enum.xi_index(y)]].todense()).ravel()
-    h = np.zeros(enum.size)
-    h[interior] = np.clip(_reference_solve(a_mat, b), 0.0, 1.0)
-    h[enum.xi_index(y)] = 1.0
+    return a_mat, p[interior][:, [enum.xi_index(y) for y in a_set]].toarray(), interior
+
+
+def reference_hitting(spec, params, a_set):
+    """Per state, the probability of reaching each xi^y, y in ``a_set``,
+    first among the metastable states of ``a_set``: one solve per target."""
+    enum = enumerate_states(spec.kappa, params.n)
+    a_mat, b, interior = per_a_system(spec, params, a_set)
+    h = np.zeros((enum.size, len(a_set)))
+    h[[enum.xi_index(y) for y in a_set], np.arange(len(a_set))] = 1.0
+    for j, column in enumerate(b.T):
+        h[interior, j] = np.clip(_reference_solve(a_mat, column), 0.0, 1.0)
     return h
 
 
@@ -101,8 +119,81 @@ def loop_trace_rates(spec, params, enum, a_set, h):
 
 def reference_trace_rates(spec, params, a_set):
     enum = enumerate_states(spec.kappa, params.n)
-    h = np.column_stack([reference_hitting(spec, params, a_set, y) for y in a_set])
-    return loop_trace_rates(spec, params, enum, a_set, h)
+    return loop_trace_rates(spec, params, enum, a_set, reference_hitting(spec, params, a_set))
+
+
+def exact_solve(rows, b):
+    """Solve ``rows x = b`` in rational arithmetic: ``rows`` holds one
+    ``{column: Fraction}`` dict per equation, ``b`` one list of right sides
+    per equation. Sparse Gaussian elimination, any nonzero pivot."""
+    rows, b = [dict(row) for row in rows], [list(rhs) for rhs in b]
+    n = len(rows)
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i].get(k))
+        rows[k], rows[p], b[k], b[p] = rows[p], rows[k], b[p], b[k]
+        for i in range(k + 1, n):
+            f = rows[i].pop(k, 0)
+            if f:
+                f /= rows[k][k]
+                for j, v in rows[k].items():
+                    if j != k:
+                        rows[i][j] = rows[i].get(j, 0) - f * v
+                b[i] = [x - f * y for x, y in zip(b[i], b[k])]
+    x = [None] * n
+    for k in range(n - 1, -1, -1):
+        rhs = b[k]
+        for j, v in rows[k].items():
+            if j != k:
+                rhs = [r - v * c for r, c in zip(rhs, x[j])]
+        x[k] = [r / rows[k][k] for r in rhs]
+    return x
+
+
+def oracle_trace_rates(spec, params, a_set):
+    """The trace rates on ``a_set`` from the per-A hitting system built and
+    solved in exact rational arithmetic from the walk's float rates and d,
+    which convert exactly; only the result is rounded."""
+    enum = enumerate_states(spec.kappa, params.n)
+    counts = enum.counts_matrix().astype(int)
+    n, d = params.n, Fraction(params.d)
+    r = [[Fraction(float(v)) for v in row] for row in spec.rates]
+    xi = [enum.xi_index(x) for x in a_set]
+    interior = [i for i in range(enum.size) if i not in xi]
+    pos = {state: k for k, state in enumerate(interior)}
+    rows, b = [], []
+    for i in interior:
+        c = counts[i]
+        moves = [(x, y, c[x] * (d + c[y]) * r[x][y]) for x in range(spec.kappa)
+                 for y in range(spec.kappa) if x != y and c[x] and r[x][y]]
+        holding = sum(rate for *_, rate in moves)
+        row, rhs = {pos[i]: Fraction(1)}, [Fraction(0)] * len(a_set)
+        for x, y, rate in moves:
+            eta = c.copy()
+            eta[x] -= 1
+            eta[y] += 1
+            j = enum.rank(eta)
+            if j in xi:
+                rhs[xi.index(j)] += rate / holding
+            else:
+                row[pos[j]] = row.get(pos[j], 0) - rate / holding
+        rows.append(row)
+        b.append(rhs)
+    h = exact_solve(rows, b)
+    raw = np.zeros((len(a_set), len(a_set)))
+    for s, x in enumerate(a_set):
+        for t in range(len(a_set)):
+            if t == s:
+                continue
+            total = Fraction(0)
+            for z in range(spec.kappa):
+                if z != x and r[x][z]:
+                    eta = [0] * spec.kappa
+                    eta[x], eta[z] = n - 1, 1
+                    j = enum.rank(eta)
+                    hit = h[pos[j]][t] if j in pos else Fraction(j == xi[t])
+                    total += n * d * r[x][z] * hit
+            raw[s, t] = float(total)
+    return raw
 
 
 def close(new, ref, what, tol=AGREE):
@@ -129,9 +220,10 @@ def test_agrees_with_reference_solver(request, walk, params, a_set):
     spec = request.getfixturevalue(walk) if isinstance(walk, str) else walk
     close(stationary_exact(spec, params).weights,
           reference_stationary(spec, params), "stationary law")
-    h = exact._hitting_matrix(spec, params, enumerate_states(spec.kappa, params.n), a_set)[0]
-    for y, column in zip(a_set, h.T):
-        close(column, reference_hitting(spec, params, a_set, y), f"h_{y}")
+    h = exact._trace_chain(spec, params).hitting
+    every = tuple(range(spec.kappa))
+    for y, column, want in zip(every, h.T, reference_hitting(spec, params, every).T):
+        close(column, want, f"h_{y}")
     close(mean_jump_rate_exact(spec, params, a_set).raw,
           reference_trace_rates(spec, params, a_set), "trace rates")
 
@@ -161,8 +253,7 @@ class TestRandomWalks:
     def test_hitting_partition_of_unity(self, seed):
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
-        a_set = tuple(range(spec.kappa))
-        h = exact._hitting_matrix(spec, params, enum, a_set)[0]
+        h = exact._trace_chain(spec, params).hitting
         assert h.shape == (enum.size, spec.kappa)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -189,15 +280,15 @@ class TestRandomWalks:
         close(stationary_exact(KAPPA4, params).weights,
               reference_stationary(KAPPA4, params), "stationary law")
 
-    @given(st.integers(0, 100_000), st.data())
+    @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
-    def test_trace_rates_match_loop(self, seed, data):
-        # the rate rows times h sum the same terms in the same order as the loop
+    def test_trace_rates_match_loop(self, seed):
+        # on every site the rates are G off its diagonal: the rate rows
+        # times h sum the same terms in the same order as the loop
         spec, params = random_walk(seed)
-        a_set = tuple(sorted(data.draw(st.sets(st.integers(0, spec.kappa - 1),
-                                                min_size=1))))
+        a_set = tuple(range(spec.kappa))
         enum = enumerate_states(spec.kappa, params.n)
-        h = exact._hitting_matrix(spec, params, enum, a_set)[0]
+        h = exact._trace_chain(spec, params).hitting
         assert np.array_equal(mean_jump_rate_exact(spec, params, a_set).raw,
                               loop_trace_rates(spec, params, enum, a_set, h))
 
@@ -248,29 +339,31 @@ def condition(a):
 
 def agree_with_superlu(spec, params, a_set):
     """The stationary law, the hitting matrix and the trace rates agree with
-    SuperLU factoring the same interior systems in the same order: within
+    SuperLU factoring the same interior system in the same order: within
     AGREE, or within cond(A) * eps where the condition number of the system
-    A they were solved from puts that above AGREE. Two backward-stable
-    solves of A may differ by about that much: on one of 600 random walks,
-    with cond(A) = 2.9e8, SuperLU in two orders agreed to 1e-21 and missed
-    the exact solution by 1.1e-9, where the multifrontal factor missed it by
-    9.3e-11."""
-    cond = {}
-    solve = exact._solve_refined
+    A puts that above AGREE. Two backward-stable solves of A may differ by
+    about that much: on one of 600 random walks, with cond(A) = 2.9e8,
+    SuperLU in two orders agreed to 1e-21 and missed the exact solution by
+    1.1e-9, where the multifrontal factor missed it by 9.3e-11. The trace
+    rates also agree with one SuperLU solve per target of the system off the
+    metastable states of A alone, within AGREE or that system's cond * eps."""
+    cond = []
+    solver = exact._solver
 
-    def measured(a, b, tree):
-        # the stationary solve has one right-hand side, the hitting solves one a target
-        cond[b.ndim] = condition(a)
-        return solve(a, b, tree)
+    def measured(a, tree):
+        if not cond:    # every solve factors the same system
+            cond.append(condition(a))
+        return solver(a, tree)
 
-    with mock.patch.object(exact, "_solve_refined", measured):
+    with mock.patch.object(exact, "_solver", measured):
         new = solve_all(spec, params, a_set)
-    with mock.patch.object(exact, "_solve_refined", superlu_refined):
+    with mock.patch.object(exact, "_solver", superlu_solver):
         ref = solve_all(spec, params, a_set)
-    tol = {b_ndim: max(AGREE, c * np.finfo(float).eps) for b_ndim, c in cond.items()}
-    for what, got, want, b_ndim in zip(("stationary law", "hitting matrix", "trace rates"),
-                                       new, ref, (1, 2, 2)):
-        close(got, want, what, tol.get(b_ndim, AGREE))
+    eps = np.finfo(float).eps
+    for what, got, want in zip(("stationary law", "hitting matrix", "trace rates"), new, ref):
+        close(got, want, what, max(AGREE, cond[0] * eps))
+    close(new[2], reference_trace_rates(spec, params, a_set), "trace rates, per target",
+          max(AGREE, condition(per_a_system(spec, params, a_set)[0]) * eps))
 
 
 class TestAgainstSuperLU:
@@ -292,13 +385,10 @@ class TestAgainstSuperLU:
     def test_benchmark_walk_agrees(self):
         agree_with_superlu(KAPPA4, ProcessParams(35, 1e-4), (0, 1, 2, 3))
 
-    @pytest.mark.parametrize("a_set, caught", [((0,), AssertionError),
-                                               ((0, 1, 2, 3), SolverFailure)])
-    def test_a_perturbed_front_entry_fails(self, monkeypatch, a_set, caught):
-        # block 0 assembles row 0 of each system from its first stored entry,
-        # here 0.1% off. With one target only the stationary law is factored,
-        # and the comparison catches it inside the residual bound; with four
-        # the hitting residual check catches it first
+    def test_a_perturbed_front_entry_fails(self, monkeypatch):
+        # block 0 assembles row 0 of the system from its first stored entry,
+        # here 0.1% off: the hitting residual check of the one reduction
+        # catches it in every exact solve
         factor = exact._factor
 
         def planted(a, tree):
@@ -307,8 +397,72 @@ class TestAgainstSuperLU:
             return factor(a, tree)
 
         monkeypatch.setattr(exact, "_factor", planted)
-        with pytest.raises(caught):
-            agree_with_superlu(KAPPA4, ProcessParams(12, 1e-3), a_set)
+        params = ProcessParams(12, 1e-3)
+        with pytest.raises(SolverFailure, match="hitting-probability residual"):
+            stationary_exact(KAPPA4, params)
+        with pytest.raises(SolverFailure, match="hitting-probability residual"):
+            mean_jump_rate_exact(KAPPA4, params, (0,))
+
+    def test_a_perturbed_transposed_solve_fails(self, monkeypatch):
+        # the transposed solve 1e-9 off stays inside the stationary residual
+        # bound, and the comparison with SuperLU catches it
+        solver = exact._solver
+
+        def planted(a, tree):
+            solve, lu_nnz = solver(a, tree)
+            return (lambda b, trans=False: solve(b, trans) * (1.0 + 1e-9 * trans)), lu_nnz
+
+        monkeypatch.setattr(exact, "_solver", planted)
+        with pytest.raises(AssertionError, match="stationary law"):
+            agree_with_superlu(KAPPA4, ProcessParams(12, 1e-3), (0, 1))
+
+    def test_transposed_sweep_matches_a_sparse_solve(self, chain4):
+        # incproc_lu_solve with trans solves a.T x = b on the factor of a:
+        # the U^T and U12^T sweep down, then L21^T, L^T and the swaps undone
+        # in reverse; here blocks pivot more than once, so the order shows
+        _, systems = solves_of(lambda: exact._trace_chain(chain4, ProcessParams(9, 1e-2)))
+        (a, tree), = systems
+        lu, ipiv = exact._factor(a, tree)
+        b = np.random.default_rng(7).random((a.shape[0], 3))
+        want = spla.spsolve(a.T.tocsc(), b)
+        close(exact._lu_solve(tree, lu, ipiv, b, trans=True), want, "a.T x = b", 1e-13)
+        close(exact._lu_solve(tree, lu, ipiv, b), spla.spsolve(a.tocsc(), b), "a x = b", 1e-13)
+
+
+class TestOracle:
+    def test_trace_rates_match_an_exact_solve(self):
+        # 66 states; the system off xi^1 and xi^2 alone has cond * eps of
+        # 5e-7, and solving it in floats missed these rates by 6.4e-10; the
+        # system off every metastable state has 2e-14
+        spec, params = random_walk(6)
+        assert enumerate_states(spec.kappa, params.n).size == 66
+        a_set = (1, 2)
+        close(mean_jump_rate_exact(spec, params, a_set).raw,
+              oracle_trace_rates(spec, params, a_set), "trace rates")
+
+    @pytest.mark.parametrize("slow, n", [(1e-150, 2), (1e-100, 3)])
+    def test_a_slow_site_outside_a(self, slow, n):
+        # site 2 leaves only for site 0, at rate 1e-150 or 1e-100, so its
+        # row of G is near the underflow threshold; the system off xi^0 and
+        # xi^1 alone has cond * eps of 1.4 and 7.6, and solving it in floats
+        # put these rates 1% off (0.00995 and 0.00992, not 0.01005 and 0.01011)
+        spec = WalkSpec.from_matrix([[0, 1, 1], [1, 0, 0], [slow, 0, 0]])
+        params = ProcessParams(n, 0.01)
+        close(mean_jump_rate_exact(spec, params, (0, 1)).raw,
+              oracle_trace_rates(spec, params, (0, 1)), "trace rates", 1e-15)
+
+
+def solves_of(run):
+    """The result of ``run()`` and the ``(a, tree)`` of each factor it made."""
+    systems = []
+    solver = exact._solver
+
+    def spy(a, tree):
+        systems.append((a, tree))
+        return solver(a, tree)
+
+    with mock.patch.object(exact, "_solver", spy):
+        return run(), systems
 
 
 def single_count_order(coords):
@@ -334,9 +488,7 @@ def single_count_order(coords):
 
 def solve_all(spec, params, a_set):
     """The stationary law, the hitting vectors of every target and the trace rates."""
-    enum = enumerate_states(spec.kappa, params.n)
-    h = exact._hitting_matrix(spec, params, enum, a_set)[0]
-    return (stationary_exact(spec, params).weights, h.T,
+    return (stationary_exact(spec, params).weights, exact._trace_chain(spec, params).hitting.T,
             mean_jump_rate_exact(spec, params, a_set).raw)
 
 
@@ -349,10 +501,10 @@ def single_count_tree(coords):
 def agree_with_single_count_order(spec, params, a_set):
     new = solve_all(spec, params, a_set)
     with mock.patch.object(exact, "_nested_dissection", single_count_tree), \
-            mock.patch.object(exact, "_solve_refined", superlu_refined):
+            mock.patch.object(exact, "_solver", superlu_solver):
         ref = solve_all(spec, params, a_set)
     close(new[0], ref[0], "stationary law")
-    for y, h_new, h_ref in zip(a_set, new[1], ref[1]):
+    for y, h_new, h_ref in zip(range(spec.kappa), new[1], ref[1]):
         close(h_new, h_ref, f"h_{y}")
     close(new[2], ref[2], "trace rates")
 
@@ -410,16 +562,17 @@ class TestNestedDissection:
         (torus_walk(TORUS8), ProcessParams(TORUS8.n, TORUS8.d_l), 11_791_144),
     ])
     def test_fill_and_its_prediction(self, walk, params, single_count_nnz):
-        # single_count_nnz: SuperLU's L+U of the stationary system under the
-        # single-count order; the order's quality is read the same way
-        with mock.patch.object(exact, "_solve_refined", superlu_refined):
+        # single_count_nnz: SuperLU's L+U of the pinned stationary system
+        # under the single-count order; the order's quality is read the same
+        # way, on the system off every metastable state
+        with mock.patch.object(exact, "_solver", superlu_solver):
             assert stationary_exact(walk, params).solver.lu_nnz <= single_count_nnz
         solver = stationary_exact(walk, params).solver
         assert solver.lu_nnz == solver.predicted_nnz
 
     def test_hitting_fill_below_single_count_order(self):
         params, a_set = ProcessParams(35, 1e-4), (0, 1, 2, 3)
-        with mock.patch.object(exact, "_solve_refined", superlu_refined):
+        with mock.patch.object(exact, "_solver", superlu_solver):
             assert mean_jump_rate_exact(KAPPA4, params, a_set).solver.lu_nnz <= 2_761_282
         solver = mean_jump_rate_exact(KAPPA4, params, a_set).solver
         assert solver.lu_nnz == solver.predicted_nnz
@@ -440,16 +593,15 @@ class TestNestedDissection:
 
     def test_less_fill_than_minimum_degree(self):
         # at desk scale on four sites the count-coordinate dissection beats
-        # the generic minimum-degree ordering on the stationary system
-        spec, params = KAPPA4, ProcessParams(25, 1e-4)
-        a, _ = pinned_balance(spec, params)
-        mmd = spla.splu(a, permc_spec="MMD_AT_PLUS_A").nnz
-        with mock.patch.object(exact, "_solve_refined", superlu_refined):
-            assert stationary_exact(spec, params).solver.lu_nnz < 0.8 * mmd
+        # the generic minimum-degree ordering on the system every solve factors
+        _, systems = solves_of(lambda: stationary_exact(KAPPA4, ProcessParams(25, 1e-4)))
+        (a, _), = systems
+        mmd = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
+        assert superlu_solver(a)[1] < 0.8 * mmd
 
 
 REFUSE = """
-import resource, sys
+import sys
 import incproc.exact as exact
 from incproc import ProcessParams, StateSpaceTooLarge, WalkSpec, stationary_exact
 # the budget of an 8 GiB machine; factoring must not start
@@ -462,7 +614,10 @@ for kappa, n in ((4, 140), (5, 44)):
         print(exc)
     else:
         sys.exit("not refused")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# this process's own peak RSS in KiB: exec starts it afresh, where
+# ru_maxrss would carry the peak of the process that started it
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
@@ -480,25 +635,23 @@ class TestFillCap:
         assert out[0].startswith("state space has 477191 configurations")
         assert out[1].startswith("state space has 194580 configurations")
         assert all("GiB, over the budget of 4.0 GiB" in line for line in out[:2])
-        assert int(out[2]) < 500 * 1024     # ru_maxrss is in KiB on Linux
+        assert int(out[2]) < 500 * 1024
 
     def test_guard_counts_what_the_factor_allocates(self):
         # the factor's entries and its update matrices alive at once are the
         # guard's bytes; beyond them it allocates the column copy of the
         # system and index arrays of a few bytes a state
-        params = ProcessParams(35, 1e-4)
-        enum = enumerate_states(4, 35)
-        ref = enum.xi_index(int(np.argmax(analyze_walk(KAPPA4).m)))
-        _, tree, a, _, _ = exact._interior_system(KAPPA4, params, enum, [ref])
-        assert (tree.stored, tree.updates) == (2_694_621, 682_045)
+        _, systems = solves_of(lambda: stationary_exact(KAPPA4, ProcessParams(35, 1e-4)))
+        (a, tree), = systems
+        assert (tree.stored, tree.updates) == (2_700_650, 615_089)
         n = a.shape[0]
-        columns = a.T.tocsr()
+        columns = a.tocsc()
         copied = columns.data.nbytes + columns.indices.nbytes + columns.indptr.nbytes
         index = 4 * n + 4 * n + 4 * tree.widest + 8 * tree.sizes.size
-        exact._factor(a.T, tree)      # the library and the BLAS table load once
+        exact._factor(a, tree)      # the library and the BLAS table load once
         tracemalloc.start()
         try:
-            lu, ipiv = exact._factor(a.T, tree)
+            lu, ipiv = exact._factor(a, tree)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -509,7 +662,7 @@ class TestFillCap:
         monkeypatch.setattr(exact, "_lu_memory_budget", lambda: 1000)
         with pytest.raises(StateSpaceTooLarge, match="over the budget") as exc:
             mean_jump_rate_exact(cycle3, ProcessParams(10, 0.1), (0, 1))
-        # the size of the state space, the two target states included
+        # the size of the state space, the metastable states included
         assert exc.value.size == 66 and exc.value.cap is None
 
 
@@ -522,26 +675,45 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("negative", [True, False])
     def test_stationary_failed_solve_raises(self, up3, monkeypatch, negative):
-        # a solution with negative entries, and a positive one that misses
-        # the residual bound: there is no fallback
-        def broken(a, b, tree):
-            return (-np.ones_like(b) if negative else np.linspace(1.0, 2.0, len(b))), 7
-        monkeypatch.setattr(exact, "_solve_refined", broken)
+        # a transposed solve with negative entries, and a positive one that
+        # misses the residual bound: there is no fallback
+        solver = exact._solver
+
+        def broken(a, tree):
+            solve, lu_nnz = solver(a, tree)
+
+            def bad(b, trans=False):
+                if not trans:
+                    return solve(b)
+                return -np.ones_like(b) if negative else np.linspace(1.0, 2.0, len(b))
+
+            return bad, lu_nnz
+
+        monkeypatch.setattr(exact, "_solver", broken)
         with pytest.raises(SolverFailure, match="stationary residual"):
             stationary_exact(up3, ProcessParams(6, 0.2))
 
-    def test_nan_hitting_solve_raises(self, cycle3, monkeypatch):
-        # a nan fails the residual bound as any other miss does
-        solve = exact._solve_refined
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_nan_hitting_solve_raises(self, cycle3, monkeypatch, stationary):
+        # a nan fails the residual bound as any other miss does, in both solves
+        solver = exact._solver
 
-        def planted(a, b, tree):
-            h, lu_nnz = solve(a, b, tree)
-            h[0, 0] = np.nan
-            return h, lu_nnz
+        def planted(a, tree):
+            solve, lu_nnz = solver(a, tree)
 
-        monkeypatch.setattr(exact, "_solve_refined", planted)
+            def nan_first(b, trans=False):
+                x = solve(b, trans)
+                x.flat[0] = np.nan
+                return x
+
+            return nan_first, lu_nnz
+
+        monkeypatch.setattr(exact, "_solver", planted)
         with pytest.raises(SolverFailure, match="hitting-probability residual"):
-            mean_jump_rate_exact(cycle3, ProcessParams(6, 0.1), (0, 1, 2))
+            if stationary:
+                stationary_exact(cycle3, ProcessParams(6, 0.1))
+            else:
+                mean_jump_rate_exact(cycle3, ProcessParams(6, 0.1), (0, 1, 2))
 
     def test_closed_form_has_no_solver(self, cycle3):
         assert exact.stationary_closed_form(cycle3, ProcessParams(5, 0.1)).solver is None
@@ -572,17 +744,31 @@ class TestDiagnostics:
             assert inner["factor_s"] > 0.0
         assert outer["factor_s"] > 0.0
 
-    def test_trace_rates_factor_once(self, up3, monkeypatch):
-        calls = []
-        solve = exact._solve_refined
+    def test_one_factor_serves_every_solve(self, up3, monkeypatch):
+        # 42 interior states: the three hitting columns, then for the
+        # stationary law one transposed column, on one factor per call
+        factors, solves = [], []
+        solver = exact._solver
 
-        def counted(a, b, tree):
-            calls.append(b.shape)
-            return solve(a, b, tree)
+        def counted(a, tree):
+            factors.append(a.shape)
+            solve, lu_nnz = solver(a, tree)
 
-        monkeypatch.setattr(exact, "_solve_refined", counted)
-        mean_jump_rate_exact(up3, ProcessParams(8, 0.05), (0, 1, 2))
-        assert calls == [(42, 3)]
+            def each(b, trans=False):
+                solves.append((b.shape, trans))
+                return solve(b, trans)
+
+            return each, lu_nnz
+
+        monkeypatch.setattr(exact, "_solver", counted)
+        params = ProcessParams(8, 0.05)
+        for a_set in ((0, 1, 2), (0, 2), (1,)):
+            mean_jump_rate_exact(up3, params, a_set)
+        assert factors == [(42, 42)] * 3 and solves == [((42, 3), False)] * 3
+        factors.clear()
+        solves.clear()
+        stationary_exact(up3, params)
+        assert factors == [(42, 42)] and solves == [((42, 3), False), ((42,), True)]
 
 
 class TestSiteSets:
@@ -593,16 +779,6 @@ class TestSiteSets:
     def test_trace_rates_reject_empty_set(self, cycle3):
         with pytest.raises(OutOfRange):
             mean_jump_rate_exact(cycle3, ProcessParams(4, 0.1), ())
-
-    def test_hitting_rejects_out_of_range_site(self, cycle3):
-        with pytest.raises(OutOfRange):
-            exact._hitting_matrix(cycle3, ProcessParams(4, 0.1), enumerate_states(3, 4),
-                                  (0, 7))
-
-    def test_hitting_rejects_negative_site(self, cycle3):
-        with pytest.raises(OutOfRange):
-            exact._hitting_matrix(cycle3, ProcessParams(4, 0.1), enumerate_states(3, 4),
-                                  (-1, 0))
 
     def test_trace_rates_reject_negative_site(self, cycle3):
         with pytest.raises(OutOfRange):
@@ -627,44 +803,131 @@ class TestSiteSets:
             flow_profile(cycle3, params, mu, (0, 5), 0)
 
 
+class TestGTH:
+    def test_schur_complement_of_the_generator(self):
+        # the trace rates on A are the Schur complement of G onto A, off
+        # its diagonal
+        rng = np.random.default_rng(3)
+        rates = rng.uniform(0.1, 2.0, (5, 5))
+        np.fill_diagonal(rates, 0.0)
+        g = rates - np.diag(rates.sum(axis=1))
+        keep, rest = [3, 1], [0, 2, 4]
+        want = g[np.ix_(keep, keep)] - g[np.ix_(keep, rest)] @ np.linalg.solve(
+            g[np.ix_(rest, rest)], g[np.ix_(rest, keep)])
+        got = exact._gth(g, keep)[1][:2, :2]
+        off = ~np.eye(2, dtype=bool)
+        close(got[off], want[off], "trace rates", 1e-14)
+
+    def test_states_go_by_the_path_they_reach_the_kept_states_by(self):
+        # the cycle 0 -> 1 -> 3 -> 2 -> 0: 2 reaches 0 in one jump, 3 in
+        # two and 1 in three
+        rates = np.zeros((4, 4))
+        rates[0, 1] = rates[1, 3] = rates[3, 2] = rates[2, 0] = 1.0
+        assert exact._reaching(rates, [0]) == [0, 2, 3, 1]
+        order, q = exact._gth(rates, [0, 1])
+        assert order == [0, 1, 2, 3] and q[0, 1] == q[1, 0] == 1.0
+        assert exact._gth_stationary(rates).tolist() == [0.25] * 4
+
+    def test_a_state_that_reaches_no_kept_state_is_refused(self):
+        # state 2 has no rate left to 0 or 1: eliminating it divided 0 by 0,
+        # and the trace rates came back nan with a warning
+        rates = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SolverFailure, match=r"states \[2\] reach none of \[0, 1\]"):
+            exact._gth(rates, [0, 1])
+
+    def test_stationary_law_of_a_birth_death_chain(self):
+        # seven states whose shares fall by 1e-6 a step, to 1e-36: GTH keeps
+        # every share to a few ulps of the product formula
+        up, down = 1e-6, 1.0
+        rates = np.diag(np.full(6, up), 1) + np.diag(np.full(6, down), -1)
+        want = up ** np.arange(7) / (up ** np.arange(7)).sum()
+        got = exact._gth_stationary(rates)
+        assert np.abs(got / want - 1.0).max() <= 1e-14
+
+    def test_stationary_law_starts_from_the_closed_class(self):
+        # state 0 is left at rate 1 and never entered: the law sits on 1
+        # and 2, and eliminating down to 0 divided by zero
+        rates = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
+        assert exact._gth_stationary(rates).tolist() == [0.0, 1 / 3, 2 / 3]
+
+    def test_two_closed_classes_are_refused(self):
+        # 0 leaves for 1 or 2, which never leave
+        rates = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SolverFailure, match="reached from every other"):
+            exact._gth_stationary(rates)
+
+    def test_shares_beyond_the_float_range_are_refused(self):
+        # state 1 outweighs state 0 by 1e310
+        rates = np.array([[0.0, 1e10], [1e-300, 0.0]])
+        with pytest.raises(SolverFailure, match="float range"):
+            exact._gth_stationary(rates)
+
+    def test_one_state_chain(self):
+        assert exact._gth_stationary(np.zeros((1, 1))).tolist() == [1.0]
+
+
 class TestSmallSystems:
-    def test_hitting_every_state_metastable(self, cycle3):
-        # N = 1 and A = every site: no interior states, nothing to solve
-        enum = enumerate_states(3, 1)
-        h, rates, solver = exact._hitting_matrix(cycle3, ProcessParams(1, 0.1), enum,
-                                                 (0, 1, 2))
-        for y in range(3):
-            want = np.zeros(enum.size)
-            want[enum.xi_index(y)] = 1.0
-            assert h[:, y].tolist() == want.tolist()
-        assert rates is None and solver.residual == 0.0
+    def test_every_state_metastable(self, cycle3):
+        # N = 1: every state is metastable, the interior is empty, G is the
+        # rate matrix, and the stationary law is the walk's
+        chain = exact._trace_chain(cycle3, ProcessParams(1, 0.1))
+        assert chain.order.size == 0 and chain.solver.residual == 0.0
+        assert chain.hitting[chain.xi].tolist() == np.eye(3).tolist()
+        mu = stationary_exact(cycle3, ProcessParams(1, 0.1))
+        close(mu.weights[chain.xi], analyze_walk(cycle3).m, "stationary law", 1e-15)
 
     def test_one_target_is_reached_from_every_state(self):
-        # rates 1.23 and 0.11 at N = 30: the interior pivots cancelled to an
-        # exact zero and SuperLU raised a bare RuntimeError
+        # rates 1.23 and 0.11 at N = 30: the system off xi^0 alone had
+        # interior pivots that cancelled to an exact zero, and SuperLU raised
+        # a bare RuntimeError; the GTH reduction onto one state leaves no rate
         spec, params = random_walk(295)
-        enum = enumerate_states(spec.kappa, params.n)
-        h, rates, solver = exact._hitting_matrix(spec, params, enum, (0,))
-        assert h.tolist() == [[1.0]] * enum.size
-        assert rates.shape == (enum.size, enum.size) and solver.residual == 0.0
         assert mean_jump_rate_exact(spec, params, (0,)).raw.tolist() == [[0.0]]
+        assert mean_jump_rate_exact(spec, params, (0,)).stationary().tolist() == [1.0]
 
-    def test_hitting_refuses_holding_rates_it_cannot_invert(self, cycle3):
-        # d = 5e-324 leaves each metastable state a subnormal holding rate,
-        # whose reciprocal overflows; with A = (0, 1), xi^2 is interior, and
-        # the stationary solve pins one metastable state, so the others are
+    def test_hitting_refuses_holding_rates_it_cannot_invert(self, cycle3, up3):
+        # d = 5e-324 leaves each metastable state a subnormal holding rate of
+        # one or two bits, and the rates read from it lose their digits: the
+        # trace rates on the 3-cycle were 1/3 each where d = 1e-200 gives
+        # 0.4342 and 0.0342. Every exact solve refuses a holding rate below
+        # the smallest normal float
         params = ProcessParams(3, 5e-324)
-        with pytest.raises(OutOfRange, match="too small to invert"):
-            mean_jump_rate_exact(cycle3, params, (0, 1))
-        for subnormal in (params, ProcessParams(8, 1e-320)):
+        for a_set in ((0, 1), (0, 1, 2)):
+            with pytest.raises(OutOfRange, match="3 states have a subnormal holding rate"):
+                mean_jump_rate_exact(cycle3, params, a_set)
+        for walk, subnormal in ((cycle3, params), (cycle3, ProcessParams(8, 1e-320)),
+                                (up3, ProcessParams(8, 1e-320))):
             with pytest.raises(OutOfRange, match="too small to invert"):
-                stationary_exact(cycle3, subnormal)
-        # with A = every site only the boundary has them, and it is not inverted
-        enum = enumerate_states(3, 3)
+                stationary_exact(walk, subnormal)
+            with pytest.raises(OutOfRange, match="too small to invert"):
+                mean_jump_rate_exact(walk, subnormal, (0, 1, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h = exact._hitting_matrix(cycle3, params, enum, (0, 1, 2))[0]
-        assert np.isfinite(h).all() and h[enum.xi_index(0), 0] == 1.0
+            tr = mean_jump_rate_exact(cycle3, ProcessParams(3, 1e-200), (0, 1, 2))
+        assert tr.normalized[0, 1] == pytest.approx(0.4341772152, rel=1e-9)
+        assert tr.normalized[0, 2] == pytest.approx(0.0341772152, rel=1e-9)
+
+    def test_stationary_law_when_a_trace_rate_underflows(self):
+        # site 1 leaves for site 0 at rate 1e-300, so G's rate from xi^1 to
+        # xi^0 rounds to zero: the GTH elimination starts from xi^1, which
+        # every metastable state reaches, and does not divide by that zero
+        spec = WalkSpec.from_matrix([[0, 1], [1e-300, 0]])
+        params = ProcessParams(5, 0.01)
+        assert exact._trace_chain(spec, params).generator[1, 0] == 0.0
+        mu = stationary_exact(spec, params)
+        assert np.array_equal(mu.weights, reference_stationary(spec, params))
+
+    def test_trace_rates_through_a_site_whose_rates_underflow(self):
+        # site 2 leaves only for site 0, at rate 1e-300: its row of G rounds
+        # to zero, so nothing is left to share its exits between xi^0 and
+        # xi^1 (eliminating it divided 0 by 0). The system off xi^0 and
+        # xi^1 alone fails its residual check here too
+        spec = WalkSpec.from_matrix([[0, 1, 1], [1, 0, 0], [1e-300, 0, 0]])
+        params = ProcessParams(5, 0.01)
+        with pytest.raises(SolverFailure, match=r"states \[2\] reach none of \[0, 1\]"):
+            mean_jump_rate_exact(spec, params, (0, 1))
+        # the stationary law needs no exit from xi^2 to be shared out
+        close(stationary_exact(spec, params).weights, reference_stationary(spec, params),
+              "stationary law")
 
     def test_trace_rates_need_two_particles(self, cycle3):
         with pytest.raises(OutOfRange):

@@ -135,6 +135,16 @@ class TestWalkSpec:
             with pytest.raises(NonIrreducibleWalk, match="residual nan"):
                 analyze_walk(walk)
 
+    def test_singular_solve_is_refused(self):
+        # subnormal rates whose balance system is singular in floats: the
+        # dense solve raised a bare LinAlgError
+        t = 5e-324
+        walk = WalkSpec.from_matrix([[0, t, 0, 0, 0.701031981], [0, 0, 0.940526789, 0, 0],
+                                     [0, 0.739747656, 0, t, 0], [t, 0.99999, t, 0, 3.0],
+                                     [0.590747174, t, 0, 0, 0]])
+        with pytest.raises(NonIrreducibleWalk, match="singular in floats"):
+            analyze_walk(walk)
+
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rejects_non_finite_rates(self, rate):
         with pytest.raises(OutOfRange):
