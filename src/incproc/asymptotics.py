@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NotSemiAttracting, OutOfRange, PremiseViolated
+from .errors import DimensionMismatch, NotSemiAttracting, OutOfRange, PremiseViolated
 from .gordan import GordanCertificate, gordan_certificate
-from .model import ProcessParams, WalkSpec, analyze_walk, dense_stationary, real, site_set
+from .model import (ProcessParams, WalkSpec, _normal_stationary, analyze_walk, instance, real,
+                    site_set)
 from .regions import RegionSpec
 from .states import StateEnumeration
 
@@ -96,8 +97,9 @@ def classify(walk: WalkSpec) -> Classification:
 
     The recurrent set is the union of terminal strongly connected components
     of the strict-positivity digraph of ``b``; it is always semi-attracting.
+    ``OutOfRange`` refuses a ``walk`` that is not a :class:`WalkSpec`.
     """
-    r = walk.rates
+    r = instance(walk, WalkSpec, "walk").rates
     b = np.maximum(r - r.T, 0.0)
     n_comps, label = connected_components(b > 0, connection="strong")
     comps = sorted(tuple(np.flatnonzero(label == c).tolist()) for c in range(n_comps))
@@ -139,8 +141,19 @@ def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> Li
     ``nrv``: drift rates on the recurrent set at scale 1/(N d_N); requires a
     single terminal component. ``rv``: the walk restricted to the recurrent
     set at scale 1/d_N; requires symmetric rates on it, an attracting
-    recurrent set, and irreducibility of the restriction.
+    recurrent set, and irreducibility of the restriction. In either, the
+    chain must be irreducible on its rates of at least the smallest normal
+    float, whose stationary law is ``nu``.
+
+    ``OutOfRange`` refuses a ``walk`` that is not a :class:`WalkSpec` or a
+    ``classification`` that is not a :class:`Classification`, and
+    ``DimensionMismatch`` a classification of another walk.
     """
+    instance(walk, WalkSpec, "walk")
+    other = instance(classification, Classification, "classification").walk
+    if other is not walk and (other.sites != walk.sites
+                              or not np.array_equal(other.rates, walk.rates)):
+        raise DimensionMismatch("the classification is of another walk")
     s0 = classification.s0
     if mode == "nrv":
         if not classification.irreducible_on_s0:
@@ -160,7 +173,7 @@ def limit_chain(walk: WalkSpec, classification: Classification, mode: str) -> Li
     else:
         raise OutOfRange(f"unknown mode {mode!r}; expected 'rv' or 'nrv'")
     return LimitChain(mode=mode, sites=s0, rates=rates, scale=scale,
-                      nu=dense_stationary(rates - np.diag(rates.sum(axis=1))))
+                      nu=_normal_stationary(rates, PremiseViolated))
 
 
 @dataclass(frozen=True)

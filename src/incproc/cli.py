@@ -22,8 +22,8 @@ from .acceptance import verify_suite
 from .asymptotics import classify as classify_walk
 from .asymptotics import limit_chain, predicted_mean_rate
 from .errors import ConfigError, IncprocError, OutOfRange, PremiseViolated
-from .exact import (mean_jump_rate_exact, stage_times, stationary_closed_form,
-                    stationary_exact)
+from .exact import (mean_jump_rate_exact, region_masses, stage_times,
+                    stationary_closed_form, stationary_exact)
 from .model import (Configuration, ProcessParams, WalkSpec, analyze_walk, csv_line, integer,
                     real, schedule_fixed, schedule_power, state_counts)
 from .simulate import (DEFAULT_STEP_CAP, MAX_KEY, HittingTask, mc_hitting,
@@ -274,7 +274,10 @@ def _run_stationary(c, out, threads, report, echo):
     csv_path = out / "distribution.csv"
     mu.to_csv(csv_path, site_labels=walk.sites)
     report.artifacts.append(str(csv_path))
-    summary = mu.summary()
+    masses = region_masses(mu)
+    summary = {"E_mass": masses.e_mass, "B_mass": masses.b_mass.tolist(),
+               "ratios": masses.b_ratios.tolist(),
+               "per_site_xi_mass": {str(x): w for x, w in enumerate(masses.xi_mass.tolist())}}
     if c["compare_closed_form"]:
         closed = stationary_closed_form(walk, params)
         dev = np.abs(mu.weights - closed.weights).max().item()

@@ -40,8 +40,8 @@ import scipy.sparse as sp
 from ._native import _address, _compiled, _lapack
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure, StateSpaceTooLarge)
-from .model import (ProcessParams, WalkSpec, analyze_walk, check_site, integer,
-                    log_weight_table, site_set)
+from .model import (ProcessParams, WalkSpec, _add_in_order, _gth, _gth_stationary,
+                    analyze_walk, check_site, integer, log_weight_table, site_set)
 from .regions import RegionSpec, supported_on
 from .states import (Distribution, SolverReport, StateEnumeration, b_set_masses,
                      space_size)
@@ -447,70 +447,6 @@ def _trace_chain(spec: WalkSpec, params: ProcessParams) -> _TraceChain:
                        SolverReport("lu", residual, HITTING_TOL, lu_nnz, tree.stored))
 
 
-def _reaching(rates: np.ndarray, first: Sequence[int]) -> list[int]:
-    """``first``, then the states that reach it along positive off-diagonal
-    ``rates``, by the fewest jumps they take, then by index."""
-    order, rest = list(first), [k for k in range(rates.shape[0]) if k not in first]
-    frontier = list(first)
-    while frontier:
-        frontier = [k for k in rest if (rates[k, frontier] > 0.0).any()]
-        rest = [k for k in rest if k not in frontier]
-        order += frontier
-    return order
-
-
-def _gth(rates: np.ndarray, keep: Sequence[int]) -> tuple[list[int], np.ndarray]:
-    """Grassmann-Taksar-Heyman elimination (Oper. Res. 33 (1985)) onto the
-    states ``keep`` of the chain with off-diagonal rates ``rates``; the
-    diagonal is never read.
-
-    The states are put in :func:`_reaching` order and eliminated last
-    first. Eliminating k adds the flow through k, ``q[i, k] q[k, j] / s_k``,
-    to each rate i -> j of the states before it, where ``s_k`` is k's rate
-    to them summed: nothing is subtracted, so positive rates stay positive
-    however small, and ``s_k`` is at least k's rate to the state it reaches
-    ``keep`` through. Raises ``SolverFailure`` if a state reaches none of
-    ``keep`` along rates above zero, which in floats means its rates
-    underflowed. Returns the order and the rates in it: the leading block
-    holds the trace chain on ``keep``, in the order given, off its
-    diagonal, and row and column k the rates at k's elimination.
-    """
-    order = _reaching(rates, keep)
-    if len(order) < rates.shape[0]:
-        lost = sorted(set(range(rates.shape[0])) - set(order))
-        raise SolverFailure(f"trace-chain states {lost} reach none of {list(keep)} at "
-                            "rates above zero: their rates underflow")
-    q = np.array(rates, dtype=float)[np.ix_(order, order)]
-    for k in range(q.shape[0] - 1, len(keep) - 1, -1):
-        q[:k, :k] += np.outer(q[:k, k], q[k, :k] / q[k, :k].sum())
-    return order, q
-
-
-def _gth_stationary(rates: np.ndarray) -> np.ndarray:
-    """The stationary law of the chain with off-diagonal rates ``rates``:
-    :func:`_gth` down to the first state that every state reaches, then
-    back, ``pi_k = sum_{i<k} pi_i q[i, k] / s_k``, which is subtraction-free
-    too. Raises ``SolverFailure`` if no state is reached from every other,
-    or if the shares span more than the float range."""
-    n = rates.shape[0]
-    root = next((r for r in range(n) if len(_reaching(rates, [r])) == n), None)
-    if root is None:
-        raise SolverFailure("no trace-chain state is reached from every other at rates "
-                            "above zero: the rates underflow")
-    order, q = _gth(rates, [root])
-    pi = np.ones(n)
-    with np.errstate(over="ignore", invalid="ignore"):      # judged below
-        for k in range(1, n):
-            pi[k] = pi[:k] @ q[:k, k] / q[k, :k].sum()
-        total = pi.sum()
-    if not np.isfinite(total):
-        raise SolverFailure("the trace chain's stationary shares span more than the "
-                            "float range")
-    law = np.empty(n)
-    law[order] = pi / total
-    return law
-
-
 def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
     """Stationary distribution from the trace chain on the metastable states.
 
@@ -583,7 +519,11 @@ class RegionMassReport:
 
 @dataclass(frozen=True)
 class MassReport:
-    """Condensate and tube masses of a distribution."""
+    """Condensate and tube masses of a distribution.
+
+    ``e_mass`` is the masses ``xi_mass`` of the metastable states added
+    left to right, ``b_mass`` those of the at-most-k-occupied-sites sets and
+    ``b_ratios`` the ratios of consecutive ones."""
 
     e_mass: float
     xi_mass: np.ndarray
@@ -622,7 +562,7 @@ def region_masses(mu: Distribution, regions: Sequence[RegionSpec] = ()) -> MassR
             tube=mu.mass(reg.tube), boundary=mu.mass(reg.boundary),
             outer_core=mu.mass(reg.outer_core), inner_core=mu.mass(reg.inner_core),
             slices=slices))
-    return MassReport(e_mass=float(xi.sum()), xi_mass=xi, b_mass=b_mass,
+    return MassReport(e_mass=_add_in_order(0.0, xi), xi_mass=xi, b_mass=b_mass,
                       b_ratios=b_ratios, regions=tuple(reports))
 
 

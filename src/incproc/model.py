@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NonIrreducibleWalk, OutOfRange
+from .errors import IncprocError, NonIrreducibleWalk, OutOfRange, SolverFailure
 
 MAX_SITES = 64
 
@@ -76,6 +76,14 @@ def check_site(x, sites, name: str) -> int:
     if not is_integer(x) or x not in sites:
         raise OutOfRange(f"site {x!r} not in {name}")
     return int(x)
+
+
+def instance(value, cls: type, name: str):
+    """``value``, once checked to be a ``cls``; else ``OutOfRange`` naming
+    ``name``."""
+    if not isinstance(value, cls):
+        raise OutOfRange(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def site_set(sites, kappa: int) -> tuple[int, ...]:
@@ -218,28 +226,114 @@ class WalkAnalysis:
     up: bool
 
 
-def dense_stationary(gen: np.ndarray) -> np.ndarray:
-    """Solve ``pi gen = 0`` with ``sum(pi) = 1`` for a small dense generator;
-    the normalization replaces the last balance equation."""
-    a = gen.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(len(gen))
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
+def _reaching(rates: np.ndarray, first: Sequence[int]) -> list[int]:
+    """``first``, then the states that reach it along positive off-diagonal
+    ``rates``, by the fewest jumps they take, then by index."""
+    edge = rates > 0.0
+    order = list(first)
+    seen = np.zeros(rates.shape[0], dtype=bool)
+    seen[order] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = (edge @ frontier) & ~seen    # a boolean product: one jump back
+        seen |= frontier
+        order += np.flatnonzero(frontier).tolist()
+    return order
+
+
+def _gth(rates: np.ndarray, keep: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """Grassmann-Taksar-Heyman elimination (Oper. Res. 33 (1985)) onto the
+    states ``keep`` of the chain with off-diagonal rates ``rates``; the
+    diagonal is never read.
+
+    The states are put in :func:`_reaching` order and eliminated last
+    first (:func:`_eliminate`). Raises ``SolverFailure`` if a state reaches
+    none of ``keep`` along rates above zero, which in floats means its
+    rates underflowed. Returns the order and the rates in it: the leading
+    block holds the trace chain on ``keep``, in the order given, off its
+    diagonal, and row and column k the rates at k's elimination.
+    """
+    order = _reaching(rates, keep)
+    if len(order) < rates.shape[0]:
+        lost = sorted(set(range(rates.shape[0])) - set(order))
+        raise SolverFailure(f"states {lost} reach none of {list(keep)} at rates above "
+                            "zero: their rates underflow")
+    return order, _eliminate(rates, order, len(keep))
+
+
+def _eliminate(rates: np.ndarray, order: list[int], kept: int) -> np.ndarray:
+    """``rates`` in ``order``, with the states after the first ``kept``
+    eliminated last first. Eliminating k adds the flow through k,
+    ``q[i, k] q[k, j] / s_k``, to each rate i -> j of the states before it,
+    where ``s_k`` is k's rate to them summed: nothing is subtracted, so
+    positive rates stay positive however small, and ``s_k`` is at least k's
+    rate to the state before it that it reaches the first ``kept`` through.
+    """
+    q = np.array(rates, dtype=float)[np.ix_(order, order)]
+    for k in range(q.shape[0] - 1, kept - 1, -1):
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k] / q[k, :k].sum())
+    return q
+
+
+def _gth_stationary(rates: np.ndarray) -> np.ndarray:
+    """The stationary law of the chain with off-diagonal rates ``rates``:
+    :func:`_eliminate` down to the first state that every state reaches,
+    then back, ``pi_k = sum_{i<k} pi_i q[i, k] / s_k``, which is
+    subtraction-free too. Raises ``SolverFailure`` if no state is reached
+    from every other, or if the shares span more than the float range."""
+    n = rates.shape[0]
+    for root in range(n):
+        order = _reaching(rates, [root])
+        if len(order) == n:
+            break
+    else:
+        raise SolverFailure("no state is reached from every other at rates above zero: "
+                            "the rates underflow")
+    q = _eliminate(rates, order, 1)
+    pi = np.ones(n)
+    with np.errstate(over="ignore", invalid="ignore"):      # judged below
+        for k in range(1, n):
+            pi[k] = pi[:k] @ q[:k, k] / q[k, :k].sum()
+        total = pi.sum()
+    if not np.isfinite(total):
+        raise SolverFailure("the stationary shares span more than the float range")
+    law = np.empty(n)
+    law[order] = pi / total
+    return law
+
+
+def _normal_stationary(rates: np.ndarray, refuse: type[IncprocError]) -> np.ndarray:
+    """:func:`_gth_stationary` of the small chain with off-diagonal rates
+    ``rates``, its rates below the smallest normal float taken as zero, as
+    the exact solves take a subnormal holding rate. Raises ``refuse``
+    unless the chain is irreducible on the rates left and every share is
+    positive in floats; the message names the subnormal rates."""
+    normal = rates >= np.finfo(float).tiny
+    try:
+        law = _gth_stationary(np.where(normal, rates, 0.0))
+    except SolverFailure as exc:
+        why = str(exc)
+    else:
+        if law.all():
+            return law
+        why = f"states {np.flatnonzero(law == 0.0).tolist()} get a stationary share of zero"
+    tiny = [(int(x), int(y)) for x, y in np.argwhere((rates > 0.0) & ~normal)]
+    raise refuse(why + (f"; the {len(tiny)} subnormal rates, at {tiny}, count as zero"
+                        if tiny else ""))
 
 
 def analyze_walk(spec: WalkSpec) -> WalkAnalysis:
-    """Solve the walk's stationarity equations and derive its constants."""
+    """Find the walk's invariant measure by GTH elimination and derive its
+    constants. Raises ``NonIrreducibleWalk`` unless the walk is irreducible
+    on its rates of at least the smallest normal float, or if the measure
+    misses the residual bound ``1e-10 * max(1, max r)``; ``OutOfRange``
+    refuses a ``spec`` that is not a :class:`WalkSpec`."""
+    instance(spec, WalkSpec, "spec")
     r = spec.rates
     kappa = spec.kappa
-    gen = r - np.diag(spec.holding)
-    try:
-        m = dense_stationary(gen)
-    except np.linalg.LinAlgError:           # subnormal rates can do this
-        raise NonIrreducibleWalk("the balance solve for the invariant measure is "
-                                 "singular in floats") from None
+    m = _normal_stationary(r, NonIrreducibleWalk)
     with np.errstate(invalid="ignore", over="ignore"):     # judged by the check below
-        residual = np.abs(m @ gen).max()
+        residual = np.abs(m @ (r - np.diag(spec.holding))).max()
     # a nan residual fails too
     if not residual <= 1e-10 * max(1.0, np.abs(r).max()):
         raise NonIrreducibleWalk(f"stationary solve residual {residual:.2e}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from ._native import _address, _compiled
 from .errors import DimensionMismatch, OutOfRange, StateSpaceTooLarge
-from .model import _add_in_order, check_site, csv_line, integer, state_counts
+from .model import check_site, csv_line, integer, state_counts
 
 DEFAULT_CAP = 500_000
 
@@ -214,19 +214,3 @@ class Distribution:
             fh.write(csv_line(["rank"] + labels + ["weight"]))
             for i, row in enumerate(self.enum.counts_matrix()):
                 fh.write(csv_line([i, *row.tolist(), self.weights[i]]))
-
-    def summary(self) -> dict:
-        """JSON-ready summary: condensate masses, the masses ``B_mass`` of
-        the occupied-count sets and their ratios."""
-        enum = self.enum
-        xi = {str(x): float(self.weights[enum.xi_index(x)]) for x in range(enum.kappa)}
-        e_mass = _add_in_order(0.0, list(xi.values()))
-        b_mass = b_set_masses(self.weights, enum)
-        ratios = [float(b_mass[k] / b_mass[k - 1]) if b_mass[k - 1] > 0 else float("inf")
-                  for k in range(1, enum.kappa)]
-        return {
-            "E_mass": float(e_mass),
-            "per_site_xi_mass": xi,
-            "ratios": ratios,
-            "B_mass": b_mass.tolist(),
-        }

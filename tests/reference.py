@@ -7,6 +7,10 @@ channel (the gambler's-ruin quantity behind the reversible analysis of
 Bianchi, Dommers and Giardina, EJP 2017) with the trace-rate kernel it
 gives, and a lifted linear function on the torus.
 
+``stationary_law`` is the exact stationary law of a small chain, solved
+in rationals from its balance equations: the reference of the walk
+measure and of the limit chain's law.
+
 ``draw`` reads one value of a replica's draws as the references of the
 event kernel read them.
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -44,6 +49,36 @@ from incproc import Configuration, ProcessParams, SmoothFunction, TorusSpec, Wal
 from incproc.exact import _column_key
 from incproc.thermo import (CHECKPOINTS, CondensateRun, _Channels, _channel_rates,
                             _CondensateReplica, _HOPPED)
+
+
+def stationary_law(rates) -> list[Fraction]:
+    """The stationary law of the chain with off-diagonal ``rates``, each
+    float read as the rational it is: ``pi Q = 0`` with ``sum(pi) = 1`` in
+    place of the last balance equation, by Gauss-Jordan elimination in
+    ``Fraction``."""
+    n = len(rates)
+    q = [[Fraction(float(rates[i][j])) if i != j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    a = [[q[j][i] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        a[i][i] = -sum(q[i])
+    a[-1] = [Fraction(1)] * n
+    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+                b[r] -= f * b[c]
+    return [b[i] / a[i][i] for i in range(n)]
+
+
+def relative_miss(got, want: Sequence[Fraction]) -> float:
+    """The largest relative miss of the floats ``got`` from the rationals
+    ``want``, entry by entry, computed exactly."""
+    return float(max(abs(Fraction(float(g)) - w) / w for g, w in zip(got, want)))
 
 
 def draw(blocks, kind: str) -> float:

@@ -7,10 +7,14 @@ holding 2**64. Each call must raise an ``IncprocError`` or succeed where the
 row allows it, within ``LIMIT_S`` seconds. An export without a row, and not
 in ``EXEMPT``, fails the table.
 
+The ``WalkSpec`` of ``analyze_walk``, ``classify``, ``stationary_closed_form``
+and ``limit_chain``, and ``limit_chain``'s ``Classification``, are probed
+with ``BAD`` like any other parameter.
+
 Out of scope:
-- Object-typed parameters (``WalkSpec``, ``ProcessParams``, ``TorusSpec``,
-  ``Trajectory``, ``Distribution``, ``StateEnumeration``, ``SmoothFunction``
-  and ``limit_chain``'s ``Classification``): a float in their place gives an
+- The other object-typed parameters (``WalkSpec`` elsewhere,
+  ``ProcessParams``, ``TorusSpec``, ``Trajectory``, ``Distribution``,
+  ``StateEnumeration``, ``SmoothFunction``): a float in their place gives an
   ``AttributeError`` today.
 - Huge but valid sizes, which run long or allocate: ``horizon``,
   ``replicas`` and ``t_rescaled`` at 2**64, ``log_weight_table(n=2**64)``
@@ -87,7 +91,7 @@ ROWS = {
     "ProcessParams": Row(dict(n=4, d=0.1), dict(n=INTEGER, d=POSITIVE)),
     "WalkSpec": Row(dict(sites=("a", "b"), rates=[[0, 1], [1, 0]]),
                     dict(sites=P(), rates=P())),
-    "analyze_walk": Row(dict(spec=WALK), {}),
+    "analyze_walk": Row(dict(spec=WALK), dict(spec=P())),
     "log_weight_table": Row(dict(n=4, d=0.1), dict(n=INTEGER, d=POSITIVE)),
     "schedule_fixed": Row(dict(value=0.1), dict(value=POSITIVE)),
     "schedule_power": Row(dict(coeff=1.0, exponent=3.0),
@@ -100,7 +104,8 @@ ROWS = {
     "build_generator": Row(dict(spec=WALK, params=PARAMS, enum=ENUM), {}),
     "build_rate_matrix": Row(dict(spec=WALK, params=PARAMS, enum=ENUM), {}),
     "stationary_exact": Row(dict(spec=WALK, params=PARAMS), {}),
-    "stationary_closed_form": Row(dict(spec=ip.WalkSpec.cycle(3, 0.5), params=PARAMS), {}),
+    "stationary_closed_form": Row(dict(spec=ip.WalkSpec.cycle(3, 0.5), params=PARAMS),
+                                  dict(spec=P())),
     "mean_jump_rate_exact": Row(dict(spec=WALK, params=PARAMS, a_set=(0, 1, 2)),
                                 dict(a_set=SITES)),
     "flow_profile": Row(dict(spec=WALK, params=PARAMS, mu=MU, r_set=(0, 1), x=0),
@@ -109,9 +114,9 @@ ROWS = {
                          dict(regions=P(ok=((),)))),
     "reciprocal_sum": Row(dict(n=6, k=2), dict(n=P(huge=HUGE), k=P(huge=HUGE))),
     "gordan_certificate": Row(dict(q=[[0.0, 1.0], [-1.0, 0.0]]), dict(q=P())),
-    "classify": Row(dict(walk=WALK), {}),
+    "classify": Row(dict(walk=WALK), dict(walk=P())),
     "limit_chain": Row(dict(walk=WALK, classification=ip.classify(WALK), mode="nrv"),
-                       dict(mode=P())),
+                       dict(walk=P(), classification=P(), mode=P())),
     "ErrorScale": Row(dict(n=4, d=0.1, q=0.5),
                       dict(n=INTEGER, d=POSITIVE, q=P(huge=HUGE))),
     "predicted_mean_rate": Row(dict(walk=WALK, a_set=(0, 1, 2), n=4, d=0.1),

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incproc import (ErrorScale, NonIrreducibleWalk, NotSemiAttracting,
-                     NotSkewSymmetric, OutOfRange, PremiseViolated, ProcessParams,
-                     WalkSpec, analyze_walk, classify, gordan_certificate,
+from incproc import (DimensionMismatch, ErrorScale, NonIrreducibleWalk,
+                     NotSemiAttracting, NotSkewSymmetric, OutOfRange, PremiseViolated,
+                     ProcessParams, WalkSpec, analyze_walk, classify, gordan_certificate,
                      limit_chain, mean_jump_rate_exact, predicted_mean_rate,
                      stationary_exact)
 from incproc import test_function as make_test_function
-from incproc.model import dense_stationary
 from incproc.asymptotics import _harmonics
+from reference import relative_miss, stationary_law
 
 
 def _closure(adj):
@@ -248,7 +248,7 @@ def _check_limit_rates_against_loop(walk):
         admitted += 1
         rates = _loop_limit_rates(walk, cls, mode)
         assert np.array_equal(lc.rates, rates)
-        assert np.array_equal(lc.nu, dense_stationary(rates - np.diag(rates.sum(axis=1))))
+        assert relative_miss(lc.nu, stationary_law(rates)) <= 1e-14
         assert (lc.mode, lc.sites) == (mode, cls.s0)
     return admitted
 
@@ -306,6 +306,37 @@ class TestLimitChain:
         lc = limit_chain(chain4, cls, "rv")
         gen = lc.rates - np.diag(lc.rates.sum(axis=1))
         assert np.abs(lc.nu @ gen).max() <= 1e-12
+
+    @pytest.mark.parametrize("steps, eps", [(3, 1e-4), (3, 1e-8), (4, 1e-3)])
+    def test_nu_of_a_ladder_matches_the_rational_solve(self, steps, eps):
+        # the drift triangle 0 -> 1 -> 2 -> 0 at rate 1, and a ladder of
+        # `steps` sites climbed from 0 at rate eps, each left to 1 at rate 1:
+        # the shares fall by eps a rung; the dense balance solve missed them
+        # by 1.7e-5, 7.2e7 and 1.5e-4 relative
+        rates = np.zeros((3 + steps, 3 + steps))
+        rates[0, 1] = rates[1, 2] = rates[2, 0] = 1.0
+        for below, rung in zip([0, *range(3, 2 + steps)], range(3, 3 + steps)):
+            rates[below, rung], rates[rung, 1] = eps, 1.0
+        walk = WalkSpec.from_matrix(rates)
+        lc = limit_chain(walk, classify(walk), "nrv")
+        assert relative_miss(lc.nu, stationary_law(lc.rates)) <= 1e-14
+
+    def test_subnormal_rates_that_carry_the_chain_are_refused(self):
+        # the drift chain 0 -> 1 -> 2 -> 0 runs through a rate of 1e-310
+        walk = WalkSpec.from_matrix([[0, 1, 0], [0, 0, 1e-310], [1, 0, 0]])
+        with pytest.raises(PremiseViolated, match=r"1 subnormal rates, at \[\(1, 2\)\]"):
+            limit_chain(walk, classify(walk), "nrv")
+
+    def test_a_classification_of_another_walk_is_refused(self):
+        # the nrv mode never read the walk, and the rv mode mixed the rates
+        # of one walk with the recurrent set of the other
+        walk = WalkSpec.cycle(4, 0.5)
+        for mode in ("rv", "nrv"):
+            with pytest.raises(DimensionMismatch):
+                limit_chain(walk, classify(WalkSpec.cycle(4, 0.7)), mode)
+        # an equal walk is the same walk
+        lc = limit_chain(walk, classify(WalkSpec.cycle(4, 0.5)), "rv")
+        assert lc.nu.tolist() == [0.25] * 4
 
     @pytest.mark.parametrize("mode", ["rv", "nrv"])
     @pytest.mark.parametrize("n, d", [(0, 0.1), (True, 0.1), (2.5, 0.1), (100, 0.0),

@@ -40,6 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incproc.exact as exact
+import incproc.model as model
 from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure,
                      StateSpaceTooLarge, WalkSpec, analyze_walk, enumerate_states,
                      flow_profile, mean_jump_rate_exact, stationary_exact)
@@ -814,7 +815,7 @@ class TestGTH:
         keep, rest = [3, 1], [0, 2, 4]
         want = g[np.ix_(keep, keep)] - g[np.ix_(keep, rest)] @ np.linalg.solve(
             g[np.ix_(rest, rest)], g[np.ix_(rest, keep)])
-        got = exact._gth(g, keep)[1][:2, :2]
+        got = model._gth(g, keep)[1][:2, :2]
         off = ~np.eye(2, dtype=bool)
         close(got[off], want[off], "trace rates", 1e-14)
 
@@ -823,17 +824,17 @@ class TestGTH:
         # two and 1 in three
         rates = np.zeros((4, 4))
         rates[0, 1] = rates[1, 3] = rates[3, 2] = rates[2, 0] = 1.0
-        assert exact._reaching(rates, [0]) == [0, 2, 3, 1]
-        order, q = exact._gth(rates, [0, 1])
+        assert model._reaching(rates, [0]) == [0, 2, 3, 1]
+        order, q = model._gth(rates, [0, 1])
         assert order == [0, 1, 2, 3] and q[0, 1] == q[1, 0] == 1.0
-        assert exact._gth_stationary(rates).tolist() == [0.25] * 4
+        assert model._gth_stationary(rates).tolist() == [0.25] * 4
 
     def test_a_state_that_reaches_no_kept_state_is_refused(self):
         # state 2 has no rate left to 0 or 1: eliminating it divided 0 by 0,
         # and the trace rates came back nan with a warning
         rates = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SolverFailure, match=r"states \[2\] reach none of \[0, 1\]"):
-            exact._gth(rates, [0, 1])
+            model._gth(rates, [0, 1])
 
     def test_stationary_law_of_a_birth_death_chain(self):
         # seven states whose shares fall by 1e-6 a step, to 1e-36: GTH keeps
@@ -841,29 +842,29 @@ class TestGTH:
         up, down = 1e-6, 1.0
         rates = np.diag(np.full(6, up), 1) + np.diag(np.full(6, down), -1)
         want = up ** np.arange(7) / (up ** np.arange(7)).sum()
-        got = exact._gth_stationary(rates)
+        got = model._gth_stationary(rates)
         assert np.abs(got / want - 1.0).max() <= 1e-14
 
     def test_stationary_law_starts_from_the_closed_class(self):
         # state 0 is left at rate 1 and never entered: the law sits on 1
         # and 2, and eliminating down to 0 divided by zero
         rates = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
-        assert exact._gth_stationary(rates).tolist() == [0.0, 1 / 3, 2 / 3]
+        assert model._gth_stationary(rates).tolist() == [0.0, 1 / 3, 2 / 3]
 
     def test_two_closed_classes_are_refused(self):
         # 0 leaves for 1 or 2, which never leave
         rates = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SolverFailure, match="reached from every other"):
-            exact._gth_stationary(rates)
+            model._gth_stationary(rates)
 
     def test_shares_beyond_the_float_range_are_refused(self):
         # state 1 outweighs state 0 by 1e310
         rates = np.array([[0.0, 1e10], [1e-300, 0.0]])
         with pytest.raises(SolverFailure, match="float range"):
-            exact._gth_stationary(rates)
+            model._gth_stationary(rates)
 
     def test_one_state_chain(self):
-        assert exact._gth_stationary(np.zeros((1, 1))).tolist() == [1.0]
+        assert model._gth_stationary(np.zeros((1, 1))).tolist() == [1.0]
 
 
 class TestSmallSystems:

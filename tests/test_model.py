@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from incproc import (Configuration, IncprocError, NonIrreducibleWalk,
                      OutOfRange, ProcessParams, WalkSpec, analyze_walk, asymptotics,
-                     log_weight_table, schedule_fixed, schedule_power, states,
-                     stationary_exact, thermo)
+                     log_weight_table, region_masses, schedule_fixed, schedule_power,
+                     states, stationary_exact, thermo)
 from incproc.asymptotics import _harmonics
 from incproc.model import site_set
-from reference import local_kinetics
+from reference import local_kinetics, relative_miss, stationary_law
 
 
 def _loop_pair_constants(spec, m):
@@ -50,6 +50,19 @@ def _walks(draw):
     if draw(st.booleans()):
         rates = rates + rates.T
     rates += np.roll(np.eye(kappa), 1, axis=1) * 0.25   # a cycle: irreducible
+    np.fill_diagonal(rates, 0.0)
+    return WalkSpec.from_matrix(rates)
+
+
+@st.composite
+def _dyadic_walks(draw):
+    """Irreducible walks whose rates are powers of two from 2**-30 to 2**4,
+    or zero: measures that span many orders of magnitude."""
+    kappa = draw(st.integers(2, 6))
+    exponents = draw(st.lists(st.one_of(st.none(), st.integers(-30, 4)),
+                              min_size=kappa * kappa, max_size=kappa * kappa))
+    rates = np.array([0.0 if e is None else 2.0 ** e for e in exponents]).reshape(kappa, kappa)
+    rates += np.roll(np.eye(kappa), 1, axis=1) * 2.0 ** -20   # a cycle: irreducible
     np.fill_diagonal(rates, 0.0)
     return WalkSpec.from_matrix(rates)
 
@@ -104,6 +117,20 @@ class TestAnalyzeWalk:
             assert np.array_equal(an.q_pair, q_pair, equal_nan=True)
             assert (an.q, an.rev) == (q, rev)
 
+    @pytest.mark.parametrize("kappa, down", [(5, 1e-2), (5, 1e-4), (6, 1e-3), (6, 1e-8)])
+    def test_birth_death_measure_matches_the_rational_solve(self, kappa, down):
+        # up-rate 1, down-rate `down`: the measure spans a factor down**(1 - kappa),
+        # 1e40 at (6, 1e-8); the dense balance solve missed it by 1.1e-11,
+        # 2.9e-9, 2.8e-5 and 1.4e15 relative
+        rates = np.diag(np.ones(kappa - 1), 1) + np.diag(np.full(kappa - 1, down), -1)
+        m = analyze_walk(WalkSpec.from_matrix(rates)).m
+        assert relative_miss(m, stationary_law(rates)) <= 1e-14
+
+    @given(_dyadic_walks())
+    @settings(max_examples=100, deadline=None)
+    def test_measure_matches_the_rational_solve(self, walk):
+        assert relative_miss(analyze_walk(walk).m, stationary_law(walk.rates)) <= 1e-14
+
     def test_stationarity_residual(self, up3):
         an = analyze_walk(up3)
         lam = up3.holding
@@ -126,23 +153,25 @@ class TestWalkSpec:
             WalkSpec.from_matrix([[0.0, 1.0], [0.0, 0.0]])
 
     def test_nan_residual_is_refused(self):
-        # subnormal rates: the measure solves to [inf, -inf, -0.5], whose
-        # residual is nan; the walk used to pass, and the exact solves picked
-        # their pin from that measure
+        # subnormal rates: a dense balance solve gave the measure [inf, -inf,
+        # -0.5], whose residual is nan; without its subnormal rates the walk
+        # only jumps 2 -> 1
         walk = WalkSpec.from_matrix([[0, 5e-324, 0], [5e-324, 0, 5e-324], [5e-324, 2, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonIrreducibleWalk, match="residual nan"):
+            with pytest.raises(NonIrreducibleWalk,
+                               match=r"4 subnormal rates, at \[\(0, 1\), \(1, 0\)"):
                 analyze_walk(walk)
 
     def test_singular_solve_is_refused(self):
-        # subnormal rates whose balance system is singular in floats: the
-        # dense solve raised a bare LinAlgError
+        # subnormal rates whose balance system is singular in floats: a dense
+        # solve raised a bare LinAlgError; without them the walk has two
+        # closed classes, {0, 4} and {1, 2}
         t = 5e-324
         walk = WalkSpec.from_matrix([[0, t, 0, 0, 0.701031981], [0, 0, 0.940526789, 0, 0],
                                      [0, 0.739747656, 0, t, 0], [t, 0.99999, t, 0, 3.0],
                                      [0.590747174, t, 0, 0, 0]])
-        with pytest.raises(NonIrreducibleWalk, match="singular in floats"):
+        with pytest.raises(NonIrreducibleWalk, match="reached from every other.*5 subnormal"):
             analyze_walk(walk)
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
@@ -360,7 +389,7 @@ def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
     values = {
         "harmonic": lambda: _harmonics(199).tolist(),
         "channels": lambda: thermo._Channels(torus).rows.tolist(),
-        "E_mass": lambda: [stationary_exact(w, ProcessParams(6, 0.3)).summary()["E_mass"]
+        "E_mass": lambda: [region_masses(stationary_exact(w, ProcessParams(6, 0.3))).e_mass
                            for w in walks],
     }
     before = {name: value() for name, value in values.items()}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incproc import (DimensionMismatch, Distribution, IncprocError, OutOfRange,
-                     StateSpaceTooLarge, space_size)
+                     StateSpaceTooLarge, region_masses, space_size)
 from incproc.states import StateEnumeration, b_set_masses
 from reference import NumpyStates
 
@@ -294,10 +294,9 @@ class TestDistribution:
     def test_summary_identities(self):
         enum = StateEnumeration(3, 3)
         dist = Distribution(enum, np.ones(enum.size) / enum.size)
-        summary = dist.summary()
+        report = region_masses(dist)
         # one-occupied-site mass equals the metastable mass; full count is 1
-        assert summary["E_mass"] == pytest.approx(
-            sum(summary["per_site_xi_mass"].values()))
+        assert report.e_mass == pytest.approx(sum(report.xi_mass))
 
     def test_summary_ratios_from_b_set_masses(self):
         enum = StateEnumeration(3, 4)
@@ -307,7 +306,8 @@ class TestDistribution:
         occ = (enum.counts_matrix() > 0).sum(axis=1)
         assert b_mass == pytest.approx([dist.weights[occ <= k].sum() for k in (1, 2, 3)])
         assert b_mass[-1] == pytest.approx(1.0)
-        assert dist.summary()["ratios"] == [b_mass[1] / b_mass[0], b_mass[2] / b_mass[1]]
+        assert region_masses(dist).b_ratios.tolist() == [b_mass[1] / b_mass[0],
+                                                         b_mass[2] / b_mass[1]]
 
     def test_csv_round_trip_stable(self, tmp_path):
         enum = StateEnumeration(2, 3)
