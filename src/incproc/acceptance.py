@@ -167,7 +167,7 @@ def criterion_7(level: str = "full") -> CriterionResult:
 def criterion_8(level: str = "full") -> CriterionResult:
     """Exact rational reciprocal sums meet the logarithmic bound."""
     n_max, k_max = 300, 6
-    table = reciprocal_sum_table(n_max, k_max, exact=True)
+    table = reciprocal_sum_table(n_max, k_max)
     violations = 0
     for k in range(1, k_max + 1):
         for n in range(k, n_max + 1):

@@ -194,7 +194,7 @@ def predicted_mean_rate(walk: WalkSpec, a_set, n: int, d: float) -> MeanRatePred
     ``r(x,y)/N`` for symmetric pairs. The error budget is 1/N + ell_N for a
     semi-attracting A and ell_N when A is attracting.
     """
-    a_set = site_set(a_set, walk.kappa)
+    a_set = site_set(a_set, instance(walk, WalkSpec, "walk").kappa)
     cls = classify(walk)
     if not cls.is_semi_attracting(a_set):
         raise NotSemiAttracting(f"set {a_set} is not semi-attracting")
@@ -251,7 +251,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float) -> TestFu
     normalized per state). Needs at least two sites in R, strictly positive
     rates inside R and a finite d > 0.
     """
-    r_set = site_set(r_set, walk.kappa)
+    r_set = site_set(r_set, instance(walk, WalkSpec, "walk").kappa)
     if len(r_set) < 2:
         raise OutOfRange(f"R needs at least two sites, got {r_set}")
     d = real(d, "d", above=0)

@@ -30,8 +30,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, log
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -681,32 +682,29 @@ def _stirling_first(n_max: int, k_max: int) -> list[list[int]]:
     return rows
 
 
-def reciprocal_sum_table(n_max: int, k_max: int, exact: bool):
-    """Table ``table[k][n]`` of the sums S(n, k), over compositions of n into
-    k positive parts, of the product of the parts' reciprocals.
+def reciprocal_sum_table(n_max: int, k_max: int) -> list[list[Fraction]]:
+    """Exact ``table[k][n]`` of S(n, k), the sum over compositions of n into
+    k positive parts of the product of the parts' reciprocals (0 for n < k).
 
     ``(-log(1-z))^k / k!`` generates ``[n k] / n!``, the unsigned Stirling
-    numbers of the first kind over n!, so ``S(n, k) = k! [n k] / n!``. Exact
-    mode (n_max <= 300) runs the Stirling recurrence on integers and makes one
-    ``Fraction`` per entry. Float mode runs it on ``T(n, k) = [n k] / n!``,
-    ``T(m+1, k) = (m T(m, k) + T(m, k-1)) / (m+1)`` from ``T(0, 0) = 1``,
-    whose terms are all positive, so nothing cancels. Both cost O(n_max k_max)
-    steps. Entries with n < k are 0.
+    numbers of the first kind over n!, so ``S(n, k) = k! [n k] / n!``: the
+    recurrence runs on integers in O(n_max k_max) steps, one ``Fraction`` an entry.
     """
-    if exact:
-        fact = [factorial(m) for m in range(max(n_max, k_max) + 1)]
-        return [[Fraction(fact[k] * s, fact[m]) for m, s in enumerate(row)]
-                for k, row in enumerate(_stirling_first(n_max, k_max))]
-    table = [[0.0] * (n_max + 1) for _ in range(k_max + 1)]
-    table[0][0] = 1.0
-    for m in range(n_max):
-        for k in range(1, k_max + 1):
-            table[k][m + 1] = (m * table[k][m] + table[k - 1][m]) / (m + 1)
-    scale = 1.0
-    for k in range(1, k_max + 1):
-        scale *= k
-        table[k] = [scale * t for t in table[k]]
-    return table
+    fact = [factorial(m) for m in range(max(n_max, k_max) + 1)]
+    return [[Fraction(fact[k] * s, fact[m]) for m, s in enumerate(row)]
+            for k, row in enumerate(_stirling_first(n_max, k_max))]
+
+
+def reciprocal_sum_column(n: int, k_max: int) -> list[float]:
+    """S(n, 0..k_max) in floats and O(k_max) memory: ``T(m, k) = [m k] / m!``
+    updated in place from k = k_max down to 1 by ``T(m+1, k) = (m T(m, k) +
+    T(m, k-1)) / (m+1)``, whose terms are all positive, so nothing cancels."""
+    col = [1.0] + [0.0] * k_max
+    for m in range(n):
+        for k in range(k_max, 0, -1):
+            col[k] = (m * col[k] + col[k - 1]) / (m + 1)
+        col[0] = 0.0
+    return [scale * t for scale, t in zip(accumulate(range(1, k_max + 1), mul, initial=1.0), col)]
 
 
 def reciprocal_bound_holds(value, n: int, k: int) -> bool:
@@ -734,7 +732,7 @@ def reciprocal_sum(n: int, k: int) -> ReciprocalSum:
     if n <= EXACT_RATIONAL_LIMIT:
         value = Fraction(factorial(k) * _stirling_first(n, k)[k][n], factorial(n))
     else:
-        value = reciprocal_sum_table(n, k, exact=False)[k][n]
+        value = reciprocal_sum_column(n, k)[k]
     bound = (3.0 * log(n + 1.0)) ** (k - 1) / n
     return ReciprocalSum(n=n, k=k, value=value, bound=bound,
                          within_bound=reciprocal_bound_holds(value, n, k))

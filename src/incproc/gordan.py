@@ -2,11 +2,12 @@
 
 For a skew-symmetric Q exactly one of two certificates exists: a direction
 ``alpha`` with every component of ``Q @ alpha`` strictly negative, or a
-nonzero nonpositive vector ``beta`` in the kernel of Q. Each branch is found
-by one HiGHS linear program (``scipy.optimize.linprog``) and accepted only
-after one check in exact arithmetic against the skew part ``(q - q^T) / 2``
-of the input: the sign of every entry of ``Q @ alpha``, or an exact kernel
-vector by rational elimination on the support of the HiGHS solution.
+nonzero nonpositive vector ``beta`` in the kernel of Q. One HiGHS linear
+program (``scipy.optimize.linprog``) finds both: alpha from its solution,
+beta from its duals. A branch is accepted only after one check in exact
+arithmetic against the skew part ``(q - q^T) / 2`` of the input: the sign of
+every entry of ``Q @ alpha``, or an exact kernel vector by rational
+elimination on the support of the duals.
 """
 
 from __future__ import annotations
@@ -109,11 +110,9 @@ def _certify(q: np.ndarray, scale: float) -> tuple[str, np.ndarray]:
             a = _integers(alpha)
             if all(sum(kij * aj for kij, aj in zip(row, a)) < 0 for row in k):
                 return "alpha", alpha
-    # beta = -gamma: gamma >= 0, Q gamma = 0, sum gamma = 1
-    res = linprog(np.zeros(n), A_eq=np.vstack([q, np.ones(n)]), b_eq=np.r_[np.zeros(n), 1.0],
-                  bounds=(0.0, None), method="highs")
-    if res.status == 0:
-        support = [int(j) for j in np.flatnonzero(res.x > SUPPORT_TOL)]
+        # beta = -gamma: at t = 0 the bound t <= 1 is slack, so the duals
+        # gamma = -marginals satisfy gamma >= 0, Q^T gamma = 0, sum gamma = 1
+        support = [int(j) for j in np.flatnonzero(-res.ineqlin.marginals > SUPPORT_TOL)]
         gamma = _exact_kernel(k, support)
         if gamma is not None and all(g > 0 for g in gamma):
             beta = np.zeros(n)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import WalkAnalysis, WalkSpec, analyze_walk, real, site_set
+from .model import WalkSpec, instance, real, site_set
 from .states import StateEnumeration
 
 
@@ -34,15 +34,15 @@ class RegionSpec:
 
     def __init__(self, walk: WalkSpec, enum: StateEnumeration,
                  r_set, eps: float = 0.1):
+        self.walk = instance(walk, WalkSpec, "walk")
+        self.enum = instance(enum, StateEnumeration, "enum")
         r_set = site_set(r_set, enum.kappa)
         real(eps, "eps", above=0)
-        self.walk = walk
-        self.enum = enum
         self.r_set = r_set
         self.eps = eps
         self.threshold = int(math.floor(real(eps * math.log(enum.n), "eps * log N")))
         if self.threshold > 0:
-            self.check_epsilon(analyze_walk(walk))
+            self.check_epsilon()
 
     @cached_property
     def _in_r(self) -> np.ndarray:
@@ -92,20 +92,22 @@ class RegionSpec:
         reach[moved[counts[inner][:, xs].T >= 1]] = True
         return np.nonzero(reach)[0]
 
-    def check_epsilon(self, analysis: WalkAnalysis) -> tuple[float, bool]:
+    def check_epsilon(self) -> tuple[float, bool]:
         """Validate that the slice-growth constant stays polynomially bounded.
 
-        The slice recursion multiplies at most C0 per level, with
-        C0 = max over k of R2 (k + d)(N - k) / (R1 (k + 1)(N - k - 1 + d))
-        evaluated at d -> 0; the threshold is admissible when
-        C0 ** threshold <= N, decided in logs so that a huge threshold does
-        not overflow. Warns (and returns False) otherwise.
+        The slice recursion multiplies at most C0 per level, with C0 = max
+        over k of R2 (k + d)(N - k) / (R1 (k + 1)(N - k - 1 + d)) at d -> 0,
+        R1 and R2 the walk's smallest positive and largest rates; the threshold
+        is admissible when C0 ** threshold <= N, decided in logs so that a
+        huge threshold does not overflow. Warns (and returns False) otherwise.
         """
         n = self.enum.n
+        rates = self.walk.rates
+        r1, r2 = float(rates[rates > 0].min()), float(rates.max())
         ks = np.arange(0, n - 1, dtype=float)
-        ratios = (analysis.r2 * np.maximum(ks, 1.0) * (n - ks)
-                  / (analysis.r1 * (ks + 1.0) * (n - ks - 1.0)))
-        c0 = float(ratios.max()) if ratios.size else analysis.r2 / analysis.r1
+        with np.errstate(over="ignore"):    # a subnormal r1 gives C0 = inf, refused below
+            ratios = r2 * np.maximum(ks, 1.0) * (n - ks) / (r1 * (ks + 1.0) * (n - ks - 1.0))
+        c0 = float(ratios.max()) if ratios.size else r2 / r1
         ok = c0 <= 1 or self.threshold * math.log(c0) <= math.log(n)
         if not ok:
             warnings.warn(

@@ -7,15 +7,16 @@ holding 2**64. Each call must raise an ``IncprocError`` or succeed where the
 row allows it, within ``LIMIT_S`` seconds. An export without a row, and not
 in ``EXEMPT``, fails the table.
 
-The ``WalkSpec`` of ``analyze_walk``, ``classify``, ``stationary_closed_form``
-and ``limit_chain``, and ``limit_chain``'s ``Classification``, are probed
-with ``BAD`` like any other parameter.
+The ``WalkSpec`` of ``analyze_walk``, ``classify``, ``stationary_closed_form``,
+``limit_chain``, ``predicted_mean_rate``, ``test_function`` and
+``RegionSpec``, ``limit_chain``'s ``Classification`` and ``RegionSpec``'s
+``StateEnumeration`` are probed with ``BAD`` like any other parameter.
 
 Out of scope:
 - The other object-typed parameters (``WalkSpec`` elsewhere,
   ``ProcessParams``, ``TorusSpec``, ``Trajectory``, ``Distribution``,
-  ``StateEnumeration``, ``SmoothFunction``): a float in their place gives an
-  ``AttributeError`` today.
+  ``StateEnumeration`` elsewhere, ``SmoothFunction``): a float in their
+  place gives an ``AttributeError`` today.
 - Huge but valid sizes, which run long or allocate: ``horizon``,
   ``replicas`` and ``t_rescaled`` at 2**64, ``log_weight_table(n=2**64)``
   and ``build_torus(d=2**64)``, which computes ``side ** d``. So 2**64 goes
@@ -100,7 +101,7 @@ ROWS = {
     "space_size": Row(dict(kappa=3, n=4), dict(kappa=P(ok=(HUGE,), huge=HUGE), n=INTEGER)),
     "enumerate_states": Row(dict(kappa=3, n=4), dict(kappa=P(huge=HUGE), n=INTEGER)),
     "RegionSpec": Row(dict(walk=WALK, enum=ENUM, r_set=(0, 1), eps=0.5),
-                      dict(r_set=SITES, eps=POSITIVE)),
+                      dict(walk=P(), enum=P(), r_set=SITES, eps=POSITIVE)),
     "build_generator": Row(dict(spec=WALK, params=PARAMS, enum=ENUM), {}),
     "build_rate_matrix": Row(dict(spec=WALK, params=PARAMS, enum=ENUM), {}),
     "stationary_exact": Row(dict(spec=WALK, params=PARAMS), {}),
@@ -120,9 +121,9 @@ ROWS = {
     "ErrorScale": Row(dict(n=4, d=0.1, q=0.5),
                       dict(n=INTEGER, d=POSITIVE, q=P(huge=HUGE))),
     "predicted_mean_rate": Row(dict(walk=WALK, a_set=(0, 1, 2), n=4, d=0.1),
-                               dict(a_set=SITES, n=INTEGER, d=POSITIVE)),
+                               dict(walk=P(), a_set=SITES, n=INTEGER, d=POSITIVE)),
     "test_function": Row(dict(walk=WALK, r_set=(0, 1, 2), n=8, d=0.1, eps=0.5),
-                         dict(r_set=SITES, n=INTEGER, d=POSITIVE, eps=POSITIVE)),
+                         dict(walk=P(), r_set=SITES, n=INTEGER, d=POSITIVE, eps=POSITIVE)),
     "simulate": Row(dict(spec=WALK, params=PARAMS, eta0=(4, 0, 0), horizon=2.0, seed=1,
                          stream=0, max_events=None),
                     dict(eta0=STATE, horizon=DURATION, seed=KEY, stream=KEY,

@@ -417,6 +417,22 @@ def _exactly_negative(q, v) -> bool:
     return all(sum(Fraction(float(qij)) * x for qij, x in zip(row, vx)) < 0 for row in q)
 
 
+def _exactly_kernel(q, v) -> bool:
+    """q @ v is zero in rational arithmetic."""
+    vx = [Fraction(float(x)) for x in v]
+    return all(sum(Fraction(float(qij)) * x for qij, x in zip(row, vx)) == 0 for row in q)
+
+
+def _isolated_site() -> np.ndarray:
+    q = np.zeros((6, 6))
+    q[0, 1:5] = [0.2, -0.1, 0.2, 0.2]
+    q[2, 3] = -0.2
+    return q - q.T
+
+
+_ISOLATED_SITE = _isolated_site()
+
+
 class TestGordan:
     def test_two_site(self):
         cert = gordan_certificate(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -482,14 +498,38 @@ class TestGordan:
 
     def test_isolated_site(self):
         # site 5 has no rates, so -e_5 is a kernel vector, one of several
-        q = np.zeros((6, 6))
-        q[0, 1:5] = [0.2, -0.1, 0.2, 0.2]
-        q[2, 3] = -0.2
-        q = q - q.T
+        q = _ISOLATED_SITE
         cert = gordan_certificate(q)
         assert cert.variant == "beta"
         assert np.all(cert.vector <= 0) and np.any(cert.vector < 0)
         assert np.abs(q @ cert.vector).max() <= 1e-15
+
+    @pytest.mark.parametrize("name, variant", [("two_site", "alpha"), ("cycle3", "beta"),
+                                               ("zero", "beta"), ("isolated_site", "beta")])
+    def test_one_program_per_certificate(self, cycle3, monkeypatch, name, variant):
+        # beta comes from the duals of the alpha program, not a second solve
+        import scipy.optimize
+        q = {"two_site": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+             "cycle3": cycle3.rates - cycle3.rates.T, "zero": np.zeros((3, 3)),
+             "isolated_site": _ISOLATED_SITE}[name]
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: calls.append(1) or linprog(*args, **kwargs))
+        assert gordan_certificate(q).variant == variant
+        assert len(calls) == 1
+
+    def test_two_dimensional_kernel(self):
+        # two skew 3-cycles side by side: the nonnegative kernel vectors
+        # form a 2-dimensional cone, and any of them is a certificate
+        block = np.array([[0.0, 0.7, -0.7], [-0.7, 0.0, 0.7], [0.7, -0.7, 0.0]])
+        q = np.zeros((6, 6))
+        q[:3, :3] = block
+        q[3:, 3:] = 2.0 * block
+        cert = gordan_certificate(q)
+        assert cert.variant == "beta"
+        assert np.all(cert.vector <= 0) and np.any(cert.vector < 0)
+        assert _exactly_kernel(q, cert.vector)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)

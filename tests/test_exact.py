@@ -14,7 +14,8 @@ from incproc import (ConditionNotSatisfied, DimensionMismatch, IncprocError,
                      flow_profile, mean_jump_rate_exact, reciprocal_sum, region_masses,
                      stationary_closed_form, stationary_exact)
 from incproc.exact import (STATIONARY_TOL, _trace_chain, build_generator,
-                           reciprocal_bound_holds, reciprocal_sum_table)
+                           reciprocal_bound_holds, reciprocal_sum_column,
+                           reciprocal_sum_table)
 
 
 def hitting_column(spec, params, y):
@@ -211,6 +212,19 @@ class TestRegionMasses:
         enum = enumerate_states(3, 50)
         with pytest.warns(UserWarning, match="threshold"):
             RegionSpec(up3, enum, (0, 1, 2), eps=eps)
+
+    def test_epsilon_check_reads_the_rates(self, monkeypatch):
+        # irreducible only through a subnormal rate: the walk measure is
+        # refused, but the slice constant needs only the smallest positive
+        # and the largest rate, so the region builds and warns
+        import incproc.model
+        import incproc.regions
+        walk = WalkSpec.from_matrix([[0, 1, 0], [0, 0, 1], [1e-310, 0, 0]])
+        monkeypatch.setattr(incproc.model, "analyze_walk", None)
+        monkeypatch.setattr(incproc.regions, "analyze_walk", None, raising=False)
+        with pytest.warns(UserWarning, match="C0=inf"):
+            reg = RegionSpec(walk, enumerate_states(3, 20), (0, 1, 2), eps=0.5)
+            assert reg.threshold == 1 and reg.check_epsilon()[1] is False
 
     def test_default_epsilon_is_admissible(self, up3):
         import warnings
@@ -432,7 +446,7 @@ def _float_stirling_table(n_max, k_max):
 class TestReciprocalSums:
     def test_exact_table_matches_loop(self):
         ref = _loop_reciprocal_table(300, 6, exact=True)
-        table = reciprocal_sum_table(300, 6, exact=True)
+        table = reciprocal_sum_table(300, 6)
         for k in range(1, 7):
             for n in range(k, 301):
                 assert isinstance(table[k][n], Fraction)
@@ -440,18 +454,20 @@ class TestReciprocalSums:
 
     def test_float_table_matches_loop(self):
         ref = _loop_reciprocal_table(600, 8, exact=False)
-        table = reciprocal_sum_table(600, 8, exact=False)
-        for k in range(1, 9):
-            for n in range(k, 601):
-                assert table[k][n] == pytest.approx(ref[k][n], rel=1e-12, abs=0), (n, k)
+        for n in range(1, 601):
+            column = reciprocal_sum_column(n, 8)
+            for k in range(1, min(n, 8) + 1):
+                assert column[k] == pytest.approx(ref[k][n], rel=1e-12, abs=0), (n, k)
 
     def test_float_table_is_bit_identical(self):
+        # column n of the float table that the column replaced, at every n
         for n_max, k_max in ((600, 8), (5, 8)):
-            assert (reciprocal_sum_table(n_max, k_max, exact=False)
-                    == _float_stirling_table(n_max, k_max))
+            table = _float_stirling_table(n_max, k_max)
+            for n in range(n_max + 1):
+                assert reciprocal_sum_column(n, k_max) == [row[n] for row in table], n
 
     def test_exact_sum_matches_table(self):
-        table = reciprocal_sum_table(300, 8, exact=True)
+        table = reciprocal_sum_table(300, 8)
         for n in (1, 2, 9, 57, 200, 299, 300):
             for k in range(1, min(n, 8) + 1):
                 value = reciprocal_sum(n, k).value
@@ -459,7 +475,7 @@ class TestReciprocalSums:
                 assert value == table[k][n], (n, k)
 
     def test_empty_compositions_are_zero(self):
-        table = reciprocal_sum_table(5, 3, exact=True)
+        table = reciprocal_sum_table(5, 3)
         assert table[0][0] == 1
         assert all(table[k][n] == 0 for k in range(1, 4) for n in range(k))
 

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import signal
+import subprocess
 import sys
 import time
 import warnings
@@ -18,7 +20,7 @@ from incproc import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
                      measure_diffusion, measure_drift, run_condensate,
                      simulate, stationary_exact, torus_condensation,
                      torus_mean_rates, torus_walk)
-from incproc.exact import reciprocal_sum_table
+from incproc.exact import reciprocal_sum_column
 from incproc.model import log_weight_table
 from incproc.thermo import (_MOVED, _HOPPED, _condensate_runs, _CondensateReplica,
                             _generator_gap, _lattice, limit_generator_apply)
@@ -548,12 +550,12 @@ def _convolution_condensation(spec, bound_terms=8):
     log_z = float(result[n])
     e_mass = math.exp(math.log(sites) + logw[n] - log_z)
     terms = min(bound_terms, n, sites)
-    table = reciprocal_sum_table(n, max(terms, 1), exact=False)
+    sums = reciprocal_sum_column(n, max(terms, 1))
     bound = 0.0
     for i in range(2, terms + 1):
         log_choose = (math.lgamma(sites + 1) - math.lgamma(i + 1)
                       - math.lgamma(sites - i + 1))
-        bound += math.exp(i * math.log(2 * d_l) + math.log(table[i][n])
+        bound += math.exp(i * math.log(2 * d_l) + math.log(sums[i])
                           + log_choose - log_z)
     return log_z, e_mass, bound
 
@@ -561,7 +563,31 @@ def _convolution_condensation(spec, bound_terms=8):
 _NN2 = {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5}
 
 
+CONDENSATION_MEMORY = """
+from incproc import build_torus, torus_condensation
+
+def status(key):
+    with open("/proc/self/status") as status:
+        return int(next(line.split()[1] for line in status if line.startswith(key + ":")))
+
+spec = build_torus(1, 64, {1: 0.5, -1: 0.5}, rho=2.0**18 / 64, d_l=0.1)
+before = status("VmRSS")
+torus_condensation(spec)
+# KiB of peak RSS over the resident set before the call; exec starts this
+# process afresh, so its VmHWM is its own
+print(status("VmHWM") - before)
+"""
+
+
 class TestTorusCondensation:
+    def test_memory_does_not_grow_with_n_times_k(self):
+        # 2**18 particles: the (k + 1) x (N + 1) table of Python floats that
+        # one column replaced added 96 MB here, the column's run adds 15 MB
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", CONDENSATION_MEMORY], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 40 * 1024
+
     @pytest.mark.parametrize("d, side, kernel, rho, d_l", [
         (1, 8, {1: 0.7, -1: 0.3}, 2.0, 1e-3),
         (1, 16, {1: 0.5, -1: 0.5}, 3.0, 1e-4),
