@@ -430,9 +430,6 @@ def _isolated_site() -> np.ndarray:
     return q - q.T
 
 
-_ISOLATED_SITE = _isolated_site()
-
-
 class TestGordan:
     def test_two_site(self):
         cert = gordan_certificate(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -498,7 +495,7 @@ class TestGordan:
 
     def test_isolated_site(self):
         # site 5 has no rates, so -e_5 is a kernel vector, one of several
-        q = _ISOLATED_SITE
+        q = _isolated_site()
         cert = gordan_certificate(q)
         assert cert.variant == "beta"
         assert np.all(cert.vector <= 0) and np.any(cert.vector < 0)
@@ -511,7 +508,7 @@ class TestGordan:
         import scipy.optimize
         q = {"two_site": np.array([[0.0, 1.0], [-1.0, 0.0]]),
              "cycle3": cycle3.rates - cycle3.rates.T, "zero": np.zeros((3, 3)),
-             "isolated_site": _ISOLATED_SITE}[name]
+             "isolated_site": _isolated_site()}[name]
         calls = []
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
