@@ -3,15 +3,14 @@
    rules; the channel steps of the condensate runs' two-site excursions,
    incproc_channels; the replay of a stored path onto the metastable
    states of a site set, incproc_trace; the state space of the exact
-   analysis, its states in rank order, their ranks, the ranks of moved
-   states and the rate matrix or generator in CSR form, incproc_counts,
-   incproc_rank_many, incproc_move_ranks and incproc_assemble; and the
-   multifrontal LU factor of the exact solves and its solve,
-   incproc_lu_factor and incproc_lu_solve.
+   analysis, its states in rank order, their ranks and the rate matrix or
+   generator in CSR form, incproc_counts, incproc_rank_many and
+   incproc_assemble; and the multifrontal LU factor of the exact solves and
+   its solve, incproc_lu_factor and incproc_lu_solve.
 
    incproc._native compiles this file once per source hash with
    cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
-   weight rounds as the scalar definition does) and calls the nine
+   weight rounds as the scalar definition does) and calls the eight
    functions through ctypes. The LU functions call scipy's BLAS and LAPACK
    through function pointers they are handed, so nothing is linked.
 
@@ -235,8 +234,8 @@ int64_t incproc_trace(const double *times, const int32_t *move_from, const int32
 }
 
 /* The configuration space of N = n particles on kappa >= 2 sites: its
-   states in rank order, their ranks, the ranks of moved states, and the
-   jump-rate matrix or generator over it in CSR form.
+   states in rank order, their ranks, and the jump-rate matrix or generator
+   over it in CSR form.
 
    States are ordered lexicographically with larger counts first, so rank 0
    is (N, 0, ..., 0). cum is the (N + 1) x kappa table, row-major, of
@@ -252,12 +251,13 @@ static int64_t rank_term(const int64_t *cum, int64_t kappa, int64_t n, int64_t j
     return p < n ? cum[(n - p - 1) * kappa + kappa - 1 - j] : 0;
 }
 
-/* The prefix steps of the state c: steps[k] sums, over j < k, the change of
-   F_j when P_{j+1} drops by one, and steps[kappa + k] its change when
-   P_{j+1} rises by one. A move from x to y lowers P_{j+1} by one for
-   x <= j < y and raises it for y <= j < x, so it moves the rank by
-   steps[y] - steps[x] when x < y, and by steps[kappa + x] - steps[kappa + y]
-   when y < x (move_shift). */
+/* The prefix steps of the state c, from which incproc_assemble reads the
+   rank of each moved state: steps[k] sums, over j < k, the change of F_j
+   when P_{j+1} drops by one, and steps[kappa + k] its change when P_{j+1}
+   rises by one. A move from x to y lowers P_{j+1} by one for x <= j < y and
+   raises it for y <= j < x, so it moves the rank by steps[y] - steps[x]
+   when x < y, and by steps[kappa + x] - steps[kappa + y] when y < x
+   (row_moves). */
 static void prefix_steps(const int32_t *c, int64_t kappa, int64_t n, const int64_t *cum,
                          int64_t *steps)
 {
@@ -269,11 +269,6 @@ static void prefix_steps(const int32_t *c, int64_t kappa, int64_t n, const int64
         steps[j + 1] = steps[j] + rank_term(cum, kappa, n, j, p - 1) - here;
         steps[kappa + j + 1] = steps[kappa + j] + rank_term(cum, kappa, n, j, p + 1) - here;
     }
-}
-
-static int64_t move_shift(const int64_t *steps, int64_t kappa, int64_t x, int64_t y)
-{
-    return x < y ? steps[y] - steps[x] : steps[kappa + x] - steps[kappa + y];
 }
 
 /* The size states in rank order, one row of out each. The state after eta
@@ -316,30 +311,6 @@ int64_t incproc_rank_many(int64_t kappa, int64_t n, const int64_t *cum, const in
         ranks[i] = r;
     }
     return m;
-}
-
-/* The ranks of the states index[0 .. m - 1] (of the size rows of counts)
-   with one particle moved from xs[k] to ys[k], into out[k * m + i]: the
-   state's rank plus its move_shift, whether or not the state holds a
-   particle at xs[k] (callers mask those entries out). steps has room for
-   2 kappa. Returns 0; -1 if a site is outside 0 .. kappa - 1; or -2 if an
-   index is outside 0 .. size - 1. */
-int64_t incproc_move_ranks(int64_t kappa, int64_t n, const int64_t *cum, const int32_t *counts,
-                           int64_t size, const int64_t *index, int64_t m, const int64_t *xs,
-                           const int64_t *ys, int64_t nmoves, int64_t *steps, int64_t *out)
-{
-    for (int64_t k = 0; k < nmoves; k++)
-        if (xs[k] < 0 || xs[k] >= kappa || ys[k] < 0 || ys[k] >= kappa)
-            return -1;
-    for (int64_t i = 0; i < m; i++)
-        if (index[i] < 0 || index[i] >= size)
-            return -2;
-    for (int64_t i = 0; i < m; i++) {
-        prefix_steps(counts + index[i] * kappa, kappa, n, cum, steps);
-        for (int64_t k = 0; k < nmoves; k++)
-            out[k * m + i] = index[i] + move_shift(steps, kappa, xs[k], ys[k]);
-    }
-    return 0;
 }
 
 /* numpy's pairwise sum of a[0 .. len - 1] (its DOUBLE_pairwise_sum): a

@@ -268,37 +268,44 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float) -> TestFu
 
     enum = StateEnumeration(walk.kappa, n)
     reg = RegionSpec(walk, enum, r_set, eps=eps)
-    counts = enum.counts_matrix()
     hmax = _harmonics(n + 1)
 
-    # f0 of every state, summed over R in order
-    f0 = np.zeros(enum.size)
-    for i, x in enumerate(r_set):
-        f0 += coeff[i] * hmax[counts[:, x]]
-
-    inner = reg.inner_core
-    closure_vals = f0[reg.inner_closure]
-    oscillation = (float(closure_vals.max() - closure_vals.min())
-                   if closure_vals.size else 0.0)
+    def f0(c: np.ndarray) -> np.ndarray:
+        """f0 of the states of the count rows c, summed over R in order."""
+        out = np.zeros(c.shape[0])
+        for i, x in enumerate(r_set):
+            out += coeff[i] * hmax[c[:, x]]
+        return out
 
     # every inner-core state at once; each (x, y) pass adds in the order of
     # the scalar sums, so every entry is the scalar loop's float. Inner-core
     # states hold at least one particle at every site of R, rates inside R
     # are positive and d > 0, so every move below exists and has positive
-    # weight: nothing needs masking.
-    s = counts[inner]
-    f_here = f0[inner]
+    # weight: nothing needs masking, and the inner core with its moved
+    # states is the inner closure whose oscillation f0 reports.
+    inner = reg.inner_core
+    s = enum.counts_matrix()[inner]
+    f_here = f0(s)
+    closure = [f_here]
     w_state = np.zeros(inner.size)
     acc = np.zeros(inner.size)
     rs = np.zeros(inner.size)
-    moves = [(x, y) for x in r_set for y in r_set if y != x]
-    xs, ys = np.array(moves, dtype=np.intp).T
-    f_moved = f0[enum.move_ranks(inner, xs, ys)]
-    for f_there, (x, y) in zip(f_moved, moves):
-        w_state += s[:, x] * (d + s[:, y]) * rmat[x, y]
-        weight = s[:, y] * (d + s[:, x]) * rmat[y, x]
-        acc += weight * (f_there - f_here)
-        rs += weight
+    for x in r_set:
+        for y in r_set:
+            if y == x:
+                continue
+            moved = s.copy()
+            moved[:, x] -= 1
+            moved[:, y] += 1
+            f_there = f0(moved)
+            closure.append(f_there)
+            w_state += s[:, x] * (d + s[:, y]) * rmat[x, y]
+            weight = s[:, y] * (d + s[:, x]) * rmat[y, x]
+            acc += weight * (f_there - f_here)
+            rs += weight
+    closure_vals = np.concatenate(closure)
+    oscillation = (float(closure_vals.max() - closure_vals.min())
+                   if closure_vals.size else 0.0)
     drift = acc / w_state
     row_sums = rs / w_state
     min_drift = float(drift.min()) if drift.size else float("nan")

@@ -42,7 +42,8 @@ from ._native import _address, _compiled, _lapack
 from .errors import (ConditionNotSatisfied, DimensionMismatch, OutOfRange,
                      SolverFailure, StateSpaceTooLarge)
 from .model import (ProcessParams, WalkSpec, _add_in_order, _gth, _gth_stationary,
-                    analyze_walk, check_site, integer, log_weight_table, site_set)
+                    _subnormal_rates, analyze_walk, check_site, instance, integer,
+                    log_weight_table, site_set, walk_and_params)
 from .regions import RegionSpec, supported_on
 from .states import (Distribution, SolverReport, StateEnumeration, b_set_masses,
                      space_size)
@@ -105,10 +106,11 @@ def _assemble(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
     Every row lists the positive-rate moves in one fixed order (see
     :func:`_column_key`), which is the sorted column order in every row; a
     move exists where its source site is occupied, and its column is the
-    moved state's rank (:meth:`StateEnumeration.move_ranks`). The generator
-    puts the holding rate, scipy's ``sum(axis=1)`` of the rate row, at the
-    diagonal's fixed slot and keeps the nonzero entries only, like the
-    sparse difference ``rates - diag(holding)``.
+    moved state's rank, the state's rank plus a difference of two of its
+    prefix steps (``prefix_steps`` in ``_kernel.c``). The generator puts the
+    holding rate, scipy's ``sum(axis=1)`` of the rate row, at the diagonal's
+    fixed slot and keeps the nonzero entries only, like the sparse
+    difference ``rates - diag(holding)``.
 
     A move out of site x exists in the ``space_size(kappa, N - 1)`` states
     that occupy x, so the arrays are sized exactly; only a generator with
@@ -116,8 +118,11 @@ def _assemble(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
     index arrays are int32, as scipy keeps them at these sizes;
     ``StateSpaceTooLarge`` refuses a matrix of more entries than that.
     ``DimensionMismatch`` refuses an enumeration of another site count or
-    N than the walk's, whose tables the compiled pass would read past.
+    N than the walk's, whose tables the compiled pass would read past, and
+    ``OutOfRange`` arguments of other types.
     """
+    walk_and_params(spec, params)
+    instance(enum, StateEnumeration, "enum")
     if (spec.kappa, params.n) != (enum.kappa, enum.n):
         raise DimensionMismatch(f"a walk on {spec.kappa} sites with N = {params.n} over "
                                 f"the states of {enum.kappa} sites and N = {enum.n}")
@@ -403,7 +408,8 @@ def _trace_chain(spec: WalkSpec, params: ProcessParams) -> _TraceChain:
     refuses it then if its factor and update matrices, at 8 bytes an entry,
     exceed :func:`_lu_memory_budget`; ``OutOfRange`` refuses a holding rate
     below the smallest normal float, whose reciprocal overflows or whose
-    rate row keeps too few bits (d_N too small). The kappa hitting columns,
+    rate row keeps too few bits; the message names the walk's subnormal
+    rates, or blames d_N where there are none. The kappa hitting columns,
     the probability of reaching each xi^y first, are solved against that
     factor and checked against ``HITTING_TOL``; the trace generator is then
     ``G = R[xi] @ h``, off the diagonal, with the diagonal its negated row
@@ -426,8 +432,10 @@ def _trace_chain(spec: WalkSpec, params: ProcessParams) -> _TraceChain:
     holding = np.asarray(rates.sum(axis=1)).ravel()
     stuck = holding < np.finfo(float).tiny
     if stuck.any():
+        tiny = _subnormal_rates(spec.rates)
+        why = f"the walk's {len(tiny)} subnormal rates, at {tiny}" if tiny else "d_N too small"
         raise OutOfRange(f"{int(stuck.sum())} states have a subnormal holding rate, too "
-                         "small to invert (d_N too small)")
+                         f"small to invert ({why})")
     p_i = sp.diags(1.0 / holding[order]) @ rates[order]
     a = sp.eye(order.size, format="csr") - p_i[:, order]
     b = p_i[:, xi].toarray()
@@ -462,6 +470,7 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
     is ``|mu Q| <= STATIONARY_TOL * max|Q|`` for the generator Q.
     ``solver`` records the solve.
     """
+    walk_and_params(spec, params)
     chain = _trace_chain(spec, params)
     enum, rates, holding, order = chain.enum, chain.rates, chain.holding, chain.order
     mu = np.empty(enum.size)
@@ -583,12 +592,6 @@ class TraceRateMatrix:
     d: float
     solver: SolverReport | None = None
 
-    def generator(self) -> np.ndarray:
-        gen = self.raw.copy()
-        np.fill_diagonal(gen, 0.0)
-        np.fill_diagonal(gen, -gen.sum(axis=1))
-        return gen
-
     def stationary(self) -> np.ndarray:
         """Stationary distribution of the trace chain on A, by GTH elimination."""
         return _gth_stationary(self.raw)
@@ -607,6 +610,7 @@ def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set) -> TraceR
     of G above zero: its row of G underflowed, and with it how its exits
     share out over A.
     """
+    walk_and_params(spec, params)
     a_set = site_set(a_set, spec.kappa)
     n, d = params.n, params.d
     if n < 2:
@@ -626,7 +630,8 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
     ``mu(eta) * rate(eta -> zeta)`` over moves raising the count at x from k
     to k+1 inside the tube, ``down[k]`` over the reverse moves.
     """
-    enum = mu.enum
+    walk_and_params(spec, params)
+    enum = instance(mu, Distribution, "mu").enum
     r_set = site_set(r_set, enum.kappa)
     x = check_site(x, r_set, f"R {r_set}")
     counts = enum.counts_matrix()

@@ -317,9 +317,15 @@ def _normal_stationary(rates: np.ndarray, refuse: type[IncprocError]) -> np.ndar
         if law.all():
             return law
         why = f"states {np.flatnonzero(law == 0.0).tolist()} get a stationary share of zero"
-    tiny = [(int(x), int(y)) for x, y in np.argwhere((rates > 0.0) & ~normal)]
+    tiny = _subnormal_rates(rates)
     raise refuse(why + (f"; the {len(tiny)} subnormal rates, at {tiny}, count as zero"
                         if tiny else ""))
+
+
+def _subnormal_rates(rates: np.ndarray) -> list[tuple[int, int]]:
+    """The (x, y) of the positive rates below the smallest normal float."""
+    return [(int(x), int(y)) for x, y in
+            np.argwhere((rates > 0.0) & (rates < np.finfo(float).tiny))]
 
 
 def analyze_walk(spec: WalkSpec) -> WalkAnalysis:
@@ -374,6 +380,13 @@ class ProcessParams:
     def __post_init__(self):
         integer(self.n, "N", 1)
         real(self.d, "d_N", above=0)
+
+
+def walk_and_params(spec, params) -> None:
+    """``OutOfRange`` unless ``spec`` is a :class:`WalkSpec` and ``params`` a
+    :class:`ProcessParams`."""
+    instance(spec, WalkSpec, "spec")
+    instance(params, ProcessParams, "params")
 
 
 def schedule_power(coeff: float, exponent: float) -> Callable[[int], float]:

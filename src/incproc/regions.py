@@ -78,20 +78,6 @@ class RegionSpec:
         deep = (counts[:, self._in_r] > self.threshold).all(axis=1)
         return np.nonzero(self.tube_mask & deep)[0]
 
-    @cached_property
-    def inner_closure(self) -> np.ndarray:
-        """Inner core plus states one positive-rate move away from it."""
-        counts = self.enum.counts_matrix()
-        inner = self.inner_core
-        reach = np.zeros(self.enum.size, dtype=bool)
-        reach[inner] = True
-        rates = self.walk.rates
-        xs, ys = np.array([(x, y) for x in self.r_set for y in self.r_set
-                           if x != y and rates[x, y] != 0.0], dtype=np.intp).reshape(-1, 2).T
-        moved = self.enum.move_ranks(inner, xs, ys)
-        reach[moved[counts[inner][:, xs].T >= 1]] = True
-        return np.nonzero(reach)[0]
-
     def check_epsilon(self) -> tuple[float, bool]:
         """Validate that the slice-growth constant stays polynomially bounded.
 

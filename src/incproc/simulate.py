@@ -25,8 +25,8 @@ import numpy as np
 
 from ._native import _address, _compiled
 from .errors import BudgetExceeded, DegenerateData, OutOfRange
-from .model import (Configuration, ProcessParams, WalkSpec, csv_line, finite_real, integer,
-                    real, site_set, state_counts)
+from .model import (Configuration, ProcessParams, WalkSpec, csv_line, finite_real, instance,
+                    integer, real, site_set, state_counts, walk_and_params)
 
 DEFAULT_STEP_CAP = 1_000_000_000
 # the largest seed or stream: one word of the Philox key, the same on every platform
@@ -229,6 +229,7 @@ def simulate(spec: WalkSpec, params: ProcessParams,
     ``max_events`` additionally truncates the event count (the recorded
     horizon is then the last event time).
     """
+    walk_and_params(spec, params)
     return _simulate(_Kernel(_walk_moves(spec), params.d), spec, params, eta0,
                      horizon, seed, stream, max_events)
 
@@ -300,7 +301,7 @@ def trace_project(traj: Trajectory, a_set, theta: float) -> TracePath:
     hold all N, and every clock, and every segment's sojourn, adds its
     intervals one at a time in path order.
     """
-    kappa = len(traj.initial)
+    kappa = len(instance(traj, Trajectory, "traj").initial)
     a_set = site_set(a_set, kappa)
     real(theta, "theta", above=0)
     counts = np.fromiter(traj.initial, np.int64, kappa)
@@ -350,6 +351,7 @@ def mc_mean_jump_rate(spec: WalkSpec, params: ProcessParams, a_set,
     state (cycling over the set); entries never observed are flagged rather
     than raised.
     """
+    walk_and_params(spec, params)
     integer(replicas, "replicas", 1)
     real(horizon, "horizon", above=0)
     integer(seed, "seed", 0, MAX_KEY)
@@ -447,6 +449,8 @@ def mc_hitting(task: HittingTask, spec: WalkSpec, params: ProcessParams,
     mean and variance use uncensored replicas only. Raises only when every
     replica is censored.
     """
+    instance(task, HittingTask, "task")
+    walk_and_params(spec, params)
     integer(task.replicas, "replicas", 1)
     state_counts(task.start, spec.kappa, params.n)
     if task.chain == "auxiliary":

@@ -27,9 +27,9 @@ class StateEnumeration:
 
     States are ordered lexicographically with larger counts first, so rank 0
     is ``(N, 0, ..., 0)`` and the last rank is ``(0, ..., 0, N)``. The
-    states in rank order, the ranks and the moved ranks are computed by the
-    compiled state-space functions of ``_kernel.c``, which are built on the
-    first call that needs them (:func:`incproc._native._compiled`).
+    states in rank order and the ranks are computed by the compiled
+    state-space functions of ``_kernel.c``, which are built on the first
+    call that needs them (:func:`incproc._native._compiled`).
     """
 
     def __init__(self, kappa: int, n: int):
@@ -80,7 +80,9 @@ class StateEnumeration:
         if counts.ndim != 2 or counts.shape[1] != self.kappa:
             raise DimensionMismatch(f"states of shape {counts.shape}, expected rows of "
                                     f"{self.kappa} sites")
-        counts = _integers(counts, "state counts")
+        if counts.size and counts.dtype.kind not in "iu":
+            raise OutOfRange(f"state counts must be integers, got an array of {counts.dtype}")
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         ranks = np.empty(counts.shape[0], dtype=np.int64)
         done = _compiled().incproc_rank_many(self.kappa, self.n, _address(self._cum),
                                              _address(counts), ranks.size, _address(ranks))
@@ -89,58 +91,12 @@ class StateEnumeration:
                              f"N = {self.n} particles: counts must be >= 0 and sum to N")
         return ranks
 
-    def move_ranks(self, index: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Ranks of the states ``index`` with one particle moved from site
-        ``xs[m]`` to site ``ys[m]``, as a (len(xs), len(index)) int64 matrix,
-        one row per move, by ``incproc_move_ranks``.
-
-        Entry (m, i) is valid where state ``index[i]`` holds a particle at
-        ``xs[m]``; elsewhere it is meaningless, and callers mask it out.
-        Raises ``DimensionMismatch`` unless the three are 1-D and ``xs`` and
-        ``ys`` of one length, and ``OutOfRange`` unless they are integers,
-        ``index`` in ``[0, size)`` and the sites in ``0..kappa-1``.
-
-        With ``P_{j+1}`` the count prefix sum through site j, the rank of
-        ``eta`` is ``sum_{j < kappa-1} F_j(P_{j+1})`` with
-        ``F_j(P) = cum[N - P - 1, kappa - 1 - j]`` for ``P < N`` and 0 beyond.
-        A move from x to y lowers ``P_{j+1}`` by one for ``x <= j < y``, raises
-        it by one for ``y <= j < x`` and keeps it elsewhere, so the moved rank
-        is the rank plus a difference of two entries of a per-state prefix sum
-        over j of ``F_j(P_{j+1} -+ 1) - F_j(P_{j+1})``; each state's prefix row
-        is made once for all the moves.
-        """
-        index, xs, ys = (np.asarray(a) for a in (index, xs, ys))
-        if index.ndim != 1 or xs.ndim != 1 or xs.shape != ys.shape:
-            raise DimensionMismatch(f"index of shape {index.shape} and moves of shapes "
-                                    f"{xs.shape} and {ys.shape}; expected 1-D, the moves "
-                                    "of one length")
-        index, xs, ys = (_integers(a, name) for a, name in
-                         ((index, "state ranks"), (xs, "sites"), (ys, "sites")))
-        moved = np.empty((xs.size, index.size), dtype=np.int64)
-        steps = np.empty(2 * self.kappa, dtype=np.int64)
-        status = _compiled().incproc_move_ranks(
-            self.kappa, self.n, _address(self._cum), _address(self.counts_matrix()), self.size,
-            _address(index), index.size, _address(xs), _address(ys), xs.size,
-            _address(steps), _address(moved))
-        if status:
-            raise OutOfRange(f"sites must lie in 0..{self.kappa - 1}" if status == -1 else
-                             f"state ranks must lie in [0, {self.size})")
-        return moved
-
     def occupied_counts(self) -> np.ndarray:
         """Number of occupied sites per state, in rank order."""
         return (self.counts_matrix() > 0).sum(axis=1)
 
     def same_space(self, other: "StateEnumeration") -> bool:
         return self.kappa == other.kappa and self.n == other.n
-
-
-def _integers(a: np.ndarray, name: str) -> np.ndarray:
-    """``a`` as a contiguous int64 array; ``OutOfRange`` unless its values
-    are integers."""
-    if a.size and a.dtype.kind not in "iu":
-        raise OutOfRange(f"{name} must be integers, got an array of {a.dtype}")
-    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def b_set_masses(weights: np.ndarray, enum: StateEnumeration) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, ConditionNotSatisfied, DimensionMismatch,
                      NonSpanningSupport, OutOfRange, SupportTooLarge, TooFewRelocations)
 from .exact import reciprocal_sum_column
 from .gordan import _bareiss
-from .model import (WalkSpec, _add_in_order, finite_real, integer, is_integer,
+from .model import (WalkSpec, _add_in_order, finite_real, instance, integer, is_integer,
                     log_weight_table, real)
 from .simulate import (_EXPONENTIALS, _SLICE, _UNIFORMS, MAX_KEY, Trajectory, _Blocks,
                        _Kernel, _map_batches, _philox_key, _substream, trace_project)
@@ -208,7 +208,7 @@ def _wrap(step: np.ndarray, side: int) -> np.ndarray:
 
 def torus_walk(spec: TorusSpec) -> WalkSpec:
     """The torus walk as an explicit site-set walk (small tori only)."""
-    _, targets = _lattice(spec)
+    _, targets = _lattice(instance(spec, TorusSpec, "spec"))
     rates = np.zeros((spec.n_sites, spec.n_sites))
     sites = np.arange(spec.n_sites)
     for to, w in zip(targets, spec.kernel.values()):
@@ -228,7 +228,7 @@ def torus_mean_rates(spec: TorusSpec) -> dict[tuple[int, ...], float]:
     ``d_L N (h(y) - h(-y))`` on winning directions in the asymmetric
     regimes, ``d_L h(y)`` in the symmetric regime."""
     out: dict[tuple[int, ...], float] = {}
-    n, d_l = spec.n, spec.d_l
+    n, d_l = instance(spec, TorusSpec, "spec").n, spec.d_l
     offsets = set(spec.kernel)
     offsets.update(tuple(-v for v in off) for off in spec.kernel)
     for off in sorted(offsets):
@@ -298,7 +298,8 @@ def generator_gap(spec: TorusSpec, f: SmoothFunction) -> float:
     f and keeps lifted linear functions exact). Raises ``DimensionMismatch``
     if ``f.dim`` is known and is not the torus dimension.
     """
-    if f.dim is not None and f.dim != spec.d:
+    instance(spec, TorusSpec, "spec")
+    if instance(f, SmoothFunction, "f").dim is not None and f.dim != spec.d:
         raise DimensionMismatch(f"the function takes {f.dim}-D points, the torus is {spec.d}-D")
     return _generator_gap(spec, f, torus_mean_rates(spec))
 
@@ -593,7 +594,7 @@ def _check_run(spec: TorusSpec, t_rescaled: float) -> None:
     """Refuse an empty torus, a trace-clock horizon
     ``theta * t_rescaled`` that is not positive and finite, or a torus whose
     exact condensate mass is below ``MIN_CONDENSATE_MASS``."""
-    if spec.n < 1:
+    if instance(spec, TorusSpec, "spec").n < 1:
         raise OutOfRange("the torus holds no particles")
     real(spec.theta * real(t_rescaled, "t_rescaled", above=0), "theta * t_rescaled", above=0)
     mass, _, _ = _condensate_mass(spec)
@@ -679,7 +680,8 @@ def condensate_statistics(traj: Trajectory, spec: TorusSpec,
     ``min_relocations`` is an integer >= 0.
     """
     integer(min_relocations, "min_relocations")
-    counts = np.asarray(traj.initial, dtype=np.int64)
+    instance(spec, TorusSpec, "spec")
+    counts = np.asarray(instance(traj, Trajectory, "traj").initial, dtype=np.int64)
     if len(counts) != spec.n_sites or counts.sum() != spec.n:
         raise OutOfRange("trajectory does not match the torus spec")
     if np.count_nonzero(counts) != 1:
@@ -823,7 +825,7 @@ def torus_condensation(spec: TorusSpec) -> CondensationReport:
     remainder is cross-checked against the first ``BOUND_TERMS`` terms of the
     reciprocal-sum bound.
     """
-    n, d_l = spec.n, spec.d_l
+    n, d_l = instance(spec, TorusSpec, "spec").n, spec.d_l
     sites = spec.n_sites
     e_mass, logw, log_z = _condensate_mass(spec)
 

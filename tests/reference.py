@@ -25,12 +25,17 @@ batch of replicas together, one array pass per channel step. The compiled
 loop must give the same runs, bit for bit.
 
 ``NumpyStates`` and ``assemble`` keep the numpy state-space layer that the
-compiled ``incproc_counts``, ``incproc_rank_many``, ``incproc_move_ranks``
-and ``incproc_assemble`` replaced: the states in rank order by a binary
-search per position, the ranks, the moved ranks from per-state prefix
-sums, and the rate matrix or generator gathered into CSR with scipy's row
-sum as the holding rate. They call no compiled code, and the compiled
-layer must give the same arrays, bit for bit.
+compiled ``incproc_counts``, ``incproc_rank_many`` and ``incproc_assemble``
+replaced: the states in rank order by a binary search per position, the
+ranks, the moved ranks from per-state prefix sums, and the rate matrix or
+generator gathered into CSR with scipy's row sum as the holding rate. They
+call no compiled code, and the compiled layer must give the same arrays,
+bit for bit.
+
+``inner_closure`` is a region's inner core with every state one
+positive-rate move inside R away from it, each moved state ranked on a
+shifted copy of the counts by ``NumpyStates.rank_many``: the states whose
+values the test function's oscillation spans.
 """
 
 from __future__ import annotations
@@ -371,6 +376,27 @@ class NumpyStates:
         moved -= steps[lo]
         moved += index
         return moved
+
+
+def inner_closure(region) -> np.ndarray:
+    """The ranks, sorted, of the inner core of the ``RegionSpec`` ``region``
+    and of every state one positive-rate move x -> y, x and y in R, away
+    from it."""
+    states = NumpyStates(region.enum.kappa, region.enum.n)
+    counts = states.counts
+    inner = region.inner_core
+    reach = np.zeros(states.size, dtype=bool)
+    reach[inner] = True
+    for x in region.r_set:
+        for y in region.r_set:
+            if x == y or region.walk.rates[x, y] == 0.0:
+                continue
+            src = inner[counts[inner, x] >= 1]
+            shifted = counts[src].astype(np.int64)
+            shifted[:, x] -= 1
+            shifted[:, y] += 1
+            reach[states.rank_many(shifted)] = True
+    return np.nonzero(reach)[0]
 
 
 def assemble(spec: WalkSpec, params: ProcessParams, states: NumpyStates,

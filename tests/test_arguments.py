@@ -7,25 +7,18 @@ holding 2**64. Each call must raise an ``IncprocError`` or succeed where the
 row allows it, within ``LIMIT_S`` seconds. An export without a row, and not
 in ``EXEMPT``, fails the table.
 
-The ``WalkSpec`` of ``analyze_walk``, ``classify``, ``stationary_closed_form``,
-``limit_chain``, ``predicted_mean_rate``, ``test_function`` and
-``RegionSpec``, ``limit_chain``'s ``Classification`` and ``RegionSpec``'s
-``StateEnumeration`` are probed with ``BAD`` like any other parameter.
+Object-typed parameters (a ``WalkSpec``, ``ProcessParams``,
+``StateEnumeration``, ``Distribution``, ``Classification``,
+``HittingTask``, ``TorusSpec``, ``Trajectory`` or ``SmoothFunction``) are
+probed with ``BAD`` like any other parameter.
 
-Out of scope:
-- The other object-typed parameters (``WalkSpec`` elsewhere,
-  ``ProcessParams``, ``TorusSpec``, ``Trajectory``, ``Distribution``,
-  ``StateEnumeration`` elsewhere, ``SmoothFunction``): a float in their
-  place gives an ``AttributeError`` today.
-- Huge but valid sizes, which run long or allocate: ``horizon``,
-  ``replicas`` and ``t_rescaled`` at 2**64, ``log_weight_table(n=2**64)``
-  and ``build_torus(d=2**64)``, which computes ``side ** d``. So 2**64 goes
-  only where a bound refuses it (seeds, streams, sites, counts, ``kappa``,
-  ``k``, a torus's particle count) and into reals, which may succeed with
-  it.
-
-Refusing the first two needs type checks at every entry point or resource
-bounds, each a decision of its own.
+Out of scope: huge but valid sizes, which run long or allocate:
+``horizon``, ``replicas`` and ``t_rescaled`` at 2**64,
+``log_weight_table(n=2**64)`` and ``build_torus(d=2**64)``, which computes
+``side ** d``. So 2**64 goes only where a bound refuses it (seeds, streams,
+sites, counts, ``kappa``, ``k``, a torus's particle count) and into reals,
+which may succeed with it. Refusing them needs resource bounds, each a
+decision of its own.
 """
 
 import ast
@@ -81,10 +74,15 @@ TORUS_TRAJ = ip.simulate(ip.torus_walk(TORUS), ip.ProcessParams(TORUS.n, TORUS.d
                          seed=1)
 
 
-def _auxiliary_hitting(start, replicas, seed, r_set, eps, step_cap, threads):
-    task = ip.HittingTask("auxiliary", start, replicas, seed, r_set=r_set, eps=eps,
-                          step_cap=step_cap)
-    return ip.mc_hitting(task, WALK, PARAMS, threads=threads)
+AUXILIARY = object()     # the auxiliary task of a row's other arguments
+
+
+def _hitting(task, spec, params, threads, **fields):
+    """``mc_hitting`` on ``task``, or, for ``AUXILIARY``, on the auxiliary
+    task of ``fields``."""
+    if task is AUXILIARY:
+        task = ip.HittingTask("auxiliary", **fields)
+    return ip.mc_hitting(task, spec, params, threads=threads)
 
 
 ROWS = {
@@ -102,15 +100,17 @@ ROWS = {
     "enumerate_states": Row(dict(kappa=3, n=4), dict(kappa=P(huge=HUGE), n=INTEGER)),
     "RegionSpec": Row(dict(walk=WALK, enum=ENUM, r_set=(0, 1), eps=0.5),
                       dict(walk=P(), enum=P(), r_set=SITES, eps=POSITIVE)),
-    "build_generator": Row(dict(spec=WALK, params=PARAMS, enum=ENUM), {}),
-    "build_rate_matrix": Row(dict(spec=WALK, params=PARAMS, enum=ENUM), {}),
-    "stationary_exact": Row(dict(spec=WALK, params=PARAMS), {}),
+    "build_generator": Row(dict(spec=WALK, params=PARAMS, enum=ENUM),
+                           dict(spec=P(), params=P(), enum=P())),
+    "build_rate_matrix": Row(dict(spec=WALK, params=PARAMS, enum=ENUM),
+                             dict(spec=P(), params=P(), enum=P())),
+    "stationary_exact": Row(dict(spec=WALK, params=PARAMS), dict(spec=P(), params=P())),
     "stationary_closed_form": Row(dict(spec=ip.WalkSpec.cycle(3, 0.5), params=PARAMS),
                                   dict(spec=P())),
     "mean_jump_rate_exact": Row(dict(spec=WALK, params=PARAMS, a_set=(0, 1, 2)),
-                                dict(a_set=SITES)),
+                                dict(spec=P(), params=P(), a_set=SITES)),
     "flow_profile": Row(dict(spec=WALK, params=PARAMS, mu=MU, r_set=(0, 1), x=0),
-                        dict(r_set=SITES, x=SITE)),
+                        dict(spec=P(), params=P(), mu=P(), r_set=SITES, x=SITE)),
     "region_masses": Row(dict(mu=MU, regions=[ip.RegionSpec(WALK, ENUM, (0, 1))]),
                          dict(regions=P(ok=((),)))),
     "reciprocal_sum": Row(dict(n=6, k=2), dict(n=P(huge=HUGE), k=P(huge=HUGE))),
@@ -126,44 +126,46 @@ ROWS = {
                          dict(walk=P(), r_set=SITES, n=INTEGER, d=POSITIVE, eps=POSITIVE)),
     "simulate": Row(dict(spec=WALK, params=PARAMS, eta0=(4, 0, 0), horizon=2.0, seed=1,
                          stream=0, max_events=None),
-                    dict(eta0=STATE, horizon=DURATION, seed=KEY, stream=KEY,
-                         max_events=P(ok=(None,)))),
+                    dict(spec=P(), params=P(), eta0=STATE, horizon=DURATION, seed=KEY,
+                         stream=KEY, max_events=P(ok=(None,)))),
     "trace_project": Row(dict(traj=TRAJ, a_set=(0, 1, 2), theta=1.0),
-                         dict(a_set=SITES, theta=POSITIVE)),
+                         dict(traj=P(), a_set=SITES, theta=POSITIVE)),
     "mc_mean_jump_rate": Row(dict(spec=WALK, params=PARAMS, a_set=(0, 1, 2), replicas=2,
                                   horizon=2.0, seed=1, threads=1),
-                             dict(a_set=SITES, replicas=INTEGER, horizon=DURATION,
-                                  seed=KEY, threads=INTEGER)),
+                             dict(spec=P(), params=P(), a_set=SITES, replicas=INTEGER,
+                                  horizon=DURATION, seed=KEY, threads=INTEGER)),
     # HittingTask checks its start and replica count against the walk in mc_hitting
     "HittingTask": Row(dict(chain="inclusion", start=(2, 1, 1), replicas=2, seed=1,
                             threshold=0.0, step_cap=100),
                        dict(chain=P(), start=ANY, replicas=ANY, seed=KEY,
                             threshold=P(ok=(1.5, HUGE), huge=HUGE), step_cap=INTEGER)),
-    "mc_hitting": Row(dict(start=(2, 1, 1), replicas=2, seed=1, r_set=(0, 1, 2), eps=0.5,
-                           step_cap=100, threads=1),
-                      dict(start=STATE, replicas=INTEGER, seed=KEY, r_set=SITES,
-                           eps=POSITIVE, step_cap=INTEGER, threads=INTEGER),
-                      _auxiliary_hitting),
+    "mc_hitting": Row(dict(task=AUXILIARY, spec=WALK, params=PARAMS, threads=1,
+                           start=(2, 1, 1), replicas=2, seed=1, r_set=(0, 1, 2), eps=0.5,
+                           step_cap=100),
+                      dict(task=P(), spec=P(), params=P(), threads=INTEGER, start=STATE,
+                           replicas=INTEGER, seed=KEY, r_set=SITES, eps=POSITIVE,
+                           step_cap=INTEGER),
+                      _hitting),
     "scaling_fit": Row(dict(points=[(1, 1.0), (2, 4.0), (4, 16.0)]), dict(points=P())),
     "build_torus": Row(dict(d=1, side=8, kernel={1: 0.8, -1: 0.2}, rho=2.0, d_l=0.05),
                        dict(d=INTEGER, side=INTEGER, kernel=P(), rho=P(ok=(1.5,), huge=HUGE),
                             d_l=POSITIVE)),
-    "torus_walk": Row(dict(spec=TORUS), {}),
-    "torus_mean_rates": Row(dict(spec=TORUS), {}),
-    "torus_condensation": Row(dict(spec=TORUS), {}),
+    "torus_walk": Row(dict(spec=TORUS), dict(spec=P())),
+    "torus_mean_rates": Row(dict(spec=TORUS), dict(spec=P())),
+    "torus_condensation": Row(dict(spec=TORUS), dict(spec=P())),
     "cosine_mode": Row(dict(freq=[1]), dict(freq=P(ok=(-1,)))),
-    "generator_gap": Row(dict(spec=TORUS, f=ip.cosine_mode(1)), {}),
+    "generator_gap": Row(dict(spec=TORUS, f=ip.cosine_mode(1)), dict(spec=P(), f=P())),
     "run_condensate": Row(dict(spec=TORUS, t_rescaled=0.5, seed=1, stream=0),
-                          dict(t_rescaled=DURATION, seed=KEY, stream=KEY)),
+                          dict(spec=P(), t_rescaled=DURATION, seed=KEY, stream=KEY)),
     "measure_drift": Row(dict(spec=TORUS, t_rescaled=0.5, seed=1, replicas=2,
                               min_relocations=0, threads=1),
-                         dict(t_rescaled=DURATION, seed=KEY, replicas=INTEGER,
+                         dict(spec=P(), t_rescaled=DURATION, seed=KEY, replicas=INTEGER,
                               min_relocations=INTEGER, threads=INTEGER)),
     "measure_diffusion": Row(dict(spec=TORUS, t_rescaled=0.5, replicas=2, seed=1, threads=1),
-                             dict(t_rescaled=DURATION, replicas=INTEGER, seed=KEY,
+                             dict(spec=P(), t_rescaled=DURATION, replicas=INTEGER, seed=KEY,
                                   threads=INTEGER)),
     "condensate_statistics": Row(dict(traj=TORUS_TRAJ, spec=TORUS, min_relocations=0),
-                                 dict(min_relocations=INTEGER)),
+                                 dict(traj=P(), spec=P(), min_relocations=INTEGER)),
 }
 
 # exception classes and result dataclasses

@@ -1,17 +1,16 @@
-"""Rate-matrix assembly and move ranks against the code they replaced.
+"""Rate-matrix assembly against the code it replaced.
 
 The references below take the states and their ranks from the numpy layer
 of ``reference.NumpyStates``, which calls no compiled code, and rank every
 moved state on a shifted copy of the counts, one move at a time: the COO
 build of the rate matrix, with the generator as the sparse difference
-``rates - diag(holding)``, the one-move closure of a region's inner core
-and the stationary interior system through LIL. ``reference.assemble`` is
-the numpy CSR gather the compiled ``incproc_assemble`` replaced. The
-compiled layer must reproduce them bit for bit.
+``rates - diag(holding)``, and the stationary interior system through
+LIL. ``reference.assemble`` is the numpy CSR gather the compiled
+``incproc_assemble`` replaced. The compiled layer must reproduce them bit
+for bit.
 """
 
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incproc.exact as exact
-from incproc import (DimensionMismatch, NonIrreducibleWalk, ProcessParams, RegionSpec, WalkSpec,
-                     analyze_walk, stationary_exact)
+from incproc import DimensionMismatch, ProcessParams, WalkSpec, stationary_exact
 from incproc.exact import build_generator, build_rate_matrix
 from incproc.states import StateEnumeration
 from reference import NumpyStates, assemble
@@ -57,26 +55,6 @@ def _coo_generator(spec, params, enum):
     rates = _coo_rate_matrix(spec, params, enum)
     holding = np.asarray(rates.sum(axis=1)).ravel()
     return (rates - sp.diags(holding)).tocsr()
-
-
-def _loop_inner_closure(reg):
-    states = NumpyStates(reg.enum.kappa, reg.enum.n)
-    counts = states.counts
-    inner = reg.inner_core
-    reach = np.zeros(reg.enum.size, dtype=bool)
-    reach[inner] = True
-    for x in reg.r_set:
-        for y in reg.r_set:
-            if x == y or reg.walk.rates[x, y] == 0.0:
-                continue
-            src = inner[counts[inner, x] >= 1]
-            if src.size == 0:
-                continue
-            shifted = counts[src].astype(np.int64)
-            shifted[:, x] -= 1
-            shifted[:, y] += 1
-            reach[states.rank_many(shifted)] = True
-    return np.nonzero(reach)[0]
 
 
 def _assert_same_csr(got, want):
@@ -228,60 +206,6 @@ class TestAssembly:
         enum = StateEnumeration(5, 30)
         _assert_same_csr(build_generator(walk, params, enum),
                          _coo_generator(walk, params, enum))
-
-
-class TestMoveRanks:
-    @given(st.integers(2, 6), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_every_move_matches_rank_many(self, kappa, n):
-        enum, states = StateEnumeration(kappa, n), NumpyStates(kappa, n)
-        counts = states.counts
-        xs, ys = np.array([(x, y) for x in range(kappa) for y in range(kappa)
-                           if x != y]).T
-        moved = enum.move_ranks(np.arange(enum.size), xs, ys)
-        assert moved.shape == (xs.size, enum.size)
-        assert moved.dtype == np.int64
-        for row, x, y in zip(moved, xs, ys):
-            src = np.nonzero(counts[:, x] >= 1)[0]
-            shifted = counts[src].astype(np.int64)
-            shifted[:, x] -= 1
-            shifted[:, y] += 1
-            assert np.array_equal(row[src], states.rank_many(shifted)), (x, y)
-        # the entries of states without a particle to move, too
-        assert np.array_equal(moved, states.move_ranks(np.arange(enum.size), xs, ys))
-
-    def test_subset_of_states(self):
-        enum = StateEnumeration(4, 9)
-        xs, ys = np.array([3, 0, 2]), np.array([1, 2, 0])
-        full = enum.move_ranks(np.arange(enum.size), xs, ys)
-        index = np.arange(enum.size)[::-1][::3]
-        assert np.array_equal(enum.move_ranks(index, xs, ys), full[:, index])
-        assert enum.move_ranks(index[:0], xs, ys).shape == (3, 0)
-
-
-@given(_walks(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_inner_closure_matches_loop(walk_params, data):
-    walk, params = walk_params
-    if params.n < 2:
-        params = ProcessParams(2, params.d)
-    enum = StateEnumeration(walk.kappa, params.n)
-    r_set = data.draw(st.lists(st.integers(0, walk.kappa - 1), min_size=1,
-                               unique=True))
-    eps = data.draw(st.floats(0.05, 1.0))
-    with warnings.catch_warnings():
-        # on walks with subnormal rates the threshold check overflows and
-        # warns; the closure is built whatever it finds
-        warnings.simplefilter("ignore")
-        try:
-            reg = RegionSpec(walk, enum, r_set, eps=eps)
-        except NonIrreducibleWalk:
-            # subnormal rates whose invariant measure solves to non-finite
-            # values: the eps check refuses the walk
-            with pytest.raises(NonIrreducibleWalk):
-                analyze_walk(walk)
-            return
-    assert np.array_equal(reg.inner_closure, _loop_inner_closure(reg))
 
 
 @pytest.mark.parametrize("walk,n", [("up3", 12), ("up3", 10), ("cycle3", 9), ("chain4", 7),

@@ -15,7 +15,7 @@ from incproc import (DimensionMismatch, ErrorScale, NonIrreducibleWalk,
                      stationary_exact)
 from incproc import test_function as make_test_function
 from incproc.asymptotics import _harmonics
-from reference import relative_miss, stationary_law
+from reference import inner_closure, relative_miss, stationary_law
 
 
 def _closure(adj):
@@ -82,7 +82,7 @@ def _loop_drift(walk, r_set, n, d, eps):
         return float(sum(coeff[col[x]] * hmax[row[x]] for x in r_set))
 
     inner = reg.inner_core
-    closure_vals = {int(i): f0_of(counts[i]) for i in reg.inner_closure}
+    closure_vals = {int(i): f0_of(counts[i]) for i in inner_closure(reg)}
     oscillation = 0.0
     if closure_vals:
         vals = np.array(list(closure_vals.values()))
@@ -550,7 +550,8 @@ def _inner_boundary(region):
     """Inner-closure states outside the inner core."""
     inner = np.zeros(region.enum.size, dtype=bool)
     inner[region.inner_core] = True
-    return region.inner_closure[~inner[region.inner_closure]]
+    closure = inner_closure(region)
+    return closure[~inner[closure]]
 
 
 def auxiliary_kernel_row(walk, d, region, eta):
@@ -564,7 +565,7 @@ def auxiliary_kernel_row(walk, d, region, eta):
     """
     r_set = region.r_set
     rmat = walk.rates
-    closure = set(int(i) for i in region.inner_closure)
+    closure = set(int(i) for i in inner_closure(region))
     if region.enum.rank(tuple(int(v) for v in eta)) not in closure:
         raise OutOfRange("state is outside the inner-core closure")
     w = 0.0

@@ -348,11 +348,6 @@ class TestMeanJumpRate:
         assert escape == pytest.approx(params.n * params.d * lam[0] - ret,
                                        rel=1e-10)
 
-    def test_generator_rows_sum_to_zero(self, up3):
-        tr = mean_jump_rate_exact(up3, ProcessParams(10, 0.05), (0, 1, 2))
-        gen = tr.generator()
-        assert np.abs(gen.sum(axis=1)).max() <= 1e-14
-
 
 class TestFlows:
     def test_two_site_example(self, two_sym):

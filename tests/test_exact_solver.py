@@ -906,6 +906,22 @@ class TestSmallSystems:
             tr = mean_jump_rate_exact(cycle3, ProcessParams(3, 1e-200), (0, 1, 2))
         assert tr.normalized[0, 1] == pytest.approx(0.4341772152, rel=1e-9)
         assert tr.normalized[0, 2] == pytest.approx(0.0341772152, rel=1e-9)
+        # a normal walk at a subnormal d_N blames d_N
+        with pytest.raises(OutOfRange, match=r"\(d_N too small\)"):
+            stationary_exact(cycle3, params)
+
+    def test_subnormal_holding_rate_names_the_walk_rates(self):
+        # the walk is irreducible only through r(2, 0) = 1e-310, so xi^2
+        # holds at 4 * 0.5 * 1e-310 at N = 4, d_N = 0.5: the walk's rate is
+        # to blame, not d_N, and the message names it
+        walk = WalkSpec.from_matrix([[0, 1, 0], [0, 0, 1], [1e-310, 0, 0]])
+        params = ProcessParams(4, 0.5)
+        named = r"1 states have a subnormal holding rate.*\(the walk's 1 subnormal rates, " \
+                r"at \[\(2, 0\)\]\)$"
+        with pytest.raises(OutOfRange, match=named):
+            stationary_exact(walk, params)
+        with pytest.raises(OutOfRange, match=named):
+            mean_jump_rate_exact(walk, params, (0, 1, 2))
 
     def test_stationary_law_when_a_trace_rate_underflows(self):
         # site 1 leaves for site 0 at rate 1e-300, so G's rate from xi^1 to

@@ -98,8 +98,8 @@ class TestUnrankAgainstLoops:
 
 
 class TestAgainstNumpyStates:
-    """The compiled states, ranks and moved ranks against the numpy layer
-    they replaced (``reference.NumpyStates``), entry for entry."""
+    """The compiled states and ranks against the numpy layer they replaced
+    (``reference.NumpyStates``), entry for entry."""
 
     CASES = [(2, 1), (2, 40), (3, 120), (5, 30), (8, 8), (64, 3)]
 
@@ -113,14 +113,11 @@ class TestAgainstNumpyStates:
         rows = rng.integers(enum.size, size=300)
         assert np.array_equal(enum.rank_many(counts[rows]), states.rank_many(counts[rows]))
         assert np.array_equal(enum.rank_many(counts), np.arange(enum.size))
-        xs, ys = rng.integers(kappa, size=(2, 40))
-        assert np.array_equal(enum.move_ranks(rows, xs, ys), states.move_ranks(rows, xs, ys))
 
 
 class TestRankingInputs:
-    """The ranking methods refuse what is not a state, a rank or a site of
-    the space; each case was once answered with a wrong rank, a silent
-    wrap-around or a bare IndexError."""
+    """The ranking methods refuse what is not a state of the space; each
+    case was once answered with a wrong rank or a bare IndexError."""
 
     enum = StateEnumeration(3, 4)     # 15 states
 
@@ -144,29 +141,6 @@ class TestRankingInputs:
 
     def test_rank_many_of_no_rows(self):
         assert self.enum.rank_many(np.zeros((0, 3), dtype=int)).shape == (0,)
-
-    @pytest.mark.parametrize("index", [[-1], [99], [15], [0, 2**40]])
-    def test_move_ranks_refuses_an_index_off_the_space(self, index):
-        # [-1] wrapped round to the last state and [99] raised an IndexError
-        with pytest.raises(OutOfRange):
-            self.enum.move_ranks(np.array(index), np.array([0]), np.array([1]))
-
-    @pytest.mark.parametrize("xs,ys", [([3], [0]), ([0], [3]), ([-1], [0]), ([0], [-1])])
-    def test_move_ranks_refuses_a_site_off_the_walk(self, xs, ys):
-        with pytest.raises(OutOfRange):
-            self.enum.move_ranks(np.array([0]), np.array(xs), np.array(ys))
-
-    @pytest.mark.parametrize("index,xs,ys", [([0.0], [0], [1]), ([0], [0.5], [1]),
-                                             ([0], [0], ["1"])])
-    def test_move_ranks_refuses_values_that_are_not_integers(self, index, xs, ys):
-        with pytest.raises(OutOfRange):
-            self.enum.move_ranks(np.array(index), np.array(xs), np.array(ys))
-
-    @pytest.mark.parametrize("index,xs,ys", [([[0]], [0], [1]), ([0], [0, 1], [1]),
-                                             ([0], [[0]], [[1]])])
-    def test_move_ranks_refuses_other_shapes(self, index, xs, ys):
-        with pytest.raises(DimensionMismatch):
-            self.enum.move_ranks(np.array(index), np.array(xs), np.array(ys))
 
 
 class TestEnumeration:
