@@ -97,6 +97,17 @@ def _column_key(move: tuple[int, int]) -> tuple[int, int, int]:
     return (0, y, -x) if y < x else (1, -x, y)
 
 
+def _check_space(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration) -> None:
+    """``OutOfRange`` unless the arguments are a walk, its parameters and an
+    enumeration; ``DimensionMismatch`` unless the enumeration is of the
+    walk's site count and N."""
+    walk_and_params(spec, params)
+    instance(enum, StateEnumeration, "enum")
+    if (spec.kappa, params.n) != (enum.kappa, enum.n):
+        raise DimensionMismatch(f"a walk on {spec.kappa} sites with N = {params.n} over "
+                                f"the states of {enum.kappa} sites and N = {enum.n}")
+
+
 def _assemble(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
               generator: bool) -> sp.csr_matrix:
     """The jump-rate matrix, or the generator, written straight into CSR in
@@ -117,15 +128,10 @@ def _assemble(spec: WalkSpec, params: ProcessParams, enum: StateEnumeration,
     rates that round to zero keeps fewer entries, and is cut to them. The
     index arrays are int32, as scipy keeps them at these sizes;
     ``StateSpaceTooLarge`` refuses a matrix of more entries than that.
-    ``DimensionMismatch`` refuses an enumeration of another site count or
-    N than the walk's, whose tables the compiled pass would read past, and
-    ``OutOfRange`` arguments of other types.
+    :func:`_check_space` refuses an enumeration of another site count or N
+    than the walk's, whose tables the compiled pass would read past.
     """
-    walk_and_params(spec, params)
-    instance(enum, StateEnumeration, "enum")
-    if (spec.kappa, params.n) != (enum.kappa, enum.n):
-        raise DimensionMismatch(f"a walk on {spec.kappa} sites with N = {params.n} over "
-                                f"the states of {enum.kappa} sites and N = {enum.n}")
+    _check_space(spec, params, enum)
     n = enum.size
     moves = sorted(((x, y) for x in range(spec.kappa) for y in range(spec.kappa)
                     if x != y and spec.rates[x, y] != 0.0), key=_column_key)
@@ -497,6 +503,7 @@ def stationary_closed_form(spec: WalkSpec, params: ProcessParams) -> Distributio
     products run in log space and the log-partition value is returned on the
     distribution.
     """
+    walk_and_params(spec, params)
     analysis = analyze_walk(spec)
     if not (analysis.rev or analysis.ui):
         raise ConditionNotSatisfied(
@@ -629,9 +636,11 @@ def flow_profile(spec: WalkSpec, params: ProcessParams, mu: Distribution,
     Returns arrays (up, down) of length N: ``up[k]`` sums
     ``mu(eta) * rate(eta -> zeta)`` over moves raising the count at x from k
     to k+1 inside the tube, ``down[k]`` over the reverse moves.
+    ``DimensionMismatch`` refuses a ``mu`` over the states of another site
+    count or N than the walk's (see :func:`_check_space`).
     """
-    walk_and_params(spec, params)
     enum = instance(mu, Distribution, "mu").enum
+    _check_space(spec, params, enum)
     r_set = site_set(r_set, enum.kappa)
     x = check_site(x, r_set, f"R {r_set}")
     counts = enum.counts_matrix()

@@ -106,13 +106,13 @@ ROWS = {
                              dict(spec=P(), params=P(), enum=P())),
     "stationary_exact": Row(dict(spec=WALK, params=PARAMS), dict(spec=P(), params=P())),
     "stationary_closed_form": Row(dict(spec=ip.WalkSpec.cycle(3, 0.5), params=PARAMS),
-                                  dict(spec=P())),
+                                  dict(spec=P(), params=P())),
     "mean_jump_rate_exact": Row(dict(spec=WALK, params=PARAMS, a_set=(0, 1, 2)),
                                 dict(spec=P(), params=P(), a_set=SITES)),
     "flow_profile": Row(dict(spec=WALK, params=PARAMS, mu=MU, r_set=(0, 1), x=0),
                         dict(spec=P(), params=P(), mu=P(), r_set=SITES, x=SITE)),
     "region_masses": Row(dict(mu=MU, regions=[ip.RegionSpec(WALK, ENUM, (0, 1))]),
-                         dict(regions=P(ok=((),)))),
+                         dict(mu=P(), regions=P(ok=((),)))),
     "reciprocal_sum": Row(dict(n=6, k=2), dict(n=P(huge=HUGE), k=P(huge=HUGE))),
     "gordan_certificate": Row(dict(q=[[0.0, 1.0], [-1.0, 0.0]]), dict(q=P())),
     "classify": Row(dict(walk=WALK), dict(walk=P())),

@@ -357,6 +357,14 @@ class TestFlows:
         assert up[0] == pytest.approx(11 / 120, abs=1e-14)
         assert down[0] == pytest.approx(11 / 120, abs=1e-14)
 
+    @pytest.mark.parametrize("kappa,n", [(4, 9), (2, 4), (3, 5)])
+    def test_refuses_a_walk_of_another_space(self, cycle3, kappa, n):
+        # a 4-site walk at N = 9 over the 3-site, N = 4 law gave flows, and a
+        # 2-site walk raised a bare IndexError
+        mu = stationary_exact(cycle3, ProcessParams(4, 0.1))
+        with pytest.raises(DimensionMismatch):
+            flow_profile(WalkSpec.cycle(kappa, 0.7), ProcessParams(n, 0.1), mu, (0, 1), 0)
+
     @pytest.mark.parametrize("walk,r_set,x", [("up3", (0, 1, 2), 0), ("up3", (0, 1), 1),
                                               ("cycle3", (0, 2), 2), ("chain4", (1, 2), 1),
                                               ("chain4", (0, 1, 2, 3), 3)])
