@@ -60,10 +60,10 @@ enumeration of 5 sites and N = 30 (``states.enumerate_k5_N30``),
 ``build_generator`` on the ``analysis`` walk at the seed
 (``states.build_generator_k5_N30``), ``build_rate_matrix`` on the
 ``exact_lu`` walk at the seed with N = 35 (``states.build_rate_matrix_k4_N35``)
-and ``_nested_dissection`` of the interior every exact solve factors on
-that walk, every state but the metastable ones. A row holds the median
-CPU seconds of 9 calls (``cpu_s``), the states, the entries made and the
-probe's peak RSS (``maxrss_mb``).
+and ``_nested_dissection(counts, xi)`` of that walk, the call every exact
+solve makes: every state, the metastable ones xi last. A row holds the
+median CPU seconds of 9 calls (``cpu_s``), the states, the entries made
+and the probe's peak RSS (``maxrss_mb``).
 
 Standard library only. Exits 1 if a run printed no metrics line; its row
 then has ``fail_rate`` 1.0 and the tail of its standard error.

@@ -52,11 +52,12 @@ ARG of ``LAYER_CASES``: the enumeration of the states of 5 sites and N = 30
 repeat); ``build_generator`` of the checkout's ``analysis`` workload at
 SEED (5 sites, N = 30); ``build_rate_matrix`` of the 4-site walk of its
 ``exact_lu`` workload at SEED with N = 35 and d_N = 1e-4; and
-``_nested_dissection`` of the interior every exact solve factors on that
-walk, every state but the metastable ones. It prints the median CPU seconds of
-the repeats (``cpu_s``), the states, the entries made (``entries``: the
-counts of the enumeration, the matrix's stored entries, or the entries the
-order's factor stores) and the process's peak RSS (``maxrss_mb``).
+``_nested_dissection(counts, xi)`` of that walk, the call every exact
+solve makes: every state, the metastable ones xi last. It prints the
+median CPU seconds of the repeats (``cpu_s``), the states, the entries
+made (``entries``: the counts of the enumeration, the matrix's stored
+entries, or the entries the order's factor stores) and the process's peak
+RSS (``maxrss_mb``).
 """
 
 import json
@@ -174,7 +175,6 @@ elif kind == "exact":
 elif kind == "layer":
     import resource
 
-    import numpy as np
     import workloads
 
     exact = sys.modules["incproc.exact"]
@@ -187,14 +187,13 @@ elif kind == "layer":
     else:
         walk, params = workloads.make("exact_lu", seed).walk, ip.ProcessParams(35, 1e-4)
     enum = ip.enumerate_states(walk.kappa, params.n)
-    xi = [enum.xi_index(x) for x in range(walk.kappa)]
-    interior = enum.counts_matrix()[np.setdiff1d(np.arange(enum.size), xi)]
+    coords, xi = enum.counts_matrix(), [enum.xi_index(x) for x in range(walk.kappa)]
     for _ in range(repeats):
         start = clock()
         if case == "enumerate":
             entries = ip.enumerate_states(walk.kappa, params.n).counts_matrix().size
         elif case == "nested_dissection":
-            entries = exact._nested_dissection(interior).stored
+            entries = exact._nested_dissection(coords, xi).stored
         else:
             entries = getattr(ip, case)(walk, params, enum).nnz
         spans.append(clock() - start)

@@ -6,7 +6,7 @@
    analysis, its states in rank order, their ranks and the rate matrix or
    generator in CSR form, incproc_counts, incproc_rank_many and
    incproc_assemble; and the multifrontal LU factor of the exact solves and
-   its solve, incproc_lu_factor and incproc_lu_solve.
+   the back substitution of its U, incproc_lu_factor and incproc_lu_solve.
 
    incproc._native compiles this file once per source hash with
    cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds, so every
@@ -424,9 +424,9 @@ int64_t incproc_assemble(int64_t kappa, int64_t n, const int64_t *cum, const int
     return nnz;
 }
 
-/* The multifrontal LU factor of a sparse n x n matrix A and its solve, on
-   the blocks of a separator tree in elimination order (Duff and Reid, ACM
-   TOMS 9, 1983; Liu, SIAM Review 34, 1992).
+/* The multifrontal LU factor of a sparse n x n matrix A and the back
+   substitution of its U, on the blocks of a separator tree in elimination
+   order (Duff and Reid, ACM TOMS 9, 1983; Liu, SIAM Review 34, 1992).
 
    Block k eliminates the s = size[k] positions start .. start + s - 1,
    start the sum of the sizes before it. Its boundary is the b = bptr[k + 1]
@@ -464,9 +464,11 @@ typedef void dlaswp_fn(int *, double *, int *, int *, int *, int *, int *);
    for n entries, all -1 on entry and left so on success; loc for the
    largest boundary.
 
-   A zero pivot is left to give an inf or nan factor. Returns 0; -1 if an
-   entry of A, or a child's boundary, falls outside the block's front; -2 if
-   the stack would outgrow work. */
+   Positions after the last block's are not eliminated: when they are the
+   last block's boundary, its update, on them, is left at the bottom of
+   work. A zero pivot is left to give an inf or nan factor. Returns 0; -1
+   if an entry of A, or a child's boundary, falls outside the block's
+   front; -2 if the stack would outgrow work. */
 int64_t incproc_lu_factor(int64_t nblocks, const int64_t *size, const int64_t *nchild,
                           const int64_t *bptr, const int32_t *bnd, const int32_t *rptr,
                           const int32_t *rind, const double *rval, const int32_t *cptr,
@@ -569,75 +571,41 @@ int64_t incproc_lu_factor(int64_t nblocks, const int64_t *size, const int64_t *n
     return 0;
 }
 
-/* Solve A x = y in place for the nrhs columns of x (column-major, n rows)
-   with the factor incproc_lu_factor left in lu and ipiv: per block in
-   order, the swaps, L11 and L21 down the boundary, then per block in
-   reverse, U12 from the boundary and U11. With trans, solve A^T x = y by
-   the transposed sweeps in the opposite order: per block in order, U11^T
-   and U12^T down the boundary, then per block in reverse, L21^T from the
-   boundary, L11^T and the swaps undone last. scratch has room for the
-   largest boundary times nrhs. */
+/* Solve U x = y in place for the one column x with the upper factor U
+   that incproc_lu_factor left in lu: per block in reverse, its own rows
+   updated from its boundary by U12, then U11. Positions no block
+   eliminates keep their values, as if U were the identity there; the
+   swaps of ipiv act on the rows of L alone. scratch has room for the
+   largest boundary. */
 void incproc_lu_solve(int64_t nblocks, const int64_t *size, const int64_t *bptr,
-                      const int32_t *bnd, const double *lu, const int *ipiv, int64_t n,
-                      int64_t nrhs, double *x, double *scratch, int trans, blas_fn *const *fn)
+                      const int32_t *bnd, const double *lu, double *x, double *scratch,
+                      blas_fn *const *fn)
 {
     dgemm_fn *gemm = (dgemm_fn *)fn[0];
     dtrsm_fn *trsm = (dtrsm_fn *)fn[1];
-    dlaswp_fn *laswp = (dlaswp_fn *)fn[3];
-    char no = 'N', tr = 'T', left = 'L', lower = 'L', upper = 'U', unit = 'U';
-    double one = 1.0, minus = -1.0, zero = 0.0;
-    int inc = 1, back = -1, in = (int)n, ir = (int)nrhs;
+    char no = 'N', left = 'L', upper = 'U';
+    double one = 1.0, minus = -1.0;
+    int column = 1;
     int64_t start = 0;
-    /* down: L (or U^T) per block in order, its boundary rows updated from
-       L21 (or U12^T) */
     for (int64_t k = 0; k < nblocks; k++) {
         int64_t s = size[k], b = bptr[k + 1] - bptr[k];
-        const int32_t *bk = bnd + bptr[k];
-        const double *f11 = lu, *f12 = lu + s * s, *f21 = f12 + s * b;
-        int is = (int)s, ib = (int)b;
-        lu = f21 + b * s;
-        if (s && trans)
-            trsm(&left, &upper, &tr, &no, &is, &ir, &one, (double *)f11, &is, x + start, &in);
-        else if (s) {
-            laswp(&ir, x + start, &in, &inc, &is, (int *)ipiv + start, &inc);
-            trsm(&left, &lower, &no, &unit, &is, &ir, &one, (double *)f11, &is, x + start, &in);
-        }
-        if (s && b) {
-            if (trans)
-                gemm(&tr, &no, &ib, &ir, &is, &one, (double *)f12, &is, x + start, &in, &zero,
-                     scratch, &ib);
-            else
-                gemm(&no, &no, &ib, &ir, &is, &one, (double *)f21, &ib, x + start, &in, &zero,
-                     scratch, &ib);
-            for (int64_t j = 0; j < nrhs; j++)
-                for (int64_t p = 0; p < b; p++)
-                    x[j * n + bk[p]] -= scratch[j * b + p];
-        }
         start += s;
+        lu += s * (s + 2 * b);
     }
-    /* up: U (or L^T and the swaps) per block in reverse, its own rows
-       updated from its boundary by U12 (or L21^T) */
     for (int64_t k = nblocks - 1; k >= 0; k--) {
         int64_t s = size[k], b = bptr[k + 1] - bptr[k];
         const int32_t *bk = bnd + bptr[k];
         int is = (int)s, ib = (int)b;
         lu -= s * (s + 2 * b);
         start -= s;
-        if (s && b) {
-            for (int64_t j = 0; j < nrhs; j++)
-                for (int64_t p = 0; p < b; p++)
-                    scratch[j * b + p] = x[j * n + bk[p]];
-            if (trans)
-                gemm(&tr, &no, &is, &ir, &ib, &minus, (double *)lu + s * s + s * b, &ib,
-                     scratch, &ib, &one, x + start, &in);
-            else
-                gemm(&no, &no, &is, &ir, &ib, &minus, (double *)lu + s * s, &is, scratch, &ib,
-                     &one, x + start, &in);
+        if (!s)
+            continue;
+        if (b) {
+            for (int64_t p = 0; p < b; p++)
+                scratch[p] = x[bk[p]];
+            gemm(&no, &no, &is, &column, &ib, &minus, (double *)lu + s * s, &is, scratch, &ib,
+                 &one, x + start, &is);
         }
-        if (s && trans) {
-            trsm(&left, &lower, &tr, &unit, &is, &ir, &one, (double *)lu, &is, x + start, &in);
-            laswp(&ir, x + start, &in, &inc, &is, (int *)ipiv + start, &back);
-        } else if (s)
-            trsm(&left, &upper, &no, &no, &is, &ir, &one, (double *)lu, &is, x + start, &in);
+        trsm(&left, &upper, &no, &no, &is, &column, &one, (double *)lu, &is, x + start, &is);
     }
 }

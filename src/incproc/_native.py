@@ -32,8 +32,9 @@ def _compiled():
     with the argument types of its eight functions set: the event loop
     ``incproc_slice``, the channel steps ``incproc_channels``, the path
     replay ``incproc_trace``, the state-space layer ``incproc_counts``,
-    ``incproc_rank_many`` and ``incproc_assemble``, and the LU
-    ``incproc_lu_factor`` and ``incproc_lu_solve``.
+    ``incproc_rank_many`` and ``incproc_assemble``, and the LU factor
+    ``incproc_lu_factor`` with the back substitution of its U,
+    ``incproc_lu_solve``.
 
     The build is cached in ``$XDG_CACHE_HOME/incproc``, else
     ``~/.cache/incproc``, under a hash of the source and the command. It is
@@ -92,8 +93,7 @@ def _compiled():
                                           ptr, ptr, ptr]
         library.incproc_lu_factor.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                               ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
-        library.incproc_lu_solve.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr,
-                                             flag, ptr]
+        library.incproc_lu_solve.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
         library.incproc_counts.argtypes = [i64, i64, i64, ptr]
         library.incproc_rank_many.argtypes = [i64, i64, ptr, ptr, i64, ptr]
         library.incproc_assemble.argtypes = [i64, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, i64,

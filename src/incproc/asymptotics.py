@@ -270,22 +270,28 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float) -> TestFu
     reg = RegionSpec(walk, enum, r_set, eps=eps)
     hmax = _harmonics(n + 1)
 
-    def f0(c: np.ndarray) -> np.ndarray:
-        """f0 of the states of the count rows c, summed over R in order."""
-        out = np.zeros(c.shape[0])
-        for i, x in enumerate(r_set):
-            out += coeff[i] * hmax[c[:, x]]
-        return out
-
     # every inner-core state at once; each (x, y) pass adds in the order of
     # the scalar sums, so every entry is the scalar loop's float. Inner-core
     # states hold at least one particle at every site of R, rates inside R
     # are positive and d > 0, so every move below exists and has positive
     # weight: nothing needs masking, and the inner core with its moved
-    # states is the inner closure whose oscillation f0 reports.
+    # states is the inner closure whose oscillation f0 reports. Site i of R
+    # adds coeff_i H(s_i - 1), coeff_i H(s_i) or coeff_i H(s_i + 1) to f0,
+    # as a particle leaves it, stays or arrives; each is taken once.
     inner = reg.inner_core
     s = enum.counts_matrix()[inner]
-    f_here = f0(s)
+    terms = [[coeff[i] * hmax[s[:, x] + step] for step in (-1, 0, 1)]
+             for i, x in enumerate(r_set)]
+
+    def f0(x: int | None = None, y: int | None = None) -> np.ndarray:
+        """f0 of the inner core, or of it with a particle moved from x to
+        y, summed over R in order."""
+        out = np.zeros(inner.size)
+        for z, (left, here, arrived) in zip(r_set, terms):
+            out += left if z == x else arrived if z == y else here
+        return out
+
+    f_here = f0()
     closure = [f_here]
     w_state = np.zeros(inner.size)
     acc = np.zeros(inner.size)
@@ -294,10 +300,7 @@ def test_function(walk: WalkSpec, r_set, n: int, d: float, eps: float) -> TestFu
         for y in r_set:
             if y == x:
                 continue
-            moved = s.copy()
-            moved[:, x] -= 1
-            moved[:, y] += 1
-            f_there = f0(moved)
+            f_there = f0(x, y)
             closure.append(f_there)
             w_state += s[:, x] * (d + s[:, y]) * rmat[x, y]
             weight = s[:, y] * (d + s[:, x]) * rmat[y, x]

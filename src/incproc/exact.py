@@ -1,25 +1,27 @@
-"""Exact stationary distributions, hitting probabilities, trace rates, flows.
+"""Exact stationary distributions, trace rates and flows.
 
 Everything here is a direct linear-algebra computation on the enumerated
 configuration space; no asymptotics. Every exact solve reads one reduction
 onto the metastable states xi = {xi^x}, the trace process of Beltran and
-Landim (J. Stat. Phys. 140, 2010): the interior system ``I - P_ii`` of the
-jump chain off every metastable state is factored once, its kappa hitting
-columns h give the trace generator ``G = R[xi] @ h``, and the stationary
-law and the trace rates on any A come from G by the subtraction-free
-elimination of Grassmann, Taksar and Heyman (Oper. Res. 33, 1985). The
-stationary law off xi is the transposed solve of the same factor.
+Landim (J. Stat. Phys. 140, 2010): the jump chain ``I - P`` is eliminated
+once, in an order that puts xi last, and the kappa x kappa update the
+elimination leaves on xi is its stochastic complement there (Meyer, SIAM
+Review 31, 1989), from which the trace generator G is read. The
+stationary law and the trace rates on any A come from G by the
+subtraction-free elimination of Grassmann, Taksar and Heyman (Oper. Res.
+33, 1985). The stationary law off xi is one back substitution with the
+factor's U.
 
 Sparse direct solves eliminate the states in nested-dissection order,
-split on level sets of subset sums of their counts, carry one step of
-iterative refinement and are checked against explicit residual tolerances.
-The separator tree of the order is what the factor runs on: a multifrontal
-LU, one dense front per block, in the compiled ``_kernel.c`` on scipy's
-BLAS and LAPACK. So the tree gives the factor's size before anything is
-built, and a system whose factor and update matrices do not fit in half
-the physical memory is refused with ``StateSpaceTooLarge``. The results are
-the same from run to run; :func:`stage_times` records the seconds each
-solve spends ordering, building, factoring and solving.
+split on level sets of subset sums of their counts, and are checked
+against explicit residual tolerances. The separator tree of the order is
+what the factor runs on: a multifrontal LU, one dense front per block, in
+the compiled ``_kernel.c`` on scipy's BLAS and LAPACK. So the tree gives
+the factor's size before anything is built, and a system whose factor and
+update matrices do not fit in half the physical memory is refused with
+``StateSpaceTooLarge``. The results are the same from run to run;
+:func:`stage_times` records the seconds each solve spends ordering,
+building, factoring and sweeping.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import factorial, log
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +51,8 @@ from .states import (Distribution, SolverReport, StateEnumeration, b_set_masses,
                      space_size)
 
 STATIONARY_TOL = 1e-10
+# the largest relative miss of a row sum of the trace generator, the return
+# included, from the holding rate: hitting probabilities sum to one
 HITTING_TOL = 1e-12
 ND_LEAF = 32
 ND_ALL_SUBSETS = 8
@@ -61,8 +65,9 @@ _stage_times: ContextVar[dict[str, float] | None] = ContextVar("stage_times", de
 def stage_times() -> Iterator[dict[str, float]]:
     """Record the seconds the sparse solves run inside the block spend
     finding the order (``order_s``), building the rate matrix and the
-    interior system (``build_s``), factoring (``factor_s``) and solving with
-    one refinement step (``solve_s``), summed over solves.
+    system of the jump chain (``build_s``), factoring (``factor_s``) and
+    sweeping the factor's L for the stationary law off the metastable
+    states (``solve_s``, 0 for trace rates), summed over solves.
 
     Yields the dict it fills. The times stay off the returned results, whose
     contents do not change from run to run.
@@ -210,15 +215,18 @@ def _smallest_level_set(sums: np.ndarray) -> tuple[int, int]:
 @dataclass(frozen=True)
 class _Tree:
     """The separator tree of a nested-dissection order: its blocks, each a
-    separator or a leaf, in elimination order.
+    separator or a leaf, in elimination order, and the root states that
+    no block eliminates.
 
-    Block k eliminates the next ``sizes[k]`` states of ``perm``. Its
-    boundary, ``bounds[bound_ptr[k]:bound_ptr[k + 1]]``, holds the
-    positions, ascending, of the later states it or a block below it may
-    touch; its ``children[k]`` children are the last blocks before it whose
-    boundaries it takes in. ``stored`` counts the entries the factor
-    stores, ``s (s + 2 b)`` for a block of s states and b boundary states,
-    and ``updates`` the most entries of update matrices alive at once.
+    Block k eliminates the next ``sizes[k]`` states of ``perm``; the last
+    ``root`` states of ``perm`` are left. Its boundary,
+    ``bounds[bound_ptr[k]:bound_ptr[k + 1]]``, holds the positions,
+    ascending, of the later states it or a block below it may touch; its
+    ``children[k]`` children are the last blocks before it whose
+    boundaries it takes in. The last block's boundary is the root.
+    ``stored`` counts the entries the factor stores, ``s (s + 2 b)`` for a
+    block of s states and b boundary states, and ``updates`` the most
+    entries of update matrices alive at once.
     """
 
     perm: np.ndarray
@@ -228,6 +236,11 @@ class _Tree:
     bounds: np.ndarray
     stored: int
     updates: int
+
+    @property
+    def root(self) -> int:
+        """The number of states no block eliminates, last in ``perm``."""
+        return self.perm.size - int(self.sizes.sum())
 
     @property
     def factor_bytes(self) -> int:
@@ -240,9 +253,10 @@ class _Tree:
         return int(np.diff(self.bound_ptr).max(initial=0))
 
 
-def _nested_dissection(coords: np.ndarray) -> _Tree:
-    """Fill-reducing elimination order from the count coordinates, as the
-    separator tree the factor runs on.
+def _nested_dissection(coords: np.ndarray, root: np.ndarray) -> _Tree:
+    """Fill-reducing elimination order of the states with count coordinates
+    ``coords``, as the separator tree the factor runs on, with the states
+    ``root`` left uneliminated after every other.
 
     A move changes the subset sum ``eta(S) = sum_{j in S} eta_j`` of any
     site set S by at most one, so the states with ``eta(S) == v`` separate
@@ -257,14 +271,18 @@ def _nested_dissection(coords: np.ndarray) -> _Tree:
     tabulated once and scored per block all at once.
 
     A block's boundary is the states of earlier splits' separators, which
-    are eliminated after it, that it may touch: a separator state z of an
-    earlier split can touch the ``eta(S) < v`` side only if
-    ``eta_z(S) <= v``, and the ``eta(S) > v`` side only if ``eta_z(S) >= v``.
-    The two sides are the children of the split's separator.
+    are eliminated after it, and of ``root``, that it may touch: such a
+    state z can touch the ``eta(S) < v`` side of a split only if
+    ``eta_z(S) <= v``, and the ``eta(S) > v`` side only if ``eta_z(S) >=
+    v``. The two sides are the children of the split's separator. ``root``
+    is the boundary of the top block and the last entries of ``perm``, in
+    the order given; the other states are dissected in rank order, and the
+    splits read only their own sums, so ``root`` moves no other state.
     """
     n, kappa = coords.shape
     dtype = np.min_scalar_type(int(coords.sum(axis=1).max(initial=0)))
     table = coords.astype(dtype) @ _candidate_sets(kappa).astype(dtype)
+    root = np.asarray(root, dtype=np.intp)
     blocks = []     # (states, boundary, children) in elimination order
 
     def dissect(idx: np.ndarray, bnd: np.ndarray) -> tuple[int, int, int]:
@@ -287,9 +305,11 @@ def _nested_dissection(coords: np.ndarray) -> _Tree:
         blocks.append((sep, bnd, children))
         return 1, bnd.size ** 2, max(peak, below + bnd.size ** 2)
 
-    updates = dissect(np.arange(n), np.zeros(0, dtype=np.intp))[2]
+    rest = np.ones(n, dtype=bool)
+    rest[root] = False
+    updates = dissect(np.flatnonzero(rest), root)[2]
     seps, bnds, children = zip(*blocks) if blocks else ((), (), ())
-    perm = np.concatenate((np.zeros(0, dtype=np.intp), *seps))
+    perm = np.concatenate((np.zeros(0, dtype=np.intp), *seps, root))
     sizes = np.array([sep.size for sep in seps], dtype=np.int64)
     widths = np.array([bnd.size for bnd in bnds], dtype=np.int64)
     bound_ptr = np.concatenate(([0], np.cumsum(widths)))
@@ -308,76 +328,61 @@ def _lu_memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def _factor(a: sp.spmatrix, tree: _Tree) -> tuple[np.ndarray, np.ndarray]:
+def _factor(a: sp.spmatrix, tree: _Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The multifrontal LU factor of ``a``, whose rows and columns are in
     the order of ``tree``, on the blocks of that tree: ``incproc_lu_factor``
     of ``_kernel.c``, which reaches scipy's BLAS and LAPACK.
 
-    Each block factors its dense front and pivots inside its own states.
-    That is stable here: ``I - P_ii`` is a nonsingular M-matrix, row
-    diagonally dominant, its transpose column diagonally dominant, and
-    Schur complements keep both (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., section 9.5). Returns the factor's
-    ``tree.stored`` entries and its row swaps; the update matrices take
-    ``tree.updates`` entries while it runs.
+    The root states of ``tree`` are not eliminated, and the entries of
+    ``a`` among them are never read. Each block factors its dense front
+    and pivots inside its own states. The blocks eliminate ``(I -
+    P_ii)^T``, a nonsingular M-matrix whose columns are diagonally
+    dominant, as are those of its Schur complements, so partial pivoting
+    keeps each pivot on the diagonal, ties broken by rounding aside, and
+    the factor is stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 9.5). Returns the factor's
+    ``tree.stored`` entries, its row swaps, and the update the last block
+    leaves on the root, ``-a[r, i] a[i, i]^-1 a[i, r]`` for the root r and
+    the rest i, as a dense matrix in the root's order (zero when there is
+    no block); the update matrices take ``tree.updates`` entries while it
+    runs.
     """
-    n = tree.perm.size
+    n, k = tree.perm.size, tree.root
     if a.shape != (n, n):
         raise DimensionMismatch(f"a {a.shape} system for a tree of {n} states")
     # its rows and its columns; scipy keeps 32-bit indices at these sizes,
     # so only the conversion copies
     matrix = [np.asarray(part, dtype=dtype) for m in (a.tocsr(), a.tocsc())
               for part, dtype in ((m.indptr, np.int32), (m.indices, np.int32), (m.data, float))]
-    lu, ipiv, work = np.empty(tree.stored), np.empty(n, dtype=np.intc), np.empty(tree.updates)
+    lu, ipiv = np.empty(tree.stored), np.empty(n, dtype=np.intc)
+    # the last block pushes the root's update at the bottom of the stack
+    work = np.zeros(max(tree.updates, k * k))
     where, loc = np.full(n, -1, dtype=np.int32), np.empty(tree.widest, dtype=np.int32)
     ids = np.empty(tree.sizes.size, dtype=np.int64)
     status = _compiled().incproc_lu_factor(
         tree.sizes.size, *map(_address, (tree.sizes, tree.children, tree.bound_ptr,
                                          tree.bounds, *matrix, lu, ipiv, work)),
-        tree.updates, *map(_address, (ids, where, loc)), _lapack())
+        work.size, *map(_address, (ids, where, loc)), _lapack())
     if status:
-        raise SolverFailure(f"the separator tree does not cover the interior system "
+        raise SolverFailure(f"the separator tree does not cover the system of the jump chain "
                             f"(factor status {status})")
-    return lu, ipiv
+    return lu, ipiv, work[:k * k].reshape((k, k), order="F").copy()
 
 
-def _lu_solve(tree: _Tree, lu: np.ndarray, ipiv: np.ndarray, b: np.ndarray,
-              trans: bool = False) -> np.ndarray:
-    """Solve ``a x = b``, or ``a.T x = b`` with ``trans``, with the factor
-    :func:`_factor` made of ``a``, by ``incproc_lu_solve``; ``b`` may hold
-    several right-hand sides as columns."""
-    x = np.array(b, dtype=float, order="F")
-    if x.shape[0] != tree.perm.size:
-        raise DimensionMismatch(f"{x.shape[0]} right-hand rows for a tree of "
+def _sweep(tree: _Tree, lu: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve ``U x = y`` for the one column ``y``, in the order of ``tree``,
+    with the upper factor U that :func:`_factor` left in ``lu`` and its
+    rows on the root taken as the identity's, so x equals y there:
+    ``incproc_lu_solve``. The row swaps of the factor permute rows of L
+    only, so U needs none of them."""
+    x = np.array(y, dtype=float)
+    if x.shape != tree.perm.shape:
+        raise DimensionMismatch(f"{x.shape} right-hand side for a tree of "
                                 f"{tree.perm.size} states")
-    nrhs = x.shape[1] if x.ndim == 2 else 1
-    scratch = np.empty(tree.widest * nrhs)
+    scratch = np.empty(tree.widest)
     _compiled().incproc_lu_solve(tree.sizes.size, *map(_address, (
-        tree.sizes, tree.bound_ptr, tree.bounds, lu, ipiv)), x.shape[0], nrhs,
-        _address(x), _address(scratch), trans, _lapack())
+        tree.sizes, tree.bound_ptr, tree.bounds, lu, x, scratch)), _lapack())
     return x
-
-
-def _solver(a: sp.csr_matrix, tree: _Tree) -> tuple[Callable, int]:
-    """Factor ``a`` once, by the multifrontal LU on ``tree``, whose order is
-    the order ``a`` lists its unknowns in. Returns ``solve(b, trans=False)``,
-    which solves ``a x = b``, or ``a.T x = b`` with ``trans``, plus one step
-    of iterative refinement, and the entries stored for L and U. ``b`` may
-    hold several right-hand sides as columns. The factor and solve times go
-    to :func:`stage_times`.
-    """
-    start = time.perf_counter()
-    lu, ipiv = _factor(a, tree)
-    _record(factor_s=time.perf_counter() - start)
-
-    def solve(b: np.ndarray, trans: bool = False) -> np.ndarray:
-        start = time.perf_counter()
-        x = _lu_solve(tree, lu, ipiv, b, trans)
-        x -= _lu_solve(tree, lu, ipiv, (a.T if trans else a) @ x - b, trans)
-        _record(solve_s=time.perf_counter() - start)
-        return x
-
-    return solve, lu.size
 
 
 @dataclass(frozen=True)
@@ -385,54 +390,59 @@ class _TraceChain:
     """The reduction of the walk's state space onto its metastable states
     (see :func:`_trace_chain`).
 
-    ``xi[x]`` is the rank of xi^x and ``order`` the interior states, every
-    other, in elimination order. ``hitting[:, y]`` holds, per state, the
-    probability of reaching xi^y first among the metastable states, and
-    ``generator`` is the kappa x kappa generator G of the trace chain on
-    xi, its rows and columns by site. ``solve`` solves the interior system
-    ``I - P_ii``, in ``order``, with its one factor (see :func:`_solver`);
-    ``solver`` records the hitting solve.
+    ``xi[x]`` is the rank of xi^x, ``generator`` the kappa x kappa
+    generator G of the trace chain on xi, its rows and columns by site, and
+    ``tree`` and ``lu`` the factor of the jump chain it was read from, xi
+    last; ``solver`` records the factor and its row-sum check.
     """
 
     enum: StateEnumeration
     xi: np.ndarray
-    order: np.ndarray
     rates: sp.csr_matrix
     holding: np.ndarray
-    hitting: np.ndarray
     generator: np.ndarray
-    solve: Callable
+    tree: _Tree
+    lu: np.ndarray
     solver: SolverReport
 
 
 def _trace_chain(spec: WalkSpec, params: ProcessParams) -> _TraceChain:
     """The trace of the walk's inclusion process on its metastable states,
-    from one factor of the interior system ``I - P_ii`` of the jump chain
-    off every metastable state.
+    from one elimination of its jump chain, the metastable states last.
 
-    The interior is ordered before anything is built. ``StateSpaceTooLarge``
-    refuses it then if its factor and update matrices, at 8 bytes an entry,
-    exceed :func:`_lu_memory_budget`; ``OutOfRange`` refuses a holding rate
-    below the smallest normal float, whose reciprocal overflows or whose
-    rate row keeps too few bits; the message names the walk's subnormal
-    rates, or blames d_N where there are none. The kappa hitting columns,
-    the probability of reaching each xi^y first, are solved against that
-    factor and checked against ``HITTING_TOL``; the trace generator is then
-    ``G = R[xi] @ h``, off the diagonal, with the diagonal its negated row
-    sums (Beltran and Landim, J. Stat. Phys. 140 (2010)).
+    Every state is ordered before anything is built, xi as the root of the
+    separator tree. ``StateSpaceTooLarge`` refuses it then if its factor
+    and update matrices, at 8 bytes an entry, exceed
+    :func:`_lu_memory_budget`; ``OutOfRange`` refuses a holding rate below
+    the smallest normal float, whose reciprocal overflows or whose rate row
+    keeps too few bits; the message names the walk's subnormal rates, or
+    blames d_N where there are none.
+
+    The system M, in the tree's order, has the rows ``I - P`` of the jump
+    chain off xi, each rate row scaled by its holding rate, and the rows
+    ``-R`` of the rates out of xi, unscaled; its block on xi is never read.
+    Its transpose is factored, whose columns are diagonally dominant, so
+    that no pivot moves off the diagonal (see :func:`_factor`). Eliminating
+    every state but xi leaves on xi the transpose of ``W = -R[xi, i] (I -
+    P_ii)^-1 P[i, xi]``, the negated rates of the trace jumps through the
+    interior i: the trace generator is ``G = R[xi, xi] - W`` off the
+    diagonal, with the diagonal its negated row sums (Beltran and Landim,
+    J. Stat. Phys. 140 (2010)). The probabilities of reaching each xi^y
+    first sum to one, so each whole row of ``R[xi, xi] - W``, the return
+    to xi^x included, sums to the holding rate of xi^x; ``SolverFailure``
+    refuses a factor whose largest relative miss, the residual recorded,
+    exceeds ``HITTING_TOL``.
     """
     enum = enumerate_states(spec.kappa, params.n)
     start = time.perf_counter()
     xi = np.array([enum.xi_index(x) for x in range(spec.kappa)], dtype=np.int64)
-    interior = np.setdiff1d(np.arange(enum.size), xi)
-    tree = _nested_dissection(enum.counts_matrix()[interior])
+    tree = _nested_dissection(enum.counts_matrix(), xi)
     need, budget = tree.factor_bytes, _lu_memory_budget()
     if need > budget:
         raise StateSpaceTooLarge(enum.size, reason=(
             f"its LU factor holds {tree.stored:,} entries and its update matrices "
             f"{tree.updates:,} at once, {need / 2**30:.1f} GiB, over the budget of "
             f"{budget / 2**30:.1f} GiB (half the physical memory)"))
-    order = interior[tree.perm]
     ordered = time.perf_counter()
     rates = build_rate_matrix(spec, params, enum)
     holding = np.asarray(rates.sum(axis=1)).ravel()
@@ -442,24 +452,23 @@ def _trace_chain(spec: WalkSpec, params: ProcessParams) -> _TraceChain:
         why = f"the walk's {len(tiny)} subnormal rates, at {tiny}" if tiny else "d_N too small"
         raise OutOfRange(f"{int(stuck.sum())} states have a subnormal holding rate, too "
                          f"small to invert ({why})")
-    p_i = sp.diags(1.0 / holding[order]) @ rates[order]
-    a = sp.eye(order.size, format="csr") - p_i[:, order]
-    b = p_i[:, xi].toarray()
+    off_xi = np.arange(enum.size) < enum.size - spec.kappa
+    scale = np.where(off_xi, 1.0 / holding[tree.perm], 1.0)
+    m = sp.diags(off_xi.astype(float)) - sp.diags(scale) @ rates[tree.perm][:, tree.perm]
     _record(order_s=ordered - start, build_s=time.perf_counter() - ordered)
 
-    solve, lu_nnz = _solver(a, tree)
-    h_int = solve(b)
-    residual = float(np.abs(a @ h_int - b).max(initial=0.0))
-    if not residual <= HITTING_TOL:     # a nan residual fails too
-        raise SolverFailure(f"hitting-probability residual {residual:.3e} > {HITTING_TOL:.1e}")
-    h = np.zeros((enum.size, spec.kappa))
-    h[xi, np.arange(spec.kappa)] = 1.0
-    h[order] = np.clip(h_int, 0.0, 1.0)
-    g = rates[xi] @ h
+    start = time.perf_counter()
+    lu, _, update = _factor(m.T, tree)
+    _record(factor_s=time.perf_counter() - start)
+    g = rates[xi][:, xi].toarray() - update.T
+    residual = float((np.abs(g.sum(axis=1) - holding[xi]) / holding[xi]).max())
+    if not residual <= HITTING_TOL:     # a nan defect fails too
+        raise SolverFailure(f"trace-generator row-sum defect {residual:.3e} > "
+                            f"{HITTING_TOL:.1e}")
     np.fill_diagonal(g, 0.0)
     np.fill_diagonal(g, -g.sum(axis=1))
-    return _TraceChain(enum, xi, order, rates, holding, h, g, solve,
-                       SolverReport("lu", residual, HITTING_TOL, lu_nnz, tree.stored))
+    return _TraceChain(enum, xi, rates, holding, g, tree, lu,
+                       SolverReport("lu", residual, HITTING_TOL, lu.size, tree.stored))
 
 
 def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
@@ -468,21 +477,27 @@ def stationary_exact(spec: WalkSpec, params: ProcessParams) -> Distribution:
     On xi, mu is the stationary law of the trace generator G of
     :func:`_trace_chain`, by GTH elimination towards a metastable state
     every other reaches at rates above zero, so a rate of G that underflows
-    is never divided by. Off xi, the flux ``nu = mu *
-    holding`` solves the transposed interior system ``nu (I - P_ii) =
-    mu_xi R[xi, interior]`` with the same factor; the law is clipped at
-    zero and normalized. Raises ``SolverFailure`` if it misses the residual
-    target ``|mu R - mu * holding| <= STATIONARY_TOL * max(holding)``, which
-    is ``|mu Q| <= STATIONARY_TOL * max|Q|`` for the generator Q.
-    ``solver`` records the solve.
+    is never divided by. Off xi, the flux ``nu = mu * holding`` solves
+    ``nu (I - P_ii) = mu_xi R[xi, i]`` for the interior i. The factor is
+    ``M^T = L U``, so the columns of U on xi hold ``-L^-1 R[xi, i]^T``, and
+    nu is the solution off xi of ``U x = (0, mu_xi)``: one sweep, whose
+    time goes to ``solve_s``.
+    The law is clipped at zero and normalized. Raises ``SolverFailure`` if
+    it misses the residual target ``|mu R - mu * holding| <=
+    STATIONARY_TOL * max(holding)``, which is ``|mu Q| <= STATIONARY_TOL *
+    max|Q|`` for the generator Q. ``solver`` records the factor and this
+    residual.
     """
     walk_and_params(spec, params)
     chain = _trace_chain(spec, params)
-    enum, rates, holding, order = chain.enum, chain.rates, chain.holding, chain.order
+    enum, rates, holding, tree = chain.enum, chain.rates, chain.holding, chain.tree
+    inner = tree.perm.size - tree.root
     mu = np.empty(enum.size)
     mu[chain.xi] = _gth_stationary(chain.generator)
-    nu = chain.solve(rates[chain.xi][:, order].T @ mu[chain.xi], trans=True)
-    mu[order] = np.clip(nu, 0.0, None) / holding[order]
+    start = time.perf_counter()
+    nu = _sweep(tree, chain.lu, np.append(np.zeros(inner), mu[chain.xi]))[:inner]
+    _record(solve_s=time.perf_counter() - start)
+    mu[tree.perm[:inner]] = np.clip(nu, 0.0, None) / holding[tree.perm[:inner]]
     mu /= mu.sum()
     residual = float(np.abs(mu @ rates - mu * holding).max())
     bound = STATIONARY_TOL * float(holding.max())
@@ -589,7 +604,8 @@ class TraceRateMatrix:
 
     ``raw[i, j]`` is the trace jump rate from xi^{A[i]} to xi^{A[j]};
     ``normalized`` is ``raw / (d * N)``. ``solver`` records the one
-    factorization of the hitting system the rates were read from.
+    factor of the jump chain the rates were read from, and its row-sum
+    check.
     """
 
     a_set: tuple[int, ...]
@@ -609,10 +625,11 @@ def mean_jump_rate_exact(spec: WalkSpec, params: ProcessParams, a_set) -> TraceR
 
     Traces compose, so the trace chain on A is the trace, onto A, of the
     trace chain on every metastable state: the GTH Schur complement of the
-    generator G of :func:`_trace_chain` onto A. Off the diagonal G is the
-    first-step sum ``sum_z N d r(x, z) h_y(one particle moved from x to z)``,
-    the row of xi^x in the rate matrix times the exact probability of
-    reaching xi^y first among the metastable states. Raises
+    generator G of :func:`_trace_chain` onto A, which needs no solve. Off
+    the diagonal G is the first-step sum ``sum_z N d r(x, z) h_y(one
+    particle moved from x to z)``, the row of xi^x in the rate matrix times
+    the probability of reaching xi^y first among the metastable states,
+    read off the factor's update on them. Raises
     ``SolverFailure`` if a metastable state outside A reaches A at no rate
     of G above zero: its row of G underflowed, and with it how its exits
     share out over A.

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .model import WalkSpec, instance, real, site_set
 from .states import StateEnumeration
 
@@ -29,13 +30,17 @@ def supported_on(enum: StateEnumeration, r_set: tuple[int, ...]) -> np.ndarray:
 class RegionSpec:
     """Index sets of one R-tube at threshold ``floor(eps * log N)``.
 
-    All members are sorted int64 index arrays into the enumeration.
+    All members are sorted int64 index arrays into the enumeration, whose
+    site count must be the walk's (else ``DimensionMismatch``).
     """
 
     def __init__(self, walk: WalkSpec, enum: StateEnumeration,
                  r_set, eps: float = 0.1):
         self.walk = instance(walk, WalkSpec, "walk")
         self.enum = instance(enum, StateEnumeration, "enum")
+        if walk.kappa != enum.kappa:
+            raise DimensionMismatch(f"a walk on {walk.kappa} sites over the states of "
+                                    f"{enum.kappa} sites")
         r_set = site_set(r_set, enum.kappa)
         real(eps, "eps", above=0)
         self.r_set = r_set

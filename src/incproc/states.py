@@ -110,8 +110,10 @@ class SolverReport:
     """How an exact linear solve produced its result.
 
     ``path`` is always ``"lu"``, the sparse direct solve; it names the
-    solver in reports. ``residual`` is the final max-norm
-    residual and ``bound`` the tolerance it was checked against. ``lu_nnz``
+    solver in reports. ``residual`` is the checked residual and ``bound``
+    the tolerance it was checked against: for the stationary law the
+    max-norm balance residual, for trace rates the largest relative miss of
+    a row sum of the trace generator from its holding rate. ``lu_nnz``
     counts the entries the multifrontal factor stored for L and U, and
     ``predicted_nnz`` those the separator tree gave before it; they are
     equal.

@@ -14,10 +14,15 @@ measure and of the limit chain's law.
 ``draw`` reads one value of a replica's draws as the references of the
 event kernel read them.
 
-``superlu_solver`` keeps the SuperLU solve that the multifrontal factor
-of the exact solves replaced: the same interior system, eliminated in the
-order it lists its unknowns, solved as given or transposed, with one step
-of iterative refinement.
+``superlu_reduction`` keeps the reduction onto the metastable states that
+the exact solves made before they eliminated the whole jump chain once,
+with SuperLU in place of the multifrontal factor: the interior system
+``I - P_ii`` off every metastable state, eliminated in a given order; its
+hitting columns, solved with one step of iterative refinement; the trace
+generator ``G = R[xi] @ h``; and the stationary law off xi from the
+refined transposed solve. It is the reference the exact solves are
+checked against, and its hitting columns the one the Monte Carlo
+absorption frequencies check.
 
 ``lockstep_runs`` keeps the numpy sampler of the condensate runs that the
 compiled channel steps replaced: ``_lockstep`` steps the excursions of a
@@ -50,8 +55,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import incproc.exact as exact
 from incproc import Configuration, ProcessParams, SmoothFunction, TorusSpec, WalkSpec
 from incproc.exact import _column_key
+from incproc.model import _gth_stationary
+from incproc.states import StateEnumeration
 from incproc.thermo import (CHECKPOINTS, CondensateRun, _Channels, _channel_rates,
                             _CondensateReplica, _HOPPED)
 
@@ -94,12 +102,41 @@ def draw(blocks, kind: str) -> float:
     return value
 
 
-def superlu_solver(a, tree=None):
-    """Factor ``a`` as ``incproc.exact._solver`` does, with SuperLU in the
-    order ``a`` lists its unknowns in, in place of the multifrontal factor on
-    ``tree`` (unused). Returns ``solve(b, trans=False)``, which solves
-    ``a x = b``, or ``a.T x = b`` with ``trans``, plus one step of iterative
-    refinement, and the L+U nonzeros SuperLU stored."""
+@dataclass(frozen=True)
+class Reduction:
+    """The reduction onto the metastable states by :func:`superlu_reduction`:
+    the interior system ``system`` in the order ``order``, the hitting
+    probabilities ``hitting[:, y]`` of xi^y per state, the trace generator,
+    the stationary law, and the L+U nonzeros SuperLU stored."""
+
+    order: np.ndarray
+    system: sp.csr_matrix
+    hitting: np.ndarray
+    generator: np.ndarray
+    stationary: np.ndarray
+    lu_nnz: int
+
+
+def superlu_reduction(spec: WalkSpec, params: ProcessParams, order=None) -> Reduction:
+    """Reduce the jump chain onto its metastable states xi as the exact
+    solves did with one factor of the interior system: ``I - P_ii`` off xi,
+    its rows and columns in ``order`` (by default the order the exact
+    solves eliminate the interior in), factored by SuperLU in that order
+    (``NATURAL``). The kappa hitting columns solve ``(I - P_ii) h =
+    P[i, xi]`` with one step of iterative refinement and are clipped to
+    [0, 1]; ``G = R[xi] @ h`` off the diagonal, its negated row sums on it.
+    On xi the stationary law is G's, by GTH; off xi the flux ``nu = mu *
+    holding`` solves ``nu (I - P_ii) = mu_xi R[xi, interior]`` by the
+    transposed solve with one refinement step, is clipped at zero and
+    divided by the holding rates, and the law is normalised."""
+    enum = StateEnumeration(spec.kappa, params.n)
+    xi = np.array([enum.xi_index(x) for x in range(spec.kappa)])
+    if order is None:
+        order = exact._nested_dissection(enum.counts_matrix(), xi).perm[:-spec.kappa]
+    rates = exact.build_rate_matrix(spec, params, enum)
+    holding = np.asarray(rates.sum(axis=1)).ravel()
+    p_i = sp.diags(1.0 / holding[order]) @ rates[order]
+    a = sp.eye(order.size, format="csr") - p_i[:, order]
     lu = spla.splu(sp.csc_matrix(a), permc_spec="NATURAL")
 
     def solve(b, trans=False):
@@ -108,7 +145,17 @@ def superlu_solver(a, tree=None):
         x -= lu.solve((a.T if trans else a) @ x - b, trans=side)
         return x
 
-    return solve, int(lu.nnz)
+    h = np.zeros((enum.size, spec.kappa))
+    h[xi, np.arange(spec.kappa)] = 1.0
+    h[order] = np.clip(solve(p_i[:, xi].toarray()), 0.0, 1.0)
+    g = rates[xi] @ h
+    np.fill_diagonal(g, 0.0)
+    np.fill_diagonal(g, -g.sum(axis=1))
+    mu = np.empty(enum.size)
+    mu[xi] = _gth_stationary(g)
+    nu = solve(rates[xi][:, order].T @ mu[xi], trans=True)
+    mu[order] = np.clip(nu, 0.0, None) / holding[order]
+    return Reduction(order, a, h, g, mu / mu.sum(), int(lu.nnz))
 
 
 @dataclass(frozen=True)

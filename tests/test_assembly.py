@@ -4,8 +4,8 @@ The references below take the states and their ranks from the numpy layer
 of ``reference.NumpyStates``, which calls no compiled code, and rank every
 moved state on a shifted copy of the counts, one move at a time: the COO
 build of the rate matrix, with the generator as the sparse difference
-``rates - diag(holding)``, and the stationary interior system through
-LIL. ``reference.assemble`` is the numpy CSR gather the compiled
+``rates - diag(holding)``, and the system of the jump chain every exact
+solve factors through LIL. ``reference.assemble`` is the numpy CSR gather the compiled
 ``incproc_assemble`` replaced. The compiled layer must reproduce them bit
 for bit.
 """
@@ -211,11 +211,12 @@ class TestAssembly:
 @pytest.mark.parametrize("walk,n", [("up3", 12), ("up3", 10), ("cycle3", 9), ("chain4", 7),
                                     ("chain4", 6), ("two_asym", 8)])
 def test_interior_system_matches_lil(walk, n, request, monkeypatch):
-    # every exact solve factors I - P_ii off every metastable state, with
-    # the interior states in elimination order, here built entry by entry
-    # through LIL; the hitting solve hands over the jump probabilities into
-    # each metastable state, and the stationary solve then the flux into the
-    # interior from mu on them, transposed
+    # every exact solve factors the transpose of one system M of the jump
+    # chain, its states in elimination order with the metastable states
+    # last, here built entry by entry through LIL: the rows I - P of the
+    # states off them, each rate row scaled by its holding rate, and the
+    # rows -R of the rates out of them, unscaled; the stationary solve then
+    # sweeps the factor's U once, from mu on the metastable states
     walk = request.getfixturevalue(walk)
     params = ProcessParams(n, 1e-3)
     enum = StateEnumeration(walk.kappa, n)
@@ -223,37 +224,36 @@ def test_interior_system_matches_lil(walk, n, request, monkeypatch):
     holding = np.asarray(coo.sum(axis=1)).ravel()
     rates = coo.tolil()
     xi = [enum.xi_index(x) for x in range(walk.kappa)]
-    interior = np.array([i for i in range(enum.size) if i not in xi])
-    order = interior[exact._nested_dissection(enum.counts_matrix()[interior]).perm]
+    order = exact._nested_dissection(enum.counts_matrix(), xi).perm
+    assert order[-len(xi):].tolist() == xi
     row = {state: k for k, state in enumerate(order)}
     lil = sp.lil_matrix((len(order), len(order)))
-    want_b = np.zeros((len(order), len(xi)))
     for k, i in enumerate(order):
+        if i in xi:
+            for j, r in zip(rates.rows[i], rates.data[i]):
+                lil[k, row[j]] = -r
+            continue
         lil[k, k] = 1.0
         for j, r in zip(rates.rows[i], rates.data[i]):
-            if j in xi:
-                want_b[k, xi.index(j)] = r * (1.0 / holding[i])
-            else:
-                lil[k, row[j]] = -((1.0 / holding[i]) * r)
+            lil[k, row[j]] = -((1.0 / holding[i]) * r)
     systems, rights = [], []
-    solver = exact._solver
+    factor, sweep = exact._factor, exact._sweep
 
-    def spy(a, tree):
+    def spy_factor(a, tree):
         systems.append(a)
-        solve, lu_nnz = solver(a, tree)
+        return factor(a, tree)
 
-        def each(b, trans=False):
-            rights.append((b, trans))
-            return solve(b, trans)
+    def spy_sweep(tree, lu, y):
+        rights.append(y.copy())
+        return sweep(tree, lu, y)
 
-        return each, lu_nnz
-
-    monkeypatch.setattr(exact, "_solver", spy)
+    monkeypatch.setattr(exact, "_factor", spy_factor)
+    monkeypatch.setattr(exact, "_sweep", spy_sweep)
     stationary_exact(walk, params)
     (a,) = systems
-    # the identity minus P_ii stores a row's entries in another column order
-    _assert_same_csr(a.tocsr().sorted_indices(), lil.tocsr())
-    (b, trans), (flux, flux_trans) = rights
-    assert np.array_equal(b, want_b) and not trans and flux_trans
+    # the identity minus the scaled rates stores a row's entries in another
+    # column order
+    _assert_same_csr(a.T.tocsr().sorted_indices(), lil.tocsr())
+    (y,) = rights
     mu_xi = exact._gth_stationary(exact._trace_chain(walk, params).generator)
-    np.testing.assert_allclose(flux, rates[xi][:, order].toarray().T @ mu_xi, rtol=1e-14)
+    assert not y[:-len(xi)].any() and np.array_equal(y[-len(xi):], mu_xi)

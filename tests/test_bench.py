@@ -161,8 +161,8 @@ def test_exact_row_times_the_factor(package_checkout, tmp_path):
     m = row["metrics"]
     assert set(m) == {"states", "lu_nnz", "predicted_nnz", "factor_cpu_s", "maxrss_mb"}
     # the system of the 4-site walk at N = 20 that every exact solve factors:
-    # every state but the four metastable ones
-    assert m["states"] == 1771 and m["lu_nnz"] == m["predicted_nnz"] == 303_295
+    # the jump chain, the four metastable states last and not eliminated
+    assert m["states"] == 1771 and m["lu_nnz"] == m["predicted_nnz"] == 305_539
     assert m["factor_cpu_s"] > 0 and m["maxrss_mb"] > 0
 
 
@@ -179,9 +179,9 @@ def test_layer_rows_time_the_state_space_and_the_order(package_checkout, tmp_pat
         assert row["metrics"]["cpu_s"] > 0 and row["metrics"]["maxrss_mb"] > 0
     # the counts of 46,376 states of 5 sites, the analysis generator's entries,
     # the rate matrix of 8,436 states and the entries the factor of the
-    # interior off every metastable state stores
+    # jump chain stores, the metastable states last and not eliminated
     assert [(r["metrics"]["states"], r["metrics"]["entries"]) for r in rows] == [
-        (46_376, 231_880), (46_376, 660_176), (8_436, 93_240), (8_436, 2_700_650)]
+        (46_376, 231_880), (46_376, 660_176), (8_436, 93_240), (8_436, 2_707_160)]
 
 
 def test_a_kernel_row_without_the_package_fails(checkout, tmp_path):

@@ -13,16 +13,18 @@ from incproc import (ConditionNotSatisfied, DimensionMismatch, IncprocError,
                      RegionSpec, WalkSpec, analyze_walk, enumerate_states,
                      flow_profile, mean_jump_rate_exact, reciprocal_sum, region_masses,
                      stationary_closed_form, stationary_exact)
-from incproc.exact import (STATIONARY_TOL, _trace_chain, build_generator,
-                           reciprocal_bound_holds, reciprocal_sum_column,
-                           reciprocal_sum_table)
+from incproc.exact import (STATIONARY_TOL, build_generator, reciprocal_bound_holds,
+                           reciprocal_sum_column, reciprocal_sum_table)
+from reference import superlu_reduction
 
 
 def hitting_column(spec, params, y):
     """The probability, per starting state, of reaching xi^y first among the
-    metastable states, and the enumeration."""
-    chain = _trace_chain(spec, params)
-    return chain.hitting[:, y], chain.enum
+    metastable states, from the reference reduction, and the enumeration.
+    The exact solves read the trace generator built from these columns off
+    their factor, and are checked against the reference's in
+    test_exact_solver.py."""
+    return superlu_reduction(spec, params).hitting[:, y], enumerate_states(spec.kappa, params.n)
 
 
 class TestStationaryExact:
@@ -160,6 +162,13 @@ class TestRegionMasses:
         with pytest.raises(DimensionMismatch):
             region_masses(mu, [reg])
 
+    @pytest.mark.parametrize("kappa", [2, 5])
+    def test_region_of_a_walk_of_another_site_count_is_a_mismatch(self, kappa):
+        # a 5-site walk over the states of 3 sites built a region of 37
+        # inner-core states whose epsilon check read the 5-site rates
+        with pytest.raises(DimensionMismatch, match="over the states of 3 sites"):
+            RegionSpec(WalkSpec.cycle(kappa, 0.7), enumerate_states(3, 40), (0, 1), eps=0.5)
+
     @pytest.mark.parametrize("regions", ["x", 5, [None], (0, 1)])
     def test_rejects_regions_that_are_not_region_specs(self, up3, regions):
         # "x" raised an AttributeError
@@ -250,7 +259,7 @@ class TestHitting:
         # from every state the walk reaches some metastable state first
         spec = request.getfixturevalue(walk)
         enum = enumerate_states(spec.kappa, 7)
-        h = _trace_chain(spec, ProcessParams(7, 0.05)).hitting
+        h = superlu_reduction(spec, ProcessParams(7, 0.05)).hitting
         assert h.shape == (enum.size, spec.kappa)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-10
 

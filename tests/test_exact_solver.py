@@ -1,11 +1,11 @@
 """The exact LU path against reference solvers, plus its diagnostics.
 
-Every exact solve reads one reduction: the interior system ``I - P_ii`` of
-the jump chain off every metastable state, factored once. Its kappa hitting
-columns give the generator G of the trace chain on the metastable states.
-The stationary law is G's stationary law there, by GTH elimination, and the
-transposed solve of the same factor off them; the trace rates on A are the
-GTH Schur complement of G onto A.
+Every exact solve reads one reduction: the jump chain ``I - P`` eliminated
+once, the metastable states last, its transpose factored. The update the
+elimination leaves on them gives the generator G of the trace chain
+there, checked by its row sums. The stationary law is G's stationary law
+there, by GTH elimination, and one back substitution with the factor's U
+off them; the trace rates on A are the GTH Schur complement of G onto A.
 
 The references below are the solvers this replaced, one SuperLU
 factorization per system in ``MMD_AT_PLUS_A`` order: the stationary law
@@ -14,9 +14,10 @@ heaviest metastable state (``pinned_balance``), and one hitting solve per
 target of A on the system off the metastable states of A alone
 (``per_a_system``), with the trace rates summed move by move
 (``loop_trace_rates``). ``oracle_trace_rates`` solves that per-A system in
-exact rational arithmetic. The multifrontal factor is checked against
-``reference.superlu_solver``, SuperLU on the same interior system in the
-same order.
+exact rational arithmetic. The one elimination is checked against
+``reference.superlu_reduction``, the reduction it replaced: SuperLU on the
+interior system off every metastable state, in the same order, with its
+hitting columns, ``G = R[xi] @ h`` and a transposed solve.
 """
 
 import math
@@ -29,7 +30,6 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -47,7 +47,7 @@ from incproc import (OutOfRange, ProcessParams, RegionSpec, SolverFailure,
 from incproc.exact import (HITTING_TOL, STATIONARY_TOL, build_generator,
                            build_rate_matrix)
 from incproc.thermo import build_torus, torus_walk
-from reference import superlu_solver
+from reference import superlu_reduction
 
 AGREE = 1e-12
 
@@ -221,7 +221,7 @@ def test_agrees_with_reference_solver(request, walk, params, a_set):
     spec = request.getfixturevalue(walk) if isinstance(walk, str) else walk
     close(stationary_exact(spec, params).weights,
           reference_stationary(spec, params), "stationary law")
-    h = exact._trace_chain(spec, params).hitting
+    h = superlu_reduction(spec, params).hitting
     every = tuple(range(spec.kappa))
     for y, column, want in zip(every, h.T, reference_hitting(spec, params, every).T):
         close(column, want, f"h_{y}")
@@ -252,11 +252,14 @@ class TestRandomWalks:
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
     def test_hitting_partition_of_unity(self, seed):
+        # the reference's hitting rows sum to one, and so the rows of G with
+        # the returns to xi^x, which the factor's row-sum check reads
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
-        h = exact._trace_chain(spec, params).hitting
+        h = superlu_reduction(spec, params).hitting
         assert h.shape == (enum.size, spec.kappa)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-12
+        assert exact._trace_chain(spec, params).solver.residual <= 1e-12
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -284,14 +287,14 @@ class TestRandomWalks:
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
     def test_trace_rates_match_loop(self, seed):
-        # on every site the rates are G off its diagonal: the rate rows
-        # times h sum the same terms in the same order as the loop
+        # on every site the rates are G off its diagonal: the first-step sums
+        # over the moves out of each xi^x of the reference's hitting columns
         spec, params = random_walk(seed)
         a_set = tuple(range(spec.kappa))
         enum = enumerate_states(spec.kappa, params.n)
-        h = exact._trace_chain(spec, params).hitting
-        assert np.array_equal(mean_jump_rate_exact(spec, params, a_set).raw,
-                              loop_trace_rates(spec, params, enum, a_set, h))
+        h = superlu_reduction(spec, params).hitting
+        close(mean_jump_rate_exact(spec, params, a_set).raw,
+              loop_trace_rates(spec, params, enum, a_set, h), "trace rates")
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -308,8 +311,10 @@ class TestRandomWalks:
     def test_nested_dissection_is_a_permutation(self, seed):
         spec, params = random_walk(seed)
         enum = enumerate_states(spec.kappa, params.n)
-        perm = exact._nested_dissection(enum.counts_matrix()).perm
+        xi = [enum.xi_index(x) for x in range(spec.kappa)]
+        perm = exact._nested_dissection(enum.counts_matrix(), xi).perm
         assert np.array_equal(np.sort(perm), np.arange(enum.size))
+        assert perm[-spec.kappa:].tolist() == xi
 
 
 def one_way_walk(seed: int) -> tuple[WalkSpec, ProcessParams]:
@@ -338,31 +343,32 @@ def condition(a):
     return spla.norm(a, 1) * spla.onenormest(inverse)
 
 
+def reference_all(reduction, a_set):
+    """The stationary law, the trace generator and the trace rates on
+    ``a_set`` of a ``superlu_reduction``, the rates by the GTH Schur
+    complement of its G as ``mean_jump_rate_exact`` reads them."""
+    raw = model._gth(reduction.generator, a_set)[1][:len(a_set), :len(a_set)]
+    np.fill_diagonal(raw, 0.0)
+    return reduction.stationary, reduction.generator, raw
+
+
 def agree_with_superlu(spec, params, a_set):
-    """The stationary law, the hitting matrix and the trace rates agree with
-    SuperLU factoring the same interior system in the same order: within
-    AGREE, or within cond(A) * eps where the condition number of the system
-    A puts that above AGREE. Two backward-stable solves of A may differ by
-    about that much: on one of 600 random walks, with cond(A) = 2.9e8,
-    SuperLU in two orders agreed to 1e-21 and missed the exact solution by
-    1.1e-9, where the multifrontal factor missed it by 9.3e-11. The trace
-    rates also agree with one SuperLU solve per target of the system off the
-    metastable states of A alone, within AGREE or that system's cond * eps."""
-    cond = []
-    solver = exact._solver
-
-    def measured(a, tree):
-        if not cond:    # every solve factors the same system
-            cond.append(condition(a))
-        return solver(a, tree)
-
-    with mock.patch.object(exact, "_solver", measured):
-        new = solve_all(spec, params, a_set)
-    with mock.patch.object(exact, "_solver", superlu_solver):
-        ref = solve_all(spec, params, a_set)
+    """The stationary law, the trace generator and the trace rates agree
+    with the reduction by SuperLU on the interior system A off every
+    metastable state, in the same order: within AGREE, or within cond(A) *
+    eps where the condition number of A puts that above AGREE. Two
+    backward-stable solves of A may differ by about that much: on one of
+    600 random walks, with cond(A) = 2.9e8, SuperLU in two orders agreed to
+    1e-21 and missed the exact solution by 1.1e-9, where the multifrontal
+    factor missed it by 9.3e-11. The trace rates also agree with one
+    SuperLU solve per target of the system off the metastable states of A
+    alone, within AGREE or that system's cond * eps."""
+    ref = superlu_reduction(spec, params)
+    new = solve_all(spec, params, a_set)
     eps = np.finfo(float).eps
-    for what, got, want in zip(("stationary law", "hitting matrix", "trace rates"), new, ref):
-        close(got, want, what, max(AGREE, cond[0] * eps))
+    for what, got, want in zip(("stationary law", "trace generator", "trace rates"), new,
+                               reference_all(ref, a_set)):
+        close(got, want, what, max(AGREE, condition(ref.system) * eps))
     close(new[2], reference_trace_rates(spec, params, a_set), "trace rates, per target",
           max(AGREE, condition(per_a_system(spec, params, a_set)[0]) * eps))
 
@@ -388,8 +394,9 @@ class TestAgainstSuperLU:
 
     def test_a_perturbed_front_entry_fails(self, monkeypatch):
         # block 0 assembles row 0 of the system from its first stored entry,
-        # here 0.1% off: the hitting residual check of the one reduction
-        # catches it in every exact solve
+        # here 0.1% off: the row sums of the trace generator, which the
+        # stationary residual alone does not check, catch it in every
+        # exact solve
         factor = exact._factor
 
         def planted(a, tree):
@@ -399,35 +406,43 @@ class TestAgainstSuperLU:
 
         monkeypatch.setattr(exact, "_factor", planted)
         params = ProcessParams(12, 1e-3)
-        with pytest.raises(SolverFailure, match="hitting-probability residual"):
+        with pytest.raises(SolverFailure, match="row-sum defect"):
             stationary_exact(KAPPA4, params)
-        with pytest.raises(SolverFailure, match="hitting-probability residual"):
+        with pytest.raises(SolverFailure, match="row-sum defect"):
             mean_jump_rate_exact(KAPPA4, params, (0,))
 
     def test_a_perturbed_transposed_solve_fails(self, monkeypatch):
-        # the transposed solve 1e-9 off stays inside the stationary residual
-        # bound, and the comparison with SuperLU catches it
-        solver = exact._solver
-
-        def planted(a, tree):
-            solve, lu_nnz = solver(a, tree)
-            return (lambda b, trans=False: solve(b, trans) * (1.0 + 1e-9 * trans)), lu_nnz
-
-        monkeypatch.setattr(exact, "_solver", planted)
+        # the sweep 1e-9 off stays inside the stationary residual bound, and
+        # the comparison with SuperLU catches it
+        sweep = exact._sweep
+        monkeypatch.setattr(exact, "_sweep", lambda *args: sweep(*args) * (1.0 + 1e-9))
         with pytest.raises(AssertionError, match="stationary law"):
             agree_with_superlu(KAPPA4, ProcessParams(12, 1e-3), (0, 1))
 
     def test_transposed_sweep_matches_a_sparse_solve(self, chain4):
-        # incproc_lu_solve with trans solves a.T x = b on the factor of a:
-        # the U^T and U12^T sweep down, then L21^T, L^T and the swaps undone
-        # in reverse; here blocks pivot more than once, so the order shows
+        # the transposed system m.T is factored: its columns are diagonally
+        # dominant, so no block swaps a row, where factoring m swaps many.
+        # incproc_lu_solve solves U x = y, per block in reverse, U12 and
+        # U11; on (0, mu) it leaves mu on the root and gives the flux off
+        # it, the solution of the transposed interior system a.T x = -c.T mu
         _, systems = solves_of(lambda: exact._trace_chain(chain4, ProcessParams(9, 1e-2)))
-        (a, tree), = systems
-        lu, ipiv = exact._factor(a, tree)
-        b = np.random.default_rng(7).random((a.shape[0], 3))
-        want = spla.spsolve(a.T.tocsc(), b)
-        close(exact._lu_solve(tree, lu, ipiv, b, trans=True), want, "a.T x = b", 1e-13)
-        close(exact._lu_solve(tree, lu, ipiv, b), spla.spsolve(a.tocsc(), b), "a x = b", 1e-13)
+        (mt, tree), = systems
+        m = mt.T.tocsr()
+        inner = tree.perm.size - tree.root
+        unswapped = np.concatenate([np.arange(1, s + 1) for s in tree.sizes])
+        lu, ipiv, update = exact._factor(mt, tree)
+        assert np.array_equal(ipiv[:inner], unswapped)
+        assert (exact._factor(m, tree)[1][:inner] != unswapped).any()
+        a, b, c = m[:inner, :inner].tocsc(), m[:inner, inner:].toarray(), m[inner:, :inner]
+        mu = np.random.default_rng(7).random(tree.root)
+        y = np.zeros(tree.perm.size)
+        y[inner:] = mu
+        x = exact._sweep(tree, lu, y)
+        assert np.array_equal(x[inner:], mu)
+        close(x[:inner], spla.spsolve(a.T.tocsc(), -(c.T @ mu)), "a.T x = -c.T mu", 1e-13)
+        # the update left on the root is the transposed Schur complement's
+        # -c a^-1 b
+        close(update.T, -(c @ spla.spsolve(a, b)), "root update", 1e-13)
 
 
 class TestOracle:
@@ -440,6 +455,17 @@ class TestOracle:
         a_set = (1, 2)
         close(mean_jump_rate_exact(spec, params, a_set).raw,
               oracle_trace_rates(spec, params, a_set), "trace rates")
+
+    def test_a_small_rate_keeps_its_digits(self):
+        # two sites at N = 27: xi^0 leaves for xi^1 at 8.3e-14, 2.3e-12 of
+        # its holding rate; factoring the system untransposed swapped rows
+        # and put this rate 6.4e-9 off
+        spec, params = random_walk(157)
+        raw = mean_jump_rate_exact(spec, params, (0, 1)).raw
+        want = oracle_trace_rates(spec, params, (0, 1))
+        assert raw[0, 1] < 1e-13
+        assert abs(raw[0, 1] / want[0, 1] - 1.0) <= 1e-14
+        assert abs(raw[1, 0] / want[1, 0] - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("slow, n", [(1e-150, 2), (1e-100, 3)])
     def test_a_slow_site_outside_a(self, slow, n):
@@ -456,13 +482,13 @@ class TestOracle:
 def solves_of(run):
     """The result of ``run()`` and the ``(a, tree)`` of each factor it made."""
     systems = []
-    solver = exact._solver
+    factor = exact._factor
 
     def spy(a, tree):
         systems.append((a, tree))
-        return solver(a, tree)
+        return factor(a, tree)
 
-    with mock.patch.object(exact, "_solver", spy):
+    with mock.patch.object(exact, "_factor", spy):
         return run(), systems
 
 
@@ -488,26 +514,20 @@ def single_count_order(coords):
 
 
 def solve_all(spec, params, a_set):
-    """The stationary law, the hitting vectors of every target and the trace rates."""
-    return (stationary_exact(spec, params).weights, exact._trace_chain(spec, params).hitting.T,
+    """The stationary law, the trace generator and the trace rates."""
+    return (stationary_exact(spec, params).weights, exact._trace_chain(spec, params).generator,
             mean_jump_rate_exact(spec, params, a_set).raw)
 
 
-def single_count_tree(coords):
-    """What the solves read of a tree, for the single-count order; SuperLU
-    factors the system in that order."""
-    return SimpleNamespace(perm=single_count_order(coords), stored=0, factor_bytes=0)
-
-
 def agree_with_single_count_order(spec, params, a_set):
+    # SuperLU factors the interior system in the single-count order
+    enum = enumerate_states(spec.kappa, params.n)
+    interior = np.setdiff1d(np.arange(enum.size), [enum.xi_index(x) for x in range(spec.kappa)])
+    order = interior[single_count_order(enum.counts_matrix()[interior])]
     new = solve_all(spec, params, a_set)
-    with mock.patch.object(exact, "_nested_dissection", single_count_tree), \
-            mock.patch.object(exact, "_solver", superlu_solver):
-        ref = solve_all(spec, params, a_set)
-    close(new[0], ref[0], "stationary law")
-    for y, h_new, h_ref in zip(range(spec.kappa), new[1], ref[1]):
-        close(h_new, h_ref, f"h_{y}")
-    close(new[2], ref[2], "trace rates")
+    ref = reference_all(superlu_reduction(spec, params, order), a_set)
+    for what, got, want in zip(("stationary law", "trace generator", "trace rates"), new, ref):
+        close(got, want, what)
 
 
 TORUS8 = build_torus(1, 8, {1: 0.7, -1: 0.3}, rho=1.0, d_l=1e-3)
@@ -515,22 +535,26 @@ TORUS8 = build_torus(1, 8, {1: 0.7, -1: 0.3}, rho=1.0, d_l=1e-3)
 
 class TestNestedDissection:
     def test_separator_splits_the_move_graph(self):
-        # the top separator, ordered last, is one level set eta(S) == v of a
-        # subset sum, no rate-matrix entry links its two sides, and it is
-        # smaller than the single-count separator it replaced
+        # the top separator, ordered last before the metastable states, is
+        # one level set eta(S) == v of a subset sum over the states off
+        # them, no rate-matrix entry links its two sides, and it is smaller
+        # than the single-count separator it replaced
         params = ProcessParams(12, 1e-2)
         for walk in (WalkSpec.cycle(4, 0.6), KAPPA4, WalkSpec.cycle(5, 0.6)):
             enum = enumerate_states(walk.kappa, params.n)
-            counts = enum.counts_matrix().astype(int)
-            perm = exact._nested_dissection(counts).perm
-            rates = build_rate_matrix(walk, params, enum).tocoo()
+            xi = [enum.xi_index(x) for x in range(walk.kappa)]
+            perm = exact._nested_dissection(enum.counts_matrix(), xi).perm
+            assert perm[-walk.kappa:].tolist() == xi
+            perm = perm[:-walk.kappa]
+            counts = enum.counts_matrix().astype(int)[perm]
+            rates = build_rate_matrix(walk, params, enum)[perm][:, perm].tocoo()
             found = []
             for size in range(1, walk.kappa):
                 for s in combinations(range(walk.kappa), size):
                     eta_s = counts[:, list(s)].sum(axis=1)
-                    v = eta_s[perm[-1]]
+                    v = eta_s[-1]
                     level = np.flatnonzero(eta_s == v)
-                    if set(perm[-level.size:]) == set(level):
+                    if set(level) == set(range(perm.size - level.size, perm.size)):
                         found.append(level.size)
                         side = np.sign(eta_s - v)
                         assert (side < 0).any() and (side > 0).any()
@@ -538,13 +562,13 @@ class TestNestedDissection:
             assert found
             # it is the smallest median level set of any |S| <= kappa/2
             smallest = min(
-                (eta_s == np.sort(eta_s)[enum.size // 2]).sum()
+                (eta_s == np.sort(eta_s)[perm.size // 2]).sum()
                 for size in range(1, walk.kappa // 2 + 1)
                 for eta_s in (counts[:, list(s)].sum(axis=1)
                               for s in combinations(range(walk.kappa), size)))
             assert min(found) == smallest
             j = int(np.argmax(counts.max(axis=0) - counts.min(axis=0)))
-            v = np.sort(counts[:, j])[enum.size // 2]
+            v = np.sort(counts[:, j])[perm.size // 2]
             assert smallest < (counts[:, j] == v).sum()
 
     @given(st.integers(0, 100_000))
@@ -565,16 +589,15 @@ class TestNestedDissection:
     def test_fill_and_its_prediction(self, walk, params, single_count_nnz):
         # single_count_nnz: SuperLU's L+U of the pinned stationary system
         # under the single-count order; the order's quality is read the same
-        # way, on the system off every metastable state
-        with mock.patch.object(exact, "_solver", superlu_solver):
-            assert stationary_exact(walk, params).solver.lu_nnz <= single_count_nnz
+        # way, by SuperLU on the system off every metastable state in the
+        # order the exact solves eliminate it in
+        assert superlu_reduction(walk, params).lu_nnz <= single_count_nnz
         solver = stationary_exact(walk, params).solver
         assert solver.lu_nnz == solver.predicted_nnz
 
     def test_hitting_fill_below_single_count_order(self):
         params, a_set = ProcessParams(35, 1e-4), (0, 1, 2, 3)
-        with mock.patch.object(exact, "_solver", superlu_solver):
-            assert mean_jump_rate_exact(KAPPA4, params, a_set).solver.lu_nnz <= 2_761_282
+        assert superlu_reduction(KAPPA4, params).lu_nnz <= 2_761_282
         solver = mean_jump_rate_exact(KAPPA4, params, a_set).solver
         assert solver.lu_nnz == solver.predicted_nnz
 
@@ -585,20 +608,21 @@ class TestNestedDissection:
         assert [exact._candidate_sets(k).shape[1] for k in (2, 3, 4, 5, 8, 9, 40)] == [
             1, 3, 7, 15, 127, 9, 40]
         assert (exact._candidate_sets(40) == np.eye(40, dtype=int)).all()
-        counts = enumerate_states(40, 3).counts_matrix()
+        enum = enumerate_states(40, 3)
+        counts = enum.counts_matrix()
         start = time.perf_counter()
-        tree = exact._nested_dissection(counts)
+        tree = exact._nested_dissection(counts, [enum.xi_index(x) for x in range(40)])
         assert time.perf_counter() - start < 2.0
         assert np.array_equal(np.sort(tree.perm), np.arange(counts.shape[0]))
         assert tree.stored > 0
 
     def test_less_fill_than_minimum_degree(self):
         # at desk scale on four sites the count-coordinate dissection beats
-        # the generic minimum-degree ordering on the system every solve factors
-        _, systems = solves_of(lambda: stationary_exact(KAPPA4, ProcessParams(25, 1e-4)))
-        (a, _), = systems
-        mmd = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
-        assert superlu_solver(a)[1] < 0.8 * mmd
+        # the generic minimum-degree ordering on the system off every
+        # metastable state, SuperLU's fill in each order
+        ref = superlu_reduction(KAPPA4, ProcessParams(25, 1e-4))
+        mmd = spla.splu(ref.system.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
+        assert ref.lu_nnz < 0.8 * mmd
 
 
 REFUSE = """
@@ -644,7 +668,7 @@ class TestFillCap:
         # system and index arrays of a few bytes a state
         _, systems = solves_of(lambda: stationary_exact(KAPPA4, ProcessParams(35, 1e-4)))
         (a, tree), = systems
-        assert (tree.stored, tree.updates) == (2_700_650, 615_089)
+        assert (tree.stored, tree.updates) == (2_707_160, 616_461)
         n = a.shape[0]
         columns = a.tocsc()
         copied = columns.data.nbytes + columns.indices.nbytes + columns.indptr.nbytes
@@ -652,7 +676,7 @@ class TestFillCap:
         exact._factor(a, tree)      # the library and the BLAS table load once
         tracemalloc.start()
         try:
-            lu, ipiv = exact._factor(a, tree)
+            lu, ipiv, _ = exact._factor(a, tree)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -676,41 +700,25 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("negative", [True, False])
     def test_stationary_failed_solve_raises(self, up3, monkeypatch, negative):
-        # a transposed solve with negative entries, and a positive one that
-        # misses the residual bound: there is no fallback
-        solver = exact._solver
-
-        def broken(a, tree):
-            solve, lu_nnz = solver(a, tree)
-
-            def bad(b, trans=False):
-                if not trans:
-                    return solve(b)
-                return -np.ones_like(b) if negative else np.linspace(1.0, 2.0, len(b))
-
-            return bad, lu_nnz
-
-        monkeypatch.setattr(exact, "_solver", broken)
+        # a sweep with negative entries, and a positive one that misses the
+        # residual bound: there is no fallback
+        monkeypatch.setattr(exact, "_sweep", lambda tree, lu, y: (
+            -np.ones_like(y) if negative else np.linspace(1.0, 2.0, len(y))))
         with pytest.raises(SolverFailure, match="stationary residual"):
             stationary_exact(up3, ProcessParams(6, 0.2))
 
     @pytest.mark.parametrize("stationary", [True, False])
-    def test_nan_hitting_solve_raises(self, cycle3, monkeypatch, stationary):
-        # a nan fails the residual bound as any other miss does, in both solves
-        solver = exact._solver
+    def test_nan_root_update_raises(self, cycle3, monkeypatch, stationary):
+        # a nan fails the row-sum bound as any other miss does, in both solves
+        factor = exact._factor
 
         def planted(a, tree):
-            solve, lu_nnz = solver(a, tree)
+            lu, ipiv, update = factor(a, tree)
+            update.flat[0] = np.nan
+            return lu, ipiv, update
 
-            def nan_first(b, trans=False):
-                x = solve(b, trans)
-                x.flat[0] = np.nan
-                return x
-
-            return nan_first, lu_nnz
-
-        monkeypatch.setattr(exact, "_solver", planted)
-        with pytest.raises(SolverFailure, match="hitting-probability residual"):
+        monkeypatch.setattr(exact, "_factor", planted)
+        with pytest.raises(SolverFailure, match="row-sum defect"):
             if stationary:
                 stationary_exact(cycle3, ProcessParams(6, 0.1))
             else:
@@ -746,30 +754,28 @@ class TestDiagnostics:
         assert outer["factor_s"] > 0.0
 
     def test_one_factor_serves_every_solve(self, up3, monkeypatch):
-        # 42 interior states: the three hitting columns, then for the
-        # stationary law one transposed column, on one factor per call
-        factors, solves = [], []
-        solver = exact._solver
+        # 45 states, 42 off the metastable ones: one factor per call, no
+        # sweep for the trace rates and one for the stationary law
+        factors, sweeps = [], []
+        factor, sweep = exact._factor, exact._sweep
 
-        def counted(a, tree):
+        def counted_factor(a, tree):
             factors.append(a.shape)
-            solve, lu_nnz = solver(a, tree)
+            return factor(a, tree)
 
-            def each(b, trans=False):
-                solves.append((b.shape, trans))
-                return solve(b, trans)
+        def counted_sweep(tree, lu, y):
+            sweeps.append(y.shape)
+            return sweep(tree, lu, y)
 
-            return each, lu_nnz
-
-        monkeypatch.setattr(exact, "_solver", counted)
+        monkeypatch.setattr(exact, "_factor", counted_factor)
+        monkeypatch.setattr(exact, "_sweep", counted_sweep)
         params = ProcessParams(8, 0.05)
         for a_set in ((0, 1, 2), (0, 2), (1,)):
             mean_jump_rate_exact(up3, params, a_set)
-        assert factors == [(42, 42)] * 3 and solves == [((42, 3), False)] * 3
+        assert factors == [(45, 45)] * 3 and sweeps == []
         factors.clear()
-        solves.clear()
         stationary_exact(up3, params)
-        assert factors == [(42, 42)] and solves == [((42, 3), False), ((42,), True)]
+        assert factors == [(45, 45)] and sweeps == [(45,)]
 
 
 class TestSiteSets:
@@ -869,11 +875,13 @@ class TestGTH:
 
 class TestSmallSystems:
     def test_every_state_metastable(self, cycle3):
-        # N = 1: every state is metastable, the interior is empty, G is the
+        # N = 1: every state is metastable, no block is eliminated, G is the
         # rate matrix, and the stationary law is the walk's
         chain = exact._trace_chain(cycle3, ProcessParams(1, 0.1))
-        assert chain.order.size == 0 and chain.solver.residual == 0.0
-        assert chain.hitting[chain.xi].tolist() == np.eye(3).tolist()
+        assert chain.tree.sizes.size == 0 and chain.solver.residual == 0.0
+        off = ~np.eye(3, dtype=bool)
+        rates = chain.rates[chain.xi][:, chain.xi].toarray()
+        assert chain.generator[off].tolist() == rates[off].tolist()
         mu = stationary_exact(cycle3, ProcessParams(1, 0.1))
         close(mu.weights[chain.xi], analyze_walk(cycle3).m, "stationary law", 1e-15)
 
